@@ -1,14 +1,17 @@
-// Allocation-regression tests for the sparse memory model: booting even the
-// largest board must not zero (or allocate) memory proportional to the
-// simulated SDRAM.
+// Allocation-regression tests: booting even the largest board must not
+// zero (or allocate) memory proportional to the simulated SDRAM, and the
+// serving loops must not allocate per-job buffers that outlive their use.
 package repro_test
 
 import (
 	"testing"
 
 	"repro"
+	"repro/internal/exp"
+	"repro/internal/fleet"
 	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/rcsched"
 )
 
 // TestByteStoreLazyPages asserts that a large store materialises no backing
@@ -62,5 +65,61 @@ func TestNewSystemNoEagerSDRAMZeroing(t *testing.T) {
 	}
 	if got := board.SDRAM.Store().MaterializedBytes(); got != 0 {
 		t.Fatalf("fresh EPXA10 board materialised %d SDRAM bytes, want 0", got)
+	}
+}
+
+// allocMBPerOp measures the heap bytes one call of op allocates, in MB.
+func allocMBPerOp(t *testing.T, op func() error) float64 {
+	t.Helper()
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation gate: testing.Benchmark is skipped in -short mode and distorted by -race")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if res.N == 0 {
+		t.Fatal("benchmark did not run (op failed)")
+	}
+	return float64(res.AllocedBytesPerOp()) / 1e6
+}
+
+// TestServeAllocationBound gates the per-job setup garbage of a serving
+// run: job data is drawn through one reseeded generator and reused scratch,
+// outputs are verified in place, and the board's SDRAM pages are recycled
+// (the SATURATE cell at 2x knee allocated 1.32 MB/op before that).
+func TestServeAllocationBound(t *testing.T) {
+	jobs, err := exp.SaturateStream(1600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocMBPerOp(t, func() error {
+		_, err := rcsched.Serve(rcsched.Config{Policy: "slack", Slots: 2, Admit: rcsched.AdmitReject}, jobs)
+		return err
+	})
+	const limit = 0.35
+	if got > limit {
+		t.Fatalf("rcsched.Serve(saturate, slack, reject) allocates %.3f MB/op, want <= %.2f", got, limit)
+	}
+}
+
+// TestFleetAllocationBound gates the same for a four-board affinity fleet,
+// where every board runs its own serving loop (4.03 MB/op before).
+func TestFleetAllocationBound(t *testing.T) {
+	jobs, err := exp.FleetStream(4, 800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocMBPerOp(t, func() error {
+		_, err := fleet.Run(exp.FleetConfig(fleet.Affinity, 4, rcsched.AdmitOff), jobs)
+		return err
+	})
+	const limit = 1.3
+	if got > limit {
+		t.Fatalf("fleet.Run(affinity, 4 boards) allocates %.3f MB/op, want <= %.1f", got, limit)
 	}
 }

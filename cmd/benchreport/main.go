@@ -9,8 +9,9 @@
 //
 // With -compare, the fresh results are diffed against a committed baseline
 // file and the run fails (exit 1) when any benchmark's wall-clock ns/op
-// regressed by more than -max-regress (a fraction; 0.25 = 25%). CI uses
-// this as the performance trend gate against the committed baseline.
+// regressed by more than -max-regress (a fraction; 0.25 = 25%), or its B/op
+// or allocs/op grew by more than 5%. CI uses this as the performance trend
+// gate against the committed baseline.
 //
 // The tool shells out to `go test -bench` (so results match what developers
 // measure by hand) and parses the standard benchmark output format:
@@ -22,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -57,7 +59,7 @@ func main() {
 	benchtime := flag.String("benchtime", "3x", "benchmark time passed to go test -benchtime")
 	out := flag.String("out", "BENCH_results.json", "output JSON path")
 	benchmem := flag.Bool("benchmem", true, "pass -benchmem")
-	compare := flag.String("compare", "", "baseline JSON to diff against; exit 1 on wall-clock regression")
+	compare := flag.String("compare", "", "baseline JSON to diff against; exit 1 on wall-clock or allocation regression")
 	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression vs -compare baseline")
 	noiseFloor := flag.Float64("noise-floor-ns", 50_000, "absolute ns/op delta below which a wall-clock regression is ignored (micro-benchmark host jitter)")
 	count := flag.Int("count", 1, "benchmark repetitions (go test -count); the per-benchmark minimum ns/op is kept, which damps host noise for the regression gate")
@@ -127,12 +129,17 @@ func main() {
 	}
 }
 
-// diffBaseline compares the fresh report against a committed baseline and
-// reports per-benchmark wall-clock deltas. It returns true when any
-// benchmark present in both runs regressed beyond the allowed fraction AND
-// beyond the absolute noise floor — microsecond-scale benchmarks flap by
-// large percentages on fixed host jitter that means nothing for the
-// millisecond-scale cells the gate exists to protect.
+// allocRegress is the allowed fractional growth of a benchmark's B/op and
+// allocs/op, the BENCHMARK.json bound for the allocation metrics. Unlike
+// wall time these counts barely move between runs, so the bound is tight
+// and needs no -count or noise floor.
+const allocRegress = 0.05
+
+// allocMetrics are the gated allocation columns -benchmem reports.
+var allocMetrics = []string{"B/op", "allocs/op"}
+
+// diffBaseline loads the committed baseline at path and compares the fresh
+// report against it; see compareReports. An unreadable baseline fails.
 func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -144,6 +151,22 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 		fmt.Fprintf(os.Stderr, "benchreport: parse baseline: %v\n", err)
 		return true
 	}
+	regressed := compareReports(os.Stdout, base, rep, maxRegress, noiseFloor)
+	if regressed {
+		fmt.Fprintf(os.Stderr, "benchreport: regression vs %s (wall clock beyond %.0f%% or allocation beyond %.0f%%)\n",
+			path, maxRegress*100, allocRegress*100)
+	}
+	return regressed
+}
+
+// compareReports writes per-benchmark deltas of rep against base to w and
+// returns true when any benchmark present in both regressed: wall-clock
+// ns/op beyond maxRegress AND beyond the absolute noise floor
+// (microsecond-scale benchmarks flap by large percentages on fixed host
+// jitter that means nothing for the millisecond-scale cells the gate
+// exists to protect), or B/op or allocs/op beyond allocRegress. A baseline
+// benchmark missing from rep also fails.
+func compareReports(w io.Writer, base, rep Report, maxRegress, noiseFloor float64) bool {
 	baseline := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
 		baseline[r.Name] = r
@@ -155,7 +178,7 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 		fresh[r.Name] = true
 		b, ok := baseline[r.Name]
 		if !ok || b.NsPerOp <= 0 {
-			fmt.Printf("  new      %-55s %12.0f ns/op (no baseline)\n", r.Name, r.NsPerOp)
+			fmt.Fprintf(w, "  new      %-55s %12.0f ns/op (no baseline)\n", r.Name, r.NsPerOp)
 			continue
 		}
 		delta := r.NsPerOp/b.NsPerOp - 1
@@ -169,12 +192,22 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 				floored = append(floored, r.Name)
 			}
 		}
-		fmt.Printf("  %s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", mark, r.Name, b.NsPerOp, r.NsPerOp, delta*100)
+		fmt.Fprintf(w, "  %s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", mark, r.Name, b.NsPerOp, r.NsPerOp, delta*100)
+		// Allocation columns: gated only when both runs measured them.
+		for _, m := range allocMetrics {
+			was, okB := b.Metrics[m]
+			now, okR := r.Metrics[m]
+			if !okB || !okR || now <= was*(1+allocRegress) {
+				continue
+			}
+			fmt.Fprintf(w, "  FAIL %-55s %12.0f -> %12.0f %s (beyond %.0f%%)\n", "", was, now, m, allocRegress*100)
+			regressed = true
+		}
 		// Serving-quality columns (informational, not gated): the open-loop
 		// saturation cells publish goodput and shed-rate metrics, and their
 		// trend belongs next to the wall-clock trend in the CI log.
 		if g, ok := r.Metrics["goodput-rps"]; ok {
-			fmt.Printf("       %-55s %12.0f -> %12.0f goodput-rps, shed-rate %.2f -> %.2f\n",
+			fmt.Fprintf(w, "       %-55s %12.0f -> %12.0f goodput-rps, shed-rate %.2f -> %.2f\n",
 				"", b.Metrics["goodput-rps"], g, b.Metrics["shed-rate"], r.Metrics["shed-rate"])
 		}
 	}
@@ -182,7 +215,7 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 	// CI logs: name every cell whose regression was excused by the
 	// absolute noise floor.
 	if len(floored) > 0 {
-		fmt.Printf("  note: %d benchmark(s) regressed beyond %.0f%% but under the %.0f µs noise floor (excused): %s\n",
+		fmt.Fprintf(w, "  note: %d benchmark(s) regressed beyond %.0f%% but under the %.0f µs noise floor (excused): %s\n",
 			len(floored), maxRegress*100, noiseFloor/1000, strings.Join(floored, ", "))
 	}
 	// A baseline benchmark that no longer runs must not slip out of the
@@ -190,12 +223,9 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 	// baseline in the same change.
 	for _, b := range base.Results {
 		if !fresh[b.Name] {
-			fmt.Printf("  FAIL %-55s in baseline but missing from this run (re-capture %s)\n", b.Name, path)
+			fmt.Fprintf(w, "  FAIL %-55s in baseline but missing from this run (re-capture the baseline)\n", b.Name)
 			regressed = true
 		}
-	}
-	if regressed {
-		fmt.Fprintf(os.Stderr, "benchreport: wall-clock regression beyond %.0f%% vs %s\n", maxRegress*100, path)
 	}
 	return regressed
 }

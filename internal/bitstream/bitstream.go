@@ -99,7 +99,8 @@ func Build(h Header) ([]byte, error) {
 	return buf, nil
 }
 
-// Parse validates and decodes an image.
+// Parse validates and decodes an image. The returned Payload aliases img
+// rather than copying it.
 func Parse(img []byte) (Header, error) {
 	var h Header
 	if len(img) < fixedHeaderBytes {
@@ -134,7 +135,9 @@ func Parse(img []byte) (Header, error) {
 	if len(img) < payStart+payLen+4 {
 		return h, ErrTruncated
 	}
-	h.Payload = append([]byte(nil), img[payStart:payStart+payLen]...)
+	// Capped so an append cannot write into the trailing CRC: images are
+	// immutable once built, and nothing mutates a parsed payload.
+	h.Payload = img[payStart : payStart+payLen : payStart+payLen]
 	wantPayCRC := binary.LittleEndian.Uint32(img[payStart+payLen:])
 	if crc32.ChecksumIEEE(h.Payload) != wantPayCRC {
 		return h, fmt.Errorf("%w: payload", ErrCorrupt)

@@ -170,3 +170,9 @@ func (k *Kernel) WriteUser(addr uint32, data []byte) error {
 func (k *Kernel) ReadUser(addr uint32, n int) ([]byte, error) {
 	return k.CPU.SDRAM.Store().ReadBytes(addr, n)
 }
+
+// MismatchUser compares user memory at addr against want in place and
+// returns the index of the first differing byte, or -1 when they match.
+func (k *Kernel) MismatchUser(addr uint32, want []byte) (int, error) {
+	return k.CPU.SDRAM.Store().Mismatch(addr, want)
+}

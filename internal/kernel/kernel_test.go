@@ -152,3 +152,17 @@ func TestProcessIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMismatchUser(t *testing.T) {
+	k := testKernel(t)
+	data := []byte{9, 8, 7, 6}
+	if err := k.WriteUser(0x3000, data); err != nil {
+		t.Fatal(err)
+	}
+	if i, err := k.MismatchUser(0x3000, data); err != nil || i != -1 {
+		t.Fatalf("matching user memory: MismatchUser = %d, %v; want -1, nil", i, err)
+	}
+	if i, err := k.MismatchUser(0x3000, []byte{9, 8, 0, 6}); err != nil || i != 2 {
+		t.Fatalf("MismatchUser = %d, %v; want 2, nil", i, err)
+	}
+}

@@ -11,11 +11,21 @@
 // board model with 256 MB of SDRAM therefore costs a small page table, not a
 // 256 MB memset — experiment harnesses construct (and discard) whole systems
 // per run, and the eager zeroing used to dominate their profiles.
+//
+// A store whose owner opts in with ByteStore.Recycle takes its full 64 KB
+// backing pages from a bounded package-level pool, and ByteStore.Release
+// hands them back. A recycled page is zeroed when it is taken, so it reads
+// exactly like a fresh one. Only the store's owner may release it, once it
+// has made its last access: a serving loop recycles its board's SDRAM and
+// releases it when the run returns. Any other store allocates its pages
+// and leaves them to the garbage collector.
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ErrOutOfRange is returned for accesses outside a device.
@@ -36,11 +46,12 @@ const (
 // The address space is backed by lazily-allocated pages: reads of a page
 // that was never written return zero without allocating, and the first
 // write to a page materialises it. Stores no larger than one backing page
-// (the dual-port RAMs, register files) are materialised eagerly so their
-// single page is always resident.
+// (the dual-port RAMs, register files) are materialised eagerly, with a
+// single page of exactly the store's size.
 type ByteStore struct {
-	size  int
-	pages [][]byte
+	size   int
+	pages  [][]byte
+	pooled bool // full pages come from the pool (see Recycle)
 }
 
 // NewByteStore allocates a zeroed store of the given size.
@@ -52,10 +63,68 @@ func NewByteStore(size int) *ByteStore {
 	s := &ByteStore{size: size, pages: make([][]byte, n)}
 	if n == 1 {
 		// Small store: skip the lazy machinery, the single page costs
-		// at most one 64 KB allocation.
-		s.pages[0] = make([]byte, pageBytes)
+		// one allocation of the store's size.
+		s.pages[0] = s.newPage()
 	}
 	return s
+}
+
+// maxPooledPages bounds the page pool (4 MB); pages released beyond it are
+// left to the garbage collector.
+const maxPooledPages = 64
+
+// pagePool recycles full backing pages between stores. Unlike a sync.Pool
+// it survives garbage collections, so a steady workload reuses the same
+// pages run after run and its allocation count repeats exactly.
+var pagePool struct {
+	sync.Mutex
+	free []*[pageBytes]byte
+}
+
+// newPage returns a zeroed backing page: exactly the store's size for a
+// store smaller than one page, else a full page, taken from the pool when
+// the store recycles and the pool has one.
+func (s *ByteStore) newPage() []byte {
+	if s.size < pageBytes {
+		return make([]byte, s.size)
+	}
+	if !s.pooled {
+		return make([]byte, pageBytes)
+	}
+	var p *[pageBytes]byte
+	pagePool.Lock()
+	if n := len(pagePool.free); n > 0 {
+		p = pagePool.free[n-1]
+		pagePool.free = pagePool.free[:n-1]
+	}
+	pagePool.Unlock()
+	if p == nil {
+		return make([]byte, pageBytes)
+	}
+	clear(p[:])
+	return p[:]
+}
+
+// Recycle makes the store take its full backing pages from the pool. Its
+// owner pairs it with Release, so the pool's takers are exactly the stores
+// that hand pages back, and a store that never recycles allocates the same
+// fresh pages whatever ran before it.
+func (s *ByteStore) Recycle() { s.pooled = true }
+
+// Release returns the store's full backing pages to the pool and leaves
+// the store empty but usable: it reads as zero and re-materialises pages on
+// the next write. Only the store's owner may call it, once the contents
+// are no longer needed; slices returned by ReadBytes are copies and stay
+// valid.
+func (s *ByteStore) Release() {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	for i, p := range s.pages {
+		if len(p) == pageBytes && len(pagePool.free) < maxPooledPages {
+			pagePool.free = append(pagePool.free, (*[pageBytes]byte)(p))
+		}
+		s.pages[i] = nil
+	}
 }
 
 // Size returns the store capacity in bytes.
@@ -84,7 +153,7 @@ func (s *ByteStore) page(addr uint32) []byte {
 	i := addr >> pageShift
 	p := s.pages[i]
 	if p == nil {
-		p = make([]byte, pageBytes)
+		p = s.newPage()
 		s.pages[i] = p
 	}
 	return p
@@ -203,4 +272,37 @@ func (s *ByteStore) WriteBytes(addr uint32, p []byte) error {
 		done += chunk
 	}
 	return nil
+}
+
+// Mismatch compares the store's bytes at addr against p in place and
+// returns the index of the first differing byte, or -1 when they are equal.
+// Unmaterialised pages compare as zero; nothing is copied or materialised.
+func (s *ByteStore) Mismatch(addr uint32, p []byte) (int, error) {
+	if !s.InRange(addr, len(p)) {
+		return 0, fmt.Errorf("%w: block compare at %#x+%#x (size %#x)", ErrOutOfRange, addr, len(p), s.size)
+	}
+	for done := 0; done < len(p); {
+		a := addr + uint32(done)
+		off := int(a & pageMask)
+		chunk := min(pageBytes-off, len(p)-done)
+		want := p[done : done+chunk]
+		if pg := s.pages[a>>pageShift]; pg != nil {
+			got := pg[off : off+chunk]
+			if !bytes.Equal(got, want) {
+				for i := range want {
+					if got[i] != want[i] {
+						return done + i, nil
+					}
+				}
+			}
+		} else {
+			for i, b := range want {
+				if b != 0 {
+					return done + i, nil
+				}
+			}
+		}
+		done += chunk
+	}
+	return -1, nil
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro"
 	"repro/internal/bitstream"
 	"repro/internal/kernel"
+	"repro/internal/ref"
 	"repro/internal/vim"
 )
 
@@ -88,28 +90,40 @@ type objSpec struct {
 }
 
 // prepared is a job's materialised process image: user buffers holding the
-// input, the object mappings and launch parameters, and the expected output
-// from the golden algorithm for end-of-job verification.
+// input, the object mappings and launch parameters, and where the output
+// lands. The expected output is not kept: finishJob regenerates it from the
+// job's seed.
 type prepared struct {
 	objs    []objSpec
 	params  []uint32
 	outAddr uint32
-	want    []byte
+	outLen  int
 }
 
-// appSpec binds an application name to its bitstream and workload builder.
+// appSpec binds an application name to its bitstream, the number of input
+// bytes a job draws from its seed, the process image built from those
+// inputs, and the golden algorithm mapping them to the expected output.
 type appSpec struct {
 	coreName string
 	img      []byte
-	prepare  func(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error)
+	inBytes  func(size int) int
+	prepare  func(k *kernel.Kernel, size int, in []byte) (*prepared, error)
+	golden   func(in, want []byte)
 }
+
+// appTables caches appTable per board name: the images and parsed core
+// names are immutable, so every Serve on a board shares one table.
+var appTables sync.Map // board name -> map[string]*appSpec
 
 // appTable resolves the bundled applications for a board.
 func appTable(board string) (map[string]*appSpec, error) {
+	if t, ok := appTables.Load(board); ok {
+		return t.(map[string]*appSpec), nil
+	}
 	table := map[string]*appSpec{
-		"idea":   {img: repro.IDEABitstream(board), prepare: prepIDEA},
-		"adpcm":  {img: repro.ADPCMBitstream(board), prepare: prepADPCM},
-		"vecadd": {img: repro.VecAddBitstream(board), prepare: prepVecAdd},
+		"idea":   {img: repro.IDEABitstream(board), inBytes: ideaInBytes, prepare: prepIDEA, golden: goldenIDEA},
+		"adpcm":  {img: repro.ADPCMBitstream(board), inBytes: sizeInBytes, prepare: prepADPCM, golden: goldenADPCM},
+		"vecadd": {img: repro.VecAddBitstream(board), inBytes: vecaddInBytes, prepare: prepVecAdd, golden: goldenVecAdd},
 	}
 	for name, a := range table {
 		h, err := bitstream.Parse(a.img)
@@ -118,15 +132,61 @@ func appTable(board string) (map[string]*appSpec, error) {
 		}
 		a.coreName = h.Core
 	}
-	return table, nil
+	t, _ := appTables.LoadOrStore(board, table)
+	return t.(map[string]*appSpec), nil
 }
 
-func prepIDEA(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
+// workspace is one Serve loop's job-data scratch: a single generator,
+// reseeded per job (Rand.Seed restarts exactly the stream
+// rand.New(rand.NewSource(seed)) would draw), plus reused input and
+// golden-output buffers. A job's inputs are drawn once to build its
+// process image and again at completion to regenerate its expected output,
+// so no per-job buffer outlives its use.
+type workspace struct {
+	rng      *rand.Rand
+	in, want []byte
+}
+
+func newWorkspace() *workspace {
+	return &workspace{rng: rand.New(rand.NewSource(0))}
+}
+
+// inputs draws job j's input bytes for app a from the job's seed.
+func (w *workspace) inputs(a *appSpec, j *Job) []byte {
+	w.rng.Seed(j.Seed)
+	w.in = resize(w.in, a.inBytes(j.Size))
+	w.rng.Read(w.in)
+	return w.in
+}
+
+// golden regenerates job j's inputs and returns its n-byte expected output.
+func (w *workspace) golden(a *appSpec, j *Job, n int) []byte {
+	in := w.inputs(a, j)
+	w.want = resize(w.want, n)
+	a.golden(in, w.want)
+	return w.want
+}
+
+// resize returns b with length n, reallocating only when it must grow.
+func resize(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// IDEA draws a 16-byte key followed by the plaintext.
+func ideaInBytes(size int) int { return len(repro.IDEAKey{}) + size }
+
+func sizeInBytes(size int) int { return size }
+
+// vecadd draws operand A followed by operand B.
+func vecaddInBytes(size int) int { return 2 * size }
+
+func prepIDEA(k *kernel.Kernel, size int, in []byte) (*prepared, error) {
 	var key repro.IDEAKey
-	rng.Read(key[:])
-	plain := make([]byte, size)
-	rng.Read(plain)
-	in, err := k.Alloc(size)
+	plain := in[copy(key[:], in):]
+	inAddr, err := k.Alloc(size)
 	if err != nil {
 		return nil, err
 	}
@@ -134,23 +194,32 @@ func prepIDEA(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := k.WriteUser(in, plain); err != nil {
+	if err := k.WriteUser(inAddr, plain); err != nil {
 		return nil, err
 	}
 	return &prepared{
 		objs: []objSpec{
-			{repro.IDEAObjIn, in, uint32(size), vim.In},
+			{repro.IDEAObjIn, inAddr, uint32(size), vim.In},
 			{repro.IDEAObjOut, out, uint32(size), vim.Out},
 		},
 		params:  repro.IDEAEncryptParams(key, size/8),
 		outAddr: out,
-		want:    repro.GoldenIDEAEncrypt(key, plain),
+		outLen:  size,
 	}, nil
 }
 
-func prepADPCM(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
-	packed := make([]byte, size)
-	rng.Read(packed)
+// goldenIDEA encrypts every whole plaintext block; a ragged tail the core
+// never touches stays zero.
+func goldenIDEA(in, want []byte) {
+	var key repro.IDEAKey
+	plain := in[copy(key[:], in):]
+	ek := ref.ExpandIDEAKey(key)
+	whole := len(plain) &^ (ref.IDEABlockBytes - 1)
+	ref.IDEAApplyTo(&ek, want, plain[:whole])
+	clear(want[whole:])
+}
+
+func prepADPCM(k *kernel.Kernel, size int, packed []byte) (*prepared, error) {
 	in, err := k.Alloc(size)
 	if err != nil {
 		return nil, err
@@ -162,11 +231,6 @@ func prepADPCM(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
 	if err := k.WriteUser(in, packed); err != nil {
 		return nil, err
 	}
-	samples := repro.GoldenADPCMDecode(packed)
-	want := make([]byte, 2*len(samples))
-	for i, s := range samples {
-		binary.LittleEndian.PutUint16(want[2*i:], uint16(s))
-	}
 	return &prepared{
 		objs: []objSpec{
 			{repro.ADPCMObjIn, in, uint32(size), vim.In},
@@ -174,16 +238,21 @@ func prepADPCM(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
 		},
 		params:  []uint32{uint32(size)},
 		outAddr: out,
-		want:    want,
+		outLen:  size * 4,
 	}, nil
 }
 
-func prepVecAdd(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
-	n := size / 4
-	av := make([]byte, size)
-	bv := make([]byte, size)
-	rng.Read(av)
-	rng.Read(bv)
+// goldenADPCM decodes two little-endian 16-bit samples per packed byte,
+// high nibble first.
+func goldenADPCM(packed, want []byte) {
+	var st ref.ADPCMState
+	for i, b := range packed {
+		binary.LittleEndian.PutUint16(want[4*i:], uint16(ref.ADPCMDecodeNibble(&st, b>>4)))
+		binary.LittleEndian.PutUint16(want[4*i+2:], uint16(ref.ADPCMDecodeNibble(&st, b&0xf)))
+	}
+}
+
+func prepVecAdd(k *kernel.Kernel, size int, in []byte) (*prepared, error) {
 	a, err := k.Alloc(size)
 	if err != nil {
 		return nil, err
@@ -196,16 +265,11 @@ func prepVecAdd(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := k.WriteUser(a, av); err != nil {
+	if err := k.WriteUser(a, in[:size]); err != nil {
 		return nil, err
 	}
-	if err := k.WriteUser(b, bv); err != nil {
+	if err := k.WriteUser(b, in[size:]); err != nil {
 		return nil, err
-	}
-	want := make([]byte, size)
-	for i := 0; i < n; i++ {
-		s := binary.LittleEndian.Uint32(av[4*i:]) + binary.LittleEndian.Uint32(bv[4*i:])
-		binary.LittleEndian.PutUint32(want[4*i:], s)
 	}
 	return &prepared{
 		objs: []objSpec{
@@ -213,8 +277,21 @@ func prepVecAdd(k *kernel.Kernel, size int, rng *rand.Rand) (*prepared, error) {
 			{repro.VecAddObjB, b, uint32(size), vim.In},
 			{repro.VecAddObjC, c, uint32(size), vim.Out},
 		},
-		params:  []uint32{uint32(n)},
+		params:  []uint32{uint32(size / 4)},
 		outAddr: c,
-		want:    want,
+		outLen:  size,
 	}, nil
+}
+
+// goldenVecAdd sums the operands' whole 32-bit words; a ragged tail the
+// core never touches stays zero.
+func goldenVecAdd(in, want []byte) {
+	size := len(want)
+	av, bv := in[:size], in[size:]
+	whole := size &^ 3
+	for i := 0; i < whole; i += 4 {
+		s := binary.LittleEndian.Uint32(av[i:]) + binary.LittleEndian.Uint32(bv[i:])
+		binary.LittleEndian.PutUint32(want[i:], s)
+	}
+	clear(want[whole:])
 }

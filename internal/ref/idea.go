@@ -138,6 +138,13 @@ func IDEACryptBlock(k *[IDEASubkeys]uint16, x1, x2, x3, x4 uint16) (y1, y2, y3, 
 // multiple of IDEABlockBytes.
 func IDEAApply(k *[IDEASubkeys]uint16, in []byte) []byte {
 	out := make([]byte, len(in))
+	IDEAApplyTo(k, out, in)
+	return out
+}
+
+// IDEAApplyTo is IDEAApply into a caller-owned buffer: it transforms every
+// whole block of in into out (len(out) >= len(in)) and writes nothing else.
+func IDEAApplyTo(k *[IDEASubkeys]uint16, out, in []byte) {
 	for off := 0; off+IDEABlockBytes <= len(in); off += IDEABlockBytes {
 		x1 := uint16(in[off])<<8 | uint16(in[off+1])
 		x2 := uint16(in[off+2])<<8 | uint16(in[off+3])
@@ -153,7 +160,6 @@ func IDEAApply(k *[IDEASubkeys]uint16, in []byte) []byte {
 		out[off+6] = byte(y4 >> 8)
 		out[off+7] = byte(y4)
 	}
-	return out
 }
 
 // VecAdd is the golden model of the motivating example: C[i] = A[i] + B[i]
