@@ -10,27 +10,15 @@
 //	go run ./cmd/vimlint            # lint ./... (test files included)
 //	go run ./cmd/vimlint -tests=false ./internal/...
 //	go run ./cmd/vimlint -list      # one line per analyzer: name + contract
-//
-// The binary also speaks the go vet unitchecker wire protocol (a single
-// *.cfg argument, -V=full version probe, JSON diagnostics with -json), so
-// the same checks run under the standard driver:
-//
-//	go build -o /tmp/vimlint ./cmd/vimlint
-//	go vet -vettool=/tmp/vimlint ./...
+//	go run ./cmd/vimlint -json      # diagnostics as JSON, grouped by package and analyzer
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -44,33 +32,19 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// go vet probes candidate tools for their flag surface before use.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
 	fs := flag.NewFlagSet("vimlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print each analyzer's name and contract, then exit")
 	tests := fs.Bool("tests", true, "also lint _test.go files")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (unitchecker format)")
-	version := fs.String("V", "", "print version and exit (go vet probe; use -V=full)")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON, grouped by package and analyzer")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *version != "":
-		fmt.Fprint(stdout, versionLine())
-		return 0
-	case *list:
+	if *list {
 		fmt.Fprint(stdout, listText())
 		return 0
 	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], *jsonOut, stdout, stderr)
-	}
-	return standalone(rest, *tests, *jsonOut, stdout, stderr)
+	return standalone(fs.Args(), *tests, *jsonOut, stdout, stderr)
 }
 
 // listText renders the -list table: one "name<tab>contract" line per
@@ -81,18 +55,6 @@ func listText() string {
 		fmt.Fprintf(&b, "%-16s %s\n", a.Name, a.Contract())
 	}
 	return b.String()
-}
-
-// versionLine answers the go vet -V=full probe in the format the go
-// command's tool-ID cache expects: "<name> version <stamp>".
-func versionLine() string {
-	stamp := "devel"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			stamp = fmt.Sprintf("devel comments-go-here buildID=%02x", sha256.Sum256(data))
-		}
-	}
-	return fmt.Sprintf("vimlint version %s\n", stamp)
 }
 
 // moduleRoot finds the enclosing module directory so package patterns
@@ -156,7 +118,7 @@ func standalone(patterns []string, tests, jsonOut bool, stdout, stderr io.Writer
 	return 0
 }
 
-// jsonDiag is one diagnostic in the unitchecker JSON output format.
+// jsonDiag is one diagnostic in the -json output.
 type jsonDiag struct {
 	Posn    string `json:"posn"`
 	Message string `json:"message"`
@@ -171,120 +133,4 @@ func groupDiags(diags []lint.Diagnostic) map[string][]jsonDiag {
 		})
 	}
 	return out
-}
-
-// vetConfig is the package description the go command hands a vet tool —
-// the unitchecker wire protocol's input file.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package described by a go vet .cfg file: type
-// check the listed sources against the compiled export data of their
-// imports, run the suite, emit diagnostics, and always write the (empty —
-// the suite exchanges no facts) vetx output the driver expects.
-func unitcheck(cfgFile string, jsonOut bool, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "vimlint: %v\n", err)
-		return 1
-	}
-	cfg := new(vetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		fmt.Fprintf(stderr, "vimlint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(stderr, "vimlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(stderr, "vimlint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file := cfg.PackageFile[path]
-		if file == "" {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: mapImporter{gc, cfg.ImportMap}}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "vimlint: type checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	pkg := &load.Package{Path: cfg.ImportPath, Dir: cfg.Dir, Fset: fset, Files: files, Types: tpkg, Info: info}
-	diags, err := lint.RunPackage(pkg)
-	if err != nil {
-		fmt.Fprintf(stderr, "vimlint: %v\n", err)
-		return 1
-	}
-	if jsonOut {
-		out := map[string]map[string][]jsonDiag{cfg.ImportPath: groupDiags(diags)}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "\t")
-		enc.Encode(out)
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// mapImporter applies the driver's source-level to resolved import path
-// map before delegating to the export-data importer.
-type mapImporter struct {
-	gc        types.Importer
-	importMap map[string]string
-}
-
-func (m mapImporter) Import(path string) (*types.Package, error) {
-	if real, ok := m.importMap[path]; ok {
-		path = real
-	}
-	return m.gc.Import(path)
 }

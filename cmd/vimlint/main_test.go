@@ -58,15 +58,3 @@ func TestRunList(t *testing.T) {
 		t.Errorf("run(-list) wrote to stderr: %s", errb.String())
 	}
 }
-
-// TestVersionProbe checks the go vet -V=full handshake shape.
-func TestVersionProbe(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-V=full"}, &out, &errb); code != 0 {
-		t.Fatalf("run(-V=full) = %d, want 0", code)
-	}
-	fields := strings.Fields(out.String())
-	if len(fields) < 3 || fields[0] != "vimlint" || fields[1] != "version" {
-		t.Errorf("version line %q does not match \"vimlint version <stamp>\"", out.String())
-	}
-}

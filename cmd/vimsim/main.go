@@ -39,375 +39,235 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/fleet"
 	"repro/internal/ideautil"
 	"repro/internal/platform"
 	"repro/internal/rcsched"
 	"repro/internal/ref"
 	"repro/internal/scenario"
 	"repro/internal/trace"
-	"repro/internal/traffic"
 )
 
+// options is the parsed command line.
+type options struct {
+	app, board, policy, mode, arb, arrival, admit, dispatch string
+	scenario, as, match, format, junit, vcd                 string
+	size, split, slots, jobs, boards, prefetch              int
+	bw, gap, budget, rps, tolerance                         float64
+	stage, ramp, pipelined, bounce                          bool
+	seed                                                    int64
+	tele                                                    telemetryFlags
+
+	set map[string]bool // the flags given explicitly
+	srv *serving        // serve, saturate, fleet and record: the run to execute
+}
+
+// register defines every vimsim flag on fs, bound to a fresh options.
+func register(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.app, "app", "idea", "application: vecadd | adpcm | idea")
+	fs.IntVar(&o.size, "size", 16384, "input size in bytes (vecadd: per-vector bytes)")
+	fs.StringVar(&o.board, "board", "EPXA1", "board: EPXA1 | EPXA4 | EPXA10")
+	fs.StringVar(&o.policy, "policy", "fifo", "replacement policy: fifo | lru | clock | random; serve mode: scheduling policy: fcfs | sjf | affinity | edf | slack")
+	fs.StringVar(&o.mode, "mode", "vim", "execution mode: vim | normal | chunked | sw | multi | serve | saturate | fleet | record | replay")
+	fs.StringVar(&o.arb, "arb", "static", "multi mode: inter-session arbitration: static | global-lru")
+	fs.IntVar(&o.split, "split", 0, "multi mode: page frames for the IDEA session (0 = half the pool)")
+	fs.IntVar(&o.slots, "slots", 2, "serve mode: reconfigurable shell slots")
+	fs.IntVar(&o.jobs, "jobs", 24, "serve mode: jobs in the generated multi-user stream")
+	fs.Float64Var(&o.bw, "bw", 0, "serve mode: configuration-port bandwidth, bytes/s (0 = default)")
+	fs.Float64Var(&o.gap, "gap", 0.15, "serve mode: mean arrival gap in ms")
+	fs.BoolVar(&o.stage, "stage", false, "serve mode: pre-stage the next bitstream while slots execute")
+	fs.Float64Var(&o.budget, "budget", rcsched.DefaultBudgetFactor, "serve/saturate mode: service-level budget factor scaling every job's deadline (saturate: 0 strips deadlines)")
+	fs.Float64Var(&o.rps, "rps", 800, "saturate mode: offered arrival rate, jobs/s")
+	fs.StringVar(&o.arrival, "arrival", "poisson", "saturate mode: arrival process: uniform | poisson | bursty")
+	fs.StringVar(&o.admit, "admit", "off", "saturate mode: admission control: off | reject | degrade")
+	fs.BoolVar(&o.ramp, "ramp", false, "saturate/fleet mode: sweep offered RPS up a linear ramp to the saturation knee instead of serving one rate")
+	fs.IntVar(&o.boards, "boards", 4, "fleet mode: independent boards behind the dispatcher")
+	fs.StringVar(&o.dispatch, "dispatch", "least-loaded", "fleet mode: dispatch policy: random | least-loaded | affinity | po2")
+	fs.StringVar(&o.scenario, "scenario", "", "record mode: scenario file to write; replay mode: scenario file or directory to replay")
+	fs.StringVar(&o.as, "as", "serve", "record mode: which serving run to record: serve | saturate | fleet")
+	fs.StringVar(&o.match, "match", "", "record mode: match mode stored in the scenario; replay mode: override the file's mode: strict | metrics")
+	fs.Float64Var(&o.tolerance, "tolerance", 0, "record mode: metrics-match relative tolerance stored in the scenario (0 = default)")
+	fs.StringVar(&o.format, "format", "text", "replay mode: result format on stdout: text | json | junit")
+	fs.StringVar(&o.junit, "junit", "", "replay mode: also write a JUnit XML report to this path")
+	fs.StringVar(&o.tele.metricsOut, "metrics-out", "", "serving modes: write the run's metrics to this path (.json suffix = JSON dump, else Prometheus text)")
+	fs.StringVar(&o.tele.traceOut, "trace-out", "", "serving modes: write the run's Chrome trace-event JSON (Perfetto-loadable) to this path")
+	fs.Float64Var(&o.tele.samplePs, "sample-ps", 0, "serving modes: simulated-time gauge sampling interval in picoseconds (0 = no time series; needs -metrics-out)")
+	fs.BoolVar(&o.pipelined, "pipelined", false, "use the pipelined IMU")
+	fs.BoolVar(&o.bounce, "bounce", false, "use the double-transfer (bounce buffer) page path")
+	fs.IntVar(&o.prefetch, "prefetch", 0, "sequential prefetch pages per fault")
+	fs.Int64Var(&o.seed, "seed", 1, "input data seed; serve mode: trace seed")
+	fs.StringVar(&o.vcd, "vcd", "", "write a session waveform (VCD) to this path (vim mode only)")
+	return o
+}
+
+// flagModes is the one table of which modes take which flag (-mode itself
+// applies everywhere). A flag set explicitly for a mode outside its list
+// is an error, never silently ignored. Record takes a serving flag only
+// when the mode it records (-as) does, and never -ramp.
+var flagModes = map[string]string{
+	"app":         "vim normal chunked sw",
+	"size":        "vim normal chunked sw multi",
+	"board":       "vim normal chunked sw multi serve saturate fleet record",
+	"seed":        "vim normal chunked sw multi serve saturate fleet record",
+	"policy":      "vim serve saturate fleet record",
+	"pipelined":   "vim",
+	"bounce":      "vim",
+	"prefetch":    "vim",
+	"vcd":         "vim",
+	"arb":         "multi",
+	"split":       "multi",
+	"slots":       "serve saturate fleet record",
+	"jobs":        "serve saturate fleet record",
+	"bw":          "serve saturate fleet record",
+	"stage":       "serve saturate fleet record",
+	"budget":      "serve saturate fleet record",
+	"gap":         "serve record",
+	"rps":         "saturate fleet record",
+	"arrival":     "saturate fleet record",
+	"admit":       "saturate fleet record",
+	"ramp":        "saturate fleet",
+	"boards":      "fleet record",
+	"dispatch":    "fleet record",
+	"scenario":    "record replay",
+	"as":          "record",
+	"match":       "record replay",
+	"tolerance":   "record",
+	"format":      "replay",
+	"junit":       "replay",
+	"metrics-out": "serve saturate fleet record replay",
+	"trace-out":   "serve saturate fleet record replay",
+	"sample-ps":   "serve saturate fleet record replay",
+}
+
+func isServing(mode string) bool { return mode == "serve" || mode == "saturate" || mode == "fleet" }
+
+// accepts reports whether mode (recording the -as mode, for record) takes
+// the named flag.
+func accepts(name, mode, as string) bool {
+	modes := strings.Fields(flagModes[name])
+	if !slices.Contains(modes, mode) {
+		return false
+	}
+	if mode == "record" && slices.ContainsFunc(modes, isServing) {
+		return slices.Contains(modes, as)
+	}
+	return true
+}
+
+// reject is the one-line error for a flag the mode does not take.
+func (o *options) reject(name string) error {
+	if o.mode == "record" {
+		return fmt.Errorf("mode record -as %s does not support -%s (record takes the flags of mode %s except -ramp: a scenario pins exactly one run)",
+			o.as, name, o.as)
+	}
+	modes := strings.Fields(flagModes[name])
+	list := strings.Join(modes[:len(modes)-1], ", ")
+	if list != "" {
+		list += " or "
+	}
+	return fmt.Errorf("mode %s does not support -%s (it applies to -mode %s)", o.mode, name, list+modes[len(modes)-1])
+}
+
+// parseArgs parses and validates the command line before any simulation
+// work starts; every rejection is a one-line error naming the offending
+// flag (main turns it into a non-zero exit).
+func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
+	o := register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch o.mode {
+	case "vim", "normal", "chunked", "sw", "multi", "serve", "saturate", "fleet", "replay":
+	case "record":
+		if !isServing(o.as) {
+			return nil, fmt.Errorf("record: unknown -as %q (want serve, saturate or fleet)", o.as)
+		}
+	default:
+		return nil, fmt.Errorf("unknown mode %q", o.mode)
+	}
+	o.set = map[string]bool{}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		o.set[f.Name] = true
+		if err == nil && f.Name != "mode" && !accepts(f.Name, o.mode, o.as) {
+			err = o.reject(f.Name)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch o.mode {
+	case "serve", "saturate", "fleet":
+		o.srv, err = newServing(o, o.mode)
+	case "record":
+		if err = validateRecord(o.scenario, o.match, o.tolerance); err == nil {
+			o.srv, err = newServing(o, o.as)
+		}
+	case "replay":
+		if err = validateReplay(o.scenario, o.match, o.format); err == nil {
+			err = o.tele.validate(false)
+		}
+	}
+	return o, err
+}
+
 func main() {
-	app := flag.String("app", "idea", "application: vecadd | adpcm | idea")
-	size := flag.Int("size", 16384, "input size in bytes (vecadd: per-vector bytes)")
-	board := flag.String("board", "EPXA1", "board: EPXA1 | EPXA4 | EPXA10")
-	policy := flag.String("policy", "fifo", "replacement policy: fifo | lru | clock | random; serve mode: scheduling policy: fcfs | sjf | affinity | edf | slack")
-	mode := flag.String("mode", "vim", "execution mode: vim | normal | chunked | sw | multi | serve | saturate | fleet | record | replay")
-	arb := flag.String("arb", "static", "multi mode: inter-session arbitration: static | global-lru")
-	split := flag.Int("split", 0, "multi mode: page frames for the IDEA session (0 = half the pool)")
-	slots := flag.Int("slots", 2, "serve mode: reconfigurable shell slots")
-	jobs := flag.Int("jobs", 24, "serve mode: jobs in the generated multi-user stream")
-	bw := flag.Float64("bw", 0, "serve mode: configuration-port bandwidth, bytes/s (0 = default)")
-	gap := flag.Float64("gap", 0.15, "serve mode: mean arrival gap in ms")
-	stage := flag.Bool("stage", false, "serve mode: pre-stage the next bitstream while slots execute")
-	budget := flag.Float64("budget", rcsched.DefaultBudgetFactor, "serve/saturate mode: service-level budget factor scaling every job's deadline (saturate: 0 strips deadlines)")
-	rps := flag.Float64("rps", 800, "saturate mode: offered arrival rate, jobs/s")
-	arrival := flag.String("arrival", "poisson", "saturate mode: arrival process: uniform | poisson | bursty")
-	admit := flag.String("admit", "off", "saturate mode: admission control: off | reject | degrade")
-	ramp := flag.Bool("ramp", false, "saturate/fleet mode: sweep offered RPS up a linear ramp to the saturation knee instead of serving one rate")
-	boards := flag.Int("boards", 4, "fleet mode: independent boards behind the dispatcher")
-	dispatch := flag.String("dispatch", "least-loaded", "fleet mode: dispatch policy: random | least-loaded | affinity | po2")
-	scenarioPath := flag.String("scenario", "", "record mode: scenario file to write; replay mode: scenario file or directory to replay")
-	as := flag.String("as", "serve", "record mode: which serving run to record: serve | saturate | fleet")
-	match := flag.String("match", "", "record mode: match mode stored in the scenario; replay mode: override the file's mode: strict | metrics")
-	tolerance := flag.Float64("tolerance", 0, "record mode: metrics-match relative tolerance stored in the scenario (0 = default)")
-	format := flag.String("format", "text", "replay mode: result format on stdout: text | json | junit")
-	junitPath := flag.String("junit", "", "replay mode: also write a JUnit XML report to this path")
-	metricsOut := flag.String("metrics-out", "", "serving modes: write the run's metrics to this path (.json suffix = JSON dump, else Prometheus text)")
-	traceOut := flag.String("trace-out", "", "serving modes: write the run's Chrome trace-event JSON (Perfetto-loadable) to this path")
-	samplePs := flag.Float64("sample-ps", 0, "serving modes: simulated-time gauge sampling interval in picoseconds (0 = no time series; needs -metrics-out)")
-	pipelined := flag.Bool("pipelined", false, "use the pipelined IMU")
-	bounce := flag.Bool("bounce", false, "use the double-transfer (bounce buffer) page path")
-	prefetch := flag.Int("prefetch", 0, "sequential prefetch pages per fault")
-	seed := flag.Int64("seed", 1, "input data seed; serve mode: trace seed")
-	vcdPath := flag.String("vcd", "", "write a session waveform (VCD) to this path (vim mode only)")
-	flag.Parse()
-	vcdOut = *vcdPath
-	tele := telemetryFlags{metricsOut: *metricsOut, traceOut: *traceOut, samplePs: *samplePs}
-
-	cfg := repro.Config{
-		Board:         *board,
-		Policy:        *policy,
-		PipelinedIMU:  *pipelined,
-		BounceBuffer:  *bounce,
-		PrefetchPages: *prefetch,
-		Seed:          *seed,
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *mode == "serve" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Reject flags the serving loop would silently ignore (the trace
-		// fixes the application mix and sizes; the shell fixes static
-		// arbitration and the translation path), matching multi mode.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*rps != 800, "-rps"},
-			{*arrival != "poisson", "-arrival"},
-			{*admit != "off", "-admit"},
-			{*ramp, "-ramp"},
-			{*boards != 4, "-boards"},
-			{*dispatch != "least-loaded", "-dispatch"},
-		} {
-			if f.set {
-				log.Fatalf("mode serve does not support %s (serves the generated mixed trace on a static-partition shell)", f.name)
-			}
-		}
-		if err := tele.validate(false); err != nil {
-			log.Fatal(err)
-		}
-		if err := runServe(*board, pol, *slots, *jobs, *bw, *gap, *budget, *seed, *stage, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *mode == "saturate" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Reject flags the open-loop server would silently ignore: the
-		// arrival process replaces the closed-form -gap, and the stream
-		// fixes the application mix like serve mode.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*gap != 0.15, "-gap"},
-			{*boards != 4, "-boards"},
-			{*dispatch != "least-loaded", "-dispatch"},
-		} {
-			if f.set {
-				log.Fatalf("mode saturate does not support %s (open-loop arrivals come from -arrival and -rps)", f.name)
-			}
-		}
-		if err := validateSaturate(*rps, *arrival, *admit, *budget, *jobs); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(*ramp); err != nil {
-			log.Fatal(err)
-		}
-		if err := runSaturate(*board, pol, *slots, *jobs, *bw, *budget, *seed, *stage,
-			*rps, *arrival, *admit, *ramp, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *mode == "fleet" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Reject flags the fleet dispatcher would silently ignore, matching
-		// saturate mode: the stream fixes the application mix and open-loop
-		// arrivals come from -arrival and -rps.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*gap != 0.15, "-gap"},
-		} {
-			if f.set {
-				log.Fatalf("mode fleet does not support %s (open-loop arrivals come from -arrival and -rps)", f.name)
-			}
-		}
-		if *boards <= 0 {
-			log.Fatalf("fleet: -boards must be positive, got %d", *boards)
-		}
-		if err := validateSaturate(*rps, *arrival, *admit, *budget, *jobs); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(*ramp); err != nil {
-			log.Fatal(err)
-		}
-		if err := runFleet(*board, pol, *dispatch, *boards, *slots, *jobs, *bw, *budget,
-			*seed, *stage, *rps, *arrival, *admit, *ramp, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *mode == "record" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Recording composes with every flag of the run it records, and
-		// rejects the rest exactly as that mode would — plus -ramp, which
-		// sweeps many runs where a scenario pins exactly one.
-		type badFlag struct {
-			set  bool
-			name string
-		}
-		rejects := []badFlag{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*junitPath != "", "-junit"},
-			{*format != "text", "-format"},
-		}
-		switch *as {
-		case "serve":
-			rejects = append(rejects,
-				badFlag{*rps != 800, "-rps"},
-				badFlag{*arrival != "poisson", "-arrival"},
-				badFlag{*admit != "off", "-admit"},
-				badFlag{*boards != 4, "-boards"},
-				badFlag{*dispatch != "least-loaded", "-dispatch"})
-		case "saturate":
-			rejects = append(rejects,
-				badFlag{*gap != 0.15, "-gap"},
-				badFlag{*boards != 4, "-boards"},
-				badFlag{*dispatch != "least-loaded", "-dispatch"})
-		case "fleet":
-			rejects = append(rejects, badFlag{*gap != 0.15, "-gap"})
-		}
-		for _, f := range rejects {
-			if f.set {
-				log.Fatalf("mode record -as %s does not support %s (records exactly what mode %s would run)", *as, f.name, *as)
-			}
-		}
-		if err := validateRecord(*as, *scenarioPath, *match, *tolerance, *ramp); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(*ramp); err != nil {
-			log.Fatal(err)
-		}
-		if *as != "serve" {
-			if err := validateSaturate(*rps, *arrival, *admit, *budget, *jobs); err != nil {
-				log.Fatal(err)
-			}
-			if *as == "fleet" && *boards <= 0 {
-				log.Fatalf("fleet: -boards must be positive, got %d", *boards)
-			}
-		}
-		if err := runRecord(*scenarioPath, *as, *board, pol, *dispatch, *boards, *slots, *jobs,
-			*bw, *gap, *budget, *seed, *stage, *rps, *arrival, *admit,
-			scenario.Match{Mode: *match, Tolerance: *tolerance}, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *mode == "replay" {
-		// Replay takes everything from the scenario file; any run-shaping
-		// flag would be silently ignored, so reject them all.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*policy != "fifo", "-policy"},
-			{*board != "EPXA1", "-board"},
-			{*slots != 2, "-slots"},
-			{*jobs != 24, "-jobs"},
-			{*bw != 0, "-bw"},
-			{*gap != 0.15, "-gap"},
-			{*stage, "-stage"},
-			{*budget != rcsched.DefaultBudgetFactor, "-budget"},
-			{*seed != 1, "-seed"},
-			{*rps != 800, "-rps"},
-			{*arrival != "poisson", "-arrival"},
-			{*admit != "off", "-admit"},
-			{*ramp, "-ramp"},
-			{*boards != 4, "-boards"},
-			{*dispatch != "least-loaded", "-dispatch"},
-			{*tolerance != 0, "-tolerance"},
-		} {
-			if f.set {
-				log.Fatalf("mode replay does not support %s (the scenario file pins the whole run; use -match to override matching)", f.name)
-			}
-		}
-		if err := validateReplay(*scenarioPath, *match, *format); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(false); err != nil {
-			log.Fatal(err)
-		}
-		ok, err := runReplay(*scenarioPath, *match, *format, *junitPath, tele)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
+	vcdOut = o.vcd
+	switch o.mode {
+	case "serve", "saturate", "fleet":
+		err = o.srv.run()
+	case "record":
+		err = o.srv.writeScenario(o.scenario, scenario.Match{Mode: o.match, Tolerance: o.tolerance})
+	case "replay":
+		var ok bool
+		if ok, err = runReplay(o.scenario, o.match, o.format, o.junit, o.tele); err == nil && !ok {
 			os.Exit(1)
 		}
-		return
-	}
-	if *stage {
-		log.Fatalf("-stage only applies to -mode serve, saturate, fleet or record")
-	}
-	if *budget != rcsched.DefaultBudgetFactor {
-		log.Fatalf("-budget only applies to -mode serve, saturate, fleet or record")
-	}
-	if *ramp || *rps != 800 || *arrival != "poisson" || *admit != "off" {
-		log.Fatalf("-rps, -arrival, -admit and -ramp only apply to -mode saturate, fleet or record")
-	}
-	if *boards != 4 || *dispatch != "least-loaded" {
-		log.Fatalf("-boards and -dispatch only apply to -mode fleet or record")
-	}
-	if *scenarioPath != "" || *as != "serve" || *match != "" || *tolerance != 0 ||
-		*format != "text" || *junitPath != "" {
-		log.Fatalf("-scenario, -as, -match, -tolerance, -format and -junit only apply to -mode record or replay")
-	}
-	if tele.enabled() || tele.samplePs != 0 {
-		log.Fatalf("-metrics-out, -trace-out and -sample-ps only apply to -mode serve, saturate, fleet, record or replay")
-	}
-
-	if *mode == "multi" {
-		// The multi-session gang fixes its own coprocessor pair, FIFO
-		// per-session policies and clock plan; reject flags it would
-		// silently ignore rather than print a report contradicting them.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*policy != "fifo", "-policy"},
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-		} {
-			if f.set {
-				log.Fatalf("mode multi does not support %s (runs IDEA+ADPCM with per-session FIFO)", f.name)
-			}
+	case "multi":
+		err = runMulti(o.board, o.arb, o.split, o.size, o.seed)
+	default:
+		cfg := repro.Config{
+			Board:         o.board,
+			Policy:        o.policy,
+			PipelinedIMU:  o.pipelined,
+			BounceBuffer:  o.bounce,
+			PrefetchPages: o.prefetch,
+			Seed:          o.seed,
 		}
-		if err := runMulti(*board, *arb, *split, *size, *seed); err != nil {
-			log.Fatal(err)
+		var rep *core.Report
+		rep, err = run(cfg, o.app, o.mode, o.size, o.seed)
+		if errors.Is(err, baseline.ErrExceedsMemory) {
+			fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
+				o.app, o.size, o.mode)
+			os.Exit(0)
 		}
-		return
-	}
-
-	rep, err := run(cfg, *app, *mode, *size, *seed)
-	if errors.Is(err, baseline.ErrExceedsMemory) {
-		fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
-			*app, *size, *mode)
-		os.Exit(0)
+		if err == nil {
+			printReport(rep)
+			flushTrace()
+		}
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	printReport(rep)
-	flushTrace()
 }
 
+// run executes one single-application run: vim, normal, chunked or sw.
 func run(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	switch mode {
-	case "normal", "chunked":
+	if mode == "normal" || mode == "chunked" {
 		return runBaseline(cfg, app, mode, size, seed)
-	case "vim", "sw":
-		return runVirtual(cfg, app, mode, size, seed)
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
 	}
+	return runVirtual(cfg, app, mode, size, seed)
 }
 
 func runVirtual(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
@@ -569,576 +429,6 @@ func runMulti(board, arb string, split, size int, seed int64) error {
 			i, s.App, s.Policy, s.DonePs/1e9, s.VIM.Faults, s.VIM.Evictions, s.VIM.Steals, s.VIM.PagesLoaded)
 	}
 	return nil
-}
-
-// runServe generates a seeded multi-user job stream and serves it through
-// the dynamic reconfiguration scheduler, printing the per-job log and the
-// aggregate report.
-func runServe(board, policy string, slots, jobs int, bw, gapMs, budget float64, seed int64, stage bool, tele telemetryFlags) error {
-	if budget <= 0 {
-		return fmt.Errorf("service-level budget factor must be positive, got %g", budget)
-	}
-	stream, err := rcsched.Trace(jobs, seed, gapMs*1e9)
-	if err != nil {
-		return err
-	}
-	rcsched.SetBudgets(stream, budget)
-	meter := tele.meter()
-	rep, err := rcsched.Serve(rcsched.Config{
-		Board:    board,
-		Slots:    slots,
-		Policy:   policy,
-		ConfigBW: bw,
-		Stage:    stage,
-		Meter:    meter,
-	}, stream)
-	if err != nil {
-		return err
-	}
-	staging := "off"
-	if stage {
-		staging = fmt.Sprintf("on (%d commits, %d cancels)", rep.StageCommits, rep.StageCancels)
-	}
-	fmt.Printf("mode        serve (%d jobs, seed %d, mean gap %.2f ms, budget factor %g)\n", jobs, seed, gapMs, budget)
-	fmt.Printf("board       %s\n", rep.Board)
-	fmt.Printf("policy      %s\n", rep.Policy)
-	fmt.Printf("slots       %d\n", rep.Slots)
-	fmt.Printf("config BW   %.0f KB/s\n", rep.ConfigBW/1000)
-	fmt.Printf("staging     %s\n", staging)
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("mean wait   %.3f ms\n", rep.MeanWaitPs/1e9)
-	fmt.Printf("mean lat.   %.3f ms\n", rep.MeanLatencyPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms\n", rep.P99LatencyPs/1e9)
-	fmt.Printf("deadlines   %d of %d missed (miss rate %.2f)\n", rep.Misses, len(rep.Jobs), rep.MissRate)
-	fmt.Printf("reconfigs   %d (%.3f ms on the config port)\n", rep.Reconfigs, rep.TotalReconfigPs/1e9)
-	fmt.Printf("utilisation %.2f mean across slots\n", rep.UtilMean)
-	fmt.Printf("sw          %.3f ms DP, %.3f ms IMU, %.3f ms OS\n",
-		rep.SWDPPs/1e9, rep.SWIMUPs/1e9, rep.SWOSPs/1e9)
-	fmt.Printf("paging      %d faults, %d pages loaded, %d flushed\n",
-		rep.VIM.Faults, rep.VIM.PagesLoaded, rep.VIM.PagesFlushed)
-	fmt.Println("jobs        (all outputs verified against the golden algorithms)")
-	for _, j := range rep.Jobs {
-		reconf := "resident"
-		switch {
-		case j.Staged:
-			reconf = fmt.Sprintf("staged %.3f ms", j.ReconfigPs/1e9)
-		case j.Reconfigured:
-			reconf = fmt.Sprintf("reconfig %.2f ms", j.ReconfigPs/1e9)
-		}
-		slo := "met "
-		if j.Missed {
-			slo = fmt.Sprintf("LATE %+.2f", j.LatenessPs/1e9)
-		}
-		fmt.Printf("  #%-3d %-7s %5d B  slot %d  arrive %7.3f  wait %7.3f  exec %7.3f  done %7.3f  dl %7.3f ms %s  %s\n",
-			j.ID, j.App, j.Size, j.Slot, j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9, j.DonePs/1e9,
-			j.DeadlinePs/1e9, slo, reconf)
-	}
-	return tele.export(meter)
-}
-
-// validateSaturate checks the saturate-mode flag combination before any
-// simulation work starts; every rejection is a one-line error carrying a
-// usage hint (main turns it into a non-zero exit).
-func validateSaturate(rps float64, arrival, admit string, budget float64, jobs int) error {
-	if jobs <= 0 {
-		return fmt.Errorf("saturate: -jobs must be positive, got %d (try -jobs 40)", jobs)
-	}
-	if rps <= 0 {
-		return fmt.Errorf("saturate: -rps must be positive, got %g (try -rps 800)", rps)
-	}
-	switch arrival {
-	case "uniform", "poisson", "bursty":
-	default:
-		return fmt.Errorf("saturate: unknown -arrival %q (want uniform, poisson or bursty)", arrival)
-	}
-	switch admit {
-	case "", "off", "reject", "degrade":
-	default:
-		return fmt.Errorf("saturate: unknown -admit %q (want off, reject or degrade)", admit)
-	}
-	if budget < 0 {
-		return fmt.Errorf("saturate: -budget must be non-negative, got %g (0 strips deadlines)", budget)
-	}
-	if budget == 0 && admit != "" && admit != "off" {
-		return fmt.Errorf("saturate: -admit %s sheds by deadline, but -budget 0 strips every deadline (set -budget > 0)", admit)
-	}
-	return nil
-}
-
-// runSaturate serves one open-loop stream — or, with ramp, sweeps offered
-// RPS up a linear ramp until the overload detector fires — and prints the
-// saturation report.
-func runSaturate(board, policy string, slots, jobs int, bw, budget float64, seed int64,
-	stage bool, rps float64, arrival, admit string, ramp bool, tele telemetryFlags) error {
-	meter := tele.meter() // nil on a ramp: tele.validate rejected the combination
-	cfg := rcsched.Config{
-		Board:    board,
-		Slots:    slots,
-		Policy:   policy,
-		ConfigBW: bw,
-		Stage:    stage,
-		Admit:    admit,
-		Meter:    meter,
-	}
-	spec := traffic.Spec{Process: arrival, RPS: rps}
-
-	if ramp {
-		// Sweep from a quarter of the target rate up to three times it.
-		res, err := traffic.FindKnee(cfg, spec, traffic.RampSpec{
-			StartRPS: rps / 4,
-			StepRPS:  rps / 4,
-			Steps:    12,
-			Jobs:     jobs,
-			Seed:     seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("mode        saturate ramp (%s arrivals, %d jobs per step, seed %d)\n", arrival, jobs, seed)
-		fmt.Printf("board       %s\n", board)
-		fmt.Printf("policy      %s (%d slots, admission %s)\n", policy, slots, admit)
-		fmt.Printf("detector    >%.0f%% of any %d consecutive jobs failing\n",
-			100*traffic.DefaultThreshold, traffic.DefaultWindow)
-		fmt.Println("ramp        target | offered | achieved | goodput RPS | shed | miss | p99 ms")
-		for _, p := range res.Points {
-			over := ""
-			if p.Overloaded {
-				over = "  <- overloaded"
-			}
-			fmt.Printf("  %10.0f | %7.0f | %8.0f | %11.0f | %.2f | %.2f | %7.3f%s\n",
-				p.RPS, p.OfferedRPS, p.AchievedRPS, p.GoodputRPS, p.ShedRate, p.MissRate,
-				p.P99LatencyPs/1e9, over)
-		}
-		if res.SaturationRPS == 0 {
-			fmt.Printf("knee        not reached: the board keeps up through %.0f jobs/s\n",
-				res.Points[len(res.Points)-1].RPS)
-			return nil
-		}
-		fmt.Printf("knee        %.0f jobs/s (saturates at %.0f)\n", res.KneeRPS, res.SaturationRPS)
-		return nil
-	}
-
-	stream, err := traffic.Stream(jobs, seed, spec)
-	if err != nil {
-		return err
-	}
-	if budget == 0 {
-		for i := range stream {
-			stream[i].DeadlinePs = 0
-		}
-	} else if budget != rcsched.DefaultBudgetFactor {
-		rcsched.SetBudgets(stream, budget)
-	}
-	rep, err := rcsched.Serve(cfg, stream)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("mode        saturate (%s arrivals at %.0f jobs/s, %d jobs, seed %d, budget factor %g)\n",
-		arrival, rps, jobs, seed, budget)
-	fmt.Printf("board       %s\n", rep.Board)
-	fmt.Printf("policy      %s (%d slots, admission %s)\n", rep.Policy, rep.Slots, admit)
-	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
-	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
-	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
-	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
-		rep.Admitted, rep.Degraded, rep.Rejected, rep.ShedRate)
-	fmt.Printf("overloaded  %v\n", traffic.Overloaded(rep, 0, 0))
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", rep.P99LatencyPs/1e9, rep.P99AdmittedPs/1e9)
-	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
-	fmt.Printf("utilisation %.2f mean across slots\n", rep.UtilMean)
-	fmt.Println("jobs")
-	for _, j := range rep.Jobs {
-		switch j.Disposition {
-		case rcsched.Rejected:
-			fmt.Printf("  #%-3d %-7s %5d B  REJECTED at %7.3f ms (deadline %7.3f ms)\n",
-				j.ID, j.App, j.Size, j.DonePs/1e9, j.DeadlinePs/1e9)
-		case rcsched.Degraded:
-			fmt.Printf("  #%-3d %-7s %5d B  degraded: SW exec %7.3f  done %7.3f  dl %7.3f ms\n",
-				j.ID, j.App, j.Size, j.ExecPs/1e9, j.DonePs/1e9, j.DeadlinePs/1e9)
-		default:
-			slo := "met "
-			if j.Missed {
-				slo = fmt.Sprintf("LATE %+.2f", j.LatenessPs/1e9)
-			}
-			fmt.Printf("  #%-3d %-7s %5d B  slot %d  arrive %7.3f  wait %7.3f  exec %7.3f  done %7.3f  dl %7.3f ms %s\n",
-				j.ID, j.App, j.Size, j.Slot, j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9,
-				j.DonePs/1e9, j.DeadlinePs/1e9, slo)
-		}
-	}
-	return tele.export(meter)
-}
-
-// runFleet dispatches one open-loop stream across a pool of independent
-// boards — or, with ramp, sweeps offered RPS up a linear ramp until the
-// overload detector fires on the merged fleet report — and prints the
-// fleet-wide aggregates, the per-board breakdown and the routed job log.
-func runFleet(board, policy, dispatch string, boards, slots, jobs int, bw, budget float64,
-	seed int64, stage bool, rps float64, arrival, admit string, ramp bool, tele telemetryFlags) error {
-	meter := tele.meter() // nil on a ramp: tele.validate rejected the combination
-	cfg := fleet.Config{
-		Boards:   boards,
-		Dispatch: dispatch,
-		Seed:     seed,
-		Board: rcsched.Config{
-			Board:    board,
-			Slots:    slots,
-			Policy:   policy,
-			ConfigBW: bw,
-			Stage:    stage,
-			Admit:    admit,
-		},
-		Meter: meter,
-	}
-	spec := traffic.Spec{Process: arrival, RPS: rps}
-
-	if ramp {
-		// Sweep from a quarter of the target rate up to three times it.
-		res, err := fleet.FindKnee(cfg, spec, traffic.RampSpec{
-			StartRPS: rps / 4,
-			StepRPS:  rps / 4,
-			Steps:    12,
-			Jobs:     jobs,
-			Seed:     seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("mode        fleet ramp (%d boards, %s dispatch, %s arrivals, %d jobs per step, seed %d)\n",
-			boards, dispatch, arrival, jobs, seed)
-		fmt.Printf("board       %s x%d\n", board, boards)
-		fmt.Printf("policy      %s (%d slots, admission %s)\n", policy, slots, admit)
-		fmt.Printf("detector    >%.0f%% of any %d consecutive jobs failing, window over the merged arrival order\n",
-			100*traffic.DefaultThreshold, traffic.DefaultWindow)
-		fmt.Println("ramp        target | offered | achieved | goodput RPS | shed | miss | p99 ms")
-		for _, p := range res.Points {
-			over := ""
-			if p.Overloaded {
-				over = "  <- overloaded"
-			}
-			fmt.Printf("  %10.0f | %7.0f | %8.0f | %11.0f | %.2f | %.2f | %7.3f%s\n",
-				p.RPS, p.OfferedRPS, p.AchievedRPS, p.GoodputRPS, p.ShedRate, p.MissRate,
-				p.P99LatencyPs/1e9, over)
-		}
-		if res.SaturationRPS == 0 {
-			fmt.Printf("knee        not reached: the fleet keeps up through %.0f jobs/s\n",
-				res.Points[len(res.Points)-1].RPS)
-			return nil
-		}
-		fmt.Printf("knee        %.0f jobs/s (saturates at %.0f)\n", res.KneeRPS, res.SaturationRPS)
-		return nil
-	}
-
-	stream, err := traffic.Stream(jobs, seed, spec)
-	if err != nil {
-		return err
-	}
-	if budget == 0 {
-		for i := range stream {
-			stream[i].DeadlinePs = 0
-		}
-	} else if budget != rcsched.DefaultBudgetFactor {
-		rcsched.SetBudgets(stream, budget)
-	}
-	rep, err := fleet.Run(cfg, stream)
-	if err != nil {
-		return err
-	}
-	boardOf := make(map[int]int, len(rep.Decisions))
-	for _, d := range rep.Decisions {
-		boardOf[d.Job] = d.Board
-	}
-	fmt.Printf("mode        fleet (%s arrivals at %.0f jobs/s, %d jobs, seed %d, budget factor %g)\n",
-		arrival, rps, jobs, seed, budget)
-	fmt.Printf("board       %s x%d (%d slots each)\n", board, boards, slots)
-	fmt.Printf("dispatch    %s\n", rep.Dispatch)
-	fmt.Printf("policy      %s (admission %s)\n", policy, admit)
-	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
-	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
-	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
-	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
-		rep.Admitted, rep.Degraded, rep.Rejected, rep.ShedRate)
-	fmt.Printf("overloaded  %v\n", fleet.Overloaded(rep, 0, 0))
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", rep.P99LatencyPs/1e9, rep.P99AdmittedPs/1e9)
-	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
-	fmt.Printf("reconfigs   %d (%.3f ms fleet-wide on the config ports)\n", rep.Reconfigs, rep.TotalReconfigPs/1e9)
-	fmt.Printf("utilisation %.2f mean per board (spread %.2f-%.2f)\n", rep.UtilMean, rep.UtilMin, rep.UtilMax)
-	fmt.Println("boards")
-	for b, br := range rep.Boards {
-		fmt.Printf("  board %-2d  %3d jobs  %2d reconfigs (%7.3f ms)  %2d missed  goodput %5.0f jobs/s\n",
-			b, len(br.Jobs), br.Reconfigs, br.TotalReconfigPs/1e9, br.Misses, br.GoodputRPS)
-	}
-	fmt.Println("jobs        (merged arrival order)")
-	for _, j := range rep.Jobs {
-		switch j.Disposition {
-		case rcsched.Rejected:
-			fmt.Printf("  #%-3d %-7s %5d B  board %-2d REJECTED at %7.3f ms (deadline %7.3f ms)\n",
-				j.ID, j.App, j.Size, boardOf[j.ID], j.DonePs/1e9, j.DeadlinePs/1e9)
-		case rcsched.Degraded:
-			fmt.Printf("  #%-3d %-7s %5d B  board %-2d degraded: SW exec %7.3f  done %7.3f  dl %7.3f ms\n",
-				j.ID, j.App, j.Size, boardOf[j.ID], j.ExecPs/1e9, j.DonePs/1e9, j.DeadlinePs/1e9)
-		default:
-			slo := "met "
-			if j.Missed {
-				slo = fmt.Sprintf("LATE %+.2f", j.LatenessPs/1e9)
-			}
-			fmt.Printf("  #%-3d %-7s %5d B  board %-2d arrive %7.3f  wait %7.3f  exec %7.3f  done %7.3f  dl %7.3f ms %s\n",
-				j.ID, j.App, j.Size, boardOf[j.ID], j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9,
-				j.DonePs/1e9, j.DeadlinePs/1e9, slo)
-		}
-	}
-	return tele.export(meter)
-}
-
-// validateRecord checks the record-mode flag combination before any
-// simulation work starts; every rejection is a one-line error carrying a
-// usage hint (main turns it into a non-zero exit).
-func validateRecord(as, scenarioPath, match string, tolerance float64, ramp bool) error {
-	if scenarioPath == "" {
-		return fmt.Errorf("record: -scenario must name the output file (try -scenario run.json)")
-	}
-	switch as {
-	case "serve", "saturate", "fleet":
-	default:
-		return fmt.Errorf("record: unknown -as %q (want serve, saturate or fleet)", as)
-	}
-	switch match {
-	case "", scenario.Strict, scenario.Metrics:
-	default:
-		return fmt.Errorf("record: unknown -match %q (want strict or metrics)", match)
-	}
-	if tolerance < 0 {
-		return fmt.Errorf("record: -tolerance must be non-negative, got %g", tolerance)
-	}
-	if tolerance != 0 && match != scenario.Metrics {
-		return fmt.Errorf("record: -tolerance only applies with -match metrics")
-	}
-	if ramp {
-		return fmt.Errorf("record: -ramp sweeps many runs where a scenario pins exactly one (record the knee rate instead: -rps <knee>)")
-	}
-	return nil
-}
-
-// validateReplay checks the replay-mode flag combination.
-func validateReplay(scenarioPath, match, format string) error {
-	if scenarioPath == "" {
-		return fmt.Errorf("replay: -scenario must name a scenario file or directory (try -scenario testdata/scenarios)")
-	}
-	switch match {
-	case "", scenario.Strict, scenario.Metrics:
-	default:
-		return fmt.Errorf("replay: unknown -match %q (want strict or metrics)", match)
-	}
-	switch format {
-	case "text", "json", "junit":
-	default:
-		return fmt.Errorf("replay: unknown -format %q (want text, json or junit)", format)
-	}
-	return nil
-}
-
-// recordStream rebuilds exactly the job stream the recorded mode would
-// serve: the closed-form trace for serve, the open-loop arrival process
-// for saturate and fleet (with the same budget-factor handling).
-func recordStream(as string, jobs int, gapMs, budget float64, seed int64,
-	rps float64, arrival string) ([]rcsched.Job, error) {
-	if as == "serve" {
-		if budget <= 0 {
-			return nil, fmt.Errorf("service-level budget factor must be positive, got %g", budget)
-		}
-		stream, err := rcsched.Trace(jobs, seed, gapMs*1e9)
-		if err != nil {
-			return nil, err
-		}
-		rcsched.SetBudgets(stream, budget)
-		return stream, nil
-	}
-	stream, err := traffic.Stream(jobs, seed, traffic.Spec{Process: arrival, RPS: rps})
-	if err != nil {
-		return nil, err
-	}
-	if budget == 0 {
-		for i := range stream {
-			stream[i].DeadlinePs = 0
-		}
-	} else if budget != rcsched.DefaultBudgetFactor {
-		rcsched.SetBudgets(stream, budget)
-	}
-	return stream, nil
-}
-
-// runRecord executes the selected serving run with recording attached and
-// writes the scenario file. The scenario's name is the file's base name;
-// its description is the reconstructed command line, so a corpus stays
-// greppable for how each pinned run was produced.
-func runRecord(path, as, board, policy, dispatch string, boards, slots, jobs int,
-	bw, gapMs, budget float64, seed int64, stage bool,
-	rps float64, arrival, admit string, match scenario.Match, tele telemetryFlags) error {
-	stream, err := recordStream(as, jobs, gapMs, budget, seed, rps, arrival)
-	if err != nil {
-		return err
-	}
-	meter := tele.meter()
-	name := strings.TrimSuffix(filepath.Base(path), ".json")
-	desc := fmt.Sprintf("vimsim -mode record -as %s -scenario %s -board %s -policy %s -slots %d -jobs %d -seed %d",
-		as, filepath.Base(path), board, policy, slots, jobs, seed)
-	if bw != 0 {
-		desc += fmt.Sprintf(" -bw %g", bw)
-	}
-	if stage {
-		desc += " -stage"
-	}
-	if budget != rcsched.DefaultBudgetFactor {
-		desc += fmt.Sprintf(" -budget %g", budget)
-	}
-	boardCfg := rcsched.Config{
-		Board:    board,
-		Slots:    slots,
-		Policy:   policy,
-		ConfigBW: bw,
-		Stage:    stage,
-	}
-	var sc *scenario.Scenario
-	switch as {
-	case "serve":
-		desc += fmt.Sprintf(" -gap %g", gapMs)
-		boardCfg.Meter = meter
-		sc, err = scenario.RecordServe(name, desc, boardCfg, stream, match)
-	case "saturate":
-		desc += fmt.Sprintf(" -arrival %s -rps %g -admit %s", arrival, rps, admit)
-		boardCfg.Admit = admit
-		boardCfg.Meter = meter
-		sc, err = scenario.RecordServe(name, desc, boardCfg, stream, match)
-	case "fleet":
-		desc += fmt.Sprintf(" -arrival %s -rps %g -admit %s -boards %d -dispatch %s",
-			arrival, rps, admit, boards, dispatch)
-		boardCfg.Admit = admit
-		sc, err = scenario.RecordFleet(name, desc, fleet.Config{
-			Boards:   boards,
-			Dispatch: dispatch,
-			Seed:     seed,
-			Board:    boardCfg,
-			Meter:    meter,
-		}, stream, match)
-	default:
-		return fmt.Errorf("record: unknown -as %q", as)
-	}
-	if err != nil {
-		return err
-	}
-	data, err := scenario.Serialize(sc)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	steps := len(sc.Expect.Events) + len(sc.Expect.Decisions)
-	for _, ev := range sc.Expect.BoardEvents {
-		steps += len(ev)
-	}
-	matching := sc.Match.Mode
-	if matching == "" {
-		matching = scenario.Strict
-	}
-	fmt.Printf("mode        record (-as %s)\n", as)
-	fmt.Printf("scenario    %s (%s, %s matching)\n", path, sc.Kind, matching)
-	fmt.Printf("jobs        %d pinned (%d decision steps)\n", len(sc.Jobs), steps)
-	fmt.Printf("makespan    %.3f ms\n", sc.Expect.Aggregate.MakespanPs/1e9)
-	fmt.Printf("replay      vimsim -mode replay -scenario %s\n", path)
-	return tele.export(meter)
-}
-
-// runReplay replays one scenario file — or every *.json under a directory,
-// the corpus case — and renders the results in the selected format. The
-// boolean result is the overall verdict: false (a non-zero exit) when any
-// scenario failed to parse or reproduce.
-func runReplay(path, match, format, junitOut string, tele telemetryFlags) (bool, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return false, err
-	}
-	if tele.enabled() && info.IsDir() {
-		return false, fmt.Errorf("replay: -metrics-out and -trace-out export exactly one replayed run, but %s is a corpus directory (replay one scenario file)", path)
-	}
-	files := []string{path}
-	if info.IsDir() {
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return false, err
-		}
-		files = files[:0]
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-				files = append(files, filepath.Join(path, e.Name()))
-			}
-		}
-		sort.Strings(files)
-		if len(files) == 0 {
-			return false, fmt.Errorf("replay: no *.json scenarios under %s", path)
-		}
-	}
-	results := make([]*scenario.Result, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return false, err
-		}
-		sc, err := scenario.Parse(data)
-		if err != nil {
-			// A broken file is a failing case, not a dead sweep: the rest
-			// of the corpus still replays and the report names the culprit.
-			results = append(results, &scenario.Result{
-				Name: strings.TrimSuffix(filepath.Base(f), ".json"),
-				Err:  err.Error(),
-			})
-			continue
-		}
-		// A single-file replay may carry telemetry: the metered re-run must
-		// match the scenario exactly like an unmetered one (passivity), so
-		// the exports double as a pinned-run telemetry snapshot.
-		meter := tele.meter()
-		res, err := scenario.ReplayMetered(sc, match, meter)
-		if err != nil {
-			return false, err
-		}
-		if err := tele.export(meter); err != nil {
-			return false, err
-		}
-		results = append(results, res)
-	}
-	switch format {
-	case "json":
-		data, err := scenario.FormatJSON(results)
-		if err != nil {
-			return false, err
-		}
-		os.Stdout.Write(data)
-	case "junit":
-		data, err := scenario.FormatJUnit("vimsim-scenarios", results)
-		if err != nil {
-			return false, err
-		}
-		os.Stdout.Write(data)
-	default:
-		fmt.Print(scenario.FormatText(results))
-	}
-	if junitOut != "" {
-		data, err := scenario.FormatJUnit("vimsim-scenarios", results)
-		if err != nil {
-			return false, err
-		}
-		if err := os.WriteFile(junitOut, data, 0o644); err != nil {
-			return false, err
-		}
-	}
-	for _, r := range results {
-		if !r.Pass() {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 func runBaseline(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {

@@ -1,14 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestValidateSaturateFlags sweeps the saturate-mode flag validation: every
 // degenerate combination must come back as an error (main turns it into a
-// non-zero exit) whose single line carries a usage hint, and every legal
-// combination must pass.
+// non-zero exit) whose single line carries a usage hint naming the flag,
+// and every legal combination must pass. The rate, arrival-process and
+// admission checks are the libraries' own (traffic.Spec.Validate,
+// rcsched.Config.Resolve), attributed to the flag that set the field.
 func TestValidateSaturateFlags(t *testing.T) {
 	type flags struct {
 		rps     float64
@@ -30,10 +41,10 @@ func TestValidateSaturateFlags(t *testing.T) {
 		{"admit degrade", flags{800, "poisson", "degrade", 1, 24}, ""},
 		{"admit empty alias", flags{800, "poisson", "", 1, 24}, ""},
 		{"no deadlines", flags{800, "poisson", "off", 0, 24}, ""},
-		{"zero rps", flags{0, "poisson", "off", 1, 24}, "-rps must be positive"},
-		{"negative rps", flags{-50, "poisson", "off", 1, 24}, "-rps must be positive"},
-		{"unknown arrival", flags{800, "diurnal-ish", "off", 1, 24}, "unknown -arrival"},
-		{"unknown admit", flags{800, "poisson", "shed", 1, 24}, "unknown -admit"},
+		{"zero rps", flags{0, "poisson", "off", 1, 24}, "-rps: traffic: poisson process needs a positive rate"},
+		{"negative rps", flags{-50, "poisson", "off", 1, 24}, "-rps: traffic: poisson process needs a positive rate"},
+		{"unknown arrival", flags{800, "diurnal-ish", "off", 1, 24}, "-arrival: traffic: unknown arrival process"},
+		{"unknown admit", flags{800, "poisson", "shed", 1, 24}, "-admit: rcsched: unknown admission mode"},
 		{"admit without deadlines", flags{800, "poisson", "reject", 0, 24}, "set -budget > 0"},
 		{"degrade without deadlines", flags{800, "poisson", "degrade", 0, 24}, "set -budget > 0"},
 		{"negative budget", flags{800, "poisson", "off", -1, 24}, "-budget must be non-negative"},
@@ -41,10 +52,19 @@ func TestValidateSaturateFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateSaturate(c.f.rps, c.f.arrival, c.f.admit, c.f.budget, c.f.jobs)
+			_, err := parse(t, "-mode", "saturate", "-rps", fmt.Sprint(c.f.rps), "-arrival", c.f.arrival,
+				"-admit", c.f.admit, "-budget", fmt.Sprint(c.f.budget), "-jobs", fmt.Sprint(c.f.jobs))
 			checkHint(t, err, c.hint)
 		})
 	}
+}
+
+// parse runs the command-line parser and validator on args.
+func parse(t *testing.T, args ...string) (*options, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("vimsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseArgs(fs, args)
 }
 
 // checkHint asserts the shared contract of all flag validators: legal flag
@@ -99,7 +119,12 @@ func TestValidateRecordFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateRecord(c.f.as, c.f.scenario, c.f.match, c.f.tolerance, c.f.ramp)
+			args := []string{"-mode", "record", "-as", c.f.as, "-scenario", c.f.scenario,
+				"-match", c.f.match, "-tolerance", fmt.Sprint(c.f.tolerance)}
+			if c.f.ramp {
+				args = append(args, "-ramp")
+			}
+			_, err := parse(t, args...)
 			checkHint(t, err, c.hint)
 		})
 	}
@@ -171,8 +196,131 @@ func TestValidateReplayFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateReplay(c.f.scenario, c.f.match, c.f.format)
+			_, err := parse(t, "-mode", "replay", "-scenario", c.f.scenario, "-match", c.f.match, "-format", c.f.format)
 			checkHint(t, err, c.hint)
+		})
+	}
+}
+
+// TestFlagModes sweeps every (mode, flag) pair through the parser with the
+// flag set explicitly (to its default where that is a legal setting): the
+// flags a mode uses are accepted,
+// every other flag is rejected with one line naming it. The table is
+// written out independently of flagModes; record is checked once per -as.
+// The invocations at the end once exited 0 while ignoring a flag.
+func TestFlagModes(t *testing.T) {
+	const (
+		serving = "board policy slots jobs bw stage budget seed metrics-out trace-out sample-ps"
+		record  = "scenario as match tolerance"
+	)
+	modes := []struct{ mode, used string }{
+		{"vim", "app size board policy pipelined bounce prefetch seed vcd"},
+		{"normal", "app size board seed"},
+		{"chunked", "app size board seed"},
+		{"sw", "app size board seed"},
+		{"multi", "size board arb split seed"},
+		{"serve", serving + " gap"},
+		{"saturate", serving + " rps arrival admit ramp"},
+		{"fleet", serving + " rps arrival admit ramp boards dispatch"},
+		{"record -as serve", serving + " gap " + record},
+		{"record -as saturate", serving + " rps arrival admit " + record},
+		{"record -as fleet", serving + " rps arrival admit boards dispatch " + record},
+		{"replay", "scenario match format junit metrics-out trace-out sample-ps"},
+	}
+	dir := t.TempDir()
+	value := map[string]string{ // explicit values where the default is not a legal setting
+		"scenario": "x.json", "metrics-out": filepath.Join(dir, "m.prom"),
+		"trace-out": filepath.Join(dir, "t.json"),
+	}
+	var names []string
+	probe := flag.NewFlagSet("probe", flag.ContinueOnError)
+	register(probe)
+	probe.VisitAll(func(f *flag.Flag) {
+		if f.Name != "mode" {
+			names = append(names, f.Name)
+			if _, ok := value[f.Name]; !ok {
+				value[f.Name] = f.DefValue
+			}
+		}
+	})
+	for _, m := range modes {
+		base := strings.Fields("-mode " + m.mode)
+		if strings.HasPrefix(m.mode, "record") || m.mode == "replay" {
+			base = append(base, "-scenario", "x.json")
+		}
+		for _, name := range names {
+			v := value[name]
+			if name == "as" && strings.HasPrefix(m.mode, "record") {
+				v = base[3] // keep the recorded mode
+			}
+			_, err := parse(t, append(append([]string(nil), base...), "-"+name+"="+v)...)
+			if slices.Contains(strings.Fields(m.used), name) {
+				if err != nil {
+					t.Errorf("%s: -%s rejected: %v", m.mode, name, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s: -%s accepted, but the mode ignores it", m.mode, name)
+				continue
+			}
+			if !strings.Contains(err.Error(), "-"+name+" ") || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%s: -%s rejection is not one line naming the flag: %q", m.mode, name, err)
+			}
+		}
+	}
+	for _, args := range []string{
+		"-mode serve -jobs 3 -scenario x.json -format junit -as fleet",
+		"-mode saturate -junit j.xml",
+		"-mode replay -scenario x.json -as fleet",
+		"-mode vim -slots 4 -jobs 9 -gap 3 -arb global-lru -split 3 -bw 5",
+		"-mode sw -vcd w.vcd",
+		"-mode saturate -ramp -budget 2",
+	} {
+		if _, err := parse(t, strings.Fields(args)...); err == nil {
+			t.Errorf("vimsim %s: accepted", args)
+		}
+	}
+}
+
+// TestCorpusReRecord re-runs every corpus scenario's recorded command line
+// (its description) through the in-process record path: the serialized
+// result must equal the committed file byte for byte.
+func TestCorpusReRecord(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus scenarios found (%v)", err)
+	}
+	for _, p := range paths {
+		t.Run(filepath.Base(p), func(t *testing.T) {
+			t.Parallel()
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := scenario.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := strings.Fields(sc.Description)
+			if len(args) == 0 || args[0] != "vimsim" {
+				t.Fatalf("description %q is not a vimsim command line", sc.Description)
+			}
+			o, err := parse(t, args[1:]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := o.srv.record(o.scenario, scenario.Match{Mode: o.match, Tolerance: o.tolerance}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := scenario.Serialize(re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Errorf("re-recording %s from its description differs from the committed file", p)
+			}
 		})
 	}
 }

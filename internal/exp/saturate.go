@@ -29,7 +29,7 @@ func SaturateConfig(policy, admit string) rcsched.Config {
 // SaturateRamp sweeps the canonical ramp under cfg and returns the measured
 // points plus the detected saturation knee.
 func SaturateRamp(cfg rcsched.Config) (*traffic.Ramp, error) {
-	return traffic.FindKnee(cfg, traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
+	return traffic.FindKnee(traffic.ServeRunner(cfg), traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
 		StartRPS: SaturateStartRPS,
 		StepRPS:  SaturateStepRPS,
 		Steps:    SaturateSteps,

@@ -317,6 +317,25 @@ func bitstreamBytes(board, app string) (int, error) {
 	return 0, fmt.Errorf("fleet: unknown application %q", app)
 }
 
+// Validate checks cfg before any routing or serving work: a positive board
+// count, a known dispatch policy, a non-negative load bound, and a
+// per-board config rcsched.Config.Resolve accepts.
+func (cfg Config) Validate() error {
+	if cfg.Boards <= 0 {
+		return &rcsched.ConfigError{Field: "Boards",
+			Msg: fmt.Sprintf("fleet: board count must be positive, got %d", cfg.Boards)}
+	}
+	if _, _, err := newDispatcher(cfg.Dispatch, 0); err != nil {
+		return &rcsched.ConfigError{Field: "Dispatch", Msg: err.Error()}
+	}
+	if cfg.BoundPs < 0 {
+		return &rcsched.ConfigError{Field: "BoundPs",
+			Msg: fmt.Sprintf("fleet: negative affinity load bound %g ps", cfg.BoundPs)}
+	}
+	_, err := cfg.Board.Resolve()
+	return err
+}
+
 // Route computes the dispatch trace for a job stream under cfg without
 // serving anything: every job is assigned a board at its arrival epoch, in
 // arrival order (ties by ID), from the dispatcher's evolving board models.
@@ -325,8 +344,8 @@ func bitstreamBytes(board, app string) (int, error) {
 // choice. Routing is deterministic in (jobs, cfg): it never consults
 // simulated state, so the split is identical under every sim scheduler.
 func Route(cfg Config, jobs []rcsched.Job) (subs [][]rcsched.Job, decisions []Decision, err error) {
-	if cfg.Boards <= 0 {
-		return nil, nil, fmt.Errorf("fleet: board count must be positive, got %d", cfg.Boards)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if len(jobs) == 0 {
 		return nil, nil, fmt.Errorf("fleet: empty job stream")
@@ -338,26 +357,8 @@ func Route(cfg Config, jobs []rcsched.Job) (subs [][]rcsched.Job, decisions []De
 	if bound == 0 {
 		bound = DefaultBoundPs
 	}
-	_, pick, err := newDispatcher(cfg.Dispatch, bound)
-	if err != nil {
-		return nil, nil, err
-	}
-	boardName := cfg.Board.Board
-	if boardName == "" {
-		boardName = "EPXA4"
-	}
-	shellHz := cfg.Board.ShellHz
-	if shellHz == 0 {
-		shellHz = rcsched.DefaultShellHz
-	}
-	configBW := cfg.Board.ConfigBW
-	if configBW == 0 {
-		configBW = rcsched.DefaultConfigBW
-	}
-	slots := cfg.Board.Slots
-	if slots <= 0 {
-		return nil, nil, fmt.Errorf("fleet: per-board slot count must be positive, got %d", slots)
-	}
+	_, pick, _ := newDispatcher(cfg.Dispatch, bound)
+	board, _ := cfg.Board.Resolve() // validated above
 
 	// Dispatch epochs: arrival order, ties by ID — the same admission order
 	// each board's serving loop uses.
@@ -402,14 +403,14 @@ func Route(cfg Config, jobs []rcsched.Job) (subs [][]rcsched.Job, decisions []De
 			start = t
 		}
 		if !boards[b].has(j.App) {
-			n, err := bitstreamBytes(boardName, j.App)
+			n, err := bitstreamBytes(board.Board, j.App)
 			if err != nil {
 				return nil, nil, fmt.Errorf("fleet: job %d: %w", j.ID, err)
 			}
-			start += float64(n) / configBW * 1e12
+			start += float64(n) / board.ConfigBW * 1e12
 		}
-		boards[b].busyUntilPs = start + rcsched.ExecEstPs(j.App, j.Size, shellHz)
-		boards[b].touch(j.App, slots)
+		boards[b].busyUntilPs = start + rcsched.ExecEstPs(j.App, j.Size, board.ShellHz)
+		boards[b].touch(j.App, board.Slots)
 		subs[b] = append(subs[b], *j)
 	}
 	return subs, decisions, nil

@@ -399,10 +399,10 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 	}
 
 	// And the fleet ramp finds a knee strictly below its saturation rate.
-	ramp, err := fleet.FindKnee(fleet.Config{
+	ramp, err := traffic.FindKnee(fleet.Config{
 		Boards: 2, Dispatch: fleet.LeastLoaded, Seed: 99,
 		Board: rcsched.Config{Policy: "slack", Slots: 2},
-	}, traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
+	}.Runner(), traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
 		StartRPS: 1600, StepRPS: 1600, Steps: 10, Jobs: 36, Seed: 7,
 	})
 	if err != nil {

@@ -1,8 +1,7 @@
 package fleet
 
 import (
-	"fmt"
-
+	"repro/internal/rcsched"
 	"repro/internal/traffic"
 )
 
@@ -15,51 +14,22 @@ func Overloaded(rep *Report, window int, threshold float64) bool {
 	return traffic.OverloadedJobs(rep.Jobs, window, threshold)
 }
 
-// FindKnee sweeps offered load up the ramp through the fleet dispatcher —
-// the fleet counterpart of traffic.FindKnee, with the overload decision
-// made on each step's merged fleet report. Diurnal specs are rejected for
-// the same reason as the single-board sweep: their rate lives in the phase
-// schedule.
-func FindKnee(cfg Config, spec traffic.Spec, ramp traffic.RampSpec) (*traffic.Ramp, error) {
-	if spec.Process == traffic.Diurnal {
-		return nil, fmt.Errorf("fleet: a diurnal schedule has no single rate to ramp")
-	}
-	if ramp.StartRPS <= 0 || ramp.StepRPS <= 0 {
-		return nil, fmt.Errorf("fleet: ramp needs positive start and step rates, got %g + k x %g",
-			ramp.StartRPS, ramp.StepRPS)
-	}
-	if ramp.Steps <= 0 || ramp.Jobs <= 0 {
-		return nil, fmt.Errorf("fleet: ramp needs positive step and job counts, got %d steps x %d jobs",
-			ramp.Steps, ramp.Jobs)
-	}
-	out := &traffic.Ramp{}
-	for step := 0; step < ramp.Steps; step++ {
-		s := spec
-		s.RPS = ramp.StartRPS + float64(step)*ramp.StepRPS
-		jobs, err := traffic.Stream(ramp.Jobs, ramp.Seed+int64(step), s)
-		if err != nil {
-			return nil, err
-		}
+// Runner is cfg's traffic.Runner: traffic.FindKnee sweeps each ramp step
+// through the dispatcher, and the overload decision is made on the step's
+// merged fleet report.
+func (cfg Config) Runner() traffic.Runner {
+	return func(jobs []rcsched.Job) (traffic.RampPoint, []rcsched.JobReport, error) {
 		rep, err := Run(cfg, jobs)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: ramp step %d (%g jobs/s): %w", step, s.RPS, err)
+			return traffic.RampPoint{}, nil, err
 		}
-		over := Overloaded(rep, ramp.Window, ramp.Threshold)
-		out.Points = append(out.Points, traffic.RampPoint{
-			RPS:          s.RPS,
+		return traffic.RampPoint{
 			OfferedRPS:   rep.OfferedRPS,
 			AchievedRPS:  rep.AchievedRPS,
 			GoodputRPS:   rep.GoodputRPS,
 			ShedRate:     rep.ShedRate,
 			MissRate:     rep.MissRate,
 			P99LatencyPs: rep.P99LatencyPs,
-			Overloaded:   over,
-		})
-		if over {
-			out.SaturationRPS = s.RPS
-			break
-		}
-		out.KneeRPS = s.RPS
+		}, rep.Jobs, nil
 	}
-	return out, nil
 }

@@ -4,8 +4,8 @@
 // and collects Diagnostics. The repository cannot vendor x/tools (the
 // build is hermetic — standard library only), so the vimlint suite is
 // written against this shim instead; analyzers port to the upstream API
-// by changing one import path, and cmd/vimlint speaks the upstream
-// unitchecker wire protocol so `go vet -vettool` drives them unchanged.
+// by changing one import path. cmd/vimlint drives them over the module
+// through internal/lint/load.
 package analysis
 
 import (

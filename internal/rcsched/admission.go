@@ -1,7 +1,5 @@
 package rcsched
 
-import "fmt"
-
 // Disposition is the admission-control outcome of one job: what the
 // scheduler decided to do with it the instant it arrived.
 type Disposition string
@@ -30,19 +28,6 @@ const (
 	// AdmitDegrade sends provably-late jobs to the timed-SW baseline path.
 	AdmitDegrade = "degrade"
 )
-
-// admitMode canonicalises an admission-control mode name.
-func admitMode(name string) (string, error) {
-	switch name {
-	case "", AdmitOff:
-		return AdmitOff, nil
-	case AdmitReject:
-		return AdmitReject, nil
-	case AdmitDegrade:
-		return AdmitDegrade, nil
-	}
-	return "", fmt.Errorf("rcsched: unknown admission mode %q (want off, reject or degrade)", name)
-}
 
 // bestCaseDonePs is the admission estimator: the earliest instant job j
 // could possibly complete given the scheduler's current state. It is built

@@ -101,6 +101,65 @@ type Config struct {
 	TracePid int
 }
 
+// ConfigError is a configuration rejection naming the offending field, so
+// a front end can point at the flag or file key that set it. Resolve
+// returns it for Config fields; fleet.Config.Validate and
+// traffic.Spec.Validate return it for theirs.
+type ConfigError struct {
+	Field string // the rejected struct field, e.g. "Admit"
+	Msg   string
+}
+
+func (e *ConfigError) Error() string { return e.Msg }
+
+func badField(field, format string, args ...any) error {
+	return &ConfigError{Field: field, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Resolve validates cfg and returns it with its defaults filled in: board
+// EPXA4, DefaultShellHz, DefaultConfigBW, and the policy, admission mode
+// and board name in canonical form. It is the one check every serving
+// entry point shares — Serve, fleet.Route and scenario files — so a bad
+// config fails before any simulation work starts.
+func (cfg Config) Resolve() (Config, error) {
+	if cfg.Board == "" {
+		cfg.Board = "EPXA4"
+	}
+	spec, ok := platform.SpecByName(cfg.Board)
+	if !ok {
+		return cfg, badField("Board", "rcsched: unknown board %q", cfg.Board)
+	}
+	cfg.Board = spec.Name
+	if cfg.Slots <= 0 {
+		return cfg, badField("Slots", "rcsched: shell needs a positive slot count, got %d", cfg.Slots)
+	}
+	if cfg.ShellHz == 0 {
+		cfg.ShellHz = DefaultShellHz
+	}
+	if cfg.ShellHz < 0 {
+		return cfg, badField("ShellHz", "rcsched: negative shell clock %d Hz", cfg.ShellHz)
+	}
+	if cfg.ConfigBW == 0 {
+		cfg.ConfigBW = DefaultConfigBW
+	}
+	if cfg.ConfigBW < 0 {
+		return cfg, badField("ConfigBW", "rcsched: negative config-port bandwidth %g", cfg.ConfigBW)
+	}
+	policy, ok := NewPolicy(cfg.Policy)
+	if !ok {
+		return cfg, badField("Policy", "rcsched: unknown policy %q", cfg.Policy)
+	}
+	cfg.Policy = policy.Name()
+	switch cfg.Admit {
+	case "":
+		cfg.Admit = AdmitOff
+	case AdmitOff, AdmitReject, AdmitDegrade:
+	default:
+		return cfg, badField("Admit", "rcsched: unknown admission mode %q (want off, reject or degrade)", cfg.Admit)
+	}
+	return cfg, nil
+}
+
 // JobReport is the measured outcome of one served job.
 type JobReport struct {
 	ID   int
@@ -245,36 +304,16 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	if err := ValidateJobs(jobs); err != nil {
 		return nil, err
 	}
-	if cfg.Board == "" {
-		cfg.Board = "EPXA4"
-	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("rcsched: shell needs a positive slot count, got %d", cfg.Slots)
-	}
-	if cfg.ShellHz == 0 {
-		cfg.ShellHz = DefaultShellHz
-	}
-	if cfg.ConfigBW == 0 {
-		cfg.ConfigBW = DefaultConfigBW
-	}
-	if cfg.ConfigBW < 0 {
-		return nil, fmt.Errorf("rcsched: negative config-port bandwidth %g", cfg.ConfigBW)
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = core.DefaultBudget
 	}
-	policy, ok := NewPolicy(cfg.Policy)
-	if !ok {
-		return nil, fmt.Errorf("rcsched: unknown policy %q", cfg.Policy)
-	}
-	admit, err := admitMode(cfg.Admit)
-	if err != nil {
-		return nil, err
-	}
-	spec, ok := platform.SpecByName(cfg.Board)
-	if !ok {
-		return nil, fmt.Errorf("rcsched: unknown board %q", cfg.Board)
-	}
+	policy, _ := NewPolicy(cfg.Policy)
+	admit := cfg.Admit
+	spec, _ := platform.SpecByName(cfg.Board)
 	board, err := platform.NewBoard(spec)
 	if err != nil {
 		return nil, err

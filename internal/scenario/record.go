@@ -37,8 +37,8 @@ func (f *fleetRecorder) BoardObserver(b int) rcsched.Observer { return &f.boards
 
 // RecordServe executes one rcsched.Serve run with recording attached and
 // returns it as a scenario. The configuration is stored fully resolved
-// (defaults filled in from the run's own report), so later default changes
-// cannot silently re-parameterise a pinned run.
+// (rcsched.Config.Resolve), so later default changes cannot silently
+// re-parameterise a pinned run.
 func RecordServe(name, desc string, cfg rcsched.Config, jobs []rcsched.Job, match Match) (*Scenario, error) {
 	rec := &recorder{}
 	cfg.Observer = rec
@@ -53,7 +53,7 @@ func RecordServe(name, desc string, cfg rcsched.Config, jobs []rcsched.Job, matc
 		Description: desc,
 		Kind:        KindServe,
 		Match:       match,
-		Serve:       serveConfigOf(cfg, rep),
+		Serve:       serveConfigOf(cfg),
 		Jobs:        jobSpecsOf(jobs),
 		Expect: Expect{
 			Events:    rec.events,
@@ -70,8 +70,8 @@ func RecordServe(name, desc string, cfg rcsched.Config, jobs []rcsched.Job, matc
 // RecordFleet executes one fleet.Run with per-board recording attached and
 // returns it as a scenario.
 func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match Match) (*Scenario, error) {
-	if cfg.Boards <= 0 {
-		return nil, fmt.Errorf("scenario: fleet board count %d must be positive", cfg.Boards)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	rec := &fleetRecorder{boards: make([]recorder, cfg.Boards)}
 	cfg.Observe = rec
@@ -91,19 +91,12 @@ func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match 
 	}
 	boardEvents := make([][]Event, cfg.Boards)
 	var faults uint64
-	var served *rcsched.Report // any board that actually ran resolves the config
 	for b := range rec.boards {
 		boardEvents[b] = rec.boards[b].events
 		if boardEvents[b] == nil {
 			boardEvents[b] = []Event{} // an idle board pins an explicitly empty stream
 		}
 		faults += rep.Boards[b].VIM.Faults
-		if served == nil && rep.Boards[b].Board != "" {
-			served = rep.Boards[b]
-		}
-	}
-	if served == nil {
-		return nil, fmt.Errorf("scenario: fleet run served no board")
 	}
 	sc := &Scenario{
 		Format:      Format,
@@ -112,7 +105,7 @@ func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match 
 		Description: desc,
 		Kind:        KindFleet,
 		Match:       match,
-		Serve:       serveConfigOf(cfg.Board, served),
+		Serve:       serveConfigOf(cfg.Board),
 		Fleet: &FleetConfig{
 			Boards:   cfg.Boards,
 			Dispatch: rep.Dispatch,
@@ -133,26 +126,19 @@ func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match 
 	return sc, nil
 }
 
-// serveConfigOf resolves cfg's defaults against the run's own report (the
-// report carries the resolved board, policy, slot count and bandwidth).
-func serveConfigOf(cfg rcsched.Config, rep *rcsched.Report) ServeConfig {
-	shellHz := cfg.ShellHz
-	if shellHz == 0 {
-		shellHz = rcsched.DefaultShellHz
-	}
-	admit := cfg.Admit
-	if admit == "" {
-		admit = rcsched.AdmitOff
-	}
+// serveConfigOf pins cfg in resolved form; the run that just succeeded
+// under it proves Resolve accepts it.
+func serveConfigOf(cfg rcsched.Config) ServeConfig {
+	r, _ := cfg.Resolve()
 	return ServeConfig{
-		Board:         rep.Board,
-		Slots:         rep.Slots,
-		ShellHz:       shellHz,
-		Policy:        rep.Policy,
-		ConfigBW:      rep.ConfigBW,
-		Stage:         cfg.Stage,
-		Admit:         admit,
-		FramesPerSlot: cfg.FramesPerSlot,
+		Board:         r.Board,
+		Slots:         r.Slots,
+		ShellHz:       r.ShellHz,
+		Policy:        r.Policy,
+		ConfigBW:      r.ConfigBW,
+		Stage:         r.Stage,
+		Admit:         r.Admit,
+		FramesPerSlot: r.FramesPerSlot,
 	}
 }
 

@@ -295,8 +295,8 @@ func (sc *Scenario) Validate() error {
 		if sc.Fleet == nil {
 			return fmt.Errorf("scenario %s: a fleet scenario needs a fleet block", sc.Name)
 		}
-		if sc.Fleet.Boards <= 0 {
-			return fmt.Errorf("scenario %s: fleet board count %d must be positive", sc.Name, sc.Fleet.Boards)
+		if err := sc.fleetConfig().Validate(); err != nil {
+			return fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 		if len(sc.Expect.Events) > 0 {
 			return fmt.Errorf("scenario %s: a fleet scenario pins per-board event streams, not a flat one", sc.Name)
@@ -315,11 +315,13 @@ func (sc *Scenario) Validate() error {
 	if sc.Match.Tolerance < 0 {
 		return fmt.Errorf("scenario %s: negative match tolerance %g", sc.Name, sc.Match.Tolerance)
 	}
-	if sc.Serve.Slots <= 0 {
-		return fmt.Errorf("scenario %s: serve config needs a positive slot count, got %d", sc.Name, sc.Serve.Slots)
+	serve := sc.serveConfig()
+	resolved, err := serve.Resolve()
+	if err != nil {
+		return fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	if sc.Serve.Board == "" || sc.Serve.Policy == "" || sc.Serve.ShellHz <= 0 || sc.Serve.ConfigBW <= 0 {
-		return fmt.Errorf("scenario %s: serve config is not fully resolved (board/policy/shell_hz/config_bw)", sc.Name)
+	if resolved != serve {
+		return fmt.Errorf("scenario %s: serve config is not fully resolved (board/policy/shell_hz/config_bw/admit)", sc.Name)
 	}
 	if len(sc.Jobs) == 0 {
 		return fmt.Errorf("scenario %s: empty job stream", sc.Name)

@@ -261,6 +261,21 @@ func TestParseRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fsc, err := RecordFleet("test-fleet", "", fleet.Config{Boards: 2, Dispatch: fleet.Po2,
+		Board: rcsched.Config{Slots: 2, Policy: "fcfs"}}, testStream(t, 4), Match{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodFleet, err := Serialize(fsc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(data []byte, old, new string) []byte {
+		if !strings.Contains(string(data), old) {
+			t.Fatalf("fixture lacks %q", old)
+		}
+		return []byte(strings.Replace(string(data), old, new, 1))
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -272,6 +287,13 @@ func TestParseRejects(t *testing.T) {
 		{"wrong-format", []byte(`{"format":"something-else","version":1}`), "not a scenario file"},
 		{"version-skew", []byte(strings.Replace(string(good), `"version": 1`, `"version": 99`, 1)), "version 99 unsupported"},
 		{"no-jobs", []byte(strings.Replace(string(good), `"kind": "serve"`, `"kind": "warp"`, 1)), `unknown kind "warp"`},
+		// Unresolvable configs fail at parse time, not mid-replay.
+		{"unknown-policy", edit(good, `"policy": "fcfs"`, `"policy": "lottery"`), `unknown policy "lottery"`},
+		{"unknown-admit", edit(good, `"admit": "off"`, `"admit": "shed"`), `unknown admission mode "shed"`},
+		{"unknown-board", edit(good, `"board": "EPXA4"`, `"board": "EPXA9"`), `unknown board "EPXA9"`},
+		{"unknown-dispatch", edit(goodFleet, `"dispatch": "po2"`, `"dispatch": "round-robin"`), `unknown dispatch policy "round-robin"`},
+		{"zero-slots", edit(good, `"slots": 2`, `"slots": 0`), "positive slot count"},
+		{"unresolved-policy", edit(good, `"policy": "fcfs"`, `"policy": ""`), "not fully resolved"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -100,13 +100,38 @@ type Ramp struct {
 	SaturationRPS float64
 }
 
-// FindKnee sweeps offered load up the ramp under cfg, serving one stream of
-// spec's arrival process per step with the step's rate substituted in, and
-// stops at the first step the overload detector flags. The returned ramp
-// holds every measured point plus the detected knee. Diurnal specs are
-// rejected: their rate lives in the phase schedule, so a ramp has nothing
-// to sweep.
-func FindKnee(cfg rcsched.Config, spec Spec, ramp RampSpec) (*Ramp, error) {
+// Runner serves one ramp step's stream and returns the step's measured
+// point (FindKnee fills in RPS and Overloaded) and its job reports in
+// arrival order, which the overload detector slides over. ServeRunner runs
+// one board; fleet.Config.Runner runs a dispatcher over many.
+type Runner func(jobs []rcsched.Job) (RampPoint, []rcsched.JobReport, error)
+
+// ServeRunner is the single-board Runner: each step is one rcsched.Serve
+// under cfg.
+func ServeRunner(cfg rcsched.Config) Runner {
+	return func(jobs []rcsched.Job) (RampPoint, []rcsched.JobReport, error) {
+		rep, err := rcsched.Serve(cfg, jobs)
+		if err != nil {
+			return RampPoint{}, nil, err
+		}
+		return RampPoint{
+			OfferedRPS:   rep.OfferedRPS,
+			AchievedRPS:  rep.AchievedRPS,
+			GoodputRPS:   rep.GoodputRPS,
+			ShedRate:     rep.ShedRate,
+			MissRate:     rep.MissRate,
+			P99LatencyPs: rep.P99LatencyPs,
+		}, rep.Jobs, nil
+	}
+}
+
+// FindKnee sweeps offered load up the ramp, serving one stream of spec's
+// arrival process per step (the step's rate substituted in) through run,
+// and stops at the first step the overload detector flags. The returned
+// ramp holds every measured point plus the detected knee. Diurnal specs
+// are rejected: their rate lives in the phase schedule, so a ramp has
+// nothing to sweep.
+func FindKnee(run Runner, spec Spec, ramp RampSpec) (*Ramp, error) {
 	if spec.Process == Diurnal {
 		return nil, fmt.Errorf("traffic: a diurnal schedule has no single rate to ramp")
 	}
@@ -126,22 +151,14 @@ func FindKnee(cfg rcsched.Config, spec Spec, ramp RampSpec) (*Ramp, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := rcsched.Serve(cfg, jobs)
+		p, served, err := run(jobs)
 		if err != nil {
 			return nil, fmt.Errorf("traffic: ramp step %d (%g jobs/s): %w", step, s.RPS, err)
 		}
-		over := Overloaded(rep, ramp.Window, ramp.Threshold)
-		out.Points = append(out.Points, RampPoint{
-			RPS:          s.RPS,
-			OfferedRPS:   rep.OfferedRPS,
-			AchievedRPS:  rep.AchievedRPS,
-			GoodputRPS:   rep.GoodputRPS,
-			ShedRate:     rep.ShedRate,
-			MissRate:     rep.MissRate,
-			P99LatencyPs: rep.P99LatencyPs,
-			Overloaded:   over,
-		})
-		if over {
+		p.RPS = s.RPS
+		p.Overloaded = OverloadedJobs(served, ramp.Window, ramp.Threshold)
+		out.Points = append(out.Points, p)
+		if p.Overloaded {
 			out.SaturationRPS = s.RPS
 			break
 		}

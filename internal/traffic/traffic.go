@@ -133,8 +133,16 @@ func (s Spec) schedule() ([]Phase, error) {
 	return nil, nil // single-rate process; no schedule
 }
 
-// validate checks the spec and resolves its process name.
-func (s Spec) validate() (string, error) {
+// Validate checks the spec before any stream is generated: a known
+// process, a positive rate for the single-rate processes, and a well-formed
+// burst or phase schedule.
+func (s Spec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve validates the spec and resolves its process name.
+func (s Spec) resolve() (string, error) {
 	proc := s.Process
 	if proc == "" {
 		proc = Poisson
@@ -142,10 +150,15 @@ func (s Spec) validate() (string, error) {
 	switch proc {
 	case Uniform, Poisson, Bursty, Diurnal:
 	default:
-		return "", fmt.Errorf("traffic: unknown arrival process %q (want uniform, poisson, bursty or diurnal)", s.Process)
+		return "", &rcsched.ConfigError{Field: "Process", Msg: fmt.Sprintf(
+			"traffic: unknown arrival process %q (want uniform, poisson, bursty or diurnal)", s.Process)}
 	}
 	if proc != Diurnal && s.RPS <= 0 {
-		return "", fmt.Errorf("traffic: %s process needs a positive rate, got %g jobs/s", proc, s.RPS)
+		return "", &rcsched.ConfigError{Field: "RPS", Msg: fmt.Sprintf(
+			"traffic: %s process needs a positive rate, got %g jobs/s", proc, s.RPS)}
+	}
+	if _, err := s.schedule(); err != nil {
+		return "", err
 	}
 	return proc, nil
 }
@@ -203,11 +216,8 @@ func Stream(n int, seed int64, spec Spec) ([]rcsched.Job, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("traffic: stream needs a positive job count, got %d", n)
 	}
-	proc, err := spec.validate()
+	proc, err := spec.resolve()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := spec.schedule(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))

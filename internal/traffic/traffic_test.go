@@ -169,7 +169,7 @@ func TestOverloadedWindow(t *testing.T) {
 // a knee strictly inside the ramp and below the saturation rate.
 func TestFindKneeLocatesSaturation(t *testing.T) {
 	ramp, err := FindKnee(
-		rcsched.Config{Policy: "slack", Slots: 2},
+		ServeRunner(rcsched.Config{Policy: "slack", Slots: 2}),
 		Spec{Process: Poisson},
 		RampSpec{StartRPS: 400, StepRPS: 400, Steps: 10, Jobs: 36, Seed: 42},
 	)
@@ -196,7 +196,7 @@ func TestFindKneeLocatesSaturation(t *testing.T) {
 
 // TestFindKneeRejectsBadRamps sweeps the ramp validation surface.
 func TestFindKneeRejectsBadRamps(t *testing.T) {
-	cfg := rcsched.Config{Slots: 2}
+	run := ServeRunner(rcsched.Config{Slots: 2})
 	for name, ramp := range map[string]RampSpec{
 		"zero start":    {StepRPS: 100, Steps: 2, Jobs: 8},
 		"zero step":     {StartRPS: 100, Steps: 2, Jobs: 8},
@@ -204,11 +204,11 @@ func TestFindKneeRejectsBadRamps(t *testing.T) {
 		"zero jobs":     {StartRPS: 100, StepRPS: 100, Steps: 2},
 		"negative step": {StartRPS: 100, StepRPS: -1, Steps: 2, Jobs: 8},
 	} {
-		if _, err := FindKnee(cfg, Spec{}, ramp); err == nil {
+		if _, err := FindKnee(run, Spec{}, ramp); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := FindKnee(cfg, Spec{Process: Diurnal, Phases: []Phase{{RPS: 100, DurationPs: 1e9}}},
+	if _, err := FindKnee(run, Spec{Process: Diurnal, Phases: []Phase{{RPS: 100, DurationPs: 1e9}}},
 		RampSpec{StartRPS: 100, StepRPS: 100, Steps: 2, Jobs: 8}); err == nil {
 		t.Error("diurnal ramp accepted — there is no single rate to sweep")
 	}
