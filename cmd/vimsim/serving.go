@@ -236,15 +236,7 @@ func (s *serving) printSaturate(rep *rcsched.Report) {
 		s.spec.Process, s.spec.RPS, s.jobs, s.seed, s.budget)
 	fmt.Printf("board       %s\n", rep.Board)
 	fmt.Printf("policy      %s (%d slots, admission %s)\n", rep.Policy, rep.Slots, s.board.Admit)
-	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
-	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
-	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
-	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
-		rep.Admitted, rep.Degraded, rep.Rejected, rep.ShedRate)
-	fmt.Printf("overloaded  %v\n", traffic.Overloaded(rep, 0, 0))
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", rep.P99LatencyPs/1e9, rep.P99AdmittedPs/1e9)
-	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
+	printSummary(rep.Summary, rep.Jobs)
 	fmt.Printf("utilisation %.2f mean across slots\n", rep.UtilMean)
 	fmt.Println("jobs")
 	printJobs(rep.Jobs, nil, false)
@@ -260,15 +252,7 @@ func (s *serving) printFleet(rep *fleet.Report) {
 	fmt.Printf("board       %s x%d (%d slots each)\n", s.board.Board, s.fleet.Boards, s.board.Slots)
 	fmt.Printf("dispatch    %s\n", rep.Dispatch)
 	fmt.Printf("policy      %s (admission %s)\n", s.board.Policy, s.board.Admit)
-	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
-	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
-	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
-	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
-		rep.Admitted, rep.Degraded, rep.Rejected, rep.ShedRate)
-	fmt.Printf("overloaded  %v\n", fleet.Overloaded(rep, 0, 0))
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", rep.P99LatencyPs/1e9, rep.P99AdmittedPs/1e9)
-	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
+	printSummary(rep.Summary, rep.Jobs)
 	fmt.Printf("reconfigs   %d (%.3f ms fleet-wide on the config ports)\n", rep.Reconfigs, rep.TotalReconfigPs/1e9)
 	fmt.Printf("utilisation %.2f mean per board (spread %.2f-%.2f)\n", rep.UtilMean, rep.UtilMin, rep.UtilMax)
 	fmt.Println("boards")
@@ -278,6 +262,20 @@ func (s *serving) printFleet(rep *fleet.Report) {
 	}
 	fmt.Println("jobs        (merged arrival order)")
 	printJobs(rep.Jobs, boardOf, false)
+}
+
+// printSummary prints the job-population block saturate and fleet share;
+// jobs, in arrival order, feed the overload detector.
+func printSummary(sum rcsched.Summary, jobs []rcsched.JobReport) {
+	fmt.Printf("offered     %.0f jobs/s measured\n", sum.OfferedRPS)
+	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", sum.AchievedRPS, sum.Completed, len(jobs))
+	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", sum.GoodputRPS)
+	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
+		sum.Admitted, sum.Degraded, sum.Rejected, sum.ShedRate)
+	fmt.Printf("overloaded  %v\n", traffic.Overloaded(jobs, 0, 0))
+	fmt.Printf("makespan    %.3f ms\n", sum.MakespanPs/1e9)
+	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", sum.P99LatencyPs/1e9, sum.P99AdmittedPs/1e9)
+	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", sum.Misses, sum.MissRate)
 }
 
 // printJobs prints the per-job log. boardOf (fleet) puts the board each

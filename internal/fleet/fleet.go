@@ -25,7 +25,6 @@ import (
 
 	"repro"
 	"repro/internal/rcsched"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -133,29 +132,19 @@ type Report struct {
 	// Each generated job appears exactly once.
 	Jobs []rcsched.JobReport
 
-	// Fleet aggregates, defined exactly like their rcsched counterparts but
-	// over the merged population; the makespan is the last completion on
-	// any board. All rates are explicit zeros when their denominator is
-	// empty. UtilSpread fields measure per-board busy fractions of the
-	// fleet makespan — the dispersion a balancing policy exists to narrow.
-	MakespanPs      float64
+	// Summary is the job-population fold of the merged Jobs — the same
+	// rcsched.Summarize a single board's report carries, so the makespan
+	// is the last completion on any board.
+	rcsched.Summary
+
+	// Fleet totals over the board reports. The utilisation fields measure
+	// per-board busy fractions of the fleet makespan — the dispersion a
+	// balancing policy exists to narrow — and are zero when nothing
+	// completed.
 	TotalReconfigPs float64
 	Reconfigs       int
 	StageCommits    int
 	StageCancels    int
-	P99LatencyPs    float64
-	P99AdmittedPs   float64
-	Misses          int
-	MissRate        float64
-	Admitted        int
-	Degraded        int
-	Rejected        int
-	Completed       int
-	GoodJobs        int
-	OfferedRPS      float64
-	AchievedRPS     float64
-	GoodputRPS      float64
-	ShedRate        float64
 	UtilMean        float64
 	UtilMin         float64
 	UtilMax         float64
@@ -488,9 +477,8 @@ func Run(cfg Config, jobs []rcsched.Job) (*Report, error) {
 }
 
 // aggregate merges the per-board reports into the fleet-wide view: job
-// reports re-merged into arrival order, totals summed, rates recomputed
-// over the fleet makespan, and the per-board utilisation spread measured
-// against that shared makespan.
+// reports re-merged into arrival order and summarised, totals summed, and
+// the per-board utilisation spread measured against the fleet makespan.
 func aggregate(rep *Report, cfg Config) {
 	for _, br := range rep.Boards {
 		rep.Jobs = append(rep.Jobs, br.Jobs...)
@@ -498,9 +486,6 @@ func aggregate(rep *Report, cfg Config) {
 		rep.TotalReconfigPs += br.TotalReconfigPs
 		rep.StageCommits += br.StageCommits
 		rep.StageCancels += br.StageCancels
-		if br.MakespanPs > rep.MakespanPs {
-			rep.MakespanPs = br.MakespanPs
-		}
 	}
 	// Merge in arrival order (ties by ID): each board's list is one
 	// arrival-ordered slice of a common stream, so a sort of the
@@ -512,69 +497,24 @@ func aggregate(rep *Report, cfg Config) {
 		}
 		return rep.Jobs[i].ID < rep.Jobs[j].ID
 	})
-
-	var lats, admLats []float64
-	deadlined := 0
-	lastArrivalPs := 0.0
-	for i := range rep.Jobs {
-		j := &rep.Jobs[i]
-		if j.ArrivalPs > lastArrivalPs {
-			lastArrivalPs = j.ArrivalPs
+	rep.Summary = rcsched.Summarize(rep.Jobs)
+	if rep.MakespanPs == 0 {
+		return
+	}
+	rep.UtilMin = 2 // above any busy fraction; replaced by the first board
+	for _, br := range rep.Boards {
+		busy := 0.0
+		for _, b := range br.SlotBusyPs {
+			busy += b
 		}
-		switch j.Disposition {
-		case rcsched.Rejected:
-			rep.Rejected++
-			continue
-		case rcsched.Degraded:
-			rep.Degraded++
-		default:
-			rep.Admitted++
-			admLats = append(admLats, j.LatencyPs)
+		util := busy / (float64(cfg.Board.Slots) * rep.MakespanPs)
+		rep.UtilMean += util
+		if util < rep.UtilMin {
+			rep.UtilMin = util
 		}
-		rep.Completed++
-		lats = append(lats, j.LatencyPs)
-		if j.DeadlinePs > 0 {
-			deadlined++
-			if j.Missed {
-				rep.Misses++
-			} else {
-				rep.GoodJobs++
-			}
-		} else {
-			rep.GoodJobs++
+		if util > rep.UtilMax {
+			rep.UtilMax = util
 		}
 	}
-	sort.Float64s(lats)
-	sort.Float64s(admLats)
-	rep.P99LatencyPs = stats.NearestRank(lats, 0.99)
-	rep.P99AdmittedPs = stats.NearestRank(admLats, 0.99)
-	if deadlined > 0 {
-		rep.MissRate = float64(rep.Misses) / float64(deadlined)
-	}
-	rep.ShedRate = float64(rep.Rejected) / float64(len(rep.Jobs))
-	if len(rep.Jobs) > 1 && lastArrivalPs > 0 {
-		rep.OfferedRPS = float64(len(rep.Jobs)-1) * 1e12 / lastArrivalPs
-	}
-	if rep.MakespanPs > 0 {
-		rep.AchievedRPS = float64(rep.Completed) * 1e12 / rep.MakespanPs
-		rep.GoodputRPS = float64(rep.GoodJobs) * 1e12 / rep.MakespanPs
-		rep.UtilMin = 2 // above any busy fraction; replaced by the first board
-		for _, br := range rep.Boards {
-			busy := 0.0
-			for _, b := range br.SlotBusyPs {
-				busy += b
-			}
-			util := busy / (float64(cfg.Board.Slots) * rep.MakespanPs)
-			rep.UtilMean += util
-			if util < rep.UtilMin {
-				rep.UtilMin = util
-			}
-			if util > rep.UtilMax {
-				rep.UtilMax = util
-			}
-		}
-		rep.UtilMean /= float64(len(rep.Boards))
-	} else {
-		rep.UtilMin = 0
-	}
+	rep.UtilMean /= float64(len(rep.Boards))
 }

@@ -170,6 +170,88 @@ func TestDispatchConservation(t *testing.T) {
 	}
 }
 
+// TestIdleBoardsSummary pins a fleet wider than its stream: every idle
+// board carries exactly the {Policy, Slots, ConfigBW} stub report — so its
+// Summary is zero, which is also the fold of no jobs — the utilisation
+// spread bottoms out at 0, and the fleet's and every board's Summary is
+// the fold of its own jobs.
+func TestIdleBoardsSummary(t *testing.T) {
+	board := rcsched.Config{Policy: "slack", Slots: 2}
+	rep, err := fleet.Run(fleet.Config{Boards: 8, Dispatch: fleet.LeastLoaded, Board: board}, stream(t, 3, 7, 800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := 0
+	for b, br := range rep.Boards {
+		if br.Summary != rcsched.Summarize(br.Jobs) {
+			t.Errorf("board %d Summary %+v is not the fold of its jobs", b, br.Summary)
+		}
+		if len(br.Jobs) > 0 {
+			continue
+		}
+		idle++
+		want := &rcsched.Report{Policy: board.Policy, Slots: board.Slots, ConfigBW: board.ConfigBW}
+		if !reflect.DeepEqual(br, want) {
+			t.Errorf("idle board %d report %+v, want exactly %+v", b, br, want)
+		}
+		if br.Summary != (rcsched.Summary{}) {
+			t.Errorf("idle board %d carries a non-zero Summary %+v", b, br.Summary)
+		}
+	}
+	if idle < 5 {
+		t.Fatalf("fixture broken: %d idle boards of 8 for a 3-job stream", idle)
+	}
+	if rep.UtilMin != 0 {
+		t.Errorf("UtilMin = %v with idle boards, want 0", rep.UtilMin)
+	}
+	if rep.UtilMax <= 0 {
+		t.Errorf("UtilMax = %v with busy boards, want > 0", rep.UtilMax)
+	}
+	if rep.Summary != rcsched.Summarize(rep.Jobs) {
+		t.Errorf("fleet Summary %+v is not the fold of the merged jobs %+v",
+			rep.Summary, rcsched.Summarize(rep.Jobs))
+	}
+}
+
+// TestFleetAllRejectedZeroAggregates is the fleet mirror of rcsched's
+// TestAdmissionAllRejectedZeroAggregates: when every job is shed on every
+// board, each divided aggregate is an explicit 0 — never a NaN from an
+// empty completion set or a zero makespan — and the shed rate is 1.
+func TestFleetAllRejectedZeroAggregates(t *testing.T) {
+	jobs := stream(t, 12, 7, 3200)
+	for i := range jobs {
+		jobs[i].DeadlinePs = jobs[i].ArrivalPs + 1 // 1 ps budget: provably unmeetable
+	}
+	rep, err := fleet.Run(fleet.Config{
+		Boards: 3, Dispatch: fleet.LeastLoaded,
+		Board: rcsched.Config{Policy: "slack", Slots: 2, Admit: rcsched.AdmitReject},
+	}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rejected != len(jobs) || rep.Completed != 0 {
+		t.Fatalf("want everything rejected: %d rejected, %d completed", rep.Rejected, rep.Completed)
+	}
+	for name, v := range map[string]float64{
+		"MakespanPs":    rep.MakespanPs,
+		"P99LatencyPs":  rep.P99LatencyPs,
+		"P99AdmittedPs": rep.P99AdmittedPs,
+		"MissRate":      rep.MissRate,
+		"AchievedRPS":   rep.AchievedRPS,
+		"GoodputRPS":    rep.GoodputRPS,
+		"UtilMean":      rep.UtilMean,
+		"UtilMin":       rep.UtilMin,
+		"UtilMax":       rep.UtilMax,
+	} {
+		if v != 0 || math.IsNaN(v) {
+			t.Errorf("%s = %v on an all-rejected fleet run, want explicit 0", name, v)
+		}
+	}
+	if rep.ShedRate != 1 {
+		t.Errorf("ShedRate = %v, want 1", rep.ShedRate)
+	}
+}
+
 // TestDispatchReplayDeterminism pins routing as a function of (stream,
 // config, seed): two full fleet runs of the same triple are identical down
 // to the decision trace and every per-board report — for the randomised
@@ -330,13 +412,13 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 			boardB = append(boardB, j)
 		}
 	}
-	if traffic.OverloadedJobs(boardA, 0, 0) || traffic.OverloadedJobs(boardB, 0, 0) {
+	if traffic.Overloaded(boardA, 0, 0) || traffic.Overloaded(boardB, 0, 0) {
 		t.Fatal("fixture broken: a single board should look healthy on its own")
 	}
-	if !traffic.OverloadedJobs(merged, 0, 0) {
+	if !traffic.Overloaded(merged, 0, 0) {
 		t.Fatal("fixture broken: the merged order should carry an overload run")
 	}
-	if traffic.OverloadedJobs(append(append([]rcsched.JobReport{}, boardA...), boardB...), 0, 0) {
+	if traffic.Overloaded(append(append([]rcsched.JobReport{}, boardA...), boardB...), 0, 0) {
 		t.Error("per-board concatenation detected the cross-board run only by luck; fixture needs retuning")
 	}
 
@@ -359,21 +441,20 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 		tailB = append(tailB, at(j, 100+i, float64(i+1)*1e9+0.5e9))
 	}
 	concat := append(append([]rcsched.JobReport{}, tailA...), tailB...)
-	if !traffic.OverloadedJobs(concat, 0, 0) {
+	if !traffic.Overloaded(concat, 0, 0) {
 		t.Fatal("fixture broken: the concatenation seam should manufacture a failure run")
 	}
 	var interleaved []rcsched.JobReport
 	for i := range tailA { // true arrival order interleaves the boards
 		interleaved = append(interleaved, tailA[i], tailB[i])
 	}
-	if traffic.OverloadedJobs(interleaved, 0, 0) {
+	if traffic.Overloaded(interleaved, 0, 0) {
 		t.Error("true arrival order flagged overload: the failures were never consecutive")
 	}
 
-	// End to end on a real fleet: the merged report's job list is in strict
-	// arrival order, fleet.Overloaded agrees with running the detector over
-	// a hand-merged copy of the per-board reports, and a fleet offered far
-	// past its capacity does trip the detector.
+	// End to end on a real fleet: the merged report's job list carries
+	// every board's jobs exactly once, in strict arrival order, and the
+	// detector over it trips for a fleet offered far past its capacity.
 	jobs := stream(t, 96, 7, 25600)
 	rep, err := fleet.Run(fleet.Config{
 		Boards: 2, Dispatch: fleet.Random, Seed: 99,
@@ -394,7 +475,7 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 			t.Fatal("fleet report's merged jobs are not in arrival order")
 		}
 	}
-	if !fleet.Overloaded(rep, 0, 0) {
+	if !traffic.Overloaded(rep.Jobs, 0, 0) {
 		t.Error("a 2-board fleet offered 16x its per-board knee did not read as overloaded")
 	}
 

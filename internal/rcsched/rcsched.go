@@ -198,48 +198,19 @@ type Report struct {
 
 	Jobs []JobReport
 
-	// MakespanPs is the hardware-timeline instant of the last completion.
-	MakespanPs      float64
+	// Summary is the job-population fold of Jobs (Summarize).
+	Summary
+
 	TotalReconfigPs float64
 	Reconfigs       int
 	MeanWaitPs      float64
 	MeanLatencyPs   float64
 
-	// P99LatencyPs is the nearest-rank 99th-percentile latency over the
-	// jobs that completed (rejected jobs never complete; an empty
-	// completion set reports an explicit 0). P99AdmittedPs restricts the
-	// percentile to slot-served jobs — the population whose tail admission
-	// control promises to bound. Misses/MissRate count completed jobs that
-	// finished after their deadline, over the completed jobs that carry
-	// one. StageCommits and StageCancels count pre-staged bitstreams that
-	// were swapped in, respectively discarded because their job dispatched
+	// StageCommits and StageCancels count pre-staged bitstreams that were
+	// swapped in, respectively discarded because their job dispatched
 	// elsewhere.
-	P99LatencyPs  float64
-	P99AdmittedPs float64
-	Misses        int
-	MissRate      float64
-	StageCommits  int
-	StageCancels  int
-
-	// Admission-control aggregates. Admitted/Degraded/Rejected partition
-	// the stream by disposition (admission off: everything Admitted).
-	// Completed counts jobs that produced output (admitted + degraded);
-	// GoodJobs are completions that met their deadline (deadline-free
-	// completions count — any finished job is useful work). OfferedRPS is
-	// the stream's arrival rate over its arrival span; AchievedRPS and
-	// GoodputRPS are completions, respectively deadline-met completions,
-	// per second of makespan. ShedRate is the rejected fraction of the
-	// whole stream. All rates are explicit zeros when their denominator is
-	// empty (e.g. every job rejected).
-	Admitted    int
-	Degraded    int
-	Rejected    int
-	Completed   int
-	GoodJobs    int
-	OfferedRPS  float64
-	AchievedRPS float64
-	GoodputRPS  float64
-	ShedRate    float64
+	StageCommits int
+	StageCancels int
 
 	// SlotBusyPs is each slot's occupied time (reconfiguration + execution);
 	// UtilMean is the mean busy fraction of the makespan across slots.
@@ -852,46 +823,13 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	rep.SWDPPs = board.Kern.TL.Ps(stats.SWDP)
 	rep.SWIMUPs = board.Kern.TL.Ps(stats.SWIMU)
 	rep.SWOSPs = board.Kern.TL.Ps(stats.SWOS)
-	// Aggregates run over the *completed* population — rejected jobs never
-	// produced output, so folding their zero latencies in would flatter
-	// every mean and percentile. Each divided quantity keeps an explicit
-	// zero when its denominator is empty (all-rejected runs included);
-	// with admission off every job completes and the arithmetic reduces
-	// bit-for-bit to the pre-admission-control aggregates.
-	wait, lat, lastArrivalPs := 0.0, 0.0, 0.0
-	var lats, admLats []float64
-	deadlined := 0
+	rep.Summary = Summarize(rep.Jobs)
+	// The means run over the completed population, like the Summary.
+	wait, lat := 0.0, 0.0
 	for i := range rep.Jobs {
-		j := &rep.Jobs[i]
-		if j.ArrivalPs > lastArrivalPs {
-			lastArrivalPs = j.ArrivalPs
-		}
-		switch j.Disposition {
-		case Rejected:
-			rep.Rejected++
-			continue
-		case Degraded:
-			rep.Degraded++
-		default:
-			rep.Admitted++
-			admLats = append(admLats, j.LatencyPs)
-		}
-		rep.Completed++
-		wait += j.QueueWaitPs
-		lat += j.LatencyPs
-		lats = append(lats, j.LatencyPs)
-		if j.DonePs > rep.MakespanPs {
-			rep.MakespanPs = j.DonePs
-		}
-		if j.DeadlinePs > 0 {
-			deadlined++
-			if j.Missed {
-				rep.Misses++
-			} else {
-				rep.GoodJobs++
-			}
-		} else {
-			rep.GoodJobs++ // no SLO: any completion is useful work
+		if j := &rep.Jobs[i]; j.Disposition != Rejected {
+			wait += j.QueueWaitPs
+			lat += j.LatencyPs
 		}
 	}
 	if rep.Completed > 0 {
@@ -904,23 +842,6 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			util += b / rep.MakespanPs
 		}
 		rep.UtilMean = util / float64(cfg.Slots)
-		rep.AchievedRPS = float64(rep.Completed) * 1e12 / rep.MakespanPs
-		rep.GoodputRPS = float64(rep.GoodJobs) * 1e12 / rep.MakespanPs
-	}
-	// Deadline and admission aggregates: nearest-rank p99 over the
-	// completed population and its admitted subset, miss-rate over the
-	// completed deadlined jobs, offered load over the arrival span and the
-	// shed fraction of the whole stream.
-	sort.Float64s(lats)
-	sort.Float64s(admLats)
-	rep.P99LatencyPs = stats.NearestRank(lats, 0.99)
-	rep.P99AdmittedPs = stats.NearestRank(admLats, 0.99)
-	if deadlined > 0 {
-		rep.MissRate = float64(rep.Misses) / float64(deadlined)
-	}
-	rep.ShedRate = float64(rep.Rejected) / float64(len(order))
-	if len(order) > 1 && lastArrivalPs > 0 {
-		rep.OfferedRPS = float64(len(order)-1) * 1e12 / lastArrivalPs
 	}
 	// Idle time is the makespan remainder, making the three occupancy
 	// shares sum to MakespanPs per slot by construction.

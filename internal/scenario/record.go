@@ -195,56 +195,43 @@ func jobRecords(reports []rcsched.JobReport, boardOf map[int]int) []JobRecord {
 	return recs
 }
 
-func serveAggregate(rep *rcsched.Report) Aggregate {
+// summaryAggregate fills the population fields both scenario kinds pin.
+func summaryAggregate(s rcsched.Summary) Aggregate {
 	return Aggregate{
-		MakespanPs:      rep.MakespanPs,
-		TotalReconfigPs: rep.TotalReconfigPs,
-		Reconfigs:       rep.Reconfigs,
-		StageCommits:    rep.StageCommits,
-		StageCancels:    rep.StageCancels,
-		MeanWaitPs:      rep.MeanWaitPs,
-		MeanLatencyPs:   rep.MeanLatencyPs,
-		P99LatencyPs:    rep.P99LatencyPs,
-		P99AdmittedPs:   rep.P99AdmittedPs,
-		Misses:          rep.Misses,
-		MissRate:        rep.MissRate,
-		Admitted:        rep.Admitted,
-		Degraded:        rep.Degraded,
-		Rejected:        rep.Rejected,
-		Completed:       rep.Completed,
-		GoodJobs:        rep.GoodJobs,
-		OfferedRPS:      rep.OfferedRPS,
-		AchievedRPS:     rep.AchievedRPS,
-		GoodputRPS:      rep.GoodputRPS,
-		ShedRate:        rep.ShedRate,
-		UtilMean:        rep.UtilMean,
-		Faults:          rep.VIM.Faults,
+		MakespanPs:    s.MakespanPs,
+		P99LatencyPs:  s.P99LatencyPs,
+		P99AdmittedPs: s.P99AdmittedPs,
+		Misses:        s.Misses,
+		MissRate:      s.MissRate,
+		Admitted:      s.Admitted,
+		Degraded:      s.Degraded,
+		Rejected:      s.Rejected,
+		Completed:     s.Completed,
+		GoodJobs:      s.GoodJobs,
+		OfferedRPS:    s.OfferedRPS,
+		AchievedRPS:   s.AchievedRPS,
+		GoodputRPS:    s.GoodputRPS,
+		ShedRate:      s.ShedRate,
 	}
 }
 
+func serveAggregate(rep *rcsched.Report) Aggregate {
+	a := summaryAggregate(rep.Summary)
+	a.TotalReconfigPs, a.Reconfigs = rep.TotalReconfigPs, rep.Reconfigs
+	a.StageCommits, a.StageCancels = rep.StageCommits, rep.StageCancels
+	a.MeanWaitPs, a.MeanLatencyPs = rep.MeanWaitPs, rep.MeanLatencyPs
+	a.UtilMean = rep.UtilMean
+	a.Faults = rep.VIM.Faults
+	return a
+}
+
+// fleetAggregate leaves MeanWaitPs/MeanLatencyPs zero: a fleet report does
+// not measure them.
 func fleetAggregate(rep *fleet.Report, faults uint64) Aggregate {
-	return Aggregate{
-		MakespanPs:      rep.MakespanPs,
-		TotalReconfigPs: rep.TotalReconfigPs,
-		Reconfigs:       rep.Reconfigs,
-		StageCommits:    rep.StageCommits,
-		StageCancels:    rep.StageCancels,
-		P99LatencyPs:    rep.P99LatencyPs,
-		P99AdmittedPs:   rep.P99AdmittedPs,
-		Misses:          rep.Misses,
-		MissRate:        rep.MissRate,
-		Admitted:        rep.Admitted,
-		Degraded:        rep.Degraded,
-		Rejected:        rep.Rejected,
-		Completed:       rep.Completed,
-		GoodJobs:        rep.GoodJobs,
-		OfferedRPS:      rep.OfferedRPS,
-		AchievedRPS:     rep.AchievedRPS,
-		GoodputRPS:      rep.GoodputRPS,
-		ShedRate:        rep.ShedRate,
-		UtilMean:        rep.UtilMean,
-		UtilMin:         rep.UtilMin,
-		UtilMax:         rep.UtilMax,
-		Faults:          faults,
-	}
+	a := summaryAggregate(rep.Summary)
+	a.TotalReconfigPs, a.Reconfigs = rep.TotalReconfigPs, rep.Reconfigs
+	a.StageCommits, a.StageCancels = rep.StageCommits, rep.StageCancels
+	a.UtilMean, a.UtilMin, a.UtilMax = rep.UtilMean, rep.UtilMin, rep.UtilMax
+	a.Faults = faults
+	return a
 }

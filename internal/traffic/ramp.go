@@ -22,21 +22,14 @@ func failed(j *rcsched.JobReport) bool {
 	return j.Disposition == rcsched.Rejected || j.Missed
 }
 
-// Overloaded applies the sliding-window failure-rate criterion to a serving
-// report: true when any window of `window` consecutive jobs (arrival order,
-// which is the report's job order) has a failure fraction strictly above
-// threshold. Zero window and threshold select the defaults.
-func Overloaded(rep *rcsched.Report, window int, threshold float64) bool {
-	return OverloadedJobs(rep.Jobs, window, threshold)
-}
-
-// OverloadedJobs applies the sliding-window criterion to an explicit job
-// list, which must be in arrival order. Callers aggregating several serving
-// runs — the fleet dispatcher merging per-board reports — must merge their
-// job lists back into one arrival-ordered sequence before calling: sliding
-// a window over per-board concatenations would miss failure runs that span
-// boards and manufacture runs across the concatenation seams.
-func OverloadedJobs(jobs []rcsched.JobReport, window int, threshold float64) bool {
+// Overloaded applies the sliding-window failure-rate criterion to a job
+// list in arrival order: true when any window of `window` consecutive jobs
+// has a failure fraction strictly above threshold. Zero window and
+// threshold select the defaults. A fleet report's merged Jobs are already
+// in arrival order; sliding the window over per-board concatenations
+// instead would miss failure runs that span boards and manufacture runs
+// across the concatenation seams.
+func Overloaded(jobs []rcsched.JobReport, window int, threshold float64) bool {
 	if window <= 0 {
 		window = DefaultWindow
 	}
@@ -77,16 +70,13 @@ type RampSpec struct {
 	Threshold float64
 }
 
-// RampPoint is one measured step of a saturation sweep.
+// RampPoint is one measured step of a saturation sweep: the target rate,
+// the Summary of the step's served jobs (its OfferedRPS is the measured
+// rate of the generated stream) and the overload verdict.
 type RampPoint struct {
-	RPS          float64 // target offered rate of this step
-	OfferedRPS   float64 // measured offered rate of the generated stream
-	AchievedRPS  float64
-	GoodputRPS   float64
-	ShedRate     float64
-	MissRate     float64
-	P99LatencyPs float64
-	Overloaded   bool
+	RPS float64
+	rcsched.Summary
+	Overloaded bool
 }
 
 // Ramp is the result of a saturation sweep.
@@ -100,28 +90,21 @@ type Ramp struct {
 	SaturationRPS float64
 }
 
-// Runner serves one ramp step's stream and returns the step's measured
-// point (FindKnee fills in RPS and Overloaded) and its job reports in
-// arrival order, which the overload detector slides over. ServeRunner runs
-// one board; fleet.Config.Runner runs a dispatcher over many.
-type Runner func(jobs []rcsched.Job) (RampPoint, []rcsched.JobReport, error)
+// Runner serves one ramp step's stream and returns its job reports in
+// arrival order, which FindKnee summarises and slides the overload
+// detector over. ServeRunner runs one board; fleet.Config.Runner runs a
+// dispatcher over many.
+type Runner func(jobs []rcsched.Job) ([]rcsched.JobReport, error)
 
 // ServeRunner is the single-board Runner: each step is one rcsched.Serve
 // under cfg.
 func ServeRunner(cfg rcsched.Config) Runner {
-	return func(jobs []rcsched.Job) (RampPoint, []rcsched.JobReport, error) {
+	return func(jobs []rcsched.Job) ([]rcsched.JobReport, error) {
 		rep, err := rcsched.Serve(cfg, jobs)
 		if err != nil {
-			return RampPoint{}, nil, err
+			return nil, err
 		}
-		return RampPoint{
-			OfferedRPS:   rep.OfferedRPS,
-			AchievedRPS:  rep.AchievedRPS,
-			GoodputRPS:   rep.GoodputRPS,
-			ShedRate:     rep.ShedRate,
-			MissRate:     rep.MissRate,
-			P99LatencyPs: rep.P99LatencyPs,
-		}, rep.Jobs, nil
+		return rep.Jobs, nil
 	}
 }
 
@@ -151,12 +134,15 @@ func FindKnee(run Runner, spec Spec, ramp RampSpec) (*Ramp, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, served, err := run(jobs)
+		served, err := run(jobs)
 		if err != nil {
 			return nil, fmt.Errorf("traffic: ramp step %d (%g jobs/s): %w", step, s.RPS, err)
 		}
-		p.RPS = s.RPS
-		p.Overloaded = OverloadedJobs(served, ramp.Window, ramp.Threshold)
+		p := RampPoint{
+			RPS:        s.RPS,
+			Summary:    rcsched.Summarize(served),
+			Overloaded: Overloaded(served, ramp.Window, ramp.Threshold),
+		}
 		out.Points = append(out.Points, p)
 		if p.Overloaded {
 			out.SaturationRPS = s.RPS

@@ -126,15 +126,15 @@ func TestStreamRejectsBadSpecs(t *testing.T) {
 }
 
 // TestOverloadedWindow exercises the sliding-window failure-rate criterion
-// on synthetic reports: a sustained failure run trips it, the same failures
-// diluted across the stream do not.
+// on synthetic job lists: a sustained failure run trips it, the same
+// failures diluted across the stream do not.
 func TestOverloadedWindow(t *testing.T) {
-	mk := func(n int, fail func(i int) bool) *rcsched.Report {
-		rep := &rcsched.Report{Jobs: make([]rcsched.JobReport, n)}
-		for i := range rep.Jobs {
-			rep.Jobs[i] = rcsched.JobReport{ID: i, Disposition: rcsched.Admitted, Missed: fail(i)}
+	mk := func(n int, fail func(i int) bool) []rcsched.JobReport {
+		jobs := make([]rcsched.JobReport, n)
+		for i := range jobs {
+			jobs[i] = rcsched.JobReport{ID: i, Disposition: rcsched.Admitted, Missed: fail(i)}
 		}
-		return rep
+		return jobs
 	}
 	if Overloaded(mk(48, func(i int) bool { return false }), 12, 0.3) {
 		t.Error("clean stream flagged overloaded")
@@ -151,7 +151,7 @@ func TestOverloadedWindow(t *testing.T) {
 	// Rejected jobs count as failures too.
 	rej := mk(24, func(i int) bool { return false })
 	for i := 6; i < 12; i++ {
-		rej.Jobs[i].Disposition = rcsched.Rejected
+		rej[i].Disposition = rcsched.Rejected
 	}
 	if !Overloaded(rej, 12, 0.3) {
 		t.Error("rejection run not flagged")

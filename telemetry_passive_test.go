@@ -9,7 +9,10 @@ package repro_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -86,29 +89,32 @@ func TestTelemetryPassive(t *testing.T) {
 	}
 }
 
+// telemetryFleetExports runs the metered fleet of telemetryFleetConfig over
+// telemetryStream and returns its metrics dump and Chrome trace bytes.
+func telemetryFleetExports(t *testing.T) (metrics, trace []byte) {
+	t.Helper()
+	m := telemetry.NewMeter(telemetrySamplePs)
+	if _, err := fleet.Run(telemetryFleetConfig(m), telemetryStream(t)); err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := m.DumpJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err = m.Trace().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metrics, trace
+}
+
 // TestTelemetryExportsDeterministic pins the export side: two same-seed
 // metered fleet runs write byte-identical metrics and trace files, the
 // trace parses as Chrome trace-event JSON with span and instant events,
 // and the sampled queue-depth time series is present and non-empty.
 func TestTelemetryExportsDeterministic(t *testing.T) {
-	jobs := telemetryStream(t)
-	export := func() (metrics, trace []byte) {
-		m := telemetry.NewMeter(telemetrySamplePs)
-		if _, err := fleet.Run(telemetryFleetConfig(m), jobs); err != nil {
-			t.Fatal(err)
-		}
-		metrics, err := m.DumpJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err = m.Trace().Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return metrics, trace
-	}
-	m1, t1 := export()
-	m2, t2 := export()
+	m1, t1 := telemetryFleetExports(t)
+	m2, t2 := telemetryFleetExports(t)
 	if !bytes.Equal(m1, m2) {
 		t.Error("same-seed fleet runs dumped different metrics bytes")
 	}
@@ -149,6 +155,75 @@ func TestTelemetryExportsDeterministic(t *testing.T) {
 	}
 	if spans == 0 || instants == 0 {
 		t.Errorf("trace has %d spans and %d instants; want both non-zero", spans, instants)
+	}
+}
+
+// telemetryDigestsPath holds the SHA-256 of telemetryFleetExports' two
+// byte streams under each scheduler. Run-vs-run identity alone would let a
+// change that alters the exports consistently pass; the digests pin them
+// across commits. The metrics dump differs between schedulers because it
+// carries the engine's own edge and skip tallies.
+const telemetryDigestsPath = "testdata/telemetry_digests.json"
+
+type telemetryDigests struct {
+	MetricsSHA256 string `json:"metrics_sha256"`
+	TraceSHA256   string `json:"trace_sha256"`
+}
+
+// TestTelemetryExportDigests enforces the committed export digests under
+// both schedulers. Regenerate with -update-golden.
+func TestTelemetryExportDigests(t *testing.T) {
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	var want map[string]telemetryDigests
+	if !*updateGolden {
+		data, err := os.ReadFile(telemetryDigestsPath)
+		if err != nil {
+			t.Fatalf("missing digest file (run with -update-golden to create): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]telemetryDigests{}
+	for _, ph := range []struct {
+		name  string
+		sched sim.Scheduler
+	}{
+		{"lockstep", sim.Lockstep},
+		{"event", sim.EventDriven},
+	} {
+		prev := sim.SetDefaultScheduler(ph.sched)
+		metrics, trace := telemetryFleetExports(t)
+		sim.SetDefaultScheduler(prev)
+		g := telemetryDigests{MetricsSHA256: digest(metrics), TraceSHA256: digest(trace)}
+		got[ph.name] = g
+		if want == nil {
+			continue
+		}
+		w, ok := want[ph.name]
+		if !ok {
+			t.Errorf("%s: no digests in %s (re-run with -update-golden)", ph.name, telemetryDigestsPath)
+			continue
+		}
+		if g.MetricsSHA256 != w.MetricsSHA256 {
+			t.Errorf("%s: metrics export digest drifted: got %s, want %s", ph.name, g.MetricsSHA256, w.MetricsSHA256)
+		}
+		if g.TraceSHA256 != w.TraceSHA256 {
+			t.Errorf("%s: trace export digest drifted: got %s, want %s", ph.name, g.TraceSHA256, w.TraceSHA256)
+		}
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(telemetryDigestsPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", telemetryDigestsPath)
 	}
 }
 
