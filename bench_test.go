@@ -15,11 +15,39 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/platform"
 	"repro/internal/rcsched"
+	"repro/internal/telemetry"
 )
 
 // reportSim publishes a simulated-time metric.
 func reportSim(b *testing.B, name string, ps float64) {
 	b.ReportMetric(ps/1e9, name)
+}
+
+// reportEdges publishes the simulator's edge tallies for one op, taken
+// from one extra metered run outside the timer (metering is passive, and
+// an op's simulation is a pure function of its config): delivered shell
+// edges per op, simulated edges per op (delivered + bulk-skipped, which no
+// skipping change can move, so it is the work denominator) and host ns per
+// simulated edge over the timed ops. Call it after the timed loop.
+func reportEdges(b *testing.B, run func(m *telemetry.Meter) error) {
+	b.StopTimer()
+	m := telemetry.NewMeter(0)
+	if err := run(m); err != nil {
+		b.Fatal(err)
+	}
+	var delivered, skipped uint64
+	for _, s := range m.Dump().Series {
+		switch s.Name {
+		case "sim_edges_delivered_total":
+			delivered += s.Counter
+		case "sim_edges_skipped_total":
+			skipped += s.Counter
+		}
+	}
+	simEdges := float64(delivered + skipped)
+	b.ReportMetric(float64(delivered), "edges/op")
+	b.ReportMetric(simEdges, "sim-edges/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/simEdges, "ns/sim-edge")
 }
 
 // BenchmarkFig3MotivatingExample regenerates Figure 3's three versions of
@@ -252,8 +280,9 @@ func BenchmarkServe(b *testing.B) {
 		{"slack-staged", "slack", true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			cfg := rcsched.Config{Policy: c.policy, Slots: 2, Stage: c.stage}
 			for i := 0; i < b.N; i++ {
-				rep, err := rcsched.Serve(rcsched.Config{Policy: c.policy, Slots: 2, Stage: c.stage}, jobs)
+				rep, err := rcsched.Serve(cfg, jobs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,6 +292,11 @@ func BenchmarkServe(b *testing.B) {
 				b.ReportMetric(float64(rep.Reconfigs), "reconfigs")
 				b.ReportMetric(rep.MissRate, "miss-rate")
 			}
+			reportEdges(b, func(m *telemetry.Meter) error {
+				cfg.Meter = m
+				_, err := rcsched.Serve(cfg, jobs)
+				return err
+			})
 		})
 	}
 	// Open-loop saturation cells: 1600 jobs/s is twice the knee the pinned
@@ -279,8 +313,9 @@ func BenchmarkServe(b *testing.B) {
 		{"saturate-admit", rcsched.AdmitReject},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			cfg := rcsched.Config{Policy: "slack", Slots: 2, Admit: c.admit}
 			for i := 0; i < b.N; i++ {
-				rep, err := rcsched.Serve(rcsched.Config{Policy: "slack", Slots: 2, Admit: c.admit}, saturated)
+				rep, err := rcsched.Serve(cfg, saturated)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -290,6 +325,11 @@ func BenchmarkServe(b *testing.B) {
 				b.ReportMetric(rep.ShedRate, "shed-rate")
 				b.ReportMetric(rep.MissRate, "miss-rate")
 			}
+			reportEdges(b, func(m *telemetry.Meter) error {
+				cfg.Meter = m
+				_, err := rcsched.Serve(cfg, saturated)
+				return err
+			})
 		})
 	}
 }
@@ -319,6 +359,12 @@ func BenchmarkFleet(b *testing.B) {
 				b.ReportMetric(float64(rep.Reconfigs), "reconfigs")
 				b.ReportMetric(rep.MissRate, "miss-rate")
 			}
+			reportEdges(b, func(m *telemetry.Meter) error {
+				cfg := exp.FleetConfig(dispatch, 4, rcsched.AdmitOff)
+				cfg.Meter = m
+				_, err := fleet.Run(cfg, jobs)
+				return err
+			})
 		})
 	}
 }

@@ -50,9 +50,20 @@ type IMUOut struct {
 // methods and commits them in Update; it reads the opposite direction's
 // committed values. This enforces the two-phase synchronous contract of
 // package sim across the boundary.
+//
+// Each direction also carries a change notice for the consumer's published
+// idle horizon (sim.Publisher): a commit that changes the bundle
+// invalidates the horizon wired to it, and the IMU-side notice also sets
+// the consumer's bit in a change mask, so a composite consumer (the shell)
+// knows which of its sleeping cores to wake. Unwired notices do nothing.
 type Port struct {
 	cp  sim.Reg[CPOut]
 	imu sim.Reg[IMUOut]
+
+	cpSeen   *sim.Horizon
+	imuSeen  *sim.Horizon
+	imuMask  *uint32
+	imuFlags uint32
 }
 
 // NewPort returns a quiescent port.
@@ -72,7 +83,11 @@ func (p *Port) CPRef() *CPOut { return p.cp.Ref() }
 func (p *Port) SetCP(v CPOut) { p.cp.Set(v) }
 
 // CommitCP commits the coprocessor-driven signals (coprocessor Update).
-func (p *Port) CommitCP() { p.cp.Commit() }
+func (p *Port) CommitCP() {
+	if p.cp.Commit() {
+		p.cpSeen.Invalidate()
+	}
+}
 
 // IMU returns the committed IMU-driven signals.
 func (p *Port) IMU() IMUOut { return p.imu.Get() }
@@ -85,12 +100,36 @@ func (p *Port) IMURef() *IMUOut { return p.imu.Ref() }
 func (p *Port) SetIMU(v IMUOut) { p.imu.Set(v) }
 
 // CommitIMU commits the IMU-driven signals (IMU Update).
-func (p *Port) CommitIMU() { p.imu.Commit() }
+func (p *Port) CommitIMU() {
+	if p.imu.Commit() {
+		p.imuChanged()
+	}
+}
 
-// Reset forces both directions to quiescent values (testbench use).
+func (p *Port) imuChanged() {
+	p.imuSeen.Invalidate()
+	if p.imuMask != nil {
+		*p.imuMask |= p.imuFlags
+	}
+}
+
+// WatchCP wires the coprocessor-side change notice: every commit of a new
+// coprocessor-driven bundle invalidates h (the IMU's horizon).
+func (p *Port) WatchCP(h *sim.Horizon) { p.cpSeen = h }
+
+// WatchIMU wires the IMU-side change notice: every commit of a new
+// IMU-driven bundle invalidates h and sets flags in *mask.
+func (p *Port) WatchIMU(h *sim.Horizon, mask *uint32, flags uint32) {
+	p.imuSeen, p.imuMask, p.imuFlags = h, mask, flags
+}
+
+// Reset forces both directions to quiescent values (testbench use),
+// posting both change notices.
 func (p *Port) Reset() {
 	p.cp.Force(CPOut{})
 	p.imu.Force(IMUOut{})
+	p.cpSeen.Invalidate()
+	p.imuChanged()
 }
 
 // Coprocessor is a synchronous coprocessor model. It is attached to its own

@@ -178,6 +178,9 @@ type channel struct {
 
 	next pending
 
+	// cam memoises the channel's last CAM lookup (see camLookup).
+	cam camMemo
+
 	Count Counters
 }
 
@@ -199,8 +202,12 @@ type IMU struct {
 	irq     bool // CPU interrupt line: OR of the channel IRQs
 
 	stamp  uint64 // access counter for LastUse, shared across channels
+	epoch  uint64 // OS table writes so far; a CAM memo is valid only within one
 	Count  Counters
 	tlbIdx int // register-window entry selector (shared indirect port)
+
+	// hz is the published idle horizon (sim.Publisher), see IdleEdges.
+	hz sim.Horizon
 
 	// Trace hooks (nil when not recording; channel 0 only).
 	trace *TraceHooks
@@ -267,6 +274,20 @@ func (u *IMU) SetChannels(n int) error {
 	return nil
 }
 
+// poke is the common tail of every OS-side write made while the engine is
+// paused: the published horizon goes stale.
+func (u *IMU) poke() { u.hz.Invalidate() }
+
+// tableWritten pokes after an OS write to the translation table, which may
+// change what any lookup finds: it also retires every channel's CAM memo.
+func (u *IMU) tableWritten() {
+	u.epoch++
+	u.poke()
+}
+
+// Horizon implements sim.Publisher.
+func (u *IMU) Horizon() *sim.Horizon { return &u.hz }
+
 // Channels returns the configured channel count.
 func (u *IMU) Channels() int { return len(u.ch) }
 
@@ -277,13 +298,18 @@ func (u *IMU) Bind(p *copro.Port) { u.BindCh(0, p) }
 func (u *IMU) BindCh(i int, p *copro.Port) {
 	c := &u.ch[i]
 	c.port = p
+	p.WatchCP(&u.hz)
 	// Pick up the (possibly fresh) port's committed outputs so trace hooks
 	// observe consistent values from the first edge.
 	c.out = p.IMU()
+	u.poke()
 }
 
 // SetTrace installs waveform hooks.
-func (u *IMU) SetTrace(t *TraceHooks) { u.trace = t }
+func (u *IMU) SetTrace(t *TraceHooks) {
+	u.trace = t
+	u.poke()
+}
 
 // Config returns the configuration.
 func (u *IMU) Config() Config { return u.cfg }
@@ -324,7 +350,18 @@ func (u *IMU) IdleUntilInput() bool {
 // the minimum over channels. The translation table can change within a
 // window only through the OS (while the engine is paused, ending the window)
 // or another channel's access (which never touches the Valid/Sess/Obj/VPage
-// fields a match reads), so a CAM hit predicted at the query stands.
+// fields a match reads), so a CAM hit predicted at the query stands — and
+// the lookup is memoised for the CAM and access edges to reuse.
+//
+// The answer is the IMU's published horizon (sim.Publisher), kept for as
+// long as nothing it reads changes. An Update with no channel work changes
+// nothing, so it leaves the horizon standing. One that commits channel work
+// publishes busy if a channel that worked is certain to work again at the
+// next edge, and otherwise invalidates the horizon; so do a bound
+// coprocessor's bundle commit (the port's change notice) and every OS
+// poke. The engine re-queries a stale horizon only when it next reads it —
+// which it does only while every other ticker of the domain is idle, so an
+// IMU translating next to a busy core is never asked.
 func (u *IMU) IdleEdges() int64 {
 	if u.trace != nil {
 		return 0
@@ -356,12 +393,12 @@ func (u *IMU) chIdleEdges(c *channel) int64 {
 		if u.cfg.Mode == Pipelined {
 			return 0
 		}
-		if u.camMatch(c.sess, cp.Obj, cp.Addr>>u.cfg.PageShift) < 0 {
+		if u.camLookup(c, cp.Obj, cp.Addr>>u.cfg.PageShift) < 0 {
 			return 1 // the latch edge; the CAM edge raises the fault
 		}
 		return 3
 	case stCAM:
-		if u.camMatch(c.sess, c.req.obj, c.req.addr>>u.cfg.PageShift) < 0 {
+		if u.camLookup(c, c.req.obj, c.req.addr>>u.cfg.PageShift) < 0 {
 			return 0
 		}
 		return 2
@@ -406,6 +443,37 @@ func (u *IMU) SkipEdges(k int64) {
 			c.Count.FaultCycles += uint64(k)
 		}
 	}
+}
+
+// camMemo is a channel's last CAM lookup: the key, the index found (-1 for
+// a miss) and the table-write epoch it was found in.
+type camMemo struct {
+	epoch uint64
+	obj   uint8
+	vpage uint32
+	idx   int
+}
+
+// camLookup is channel c's CAM match for (obj, vpage), memoised, so the
+// horizon query, the CAM edge and the access edge of one translated access
+// share a single scan of the table. The result is always camMatch's
+// (the lowest matching index): between OS table writes, which retire the
+// memo, hardware never makes an entry match — an access rewrites only
+// Ref/LastUse/Dirty and a parameter release only clears Valid — so a
+// memoised miss stands and a memoised hit stands while its entry still
+// matches.
+func (u *IMU) camLookup(c *channel, obj uint8, vpage uint32) int {
+	if m := &c.cam; m.epoch == u.epoch && m.obj == obj && m.vpage == vpage {
+		if m.idx < 0 {
+			return -1
+		}
+		if e := &u.tlb[m.idx]; e.Valid && e.Sess == c.sess && e.Obj == obj && e.VPage == vpage {
+			return m.idx
+		}
+	}
+	i := u.camMatch(c.sess, obj, vpage)
+	c.cam = camMemo{epoch: u.epoch, obj: obj, vpage: vpage, idx: i}
+	return i
 }
 
 // camMatch looks up (sess, obj, vpage); returns the entry index or -1.
@@ -512,7 +580,7 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 			}
 		}
 	case stCAM:
-		if i := u.camMatch(c.sess, c.req.obj, c.req.addr>>u.cfg.PageShift); i >= 0 {
+		if u.camLookup(c, c.req.obj, c.req.addr>>u.cfg.PageShift) >= 0 {
 			n.state = stXlate
 		} else {
 			u.raiseFault(c, n)
@@ -548,7 +616,7 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 func (u *IMU) translate(c *channel, n *pending) {
 	r := n.req
 	vpage := r.addr >> u.cfg.PageShift
-	i := u.camMatch(c.sess, r.obj, vpage)
+	i := u.camLookup(c, r.obj, vpage)
 	if i < 0 {
 		u.raiseFault(c, n)
 		return
@@ -623,6 +691,7 @@ func (u *IMU) Update() {
 		// coprocessor-visible values intact.
 		return
 	}
+	busy := false
 	for i := range u.ch {
 		c := &u.ch[i]
 		if c.noop {
@@ -657,6 +726,7 @@ func (u *IMU) Update() {
 			c.port.SetIMU(n.out)
 			c.port.CommitIMU()
 		}
+		busy = busy || c.state == stAccess || c.state == stDrop && !c.port.CPRef().Access
 	}
 	irq := false
 	for i := range u.ch {
@@ -666,4 +736,14 @@ func (u *IMU) Update() {
 		}
 	}
 	u.irq = irq
+	// The channels that worked this edge are the ones whose horizon moved.
+	// One certain to work again at the next edge — about to access the
+	// memory, or to drop CP_TLBHIT after its coprocessor dropped the
+	// request — settles the whole answer; otherwise the minimum needs every
+	// channel, and is re-queried when read.
+	if busy {
+		u.hz.Publish(0)
+	} else {
+		u.hz.Invalidate()
+	}
 }

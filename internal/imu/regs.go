@@ -102,30 +102,37 @@ func (u *IMU) FaultObj() uint8 { return uint8(u.ch[0].ar >> 24) }
 // FaultAddr decodes the faulting byte address from channel 0's AR.
 func (u *IMU) FaultAddr() uint32 { return u.ch[0].ar & 0x00ffffff }
 
+// request posts an OS control request to channel i, applied at its next
+// edge.
+func (u *IMU) request(i int, m ctlMask) {
+	u.ch[i].ctl |= m
+	u.poke()
+}
+
 // Start requests CP_START assertion on channel 0 at the next hardware edge.
-func (u *IMU) Start() { u.ch[0].ctl |= ctlStart }
+func (u *IMU) Start() { u.request(0, ctlStart) }
 
 // StartCh requests CP_START assertion on channel i.
-func (u *IMU) StartCh(i int) { u.ch[i].ctl |= ctlStart }
+func (u *IMU) StartCh(i int) { u.request(i, ctlStart) }
 
 // Stop requests CP_START deassertion on channel 0.
-func (u *IMU) Stop() { u.ch[0].ctl |= ctlStop }
+func (u *IMU) Stop() { u.request(0, ctlStop) }
 
 // StopCh requests CP_START deassertion on channel i.
-func (u *IMU) StopCh(i int) { u.ch[i].ctl |= ctlStop }
+func (u *IMU) StopCh(i int) { u.request(i, ctlStop) }
 
 // Restart resumes channel 0's faulted translation after the OS has fixed
 // the TLB.
-func (u *IMU) Restart() { u.ch[0].ctl |= ctlRestart }
+func (u *IMU) Restart() { u.request(0, ctlRestart) }
 
 // RestartCh resumes channel i's faulted translation.
-func (u *IMU) RestartCh(i int) { u.ch[i].ctl |= ctlRestart }
+func (u *IMU) RestartCh(i int) { u.request(i, ctlRestart) }
 
 // AckDone acknowledges completion on channel 0.
-func (u *IMU) AckDone() { u.ch[0].ctl |= ctlAckDone }
+func (u *IMU) AckDone() { u.request(0, ctlAckDone) }
 
 // AckDoneCh acknowledges completion on channel i.
-func (u *IMU) AckDoneCh(i int) { u.ch[i].ctl |= ctlAckDone }
+func (u *IMU) AckDoneCh(i int) { u.request(i, ctlAckDone) }
 
 // ChCounters returns channel i's activity counters.
 func (u *IMU) ChCounters(i int) Counters { return u.ch[i].Count }
@@ -140,7 +147,7 @@ func (u *IMU) ChCounters(i int) Counters { return u.ch[i].Count }
 func (u *IMU) UnbindCh(i int) {
 	c := &u.ch[i]
 	*c = channel{sess: c.sess, Count: c.Count}
-	u.BindCh(i, copro.NewPort())
+	u.BindCh(i, copro.NewPort()) // pokes
 	irq := false
 	for j := range u.ch {
 		if u.ch[j].irq {
@@ -161,6 +168,7 @@ func (u *IMU) InjectFault(i int, obj uint8, addr uint32) {
 	c.ar = uint32(obj)<<24 | addr&0x00ffffff
 	c.irq = true
 	u.irq = true
+	u.poke()
 }
 
 // Entries returns the TLB size.
@@ -182,6 +190,7 @@ func (u *IMU) SetEntry(i int, e TLBEntry) error {
 		return fmt.Errorf("imu: TLB index %d out of range", i)
 	}
 	u.tlb[i] = e
+	u.tableWritten()
 	return nil
 }
 
@@ -197,6 +206,7 @@ func (u *IMU) InvalidateAll() {
 	for i := range u.tlb {
 		u.tlb[i] = TLBEntry{}
 	}
+	u.tableWritten()
 }
 
 // InvalidateSession clears only the entries owned by session sess (end of
@@ -207,6 +217,7 @@ func (u *IMU) InvalidateSession(sess uint8) {
 			u.tlb[i] = TLBEntry{}
 		}
 	}
+	u.tableWritten()
 }
 
 // ResetCounters zeroes the activity counters, global and per channel
@@ -284,11 +295,13 @@ func (u *IMU) RegRead(off uint32) (uint32, error) {
 }
 
 // RegWrite implements the slave write path of the banked register window.
+// Like every OS-side write it invalidates the published idle horizon.
 func (u *IMU) RegWrite(off uint32, v uint32) error {
 	bank := int(off / RegWindow)
 	if bank >= len(u.ch) {
 		return fmt.Errorf("imu: write to bank %d of a %d-channel IMU", bank, len(u.ch))
 	}
+	u.poke()
 	switch off % RegWindow {
 	case RegCR:
 		if v&CRStart != 0 {

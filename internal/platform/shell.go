@@ -17,22 +17,24 @@ import (
 // awake resident core and lets a computing core sleep while its neighbours
 // work.
 type Slot struct {
+	hw   *ShellHW
+	bit  uint32 // the slot's flag in hw.changed
 	port *copro.Port
 	core copro.Coprocessor
 	bulk sim.BulkIdler // resident core's bulk-idle view, nil if not offered
 
 	// Slot-local sleep (event-driven scheduler only). A core that answered
-	// IdleEdges k > 0 after a delivered edge is withheld its next edges:
-	// left counts the ones still provably inert (sim.IdleForever while idle
-	// until input), slept the ones withheld so far and owed to the core as
-	// one SkipEdges at wake-up. snap is the committed IMU-side bundle the
-	// answer was given on; the port is the core's only input, so the core
-	// wakes at the first edge that finds the bundle changed, or once left
-	// runs out.
+	// IdleEdges k > 0 is withheld its next edges: from is the shell cycle
+	// it fell asleep at, until the shell cycle of its last inert edge
+	// (sim.IdleForever while idle until input). The edges withheld since
+	// from are owed to the core as one SkipEdges at wake-up. The port is
+	// the core's only input, so the core wakes at the first edge after
+	// until, or at the first edge after the IMU committed a changed
+	// IMU-side bundle to it (the port's change notice sets the slot's flag
+	// in hw.changed).
 	asleep bool
-	left   int64
-	slept  int64
-	snap   copro.IMUOut
+	from   int64
+	until  int64
 	total  int64 // slot-edges withheld over the slot's lifetime, flushed at wake
 
 	// staged is the slot's staging buffer: a coprocessor whose bitstream
@@ -53,9 +55,11 @@ func (s *Slot) Resident() string {
 
 // Core returns the resident coprocessor model (nil while empty). A sleeping
 // core is woken first, so the caller sees exactly the state full edge
-// delivery would have produced.
+// delivery would have produced; the caller may then poke it, so the shell's
+// horizon goes stale.
 func (s *Slot) Core() copro.Coprocessor {
 	s.wake()
+	s.hw.hz.Invalidate()
 	return s.core
 }
 
@@ -71,8 +75,10 @@ func (s *Slot) Load(core copro.Coprocessor, port *copro.Port) {
 	s.core = core
 	s.port = port
 	s.bulk, _ = core.(sim.BulkIdler)
+	port.WatchIMU(&s.hw.hz, &s.hw.changed, s.bit)
 	core.Bind(port)
 	core.ResetCore()
+	s.hw.hz.Invalidate()
 }
 
 // Unload empties the slot (partial reconfiguration begins). Engine must be
@@ -84,6 +90,7 @@ func (s *Slot) Unload() {
 	s.core = nil
 	s.port = nil
 	s.bulk = nil
+	s.hw.hz.Invalidate()
 }
 
 // Stage places a coprocessor into the slot's staging buffer while the
@@ -116,12 +123,12 @@ func (s *Slot) CancelStage() {
 	s.staged = nil
 }
 
-// sleep withholds the resident core's next k edges (see the Slot fields).
-func (s *Slot) sleep(k int64) {
+// sleep withholds the resident core's edges after shell cycle now, up to
+// and including until (see the Slot fields).
+func (s *Slot) sleep(now, until int64) {
 	s.asleep = true
-	s.left = k
-	s.slept = 0
-	s.snap = *s.port.IMURef()
+	s.from = now
+	s.until = until
 }
 
 // wake hands a sleeping core the edges it was withheld, leaving it in
@@ -132,46 +139,9 @@ func (s *Slot) wake() {
 		return
 	}
 	s.asleep = false
-	if s.slept > 0 {
-		s.bulk.SkipEdges(s.slept)
-	}
-	s.total += s.slept
-	s.slept = 0
-}
-
-// idleEdges is the slot's bounded-idleness answer: an empty slot is idle
-// until input (which only a Load can produce), a sleeping slot answers from
-// its counter, an awake core answers for itself, and a core that offers no
-// idleness contract pins the slot busy. A sleeping slot whose port changed
-// under it is woken first, so the answer is always exactly the core's own.
-func (s *Slot) idleEdges() int64 {
-	if s.asleep {
-		if *s.port.IMURef() == s.snap {
-			return s.left
-		}
-		s.wake()
-	}
-	switch {
-	case s.core == nil:
-		return sim.IdleForever
-	case s.bulk == nil:
-		return 0
-	}
-	return s.bulk.IdleEdges()
-}
-
-// skipEdges consumes k inert edges of the slot in bulk; k never exceeds the
-// slot's idleEdges answer. A sleeping slot only advances its counters.
-func (s *Slot) skipEdges(k int64) {
-	switch {
-	case s.core == nil:
-	case s.asleep:
-		if s.left != sim.IdleForever {
-			s.left -= k
-		}
-		s.slept += k
-	case s.bulk != nil:
-		s.bulk.SkipEdges(k)
+	if n := s.hw.Dom.Cycles() - s.from; n > 0 {
+		s.bulk.SkipEdges(n)
+		s.total += n
 	}
 }
 
@@ -187,18 +157,23 @@ func (s *Slot) skipEdges(k int64) {
 // event-driven scheduler it puts a core to sleep after a delivered edge
 // when the core advertises k > 0 inert edges — asked after every delivered
 // edge, since a core answers from its FSM state alone. A sleeping core
-// costs one bundle compare per edge, and wakes — SkipEdges for the edges it
-// missed, then this edge delivered normally — when its countdown ends or
-// the committed IMU-side bundle of its port differs from the one it fell
-// asleep on. So a core counting down a compute window stops costing host
-// time while its neighbour works, which the domain-wide bulk-skip (every
-// ticker idle at once) cannot achieve. The lockstep scheduler keeps
+// costs one compare per edge, and wakes — SkipEdges for the edges it
+// missed, then this edge delivered normally — when its window ends or the
+// IMU has committed a changed IMU-side bundle to its port (the port's
+// change notice). So a core counting down a compute window stops costing
+// host time while its neighbour works, which the domain-wide bulk-skip
+// (every ticker idle at once) cannot achieve. The lockstep scheduler keeps
 // delivering every edge to every core, which makes it the reference the
 // sleeping path is checked against.
 //
+// The shell publishes its idle horizon (sim.Publisher) from every Update:
+// the earliest last-inert edge of its sleeping cores, busy while any core
+// is awake. The port change notices and every OS-side poke (Load, Unload,
+// CommitSlot, Slot.Core, SetWake) invalidate it.
+//
 // The ticker also carries the serving loop's wake deadline (SetWake): it
-// bounds the shell's advertised idleness so a bulk-skip lands exactly on
-// the deadline, and RunUntilEvent stops there or at the IMU's interrupt.
+// bounds the shell's horizon so a bulk-skip lands exactly on the deadline,
+// and RunUntilEvent stops there or at the IMU's interrupt.
 type ShellHW struct {
 	Eng   *sim.Engine
 	Dom   *sim.Domain
@@ -206,92 +181,151 @@ type ShellHW struct {
 
 	irq    *bool // the board IMU's interrupt line
 	wakeAt int64 // absolute shell cycle of the wake deadline; -1 disarmed
+
+	hz      sim.Horizon
+	changed uint32 // slots whose port the IMU committed a change to (Slot.bit)
 }
+
+// Horizon implements sim.Publisher.
+func (hw *ShellHW) Horizon() *sim.Horizon { return &hw.hz }
 
 // Eval implements sim.Ticker: wake every sleeping core whose window ended
 // or whose port changed, and evaluate every awake one.
 func (hw *ShellHW) Eval() {
+	edge := hw.Dom.Cycles() + 1
 	for _, s := range hw.Slots {
 		if s.core == nil {
 			continue
 		}
 		if s.asleep {
-			if s.left > 0 && *s.port.IMURef() == s.snap {
-				if s.left != sim.IdleForever {
-					s.left--
-				}
-				s.slept++
+			if edge <= s.until && hw.changed&s.bit == 0 {
 				continue
 			}
 			s.wake()
 		}
 		s.core.Eval()
 	}
+	hw.changed = 0
 }
 
-// Update implements sim.Ticker: commit every awake core and probe it for a
-// sleep window (event-driven scheduler only).
+// Update implements sim.Ticker: commit every awake core and, under the
+// event-driven scheduler, put it to sleep if it advertises inert edges and
+// publish the shell's horizon.
 func (hw *ShellHW) Update() {
 	sleepy := hw.Eng.Scheduler() == sim.EventDriven
+	edge := hw.Dom.Cycles() + 1
+	at := hw.deadline()
 	for _, s := range hw.Slots {
-		if s.core == nil || s.asleep {
+		if s.core == nil {
 			continue
 		}
-		s.core.Update()
-		if sleepy && s.bulk != nil {
-			if k := s.bulk.IdleEdges(); k > 0 {
-				s.sleep(k)
+		if !s.asleep {
+			s.core.Update()
+			if !sleepy {
+				continue
+			}
+			if s.bulk != nil {
+				if k := s.bulk.IdleEdges(); k > 0 {
+					s.sleep(edge, edge+min(k, sim.IdleForever-edge))
+				}
 			}
 		}
+		// A change notice already posted this edge wakes the core at the
+		// next one.
+		if !s.asleep || hw.changed&s.bit != 0 {
+			at = edge
+		} else if s.until < at {
+			at = s.until
+		}
+	}
+	if sleepy {
+		k := sim.IdleForever
+		if at < sim.IdleForever {
+			k = at - edge
+		}
+		hw.hz.Publish(k)
 	}
 }
 
-// IdleEdges implements sim.BulkIdler: the minimum over the slots, further
-// bounded by the wake deadline. While armed, the deadline contributes the
-// edges strictly before it minus one: the engine delivers a normal edge at
-// the wake horizon after consuming the claimed window, so that delivered
-// edge lands exactly on the deadline — the cycle at which the lockstep
-// scheduler's run also stops — keeping the two schedulers bit-identical.
-// Once the deadline is reached the shell reads busy until it is re-armed.
-func (hw *ShellHW) IdleEdges() int64 {
-	k := sim.IdleForever
+// deadline is the wake deadline's share of the shell's horizon. While
+// armed, the horizon ends one edge before the deadline: the engine delivers
+// a normal edge at the wake horizon after consuming the claimed window, so
+// that delivered edge lands exactly on the deadline — the cycle at which
+// the lockstep scheduler's run also stops — keeping the two schedulers
+// bit-identical. Once the deadline is reached the shell reads busy until it
+// is re-armed.
+func (hw *ShellHW) deadline() int64 {
 	if hw.wakeAt >= 0 {
-		k = hw.wakeAt - hw.Dom.Cycles() - 1
-		if k <= 0 {
-			return 0
-		}
+		return hw.wakeAt - 1
 	}
-	for _, s := range hw.Slots {
-		n := s.idleEdges()
-		if n <= 0 {
-			return 0
-		}
-		if n < k {
-			k = n
-		}
-	}
-	return k
+	return sim.IdleForever
 }
 
-// SkipEdges implements sim.BulkIdler.
-func (hw *ShellHW) SkipEdges(k int64) {
-	for _, s := range hw.Slots {
-		s.skipEdges(k)
+// IdleEdges implements sim.BulkIdler: the query behind a stale horizon.
+// Every core that is awake, or whose port changed, answers for itself (a
+// changed one is woken first) and sleeps through the window it advertises;
+// the answer is the edges before the earliest window end, further bounded
+// by the wake deadline. A core asleep until input whose port changed reads
+// busy without being asked: the change is the input it was waiting for.
+func (hw *ShellHW) IdleEdges() int64 {
+	now := hw.Dom.Cycles()
+	at := hw.deadline()
+	if at <= now {
+		return 0
 	}
+	for _, s := range hw.Slots {
+		if s.core == nil {
+			continue
+		}
+		if s.asleep && hw.changed&s.bit != 0 {
+			if s.until == sim.IdleForever {
+				return 0
+			}
+			s.wake()
+		}
+		hw.changed &^= s.bit
+		if !s.asleep {
+			if s.bulk == nil {
+				return 0
+			}
+			k := s.bulk.IdleEdges()
+			if k <= 0 {
+				return 0
+			}
+			s.sleep(now, now+min(k, sim.IdleForever-now))
+		}
+		at = min(at, s.until)
+	}
+	if at == sim.IdleForever {
+		return at
+	}
+	return at - now
 }
+
+// SkipEdges implements sim.BulkIdler. The engine skips the shell only while
+// its horizon says idle, which every resident core is then asleep for, and
+// a sleeping core is handed the edges it missed when it wakes: nothing to
+// replay here.
+func (hw *ShellHW) SkipEdges(k int64) {}
 
 // SleptEdges counts the slot-edges withheld from sleeping cores so far,
 // across all slots (reporting only: it never perturbs the schedule).
 func (hw *ShellHW) SleptEdges() int64 {
 	n := int64(0)
 	for _, s := range hw.Slots {
-		n += s.total + s.slept
+		n += s.total
+		if s.asleep {
+			n += hw.Dom.Cycles() - s.from
+		}
 	}
 	return n
 }
 
 // SetWake arms the wake deadline at absolute shell cycle at (-1 disarms).
-func (hw *ShellHW) SetWake(at int64) { hw.wakeAt = at }
+func (hw *ShellHW) SetWake(at int64) {
+	hw.wakeAt = at
+	hw.hz.Invalidate()
+}
 
 // RunUntilEvent advances the shell until the IMU raises its interrupt or
 // the armed wake deadline is reached (both checked before every super-edge,
@@ -336,7 +370,7 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 	dom := eng.NewDomain("shell", shellHz)
 	hw := &ShellHW{Eng: eng, Dom: dom, irq: b.IMU.IRQRef(), wakeAt: -1}
 	for i := 0; i < nslots; i++ {
-		hw.Slots = append(hw.Slots, &Slot{})
+		hw.Slots = append(hw.Slots, &Slot{hw: hw, bit: 1 << i})
 	}
 	dom.Attach(hw)
 	dom.Attach(b.IMU)

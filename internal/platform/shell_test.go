@@ -268,7 +268,7 @@ func sleepingStop(t *testing.T, kind string, nslots int) int64 {
 	}
 	for c := int64(0); c < 20000; c++ {
 		s := r.hw.Slots[0]
-		if c >= 300 && s.asleep && s.left >= 2 && s.left < sim.IdleForever {
+		if c >= 300 && s.asleep && s.until-r.hw.Dom.Cycles() >= 2 && s.until < sim.IdleForever {
 			return r.hw.Dom.Cycles()
 		}
 		r.advance(r.hw.Dom.Cycles()+1, 0, true, nil, nil)
@@ -283,8 +283,12 @@ func sleepingStop(t *testing.T, kind string, nslots int) int64 {
 // every instant, the same Mem counters for every core instance, and the
 // same dual-port RAM contents as the lockstep reference (every edge
 // delivered to every core) — both edge by edge and when the engine is free
-// to bulk-skip through sleeping slots.
+// to bulk-skip through sleeping slots. The pokes subtests then apply each
+// kind of OS poke right after the shell has published an idle horizon and
+// compare against lockstep after every event-driven step (see
+// testPokesAfterHorizon).
 func TestShellSleepMatchesFullDelivery(t *testing.T) {
+	testPokesAfterHorizon(t)
 	for _, kind := range []string{"idea", "adpcm", "vecadd", "scriptcp"} {
 		for _, nslots := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/%dslot", kind, nslots), func(t *testing.T) {
@@ -325,12 +329,171 @@ func TestShellSleepMatchesFullDelivery(t *testing.T) {
 	}
 }
 
+// twin drives the same shell scenario on an event-driven rig and a lockstep
+// rig side by side.
+type twin struct {
+	t      *testing.T
+	ev, ls *rig
+	steps  int
+}
+
+// each applies f to both rigs, event-driven first.
+func (w *twin) each(f func(r *rig)) {
+	f(w.ev)
+	f(w.ls)
+}
+
+// step advances the event-driven rig by one engine Step (which may
+// bulk-skip on the published horizons) — or, while the interrupt is high,
+// services it on both rigs and delivers one edge — brings the lockstep rig
+// to the same cycle, and fails on the first difference in their externally
+// visible state.
+func (w *twin) step() {
+	w.steps++
+	if w.ev.b.IMU.IRQ() {
+		w.each(func(r *rig) {
+			r.service()
+			r.hw.Eng.RunCycles(r.hw.Dom, 1)
+		})
+	} else {
+		w.ev.hw.Eng.Step()
+		w.ls.hw.Eng.RunCycles(w.ls.hw.Dom, w.ev.hw.Dom.Cycles()-w.ls.hw.Dom.Cycles())
+	}
+	w.check("step")
+}
+
+func (w *twin) check(at string) {
+	w.t.Helper()
+	if ls, ev := w.ls.snap(), w.ev.snap(); ls != ev {
+		w.t.Fatalf("%s %d diverges:\n lockstep %+v\n event    %+v", at, w.steps, ls, ev)
+	}
+}
+
+// untilIdle steps, for at least min steps, until the event-driven rig's
+// shell domain reads idle for a bounded window at least two edges long,
+// with no interrupt pending. Reading it leaves the shell's and the IMU's
+// published horizons fresh and idle, which the next poke must not let the
+// engine trust.
+func (w *twin) untilIdle(min int) {
+	w.t.Helper()
+	for i := 0; i < 1<<16; i++ {
+		w.step()
+		if k := w.ev.hw.Dom.IdleEdges(); i >= min && !w.ev.b.IMU.IRQ() && k >= 2 && k < sim.IdleForever {
+			return
+		}
+	}
+	w.t.Fatal("the shell never idled")
+}
+
+// testPokesAfterHorizon runs IDEA in slot 0 next to ADPCM in slot 1 on twin
+// rigs, applies one OS poke at each of several instants at which the shell
+// has just published an idle horizon, and compares the rigs after every
+// step; the run ends with every core instance's Mem counters and the
+// dual-port RAM compared too.
+func testPokesAfterHorizon(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		poke func(w *twin)
+	}{
+		{"load-unload", func(w *twin) {
+			w.each(func(r *rig) {
+				r.hw.UnloadSlot(r.b, 0)
+				r.hw.LoadSlot(r.b, 0, jobFor("idea").newCore())
+				r.start(0, jobFor("idea").params)
+			})
+		}},
+		{"reload-live-port", func(w *twin) {
+			// A fresh core on the slot's live port sees CP_START already high.
+			w.each(func(r *rig) {
+				s := r.hw.Slots[0]
+				s.Load(jobFor("idea").newCore(), s.Port())
+			})
+		}},
+		{"commit-staged", func(w *twin) {
+			w.each(func(r *rig) {
+				r.hw.Slots[0].Stage(jobFor("idea").newCore())
+				if err := r.hw.CommitSlot(r.b, 0); err != nil {
+					t.Fatal(err)
+				}
+				r.start(0, jobFor("idea").params)
+			})
+		}},
+		{"stop", func(w *twin) {
+			w.each(func(r *rig) { r.b.IMU.StopCh(0) })
+		}},
+		{"tlb-write", func(w *twin) {
+			// Invalidate, through the register window, the data page
+			// mapped last.
+			w.each(func(r *rig) {
+				f := len(r.hw.Slots) + (r.next-1)%r.pool
+				if err := r.b.IMU.RegWrite(imu.RegTLBIdx, uint32(f)); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.b.IMU.RegWrite(imu.RegTLBLo, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}},
+		{"set-wake", func(w *twin) {
+			// Re-arm the deadline at the next edge and run to it: a stale
+			// horizon would let the event-driven run skip past it.
+			at := w.ev.hw.Dom.Cycles() + 1
+			w.each(func(r *rig) {
+				r.hw.SetWake(at)
+				if _, err := r.hw.RunUntilEvent(1 << 20); err != nil {
+					t.Fatal(err)
+				}
+				r.hw.SetWake(-1)
+			})
+			w.check("set-wake stop")
+		}},
+	} {
+		t.Run("pokes/"+p.name, func(t *testing.T) {
+			w := &twin{t: t, ev: newRig(t, 2, 6, sim.EventDriven), ls: newRig(t, 2, 6, sim.Lockstep)}
+			var cores [][2]copro.Coprocessor
+			w.each(func(r *rig) {
+				for i, kind := range []string{"idea", "adpcm"} {
+					r.hw.LoadSlot(r.b, i, jobFor(kind).newCore())
+					r.start(i, jobFor(kind).params)
+				}
+			})
+			for round := 0; round < 3; round++ {
+				w.untilIdle(200)
+				p.poke(w)
+				w.check("poke")
+				for i := 0; i < 400; i++ {
+					w.step()
+				}
+			}
+			w.each(func(r *rig) {
+				cores = append(cores, [2]copro.Coprocessor{r.hw.Slots[0].Core(), r.hw.Slots[1].Core()})
+			})
+			for i := range cores[0] {
+				ev := cores[0][i].(interface{ Mem() *copro.Mem }).Mem()
+				ls := cores[1][i].(interface{ Mem() *copro.Mem }).Mem()
+				if ev.Reads != ls.Reads || ev.Writes != ls.Writes || ev.WaitCycles != ls.WaitCycles {
+					t.Fatalf("slot %d Mem counters diverge: lockstep %+v, event %+v", i, *ls, *ev)
+				}
+			}
+			for f := 0; f < w.ev.b.DP.Pages(); f++ {
+				a, _ := w.ls.b.DP.ReadPage(f)
+				b, _ := w.ev.b.DP.ReadPage(f)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("dual-port RAM frame %d diverges", f)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkShellEdge is the per-layer benchmark of the shell ticker: two
 // slots serving a pinned pair of workloads ("idle" leaves the slot empty)
 // under the event-driven scheduler, one op running every busy slot's job
-// to completion. It reports host ns per delivered shell edge, delivered
-// edges per op and the slot-edges withheld from sleeping cores per op,
-// and fails unless an op allocates nothing.
+// to completion. It reports delivered edges per op, simulated edges per op
+// (delivered + bulk-skipped: the work denominator, which no skipping change
+// moves), host ns per delivered and per simulated edge, and the slot-edges
+// withheld from sleeping cores per op, and fails unless an op allocates
+// nothing.
 func BenchmarkShellEdge(b *testing.B) {
 	for _, pair := range [][2]string{{"adpcm", "adpcm"}, {"idea", "vecadd"}, {"idle", "adpcm"}} {
 		b.Run(pair[0]+"-"+pair[1], func(b *testing.B) {
@@ -368,9 +531,14 @@ func BenchmarkShellEdge(b *testing.B) {
 				op()
 			}
 			b.StopTimer()
-			edges := float64(r.hw.Eng.Stats().EdgesDelivered - st0.EdgesDelivered)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+			st := r.hw.Eng.Stats()
+			edges := float64(st.EdgesDelivered - st0.EdgesDelivered)
+			simEdges := edges + float64(st.EdgesSkipped-st0.EdgesSkipped)
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/edges, "ns/edge")
 			b.ReportMetric(edges/float64(b.N), "edges/op")
+			b.ReportMetric(ns/simEdges, "ns/sim-edge")
+			b.ReportMetric(simEdges/float64(b.N), "sim-edges/op")
 			b.ReportMetric(float64(r.hw.SleptEdges()-slept0)/float64(b.N), "slept-slot-edges/op")
 		})
 	}

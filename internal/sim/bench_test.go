@@ -68,8 +68,8 @@ func schedulers() []struct {
 }
 
 // BenchmarkSoloBusy pins the per-edge overhead of a single-domain engine
-// whose components never idle: the event scheduler's probe backoff should
-// keep it within a few percent of lockstep.
+// whose components never idle: the event scheduler asks the polled ticker
+// before every edge, which should keep it within a few percent of lockstep.
 func BenchmarkSoloBusy(b *testing.B) {
 	for _, s := range schedulers() {
 		b.Run(s.name, func(b *testing.B) {

@@ -100,7 +100,7 @@ func (d *Domain) wakeFrom(k int64) int64 {
 }
 
 // wakeAt is wakeFrom with a fresh idleness query.
-func (d *Domain) wakeAt() int64 { return d.wakeFrom(d.idleEdges()) }
+func (d *Domain) wakeAt() int64 { return d.wakeFrom(d.IdleEdges()) }
 
 // spanEdges counts the edges of d in [d.nextAt, T), i.e. strictly before
 // tick T. The dominant ratio-1 case avoids the integer division.
@@ -129,33 +129,6 @@ func (e *Engine) eventStep() int64 {
 	}
 }
 
-// probeMax bounds the adaptive probe backoff of the hot step paths: after
-// a streak of fruitless idleness queries the engine probes a domain only
-// every probeMax-th due edge. Probing less often never changes results —
-// delivering an inert edge is exactly what the lockstep scheduler does —
-// it only trades a little skip coverage on the first edges of an idle
-// window for near-zero overhead on workloads with no skippable windows.
-const probeMax = 4
-
-// probedIdleEdges is idleEdges behind the adaptive backoff: any idle
-// answer resets the cadence, a busy streak stretches it.
-func (d *Domain) probedIdleEdges() int64 {
-	if d.probe > 0 {
-		d.probe--
-		return 0
-	}
-	k := d.idleEdges()
-	if k > 0 {
-		d.probeBack = 0
-		return k
-	}
-	if d.probeBack < probeMax {
-		d.probeBack++
-	}
-	d.probe = d.probeBack
-	return 0
-}
-
 // eventStepSolo handles the single-domain engine: no schedule to consult,
 // and a bounded idle window (a compute phase) is jumped in one call. An
 // open-ended idle window is not skippable — with no other domain to wake
@@ -163,21 +136,11 @@ func (d *Domain) probedIdleEdges() int64 {
 // budgets still advance, exactly as lockstep does.
 func (e *Engine) eventStepSolo() int64 {
 	d := e.domains[0]
-	if e.noSkip == 0 && d.skippable {
-		if d.probe > 0 {
-			d.probe--
-		} else if k := d.idleEdges(); k > 0 && k < IdleForever {
-			d.probeBack = 0
+	if e.noSkip == 0 {
+		if k := d.IdleEdges(); k > 0 && k < IdleForever {
 			d.skipEdges(k)
 			d.tick()
 			return k + 1
-		} else {
-			// Open-ended idleness is useless to a solo engine (nothing can
-			// wake the domain), so it backs the probe off like busy does.
-			if d.probeBack < probeMax {
-				d.probeBack++
-			}
-			d.probe = d.probeBack
 		}
 	}
 	d.tick()
@@ -198,8 +161,8 @@ func (e *Engine) eventStepPair() int64 {
 	}
 	// Coincident super-edge.
 	if e.noSkip == 0 {
-		k0 := d0.probedIdleEdges()
-		k1 := d1.probedIdleEdges()
+		k0 := d0.IdleEdges()
+		k1 := d1.IdleEdges()
 		if k0 > 0 || k1 > 0 {
 			return e.pairSkip(d0, d1, k0, k1)
 		}
@@ -210,13 +173,11 @@ func (e *Engine) eventStepPair() int64 {
 }
 
 // pairSolo delivers an edge due on one domain of a pair, or enters the skip
-// pass when the due domain is idle. Idleness is queried through the probe
-// backoff, so a never-idle pair (a busy pipelined-IMU board) degrades to
-// within a probe of the lockstep inline cost.
+// pass when the due domain is idle.
 func (e *Engine) pairSolo(due, other *Domain) int64 {
 	if e.noSkip == 0 {
-		if k := due.probedIdleEdges(); k > 0 {
-			return e.pairSkip(due, other, k, other.idleEdges())
+		if k := due.IdleEdges(); k > 0 {
+			return e.pairSkip(due, other, k, other.IdleEdges())
 		}
 	}
 	e.due = append(e.due[:0], due)
@@ -337,10 +298,9 @@ func (e *Engine) eventStepFast() int64 {
 	e.due = due
 	if e.noSkip == 0 {
 		for _, d := range due {
-			if d.probedIdleEdges() > 0 {
+			if d.IdleEdges() > 0 {
 				// The popped due set is re-derived from e.domains and the
-				// heap rebuilt wholesale by the skip pass (which queries
-				// every domain's idleness fresh, un-probed).
+				// heap rebuilt wholesale by the skip pass.
 				return e.eventSkipFast()
 			}
 		}
@@ -448,7 +408,7 @@ func (e *Engine) eventStepGeneral() int64 {
 	}
 	if e.noSkip == 0 {
 		for _, d := range e.domains {
-			if (d == earliest || edgeCoincident(d, earliest)) && d.idleEdges() > 0 {
+			if (d == earliest || edgeCoincident(d, earliest)) && d.IdleEdges() > 0 {
 				return e.eventSkipGeneral()
 			}
 		}
@@ -483,7 +443,7 @@ func (e *Engine) eventSkipGeneral() int64 {
 	var tn, td int64
 	haveT := false
 	for _, d := range e.domains {
-		k := d.idleEdges()
+		k := d.IdleEdges()
 		if k >= IdleForever {
 			d.wake = -1 // idle until input: no wake edge of its own
 			continue

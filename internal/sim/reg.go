@@ -29,12 +29,15 @@ func (r *Reg[T]) Set(v T) {
 	r.pending = true
 }
 
-// Commit applies the value scheduled by Set, if any.
-func (r *Reg[T]) Commit() {
-	if r.pending {
-		r.cur = r.next
-		r.pending = false
+// Commit applies the value scheduled by Set, if any, and reports whether
+// it did.
+func (r *Reg[T]) Commit() bool {
+	if !r.pending {
+		return false
 	}
+	r.cur = r.next
+	r.pending = false
+	return true
 }
 
 // Force immediately sets both the committed and pending value. It is meant

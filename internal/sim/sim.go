@@ -50,14 +50,24 @@
 //
 //   - Idler declares open-ended idleness: every upcoming edge is a no-op
 //     until a component in another clock domain commits new state (or the
-//     component is poked externally between run calls). The IMU idles this
-//     way while the coprocessor computes internally.
+//     component is poked externally between run calls).
 //
 //   - BulkIdler extends the contract to bounded idleness: a component in a
 //     multi-cycle compute phase (a cipher pipeline filling, a serial decode
 //     counting down) knows exactly how many upcoming edges are inert and is
-//     fast-forwarded through them with SkipEdges. The coprocessor cores
-//     advertise their compute phases this way.
+//     fast-forwarded through them with SkipEdges. The engine asks it
+//     (IdleEdges) whenever it considers skipping the component's domain;
+//     the coprocessor cores answer this way, from their FSM state alone.
+//
+//   - Publisher turns the question around. A BulkIdler that keeps a Horizon
+//     current — the absolute domain cycle of its last inert edge, published
+//     as a by-product of its own Update and invalidated explicitly whenever
+//     an input it was computed on changes — is not asked while the horizon
+//     is fresh. Before every edge the engine reads the domain's published
+//     horizons, so the idleness check is a few integer compares, and a
+//     stale horizon costs one query. A stale horizon therefore only ever
+//     means "re-query", never a skip on out-of-date state. The IMU and the
+//     reconfigurable shell publish this way.
 //
 // When every ticker of a domain is idle, the event-driven scheduler advances
 // the domain's cycle counter in bulk to the earliest non-inert edge across
@@ -129,7 +139,10 @@ const IdleForever = int64(math.MaxInt64)
 // allowed; that is the point). It returns 0 when the component is busy and
 // IdleForever when it is idle until input. As with Idler, the window may end
 // early only through another domain's commit or an external poke between
-// run calls, both of which the engine re-queries before every super-edge.
+// run calls. A plain BulkIdler is asked afresh every time the engine
+// considers skipping its domain, so both are seen; a Publisher is asked
+// only while its Horizon is stale, and must itself invalidate the horizon
+// on every such commit or poke.
 //
 // SkipEdges(k) tells the component that k of those edges (k never exceeds
 // the advertised count) were consumed in bulk; it must leave the component
@@ -143,12 +156,80 @@ const IdleForever = int64(math.MaxInt64)
 // sub-components while its siblings in the same domain keep running
 // (platform's shell sleeping a computing core next to a busy neighbour)
 // gets no such guarantee. It must itself wake the sub-component at the
-// first delivered edge whose committed inputs differ from those the
-// IdleEdges answer was given on, call SkipEdges with the edges withheld so
-// far, and deliver that edge normally.
+// first delivered edge after its committed inputs changed from those the
+// IdleEdges answer was given on (the shell learns of the change from a
+// notice the input's producer posts at commit), call SkipEdges with the
+// edges withheld so far, and deliver that edge normally.
 type BulkIdler interface {
 	IdleEdges() int64
 	SkipEdges(k int64)
+}
+
+// Publisher is a BulkIdler that publishes its idle horizon instead of being
+// asked for it before every edge. Horizon returns the component's own cell;
+// Attach binds it to the domain. The component keeps it current:
+//
+//   - from its Update, Publish the edges after the one being delivered that
+//     are inert (what IdleEdges would answer once the edge completes);
+//   - whenever an input the published value was computed on changes —
+//     another component's commit, in any domain, or an OS poke between run
+//     calls — Invalidate it, so the engine re-queries IdleEdges before it
+//     next relies on it.
+//
+// Invalidating in place of publishing is always allowed: it only defers
+// the answer to the engine's next read.
+//
+// A published horizon is absolute, so inert edges — delivered or skipped —
+// leave it valid without republishing. A Publisher belongs to one domain at
+// a time: attaching it again rebinds its Horizon, after which the engine it
+// left must not be run.
+type Publisher interface {
+	BulkIdler
+	Horizon() *Horizon
+}
+
+// staleAt marks a Horizon that must be re-queried. It compares below every
+// cycle count, so reading it as a horizon can only ever mean "busy".
+const staleAt = math.MinInt64
+
+// Horizon is a Publisher's published idle horizon: the absolute domain
+// cycle (as Cycles will read once that edge completes) of the owner's last
+// provably inert edge. A horizon at or below Cycles means busy, IdleForever
+// idle until input. The zero value is unattached: Publish is a no-op and the
+// engine never reads it.
+type Horizon struct {
+	at    int64
+	dom   *Domain
+	owner BulkIdler
+}
+
+// Publish records, from the owner's Update, that the k edges after the one
+// being delivered are inert (k <= 0: busy; IdleForever: until input).
+func (h *Horizon) Publish(k int64) {
+	if d := h.dom; d != nil {
+		h.at = horizonAt(d.cycles+1, k)
+	}
+}
+
+// Invalidate marks the horizon stale: the engine re-queries the owner's
+// IdleEdges before relying on it again. It is safe on a nil Horizon, so a
+// change notice need not be wired to anything.
+func (h *Horizon) Invalidate() {
+	if h != nil {
+		h.at = staleAt
+	}
+}
+
+// horizonAt is the absolute horizon of k inert edges after cycle now,
+// saturating at IdleForever.
+func horizonAt(now, k int64) int64 {
+	switch {
+	case k <= 0:
+		return now
+	case k >= IdleForever-now:
+		return IdleForever
+	}
+	return now + k
 }
 
 // Scheduler selects the engine's super-edge scheduling algorithm.
@@ -246,18 +327,15 @@ type Domain struct {
 	// recomputed by every skip pass. wake < 0 encodes "idle until input".
 	wake int64
 
-	// Adaptive idle-probe state of the single-domain event path: probe
-	// counts edges until the next idleness query, probeBack the current
-	// backoff the counter is reloaded from (reset to 0 by every hit).
-	probe     int8
-	probeBack int8
-
-	// idlers and bulk hold the tickers that advertise idleness (each ticker
-	// lands in exactly one slice; BulkIdler wins when both are implemented).
-	// The domain is bulk-skippable only when every ticker is in one of them;
-	// skippable caches that condition across Attach calls.
+	// pubs, polled and idlers hold the tickers that advertise idleness:
+	// the Publishers' horizons, the other BulkIdlers (asked every time) and
+	// the pure Idlers. Each ticker lands in exactly one slice (Publisher
+	// wins over BulkIdler, BulkIdler over Idler). The domain is
+	// bulk-skippable only when every ticker is in one of them; skippable
+	// caches that condition across Attach calls.
+	pubs      []*Horizon
+	polled    []BulkIdler
 	idlers    []Idler
-	bulk      []BulkIdler
 	skippable bool
 
 	// lock holds every ticker that implements Idler, BulkIdler or not: the
@@ -281,18 +359,37 @@ func (d *Domain) allIdle() bool {
 	return true
 }
 
-// idleEdges reports how many upcoming edges of the whole domain are provably
-// inert: 0 when any ticker is busy (or advertises no idleness at all),
-// IdleForever when every ticker is idle until input, and otherwise the
-// minimum bounded count across tickers.
-func (d *Domain) idleEdges() int64 {
+// IdleEdges reports how many upcoming edges of the whole domain are
+// provably inert — what the event-driven scheduler would skip on now: 0
+// when any ticker is busy (or advertises no idleness at all), IdleForever
+// when every ticker is idle until input, and otherwise the minimum bounded
+// count across tickers. Published horizons come first: a fresh one is an
+// integer compare, and a stale one is re-queried once and kept until its
+// owner publishes or invalidates again. Reading it changes nothing a model
+// can observe.
+func (d *Domain) IdleEdges() int64 {
 	if !d.skippable {
 		return 0
 	}
-	// Bounded idlers first: a busy coprocessor core answers from its FSM
-	// state alone, which keeps the per-edge cost of a fruitless query low.
+	at := IdleForever
+	for _, h := range d.pubs {
+		a := h.at
+		if a == staleAt {
+			a = horizonAt(d.cycles, h.owner.IdleEdges())
+			h.at = a
+		}
+		if a <= d.cycles {
+			return 0
+		}
+		if a < at {
+			at = a
+		}
+	}
 	k := IdleForever
-	for _, b := range d.bulk {
+	if at < IdleForever {
+		k = at - d.cycles
+	}
+	for _, b := range d.polled {
 		n := b.IdleEdges()
 		if n <= 0 {
 			return 0
@@ -311,9 +408,12 @@ func (d *Domain) idleEdges() int64 {
 
 // skipEdges consumes k inert edges in bulk: cycle accounting advances as if
 // the edges had been delivered, and bounded idlers fast-forward their
-// countdowns. k never exceeds the domain's advertised idleEdges.
+// countdowns. k never exceeds the domain's advertised IdleEdges.
 func (d *Domain) skipEdges(k int64) {
-	for _, b := range d.bulk {
+	for _, h := range d.pubs {
+		h.owner.SkipEdges(k)
+	}
+	for _, b := range d.polled {
 		b.SkipEdges(k)
 	}
 	d.cycles += k
@@ -343,12 +443,16 @@ func (d *Domain) Attach(t Ticker) {
 	if i, ok := t.(Idler); ok {
 		d.lock = append(d.lock, i)
 	}
-	if b, ok := t.(BulkIdler); ok {
-		d.bulk = append(d.bulk, b)
+	if p, ok := t.(Publisher); ok {
+		h := p.Horizon()
+		*h = Horizon{at: staleAt, dom: d, owner: p}
+		d.pubs = append(d.pubs, h)
+	} else if b, ok := t.(BulkIdler); ok {
+		d.polled = append(d.polled, b)
 	} else if i, ok := t.(Idler); ok {
 		d.idlers = append(d.idlers, i)
 	}
-	d.skippable = len(d.idlers)+len(d.bulk) == len(d.tickers)
+	d.skippable = len(d.pubs)+len(d.polled)+len(d.idlers) == len(d.tickers)
 }
 
 // Engine owns a set of clock domains and advances them in time order.
@@ -416,14 +520,20 @@ func (e *Engine) Stats() Stats {
 func NewEngine() *Engine { return &Engine{sched: defaultScheduler} }
 
 // SetScheduler selects the engine's scheduling algorithm; SchedulerDefault
-// resolves to the package default. Switching forces a plan rebuild, so it is
-// safe at any point between super-edges.
+// resolves to the package default. Switching forces a plan rebuild and
+// invalidates every published horizon (owners stop publishing under
+// lockstep), so it is safe at any point between super-edges.
 func (e *Engine) SetScheduler(s Scheduler) {
 	if s == SchedulerDefault {
 		s = defaultScheduler
 	}
 	e.sched = s
 	e.planned = false
+	for _, d := range e.domains {
+		for _, h := range d.pubs {
+			h.Invalidate()
+		}
+	}
 }
 
 // Scheduler returns the engine's resolved scheduling algorithm.
