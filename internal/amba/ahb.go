@@ -6,6 +6,17 @@
 // between user-space SDRAM and the dual-port RAM — is costed by driving this
 // model, so its wait-state arithmetic is what ultimately shapes Figures 8
 // and 9.
+//
+// A burst is served in one of two ways with identical results. The beat
+// path decodes each beat and hands it to the slave's Access. The burst
+// path serves a burst that lies wholly inside one region whose slave
+// implements the unexported burst method (SDRAMSlave, DPRAMSlave) with a
+// single call: the slave moves every word through the memory's
+// ByteStore.ReadWords or WriteWords and returns the summed wait states in
+// closed form, and the bus charges the cycles the beats would have cost.
+// Everything else — RegSlave, a burst crossing out of its region, an
+// unmapped or out-of-range burst — takes the beat path, so error text and
+// the cycles charged before an error are unchanged.
 package amba
 
 import (
@@ -46,10 +57,21 @@ type Slave interface {
 	Name() string
 }
 
+// burster is a slave that can serve a whole INCR burst in one call.
+type burster interface {
+	// burst moves the words of one burst at local offset off — reading
+	// into words, or writing them when write is set — and returns the
+	// wait states the beat path would have inserted over all its beats.
+	// It declines (ok false) without any side effect when the beat path
+	// would fail.
+	burst(off uint32, words []uint32, write bool) (waits int64, ok bool)
+}
+
 // region is one entry of the address map.
 type region struct {
 	base, size uint32
 	slave      Slave
+	burst      burster // slave's burst path, nil if it has none
 }
 
 // Bus is a single-master AHB-lite layer with an address decoder.
@@ -88,7 +110,8 @@ func (b *Bus) Map(base, size uint32, s Slave) error {
 			return fmt.Errorf("%w: [%#x,%#x) vs %q [%#x,%#x)", ErrOverlap, base, newEnd, r.slave.Name(), r.base, end)
 		}
 	}
-	b.regions = append(b.regions, region{base: base, size: size, slave: s})
+	bs, _ := s.(burster)
+	b.regions = append(b.regions, region{base: base, size: size, slave: s, burst: bs})
 	sort.Slice(b.regions, func(i, j int) bool { return b.regions[i].base < b.regions[j].base })
 	return nil
 }
@@ -100,23 +123,32 @@ func nameOf(s Slave) string {
 	return s.Name()
 }
 
-// decode finds the slave and local offset for addr.
-func (b *Bus) decode(addr uint32) (Slave, uint32, error) {
+// find returns the region mapping addr, or nil.
+func (b *Bus) find(addr uint32) *region {
 	if b.last < len(b.regions) {
 		r := &b.regions[b.last]
 		if addr-r.base < r.size { // unsigned wrap rejects addr < base
-			return r.slave, addr - r.base, nil
+			return r
 		}
 	}
 	i := sort.Search(len(b.regions), func(i int) bool { return b.regions[i].base > addr })
 	if i > 0 {
-		r := b.regions[i-1]
+		r := &b.regions[i-1]
 		if addr-r.base < r.size {
 			b.last = i - 1
-			return r.slave, addr - r.base, nil
+			return r
 		}
 	}
-	return nil, 0, fmt.Errorf("%w: %#x", ErrDecode, addr)
+	return nil
+}
+
+// decode finds the slave and local offset for addr.
+func (b *Bus) decode(addr uint32) (Slave, uint32, error) {
+	r := b.find(addr)
+	if r == nil {
+		return nil, 0, fmt.Errorf("%w: %#x", ErrDecode, addr)
+	}
+	return r.slave, addr - r.base, nil
 }
 
 // transfer runs one beat through decode and the slave, charging cycles:
@@ -154,10 +186,40 @@ func (b *Bus) Write32(addr, v uint32) error {
 	return err
 }
 
+// burst serves a whole INCR burst through its slave's burst path when the
+// burst lies inside one region that has one, charging what the beat path
+// would: one address-phase cycle, then one data cycle plus the slave's
+// wait states per beat. It reports false, having done nothing, when the
+// beat path must run instead.
+func (b *Bus) burst(addr uint32, words []uint32, write bool) bool {
+	if len(words) == 0 {
+		return false
+	}
+	r := b.find(addr)
+	if r == nil || r.burst == nil {
+		return false
+	}
+	off := addr - r.base
+	if uint64(off)+uint64(len(words))*WordBytes > uint64(r.size) {
+		return false
+	}
+	waits, ok := r.burst.burst(off, words, write)
+	if !ok {
+		return false
+	}
+	b.Cycles += 1 + int64(len(words)) + waits
+	b.Transfers += int64(len(words))
+	return true
+}
+
 // ReadBurst performs an INCR read burst of n words starting at addr,
-// filling dst. Bursts must not cross region boundaries (callers split at
-// page granularity, which is always within one device).
+// filling dst. A burst that leaves its region continues beat by beat into
+// whatever is mapped next; callers split at page granularity, which is
+// always within one device.
 func (b *Bus) ReadBurst(addr uint32, dst []uint32) error {
+	if b.burst(addr, dst, false) {
+		return nil
+	}
 	for i := range dst {
 		v, err := b.transfer(Beat{Addr: addr + uint32(i*WordBytes), Seq: i > 0}, i == 0)
 		if err != nil {
@@ -170,6 +232,9 @@ func (b *Bus) ReadBurst(addr uint32, dst []uint32) error {
 
 // WriteBurst performs an INCR write burst of the words in src.
 func (b *Bus) WriteBurst(addr uint32, src []uint32) error {
+	if b.burst(addr, src, true) {
+		return nil
+	}
 	for i, v := range src {
 		_, err := b.transfer(Beat{Addr: addr + uint32(i*WordBytes), Write: true, WData: v, BE: 0xf, Seq: i > 0}, i == 0)
 		if err != nil {

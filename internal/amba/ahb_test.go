@@ -8,7 +8,7 @@ import (
 	"repro/internal/mem"
 )
 
-func testBus(t *testing.T) (*Bus, *mem.DPRAM, *mem.SDRAM) {
+func testBus(t testing.TB) (*Bus, *mem.DPRAM, *mem.SDRAM) {
 	t.Helper()
 	b := NewBus()
 	dp, err := mem.NewDPRAM(16*1024, 2*1024)

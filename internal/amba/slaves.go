@@ -23,6 +23,23 @@ func (s *DPRAMSlave) Access(b Beat) (uint32, int64, error) {
 	return v, s.Waits, err
 }
 
+// burst implements burster, counting every word as one port-B access.
+func (s *DPRAMSlave) burst(off uint32, words []uint32, write bool) (int64, bool) {
+	st := s.RAM.Store()
+	if write {
+		if st.WriteWords(off, words) != nil {
+			return 0, false
+		}
+		s.RAM.WritesB += uint64(len(words))
+	} else {
+		if st.ReadWords(off, words) != nil {
+			return 0, false
+		}
+		s.RAM.ReadsB += uint64(len(words))
+	}
+	return int64(len(words)) * s.Waits, true
+}
+
 // SDRAMSlave adapts the external SDRAM to the AHB. The first beat of a
 // transaction pays the activation latency; sequential beats stream at the
 // burst rate.
@@ -33,23 +50,39 @@ type SDRAMSlave struct {
 // Name implements Slave.
 func (s *SDRAMSlave) Name() string { return "sdram" }
 
+// waits returns the wait states of a beat: the first of a transaction
+// pays the activation latency, sequential ones the burst rate.
+func (s *SDRAMSlave) waits(seq bool) int64 {
+	t := s.RAM.Timing
+	if seq {
+		return max(t.NextWord-1, 0)
+	}
+	return max(t.FirstWord-1, 0)
+}
+
 // Access implements Slave.
 func (s *SDRAMSlave) Access(b Beat) (uint32, int64, error) {
-	t := s.RAM.Timing
-	var waits int64
-	if b.Seq {
-		waits = t.NextWord - 1
-	} else {
-		waits = t.FirstWord - 1
-	}
-	if waits < 0 {
-		waits = 0
-	}
+	waits := s.waits(b.Seq)
 	if b.Write {
 		return 0, waits, s.RAM.Store().Write32(b.Addr, b.WData, b.BE)
 	}
 	v, err := s.RAM.Store().Read32(b.Addr)
 	return v, waits, err
+}
+
+// burst implements burster.
+func (s *SDRAMSlave) burst(off uint32, words []uint32, write bool) (int64, bool) {
+	st := s.RAM.Store()
+	var err error
+	if write {
+		err = st.WriteWords(off, words)
+	} else {
+		err = st.ReadWords(off, words)
+	}
+	if err != nil {
+		return 0, false
+	}
+	return s.waits(false) + int64(len(words)-1)*s.waits(true), true
 }
 
 // RegSlave adapts a register file (anything with word read/write callbacks)

@@ -14,16 +14,19 @@ package copro
 //	        if m.Ready()     { m.Read(...) or m.Write(...) }
 //	        m.Drive(fin, paramInv)    // schedule port outputs
 //	Update: m.Commit()
+//
+// The helper keeps no copy of the bundle: Read, Write, the consume in Step,
+// Drive and ResetMem edit the port's staged bundle in place (Port.StageCP),
+// so only the fields an edge changes are written. An edge that changes
+// nothing leaves the port unpending, its Commit is a no-op, and the IMU's
+// published horizon stays valid.
 type Mem struct {
 	port *Port
-	out  CPOut
-	// drivenFin and drivenPinv mirror the committed CP_FIN and CP_PINV so
-	// Drive can skip the schedule/commit pair on the (majority of) edges
-	// where the outputs are unchanged; dirty marks that out has diverged
-	// from the committed bundle since the last Drive.
+	// drivenFin and drivenPinv mirror CP_FIN and CP_PINV in the staged (or,
+	// when nothing is staged, committed) bundle, so Drive stages only on
+	// the edges where either changes.
 	drivenFin  bool
 	drivenPinv bool
-	dirty      bool
 
 	state     memState
 	data      uint32
@@ -42,10 +45,14 @@ const (
 	memDrain
 )
 
-// NewMem returns a helper bound to port. The helper starts dirty so the
-// first Drive always commits, even onto a port left non-quiescent by a
-// previous owner.
-func NewMem(port *Port) *Mem { return &Mem{port: port, dirty: true} }
+// NewMem returns a helper bound to port. It stages the quiescent bundle
+// (see ResetMem), so the first Commit always lands, even onto a port left
+// non-quiescent by a previous owner.
+func NewMem(port *Port) *Mem {
+	m := &Mem{port: port}
+	m.ResetMem()
+	return m
+}
 
 // Step advances the handshake; call first in Eval.
 func (m *Mem) Step() {
@@ -55,9 +62,9 @@ func (m *Mem) Step() {
 	case memIssue:
 		if imu.TLBHit {
 			m.data = imu.DIn
-			m.out.Access = false
-			m.out.Wr = false
-			m.dirty = true
+			out := m.port.StageCP()
+			out.Access = false
+			out.Wr = false
 			m.state = memDrain
 			m.completed = true
 		} else {
@@ -75,13 +82,14 @@ func (m *Mem) Ready() bool { return m.state == memIdle }
 
 // Quiet reports that the handshake is at rest for idle-skip purposes: no
 // request is in flight (a request in flight counts WaitCycles every edge,
-// so those edges are not inert) and no scheduled output change is waiting
-// for the next Drive — including the one-edge CP_PINV pulse, which the
-// next Drive lowers. A drain in progress — waiting for CP_TLBHIT to fall —
-// is quiet: its only pending transition is internal, commits nothing to the
-// port, and happens at whichever delivered edge first observes the hit line
-// low, so deferring it across a skipped window is unobservable.
-func (m *Mem) Quiet() bool { return m.state != memIssue && !m.dirty && !m.drivenPinv }
+// so those edges are not inert) and no output change is waiting to be
+// committed — neither a staged bundle (ResetMem outside a clock edge) nor
+// the one-edge CP_PINV pulse, which the next Drive lowers. A drain in
+// progress — waiting for CP_TLBHIT to fall — is quiet: its only pending
+// transition is internal, commits nothing to the port, and happens at
+// whichever delivered edge first observes the hit line low, so deferring
+// it across a skipped window is unobservable.
+func (m *Mem) Quiet() bool { return m.state != memIssue && !m.port.cp.Pending() && !m.drivenPinv }
 
 // Stalled reports that the handshake is parked on the IMU with no output
 // change scheduled (CP_PINV low included): a request whose CP_TLBHIT has
@@ -92,7 +100,7 @@ func (m *Mem) Quiet() bool { return m.state != memIssue && !m.dirty && !m.driven
 // is itself gated on the handshake (Completed or Ready) while it lasts.
 // SkipEdges replays the wait cycles.
 func (m *Mem) Stalled() bool {
-	if m.dirty || m.drivenPinv {
+	if m.port.cp.Pending() || m.drivenPinv {
 		return false
 	}
 	hit := m.port.IMURef().TLBHit
@@ -126,14 +134,7 @@ func (m *Mem) Read(obj uint8, addr uint32, size uint8) {
 		panic("copro: Read while busy")
 	}
 	m.Reads++
-	m.dirty = true
-	m.out.Obj = obj
-	m.out.Addr = addr
-	m.out.Size = size
-	m.out.Wr = false
-	m.out.DOut = 0
-	m.out.Access = true
-	m.state = memIssue
+	m.issue(obj, addr, size, false, 0)
 }
 
 // Write issues a write of size bytes at byte offset addr of object obj.
@@ -143,42 +144,43 @@ func (m *Mem) Write(obj uint8, addr uint32, size uint8, v uint32) {
 		panic("copro: Write while busy")
 	}
 	m.Writes++
-	m.dirty = true
-	m.out.Obj = obj
-	m.out.Addr = addr
-	m.out.Size = size
-	m.out.Wr = true
-	m.out.DOut = v
-	m.out.Access = true
+	m.issue(obj, addr, size, true, v)
+}
+
+// issue stages a request and enters the issue state.
+func (m *Mem) issue(obj uint8, addr uint32, size uint8, wr bool, v uint32) {
+	out := m.port.StageCP()
+	out.Obj = obj
+	out.Addr = addr
+	out.Size = size
+	out.Wr = wr
+	out.DOut = v
+	out.Access = true
 	m.state = memIssue
 }
 
-// Drive schedules the port outputs for this edge; call last in Eval.
+// Drive schedules this edge's CP_FIN and CP_PINV; call last in Eval. It
+// stages the bundle only when either changes: the request fields were
+// already staged by Read, Write or Step, and an unchanged pair would
+// commit the identical bundle.
 func (m *Mem) Drive(fin, paramInv bool) {
-	if !m.dirty && fin == m.drivenFin && paramInv == m.drivenPinv {
-		// The committed port value already matches; scheduling it again
-		// would commit the identical bundle.
+	if fin == m.drivenFin && paramInv == m.drivenPinv {
 		return
 	}
-	m.dirty = false
 	m.drivenFin, m.drivenPinv = fin, paramInv
-	out := m.out
+	out := m.port.StageCP()
 	out.Fin = fin
 	out.ParamInv = paramInv
-	m.port.SetCP(out)
 }
 
 // Commit commits the port outputs; call from Update.
 func (m *Mem) Commit() { m.port.CommitCP() }
 
-// ResetMem returns the helper to idle (coprocessor reset).
+// ResetMem returns the helper to idle (coprocessor reset) and stages the
+// quiescent bundle, which the next Commit lands whatever the port held.
 func (m *Mem) ResetMem() {
 	m.state = memIdle
-	m.out = CPOut{}
 	m.completed = false
-	// The port may have been Reset (forced to the zero bundle) outside a
-	// clock edge; resynchronise the committed-value mirror.
-	cp := m.port.CPRef()
-	m.drivenFin, m.drivenPinv = cp.Fin, cp.ParamInv
-	m.dirty = true
+	*m.port.StageCP() = CPOut{}
+	m.drivenFin, m.drivenPinv = false, false
 }

@@ -46,8 +46,8 @@ type IMUOut struct {
 }
 
 // Port is the wire bundle between one coprocessor and one IMU. Each side
-// owns one direction: it writes its outputs during Eval via the Set
-// methods and commits them in Update; it reads the opposite direction's
+// owns one direction: it schedules its outputs during Eval (StageCP,
+// SetIMU) and commits them in Update; it reads the opposite direction's
 // committed values. This enforces the two-phase synchronous contract of
 // package sim across the boundary.
 //
@@ -79,8 +79,10 @@ func (p *Port) CP() CPOut { return p.cp.Get() }
 // the bundle on every edge.
 func (p *Port) CPRef() *CPOut { return p.cp.Ref() }
 
-// SetCP schedules the coprocessor-driven signals (coprocessor Eval).
-func (p *Port) SetCP(v CPOut) { p.cp.Set(v) }
+// StageCP schedules the coprocessor-driven signals for editing in place
+// (coprocessor Eval): it returns the bundle the next CommitCP commits,
+// which starts from the committed bundle unless already staged this edge.
+func (p *Port) StageCP() *CPOut { return p.cp.Stage() }
 
 // CommitCP commits the coprocessor-driven signals (coprocessor Update).
 func (p *Port) CommitCP() {
@@ -133,8 +135,8 @@ func (p *Port) Reset() {
 }
 
 // Coprocessor is a synchronous coprocessor model. It is attached to its own
-// clock domain; on every rising edge Eval reads p.IMU() and schedules
-// p.SetCP, and Update commits internal state plus the port.
+// clock domain; on every rising edge Eval reads p.IMU() and stages its
+// outputs with p.StageCP, and Update commits internal state plus the port.
 type Coprocessor interface {
 	sim.Ticker
 	// Name identifies the core (matches its bitstream identity).

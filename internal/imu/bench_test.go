@@ -68,7 +68,7 @@ func BenchmarkTranslate(b *testing.B) {
 			}
 			drive := func(access bool) {
 				for i, p := range ports {
-					p.SetCP(copro.CPOut{Obj: 1, Addr: uint32(4 * i), Size: copro.Size32, Access: access})
+					*p.StageCP() = copro.CPOut{Obj: 1, Addr: uint32(4 * i), Size: copro.Size32, Access: access}
 					p.CommitCP()
 				}
 			}

@@ -109,14 +109,15 @@ const (
 	stFault           // stalled awaiting OS restart
 )
 
-// pending is the state scheduled during Eval and committed in Update.
+// pending is what a channel's Eval schedules for Update to commit: the
+// values other components can read during an edge — the IMU-driven port
+// bundle, the translated store into the DP RAM, and the TLB entry that
+// every channel's CAM matches against. The channel's private FSM state,
+// latched request, SR, AR and IRQ bit are written in place during Eval:
+// only the channel's own Eval reads them during an edge, and the OS only
+// while the engine is paused.
 type pending struct {
-	state    fsmState
-	req      request
 	out      copro.IMUOut
-	sr       uint32
-	ar       uint32
-	irq      bool
 	entryUpd int // TLB index to update on commit, -1 if none
 	entry    TLBEntry
 	doWrite  bool // DP write side effect on commit
@@ -152,7 +153,7 @@ type Counters struct {
 type channel struct {
 	port *copro.Port
 
-	// FSM state (two-phase: cur committed, next scheduled in Eval).
+	// FSM state, advanced in place by Eval.
 	state fsmState
 
 	// OS-requested asynchronous controls (the engine is paused when the
@@ -518,15 +519,11 @@ func (u *IMU) Eval() {
 	u.anyWork = anyWork
 }
 
-// evalCh advances one non-idle channel's FSM.
+// evalCh advances one non-idle channel's FSM, updating its private state
+// in place and scheduling the rest in c.next (see pending).
 func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 	n := &c.next
-	n.state = c.state
-	n.req = c.req
 	n.out = c.out
-	n.sr = c.sr
-	n.ar = c.ar
-	n.irq = c.irq
 	n.entryUpd = -1
 	n.doWrite = false
 
@@ -534,25 +531,25 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 	if c.ctl != 0 {
 		if c.ctl&ctlStart != 0 {
 			n.out.Start = true
-			n.sr |= SRRunning
+			c.sr |= SRRunning
 		}
 		if c.ctl&ctlAckDone != 0 {
 			n.out.Start = false
-			n.sr &^= SRDone | SRRunning
-			n.irq = false
+			c.sr &^= SRDone | SRRunning
+			c.irq = false
 		}
 		if c.ctl&ctlStop != 0 {
 			n.out.Start = false
-			n.sr &^= SRRunning
+			c.sr &^= SRRunning
 		}
 		c.ctl &= ctlRestart // restart is consumed by the fault state below
 	}
 
 	// Completion has priority over memory traffic: a well-formed
 	// coprocessor never raises CP_FIN with a request in flight.
-	if cp.Fin && n.sr&SRDone == 0 && n.sr&SRRunning != 0 {
-		n.sr |= SRDone
-		n.irq = true
+	if cp.Fin && c.sr&SRDone == 0 && c.sr&SRRunning != 0 {
+		c.sr |= SRDone
+		c.irq = true
 	}
 
 	// Parameter-page invalidation pulse.
@@ -563,7 +560,7 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 			e.Dirty = false
 			n.entryUpd = i
 			n.entry = e
-			n.sr |= SRParamFree
+			c.sr |= SRParamFree
 			u.Count.ParamFrees++
 			c.Count.ParamFrees++
 		}
@@ -572,40 +569,40 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 	switch c.state {
 	case stIdle:
 		if cp.Access {
-			n.req = request{obj: cp.Obj, addr: cp.Addr, size: cp.Size, wr: cp.Wr, dout: cp.DOut}
+			c.req = request{obj: cp.Obj, addr: cp.Addr, size: cp.Size, wr: cp.Wr, dout: cp.DOut}
 			if u.cfg.Mode == Pipelined {
 				u.translate(c, n)
 			} else {
-				n.state = stCAM
+				c.state = stCAM
 			}
 		}
 	case stCAM:
 		if u.camLookup(c, c.req.obj, c.req.addr>>u.cfg.PageShift) >= 0 {
-			n.state = stXlate
+			c.state = stXlate
 		} else {
-			u.raiseFault(c, n)
+			u.raiseFault(c)
 		}
 	case stXlate:
-		n.state = stAccess
+		c.state = stAccess
 	case stAccess:
 		u.translate(c, n)
 	case stDrop:
 		if !cp.Access {
 			n.out.TLBHit = false
-			n.state = stIdle
+			c.state = stIdle
 		}
 	case stFault:
 		u.Count.FaultCycles++
 		c.Count.FaultCycles++
 		if c.ctl&ctlRestart != 0 {
 			c.ctl &^= ctlRestart
-			n.sr &^= SRFault
-			n.irq = false
+			c.sr &^= SRFault
+			c.irq = false
 			// Retry the latched request from the CAM stage.
 			if u.cfg.Mode == Pipelined {
 				u.translate(c, n)
 			} else {
-				n.state = stCAM
+				c.state = stCAM
 			}
 		}
 	}
@@ -614,11 +611,11 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 // translate performs CAM match + memory access in one step (the final stage
 // of the multi-cycle FSM, or the whole pipelined access).
 func (u *IMU) translate(c *channel, n *pending) {
-	r := n.req
+	r := &c.req
 	vpage := r.addr >> u.cfg.PageShift
 	i := u.camLookup(c, r.obj, vpage)
 	if i < 0 {
-		u.raiseFault(c, n)
+		u.raiseFault(c)
 		return
 	}
 	e := u.tlb[i]
@@ -650,7 +647,7 @@ func (u *IMU) translate(c *channel, n *pending) {
 		if err != nil {
 			// A translated address can only be out of range if the
 			// TLB was misprogrammed; treat as a fault for the OS.
-			u.raiseFault(c, n)
+			u.raiseFault(c)
 			return
 		}
 		v := word >> (8 * lane)
@@ -665,7 +662,7 @@ func (u *IMU) translate(c *channel, n *pending) {
 	n.entryUpd = i
 	n.entry = e
 	n.out.TLBHit = true
-	n.state = stDrop
+	c.state = stDrop
 	u.Count.Accesses++
 	u.Count.Hits++
 	c.Count.Accesses++
@@ -674,11 +671,11 @@ func (u *IMU) translate(c *channel, n *pending) {
 
 // raiseFault latches the fault cause in the channel's bank and interrupts
 // the OS.
-func (u *IMU) raiseFault(c *channel, n *pending) {
-	n.state = stFault
-	n.sr |= SRFault
-	n.ar = uint32(n.req.obj)<<24 | n.req.addr&0x00ffffff
-	n.irq = true
+func (u *IMU) raiseFault(c *channel) {
+	c.state = stFault
+	c.sr |= SRFault
+	c.ar = uint32(c.req.obj)<<24 | c.req.addr&0x00ffffff
+	c.irq = true
 	u.Count.Faults++
 	c.Count.Faults++
 }
@@ -703,20 +700,15 @@ func (u *IMU) Update() {
 			if err := u.dp.WriteA(n.wAddr, n.wData, n.wBE); err != nil {
 				// Unreachable when the TLB is consistent; keep the model
 				// honest by dropping the hit and faulting instead.
-				n.state = stFault
-				n.sr |= SRFault
-				n.irq = true
+				c.state = stFault
+				c.sr |= SRFault
+				c.irq = true
 				n.out.TLBHit = false
 			}
 		}
 		if n.entryUpd >= 0 {
 			u.tlb[n.entryUpd] = n.entry
 		}
-		c.state = n.state
-		c.req = n.req
-		c.sr = n.sr
-		c.ar = n.ar
-		c.irq = n.irq
 		c.out = n.out
 		// Skip the schedule/commit pair when the port already holds the new
 		// bundle. Comparing against the port's committed value (rather than a

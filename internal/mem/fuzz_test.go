@@ -2,9 +2,9 @@ package mem
 
 // FuzzByteStoreSparse pins the sparse-page semantics of ByteStore against a
 // flat []byte reference model: any sequence of byte, word (with byte
-// enables), and block reads/writes/fills — in range or out — must behave
-// exactly like dense storage, with unwritten pages reading as zero and no
-// partial effects from rejected accesses.
+// enables), word-block and byte-block reads/writes/fills — in range or out
+// — must behave exactly like dense storage, with unwritten pages reading as
+// zero and no partial effects from rejected accesses.
 
 import (
 	"bytes"
@@ -37,6 +37,11 @@ func FuzzByteStoreSparse(f *testing.F) {
 		4, 0x10, 0x00, 0x01, 0x00, 0x20, 1, 2, 3, 4, 5, 6, 7, 8, // block write
 		1, 0x12, 0x00, 0x01, 0x00,
 	})
+	f.Add([]byte{
+		6, 0xfa, 0xff, 0x00, 0x00, 2, 1, 2, 3, 4, 5, 6, 7, 8, // word block straddling page 0/1
+		7, 0xf8, 0xff, 0x00, 0x00, 4, 0, // read it back
+		7, 0x00, 0x00, 0x02, 0x00, 0x00, 0x02, // word block over an unwritten page
+	})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := NewByteStore(fuzzStoreSize)
@@ -46,7 +51,7 @@ func FuzzByteStoreSparse(f *testing.F) {
 		}
 
 		for len(in) >= 5 {
-			op := in[0] % 6
+			op := in[0] % 8
 			addr := u32(in[1:5])
 			// Keep most addresses inside (or just beyond) the store so the
 			// interesting paths dominate over trivially rejected ones.
@@ -136,6 +141,43 @@ func FuzzByteStoreSparse(f *testing.F) {
 				}
 				if err == nil && !bytes.Equal(got, model[addr:int(addr)+n]) {
 					t.Fatalf("ReadBytes(%#x,%d) diverged from model", addr, n)
+				}
+			case 6: // WriteWords (words from the remaining input)
+				if len(in) < 1 {
+					return
+				}
+				words := make([]uint32, min(int(in[0]), (len(in)-1)/4))
+				in = in[1:]
+				for i := range words {
+					words[i] = u32(in[:4])
+					in = in[4:]
+				}
+				err := s.WriteWords(addr, words)
+				if ok := inRange(addr, 4*len(words)); ok != (err == nil) {
+					t.Fatalf("WriteWords(%#x,%d): err=%v, in-range=%v", addr, len(words), err, ok)
+				}
+				if err == nil {
+					for i, v := range words {
+						a := int(addr) + 4*i
+						model[a], model[a+1], model[a+2], model[a+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+					}
+				}
+			case 7: // ReadWords
+				if len(in) < 2 {
+					return
+				}
+				words := make([]uint32, int(in[0])|int(in[1]&0x3f)<<8)
+				in = in[2:]
+				err := s.ReadWords(addr, words)
+				if ok := inRange(addr, 4*len(words)); ok != (err == nil) {
+					t.Fatalf("ReadWords(%#x,%d): err=%v, in-range=%v", addr, len(words), err, ok)
+				}
+				for i := 0; err == nil && i < len(words); i++ {
+					a := int(addr) + 4*i
+					want := uint32(model[a]) | uint32(model[a+1])<<8 | uint32(model[a+2])<<16 | uint32(model[a+3])<<24
+					if words[i] != want {
+						t.Fatalf("ReadWords(%#x,%d)[%d] = %#x, model %#x", addr, len(words), i, words[i], want)
+					}
 				}
 			}
 		}

@@ -23,6 +23,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -231,6 +232,55 @@ func (s *ByteStore) Write32(addr uint32, v uint32, be uint8) error {
 		if be&(1<<lane) != 0 {
 			_ = s.SetByte(addr+lane, byte(v>>(8*lane)))
 		}
+	}
+	return nil
+}
+
+// ReadWords fills dst with the little-endian words starting at addr, as
+// len(dst) Read32 calls at successive word addresses would, but with one
+// range check and, for a span inside one backing page, one page lookup.
+// An out-of-range span reads nothing.
+func (s *ByteStore) ReadWords(addr uint32, dst []uint32) error {
+	n := len(dst) * 4
+	if !s.InRange(addr, n) {
+		return fmt.Errorf("%w: word block read at %#x+%#x (size %#x)", ErrOutOfRange, addr, n, s.size)
+	}
+	off := int(addr & pageMask)
+	if n == 0 || off+n > pageBytes {
+		for i := range dst {
+			dst[i], _ = s.Read32(addr + uint32(4*i)) // in range: checked above
+		}
+		return nil
+	}
+	p := s.pages[addr>>pageShift]
+	if p == nil {
+		clear(dst)
+		return nil
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(p[off+4*i:])
+	}
+	return nil
+}
+
+// WriteWords stores the words of src little-endian starting at addr, as
+// len(src) full-lane Write32 calls would. An out-of-range span writes
+// nothing.
+func (s *ByteStore) WriteWords(addr uint32, src []uint32) error {
+	n := len(src) * 4
+	if !s.InRange(addr, n) {
+		return fmt.Errorf("%w: word block write at %#x+%#x (size %#x)", ErrOutOfRange, addr, n, s.size)
+	}
+	off := int(addr & pageMask)
+	if n == 0 || off+n > pageBytes {
+		for i, v := range src {
+			_ = s.Write32(addr+uint32(4*i), v, 0xf) // in range: checked above
+		}
+		return nil
+	}
+	p := s.page(addr)
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(p[off+4*i:], v)
 	}
 	return nil
 }

@@ -29,8 +29,22 @@ func (r *Reg[T]) Set(v T) {
 	r.pending = true
 }
 
-// Commit applies the value scheduled by Set, if any, and reports whether
-// it did.
+// Stage marks the register pending and returns a pointer to its next
+// value, which a component edits in place during Eval instead of building
+// a copy for Set. Between commits the next value equals the committed one,
+// so an edit starts from the committed value, or from whatever was already
+// scheduled on this edge. The pointer is valid until the next Commit or
+// Force; a Force drops the staged edit.
+func (r *Reg[T]) Stage() *T {
+	r.pending = true
+	return &r.next
+}
+
+// Pending reports whether a value is scheduled for the next Commit.
+func (r *Reg[T]) Pending() bool { return r.pending }
+
+// Commit applies the value scheduled by Set or Stage, if any, and reports
+// whether it did.
 func (r *Reg[T]) Commit() bool {
 	if !r.pending {
 		return false

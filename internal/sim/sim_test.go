@@ -198,6 +198,36 @@ func TestRegForceAndCommit(t *testing.T) {
 	}
 }
 
+func TestRegStage(t *testing.T) {
+	type pair struct{ a, b int }
+	r := NewReg(pair{1, 2})
+	r.Set(pair{3, 4})
+	r.Commit()
+	if r.Pending() {
+		t.Fatal("pending after Commit")
+	}
+	// A staged edit starts from the committed value, not the old one.
+	r.Stage().a = 5
+	if !r.Pending() || r.Get() != (pair{3, 4}) {
+		t.Fatal("Stage did not schedule, or leaked before Commit")
+	}
+	r.Stage().b = 6 // a second edit on the same edge extends the first
+	if !r.Commit() || r.Get() != (pair{5, 6}) {
+		t.Fatalf("Commit applied %+v, want {5 6}", r.Get())
+	}
+	// Force drops a staged edit; the next edit starts from the forced value.
+	r.Stage().a = 7
+	r.Force(pair{8, 9})
+	if r.Pending() || r.Commit() || r.Get() != (pair{8, 9}) {
+		t.Fatal("Force did not drop the staged edit")
+	}
+	r.Stage().b = 0
+	r.Commit()
+	if r.Get() != (pair{8, 0}) {
+		t.Fatalf("edit after Force committed %+v, want {8 0}", r.Get())
+	}
+}
+
 func TestThreeDomainInterleaving(t *testing.T) {
 	e := NewEngine()
 	d1 := e.NewDomain("a", 6_000_000)
