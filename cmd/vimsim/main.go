@@ -30,6 +30,7 @@
 //	vimsim -mode serve -metrics-out run.prom       # Prometheus-style metrics
 //	vimsim -mode fleet -boards 4 -trace-out f.json # Perfetto-loadable trace
 //	vimsim -mode saturate -metrics-out m.json -sample-ps 1e9  # sampled series
+//	vimsim -mode fleet -boards 4 -cpuprofile cpu.out # host CPU profile (go tool pprof)
 package main
 
 import (
@@ -39,6 +40,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -57,7 +59,7 @@ import (
 // options is the parsed command line.
 type options struct {
 	app, board, policy, mode, arb, arrival, admit, dispatch string
-	scenario, as, match, format, junit, vcd                 string
+	scenario, as, match, format, junit, vcd, cpuprofile     string
 	size, split, slots, jobs, boards, prefetch              int
 	bw, gap, budget, rps, tolerance                         float64
 	stage, ramp, pipelined, bounce                          bool
@@ -104,6 +106,7 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.prefetch, "prefetch", 0, "sequential prefetch pages per fault")
 	fs.Int64Var(&o.seed, "seed", 1, "input data seed; serve mode: trace seed")
 	fs.StringVar(&o.vcd, "vcd", "", "write a session waveform (VCD) to this path (vim mode only)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a host CPU profile of the whole run to this path (go tool pprof)")
 	return o
 }
 
@@ -144,6 +147,7 @@ var flagModes = map[string]string{
 	"metrics-out": "serve saturate fleet record replay",
 	"trace-out":   "serve saturate fleet record replay",
 	"sample-ps":   "serve saturate fleet record replay",
+	"cpuprofile":  "vim normal chunked sw multi serve saturate fleet record replay",
 }
 
 func isServing(mode string) bool { return mode == "serve" || mode == "saturate" || mode == "fleet" }
@@ -223,43 +227,72 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vcdOut = o.vcd
-	switch o.mode {
-	case "serve", "saturate", "fleet":
-		err = o.srv.run()
-	case "record":
-		err = o.srv.writeScenario(o.scenario, scenario.Match{Mode: o.match, Tolerance: o.tolerance})
-	case "replay":
-		var ok bool
-		if ok, err = runReplay(o.scenario, o.match, o.format, o.junit, o.tele); err == nil && !ok {
-			os.Exit(1)
-		}
-	case "multi":
-		err = runMulti(o.board, o.arb, o.split, o.size, o.seed)
-	default:
-		cfg := repro.Config{
-			Board:         o.board,
-			Policy:        o.policy,
-			PipelinedIMU:  o.pipelined,
-			BounceBuffer:  o.bounce,
-			PrefetchPages: o.prefetch,
-			Seed:          o.seed,
-		}
-		var rep *core.Report
-		rep, err = run(cfg, o.app, o.mode, o.size, o.seed)
-		if errors.Is(err, baseline.ErrExceedsMemory) {
-			fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
-				o.app, o.size, o.mode)
-			os.Exit(0)
-		}
-		if err == nil {
-			printReport(rep)
-			flushTrace()
-		}
-	}
+	code, err := profiled(o.cpuprofile, func() (int, error) { return execute(o) })
 	if err != nil {
 		log.Fatal(err)
 	}
+	os.Exit(code)
+}
+
+// execute runs a parsed command line and returns the process exit code.
+func execute(o *options) (int, error) {
+	vcdOut = o.vcd
+	switch o.mode {
+	case "serve", "saturate", "fleet":
+		return 0, o.srv.run()
+	case "record":
+		return 0, o.srv.writeScenario(o.scenario, scenario.Match{Mode: o.match, Tolerance: o.tolerance})
+	case "replay":
+		ok, err := runReplay(o.scenario, o.match, o.format, o.junit, o.tele)
+		if err == nil && !ok {
+			return 1, nil
+		}
+		return 0, err
+	case "multi":
+		return 0, runMulti(o.board, o.arb, o.split, o.size, o.seed)
+	}
+	cfg := repro.Config{
+		Board:         o.board,
+		Policy:        o.policy,
+		PipelinedIMU:  o.pipelined,
+		BounceBuffer:  o.bounce,
+		PrefetchPages: o.prefetch,
+		Seed:          o.seed,
+	}
+	rep, err := run(cfg, o.app, o.mode, o.size, o.seed)
+	if errors.Is(err, baseline.ErrExceedsMemory) {
+		fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
+			o.app, o.size, o.mode)
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	printReport(rep)
+	return 0, flushTrace()
+}
+
+// profiled runs f under a host CPU profile written to path (pprof's
+// gzip-framed format; none when path is empty) and stops the profile
+// before returning f's results.
+func profiled(path string, f func() (int, error)) (int, error) {
+	if path == "" {
+		return f()
+	}
+	out, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := pprof.StartCPUProfile(out); err != nil {
+		out.Close()
+		return 0, err
+	}
+	code, err := f()
+	pprof.StopCPUProfile()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return code, err
 }
 
 // run executes one single-application run: vim, normal, chunked or sw.
@@ -487,19 +520,20 @@ func armTrace(p *repro.Process) error {
 	return nil
 }
 
-func flushTrace() {
+func flushTrace() error {
 	if vcdOut == "" || vcdRec == nil {
-		return
+		return nil
 	}
 	f, err := os.Create(vcdOut)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	if err := core.WriteVCD(f, vcdRec); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("waveform     %s\n", vcdOut)
+	return nil
 }
 
 func printReport(r *core.Report) {

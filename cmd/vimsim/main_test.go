@@ -210,22 +210,22 @@ func TestValidateReplayFlags(t *testing.T) {
 // The invocations at the end once exited 0 while ignoring a flag.
 func TestFlagModes(t *testing.T) {
 	const (
-		serving = "board policy slots jobs bw stage budget seed metrics-out trace-out sample-ps"
+		serving = "board policy slots jobs bw stage budget seed metrics-out trace-out sample-ps cpuprofile"
 		record  = "scenario as match tolerance"
 	)
 	modes := []struct{ mode, used string }{
-		{"vim", "app size board policy pipelined bounce prefetch seed vcd"},
-		{"normal", "app size board seed"},
-		{"chunked", "app size board seed"},
-		{"sw", "app size board seed"},
-		{"multi", "size board arb split seed"},
+		{"vim", "app size board policy pipelined bounce prefetch seed vcd cpuprofile"},
+		{"normal", "app size board seed cpuprofile"},
+		{"chunked", "app size board seed cpuprofile"},
+		{"sw", "app size board seed cpuprofile"},
+		{"multi", "size board arb split seed cpuprofile"},
 		{"serve", serving + " gap"},
 		{"saturate", serving + " rps arrival admit ramp"},
 		{"fleet", serving + " rps arrival admit ramp boards dispatch"},
 		{"record -as serve", serving + " gap " + record},
 		{"record -as saturate", serving + " rps arrival admit " + record},
 		{"record -as fleet", serving + " rps arrival admit boards dispatch " + record},
-		{"replay", "scenario match format junit metrics-out trace-out sample-ps"},
+		{"replay", "scenario match format junit metrics-out trace-out sample-ps cpuprofile"},
 	}
 	dir := t.TempDir()
 	value := map[string]string{ // explicit values where the default is not a legal setting
@@ -322,5 +322,40 @@ func TestCorpusReRecord(t *testing.T) {
 				t.Errorf("re-recording %s from its description differs from the committed file", p)
 			}
 		})
+	}
+}
+
+// TestCPUProfile runs a small vim-mode simulation and a small serve run
+// with -cpuprofile: each must leave a non-empty, gzip-framed pprof file,
+// written whole before the run returns. The runs' reports are discarded.
+func TestCPUProfile(t *testing.T) {
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	stdout := os.Stdout
+	os.Stdout = null
+	defer func() { os.Stdout = stdout }()
+	dir := t.TempDir()
+	for i, args := range []string{
+		"-mode vim -app vecadd -size 1024",
+		"-mode serve -jobs 4 -slots 2",
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("cpu%d.out", i))
+		o, err := parse(t, append(strings.Fields(args), "-cpuprofile", path)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, err := profiled(o.cpuprofile, func() (int, error) { return execute(o) }); code != 0 || err != nil {
+			t.Fatalf("%s: exit %d, %v", args, code, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: profile is %d bytes, not gzip-framed", args, len(data))
+		}
 	}
 }

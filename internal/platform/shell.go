@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/copro"
+	"repro/internal/imu"
 	"repro/internal/sim"
 )
 
@@ -152,17 +153,23 @@ func (s *Slot) wake() {
 // clock plan" regime of the sessions layer, so a slot can host any
 // registered core without re-planning the engine.
 //
-// ShellHW is itself the shell domain's one composite ticker, next to the
-// IMU. It delivers each edge to every awake resident core, and under the
-// event-driven scheduler it puts a core to sleep after a delivered edge
-// when the core advertises k > 0 inert edges — asked after every delivered
-// edge, since a core answers from its FSM state alone. A sleeping core
-// costs one compare per edge, and wakes — SkipEdges for the edges it
-// missed, then this edge delivered normally — when its window ends or the
-// IMU has committed a changed IMU-side bundle to its port (the port's
-// change notice). So a core counting down a compute window stops costing
-// host time while its neighbour works, which the domain-wide bulk-skip
-// (every ticker idle at once) cannot achieve. The lockstep scheduler keeps
+// ShellHW is the shell domain's one ticker, a composite that drives the
+// awake resident cores and the board's IMU. The shell's wiring to the IMU
+// is static, so the shell calls it directly: each edge evaluates the cores
+// and then the IMU, and commits them in the same order — all Evals before
+// any Update, the order of two tickers attached shell first — without
+// going through the domain. The domain watches the IMU's horizon
+// (sim.Domain.Watch), so it is skipped only while the IMU is idle too.
+//
+// Under the event-driven scheduler the shell puts a core to sleep after a
+// delivered edge when the core advertises k > 0 inert edges — asked after
+// every delivered edge, since a core answers from its FSM state alone. A
+// sleeping core costs one compare per edge, and wakes — SkipEdges for the
+// edges it missed, then this edge delivered normally — when its window
+// ends or the IMU has committed a changed IMU-side bundle to its port (the
+// port's change notice). So a core counting down a compute window stops
+// costing host time while its neighbour works, which the domain-wide
+// bulk-skip (every ticker idle at once) cannot achieve. The lockstep scheduler keeps
 // delivering every edge to every core, which makes it the reference the
 // sleeping path is checked against.
 //
@@ -179,8 +186,8 @@ type ShellHW struct {
 	Dom   *sim.Domain
 	Slots []*Slot
 
-	irq    *bool // the board IMU's interrupt line
-	wakeAt int64 // absolute shell cycle of the wake deadline; -1 disarmed
+	imu    *imu.IMU // the board's IMU, ticked after the cores
+	wakeAt int64    // absolute shell cycle of the wake deadline; -1 disarmed
 
 	hz      sim.Horizon
 	changed uint32 // slots whose port the IMU committed a change to (Slot.bit)
@@ -190,7 +197,7 @@ type ShellHW struct {
 func (hw *ShellHW) Horizon() *sim.Horizon { return &hw.hz }
 
 // Eval implements sim.Ticker: wake every sleeping core whose window ended
-// or whose port changed, and evaluate every awake one.
+// or whose port changed, evaluate every awake one, then the IMU.
 func (hw *ShellHW) Eval() {
 	edge := hw.Dom.Cycles() + 1
 	for _, s := range hw.Slots {
@@ -206,11 +213,13 @@ func (hw *ShellHW) Eval() {
 		s.core.Eval()
 	}
 	hw.changed = 0
+	hw.imu.Eval()
 }
 
 // Update implements sim.Ticker: commit every awake core and, under the
 // event-driven scheduler, put it to sleep if it advertises inert edges and
-// publish the shell's horizon.
+// publish the shell's horizon; then commit the IMU, whose change notices
+// for the next edge therefore land after that publish.
 func (hw *ShellHW) Update() {
 	sleepy := hw.Eng.Scheduler() == sim.EventDriven
 	edge := hw.Dom.Cycles() + 1
@@ -245,6 +254,7 @@ func (hw *ShellHW) Update() {
 		}
 		hw.hz.Publish(k)
 	}
+	hw.imu.Update()
 }
 
 // deadline is the wake deadline's share of the shell's horizon. While
@@ -342,7 +352,7 @@ func (hw *ShellHW) RunUntilEvent(budget int64) (int64, error) {
 			limit, deadline = rem, true
 		}
 	}
-	n, err := hw.Eng.RunUntilFlag(hw.irq, limit)
+	n, err := hw.Eng.RunUntilFlag(hw.imu.IRQRef(), limit)
 	if deadline && errors.Is(err, sim.ErrBudget) {
 		err = nil
 	}
@@ -351,11 +361,12 @@ func (hw *ShellHW) RunUntilEvent(budget int64) (int64, error) {
 
 // AssembleShell builds an nslots-slot shell clocked at shellHz: the IMU is
 // reconfigured to one channel per slot, and channel i serves whatever core
-// is currently loaded into Slots[i]. The shell ticker attaches before the
-// IMU, matching AssembleMulti's deterministic order (two-phase semantics
-// make the order unobservable to the model); it also makes the engine's
-// idleness probe ask the shell — whose awake cores answer from their FSM
-// state alone — before the IMU's CAM lookups.
+// is currently loaded into Slots[i]. The shell ticker is the domain's only
+// ticker and drives the IMU itself, after the cores — AssembleMulti's
+// deterministic order (two-phase semantics make the order unobservable to
+// the model). The domain watches the IMU's horizon after the shell's, so
+// the engine's idleness probe asks the shell — whose awake cores answer
+// from their FSM state alone — before the IMU's CAM lookups.
 func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 	if nslots <= 0 {
 		return nil, fmt.Errorf("platform: shell needs at least one slot")
@@ -368,12 +379,12 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 	}
 	eng := sim.NewEngine()
 	dom := eng.NewDomain("shell", shellHz)
-	hw := &ShellHW{Eng: eng, Dom: dom, irq: b.IMU.IRQRef(), wakeAt: -1}
+	hw := &ShellHW{Eng: eng, Dom: dom, imu: b.IMU, wakeAt: -1}
 	for i := 0; i < nslots; i++ {
 		hw.Slots = append(hw.Slots, &Slot{hw: hw, bit: 1 << i})
 	}
 	dom.Attach(hw)
-	dom.Attach(b.IMU)
+	dom.Watch(b.IMU)
 	if err := eng.Validate(); err != nil {
 		return nil, err
 	}

@@ -159,19 +159,31 @@ func TestEventStepZeroAllocAllLayouts(t *testing.T) {
 }
 
 // TestRunUntilFlagZeroAlloc pins the same contract for the flag-polled run
-// loop the execute path uses.
+// loop the execute path uses, under both schedulers and in each layout the
+// run loop chooses between: solo, pair and the step loop behind every other
+// layout, each with a countdown component so the event-driven skips stay on
+// the measured path.
 func TestRunUntilFlagZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	d := e.NewDomain("clk", 1_000_000)
-	d.Attach(&counter{})
-	stop := false
-	e.Step()
-
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := e.RunUntilFlag(&stop, 64); err != nil && err != ErrBudget {
-			t.Fatal(err)
+	for _, s := range schedulers() {
+		for _, domains := range []int{1, 2, 3} {
+			e := NewEngine()
+			e.SetScheduler(s.sched)
+			for i := 0; i < domains; i++ {
+				d := e.NewDomain(fmt.Sprintf("d%d", i), int64(1_000_000)>>i)
+				d.Attach(&phaseBulk{active: 2, idle: 16, rem: 2})
+			}
+			stop := false
+			e.Step()
+			if avg := testing.AllocsPerRun(100, func() {
+				if _, err := e.RunUntilFlag(&stop, 64); err != nil && err != ErrBudget {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("%s: RunUntilFlag with %d domains allocates %v times per call, want 0", s.name, domains, avg)
+			}
+			if s.sched == EventDriven && e.Stats().EdgesSkipped == 0 {
+				t.Fatalf("%s: %d domains: no edge was skipped", s.name, domains)
+			}
 		}
-	}); avg != 0 {
-		t.Fatalf("RunUntilFlag allocates %v times per call, want 0", avg)
 	}
 }

@@ -67,6 +67,32 @@ func schedulers() []struct {
 	}{{"lockstep", Lockstep}, {"event", EventDriven}}
 }
 
+// benchSpan times RunUntilFlag over a fixed span of super-edges per op,
+// with a stop flag that never rises, so the run loop each layout chooses is
+// what gets measured. It reports host ns per delivered edge and fails
+// unless an op allocates nothing.
+func benchSpan(b *testing.B, e *Engine, span int64) {
+	var never bool
+	op := func() {
+		if _, err := e.RunUntilFlag(&never, span); err != ErrBudget {
+			b.Fatal(err)
+		}
+	}
+	op() // warm up: plan, heap, due scratch
+	if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
+		b.Fatalf("%v allocs per op, want 0", allocs)
+	}
+	st0 := e.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	edges := e.Stats().EdgesDelivered - st0.EdgesDelivered
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
+}
+
 // BenchmarkSoloBusy pins the per-edge overhead of a single-domain engine
 // whose components never idle: the event scheduler asks the polled ticker
 // before every edge, which should keep it within a few percent of lockstep.
@@ -78,20 +104,16 @@ func BenchmarkSoloBusy(b *testing.B) {
 			d := e.NewDomain("clk", 40_000_000)
 			d.Attach(&busyBulk{})
 			d.Attach(&busyIdler{})
-			e.Step()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.step()
-			}
+			benchSpan(b, e, 1024)
 		})
 	}
 }
 
 // BenchmarkPairWait pins the two-domain layout of the IDEA board: a
 // ratio-1 domain that idles between bursts (the IMU) against a slower
-// always-busy domain (a core waiting on translated accesses). Iterations
-// cover a fixed simulated span so the schedulers are comparable even
-// though the event engine consumes several edges per step.
+// always-busy domain (a core waiting on translated accesses). Each op
+// covers the same span of fast-domain ticks, so the schedulers are
+// comparable even though the event engine consumes several edges per step.
 func BenchmarkPairWait(b *testing.B) {
 	for _, s := range schedulers() {
 		b.Run(s.name, func(b *testing.B) {
@@ -101,14 +123,7 @@ func BenchmarkPairWait(b *testing.B) {
 			slow := e.NewDomain("copro", 6_000_000)
 			fast.Attach(&phaseBulk{active: 4, idle: 4, rem: 4})
 			slow.Attach(&busyBulk{})
-			e.Step()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				target := fast.Cycles() + 64
-				if _, err := e.RunUntil(func() bool { return fast.Cycles() >= target }, 1<<40); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSpan(b, e, 1024)
 		})
 	}
 }

@@ -122,6 +122,7 @@ type domSpec struct {
 	phases     []sphase
 	hasWait    bool
 	extraIdler bool // attach a pure (open-ended) Idler alongside
+	watched    bool // runPub only: deliver the ticker through a carrier, Watch its horizon
 }
 
 // diffResult is everything observable about one run, plus the number of

@@ -119,7 +119,14 @@ func spanEdges(d *Domain, T int64) int64 {
 func (e *Engine) eventStep() int64 {
 	switch {
 	case len(e.domains) == 1:
-		return e.eventStepSolo()
+		if e.noSkip > 0 {
+			// runSolo always skips when it can; RunCycles must not.
+			e.domains[0].tick()
+			return 1
+		}
+		var never bool
+		n, _ := e.runSolo(&never, nil, 1, 1)
+		return n
 	case e.fast && len(e.domains) == 2:
 		return e.eventStepPair()
 	case e.fast:
@@ -127,24 +134,6 @@ func (e *Engine) eventStep() int64 {
 	default:
 		return e.eventStepGeneral()
 	}
-}
-
-// eventStepSolo handles the single-domain engine: no schedule to consult,
-// and a bounded idle window (a compute phase) is jumped in one call. An
-// open-ended idle window is not skippable — with no other domain to wake
-// the component, the engine delivers the no-op edges one by one so run
-// budgets still advance, exactly as lockstep does.
-func (e *Engine) eventStepSolo() int64 {
-	d := e.domains[0]
-	if e.noSkip == 0 {
-		if k := d.IdleEdges(); k > 0 && k < IdleForever {
-			d.skipEdges(k)
-			d.tick()
-			return k + 1
-		}
-	}
-	d.tick()
-	return 1
 }
 
 // eventStepPair is the two-domain integer-ratio event step: a pair needs no

@@ -167,7 +167,9 @@ type BulkIdler interface {
 
 // Publisher is a BulkIdler that publishes its idle horizon instead of being
 // asked for it before every edge. Horizon returns the component's own cell;
-// Attach binds it to the domain. The component keeps it current:
+// Attach binds it to the domain, or Watch when a composite ticker of the
+// domain delivers the component's edges itself. The component keeps it
+// current:
 //
 //   - from its Update, Publish the edges after the one being delivered that
 //     are inert (what IdleEdges would answer once the edge completes);
@@ -181,8 +183,8 @@ type BulkIdler interface {
 //
 // A published horizon is absolute, so inert edges — delivered or skipped —
 // leave it valid without republishing. A Publisher belongs to one domain at
-// a time: attaching it again rebinds its Horizon, after which the engine it
-// left must not be run.
+// a time: attaching or watching it again rebinds its Horizon, after which
+// the engine it left must not be run.
 type Publisher interface {
 	BulkIdler
 	Horizon() *Horizon
@@ -330,12 +332,14 @@ type Domain struct {
 	// pubs, polled and idlers hold the tickers that advertise idleness:
 	// the Publishers' horizons, the other BulkIdlers (asked every time) and
 	// the pure Idlers. Each ticker lands in exactly one slice (Publisher
-	// wins over BulkIdler, BulkIdler over Idler). The domain is
+	// wins over BulkIdler, BulkIdler over Idler); pubs also holds the
+	// watched publishers' horizons, which watched counts. The domain is
 	// bulk-skippable only when every ticker is in one of them; skippable
-	// caches that condition across Attach calls.
+	// caches that condition across Attach and Watch calls.
 	pubs      []*Horizon
 	polled    []BulkIdler
 	idlers    []Idler
+	watched   int
 	skippable bool
 
 	// lock holds every ticker that implements Idler, BulkIdler or not: the
@@ -434,7 +438,8 @@ func (d *Domain) Cycles() int64 { return d.cycles }
 // only; the kernel itself never uses floating-point time).
 func (d *Domain) PeriodPs() float64 { return 1e12 / float64(d.freqHz) }
 
-// Attach registers a synchronous component with the domain.
+// Attach registers a synchronous component with the domain. It must not
+// be called while RunUntil or RunUntilFlag is in progress.
 func (d *Domain) Attach(t Ticker) {
 	if t == nil {
 		panic("sim: Attach(nil)")
@@ -444,15 +449,34 @@ func (d *Domain) Attach(t Ticker) {
 		d.lock = append(d.lock, i)
 	}
 	if p, ok := t.(Publisher); ok {
-		h := p.Horizon()
-		*h = Horizon{at: staleAt, dom: d, owner: p}
-		d.pubs = append(d.pubs, h)
+		d.bind(p)
 	} else if b, ok := t.(BulkIdler); ok {
 		d.polled = append(d.polled, b)
 	} else if i, ok := t.(Idler); ok {
 		d.idlers = append(d.idlers, i)
 	}
-	d.skippable = len(d.pubs)+len(d.polled)+len(d.idlers) == len(d.tickers)
+	d.skippable = len(d.pubs)+len(d.polled)+len(d.idlers) == len(d.tickers)+d.watched
+}
+
+// Watch registers p's published horizon with the domain without making p a
+// ticker: a composite ticker of the domain delivers p's edges itself, as
+// platform's shell ticker drives the IMU wired to it. The domain reads,
+// re-queries and skips the watched horizon exactly as an attached
+// Publisher's (IdleEdges asks p while the horizon is stale, and a skip
+// hands p SkipEdges), so the domain is skipped only while p is idle too.
+// The lockstep scheduler does not read horizons: under it p is no more
+// than a sub-component of the ticker that delivers its edges.
+func (d *Domain) Watch(p Publisher) {
+	d.bind(p)
+	d.watched++
+	d.skippable = len(d.pubs)+len(d.polled)+len(d.idlers) == len(d.tickers)+d.watched
+}
+
+// bind attaches p's Horizon to the domain, stale until p publishes.
+func (d *Domain) bind(p Publisher) {
+	h := p.Horizon()
+	*h = Horizon{at: staleAt, dom: d, owner: p}
+	d.pubs = append(d.pubs, h)
 }
 
 // Engine owns a set of clock domains and advances them in time order.
@@ -522,7 +546,9 @@ func NewEngine() *Engine { return &Engine{sched: defaultScheduler} }
 // SetScheduler selects the engine's scheduling algorithm; SchedulerDefault
 // resolves to the package default. Switching forces a plan rebuild and
 // invalidates every published horizon (owners stop publishing under
-// lockstep), so it is safe at any point between super-edges.
+// lockstep), so it is safe between run calls and between Steps, but not
+// from a ticker or done() inside RunUntil or RunUntilFlag, which keep the
+// loop they chose when called.
 func (e *Engine) SetScheduler(s Scheduler) {
 	if s == SchedulerDefault {
 		s = defaultScheduler
@@ -539,7 +565,8 @@ func (e *Engine) SetScheduler(s Scheduler) {
 // Scheduler returns the engine's resolved scheduling algorithm.
 func (e *Engine) Scheduler() Scheduler { return e.sched }
 
-// NewDomain creates a clock domain. Frequency must be positive.
+// NewDomain creates a clock domain. Frequency must be positive. It must
+// not be called while RunUntil or RunUntilFlag is in progress.
 func (e *Engine) NewDomain(name string, freqHz int64) *Domain {
 	if freqHz <= 0 {
 		panic(fmt.Sprintf("sim: domain %q: frequency %d Hz must be positive", name, freqHz))
@@ -654,8 +681,9 @@ func (e *Engine) soloTick(due, other *Domain) int64 {
 
 // step advances the simulation without materialising the due set and
 // returns the number of super-edges consumed: 1 normally, more when idle
-// bulk-skip jumps a domain over a no-op window. It is the engine-internal
-// fast path behind the run loops; Step is the due-returning public variant.
+// bulk-skip jumps a domain over a no-op window. RunCycles steps with it,
+// and it is the reference the run loops, which choose their step once per
+// call, must match; Step is the due-returning public variant.
 func (e *Engine) step() int64 {
 	if !e.planned {
 		e.plan()
@@ -794,31 +822,8 @@ func (e *Engine) lockstepStep() []*Domain {
 // ratio when a skipped window spans the budget boundary) and ErrBudget if
 // the budget ran out, or the error passed to Fail.
 func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
-	e.stopErr = nil
-	every := e.doneEvery
-	if every < 1 {
-		every = 1
-	}
-	sinceCheck := every // poll before the first edge
-	n := int64(0)
-	for n < maxEdges {
-		if done != nil && sinceCheck >= every {
-			sinceCheck = 0
-			if done() {
-				return n, nil
-			}
-		}
-		k := e.step()
-		n += k
-		sinceCheck += k
-		if e.stopErr != nil {
-			return n, e.stopErr
-		}
-	}
-	if done != nil && done() {
-		return n, nil
-	}
-	return n, ErrBudget
+	var never bool
+	return e.run(&never, done, max(e.doneEvery, 1), maxEdges)
 }
 
 // RunUntilFlag advances the simulation until *stop is true (checked before
@@ -827,21 +832,112 @@ func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
 // closure-free variant of RunUntil for hot loops whose stop condition is a
 // single level-sensitive line, such as an interrupt request.
 func (e *Engine) RunUntilFlag(stop *bool, maxEdges int64) (int64, error) {
+	return e.run(stop, nil, 1, maxEdges)
+}
+
+// run is the loop behind RunUntil and RunUntilFlag. Before a super-edge it
+// stops once *stop is up or done() — polled before the first and then every
+// `every` super-edges — reports true; otherwise it runs until
+// maxEdges super-edges have passed. It returns the super-edges consumed and
+// the error passed to Fail, or what spent says once maxEdges have passed.
+//
+// The layout is chosen once per call, not once per edge: a solo
+// event-driven engine runs runSolo, an integer-ratio event-driven pair
+// loops over eventStepPair, and every other layout over its scheduler's
+// step. Tickers must therefore not add domains or tickers, or switch the
+// scheduler, while a run is in progress.
+func (e *Engine) run(stop *bool, done func() bool, every, maxEdges int64) (int64, error) {
 	e.stopErr = nil
-	n := int64(0)
-	for n < maxEdges {
-		if *stop {
-			return n, nil
+	if maxEdges <= 0 {
+		return 0, spent(stop, done)
+	}
+	// The first poll comes before the plan, which a fresh engine builds
+	// only once it delivers an edge (plan counts heap operations).
+	if *stop || done != nil && done() {
+		return 0, nil
+	}
+	if !e.planned {
+		e.plan()
+	}
+	step := e.lockstepFastStep
+	if e.sched == EventDriven {
+		switch {
+		case len(e.domains) == 1:
+			return e.runSolo(stop, done, every, maxEdges)
+		case e.fast && len(e.domains) == 2:
+			step = e.eventStepPair
+		default:
+			step = e.eventStep
 		}
-		n += e.step()
+	}
+	n, since := int64(0), int64(0)
+	for n < maxEdges {
+		if since >= every {
+			since = 0
+			if *stop || done != nil && done() {
+				return n, nil
+			}
+		}
+		k := step()
+		n += k
+		since += k
 		if e.stopErr != nil {
 			return n, e.stopErr
 		}
 	}
-	if *stop {
-		return n, nil
+	return n, spent(stop, done)
+}
+
+// runSolo is run's loop for a single-domain event-driven engine, and the
+// only code that skips in that layout: eventStep runs it with a one-edge
+// budget unless skipping is suspended. A solo engine has no schedule to
+// consult, so a bounded idle window (a compute phase) is jumped in one go.
+// An open-ended one is not: with no other domain to wake the component,
+// its no-op edges are delivered one by one so run budgets still advance,
+// exactly as lockstep does. Domain.tick is inlined over a hoisted ticker
+// slice: serving spends most of its host time in this loop, and looping
+// over a step function instead measured about 5% slower.
+func (e *Engine) runSolo(stop *bool, done func() bool, every, maxEdges int64) (int64, error) {
+	d := e.domains[0]
+	ts := d.tickers
+	n, since := int64(0), int64(0)
+	for n < maxEdges {
+		if since >= every {
+			since = 0
+			if *stop || done != nil && done() {
+				return n, nil
+			}
+		}
+		k := d.IdleEdges()
+		if k > 0 && k < IdleForever {
+			d.skipEdges(k)
+		} else {
+			k = 0
+		}
+		for _, t := range ts {
+			t.Eval()
+		}
+		for _, t := range ts {
+			t.Update()
+		}
+		d.cycles++
+		d.nextAt += d.ratio
+		n += k + 1
+		since += k + 1
+		if e.stopErr != nil {
+			return n, e.stopErr
+		}
 	}
-	return n, ErrBudget
+	return n, spent(stop, done)
+}
+
+// spent is a run's error once its budget is spent: nil if the stop
+// condition holds after the last edge, ErrBudget otherwise.
+func spent(stop *bool, done func() bool) error {
+	if *stop || done != nil && done() {
+		return nil
+	}
+	return ErrBudget
 }
 
 // RunCycles delivers exactly n rising edges to domain d (other domains tick
