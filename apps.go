@@ -133,24 +133,49 @@ func (p *Process) ensureTables() (sw.Tables, error) {
 	return p.tables, nil
 }
 
-// RunVecAddSW executes the pure-software vector addition and returns its
-// measured report.
-func (p *Process) RunVecAddSW(a, b, c Buffer, n int) *Report {
+// owns reports an error unless every buffer was allocated by p.
+func (p *Process) owns(bufs ...Buffer) error {
+	for _, b := range bufs {
+		if b.p != p {
+			return fmt.Errorf("repro: buffer at %#x was not allocated by process %q", b.addr, p.proc.Name)
+		}
+	}
+	return nil
+}
+
+// RunVecAddSW executes the pure-software vector addition of n 32-bit
+// elements and returns its measured report. Each buffer must belong to p
+// and hold at least 4n bytes.
+func (p *Process) RunVecAddSW(a, b, c Buffer, n int) (*Report, error) {
+	if err := p.owns(a, b, c); err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("repro: negative vector length %d", n)
+	}
+	for _, buf := range []Buffer{a, b, c} {
+		if buf.size/4 < n {
+			return nil, fmt.Errorf("repro: %d-byte buffer at %#x is shorter than %d elements", buf.size, buf.addr, n)
+		}
+	}
 	ctx := cpu.NewCtx(p.sys.board.CPU)
 	return core.RunSoftware(p.sys.board, "vecadd-sw", func() {
 		sw.VecAdd(ctx, a.addr, b.addr, c.addr, uint32(n))
-	})
+	}), nil
 }
 
 // RunADPCMDecodeSW executes the pure-software decoder over the whole input
-// buffer and returns its measured report.
+// buffer and returns its measured report. Both buffers must belong to p.
 func (p *Process) RunADPCMDecodeSW(in, out Buffer) (*Report, error) {
-	tb, err := p.ensureTables()
-	if err != nil {
+	if err := p.owns(in, out); err != nil {
 		return nil, err
 	}
 	if out.size < in.size*4 {
 		return nil, fmt.Errorf("repro: ADPCM output buffer must be 4x the input (%d < %d)", out.size, in.size*4)
+	}
+	tb, err := p.ensureTables()
+	if err != nil {
+		return nil, err
 	}
 	ctx := cpu.NewCtx(p.sys.board.CPU)
 	return core.RunSoftware(p.sys.board, "adpcmdecode-sw", func() {
@@ -159,8 +184,12 @@ func (p *Process) RunADPCMDecodeSW(in, out Buffer) (*Report, error) {
 }
 
 // RunIDEASW executes the pure-software cipher (encryption schedule) over
-// whole blocks and returns its measured report.
+// whole blocks and returns its measured report. Both buffers must belong
+// to p.
 func (p *Process) RunIDEASW(key IDEAKey, in, out Buffer) (*Report, error) {
+	if err := p.owns(in, out); err != nil {
+		return nil, err
+	}
 	if in.size%ref.IDEABlockBytes != 0 || out.size < in.size {
 		return nil, fmt.Errorf("repro: IDEA buffers must be whole blocks, out >= in")
 	}

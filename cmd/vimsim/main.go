@@ -339,7 +339,7 @@ func runVirtual(cfg repro.Config, app, mode string, size int, seed int64) (*core
 			return nil, err
 		}
 		if mode == "sw" {
-			return p.RunVecAddSW(a, b, c, n), nil
+			return p.RunVecAddSW(a, b, c, n)
 		}
 		if err := p.FPGALoad(repro.VecAddBitstream(sys.Board().Spec.Name)); err != nil {
 			return nil, err

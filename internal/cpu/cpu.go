@@ -11,6 +11,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/mem"
@@ -123,6 +124,20 @@ func (c *Core) touch(addr uint32, write bool) {
 	}
 }
 
+// touchRun charges the cache/SDRAM cost of n accesses at addr, addr+stride,
+// addr+2*stride, ..., in that order. Only the first access of each run that
+// starts in the same cache line is looked up: the rest of the run hit the
+// line that access left valid (and dirty, for a write), so they change no
+// cache state and cost nothing beyond their hit charge.
+func (c *Core) touchRun(addr uint32, n int, stride uint32, write bool) {
+	lb := uint32(c.cache.lineBytes)
+	for i := 0; i < n; {
+		a := addr + uint32(i)*stride
+		c.touch(a, write)
+		i += int((lb - a%lb + stride - 1) / stride) // accesses left in a's line
+	}
+}
+
 // Ctx is the execution context handed to software kernels. It is a thin
 // view of the core; kernels use it for every memory access, arithmetic
 // operation and branch so that timing is accounted faithfully.
@@ -212,6 +227,76 @@ func (x *Ctx) Store32(addr uint32, v uint32) {
 	if err := x.core.SDRAM.Store().Write32(addr, v, 0xf); err != nil {
 		panic(fmt.Sprintf("cpu: %v", err))
 	}
+}
+
+// The bulk accessors below charge exactly what len separate single-access
+// calls at successive addresses would (counters, cycles and cache state),
+// with one range check and one cache lookup per cache line touched. An
+// out-of-range span panics before charging anything.
+
+// LoadBytes fills dst from SDRAM at addr, as len(dst) Load8 calls at
+// addr, addr+1, ... would.
+func (x *Ctx) LoadBytes(addr uint32, dst []byte) {
+	if err := x.core.SDRAM.Store().ReadInto(addr, dst); err != nil {
+		panic(fmt.Sprintf("cpu: %v", err))
+	}
+	x.core.Loads += uint64(len(dst))
+	x.core.cycles += int64(len(dst)) * x.core.Cost.LoadHit
+	x.core.touchRun(addr, len(dst), 1, false)
+}
+
+// Load16s fills dst with the little-endian halfwords at addr, as len(dst)
+// Load16 calls at addr, addr+2, ... would (each looks up the line of its
+// first byte only).
+func (x *Ctx) Load16s(addr uint32, dst []uint16) {
+	st := x.core.SDRAM.Store()
+	if !st.InRange(addr, 2*len(dst)) {
+		panic(fmt.Sprintf("cpu: %v: halfword block read at %#x+%#x", mem.ErrOutOfRange, addr, 2*len(dst)))
+	}
+	x.core.Loads += uint64(len(dst))
+	x.core.cycles += int64(len(dst)) * x.core.Cost.LoadHit
+	x.core.touchRun(addr, len(dst), 2, false)
+	var buf [64]byte
+	for len(dst) > 0 {
+		k := min(len(dst), len(buf)/2)
+		_ = st.ReadInto(addr, buf[:2*k]) // in range: checked above
+		for i := range dst[:k] {
+			dst[i] = binary.LittleEndian.Uint16(buf[2*i:])
+		}
+		addr += uint32(2 * k)
+		dst = dst[k:]
+	}
+}
+
+// StoreBytes writes src to SDRAM at addr, as len(src) Store8 calls at
+// addr, addr+1, ... would.
+func (x *Ctx) StoreBytes(addr uint32, src []byte) {
+	st := x.core.SDRAM.Store()
+	if !st.InRange(addr, len(src)) {
+		panic(fmt.Sprintf("cpu: %v: block write at %#x+%#x", mem.ErrOutOfRange, addr, len(src)))
+	}
+	x.core.Stores += uint64(len(src))
+	x.core.cycles += int64(len(src)) * x.core.Cost.StoreHit
+	x.core.touchRun(addr, len(src), 1, true)
+	_ = st.WriteBytes(addr, src) // in range: checked above
+}
+
+// Charges sums the ALU, multiply, divide, branch and call charges of a
+// stretch of code, for Charge to apply at once.
+type Charges struct {
+	ALU, Mul, Div   int
+	Taken, NotTaken int // conditional branches
+	Calls           int
+}
+
+// Charge applies c, as the equivalent ALU, Mul, Div, Branch and Call calls
+// would.
+func (x *Ctx) Charge(c Charges) {
+	cm := &x.core.Cost
+	x.core.Ops += uint64(c.ALU + c.Mul + c.Div)
+	x.core.Branches += uint64(c.Taken + c.NotTaken)
+	x.core.cycles += int64(c.ALU)*cm.ALU + int64(c.Mul)*cm.Mul + int64(c.Div)*cm.Div +
+		int64(c.Taken)*cm.BranchTaken + int64(c.NotTaken)*cm.BranchNot + int64(c.Calls)*cm.Call
 }
 
 // ALU charges n arithmetic/logic operations.

@@ -58,7 +58,10 @@ func RunFig3() (*Result, error) {
 	if err := b.Write(bv); err != nil {
 		return nil, err
 	}
-	swRep := p.RunVecAddSW(a, b, c, n)
+	swRep, err := p.RunVecAddSW(a, b, c, n)
+	if err != nil {
+		return nil, err
+	}
 
 	// VIM-based coprocessor (three mapped objects, one execute call).
 	if err := p.FPGALoad(repro.VecAddBitstream("EPXA1")); err != nil {

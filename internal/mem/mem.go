@@ -291,19 +291,30 @@ func (s *ByteStore) ReadBytes(addr uint32, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: block read at %#x+%#x (size %#x)", ErrOutOfRange, addr, n, s.size)
 	}
 	out := make([]byte, n)
-	// Unmaterialised pages read as zero, which make already provided.
+	_ = s.ReadInto(addr, out) // in range: checked above
+	return out, nil
+}
+
+// ReadInto fills dst with the bytes starting at addr, allocating nothing.
+// Pages that were never written read as zero. An out-of-range span reads
+// nothing.
+func (s *ByteStore) ReadInto(addr uint32, dst []byte) error {
+	n := len(dst)
+	if !s.InRange(addr, n) {
+		return fmt.Errorf("%w: block read at %#x+%#x (size %#x)", ErrOutOfRange, addr, n, s.size)
+	}
 	for done := 0; done < n; {
-		off := (addr + uint32(done)) & pageMask
-		chunk := pageBytes - int(off)
-		if chunk > n-done {
-			chunk = n - done
-		}
-		if p := s.pages[(addr+uint32(done))>>pageShift]; p != nil {
-			copy(out[done:done+chunk], p[off:])
+		a := addr + uint32(done)
+		off := int(a & pageMask)
+		chunk := min(pageBytes-off, n-done)
+		if p := s.pages[a>>pageShift]; p != nil {
+			copy(dst[done:done+chunk], p[off:])
+		} else {
+			clear(dst[done : done+chunk])
 		}
 		done += chunk
 	}
-	return out, nil
+	return nil
 }
 
 // WriteBytes copies p into the store starting at addr.

@@ -292,6 +292,49 @@ func TestMismatch(t *testing.T) {
 	}
 }
 
+// TestReadInto checks the bulk read against per-byte reads over a span
+// that straddles a written page and a never-written one, that it
+// overwrites stale destination bytes with the zeros of the unwritten page
+// without materialising it, that an out-of-range span is an error that
+// leaves the destination alone, and that it allocates nothing.
+func TestReadInto(t *testing.T) {
+	s := NewByteStore(3 * pageBytes)
+	span := make([]byte, 100)
+	for i := range span {
+		span[i] = byte(i + 1)
+	}
+	base := uint32(2*pageBytes - 100) // the last 100 bytes of page 1
+	if err := s.WriteBytes(base, span); err != nil {
+		t.Fatal(err)
+	}
+	dst := bytes.Repeat([]byte{0xee}, 300) // ends 200 bytes into page 2
+	if err := s.ReadInto(base, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range dst {
+		want, _ := s.Byte(base + uint32(i))
+		if got != want {
+			t.Fatalf("byte %d = %#x, Byte reads %#x", i, got, want)
+		}
+	}
+	if !bytes.Equal(dst[:100], span) || bytes.Count(dst[100:], []byte{0}) != 200 {
+		t.Fatal("ReadInto did not return the written span followed by zeros")
+	}
+	if got := s.MaterializedBytes(); got != pageBytes {
+		t.Fatalf("ReadInto materialised pages: %d bytes resident, want %d", got, pageBytes)
+	}
+	stale := bytes.Repeat([]byte{0xee}, 8)
+	if err := s.ReadInto(uint32(s.Size()-4), stale); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("out-of-range ReadInto err = %v, want ErrOutOfRange", err)
+	}
+	if !bytes.Equal(stale, bytes.Repeat([]byte{0xee}, 8)) {
+		t.Fatal("out-of-range ReadInto wrote into the destination")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = s.ReadInto(base, dst) }); allocs != 0 {
+		t.Fatalf("ReadInto allocates %.0f times per call", allocs)
+	}
+}
+
 func TestSinglePageStoreExactSize(t *testing.T) {
 	const size = 16 * 1024
 	s := NewByteStore(size)

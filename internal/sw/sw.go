@@ -7,8 +7,14 @@
 //
 // The per-statement accounting mirrors the unoptimised C the paper's port
 // used (operands bounce through the stack; the IDEA modular multiplication
-// calls the software division library). SpillALU is the single calibration
-// knob documented in docs/ARCHITECTURE.md (Calibration): it models the residual per-iteration
+// calls the software division library). IDEAApply charges it a block at a
+// time through cpu.Ctx's bulk accessors, which account exactly as the
+// per-statement calls would because each block keeps its access order.
+// ADPCMDecode and VecAdd alternate between tables or arrays that can
+// conflict in the direct-mapped cache, so they stay per-access.
+//
+// SpillALU is the single calibration knob documented in
+// docs/ARCHITECTURE.md (Calibration): it models the residual per-iteration
 // stack traffic of the -O0 build and is fixed by matching the paper's
 // published pure-software times.
 package sw
@@ -153,98 +159,89 @@ func ADPCMDecode(x *cpu.Ctx, tb Tables, in, out uint32, nbytes uint32) {
 	x.Branch(false)
 }
 
-// ideaMul is the software modular multiplication: the C original computes
-// (a*b) % 0x10001 through the division library, which dominates the IDEA
-// software profile on the divider-less ARM9.
-func ideaMul(x *cpu.Ctx, a, b uint16) uint16 {
-	x.Call()
-	x.ALU(2)
+// mulMod is the software modular multiplication, adding its charges to
+// ch: the C original computes (a*b) % 0x10001 through the division
+// library, which dominates the IDEA software profile on the divider-less
+// ARM9. A zero operand takes an early return instead.
+func mulMod(ch *cpu.Charges, a, b uint16) uint16 {
+	ch.Calls++
+	ch.ALU += 2
 	if a == 0 {
-		x.Branch(true)
-		x.ALU(1)
+		ch.Taken++
+		ch.ALU++
 		return uint16(1 - int32(b))
 	}
-	x.Branch(false)
+	ch.NotTaken++
 	if b == 0 {
-		x.Branch(true)
-		x.ALU(1)
+		ch.Taken++
+		ch.ALU++
 		return uint16(1 - int32(a))
 	}
-	x.Branch(false)
-	x.Mul()
-	x.Div() // % 0x10001 via __aeabi_uidivmod
-	x.ALU(3)
+	ch.NotTaken++
+	ch.Mul++
+	ch.Div++ // % 0x10001 via __aeabi_uidivmod
+	ch.ALU += 3
 	return ref.IdeaMul(a, b)
-}
-
-// ideaAdd charges a 16-bit modular addition.
-func ideaAdd(x *cpu.Ctx, a, b uint16) uint16 {
-	x.ALU(2)
-	return a + b
-}
-
-// ideaXor charges a XOR.
-func ideaXor(x *cpu.Ctx, a, b uint16) uint16 {
-	x.ALU(1)
-	return a ^ b
 }
 
 // IDEAApply processes nblocks 8-byte blocks from in to out using the 52
 // subkeys stored little-endian at keys (as 16-bit halfwords), charging the
 // ARM cost model. The transformation matches ref.IDEAApply bit for bit.
+//
+// Each block makes the C code's memory accesses in its order (8 input byte
+// loads, 52 subkey loads, 8 output byte stores) through the bulk
+// accessors, and its arithmetic and branch charges at once, so every
+// counter, the cycle count and the cache state equal a statement-by-
+// statement run's. The subkeys are re-read every block, as the C code
+// does: the output may overlap them.
 func IDEAApply(x *cpu.Ctx, in, out, keys uint32, nblocks uint32) {
 	x.Call()
+	var b [ref.IDEABlockBytes]byte
+	var k [ref.IDEASubkeys]uint16
 	for blk := uint32(0); blk < nblocks; blk++ {
-		x.Branch(true)
-		base := in + blk*8
-		// Big-endian 16-bit loads, as the C code assembles them.
-		x1 := uint16(x.Load8(base))<<8 | uint16(x.Load8(base+1))
-		x2 := uint16(x.Load8(base+2))<<8 | uint16(x.Load8(base+3))
-		x3 := uint16(x.Load8(base+4))<<8 | uint16(x.Load8(base+5))
-		x4 := uint16(x.Load8(base+6))<<8 | uint16(x.Load8(base+7))
-		x.ALU(8)
-
-		ki := uint32(0)
-		next := func() uint16 {
-			v := x.Load16(keys + ki*2)
-			ki++
-			x.ALU(1)
-			return v
-		}
+		x.LoadBytes(in+blk*8, b[:])
+		x.Load16s(keys, k[:])
+		// The loop branch, and the big-endian assembly of the four words.
+		ch := cpu.Charges{Taken: 1, ALU: 8}
+		x1 := uint16(b[0])<<8 | uint16(b[1])
+		x2 := uint16(b[2])<<8 | uint16(b[3])
+		x3 := uint16(b[4])<<8 | uint16(b[5])
+		x4 := uint16(b[6])<<8 | uint16(b[7])
 		for r := 0; r < ref.IDEARounds; r++ {
-			x.Branch(true)
-			x1 = ideaMul(x, x1, next())
-			x2 = ideaAdd(x, x2, next())
-			x3 = ideaAdd(x, x3, next())
-			x4 = ideaMul(x, x4, next())
+			kr := k[6*r : 6*r+6]
+			ch.Taken++
+			x1 = mulMod(&ch, x1, kr[0])
+			x2 += kr[1]
+			x3 += kr[2]
+			x4 = mulMod(&ch, x4, kr[3])
 
 			s3 := x3
-			x3 = ideaMul(x, ideaXor(x, x1, x3), next())
+			x3 = mulMod(&ch, x1^x3, kr[4])
 			s2 := x2
-			x2 = ideaMul(x, ideaAdd(x, ideaXor(x, x2, x4), x3), next())
-			x3 = ideaAdd(x, x3, x2)
+			x2 = mulMod(&ch, (x2^x4)+x3, kr[5])
+			x3 += x2
 
-			x1 = ideaXor(x, x1, x2)
-			x4 = ideaXor(x, x4, x3)
-			x2 = ideaXor(x, x2, s3)
-			x3 = ideaXor(x, x3, s2)
-			x.ALU(SpillALU) // per-round stack traffic
+			x1 ^= x2
+			x4 ^= x3
+			x2 ^= s3
+			x3 ^= s2
+			// Six subkey steps at 1, four additions at 2, six XORs at 1,
+			// and the per-round stack traffic.
+			ch.ALU += 6 + 4*2 + 6 + SpillALU
 		}
-		y1 := ideaMul(x, x1, next())
-		y2 := ideaAdd(x, x3, next())
-		y3 := ideaAdd(x, x2, next())
-		y4 := ideaMul(x, x4, next())
+		kf := k[6*ref.IDEARounds:]
+		y1 := mulMod(&ch, x1, kf[0])
+		y2 := x3 + kf[1]
+		y3 := x2 + kf[2]
+		y4 := mulMod(&ch, x4, kf[3])
+		ch.ALU += 4 + 2*2 + 6 // four subkey steps, two additions, loop/index bookkeeping
 
-		ob := out + blk*8
-		x.Store8(ob, byte(y1>>8))
-		x.Store8(ob+1, byte(y1))
-		x.Store8(ob+2, byte(y2>>8))
-		x.Store8(ob+3, byte(y2))
-		x.Store8(ob+4, byte(y3>>8))
-		x.Store8(ob+5, byte(y3))
-		x.Store8(ob+6, byte(y4>>8))
-		x.Store8(ob+7, byte(y4))
-		x.ALU(6) // loop/index bookkeeping
+		b = [ref.IDEABlockBytes]byte{
+			byte(y1 >> 8), byte(y1), byte(y2 >> 8), byte(y2),
+			byte(y3 >> 8), byte(y3), byte(y4 >> 8), byte(y4),
+		}
+		x.StoreBytes(out+blk*8, b[:])
+		x.Charge(ch)
 	}
 	x.Branch(false)
 }

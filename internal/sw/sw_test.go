@@ -9,7 +9,7 @@ import (
 	"repro/internal/ref"
 )
 
-func newCtx(t *testing.T) *cpu.Ctx {
+func newCtx(t testing.TB) *cpu.Ctx {
 	t.Helper()
 	sd := mem.NewSDRAM(1<<22, mem.DefaultSDRAMTiming())
 	core, err := cpu.NewCore(133_000_000, cpu.DefaultCostModel(), cpu.DefaultCacheConfig(), sd)

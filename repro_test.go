@@ -309,6 +309,45 @@ func TestSoftwareVersionsMatchHardware(t *testing.T) {
 	}
 }
 
+// TestSoftwareRunnersRejectBadInput requires the pure-software runners to
+// return an error, without panicking or running, for a vector length that
+// is negative or longer than a buffer, and for a buffer another process
+// allocated or no process did.
+func TestSoftwareRunnersRejectBadInput(t *testing.T) {
+	sys := newSys(t, Config{})
+	p, _ := sys.NewProcess("owner")
+	other, _ := sys.NewProcess("other")
+	a, _ := p.Alloc(64)
+	b, _ := p.Alloc(64)
+	c, _ := p.Alloc(64)
+	short, _ := p.Alloc(60)
+	big, _ := p.Alloc(256)
+	foreign, _ := other.Alloc(256)
+	if _, err := p.RunVecAddSW(a, b, c, 16); err != nil {
+		t.Fatalf("RunVecAddSW rejected a valid call: %v", err)
+	}
+	var key IDEAKey
+	for _, tc := range []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"vecadd n<0", func() (*Report, error) { return p.RunVecAddSW(a, b, c, -1) }},
+		{"vecadd n too long", func() (*Report, error) { return p.RunVecAddSW(a, b, c, 17) }},
+		{"vecadd short c", func() (*Report, error) { return p.RunVecAddSW(a, b, short, 16) }},
+		{"vecadd n past SDRAM", func() (*Report, error) { return p.RunVecAddSW(a, b, c, 1<<40) }},
+		{"vecadd foreign a", func() (*Report, error) { return p.RunVecAddSW(foreign, b, c, 16) }},
+		{"vecadd zero buffer", func() (*Report, error) { return p.RunVecAddSW(a, Buffer{}, c, 0) }},
+		{"adpcm foreign in", func() (*Report, error) { return p.RunADPCMDecodeSW(foreign, big) }},
+		{"adpcm foreign out", func() (*Report, error) { return p.RunADPCMDecodeSW(a, foreign) }},
+		{"idea foreign in", func() (*Report, error) { return p.RunIDEASW(key, foreign, big) }},
+		{"idea foreign out", func() (*Report, error) { return p.RunIDEASW(key, a, foreign) }},
+	} {
+		if rep, err := tc.run(); err == nil || rep != nil {
+			t.Errorf("%s: got report %v, error %v; want an error", tc.name, rep, err)
+		}
+	}
+}
+
 func TestExclusivePLDOwnership(t *testing.T) {
 	sys := newSys(t, Config{})
 	p1, _ := sys.NewProcess("p1")

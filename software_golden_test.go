@@ -122,7 +122,8 @@ func softwareSpecs() []softwareSpec {
 			if err := b.Write(bv); err != nil {
 				return nil, c, err
 			}
-			return p.RunVecAddSW(a, b, c, n), c, nil
+			rep, err := p.RunVecAddSW(a, b, c, n)
+			return rep, c, err
 		},
 		expMs: func() (float64, error) {
 			res, err := exp.RunFig3()
