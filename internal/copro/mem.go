@@ -96,7 +96,7 @@ func (m *Mem) Quiet() bool { return m.state != memIssue && !m.port.cp.Pending() 
 // not risen yet, or a consumed response whose hit line has not fallen yet.
 // Each such edge only counts a wait cycle (or nothing, while draining), and
 // the stall ends only when the IMU commits a new CP_TLBHIT — an
-// idle-until-input window in the sim.Idler sense, provided the core's FSM
+// idle-until-input window (sim.IdleForever), provided the core's FSM
 // is itself gated on the handshake (Completed or Ready) while it lasts.
 // SkipEdges replays the wait cycles.
 func (m *Mem) Stalled() bool {

@@ -76,7 +76,7 @@ func (c *Core) ResetCore() {
 // phase, so only the open-ended windows qualify: waiting for CP_START
 // before an operation, the states gated on a stalled access handshake, and
 // holding CP_FIN after completion. All end only through an IMU-domain
-// commit (Start or CP_TLBHIT toggling), per the Idler contract.
+// commit (Start or CP_TLBHIT toggling), per the sim.BulkIdler contract.
 func (c *Core) IdleEdges() int64 {
 	switch c.st {
 	case stParamWait, stReadAIssue, stReadAWait, stReadBIssue, stReadBWait, stWriteIssue, stWriteWait:

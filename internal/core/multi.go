@@ -427,11 +427,8 @@ func (g *Gang) SlotMember(i int) *Member { return g.bySlot[i] }
 // on the slot's IMU channel with an nframes home partition. The member is
 // not started; call Launch.
 func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (*Member, error) {
-	if g.Shell == nil {
-		return nil, fmt.Errorf("core: AttachMember on a non-shell gang")
-	}
-	if slot < 0 || slot >= len(g.bySlot) {
-		return nil, fmt.Errorf("core: slot %d out of range [0,%d)", slot, len(g.bySlot))
+	if err := g.checkSlot("AttachMember", slot); err != nil {
+		return nil, err
 	}
 	if g.bySlot[slot] != nil {
 		return nil, fmt.Errorf("core: slot %d already occupied by %q", slot, g.bySlot[slot].App())
@@ -474,13 +471,25 @@ func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (
 	return mb, nil
 }
 
+// checkSlot rejects a slot operation op on a non-shell gang or on a slot
+// index outside the shell.
+func (g *Gang) checkSlot(op string, slot int) error {
+	if g.Shell == nil {
+		return fmt.Errorf("core: %s on a non-shell gang", op)
+	}
+	if slot < 0 || slot >= len(g.bySlot) {
+		return fmt.Errorf("core: slot %d out of range [0,%d)", slot, len(g.bySlot))
+	}
+	return nil
+}
+
 // BeginReconfig empties slot i for partial reconfiguration: the resident
 // core is dropped and the IMU channel unbound while every other channel
 // keeps translating. The caller models the configuration-port time (derived
 // from the incoming bit-stream's size) before calling AttachMember.
 func (g *Gang) BeginReconfig(slot int) error {
-	if g.Shell == nil {
-		return fmt.Errorf("core: BeginReconfig on a non-shell gang")
+	if err := g.checkSlot("BeginReconfig", slot); err != nil {
+		return err
 	}
 	if g.bySlot[slot] != nil {
 		return fmt.Errorf("core: reconfiguring slot %d still occupied by %q", slot, g.bySlot[slot].App())
@@ -496,11 +505,8 @@ func (g *Gang) BeginReconfig(slot int) error {
 // the staged core in for a fixed commit latency instead of a full
 // configuration stream.
 func (g *Gang) BeginStage(slot int, img []byte) error {
-	if g.Shell == nil {
-		return fmt.Errorf("core: BeginStage on a non-shell gang")
-	}
-	if slot < 0 || slot >= len(g.bySlot) {
-		return fmt.Errorf("core: slot %d out of range [0,%d)", slot, len(g.bySlot))
+	if err := g.checkSlot("BeginStage", slot); err != nil {
+		return err
 	}
 	sl := g.Shell.Slots[slot]
 	if sl.Staged() != "" {
@@ -523,11 +529,8 @@ func (g *Gang) BeginStage(slot int, img []byte) error {
 // fixed commit latency before the next AttachMember, which then finds the
 // staged core resident and reuses it with zero configuration traffic.
 func (g *Gang) CommitStage(slot int) error {
-	if g.Shell == nil {
-		return fmt.Errorf("core: CommitStage on a non-shell gang")
-	}
-	if slot < 0 || slot >= len(g.bySlot) {
-		return fmt.Errorf("core: slot %d out of range [0,%d)", slot, len(g.bySlot))
+	if err := g.checkSlot("CommitStage", slot); err != nil {
+		return err
 	}
 	if g.bySlot[slot] != nil {
 		return fmt.Errorf("core: committing staged core into slot %d still occupied by %q",
@@ -540,11 +543,8 @@ func (g *Gang) CommitStage(slot int) error {
 // for dispatched elsewhere. The resident core and every running neighbour
 // are untouched.
 func (g *Gang) CancelStage(slot int) error {
-	if g.Shell == nil {
-		return fmt.Errorf("core: CancelStage on a non-shell gang")
-	}
-	if slot < 0 || slot >= len(g.bySlot) {
-		return fmt.Errorf("core: slot %d out of range [0,%d)", slot, len(g.bySlot))
+	if err := g.checkSlot("CancelStage", slot); err != nil {
+		return err
 	}
 	if g.Shell.Slots[slot].Staged() == "" {
 		return fmt.Errorf("core: slot %d has no staged coprocessor to cancel", slot)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -255,5 +256,29 @@ func TestShellGangStaging(t *testing.T) {
 	}
 	if err := flat.BeginStage(0, img); err == nil {
 		t.Fatal("BeginStage on a non-shell gang succeeded")
+	}
+}
+
+// TestBeginReconfigRejectsBadSlot pins BeginReconfig's slot check: like
+// AttachMember and the staging calls, an index outside the shell is an
+// error, not a panic, and a valid empty slot still reconfigures.
+func TestBeginReconfigRejectsBadSlot(t *testing.T) {
+	board, err := platform.NewBoard(platform.EPXA1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewShellGang(board, vim.StaticPartition, 24_000_000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range []int{-1, 2, 5} {
+		err := g.BeginReconfig(slot)
+		want := fmt.Sprintf("core: slot %d out of range [0,2)", slot)
+		if err == nil || err.Error() != want {
+			t.Errorf("BeginReconfig(%d) = %v, want %q", slot, err, want)
+		}
+	}
+	if err := g.BeginReconfig(1); err != nil {
+		t.Fatalf("BeginReconfig on an empty slot: %v", err)
 	}
 }

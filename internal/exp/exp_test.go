@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/imu"
 )
 
 // These tests assert the reproduction targets of the evaluation (§4): the *shapes*
@@ -28,6 +30,28 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if res.Series["read_value_ok"] != 1 {
 		t.Fatal("translated read returned wrong data")
+	}
+}
+
+// TestFig7BenchModes runs the Figure 7 testbench wavedump shares with
+// FIG7 under both IMU modes: the read returns the stored word, CP_TLBHIT
+// rises 4 edges after CP_ACCESS with the multi-cycle IMU and 1 edge after
+// with the pipelined one, and recording stops at the completing edge.
+func TestFig7BenchModes(t *testing.T) {
+	for mode, latency := range map[imu.Mode]int64{imu.MultiCycle: 4, imu.Pipelined: 1} {
+		b, err := RunFig7Bench(mode)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if b.Data != 0xcafe0042 {
+			t.Errorf("%s: read %#x, want 0xcafe0042", mode, b.Data)
+		}
+		if got := b.HitAt - b.AccessAt; b.AccessAt < 0 || got != latency {
+			t.Errorf("%s: CP_ACCESS at %d, CP_TLBHIT at %d; want a latency of %d", mode, b.AccessAt, b.HitAt, latency)
+		}
+		if b.LastEdge != b.HitAt {
+			t.Errorf("%s: last recorded edge %d, want the hit edge %d", mode, b.LastEdge, b.HitAt)
+		}
 	}
 }
 

@@ -121,15 +121,25 @@ func RunFig3() (*Result, error) {
 	}, nil
 }
 
-// RunFig7 regenerates the timing diagram of a translated coprocessor read
-// access: a one-shot testbench records the CP_* port waveform and the
-// result asserts the 4-cycle latency.
-func RunFig7() (*Result, error) {
+// Fig7Bench is the Figure 7 testbench after its run: one 32-bit read,
+// translated by a single-channel IMU at 40 MHz, with the CP_* port
+// waveform recorded one column per cycle.
+type Fig7Bench struct {
+	Rec      *trace.Recorder
+	AccessAt int64  // first edge with CP_ACCESS high (-1: never)
+	HitAt    int64  // first edge with CP_TLBHIT high (-1: never)
+	LastEdge int64  // last recorded edge
+	Data     uint32 // the value the read returned
+}
+
+// RunFig7Bench builds the Figure 7 testbench with an IMU in the given mode
+// and runs it until the read completes.
+func RunFig7Bench(mode imu.Mode) (*Fig7Bench, error) {
 	dp, err := mem.NewDPRAM(16*1024, 2*1024)
 	if err != nil {
 		return nil, err
 	}
-	u, err := imu.New(imu.Config{PageShift: 11, Entries: 8, Mode: imu.MultiCycle}, dp)
+	u, err := imu.New(imu.Config{PageShift: 11, Entries: 8, Mode: mode}, dp)
 	if err != nil {
 		return nil, err
 	}
@@ -142,32 +152,26 @@ func RunFig7() (*Result, error) {
 		return nil, err
 	}
 
-	rec := trace.NewRecorder(25_000) // 25 ns: one 40 MHz cycle per column
-	sigClk := rec.Declare("clk", 1)
-	sigAddr := rec.Declare("cp_addr", 24)
-	sigAcc := rec.Declare("cp_access", 1)
-	sigHit := rec.Declare("cp_tlbhit", 1)
-	sigDin := rec.Declare("cp_din", 32)
-
-	var accessAt, hitAt int64 = -1, -1
+	// 25 ns: one 40 MHz cycle per column.
+	b := &Fig7Bench{Rec: trace.NewRecorder(25_000), AccessAt: -1, HitAt: -1}
+	sigClk := b.Rec.Declare("clk", 1)
+	sigAddr := b.Rec.Declare("cp_addr", 24)
+	sigAcc := b.Rec.Declare("cp_access", 1)
+	sigHit := b.Rec.Declare("cp_tlbhit", 1)
+	sigDin := b.Rec.Declare("cp_din", 32)
 	u.SetTrace(&imu.TraceHooks{OnEdge: func(cy uint64, cp copro.CPOut, out copro.IMUOut) {
 		t := int64(cy)
-		rec.Record(sigClk, t, 1)
-		rec.Record(sigAddr, t, uint64(cp.Addr))
-		b2u := func(b bool) uint64 {
-			if b {
-				return 1
-			}
-			return 0
+		b.LastEdge = t
+		b.Rec.Record(sigClk, t, 1)
+		b.Rec.Record(sigAddr, t, uint64(cp.Addr))
+		b.Rec.Record(sigAcc, t, uint64(boolTo01(cp.Access)))
+		b.Rec.Record(sigHit, t, uint64(boolTo01(out.TLBHit)))
+		b.Rec.Record(sigDin, t, uint64(out.DIn))
+		if cp.Access && b.AccessAt < 0 {
+			b.AccessAt = t
 		}
-		rec.Record(sigAcc, t, b2u(cp.Access))
-		rec.Record(sigHit, t, b2u(out.TLBHit))
-		rec.Record(sigDin, t, uint64(out.DIn))
-		if cp.Access && accessAt < 0 {
-			accessAt = t
-		}
-		if out.TLBHit && hitAt < 0 {
-			hitAt = t
+		if out.TLBHit && b.HitAt < 0 {
+			b.HitAt = t
 		}
 	}})
 
@@ -175,12 +179,11 @@ func RunFig7() (*Result, error) {
 	dom := eng.NewDomain("imu", 40_000_000)
 	m := copro.NewMem(port)
 	issued := false
-	var got uint32
 	dom.Attach(sim.TickerFunc{
 		OnEval: func() {
 			m.Step()
 			if m.Completed() {
-				got = m.Data()
+				b.Data = m.Data()
 			}
 			if !issued && m.Ready() {
 				m.Read(2, 0x10, copro.Size32)
@@ -191,20 +194,30 @@ func RunFig7() (*Result, error) {
 		OnUpdate: func() { m.Commit() },
 	})
 	dom.Attach(u)
-	if _, err := eng.RunUntil(func() bool { return got != 0 }, 100); err != nil {
+	if _, err := eng.RunUntil(func() bool { return b.Data != 0 }, 100); err != nil {
 		return nil, err
 	}
+	return b, nil
+}
 
-	latency := hitAt - accessAt
+// RunFig7 regenerates the timing diagram of a translated coprocessor read
+// access: the Figure 7 testbench records the CP_* port waveform and the
+// result asserts the 4-cycle latency.
+func RunFig7() (*Result, error) {
+	b, err := RunFig7Bench(imu.MultiCycle)
+	if err != nil {
+		return nil, err
+	}
+	latency := b.HitAt - b.AccessAt
 	tb := &stats.Table{
 		Title:   "translated read access",
 		Headers: []string{"event", "cycle"},
 	}
-	tb.AddRow("CP_ACCESS asserted", fmt.Sprintf("%d", accessAt))
-	tb.AddRow("CP_TLBHIT + data valid", fmt.Sprintf("%d", hitAt))
+	tb.AddRow("CP_ACCESS asserted", fmt.Sprintf("%d", b.AccessAt))
+	tb.AddRow("CP_TLBHIT + data valid", fmt.Sprintf("%d", b.HitAt))
 	tb.AddRow("latency (cycles)", fmt.Sprintf("%d", latency))
 
-	wave := rec.RenderASCII(0, hitAt+2)
+	wave := b.Rec.RenderASCII(0, b.HitAt+2)
 	return &Result{
 		ID:     "FIG7",
 		Title:  "Coprocessor read access timing",
@@ -215,7 +228,7 @@ func RunFig7() (*Result, error) {
 		},
 		Series: map[string]float64{
 			"latency_cycles": float64(latency),
-			"read_value_ok":  boolTo01(got == 0xcafe0042),
+			"read_value_ok":  boolTo01(b.Data == 0xcafe0042),
 		},
 	}, nil
 }

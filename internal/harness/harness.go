@@ -66,6 +66,9 @@ func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
 	if core == nil {
 		return nil, fmt.Errorf("harness: nil core")
 	}
+	if err := sim.CheckClocks(cfg.IMUHz, cfg.CoproHz); err != nil {
+		return nil, err
+	}
 	dp, err := mem.NewDPRAM(cfg.DPBytes, 1<<cfg.PageLog)
 	if err != nil {
 		return nil, err
@@ -93,9 +96,6 @@ func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
 	// observationally irrelevant, but determinism aids debugging.
 	coproDom.Attach(core)
 	imuDom.Attach(u)
-	if err := eng.Validate(); err != nil {
-		return nil, err
-	}
 	return &Bench{
 		Eng:      eng,
 		CoproDom: coproDom,

@@ -315,35 +315,16 @@ func (u *IMU) SetTrace(t *TraceHooks) {
 // Config returns the configuration.
 func (u *IMU) Config() Config { return u.cfg }
 
-// IdleUntilInput implements sim.Idler: it mirrors Eval's no-op fast path,
-// so the engine may bulk-skip IMU edges while every bound coprocessor
-// computes internally. The predicate depends only on the channels' own FSM
-// states, the OS control masks (written while the engine is paused) and the
-// committed coprocessor outputs (written at coprocessor-domain edges),
-// which is exactly the contract sim.Idler requires. The idleness is
-// open-ended — only a coprocessor commit or an OS poke ends it. The lockstep
-// scheduler asks only this predicate; the event-driven one asks IdleEdges,
-// which adds the bounded translation windows. With a waveform trace
-// installed every edge must be recorded, so skipping is declined.
-func (u *IMU) IdleUntilInput() bool {
-	if u.trace != nil {
-		return false
-	}
-	for i := range u.ch {
-		c := &u.ch[i]
-		cp := c.port.CPRef()
-		if c.state != stIdle || c.ctl != 0 || cp.Access || cp.Fin || cp.ParamInv {
-			return false
-		}
-	}
-	return true
-}
-
-// IdleEdges implements sim.BulkIdler for the event-driven scheduler,
-// extending IdleUntilInput with the bounded windows of the multi-cycle
-// translation pipeline. A channel whose coprocessor holds a request the CAM
-// will hit spends its next edges latching the request, matching and reading
-// the translation RAM — internal state steps that commit nothing a
+// IdleEdges implements sim.BulkIdler for the event-driven scheduler. A
+// channel is idle until input while its Eval would take the no-op fast
+// path: nothing in flight, no OS control bit set and no coprocessor request
+// or handshake line up. That depends only on the channel's own FSM state,
+// the OS control mask (written while the engine is paused) and the
+// committed coprocessor outputs (written at coprocessor-domain edges), so
+// only a coprocessor commit or an OS poke ends it. Bounded windows come
+// from the multi-cycle translation pipeline. A channel whose coprocessor
+// holds a request the CAM will hit spends its next edges latching the
+// request, matching and reading the translation RAM — internal state steps that commit nothing a
 // coprocessor or the OS can see — before the access edge drives CP_TLBHIT;
 // those steps are inert and SkipEdges replays them. A channel stalled on a
 // fault (counting fault cycles until the OS restarts it) or waiting for its
@@ -352,7 +333,9 @@ func (u *IMU) IdleUntilInput() bool {
 // window only through the OS (while the engine is paused, ending the window)
 // or another channel's access (which never touches the Valid/Sess/Obj/VPage
 // fields a match reads), so a CAM hit predicted at the query stands — and
-// the lookup is memoised for the CAM and access edges to reuse.
+// the lookup is memoised for the CAM and access edges to reuse. With a
+// waveform trace installed every edge must be recorded, so the answer is
+// always busy.
 //
 // The answer is the IMU's published horizon (sim.Publisher), kept for as
 // long as nothing it reads changes. An Update with no channel work changes

@@ -168,8 +168,8 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 	if core == nil {
 		return nil, fmt.Errorf("platform: nil coprocessor")
 	}
-	if coreHz <= 0 || imuHz <= 0 {
-		return nil, fmt.Errorf("platform: non-positive clocks %d/%d", coreHz, imuHz)
+	if err := sim.CheckClocks(coreHz, imuHz); err != nil {
+		return nil, err
 	}
 	// A previous multi-session assembly may have left the IMU with several
 	// channels; the single-coprocessor shape uses exactly one.
@@ -191,9 +191,6 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 	}
 	coproDom.Attach(core)
 	imuDom.Attach(b.IMU)
-	if err := eng.Validate(); err != nil {
-		return nil, err
-	}
 	return &HW{Eng: eng, IMUDom: imuDom, CoproDom: coproDom, Port: port, Core: core}, nil
 }
 
@@ -227,8 +224,15 @@ func (b *Board) AssembleMulti(imuHz int64, slots []CoproSlot) (*MultiHW, error) 
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("platform: no coprocessor slots")
 	}
-	if imuHz <= 0 {
-		return nil, fmt.Errorf("platform: non-positive IMU clock %d", imuHz)
+	hz := []int64{imuHz}
+	for i, sl := range slots {
+		if sl.Core == nil {
+			return nil, fmt.Errorf("platform: nil coprocessor in slot %d", i)
+		}
+		hz = append(hz, sl.CoreHz)
+	}
+	if err := sim.CheckClocks(hz...); err != nil {
+		return nil, err
 	}
 	if err := b.IMU.SetChannels(len(slots)); err != nil {
 		return nil, err
@@ -237,12 +241,6 @@ func (b *Board) AssembleMulti(imuHz int64, slots []CoproSlot) (*MultiHW, error) 
 	imuDom := eng.NewDomain("imu", imuHz)
 	hw := &MultiHW{Eng: eng, IMUDom: imuDom}
 	for i, sl := range slots {
-		if sl.Core == nil {
-			return nil, fmt.Errorf("platform: nil coprocessor in slot %d", i)
-		}
-		if sl.CoreHz <= 0 {
-			return nil, fmt.Errorf("platform: non-positive clock %d in slot %d", sl.CoreHz, i)
-		}
 		port := copro.NewPort()
 		b.IMU.BindCh(i, port)
 		sl.Core.Bind(port)
@@ -257,8 +255,5 @@ func (b *Board) AssembleMulti(imuHz int64, slots []CoproSlot) (*MultiHW, error) 
 		hw.Cores = append(hw.Cores, sl.Core)
 	}
 	imuDom.Attach(b.IMU)
-	if err := eng.Validate(); err != nil {
-		return nil, err
-	}
 	return hw, nil
 }

@@ -73,9 +73,20 @@ func TestAssembleValidatesClocks(t *testing.T) {
 	if _, err := b.Assemble(40_000_000, 40_000_000, nil); err == nil {
 		t.Fatal("nil core accepted")
 	}
-	// Non-integer ratio must be rejected by the engine validation.
+	// Non-integer ratio must be rejected by the clock-plan check.
 	if _, err := b.Assemble(7_000_000, 24_000_000, core); err == nil {
 		t.Fatal("non-integer clock ratio accepted")
+	}
+	// So must clocks (say, from a crafted bitstream header) whose LCM
+	// overflows the event schedule, before any domain is created.
+	if _, err := b.Assemble(1<<62-1, 1<<62-3, core); err == nil {
+		t.Fatal("coprime clocks beyond the schedule accepted")
+	}
+	if _, err := b.AssembleMulti(24_000_000, []CoproSlot{{Core: core, CoreHz: 6_000_000}, {Core: vecadd.New(), CoreHz: 4_000_000}}); err == nil {
+		t.Fatal("AssembleMulti accepted cores in a non-integer ratio")
+	}
+	if _, err := b.AssembleMulti(1<<40, []CoproSlot{{Core: core, CoreHz: 3 << 40}, {Core: vecadd.New(), CoreHz: 1<<62 - 1}}); err == nil {
+		t.Fatal("AssembleMulti accepted clocks beyond the schedule")
 	}
 	hw, err := b.Assemble(6_000_000, 24_000_000, core)
 	if err != nil {

@@ -385,9 +385,6 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 	}
 	dom.Attach(hw)
 	dom.Watch(b.IMU)
-	if err := eng.Validate(); err != nil {
-		return nil, err
-	}
 	return hw, nil
 }
 

@@ -21,42 +21,17 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestDoneCheckIntervalBatching verifies the batched polling semantics:
-// with an interval of k, done() is consulted every k super-edges, so a
-// condition that becomes true mid-batch is detected at the next boundary.
-func TestDoneCheckIntervalBatching(t *testing.T) {
-	e := NewEngine()
-	d := e.NewDomain("clk", 1000)
-	c := &counter{}
-	d.Attach(c)
-	e.SetDoneCheckInterval(4)
-	n, err := e.RunUntil(func() bool { return c.n.Get() >= 5 }, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The condition holds after edge 5; the next check is at edge 8.
-	if n != 8 {
-		t.Fatalf("edges = %d, want 8 (condition at 5, checked every 4)", n)
-	}
-	e.SetDoneCheckInterval(1)
-	n, err = e.RunUntil(func() bool { return c.n.Get() >= 9 }, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("edges = %d, want 1 (exact polling restored)", n)
-	}
-}
-
-// TestIdleSkipMatchesUnskipped verifies that disabling idle bulk-skip (via
-// RunCycles, which suspends it) and running edge by edge produces the same
-// cycle counts a skipped run does: the idle windows are jumped, never lost.
+// TestIdleSkipMatchesUnskipped verifies that the event-driven scheduler's
+// idle bulk-skip keeps the cycle counts an edge-by-edge run produces: the
+// idle windows are jumped, never lost. It selects EventDriven itself, since
+// the lockstep reference does not skip.
 func TestIdleSkipMatchesUnskipped(t *testing.T) {
 	type idleCounter struct{ counter }
 	// A ticker that is always idle would never be delivered an edge by a
 	// skipping engine; pair an idle fast domain with an active slow one
 	// and check the fast domain's cycle accounting stays exact.
 	e := NewEngine()
+	e.SetScheduler(EventDriven)
 	fast := e.NewDomain("fast", 4000)
 	slow := e.NewDomain("slow", 1000)
 	fast.Attach(alwaysIdle{})
@@ -77,9 +52,9 @@ func TestIdleSkipMatchesUnskipped(t *testing.T) {
 
 // TestStatsAccountAllEdges pins the telemetry invariant behind
 // Engine.Stats: delivered plus skipped edges must equal the sum of the
-// per-domain cycle counters, under both schedulers and across every skip
-// path (the lockstep inline skip bypasses Domain.skipEdges and is counted
-// separately).
+// per-domain cycle counters under both schedulers. The event-driven
+// scheduler skips the idle domain; lockstep, the no-skip reference, skips
+// nothing and never touches the heap.
 func TestStatsAccountAllEdges(t *testing.T) {
 	for _, sched := range []Scheduler{EventDriven, Lockstep} {
 		e := NewEngine()
@@ -98,33 +73,52 @@ func TestStatsAccountAllEdges(t *testing.T) {
 			t.Fatalf("%v: delivered %d + skipped %d != total cycles %d",
 				sched, st.EdgesDelivered, st.EdgesSkipped, total)
 		}
-		if st.EdgesSkipped == 0 {
-			t.Fatalf("%v: idle fast domain skipped no edges", sched)
+		switch {
+		case sched == EventDriven && st.EdgesSkipped == 0:
+			t.Fatal("event-driven: idle fast domain skipped no edges")
+		case sched == Lockstep && (st.EdgesSkipped != 0 || st.HeapOps != 0):
+			t.Fatalf("lockstep: %d edges skipped and %d heap ops, want 0 and 0", st.EdgesSkipped, st.HeapOps)
 		}
-		if sched == Lockstep && st.HeapOps != 0 {
-			t.Fatalf("lockstep scheduler recorded %d heap ops, want 0", st.HeapOps)
-		}
-	}
-	// The n >= 3 event layout is the only one that touches the heap.
-	e := NewEngine()
-	e.SetScheduler(EventDriven)
-	for i, hz := range []int64{4000, 2000, 1000} {
-		e.NewDomain(fmt.Sprintf("d%d", i), hz).Attach(&counter{})
-	}
-	for i := 0; i < 50; i++ {
-		e.step()
-	}
-	if st := e.Stats(); st.HeapOps == 0 {
-		t.Fatal("three-domain event engine recorded no heap ops")
 	}
 }
 
-// alwaysIdle is a Ticker+Idler whose edges are permanent no-ops.
+// TestHeapOnlyForThreeOrMoreDomains pins where the event-driven scheduler
+// spends heap operations: one- and two-domain engines count only the
+// build their scheduling plan makes (one per domain), however much they
+// skip, while an engine of three or more domains pops, pushes and rebuilds
+// the heap after every skip.
+func TestHeapOnlyForThreeOrMoreDomains(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		e := NewEngine()
+		e.SetScheduler(EventDriven)
+		for i := 0; i < n; i++ {
+			e.NewDomain(fmt.Sprintf("d%d", i), int64(4000)>>i).Attach(&phaseBulk{active: 2, idle: 16, rem: 2})
+		}
+		var never bool
+		if _, err := e.RunUntilFlag(&never, 500); err != ErrBudget {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.EdgesSkipped == 0 {
+			t.Fatalf("%d domains: nothing was skipped", n)
+		}
+		if n < 3 && st.HeapOps != int64(n) {
+			t.Fatalf("%d domains: %d heap ops, want only the plan's %d", n, st.HeapOps, n)
+		}
+		if n >= 3 && st.HeapOps <= int64(10*n) {
+			t.Fatalf("%d domains: %d heap ops; the heap was not maintained across skips", n, st.HeapOps)
+		}
+	}
+}
+
+// alwaysIdle is a Ticker whose edges are permanent no-ops: a BulkIdler
+// idle until input.
 type alwaysIdle struct{}
 
-func (alwaysIdle) Eval()                {}
-func (alwaysIdle) Update()              {}
-func (alwaysIdle) IdleUntilInput() bool { return true }
+func (alwaysIdle) Eval()            {}
+func (alwaysIdle) Update()          {}
+func (alwaysIdle) IdleEdges() int64 { return IdleForever }
+func (alwaysIdle) SkipEdges(int64)  {}
 
 // TestEventStepZeroAllocAllLayouts pins the allocation-free contract of the
 // event-driven scheduler across every dispatch path: the solo and pair

@@ -15,13 +15,6 @@ func (b *busyBulk) Update()          {}
 func (b *busyBulk) IdleEdges() int64 { return 0 }
 func (b *busyBulk) SkipEdges(int64)  {}
 
-// busyIdler is an Idler that is never idle (an IMU with traffic in flight).
-type busyIdler struct{ n int64 }
-
-func (b *busyIdler) Eval()                { b.n++ }
-func (b *busyIdler) Update()              {}
-func (b *busyIdler) IdleUntilInput() bool { return false }
-
 // phaseBulk alternates active and bounded-idle windows of fixed length,
 // modelling a core with multi-cycle compute phases between accesses.
 type phaseBulk struct {
@@ -94,7 +87,8 @@ func benchSpan(b *testing.B, e *Engine, span int64) {
 }
 
 // BenchmarkSoloBusy pins the per-edge overhead of a single-domain engine
-// whose components never idle: the event scheduler asks the polled ticker
+// whose components never idle (a core that always has work next to an IMU
+// with traffic in flight): the event scheduler asks the first polled ticker
 // before every edge, which should keep it within a few percent of lockstep.
 func BenchmarkSoloBusy(b *testing.B) {
 	for _, s := range schedulers() {
@@ -103,7 +97,7 @@ func BenchmarkSoloBusy(b *testing.B) {
 			e.SetScheduler(s.sched)
 			d := e.NewDomain("clk", 40_000_000)
 			d.Attach(&busyBulk{})
-			d.Attach(&busyIdler{})
+			d.Attach(&busyBulk{})
 			benchSpan(b, e, 1024)
 		})
 	}

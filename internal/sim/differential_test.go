@@ -121,7 +121,7 @@ type domSpec struct {
 	freq       int64
 	phases     []sphase
 	hasWait    bool
-	extraIdler bool // attach a pure (open-ended) Idler alongside
+	extraIdler bool // attach an always-idle BulkIdler alongside
 	watched    bool // runPub only: deliver the ticker through a carrier, Watch its horizon
 }
 
@@ -197,9 +197,9 @@ func randPhases(r *rand.Rand, driver, canWait bool) ([]sphase, bool) {
 	return phases, hasWait
 }
 
-// intRatioFreqs yields frequencies with integer ratios (the fast schedule);
-// one random domain runs at the full base rate so the set's maximum divides
-// evenly into every member.
+// intRatioFreqs yields frequencies with integer ratios (the event schedule's
+// base clock is then the fastest domain); one random domain runs at the full
+// base rate so the set's maximum divides evenly into every member.
 func intRatioFreqs(r *rand.Rand, n int) []int64 {
 	base := int64(1+r.Intn(999)) * 48_000
 	divs := []int64{1, 2, 3, 4, 6, 8, 12, 16, 24, 48}
@@ -211,8 +211,9 @@ func intRatioFreqs(r *rand.Rand, n int) []int64 {
 	return out
 }
 
-// coprimeFreqs yields pairwise-coprime frequencies, forcing the rational
-// (cross-multiplied) schedule in both engines.
+// coprimeFreqs yields pairwise-coprime frequencies: the event engine counts
+// ticks of their LCM, far above every domain, while lockstep compares
+// next-edge times as rationals.
 func coprimeFreqs(r *rand.Rand, n int) []int64 {
 	primes := []int64{7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
 	r.Shuffle(len(primes), func(i, j int) { primes[i], primes[j] = primes[j], primes[i] })
@@ -306,7 +307,7 @@ func traceSchedule(sched Scheduler, freqs []int64, steps int) ([]int64, float64,
 }
 
 // TestDifferentialSchedules pins exact super-edge equivalence when nothing
-// is skippable: the heap (or rational) event schedule must deliver the
+// is skippable: the event schedule, in base-clock ticks, must deliver the
 // same due sets in the same order with the same cycle counts as the
 // lockstep linear scan, and the run loops must count the same number of
 // super-edges.

@@ -2,18 +2,17 @@ package sim
 
 import "math"
 
-// This file implements the event-driven scheduler: a binary min-heap of
-// next-edge times for the integer-ratio fast mode, a cross-multiplied
-// rational fallback for arbitrary frequencies, and the generalised idle
-// bulk-skip that jumps any subset of idle domains to the wake horizon — the
-// earliest non-inert edge across all domains — in one pass. The
-// single-domain and two-domain integer-ratio layouts (every assembled
-// platform) are dispatched through heap-free inline paths with the same
-// semantics; the heap carries the n >= 3 boards.
+// This file implements the event-driven scheduler: next-edge times in
+// integer ticks of the engine's base clock, a binary min-heap of them for
+// engines of three or more domains, and the idle bulk-skip pass that jumps
+// any subset of idle domains to the wake horizon — the earliest non-inert
+// edge across all domains. The single-domain and two-domain layouts (every
+// assembled platform) are dispatched through heap-free inline paths with
+// the same semantics.
 //
-// Ordering contract: both modes deliver exactly the super-edge the lockstep
-// scheduler would deliver, with coincident domains Evaluated and Updated in
-// creation order. The differential tests pin this equivalence.
+// Ordering contract: every layout delivers exactly the super-edge the
+// lockstep scheduler would deliver, with coincident domains Evaluated and
+// Updated in creation order. The differential tests pin this equivalence.
 
 // domBefore orders domains by next-edge tick, ties broken by creation
 // order so coincident pops come out in delivery order.
@@ -114,32 +113,30 @@ func spanEdges(d *Domain, T int64) int64 {
 
 // eventStep advances the simulation by one event: either one delivered
 // super-edge, or a bulk-skip window ending in one. It records the delivered
-// domains in e.due and returns the number of super-edge times consumed
-// (counting skipped idle edges, like the lockstep fast path does).
+// domains in e.due (except on the solo path, whose due set is its only
+// domain) and returns the number of super-edge times consumed, counting
+// skipped idle edges.
 func (e *Engine) eventStep() int64 {
-	switch {
-	case len(e.domains) == 1:
+	switch len(e.domains) {
+	case 1:
 		if e.noSkip > 0 {
 			// runSolo always skips when it can; RunCycles must not.
 			e.domains[0].tick()
 			return 1
 		}
 		var never bool
-		n, _ := e.runSolo(&never, nil, 1, 1)
+		n, _ := e.runSolo(&never, nil, 1)
 		return n
-	case e.fast && len(e.domains) == 2:
+	case 2:
 		return e.eventStepPair()
-	case e.fast:
-		return e.eventStepFast()
 	default:
-		return e.eventStepGeneral()
+		return e.eventStepHeap()
 	}
 }
 
-// eventStepPair is the two-domain integer-ratio event step: a pair needs no
-// heap, just one compare, mirroring the lockstep inline path — but idleness
-// is the generalised kind (bounded compute windows included, any ratio),
-// dispatched through the shared pair skip pass.
+// eventStepPair is the two-domain event step: a pair needs no heap, just
+// one compare. Only the due domains' idleness decides whether to skip; the
+// skip pass then needs the other domain's wake tick too.
 func (e *Engine) eventStepPair() int64 {
 	d0, d1 := e.domains[0], e.domains[1]
 	if d0.nextAt < d1.nextAt {
@@ -153,11 +150,12 @@ func (e *Engine) eventStepPair() int64 {
 		k0 := d0.IdleEdges()
 		k1 := d1.IdleEdges()
 		if k0 > 0 || k1 > 0 {
-			return e.pairSkip(d0, d1, k0, k1)
+			d0.wake, d1.wake = d0.wakeFrom(k0), d1.wakeFrom(k1)
+			return e.skipPass()
 		}
 	}
 	e.due = append(e.due[:0], d0, d1)
-	e.deliverPair(d0, d1)
+	deliver(e.due)
 	return 1
 }
 
@@ -166,7 +164,8 @@ func (e *Engine) eventStepPair() int64 {
 func (e *Engine) pairSolo(due, other *Domain) int64 {
 	if e.noSkip == 0 {
 		if k := due.IdleEdges(); k > 0 {
-			return e.pairSkip(due, other, k, other.IdleEdges())
+			due.wake, other.wake = due.wakeFrom(k), other.wakeAt()
+			return e.skipPass()
 		}
 	}
 	e.due = append(e.due[:0], due)
@@ -174,111 +173,11 @@ func (e *Engine) pairSolo(due, other *Domain) int64 {
 	return 1
 }
 
-// deliverPair runs a coincident super-edge on two domains in creation
-// order: all Evals before any Update.
-func (e *Engine) deliverPair(d0, d1 *Domain) {
-	if d1.order < d0.order {
-		d0, d1 = d1, d0
-	}
-	for _, t := range d0.tickers {
-		t.Eval()
-	}
-	for _, t := range d1.tickers {
-		t.Eval()
-	}
-	for _, t := range d0.tickers {
-		t.Update()
-	}
-	d0.cycles++
-	d0.nextAt += d0.ratio
-	for _, t := range d1.tickers {
-		t.Update()
-	}
-	d1.cycles++
-	d1.nextAt += d1.ratio
-}
-
-// pairSkip is the two-domain wake-horizon pass: T is the earlier of the two
-// domains' first non-inert edges; edges at ticks <= T of a domain still
-// inert there are consumed in bulk, and domains waking exactly at T get a
-// delivered edge. A skipped edge coincident with T is sound to drop
-// silently: its Eval would run before any Update at T commits, so it
-// observes exactly the state that made it inert.
-func (e *Engine) pairSkip(a, b *Domain, ka, kb int64) int64 {
-	wa, wb := a.wakeFrom(ka), b.wakeFrom(kb)
-	T := wa
-	if wb < T {
-		T = wb
-	}
-	if T == math.MaxInt64 {
-		// Both idle until input neither will produce: deliver the earliest
-		// (no-op) super-edge so run budgets advance, exactly as lockstep.
-		if a.nextAt < b.nextAt {
-			e.due = append(e.due[:0], a)
-			a.tick()
-		} else if b.nextAt < a.nextAt {
-			e.due = append(e.due[:0], b)
-			b.tick()
-		} else {
-			e.due = append(e.due[:0], a, b)
-			e.deliverPair(a, b)
-		}
-		return 1
-	}
-	consumed := int64(1)
-	var dela, delb bool
-	if a.nextAt <= T {
-		if wa == T {
-			if s := spanEdges(a, T); s > 0 {
-				a.skipEdges(s)
-				if s+1 > consumed {
-					consumed = s + 1
-				}
-			}
-			dela = true
-		} else {
-			s := spanEdges(a, T) + 1
-			a.skipEdges(s)
-			if s > consumed {
-				consumed = s
-			}
-		}
-	}
-	if b.nextAt <= T {
-		if wb == T {
-			if s := spanEdges(b, T); s > 0 {
-				b.skipEdges(s)
-				if s+1 > consumed {
-					consumed = s + 1
-				}
-			}
-			delb = true
-		} else {
-			s := spanEdges(b, T) + 1
-			b.skipEdges(s)
-			if s > consumed {
-				consumed = s
-			}
-		}
-	}
-	switch {
-	case dela && delb:
-		e.due = append(e.due[:0], a, b)
-		e.deliverPair(a, b)
-	case dela:
-		e.due = append(e.due[:0], a)
-		a.tick()
-	default:
-		e.due = append(e.due[:0], b)
-		b.tick()
-	}
-	return consumed
-}
-
-// eventStepFast is the n >= 3 integer-ratio event step. The heap yields the
-// due set in creation order in O(due · log n); the skip pass, taken only
-// when a due domain is idle, scans all domains once for the wake horizon.
-func (e *Engine) eventStepFast() int64 {
+// eventStepHeap is the event step of engines with three or more domains.
+// The heap yields the due set in creation order in O(due · log n); the
+// skip pass, taken only when a due domain is idle, asks every domain for
+// its wake tick.
+func (e *Engine) eventStepHeap() int64 {
 	t0 := e.eheap[0].nextAt
 	due := e.due[:0]
 	for len(e.eheap) > 0 && e.eheap[0].nextAt == t0 {
@@ -288,53 +187,46 @@ func (e *Engine) eventStepFast() int64 {
 	if e.noSkip == 0 {
 		for _, d := range due {
 			if d.IdleEdges() > 0 {
-				// The popped due set is re-derived from e.domains and the
-				// heap rebuilt wholesale by the skip pass.
-				return e.eventSkipFast()
+				// The skip pass re-derives the due set from e.domains and
+				// rebuilds the heap wholesale.
+				for _, d := range e.domains {
+					d.wake = d.wakeAt()
+				}
+				return e.skipPass()
 			}
 		}
 	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Eval()
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Update()
-		}
-		d.cycles++
-		d.nextAt += d.ratio
-	}
+	deliver(due)
 	for _, d := range due {
 		e.heapPush(d)
 	}
 	return 1
 }
 
-// eventSkipFast advances an n >= 3 engine to the wake horizon T: the
-// earliest tick at which any domain has a non-inert edge. Idle domains
-// consume all their (provably no-op) edges at ticks <= T in bulk; domains
-// whose first non-inert edge lands exactly on T are delivered a normal
-// super-edge there.
-func (e *Engine) eventSkipFast() int64 {
+// skipPass advances the engine to the wake horizon T: the earliest tick at
+// which any domain has a non-inert edge, from the wake ticks its caller
+// filled in for every domain. Idle domains consume all their (provably
+// no-op) edges at ticks <= T in bulk; domains whose first non-inert edge
+// lands exactly on T are delivered a normal super-edge there. A skipped
+// edge coincident with T is sound to drop silently: its Eval would run
+// before any Update at T commits, so it observes exactly the state that
+// made it inert. The pass returns the super-edge times consumed and
+// rebuilds the heap of an engine that has one.
+func (e *Engine) skipPass() int64 {
 	T := int64(math.MaxInt64)
 	for _, d := range e.domains {
-		d.wake = d.wakeAt()
 		if d.wake < T {
 			T = d.wake
 		}
 	}
 	if T == math.MaxInt64 {
 		// Every domain is idle until input that no domain will produce:
-		// deliver the earliest (no-op) super-edge so run budgets advance.
-		t0 := e.domains[0].nextAt
+		// deliver the earliest (no-op) super-edge so run budgets advance,
+		// exactly as lockstep does.
+		T = e.domains[0].nextAt
 		for _, d := range e.domains[1:] {
-			if d.nextAt < t0 {
-				t0 = d.nextAt
-			}
+			T = min(T, d.nextAt)
 		}
-		T = t0
 		for _, d := range e.domains {
 			d.wake = d.nextAt
 		}
@@ -348,152 +240,19 @@ func (e *Engine) eventSkipFast() int64 {
 		if d.wake == T {
 			if s := spanEdges(d, T); s > 0 {
 				d.skipEdges(s)
-				if s+1 > consumed {
-					consumed = s + 1
-				}
+				consumed = max(consumed, s+1)
 			}
 			due = append(due, d)
 		} else {
 			s := spanEdges(d, T) + 1
 			d.skipEdges(s)
-			if s > consumed {
-				consumed = s
-			}
+			consumed = max(consumed, s)
 		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Eval()
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Update()
-		}
-		d.cycles++
-		d.nextAt += d.ratio
 	}
 	e.due = due
-	e.heapInit()
-	return consumed
-}
-
-// maxBoundedIdle caps bounded idle windows in the rational (non-integer
-// ratio) mode so wake-time cross-multiplications cannot overflow int64.
-// Skipping fewer edges than a component advertises is always sound — the
-// next step simply skips again — so the cap costs only a little speed on
-// absurdly long countdowns.
-const maxBoundedIdle = int64(1) << 31
-
-// eventStepGeneral is the event step for engines whose frequencies have
-// non-integer ratios: next-edge times are the rationals (cycles+1)/freqHz,
-// compared by cross-multiplication exactly like the lockstep fallback.
-func (e *Engine) eventStepGeneral() int64 {
-	earliest := e.domains[0]
-	for _, d := range e.domains[1:] {
-		if edgeBefore(d, earliest) {
-			earliest = d
-		}
+	deliver(due)
+	if len(e.domains) >= 3 {
+		e.heapInit()
 	}
-	if e.noSkip == 0 {
-		for _, d := range e.domains {
-			if (d == earliest || edgeCoincident(d, earliest)) && d.IdleEdges() > 0 {
-				return e.eventSkipGeneral()
-			}
-		}
-	}
-	due := e.due[:0]
-	for _, d := range e.domains {
-		if d == earliest || edgeCoincident(d, earliest) {
-			due = append(due, d)
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Eval()
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Update()
-		}
-		d.cycles++
-		d.nextAt += d.ratio
-	}
-	e.due = due
-	return 1
-}
-
-// eventSkipGeneral is the rational-time bulk-skip: the wake horizon T is
-// the minimum of the per-domain rationals (cycles+1+idle)/freqHz, and a
-// domain's edge count up to T is floor(Tnum·freq/Tden) — inside the same
-// cross-multiplication bound the comparisons rely on.
-func (e *Engine) eventSkipGeneral() int64 {
-	var tn, td int64
-	haveT := false
-	for _, d := range e.domains {
-		k := d.IdleEdges()
-		if k >= IdleForever {
-			d.wake = -1 // idle until input: no wake edge of its own
-			continue
-		}
-		if k > maxBoundedIdle {
-			k = maxBoundedIdle
-		}
-		d.wake = d.cycles + 1 + k
-		if !haveT || d.wake*td < tn*d.freqHz {
-			tn, td = d.wake, d.freqHz
-			haveT = true
-		}
-	}
-	if !haveT {
-		// Everything idle until input: deliver the earliest no-op edge.
-		earliest := e.domains[0]
-		for _, d := range e.domains[1:] {
-			if edgeBefore(d, earliest) {
-				earliest = d
-			}
-		}
-		tn, td = earliest.cycles+1, earliest.freqHz
-		for _, d := range e.domains {
-			d.wake = d.cycles + 1
-		}
-	}
-	consumed := int64(1)
-	due := e.due[:0]
-	for _, d := range e.domains { // creation order
-		// Edges of d at times <= T, minus those already delivered.
-		r := tn*d.freqHz/td - d.cycles
-		if r <= 0 {
-			continue
-		}
-		if d.wake >= 0 && d.wake*td == tn*d.freqHz {
-			if r-1 > 0 {
-				d.skipEdges(r - 1)
-			}
-			if r > consumed {
-				consumed = r
-			}
-			due = append(due, d)
-		} else {
-			d.skipEdges(r)
-			if r > consumed {
-				consumed = r
-			}
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Eval()
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Update()
-		}
-		d.cycles++
-		d.nextAt += d.ratio
-	}
-	e.due = due
 	return consumed
 }

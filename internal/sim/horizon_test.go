@@ -48,8 +48,7 @@ var errScripted = errors.New("scripted failure")
 // carrier is a composite ticker that delivers a watched Publisher's edges
 // itself, the way platform's shell ticker drives its IMU, and counts the
 // edges it delivered. Its own share of the domain's idleness is open-ended,
-// so the domain's answer is the watched horizon's; it is no Idler, so the
-// lockstep scheduler never skips it.
+// so the domain's answer is the watched horizon's.
 type carrier struct {
 	sub       Ticker
 	delivered int64

@@ -8,22 +8,17 @@ import (
 )
 
 // refRun is the reference run loop: one e.step() per iteration, with *stop
-// and done() polled every `every` super-edges exactly as RunUntil and
+// and done() polled before every super-edge exactly as RunUntil and
 // RunUntilFlag document it. The run loops choose their layout once per call
 // and must be indistinguishable from it.
-func refRun(e *Engine, stop *bool, done func() bool, every, maxEdges int64) (int64, error) {
+func refRun(e *Engine, stop *bool, done func() bool, maxEdges int64) (int64, error) {
 	e.stopErr = nil
-	since, n := every, int64(0)
+	n := int64(0)
 	for n < maxEdges {
-		if since >= every {
-			since = 0
-			if *stop || done != nil && done() {
-				return n, nil
-			}
+		if *stop || done != nil && done() {
+			return n, nil
 		}
-		k := e.step()
-		n += k
-		since += k
+		n += e.step()
 		if e.stopErr != nil {
 			return n, e.stopErr
 		}
@@ -40,8 +35,8 @@ func refRun(e *Engine, stop *bool, done func() bool, every, maxEdges int64) (int
 // and RunUntilFlag on one, refRun on the other. Every call must return the
 // same (n, err) and leave the same domain cycles, Stats and component
 // state. The sequence covers a stop flag already up, budgets a skip window
-// overshoots, batched done() polling, a flag raised mid-run and a Fail
-// mid-run.
+// overshoots, a done() condition reached mid-run, a flag raised mid-run and
+// a Fail mid-run.
 func TestRunLoopsMatchStepLoop(t *testing.T) {
 	var overshoots int
 	for seed := int64(0); seed < 36; seed++ {
@@ -49,7 +44,7 @@ func TestRunLoopsMatchStepLoop(t *testing.T) {
 		nd := []int{1, 2, 3 + r.Intn(3)}[seed%3]
 		freqs := intRatioFreqs(r, nd)
 		if seed%6 == 5 || seed%6 == 4 {
-			freqs = coprimeFreqs(r, nd) // the pair and n >= 3 rational layouts
+			freqs = coprimeFreqs(r, nd) // a base clock far above every domain
 		}
 		specs := make([]domSpec, nd)
 		for i := range specs {
@@ -72,7 +67,7 @@ func TestRunLoopsMatchStepLoop(t *testing.T) {
 			calls = append(calls,
 				call{"RunUntilFlag/stop-up", 0, func(w *pubRig, isRef bool) (int64, error) {
 					if isRef {
-						return refRun(w.e, &up, nil, 1, 100)
+						return refRun(w.e, &up, nil, 100)
 					}
 					return w.e.RunUntilFlag(&up, 100)
 				}},
@@ -80,7 +75,7 @@ func TestRunLoopsMatchStepLoop(t *testing.T) {
 					done := func() bool { return true }
 					var never bool
 					if isRef {
-						return refRun(w.e, &never, done, 1, 100)
+						return refRun(w.e, &never, done, 100)
 					}
 					return w.e.RunUntil(done, 100)
 				}})
@@ -88,32 +83,28 @@ func TestRunLoopsMatchStepLoop(t *testing.T) {
 				calls = append(calls, call{fmt.Sprintf("RunUntilFlag/budget=%d", budget), budget, func(w *pubRig, isRef bool) (int64, error) {
 					var never bool
 					if isRef {
-						return refRun(w.e, &never, nil, 1, budget)
+						return refRun(w.e, &never, nil, budget)
 					}
 					return w.e.RunUntilFlag(&never, budget)
 				}})
 			}
-			for _, every := range []int64{1, 3} {
-				calls = append(calls, call{fmt.Sprintf("RunUntil/every=%d", every), 0, func(w *pubRig, isRef bool) (int64, error) {
+			calls = append(calls,
+				call{"RunUntil/done", 0, func(w *pubRig, isRef bool) (int64, error) {
 					target := drvActive(w) + 30
 					done := func() bool { return drvActive(w) >= target }
 					var never bool
 					if isRef {
-						return refRun(w.e, &never, done, every, 1_000_000)
+						return refRun(w.e, &never, done, 1_000_000)
 					}
-					w.e.SetDoneCheckInterval(every)
-					defer w.e.SetDoneCheckInterval(1)
 					return w.e.RunUntil(done, 1_000_000)
-				}})
-			}
-			calls = append(calls,
+				}},
 				call{"RunUntilFlag/raised", 0, func(w *pubRig, isRef bool) (int64, error) {
 					var stop bool
 					drv := w.ticks[0]
 					drv.stop, drv.stopAt = &stop, drv.active+25
 					defer func() { drv.stop = nil }()
 					if isRef {
-						return refRun(w.e, &stop, nil, 1, 1_000_000)
+						return refRun(w.e, &stop, nil, 1_000_000)
 					}
 					return w.e.RunUntilFlag(&stop, 1_000_000)
 				}},
@@ -122,7 +113,7 @@ func TestRunLoopsMatchStepLoop(t *testing.T) {
 					drv := w.ticks[0]
 					drv.fail, drv.failAt = w.e, drv.active+20
 					if isRef {
-						return refRun(w.e, &never, nil, 1, 1_000_000)
+						return refRun(w.e, &never, nil, 1_000_000)
 					}
 					return w.e.RunUntilFlag(&never, 1_000_000)
 				}},
@@ -133,14 +124,14 @@ func TestRunLoopsMatchStepLoop(t *testing.T) {
 					drv := w.ticks[0]
 					drv.fail, drv.failAt = w.e, drv.active+15
 					if isRef {
-						return refRun(w.e, &never, done, 1, 1_000_000)
+						return refRun(w.e, &never, done, 1_000_000)
 					}
 					return w.e.RunUntil(done, 1_000_000)
 				}},
 				call{"RunUntil/nil-done", 0, func(w *pubRig, isRef bool) (int64, error) {
 					var never bool
 					if isRef {
-						return refRun(w.e, &never, nil, 1, 61)
+						return refRun(w.e, &never, nil, 61)
 					}
 					return w.e.RunUntil(nil, 61)
 				}})

@@ -11,53 +11,51 @@
 // construction — the classic two-phase (evaluate/commit) RTL discipline.
 //
 // Edges from different domains are interleaved in exact time order without
-// floating-point time: the next edge of a domain that has ticked c cycles at
-// f hertz occurs at t = (c+1)/f seconds, and the kernel compares such
-// rationals by cross-multiplication in int64. Coincident edges (for example
-// a 6 MHz core and a 24 MHz bus every fourth bus cycle) are merged into a
-// single super-edge: all Evals run, then all Updates, preserving the
-// synchronous contract across domain boundaries.
+// floating-point time. Coincident edges (for example a 6 MHz core and a
+// 24 MHz bus every fourth bus cycle) are merged into a single super-edge:
+// all Evals run, then all Updates, preserving the synchronous contract
+// across domain boundaries.
 //
 // # Schedulers
 //
 // The engine offers two interchangeable schedulers, selected per Engine
 // (SetScheduler) or process-wide (SetDefaultScheduler):
 //
-//   - EventDriven (the default): a min-heap of next-edge times. Real
-//     platforms (and everything Validate accepts) use integer frequency
-//     ratios, for which every domain edge lands exactly on a tick of the
-//     fastest domain; the engine precomputes, per domain, its period in
-//     fastest-domain ticks (ratio) and the absolute tick of its next edge
-//     (nextAt), and keeps the domains in a binary heap keyed by
-//     (nextAt, creation order). One super-edge pops the due domains in
-//     O(log n) and coincidence is an integer compare; ties break towards
-//     creation order, so coincident edges Eval and Update in exactly the
-//     order the lockstep scheduler uses. Engines with non-integer ratios
-//     fall back to cross-multiplied rational comparisons with the same
-//     delivery order.
+//   - EventDriven (the default): time is counted in ticks of a base clock
+//     whose frequency is the least common multiple of the domain
+//     frequencies, so every domain edge lands exactly on a tick (for the
+//     integer ratios real platforms use, which CheckClocks enforces, the
+//     base clock is the fastest domain). The engine keeps, per domain, its period in ticks (ratio) and
+//     the absolute tick of its next edge (nextAt); engines of three or more
+//     domains keep them in a binary heap keyed by (nextAt, creation order),
+//     while one- and two-domain engines need no heap. Coincidence is an
+//     integer compare and ties break towards creation order, so coincident
+//     edges Eval and Update in exactly the order the lockstep scheduler
+//     uses. Idle domains are bulk-skipped (below).
 //
-//   - Lockstep: the original linear scan over all domains per super-edge,
-//     kept verbatim as the reference implementation. The differential tests
-//     in this package (and the whole-system golden tests at the repository
-//     root) prove the two schedulers deliver bit-identical edge schedules,
-//     cycle counts and metrics for every configuration, which is what makes
-//     the event-driven path safe to default to.
+//   - Lockstep: a linear scan over all domains per super-edge that compares
+//     next-edge times as rationals, (cycles+1)/freqHz, by cross-
+//     multiplication in int64. It reads no plan and no idleness answer and
+//     delivers every edge, so it is a strict reference for the event
+//     scheduler's skips. The differential tests in this package (and the
+//     whole-system golden tests at the repository root) prove the two
+//     schedulers deliver bit-identical cycle counts and metrics for every
+//     configuration, which is what makes the event-driven path safe to
+//     default to.
 //
 // # Idle bulk-skip
 //
 // Components whose edges are provably no-ops can advertise idleness and let
-// the engine jump time forward instead of delivering inert edges one by one:
+// the event-driven scheduler jump time forward instead of delivering inert
+// edges one by one:
 //
-//   - Idler declares open-ended idleness: every upcoming edge is a no-op
-//     until a component in another clock domain commits new state (or the
-//     component is poked externally between run calls).
-//
-//   - BulkIdler extends the contract to bounded idleness: a component in a
+//   - BulkIdler: a component reports how many upcoming edges are inert
+//     (IdleEdges), IdleForever when it is idle until input, and is
+//     fast-forwarded through skipped edges with SkipEdges. A component in a
 //     multi-cycle compute phase (a cipher pipeline filling, a serial decode
-//     counting down) knows exactly how many upcoming edges are inert and is
-//     fast-forwarded through them with SkipEdges. The engine asks it
-//     (IdleEdges) whenever it considers skipping the component's domain;
-//     the coprocessor cores answer this way, from their FSM state alone.
+//     counting down) knows exactly how many upcoming edges are inert; the
+//     coprocessor cores answer this way, from their FSM state alone. The
+//     engine asks it whenever it considers skipping the component's domain.
 //
 //   - Publisher turns the question around. A BulkIdler that keeps a Horizon
 //     current — the absolute domain cycle of its last inert edge, published
@@ -77,16 +75,11 @@
 // counts, counters, committed values and NowPs are bit-identical to the
 // unskipped schedule; edges at the horizon itself are delivered normally,
 // because that is where a skipped component wakes or another domain commits.
-// The lockstep scheduler keeps the narrower PR-1 behaviour (two-domain
-// fast path only) so it stays a faithful reference.
 //
 // The kernel is allocation-free in steady state: Step reuses one scratch
 // slice for the set of due domains (callers must not retain it across
 // steps), heap operations never allocate, and the flag-polled run loop
 // RunUntilFlag stops on a plain bool without any per-edge closure call.
-// RunUntil's done() polling can be batched with SetDoneCheckInterval for
-// callers that only need eventual detection; the default interval of 1
-// preserves edge-exact stopping, which metric-collecting callers rely on.
 package sim
 
 import (
@@ -94,7 +87,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 )
 
 // Ticker is a synchronous component driven by a clock domain.
@@ -109,40 +101,26 @@ type Ticker interface {
 	Update()
 }
 
-// Idler is an optional Ticker extension for components whose edges are
-// provably no-ops while they wait for input. IdleUntilInput reports that
-// every edge delivered to the component from now on would leave all
-// observable state unchanged until either (a) a component in another clock
-// domain commits new state, or (b) the component is poked externally
-// between run calls (the OS models only touch hardware while the engine is
-// paused). When every ticker of a domain is an idle Idler and another
-// domain still has work, the engine advances the idle domain's cycle
-// counter in bulk instead of delivering the edges one by one — the skipped
-// edges are exactly the ones whose Eval would have taken the component's
-// no-op fast path, so cycle counts, counters and all committed values are
-// bit-identical to the unskipped schedule.
-type Idler interface {
-	IdleUntilInput() bool
-}
-
-// IdleForever is the IdleEdges result declaring open-ended idleness, fully
-// equivalent to Idler's IdleUntilInput returning true.
+// IdleForever is the IdleEdges result declaring open-ended idleness: every
+// upcoming edge is inert until input arrives.
 const IdleForever = int64(math.MaxInt64)
 
-// BulkIdler is the bounded extension of Idler for components whose inert
-// windows end on their own clock — a compute pipeline draining, a serial
-// unit counting down — rather than on external input.
+// BulkIdler is an optional Ticker extension for components whose edges are
+// provably no-ops for a while: waiting for input, or in an inert window that
+// ends on their own clock (a compute pipeline draining, a serial unit
+// counting down).
 //
 // IdleEdges reports how many upcoming edges are provably inert: delivering
 // them would neither commit state observable by other components nor depend
 // on state other domains may commit meanwhile (internal countdowns are
 // allowed; that is the point). It returns 0 when the component is busy and
-// IdleForever when it is idle until input. As with Idler, the window may end
-// early only through another domain's commit or an external poke between
-// run calls. A plain BulkIdler is asked afresh every time the engine
-// considers skipping its domain, so both are seen; a Publisher is asked
-// only while its Horizon is stale, and must itself invalidate the horizon
-// on every such commit or poke.
+// IdleForever when it is idle until input. The window may end early only
+// through (a) a commit by a component in another clock domain, or (b) an
+// external poke between run calls (the OS models only touch hardware while
+// the engine is paused). A plain BulkIdler is asked afresh every time the
+// engine considers skipping its domain, so both are seen; a Publisher is
+// asked only while its Horizon is stale, and must itself invalidate the
+// horizon on every such commit or poke.
 //
 // SkipEdges(k) tells the component that k of those edges (k never exceeds
 // the advertised count) were consumed in bulk; it must leave the component
@@ -245,8 +223,8 @@ const (
 	// EventDriven schedules super-edges from a min-heap of next-edge times
 	// and bulk-skips any subset of idle domains to the wake horizon.
 	EventDriven
-	// Lockstep is the original linear due-domain scan, kept as the
-	// reference implementation for differential testing.
+	// Lockstep is the linear due-domain scan that delivers every edge,
+	// kept as the reference implementation for differential testing.
 	Lockstep
 )
 
@@ -319,48 +297,27 @@ type Domain struct {
 	eng     *Engine
 	order   int // creation index; breaks scheduling ties deterministically
 
-	// Fast-path schedule (valid while eng.fast): the domain's period in
-	// fastest-domain ticks, and the absolute tick of its next edge.
+	// Event schedule (valid while eng.planned): the domain's period in
+	// ticks of the engine's base clock, and the absolute tick of its next
+	// edge.
 	ratio  int64
 	nextAt int64
 
-	// Event-scheduler scratch: the absolute tick (fast mode) or rational
-	// numerator over freqHz (general mode) of the first non-inert edge,
-	// recomputed by every skip pass. wake < 0 encodes "idle until input".
+	// Skip-pass input: the absolute tick of the domain's first non-inert
+	// edge (math.MaxInt64: idle until input), filled in by the pass's
+	// caller.
 	wake int64
 
-	// pubs, polled and idlers hold the tickers that advertise idleness:
-	// the Publishers' horizons, the other BulkIdlers (asked every time) and
-	// the pure Idlers. Each ticker lands in exactly one slice (Publisher
-	// wins over BulkIdler, BulkIdler over Idler); pubs also holds the
-	// watched publishers' horizons, which watched counts. The domain is
-	// bulk-skippable only when every ticker is in one of them; skippable
-	// caches that condition across Attach and Watch calls.
+	// pubs and polled hold the tickers that advertise idleness: the
+	// Publishers' horizons and the other BulkIdlers (asked every time).
+	// Each ticker lands in at most one of them (Publisher wins); pubs also
+	// holds the watched publishers' horizons, which watched counts. The
+	// domain is bulk-skippable only when every ticker is in one of them;
+	// skippable caches that condition across Attach and Watch calls.
 	pubs      []*Horizon
 	polled    []BulkIdler
-	idlers    []Idler
 	watched   int
 	skippable bool
-
-	// lock holds every ticker that implements Idler, BulkIdler or not: the
-	// lockstep scheduler's predicate consults only open-ended idleness.
-	lock []Idler
-}
-
-// allIdle reports whether every ticker of the domain is an Idler currently
-// idle until input. It is the lockstep scheduler's narrower predicate (PR-1
-// semantics): bounded BulkIdler idleness does not count, but a ticker that
-// offers both contracts is asked through IdleUntilInput.
-func (d *Domain) allIdle() bool {
-	if len(d.lock) != len(d.tickers) || len(d.tickers) == 0 {
-		return false
-	}
-	for _, i := range d.lock {
-		if !i.IdleUntilInput() {
-			return false
-		}
-	}
-	return true
 }
 
 // IdleEdges reports how many upcoming edges of the whole domain are
@@ -402,11 +359,6 @@ func (d *Domain) IdleEdges() int64 {
 			k = n
 		}
 	}
-	for _, i := range d.idlers {
-		if !i.IdleUntilInput() {
-			return 0
-		}
-	}
 	return k
 }
 
@@ -445,17 +397,12 @@ func (d *Domain) Attach(t Ticker) {
 		panic("sim: Attach(nil)")
 	}
 	d.tickers = append(d.tickers, t)
-	if i, ok := t.(Idler); ok {
-		d.lock = append(d.lock, i)
-	}
 	if p, ok := t.(Publisher); ok {
 		d.bind(p)
 	} else if b, ok := t.(BulkIdler); ok {
 		d.polled = append(d.polled, b)
-	} else if i, ok := t.(Idler); ok {
-		d.idlers = append(d.idlers, i)
 	}
-	d.skippable = len(d.pubs)+len(d.polled)+len(d.idlers) == len(d.tickers)+d.watched
+	d.skippable = len(d.pubs)+len(d.polled) == len(d.tickers)+d.watched
 }
 
 // Watch registers p's published horizon with the domain without making p a
@@ -469,7 +416,7 @@ func (d *Domain) Attach(t Ticker) {
 func (d *Domain) Watch(p Publisher) {
 	d.bind(p)
 	d.watched++
-	d.skippable = len(d.pubs)+len(d.polled)+len(d.idlers) == len(d.tickers)+d.watched
+	d.skippable = len(d.pubs)+len(d.polled) == len(d.tickers)+d.watched
 }
 
 // bind attaches p's Horizon to the domain, stale until p publishes.
@@ -488,18 +435,18 @@ type Engine struct {
 	// sched selects the scheduling algorithm (resolved, never
 	// SchedulerDefault).
 	sched Scheduler
+	// base is the tick rate of the event schedule: the least common
+	// multiple of the domain frequencies (0 while there is no domain).
+	base int64
 	// eheap is the event scheduler's binary min-heap over (nextAt, order),
-	// valid while planned && fast; storage is reused across rebuilds.
+	// used by engines of three or more domains; storage is reused across
+	// rebuilds.
 	eheap []*Domain
 
 	// due is the scratch buffer Step returns; reused every super-edge.
 	due []*Domain
 	// planned marks the scheduling plan valid; adding a domain clears it.
 	planned bool
-	// fast selects the integer-ratio schedule over cross-multiplication.
-	fast bool
-	// doneEvery batches RunUntil's done() polling (0 or 1 = every edge).
-	doneEvery int64
 	// noSkip > 0 suspends idle bulk-skipping (RunCycles needs to hit its
 	// per-domain cycle target exactly, not jump past it).
 	noSkip int
@@ -518,8 +465,9 @@ type Engine struct {
 // tickers actually ran Eval/Update; EdgesSkipped counts edges consumed by
 // idle bulk-skip instead (the two sum to every domain's cycle counter);
 // HeapOps counts event-heap mutations (pushes, pops, and one per domain on
-// each wholesale rebuild) — zero under the lockstep scheduler and the
-// heap-free inline paths.
+// each wholesale rebuild). The lockstep scheduler neither skips nor touches
+// the heap, so both tallies stay zero under it; one- and two-domain
+// event-driven engines count only the build each scheduling plan makes.
 type Stats struct {
 	EdgesDelivered int64
 	EdgesSkipped   int64
@@ -565,16 +513,38 @@ func (e *Engine) SetScheduler(s Scheduler) {
 // Scheduler returns the engine's resolved scheduling algorithm.
 func (e *Engine) Scheduler() Scheduler { return e.sched }
 
-// NewDomain creates a clock domain. Frequency must be positive. It must
-// not be called while RunUntil or RunUntilFlag is in progress.
+// NewDomain creates a clock domain. It panics unless the frequency is
+// positive and the least common multiple of the engine's frequencies,
+// which the event schedule counts time in, fits in an int64; assemblers
+// reject such clocks with CheckClocks first. The schedule's tick count
+// bounds a run to about 9.2e18 / LCM simulated seconds: centuries at the
+// integer ratios CheckClocks accepts. NewDomain must not be called while
+// RunUntil or RunUntilFlag is in progress.
 func (e *Engine) NewDomain(name string, freqHz int64) *Domain {
 	if freqHz <= 0 {
 		panic(fmt.Sprintf("sim: domain %q: frequency %d Hz must be positive", name, freqHz))
 	}
+	base := freqHz
+	if e.base > 0 {
+		q := freqHz / gcd(e.base, freqHz)
+		if e.base > math.MaxInt64/q {
+			panic(fmt.Sprintf("sim: domain %q: frequency %d Hz puts the LCM of the engine's frequencies beyond int64", name, freqHz))
+		}
+		base = e.base * q
+	}
+	e.base = base
 	d := &Domain{name: name, freqHz: freqHz, eng: e, order: len(e.domains)}
 	e.domains = append(e.domains, d)
 	e.planned = false
 	return d
+}
+
+// gcd is the greatest common divisor of two positive integers.
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Domains returns the engine's domains in creation order.
@@ -584,44 +554,16 @@ func (e *Engine) Domains() []*Domain { return e.domains }
 // Ticker when the model reaches an impossible state.
 func (e *Engine) Fail(err error) { e.stopErr = err }
 
-// SetDoneCheckInterval makes RunUntil consult done() only every k
-// super-edges (k <= 1 restores the default of every edge). Batching is only
-// sound when done() is monotonic within one run and the caller tolerates up
-// to k-1 extra edges being delivered after the condition becomes true;
-// callers that fold edge counts or cycle counters into measurements must
-// keep the exact default.
-func (e *Engine) SetDoneCheckInterval(k int64) {
-	if k < 1 {
-		k = 1
-	}
-	e.doneEvery = k
-}
-
-// plan rebuilds the scheduling plan: if every frequency divides the fastest
-// one, each domain gets its period in fastest-domain ticks and the absolute
-// tick of its next edge, enabling the integer fast path.
+// plan rebuilds the scheduling plan: each domain gets its period in ticks
+// of the base clock and the absolute tick of its next edge, and the
+// event-driven scheduler builds its heap (read only with three or more
+// domains; Stats counts the build in every layout).
 func (e *Engine) plan() {
 	e.planned = true
-	e.fast = false
-	if len(e.domains) == 0 {
-		return
-	}
-	maxHz := e.domains[0].freqHz
-	for _, d := range e.domains[1:] {
-		if d.freqHz > maxHz {
-			maxHz = d.freqHz
-		}
-	}
 	for _, d := range e.domains {
-		if maxHz%d.freqHz != 0 {
-			return
-		}
-	}
-	for _, d := range e.domains {
-		d.ratio = maxHz / d.freqHz
+		d.ratio = e.base / d.freqHz
 		d.nextAt = (d.cycles + 1) * d.ratio
 	}
-	e.fast = true
 	if e.sched == EventDriven {
 		e.heapInit()
 	}
@@ -644,6 +586,10 @@ func edgeCoincident(a, b *Domain) bool {
 // before the stop condition is met.
 var ErrBudget = errors.New("sim: cycle budget exhausted")
 
+// ErrNoDomains is returned by Run variants on an engine without clock
+// domains, which has no edge to deliver.
+var ErrNoDomains = errors.New("sim: engine has no clock domains")
+
 // tick delivers one edge to a single domain: all Evals, then all Updates.
 func (d *Domain) tick() {
 	for _, t := range d.tickers {
@@ -654,29 +600,6 @@ func (d *Domain) tick() {
 	}
 	d.cycles++
 	d.nextAt += d.ratio
-}
-
-// soloTick delivers an edge that is due on one domain only, returning the
-// number of super-edges consumed. If the due domain ticks on every
-// fastest-domain tick (ratio 1), is fully idle, and skipping is permitted,
-// its no-op edges — including its slot in the upcoming coincident edge —
-// are consumed in bulk and the other domain's edge is delivered instead;
-// the other domain's commit is the only thing that can end the idleness,
-// so the skipped edges are exactly the no-ops the component would have
-// fast-pathed anyway.
-func (e *Engine) soloTick(due, other *Domain) int64 {
-	if due.ratio == 1 && e.noSkip == 0 && due.allIdle() {
-		// k solo edges of due plus the coincident edge at other.nextAt:
-		// k+1 distinct super-edge times consumed in one call.
-		k := other.nextAt - due.nextAt + 1
-		due.cycles += k
-		due.nextAt += k
-		e.statSkipped += k
-		other.tick()
-		return k
-	}
-	due.tick()
-	return 1
 }
 
 // step advances the simulation without materialising the due set and
@@ -691,49 +614,7 @@ func (e *Engine) step() int64 {
 	if e.sched == EventDriven {
 		return e.eventStep()
 	}
-	return e.lockstepFastStep()
-}
-
-// lockstepFastStep is the lockstep scheduler's internal step: the
-// single-domain and two-domain integer-ratio layouts are dispatched inline,
-// everything else goes through the linear due-domain scan.
-func (e *Engine) lockstepFastStep() int64 {
-	if e.fast {
-		switch len(e.domains) {
-		case 1:
-			e.domains[0].tick()
-			return 1
-		case 2:
-			d0, d1 := e.domains[0], e.domains[1]
-			if d0.nextAt < d1.nextAt {
-				return e.soloTick(d0, d1)
-			} else if d1.nextAt < d0.nextAt {
-				return e.soloTick(d1, d0)
-			} else {
-				// Coincident super-edge: all Evals before any Update,
-				// in creation order.
-				for _, t := range d0.tickers {
-					t.Eval()
-				}
-				for _, t := range d1.tickers {
-					t.Eval()
-				}
-				for _, t := range d0.tickers {
-					t.Update()
-				}
-				d0.cycles++
-				d0.nextAt += d0.ratio
-				for _, t := range d1.tickers {
-					t.Update()
-				}
-				d1.cycles++
-				d1.nextAt += d1.ratio
-			}
-			return 1
-		}
-	}
-	e.lockstepStep()
-	return 1
+	return e.lockstepStep()
 }
 
 // Step delivers the earliest pending super-edge: the earliest pending edge
@@ -745,59 +626,44 @@ func (e *Engine) lockstepFastStep() int64 {
 // is overwritten by the next Step; callers must copy it if they need to
 // retain it.
 func (e *Engine) Step() []*Domain {
-	if len(e.domains) == 0 {
+	switch len(e.domains) {
+	case 0:
 		return nil
+	case 1:
+		// The event-driven solo path leaves due bookkeeping to this (cold)
+		// wrapper.
+		e.due = append(e.due[:0], e.domains[0])
 	}
-	if !e.planned {
-		e.plan()
-	}
-	if e.sched == EventDriven {
-		if len(e.domains) == 1 {
-			// The solo path leaves due bookkeeping to this (cold) wrapper.
-			e.due = append(e.due[:0], e.domains[0])
-		}
-		e.eventStep()
-		return e.due
-	}
-	return e.lockstepStep()
+	e.step()
+	return e.due
 }
 
-// lockstepStep is the linear-scan reference scheduler: find the earliest
-// next edge, collect every coincident domain, deliver Evals then Updates.
-func (e *Engine) lockstepStep() []*Domain {
-	due := e.due[:0]
-	switch {
-	case len(e.domains) == 1:
-		// Single-domain fast loop: every edge is a super-edge of the
-		// only domain; no schedule to consult.
-		due = append(due, e.domains[0])
-	case e.fast:
-		t := e.domains[0].nextAt
-		for _, d := range e.domains[1:] {
-			if d.nextAt < t {
-				t = d.nextAt
-			}
-		}
-		for _, d := range e.domains {
-			if d.nextAt == t {
-				due = append(due, d)
-			}
-		}
-	default:
-		earliest := e.domains[0]
-		for _, d := range e.domains[1:] {
-			if edgeBefore(d, earliest) {
-				earliest = d
-			}
-		}
-		for _, d := range e.domains {
-			if d == earliest || edgeCoincident(d, earliest) {
-				due = append(due, d)
-			}
+// lockstepStep is the reference scheduler: a linear scan finds the earliest
+// next edge by cross-multiplied rational comparison and collects every
+// coincident domain, in creation order; all their Evals run, then all
+// their Updates. It asks no component for idleness, so every edge is
+// delivered.
+func (e *Engine) lockstepStep() int64 {
+	earliest := e.domains[0]
+	for _, d := range e.domains[1:] {
+		if edgeBefore(d, earliest) {
+			earliest = d
 		}
 	}
-	// Deterministic order: creation order is preserved because we scan
-	// e.domains in order.
+	due := e.due[:0]
+	for _, d := range e.domains {
+		if d == earliest || edgeCoincident(d, earliest) {
+			due = append(due, d)
+		}
+	}
+	e.due = due
+	deliver(due)
+	return 1
+}
+
+// deliver runs one super-edge on the due domains, given in creation order:
+// all Evals, then all Updates.
+func deliver(due []*Domain) {
 	for _, d := range due {
 		for _, t := range d.tickers {
 			t.Eval()
@@ -810,43 +676,40 @@ func (e *Engine) lockstepStep() []*Domain {
 		d.cycles++
 		d.nextAt += d.ratio
 	}
-	e.due = due
-	return due
 }
 
 // RunUntil advances the simulation until done() reports true (checked before
-// every super-edge by default; see SetDoneCheckInterval) or at least
-// maxEdges super-edges have been delivered, whichever comes first. It
-// returns the number of super-edges delivered (counting bulk-skipped idle
-// edges; the final count may exceed maxEdges by up to the domain clock
-// ratio when a skipped window spans the budget boundary) and ErrBudget if
-// the budget ran out, or the error passed to Fail.
+// every super-edge) or at least maxEdges super-edges have been delivered,
+// whichever comes first. It returns the number of super-edges delivered
+// (counting bulk-skipped idle edges; the final count may exceed maxEdges by
+// up to the domain clock ratio when a skipped window spans the budget
+// boundary) and ErrBudget if the budget ran out, ErrNoDomains if the engine
+// has no domain, or the error passed to Fail.
 func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
 	var never bool
-	return e.run(&never, done, max(e.doneEvery, 1), maxEdges)
+	return e.run(&never, done, maxEdges)
 }
 
 // RunUntilFlag advances the simulation until *stop is true (checked before
-// every super-edge, exactly as RunUntil with the default interval) or
-// maxEdges super-edges have been delivered. It is the allocation- and
-// closure-free variant of RunUntil for hot loops whose stop condition is a
-// single level-sensitive line, such as an interrupt request.
+// every super-edge, exactly as RunUntil) or maxEdges super-edges have been
+// delivered. It is the allocation- and closure-free variant of RunUntil for
+// hot loops whose stop condition is a single level-sensitive line, such as
+// an interrupt request.
 func (e *Engine) RunUntilFlag(stop *bool, maxEdges int64) (int64, error) {
-	return e.run(stop, nil, 1, maxEdges)
+	return e.run(stop, nil, maxEdges)
 }
 
-// run is the loop behind RunUntil and RunUntilFlag. Before a super-edge it
-// stops once *stop is up or done() — polled before the first and then every
-// `every` super-edges — reports true; otherwise it runs until
+// run is the loop behind RunUntil and RunUntilFlag. Before every super-edge
+// it stops once *stop is up or done() reports true; otherwise it runs until
 // maxEdges super-edges have passed. It returns the super-edges consumed and
 // the error passed to Fail, or what spent says once maxEdges have passed.
 //
 // The layout is chosen once per call, not once per edge: a solo
-// event-driven engine runs runSolo, an integer-ratio event-driven pair
-// loops over eventStepPair, and every other layout over its scheduler's
-// step. Tickers must therefore not add domains or tickers, or switch the
-// scheduler, while a run is in progress.
-func (e *Engine) run(stop *bool, done func() bool, every, maxEdges int64) (int64, error) {
+// event-driven engine runs runSolo, an event-driven pair loops over
+// eventStepPair, and every other layout over its scheduler's step. Tickers
+// must therefore not add domains or tickers, or switch the scheduler, while
+// a run is in progress.
+func (e *Engine) run(stop *bool, done func() bool, maxEdges int64) (int64, error) {
 	e.stopErr = nil
 	if maxEdges <= 0 {
 		return 0, spent(stop, done)
@@ -856,36 +719,36 @@ func (e *Engine) run(stop *bool, done func() bool, every, maxEdges int64) (int64
 	if *stop || done != nil && done() {
 		return 0, nil
 	}
+	if len(e.domains) == 0 {
+		return 0, ErrNoDomains
+	}
 	if !e.planned {
 		e.plan()
 	}
-	step := e.lockstepFastStep
+	step := e.lockstepStep
 	if e.sched == EventDriven {
-		switch {
-		case len(e.domains) == 1:
-			return e.runSolo(stop, done, every, maxEdges)
-		case e.fast && len(e.domains) == 2:
+		switch len(e.domains) {
+		case 1:
+			return e.runSolo(stop, done, maxEdges)
+		case 2:
 			step = e.eventStepPair
 		default:
-			step = e.eventStep
+			step = e.eventStepHeap
 		}
 	}
-	n, since := int64(0), int64(0)
-	for n < maxEdges {
-		if since >= every {
-			since = 0
-			if *stop || done != nil && done() {
-				return n, nil
-			}
-		}
-		k := step()
-		n += k
-		since += k
+	n := int64(0)
+	for {
+		n += step()
 		if e.stopErr != nil {
 			return n, e.stopErr
 		}
+		if n >= maxEdges {
+			return n, spent(stop, done)
+		}
+		if *stop || done != nil && done() {
+			return n, nil
+		}
 	}
-	return n, spent(stop, done)
 }
 
 // runSolo is run's loop for a single-domain event-driven engine, and the
@@ -897,17 +760,11 @@ func (e *Engine) run(stop *bool, done func() bool, every, maxEdges int64) (int64
 // exactly as lockstep does. Domain.tick is inlined over a hoisted ticker
 // slice: serving spends most of its host time in this loop, and looping
 // over a step function instead measured about 5% slower.
-func (e *Engine) runSolo(stop *bool, done func() bool, every, maxEdges int64) (int64, error) {
+func (e *Engine) runSolo(stop *bool, done func() bool, maxEdges int64) (int64, error) {
 	d := e.domains[0]
 	ts := d.tickers
-	n, since := int64(0), int64(0)
-	for n < maxEdges {
-		if since >= every {
-			since = 0
-			if *stop || done != nil && done() {
-				return n, nil
-			}
-		}
+	n := int64(0)
+	for {
 		k := d.IdleEdges()
 		if k > 0 && k < IdleForever {
 			d.skipEdges(k)
@@ -923,12 +780,16 @@ func (e *Engine) runSolo(stop *bool, done func() bool, every, maxEdges int64) (i
 		d.cycles++
 		d.nextAt += d.ratio
 		n += k + 1
-		since += k + 1
 		if e.stopErr != nil {
 			return n, e.stopErr
 		}
+		if n >= maxEdges {
+			return n, spent(stop, done)
+		}
+		if *stop || done != nil && done() {
+			return n, nil
+		}
 	}
-	return n, spent(stop, done)
 }
 
 // spent is a run's error once its budget is spent: nil if the stop
@@ -963,17 +824,20 @@ func (e *Engine) NowPs() float64 {
 	return now
 }
 
-// Validate checks cross-domain ratios: domains whose components exchange
-// signals should have integer frequency ratios so edges align. It returns a
-// descriptive error naming the first non-integer pair, or nil.
-func (e *Engine) Validate() error {
-	ds := append([]*Domain(nil), e.domains...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i].freqHz < ds[j].freqHz })
-	for i := 0; i < len(ds); i++ {
-		for j := i + 1; j < len(ds); j++ {
-			if ds[j].freqHz%ds[i].freqHz != 0 {
-				return fmt.Errorf("sim: domains %q (%d Hz) and %q (%d Hz) have a non-integer ratio",
-					ds[i].name, ds[i].freqHz, ds[j].name, ds[j].freqHz)
+// CheckClocks checks a clock plan whose components exchange signals: every
+// frequency must be positive and every pair must have an integer ratio, so
+// edges align (and the event schedule's base clock is the fastest domain).
+// It returns an error naming the first offending clock or pair, or nil.
+// Assemblers call it on clocks from outside the program before creating
+// domains, since NewDomain panics on a plan it cannot schedule.
+func CheckClocks(hz ...int64) error {
+	for i, a := range hz {
+		if a <= 0 {
+			return fmt.Errorf("sim: clock %d Hz must be positive", a)
+		}
+		for _, b := range hz[:i] {
+			if lo, hi := min(a, b), max(a, b); hi%lo != 0 {
+				return fmt.Errorf("sim: clocks %d Hz and %d Hz have a non-integer ratio", lo, hi)
 			}
 		}
 	}

@@ -133,19 +133,31 @@ func TestFailAbortsRun(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonIntegerRatio pins CheckClocks, the clock-plan check
+// assemblers run before creating domains: a non-integer pair, a
+// non-positive clock and a coprime pair whose LCM overflows int64 (which
+// NewDomain would panic on) are errors; integer ratios, repeats included,
+// pass.
 func TestValidateRejectsNonIntegerRatio(t *testing.T) {
-	e := NewEngine()
-	e.NewDomain("a", 133_000_000)
-	e.NewDomain("b", 40_000_000)
-	if err := e.Validate(); err == nil {
-		t.Fatal("Validate accepted 133/40 MHz")
+	for _, hz := range [][]int64{
+		{133_000_000, 40_000_000},
+		{24_000_000, 0},
+		{-6_000_000},
+		{24_000_000, 6_000_000, 4_000_000},
+		{1<<62 - 1, 1<<62 - 3},
+	} {
+		if err := CheckClocks(hz...); err == nil {
+			t.Errorf("CheckClocks accepted %v", hz)
+		}
 	}
-	e2 := NewEngine()
-	e2.NewDomain("a", 24_000_000)
-	e2.NewDomain("b", 6_000_000)
-	e2.NewDomain("c", 24_000_000)
-	if err := e2.Validate(); err != nil {
-		t.Fatalf("Validate rejected integer ratios: %v", err)
+	for _, hz := range [][]int64{
+		{},
+		{24_000_000, 6_000_000, 24_000_000},
+		{6_000_000, 24_000_000, 48_000_000},
+	} {
+		if err := CheckClocks(hz...); err != nil {
+			t.Errorf("CheckClocks rejected %v: %v", hz, err)
+		}
 	}
 }
 
@@ -241,9 +253,6 @@ func TestThreeDomainInterleaving(t *testing.T) {
 	if c3.n.Get() != 480 || c2.n.Get() != 240 || c1.n.Get() != 60 {
 		t.Fatalf("counts %d/%d/%d, want 480/240/60", c3.n.Get(), c2.n.Get(), c1.n.Get())
 	}
-	if err := e.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSchedulerSelection(t *testing.T) {
@@ -305,5 +314,61 @@ func TestStepReturnsDueDomains(t *testing.T) {
 	due = e.Step()
 	if len(due) != 2 {
 		t.Fatalf("second step fired %d domains, want 2 (coincident)", len(due))
+	}
+}
+
+// TestEmptyEngineRunReturnsError pins that running an engine without clock
+// domains reports ErrNoDomains under both schedulers instead of panicking,
+// while a stop condition that already holds still ends the run cleanly and
+// Step has nothing to deliver.
+func TestEmptyEngineRunReturnsError(t *testing.T) {
+	for _, s := range schedulers() {
+		e := NewEngine()
+		e.SetScheduler(s.sched)
+		if n, err := e.RunUntil(func() bool { return false }, 10); n != 0 || err != ErrNoDomains {
+			t.Errorf("%s: RunUntil = %d, %v; want 0, ErrNoDomains", s.name, n, err)
+		}
+		var stop bool
+		if n, err := e.RunUntilFlag(&stop, 10); n != 0 || err != ErrNoDomains {
+			t.Errorf("%s: RunUntilFlag = %d, %v; want 0, ErrNoDomains", s.name, n, err)
+		}
+		stop = true
+		if n, err := e.RunUntilFlag(&stop, 10); n != 0 || err != nil {
+			t.Errorf("%s: RunUntilFlag with the flag up = %d, %v; want 0, nil", s.name, n, err)
+		}
+		if due := e.Step(); due != nil {
+			t.Errorf("%s: Step delivered %d domains", s.name, len(due))
+		}
+	}
+}
+
+// TestNewDomainRejectsLCMOverflow pins that NewDomain panics when the least
+// common multiple of the engine's frequencies, the event schedule's tick
+// rate, no longer fits in an int64, and accepts a set just inside it.
+func TestNewDomainRejectsLCMOverflow(t *testing.T) {
+	mustPanic := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	e := NewEngine()
+	e.NewDomain("a", 3_000_000_019) // prime
+	e.NewDomain("b", 3_000_000_017) // odd, coprime to a: LCM ~9.0e18, inside int64
+	if msg := mustPanic(func() { e.NewDomain("c", 2) }); msg == nil {
+		t.Fatal("NewDomain accepted a frequency set whose LCM overflows int64")
+	}
+	if n := len(e.Domains()); n != 2 {
+		t.Fatalf("rejected domain was added: %d domains", n)
+	}
+	// A frequency dividing the LCM does not grow it and is accepted.
+	e.NewDomain("d", 3_000_000_019)
+	for _, s := range schedulers() {
+		e.SetScheduler(s.sched)
+		if _, err := e.RunUntil(nil, 4); err != ErrBudget {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+	if msg := mustPanic(func() { NewEngine().NewDomain("z", 0) }); msg == nil {
+		t.Fatal("NewDomain accepted a zero frequency")
 	}
 }
