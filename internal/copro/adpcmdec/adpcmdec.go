@@ -89,7 +89,9 @@ func (c *Core) ResetCore() {
 	}
 }
 
-// IdleEdges implements sim.BulkIdler. The serial decode states are pure
+// IdleEdges implements sim.BulkIdler. At the top of its loop the core
+// advertises a hit run over the input bytes whose accesses all hit
+// (copro.Mem.RunEdges). The serial decode states are pure
 // countdowns: from a committed wait of 0 the next edge arms the counter at
 // DecodeCycles and the following DecodeCycles-1 edges only decrement it, so
 // all but the final edge (which performs the nibble decode and must be
@@ -97,6 +99,11 @@ func (c *Core) ResetCore() {
 // gated on a stalled access handshake are open-ended idle windows ended
 // only by an IMU commit.
 func (c *Core) IdleEdges() int64 {
+	if c.st == stReadIssue {
+		if w := c.mem.RunEdges(c); w > 0 {
+			return w
+		}
+	}
 	switch c.st {
 	case stParamWait, stReadIssue, stReadWait, stWriteHiIssue, stWriteHiWait, stWriteLoIssue, stWriteLoWait:
 		if c.port.IMURef().Start && c.mem.Stalled() {
@@ -123,11 +130,14 @@ func (c *Core) IdleEdges() int64 {
 	return 0
 }
 
-// SkipEdges implements sim.BulkIdler: a skipped decode edge arms the
-// countdown if this is the first edge of the window and decrements it
-// otherwise, and a skipped stall edge counts a wait cycle, exactly as the
-// delivered edges would have.
+// SkipEdges implements sim.BulkIdler: a hit run executes its input bytes,
+// a skipped decode edge arms the countdown if this is the first edge of the
+// window and decrements it otherwise, and a skipped stall edge counts a
+// wait cycle, exactly as the delivered edges would have.
 func (c *Core) SkipEdges(k int64) {
+	if c.st == stReadIssue && c.mem.SkipRun(k, c) {
+		return
+	}
 	c.mem.SkipEdges(k)
 	if c.st == stDecodeHi || c.st == stDecodeLo {
 		if c.wait == 0 {
@@ -135,6 +145,34 @@ func (c *Core) SkipEdges(k int64) {
 		}
 		c.wait -= uint32(k)
 	}
+}
+
+// Unit implements copro.Program: input byte i is read, and its high and
+// then its low nibble are decoded serially and written as two samples. The
+// last byte raises CP_FIN.
+func (c *Core) Unit(k int, u *copro.Unit) bool {
+	i := c.i + uint32(k)
+	if i+1 >= c.nbytes {
+		return false
+	}
+	s := c.sample + 2*uint32(k)
+	u.Read(ObjIn, i, copro.Size8)
+	u.Compute(DecodeCycles)
+	u.Write(ObjOut, s*2, copro.Size16)
+	u.Compute(DecodeCycles)
+	u.Write(ObjOut, s*2+2, copro.Size16)
+	return true
+}
+
+// Kernel implements copro.Program: both nibbles of one input byte.
+func (c *Core) Kernel(u *copro.Unit) {
+	c.current = byte(u.Steps[0].Val)
+	hi := ref.ADPCMDecodeNibble(&c.dec, c.current>>4)
+	c.out = ref.ADPCMDecodeNibble(&c.dec, c.current&0xf)
+	u.Steps[2].Val = uint32(uint16(hi))
+	u.Steps[4].Val = uint32(uint16(c.out))
+	c.sample += 2
+	c.i++
 }
 
 // Eval implements sim.Ticker.

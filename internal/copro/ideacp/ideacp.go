@@ -112,9 +112,11 @@ func le32FromBE(x1, x2 uint16) uint32 {
 	return uint32(x1>>8) | uint32(x1&0xff)<<8 | uint32(x2>>8)<<16 | uint32(x2&0xff)<<24
 }
 
-// IdleEdges implements sim.BulkIdler: the core advertises the edges Eval
-// would provably no-op (or purely count down) so the engine can bulk-skip
-// them. Four windows qualify: waiting for CP_START before an operation,
+// IdleEdges implements sim.BulkIdler: at the top of its loop the core
+// advertises a hit run over the blocks whose accesses all hit
+// (copro.Mem.RunEdges); otherwise it advertises the edges Eval would
+// provably no-op (or purely count down) so the engine can bulk-skip them.
+// Four windows qualify: waiting for CP_START before an operation,
 // the multi-cycle cipher compute between the block read and the block
 // write (the decrement edges are inert; the edge that drains the pipeline
 // and latches the ciphertext must be delivered), the states gated on a
@@ -123,6 +125,11 @@ func le32FromBE(x1, x2 uint16) uint32 {
 // (Start or CP_TLBHIT toggling) or the core's own advertised countdown,
 // which is exactly the contract sim.BulkIdler requires.
 func (c *Core) IdleEdges() int64 {
+	if c.st == stReadLoIssue {
+		if w := c.mem.RunEdges(c); w > 0 {
+			return w
+		}
+	}
 	switch c.st {
 	case stParamCountWait, stParamKeyIssue, stParamKeyWait, stReadLoIssue, stReadLoWait,
 		stReadHiIssue, stReadHiWait, stWriteLoIssue, stWriteLoWait, stWriteHiIssue, stWriteHiWait:
@@ -145,15 +152,51 @@ func (c *Core) IdleEdges() int64 {
 	return 0
 }
 
-// SkipEdges implements sim.BulkIdler: skipped compute edges decrement the
-// pipeline-occupancy countdown and skipped stall edges count wait cycles,
-// exactly as delivered edges would. The other windows carry no per-edge
-// state.
+// SkipEdges implements sim.BulkIdler: a hit run executes its blocks,
+// skipped compute edges decrement the pipeline-occupancy countdown and
+// skipped stall edges count wait cycles, exactly as delivered edges would.
+// The other windows carry no per-edge state.
 func (c *Core) SkipEdges(k int64) {
+	if c.st == stReadLoIssue && c.mem.SkipRun(k, c) {
+		return
+	}
 	c.mem.SkipEdges(k)
 	if c.st == stCompute {
 		c.compute -= uint32(k)
 	}
+}
+
+// Unit implements copro.Program: block b reads its two input words, runs
+// the cipher pipeline and writes its two output words. The last block
+// raises CP_FIN.
+func (c *Core) Unit(k int, u *copro.Unit) bool {
+	b := c.blk + uint32(k)
+	if b+1 >= c.blocks {
+		return false
+	}
+	u.Read(ObjIn, b*8, copro.Size32)
+	u.Read(ObjIn, b*8+4, copro.Size32)
+	u.Compute(ComputeCycles)
+	u.Write(ObjOut, b*8, copro.Size32)
+	u.Write(ObjOut, b*8+4, copro.Size32)
+	return true
+}
+
+// Kernel implements copro.Program: one IDEA block.
+func (c *Core) Kernel(u *copro.Unit) {
+	c.wLo, c.wHi = u.Steps[0].Val, u.Steps[1].Val
+	c.cryptBlock()
+	u.Steps[3].Val, u.Steps[4].Val = c.yLo, c.yHi
+	c.blk++
+}
+
+// cryptBlock enciphers the latched input block into the output registers.
+func (c *Core) cryptBlock() {
+	x1, x2 := be16Pair(c.wLo)
+	x3, x4 := be16Pair(c.wHi)
+	y1, y2, y3, y4 := ref.IDEACryptBlock(&c.keys, x1, x2, x3, x4)
+	c.yLo = le32FromBE(y1, y2)
+	c.yHi = le32FromBE(y3, y4)
 }
 
 // Eval implements sim.Ticker.
@@ -227,11 +270,7 @@ func (c *Core) Eval() {
 	case stCompute:
 		c.compute--
 		if c.compute == 0 {
-			x1, x2 := be16Pair(c.wLo)
-			x3, x4 := be16Pair(c.wHi)
-			y1, y2, y3, y4 := ref.IDEACryptBlock(&c.keys, x1, x2, x3, x4)
-			c.yLo = le32FromBE(y1, y2)
-			c.yHi = le32FromBE(y3, y4)
+			c.cryptBlock()
 			c.st = stWriteLoIssue
 		}
 	case stWriteLoIssue:

@@ -64,6 +64,11 @@ type Port struct {
 	imuSeen  *sim.Horizon
 	imuMask  *uint32
 	imuFlags uint32
+
+	// hits is the bound IMU channel's hit service (nil: the core never
+	// takes a hit run) and ratio its IMU edges per core edge.
+	hits  HitService
+	ratio int64
 }
 
 // NewPort returns a quiescent port.
@@ -113,6 +118,28 @@ func (p *Port) imuChanged() {
 	if p.imuMask != nil {
 		*p.imuMask |= p.imuFlags
 	}
+}
+
+// SettleIMU commits v as the IMU-driven bundle outside a clock edge, as the
+// edges of a hit run would have left it, posting the change notice if it
+// differs from the committed one.
+func (p *Port) SettleIMU(v IMUOut) {
+	if *p.imu.Ref() != v {
+		p.imu.Force(v)
+		p.imuChanged()
+	}
+}
+
+// ServeHits wires the hit service of the IMU channel the port is bound to,
+// whose clock runs ratio edges per core edge (an integer: the IMU clock is a
+// multiple of the core's). The core then takes hit runs (Mem.RunEdges)
+// wherever the service is ready. Only single-channel assemblies wire one; a
+// port left unwired runs its core on the edge FSM alone.
+func (p *Port) ServeHits(h HitService, ratio int64) {
+	if ratio < 1 {
+		h = nil
+	}
+	p.hits, p.ratio = h, ratio
 }
 
 // WatchCP wires the coprocessor-side change notice: every commit of a new

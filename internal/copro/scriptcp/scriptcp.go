@@ -160,11 +160,18 @@ func (c *Core) ResetCore() {
 	}
 }
 
-// IdleEdges implements sim.BulkIdler. Scripted accesses have no compute
-// phases between them, so only the open-ended windows qualify: waiting for
-// CP_START, the states gated on a stalled access handshake, and holding
-// CP_FIN, all ended only by an IMU-domain commit.
+// IdleEdges implements sim.BulkIdler. Before an op the core advertises a
+// hit run over the ops whose accesses hit (copro.Mem.RunEdges). Scripted
+// accesses have no compute phases between them, so otherwise only the
+// open-ended windows qualify: waiting for CP_START, the states gated on a
+// stalled access handshake, and holding CP_FIN, all ended only by an
+// IMU-domain commit.
 func (c *Core) IdleEdges() int64 {
+	if c.st == stOpIssue {
+		if w := c.mem.RunEdges(c); w > 0 {
+			return w
+		}
+	}
 	switch c.st {
 	case stParamWait, stOpIssue, stOpWait:
 		if c.port.IMURef().Start && c.mem.Stalled() {
@@ -182,9 +189,51 @@ func (c *Core) IdleEdges() int64 {
 	return 0
 }
 
-// SkipEdges implements sim.BulkIdler: skipped stall edges count wait
-// cycles; the other idle windows carry no per-edge state.
-func (c *Core) SkipEdges(k int64) { c.mem.SkipEdges(k) }
+// SkipEdges implements sim.BulkIdler: a hit run executes its ops, skipped
+// stall edges count wait cycles, and the other idle windows carry no
+// per-edge state.
+func (c *Core) SkipEdges(k int64) {
+	if c.st == stOpIssue && c.mem.SkipRun(k, c) {
+		return
+	}
+	c.mem.SkipEdges(k)
+}
+
+// Unit implements copro.Program: one unit per op. The last op raises
+// CP_FIN.
+func (c *Core) Unit(k int, u *copro.Unit) bool {
+	i := c.idx + k
+	if i+1 >= len(c.script) {
+		return false
+	}
+	op := c.script[i]
+	switch op.Kind {
+	case OpRead:
+		u.Read(op.Obj, op.Addr, op.Size)
+	case OpWrite:
+		u.Write(op.Obj, op.Addr, op.Size)
+	case OpWriteChecksum:
+		u.Write(op.Obj, op.Addr, copro.Size32)
+	default:
+		return false
+	}
+	return true
+}
+
+// Kernel implements copro.Program: a read folds its data into the
+// checksum, a write takes its value or the checksum.
+func (c *Core) Kernel(u *copro.Unit) {
+	op := c.script[c.idx]
+	switch op.Kind {
+	case OpRead:
+		c.sum = fold(c.sum, u.Steps[0].Val, c.idx)
+	case OpWrite:
+		u.Steps[0].Val = op.Val
+	case OpWriteChecksum:
+		u.Steps[0].Val = c.sum
+	}
+	c.idx++
+}
 
 // Eval implements sim.Ticker.
 func (c *Core) Eval() {

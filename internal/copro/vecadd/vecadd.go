@@ -72,12 +72,19 @@ func (c *Core) ResetCore() {
 	}
 }
 
-// IdleEdges implements sim.BulkIdler. The adder has no multi-cycle compute
-// phase, so only the open-ended windows qualify: waiting for CP_START
+// IdleEdges implements sim.BulkIdler. At the top of its loop the core
+// advertises a hit run over the elements whose accesses all hit
+// (copro.Mem.RunEdges). The adder has no multi-cycle compute phase, so
+// otherwise only the open-ended windows qualify: waiting for CP_START
 // before an operation, the states gated on a stalled access handshake, and
 // holding CP_FIN after completion. All end only through an IMU-domain
 // commit (Start or CP_TLBHIT toggling), per the sim.BulkIdler contract.
 func (c *Core) IdleEdges() int64 {
+	if c.st == stReadAIssue {
+		if w := c.mem.RunEdges(c); w > 0 {
+			return w
+		}
+	}
 	switch c.st {
 	case stParamWait, stReadAIssue, stReadAWait, stReadBIssue, stReadBWait, stWriteIssue, stWriteWait:
 		if c.port.IMURef().Start && c.mem.Stalled() {
@@ -95,9 +102,35 @@ func (c *Core) IdleEdges() int64 {
 	return 0
 }
 
-// SkipEdges implements sim.BulkIdler: skipped stall edges count wait
-// cycles; the other idle windows carry no per-edge state.
-func (c *Core) SkipEdges(k int64) { c.mem.SkipEdges(k) }
+// SkipEdges implements sim.BulkIdler: a hit run executes its elements,
+// skipped stall edges count wait cycles, and the other idle windows carry
+// no per-edge state.
+func (c *Core) SkipEdges(k int64) {
+	if c.st == stReadAIssue && c.mem.SkipRun(k, c) {
+		return
+	}
+	c.mem.SkipEdges(k)
+}
+
+// Unit implements copro.Program: element i reads A[i] and B[i] and writes
+// C[i]. The last element raises CP_FIN.
+func (c *Core) Unit(k int, u *copro.Unit) bool {
+	i := c.i + uint32(k)
+	if i+1 >= c.count {
+		return false
+	}
+	u.Read(ObjA, i*4, copro.Size32)
+	u.Read(ObjB, i*4, copro.Size32)
+	u.Write(ObjC, i*4, copro.Size32)
+	return true
+}
+
+// Kernel implements copro.Program: C[i] = A[i] + B[i].
+func (c *Core) Kernel(u *copro.Unit) {
+	c.a, c.b = u.Steps[0].Val, u.Steps[1].Val
+	u.Steps[2].Val = c.a + c.b
+	c.i++
+}
 
 // Eval implements sim.Ticker.
 func (c *Core) Eval() {

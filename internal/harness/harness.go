@@ -79,6 +79,9 @@ func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
 	}
 	port := copro.NewPort()
 	u.Bind(port)
+	if cfg.IMUHz%cfg.CoproHz == 0 {
+		port.ServeHits(u.HitService(), cfg.IMUHz/cfg.CoproHz)
+	}
 	core.Bind(port)
 	core.ResetCore()
 

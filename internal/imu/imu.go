@@ -605,26 +605,14 @@ func (u *IMU) translate(c *channel, n *pending) {
 	u.stamp++
 	e.Ref = true
 	e.LastUse = u.stamp
-	offset := r.addr & (1<<u.cfg.PageShift - 1)
-	phys := u.dp.PageBase(int(e.Frame)) + offset
-	wordAddr := phys &^ 3
-	lane := phys & 3
+	wordAddr, lane := u.locate(&e, r.addr)
 
 	if r.wr {
 		e.Dirty = true
-		var be uint8
-		switch r.size {
-		case copro.Size8:
-			be = 1 << lane
-		case copro.Size16:
-			be = 3 << lane
-		default:
-			be = 0xf
-		}
 		n.doWrite = true
 		n.wAddr = wordAddr
 		n.wData = r.dout << (8 * lane)
-		n.wBE = be
+		n.wBE = byteEnables(r.size, lane)
 	} else {
 		word, err := u.dp.ReadA(wordAddr)
 		if err != nil {
@@ -633,14 +621,7 @@ func (u *IMU) translate(c *channel, n *pending) {
 			u.raiseFault(c)
 			return
 		}
-		v := word >> (8 * lane)
-		switch r.size {
-		case copro.Size8:
-			v &= 0xff
-		case copro.Size16:
-			v &= 0xffff
-		}
-		n.out.DIn = v
+		n.out.DIn = laneData(word, lane, r.size)
 	}
 	n.entryUpd = i
 	n.entry = e
@@ -650,6 +631,37 @@ func (u *IMU) translate(c *channel, n *pending) {
 	u.Count.Hits++
 	c.Count.Accesses++
 	c.Count.Hits++
+}
+
+// locate returns the DP RAM word address and byte lane that offset addr of
+// an object translates to through entry e.
+func (u *IMU) locate(e *TLBEntry, addr uint32) (wordAddr, lane uint32) {
+	phys := u.dp.PageBase(int(e.Frame)) + addr&(1<<u.cfg.PageShift-1)
+	return phys &^ 3, phys & 3
+}
+
+// byteEnables are the DP RAM byte enables of a size-byte store at lane.
+func byteEnables(size uint8, lane uint32) uint8 {
+	switch size {
+	case copro.Size8:
+		return 1 << lane
+	case copro.Size16:
+		return 3 << lane
+	}
+	return 0xf
+}
+
+// laneData extracts a size-byte load at lane from a DP RAM word,
+// lane-aligned to bit 0.
+func laneData(word, lane uint32, size uint8) uint32 {
+	v := word >> (8 * lane)
+	switch size {
+	case copro.Size8:
+		v &= 0xff
+	case copro.Size16:
+		v &= 0xffff
+	}
+	return v
 }
 
 // raiseFault latches the fault cause in the channel's bank and interrupts

@@ -163,7 +163,9 @@ type HW struct {
 
 // Assemble builds the clock domains for a loaded coprocessor. The IMU and
 // core frequencies come from the bitstream header; they must be an integer
-// ratio so the stall handshake lines up.
+// ratio so the stall handshake lines up. When the IMU clock is a multiple
+// of the core's, the port is wired to the IMU's hit service, so the core
+// takes hit runs through TLB-resident stretches of its loop.
 func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, error) {
 	if core == nil {
 		return nil, fmt.Errorf("platform: nil coprocessor")
@@ -180,6 +182,9 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 	}
 	port := copro.NewPort()
 	b.IMU.Bind(port)
+	if imuHz%coreHz == 0 {
+		port.ServeHits(b.IMU.HitService(), imuHz/coreHz)
+	}
 	core.Bind(port)
 	core.ResetCore()
 
