@@ -203,10 +203,13 @@ func (p *Process) FPGAUnload() {
 }
 
 // FPGAMapObject implements FPGA_MAP_OBJECT: it declares buffer as data
-// object id with the given direction flag.
+// object id with the given direction flag. The buffer must belong to p.
 func (p *Process) FPGAMapObject(id int, buf Buffer, dir Direction) error {
 	if id < 0 || id > 0xfe {
 		return fmt.Errorf("repro: object id %d out of range", id)
+	}
+	if err := p.owns(buf); err != nil {
+		return err
 	}
 	return p.sess.MapObject(uint8(id), buf.addr, uint32(buf.size), dir)
 }

@@ -348,6 +348,34 @@ func TestSoftwareRunnersRejectBadInput(t *testing.T) {
 	}
 }
 
+// TestMapObjectRejectsForeignBuffer requires FPGA_MAP_OBJECT to refuse a
+// buffer that another process of the same system allocated, one from
+// another system's process of the same name, and the zero Buffer, so no
+// process can point the coprocessor at memory it does not own.
+func TestMapObjectRejectsForeignBuffer(t *testing.T) {
+	sys := newSys(t, Config{})
+	p, _ := sys.NewProcess("owner")
+	other, _ := sys.NewProcess("other")
+	twin, _ := newSys(t, Config{}).NewProcess("owner")
+	own, _ := p.Alloc(256)
+	foreign, _ := other.Alloc(256)
+	remote, _ := twin.Alloc(256)
+	if err := p.FPGALoad(VecAddBitstream("EPXA1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		buf  Buffer
+	}{{"foreign process", foreign}, {"foreign system", remote}, {"zero buffer", Buffer{}}} {
+		if err := p.FPGAMapObject(VecAddObjA, tc.buf, In); err == nil {
+			t.Errorf("%s: buffer mapped", tc.name)
+		}
+	}
+	if err := p.FPGAMapObject(VecAddObjA, own, In); err != nil {
+		t.Fatalf("own buffer rejected: %v", err)
+	}
+}
+
 func TestExclusivePLDOwnership(t *testing.T) {
 	sys := newSys(t, Config{})
 	p1, _ := sys.NewProcess("p1")
