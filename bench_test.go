@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/platform"
@@ -50,18 +51,38 @@ func reportEdges(b *testing.B, run func(m *telemetry.Meter) error) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/simEdges, "ns/sim-edge")
 }
 
+// reportRunEdges publishes the same edge tallies as reportEdges for an op
+// made of the given hardware runs, from the engine tallies each report
+// carries (an op is a pure function of its config, so any iteration's
+// reports stand for all). Call it after the timed loop.
+func reportRunEdges(b *testing.B, reps ...*core.Report) {
+	var delivered, skipped int64
+	for _, r := range reps {
+		delivered += r.Sim.EdgesDelivered
+		skipped += r.Sim.EdgesSkipped
+	}
+	simEdges := float64(delivered + skipped)
+	b.ReportMetric(float64(delivered), "edges/op")
+	b.ReportMetric(simEdges, "sim-edges/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/simEdges, "ns/sim-edge")
+}
+
 // BenchmarkFig3MotivatingExample regenerates Figure 3's three versions of
 // the vector-add application (pure SW, typical coprocessor, VIM-based).
+// The edge tallies are the two hardware versions'.
 func BenchmarkFig3MotivatingExample(b *testing.B) {
+	var typ, vim *core.Report
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig3()
+		sw, t, v, err := exp.Fig3Reports()
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportSim(b, "sim-ms-sw", res.Series["sw_ms"]*1e9)
-		reportSim(b, "sim-ms-typical", res.Series["typ_ms"]*1e9)
-		reportSim(b, "sim-ms-vim", res.Series["vim_ms"]*1e9)
+		typ, vim = t, v
+		reportSim(b, "sim-ms-sw", sw.TotalPs())
+		reportSim(b, "sim-ms-typical", typ.TotalPs())
+		reportSim(b, "sim-ms-vim", vim.TotalPs())
 	}
+	reportRunEdges(b, typ, vim)
 }
 
 // BenchmarkFig7ReadAccess regenerates Figure 7, the 4-cycle translated read.
@@ -89,14 +110,16 @@ func BenchmarkFig8Adpcmdecode(b *testing.B) {
 			}
 		})
 		b.Run("VIM-"+label, func(b *testing.B) {
+			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.AdpcmVIM(repro.Config{}, n, int64(800+n))
-				if err != nil {
+				var err error
+				if rep, err = exp.AdpcmVIM(repro.Config{}, n, int64(800+n)); err != nil {
 					b.Fatal(err)
 				}
 				reportSim(b, "sim-ms", rep.TotalPs())
 				b.ReportMetric(float64(rep.VIM.Faults), "faults")
 			}
+			reportRunEdges(b, rep)
 		})
 	}
 }
@@ -131,14 +154,16 @@ func BenchmarkFig9IDEA(b *testing.B) {
 			})
 		}
 		b.Run("VIM-"+label, func(b *testing.B) {
+			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.IdeaVIM(repro.Config{}, n, int64(900+n))
-				if err != nil {
+				var err error
+				if rep, err = exp.IdeaVIM(repro.Config{}, n, int64(900+n)); err != nil {
 					b.Fatal(err)
 				}
 				reportSim(b, "sim-ms", rep.TotalPs())
 				b.ReportMetric(float64(rep.VIM.Faults), "faults")
 			}
+			reportRunEdges(b, rep)
 		})
 	}
 }

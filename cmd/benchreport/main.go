@@ -9,9 +9,10 @@
 //
 // With -compare, the fresh results are diffed against a committed baseline
 // file and the run fails (exit 1) when any benchmark's wall-clock ns/op
-// regressed by more than -max-regress (a fraction; 0.25 = 25%), or its B/op
-// or allocs/op grew by more than 5%. CI uses this as the performance trend
-// gate against the committed baseline.
+// regressed by more than -max-regress (a fraction; 0.25 = 25%), its B/op or
+// allocs/op grew by more than 5%, or any simulated column (see
+// exactMetric) differs from the baseline at all. CI uses this as the
+// performance trend gate against the committed baseline.
 //
 // The tool shells out to `go test -bench` (so results match what developers
 // measure by hand) and parses the standard benchmark output format:
@@ -27,6 +28,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -138,6 +140,21 @@ const allocRegress = 0.05
 // allocMetrics are the gated allocation columns -benchmem reports.
 var allocMetrics = []string{"B/op", "allocs/op"}
 
+// exactMetric reports whether a metric column is gated for exact equality
+// with the baseline: the simulated results (sim-*: simulated times and the
+// delivered + skipped edge count, which no host-side change may move),
+// faults, Figure 7's latency-cycles, and the serving columns. They are a
+// deterministic function of the code and its inputs, so any change is a
+// behaviour change whatever the wall time. Delivered edges (edges/op) are
+// reported but not gated: a faster scheduler delivers fewer.
+func exactMetric(name string) bool {
+	switch name {
+	case "faults", "latency-cycles", "reconfigs", "miss-rate", "shed-rate", "goodput-rps":
+		return true
+	}
+	return strings.HasPrefix(name, "sim-")
+}
+
 // diffBaseline loads the committed baseline at path and compares the fresh
 // report against it; see compareReports. An unreadable baseline fails.
 func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool {
@@ -153,7 +170,7 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 	}
 	regressed := compareReports(os.Stdout, base, rep, maxRegress, noiseFloor)
 	if regressed {
-		fmt.Fprintf(os.Stderr, "benchreport: regression vs %s (wall clock beyond %.0f%% or allocation beyond %.0f%%)\n",
+		fmt.Fprintf(os.Stderr, "benchreport: regression vs %s (wall clock beyond %.0f%%, allocation beyond %.0f%% or a simulated column changed)\n",
 			path, maxRegress*100, allocRegress*100)
 	}
 	return regressed
@@ -164,8 +181,9 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 // ns/op beyond maxRegress AND beyond the absolute noise floor
 // (microsecond-scale benchmarks flap by large percentages on fixed host
 // jitter that means nothing for the millisecond-scale cells the gate
-// exists to protect), or B/op or allocs/op beyond allocRegress. A baseline
-// benchmark missing from rep also fails.
+// exists to protect), B/op or allocs/op beyond allocRegress, or a
+// simulated column (exactMetric) changed or vanished. A baseline benchmark
+// missing from rep also fails.
 func compareReports(w io.Writer, base, rep Report, maxRegress, noiseFloor float64) bool {
 	baseline := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
@@ -203,12 +221,25 @@ func compareReports(w io.Writer, base, rep Report, maxRegress, noiseFloor float6
 			fmt.Fprintf(w, "  FAIL %-55s %12.0f -> %12.0f %s (beyond %.0f%%)\n", "", was, now, m, allocRegress*100)
 			regressed = true
 		}
-		// Serving-quality columns (informational, not gated): the open-loop
-		// saturation cells publish goodput and shed-rate metrics, and their
-		// trend belongs next to the wall-clock trend in the CI log.
-		if g, ok := r.Metrics["goodput-rps"]; ok {
-			fmt.Fprintf(w, "       %-55s %12.0f -> %12.0f goodput-rps, shed-rate %.2f -> %.2f\n",
-				"", b.Metrics["goodput-rps"], g, b.Metrics["shed-rate"], r.Metrics["shed-rate"])
+		// Simulated columns: exact, in sorted order for a stable log.
+		names := make([]string, 0, len(b.Metrics))
+		for m := range b.Metrics {
+			names = append(names, m)
+		}
+		sort.Strings(names)
+		for _, m := range names {
+			if !exactMetric(m) {
+				continue
+			}
+			was := b.Metrics[m]
+			now, ok := r.Metrics[m]
+			if !ok {
+				fmt.Fprintf(w, "  FAIL %-55s %s missing from this run (simulated columns are gated exactly)\n", "", m)
+				regressed = true
+			} else if now != was {
+				fmt.Fprintf(w, "  FAIL %-55s %12g -> %12g %s (simulated columns are gated exactly)\n", "", was, now, m)
+				regressed = true
+			}
 		}
 	}
 	// Benchmarks the percentage gate skipped must not vanish silently from

@@ -166,6 +166,7 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 	eng := r.HW.Eng
 	imuDom := r.HW.IMUDom
 	startCy := imuDom.Cycles()
+	startSim := eng.Stats()
 	hwPs := 0.0
 
 	for done := 0; done < items; {
@@ -296,6 +297,7 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 		SWOSPs:  tl.Ps(stats.SWOS),
 		IMU:     u.Count,
 		HWCy:    imuDom.Cycles() - startCy,
+		Sim:     eng.Stats().Since(startSim),
 	}, nil
 }
 

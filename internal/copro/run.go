@@ -214,14 +214,14 @@ func (m *Mem) RunEdges(p Program) int64 {
 	t := newTiming(h.Latency(), m.port.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
-	var u Unit
+	u := &m.unit
 	w := int64(0)
 	for k := 0; ; k++ {
 		u.N = 0
-		if !p.Unit(k, &u) || !memo.hits(h, shift, &u) {
+		if !p.Unit(k, u) || !memo.hits(h, shift, u) {
 			return w
 		}
-		n, _ := t.edges(&u)
+		n, _ := t.edges(u)
 		if n == 0 {
 			return w
 		}
@@ -250,15 +250,15 @@ func (m *Mem) SkipRun(k int64, p Program) bool {
 	shift := h.PageShift()
 	memo := newRunMemo()
 	din := m.port.IMURef().DIn
-	var u Unit
+	u := &m.unit
 	var last Step
 	var n, lastConsume int64
 	ran := false
 	for k > 0 {
 		u.N = 0
-		p.Unit(0, &u)
-		memo.hits(h, shift, &u)
-		if n, lastConsume = t.edges(&u); n > k {
+		p.Unit(0, u)
+		memo.hits(h, shift, u)
+		if n, lastConsume = t.edges(u); n > k {
 			break
 		}
 		kernel := false
@@ -271,7 +271,7 @@ func (m *Mem) SkipRun(k int64, p Program) bool {
 				m.Reads++
 			case StepWrite:
 				if !kernel {
-					p.Kernel(&u)
+					p.Kernel(u)
 					kernel = true
 				}
 				h.Access(s.entry, s.Obj, s.Addr, s.Size, true, s.Val)
@@ -283,7 +283,7 @@ func (m *Mem) SkipRun(k int64, p Program) bool {
 			last = *s
 		}
 		if !kernel {
-			p.Kernel(&u)
+			p.Kernel(u)
 		}
 		ran = true
 		k -= n

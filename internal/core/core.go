@@ -26,6 +26,7 @@ import (
 	"repro/internal/imu"
 	"repro/internal/kernel"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vim"
 )
@@ -145,6 +146,11 @@ type Report struct {
 	VIM  vim.Counters
 	IMU  imu.Counters
 	HWCy int64 // IMU-domain cycles consumed
+
+	// Sim is the engine's scheduling tallies over the run: how many edges
+	// the host delivered and skipped. It measures the simulator, not the
+	// simulated system, so it differs between schedulers.
+	Sim sim.Stats
 }
 
 // TotalPs is the end-to-end execution time of the run.
@@ -183,6 +189,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 	eng := s.HW.Eng
 	imuDom := s.HW.IMUDom
 	startCy := imuDom.Cycles()
+	startSim := eng.Stats()
 	hwPs := 0.0
 	budget := s.budget
 	// The interruptible sleep polls the IRQ line through the engine's
@@ -244,6 +251,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 		VIM:      s.VIM.Count,
 		IMU:      s.Board.IMU.Count,
 		HWCy:     imuDom.Cycles() - startCy,
+		Sim:      eng.Stats().Since(startSim),
 	}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/copro"
 	"repro/internal/copro/vecadd"
+	"repro/internal/core"
 	"repro/internal/imu"
 	"repro/internal/mem"
 	"repro/internal/platform"
@@ -23,77 +24,8 @@ import (
 // coprocessor — comparing both run time and the programming burden the
 // paper's Figure 3 illustrates (lines of platform-aware code).
 func RunFig3() (*Result, error) {
-	const n = 4096 // elements; 3 x 16 KB objects exceed the DP RAM
-	seed := int64(303)
-
-	// Pure software.
-	sys, err := repro.NewSystem(repro.Config{})
-	if err != nil {
-		return nil, err
-	}
-	p, err := sys.NewProcess("vecadd")
-	if err != nil {
-		return nil, err
-	}
-	a, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	b, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	c, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	av := make([]byte, 4*n)
-	bv := make([]byte, 4*n)
-	rng.Read(av)
-	rng.Read(bv)
-	if err := a.Write(av); err != nil {
-		return nil, err
-	}
-	if err := b.Write(bv); err != nil {
-		return nil, err
-	}
-	swRep, err := p.RunVecAddSW(a, b, c, n)
-	if err != nil {
-		return nil, err
-	}
-
-	// VIM-based coprocessor (three mapped objects, one execute call).
-	if err := p.FPGALoad(repro.VecAddBitstream("EPXA1")); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjA, a, repro.In); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjB, b, repro.In); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjC, c, repro.Out); err != nil {
-		return nil, err
-	}
-	vimRep, err := p.FPGAExecute(n)
-	if err != nil {
-		return nil, err
-	}
-
-	// Typical coprocessor: the hand-written chunking loop of Figure 3.
-	runner, err := baseline.NewRunner(platform.EPXA1(), repro.VecAddBitstream("EPXA1"))
-	if err != nil {
-		return nil, err
-	}
-	streams := []*baseline.Stream{
-		{ID: vecadd.ObjA, Dir: vim.In, ItemBytes: 4, Data: av},
-		{ID: vecadd.ObjB, Dir: vim.In, ItemBytes: 4, Data: bv},
-		{ID: vecadd.ObjC, Dir: vim.Out, ItemBytes: 4},
-	}
-	typRep, err := runner.RunChunked(n, streams, func(items int) []uint32 {
-		return []uint32{uint32(items)}
-	})
+	const n = fig3Elements
+	swRep, typRep, vimRep, err := Fig3Reports()
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +51,92 @@ func RunFig3() (*Result, error) {
 			"vim_ms": vimRep.TotalPs() / 1e9,
 		},
 	}, nil
+}
+
+// fig3Elements is Figure 3's vector length: 3 x 16 KB objects exceed the
+// DP RAM.
+const fig3Elements = 4096
+
+// Fig3Reports runs Figure 3's three versions of the vector addition and
+// returns their reports: pure software, the hand-chunked typical
+// coprocessor and the VIM-based one.
+func Fig3Reports() (*core.Report, *core.Report, *core.Report, error) {
+	const n = fig3Elements
+	seed := int64(303)
+
+	// Pure software.
+	sys, err := repro.NewSystem(repro.Config{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	p, err := sys.NewProcess("vecadd")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	a, err := p.Alloc(4 * n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	b, err := p.Alloc(4 * n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	c, err := p.Alloc(4 * n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	av := make([]byte, 4*n)
+	bv := make([]byte, 4*n)
+	rng.Read(av)
+	rng.Read(bv)
+	if err := a.Write(av); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := b.Write(bv); err != nil {
+		return nil, nil, nil, err
+	}
+	swRep, err := p.RunVecAddSW(a, b, c, n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	// VIM-based coprocessor (three mapped objects, one execute call).
+	if err := p.FPGALoad(repro.VecAddBitstream("EPXA1")); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := p.FPGAMapObject(repro.VecAddObjA, a, repro.In); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := p.FPGAMapObject(repro.VecAddObjB, b, repro.In); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := p.FPGAMapObject(repro.VecAddObjC, c, repro.Out); err != nil {
+		return nil, nil, nil, err
+	}
+	vimRep, err := p.FPGAExecute(n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	// Typical coprocessor: the hand-written chunking loop of Figure 3.
+	runner, err := baseline.NewRunner(platform.EPXA1(), repro.VecAddBitstream("EPXA1"))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	streams := []*baseline.Stream{
+		{ID: vecadd.ObjA, Dir: vim.In, ItemBytes: 4, Data: av},
+		{ID: vecadd.ObjB, Dir: vim.In, ItemBytes: 4, Data: bv},
+		{ID: vecadd.ObjC, Dir: vim.Out, ItemBytes: 4},
+	}
+	typRep, err := runner.RunChunked(n, streams, func(items int) []uint32 {
+		return []uint32{uint32(items)}
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	return swRep, typRep, vimRep, nil
 }
 
 // Fig7Bench is the Figure 7 testbench after its run: one 32-bit read,

@@ -474,6 +474,15 @@ type Stats struct {
 	HeapOps        int64
 }
 
+// Since returns the tallies accrued after the snapshot prev.
+func (s Stats) Since(prev Stats) Stats {
+	return Stats{
+		EdgesDelivered: s.EdgesDelivered - prev.EdgesDelivered,
+		EdgesSkipped:   s.EdgesSkipped - prev.EdgesSkipped,
+		HeapOps:        s.HeapOps - prev.HeapOps,
+	}
+}
+
 // Stats returns the engine's scheduling tallies. Reporting only: reading
 // them never perturbs the schedule.
 func (e *Engine) Stats() Stats {
