@@ -466,8 +466,8 @@ type Engine struct {
 // idle bulk-skip instead (the two sum to every domain's cycle counter);
 // HeapOps counts event-heap mutations (pushes, pops, and one per domain on
 // each wholesale rebuild). The lockstep scheduler neither skips nor touches
-// the heap, so both tallies stay zero under it; one- and two-domain
-// event-driven engines count only the build each scheduling plan makes.
+// the heap, so both tallies stay zero under it, and one- and two-domain
+// event-driven engines have no heap, so their HeapOps stays zero too.
 type Stats struct {
 	EdgesDelivered int64
 	EdgesSkipped   int64
@@ -564,16 +564,15 @@ func (e *Engine) Domains() []*Domain { return e.domains }
 func (e *Engine) Fail(err error) { e.stopErr = err }
 
 // plan rebuilds the scheduling plan: each domain gets its period in ticks
-// of the base clock and the absolute tick of its next edge, and the
-// event-driven scheduler builds its heap (read only with three or more
-// domains; Stats counts the build in every layout).
+// of the base clock and the absolute tick of its next edge, and an
+// event-driven engine of three or more domains builds its heap.
 func (e *Engine) plan() {
 	e.planned = true
 	for _, d := range e.domains {
 		d.ratio = e.base / d.freqHz
 		d.nextAt = (d.cycles + 1) * d.ratio
 	}
-	if e.sched == EventDriven {
+	if e.sched == EventDriven && len(e.domains) >= 3 {
 		e.heapInit()
 	}
 }
