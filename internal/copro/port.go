@@ -9,6 +9,12 @@
 // Each Port carries exactly one coprocessor; a multi-session IMU simply
 // binds several ports (one per channel) over the same dual-port memory, so
 // cores need no changes to run as tenants of a shared shell.
+//
+// A core also describes its loop as a Program of units (reads, compute
+// cycles, writes and a kernel over the data). On a port wired to its IMU
+// channel's HitService — single-channel boards — Mem runs a TLB-resident
+// stretch of units as one hit run, advertised and consumed through the
+// core's own idle window, leaving exactly the state the edge FSM would.
 package copro
 
 import "repro/internal/sim"

@@ -26,6 +26,16 @@
 // a fault is delivered in the faulting channel's own register bank, so the
 // operating system always knows which session to service. A single-channel
 // IMU is bit-identical to the paper's original unit.
+//
+// # Hit runs
+//
+// A hit always takes the same edges, so a single-channel IMU also offers
+// its channel at transaction level (HitService, wired to the port by the
+// assembler): a coprocessor's hit run asks it whether an access hits and
+// has it apply exactly what the translation FSM and its commit would — the
+// LastUse stamp, the entry's Ref and Dirty bits, the DP RAM access, CP_DIN
+// and the counters — while the core skips the edges. The FSM stays the
+// reference: the lockstep scheduler always runs it.
 package imu
 
 import (
