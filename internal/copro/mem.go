@@ -35,10 +35,6 @@ type Mem struct {
 	// Counters for reports and tests.
 	Reads, Writes uint64
 	WaitCycles    uint64
-
-	// unit is hit-run scratch (see RunEdges), kept here so describing a
-	// unit through the Program interface allocates nothing.
-	unit Unit
 }
 
 type memState uint8

@@ -32,14 +32,15 @@ const (
 )
 
 // CPOut is the set of signals driven by the coprocessor, committed at the
-// coprocessor's clock edge.
+// coprocessor's clock edge. The wide fields lead so the bundle packs into
+// 16 bytes, which keeps a Port within its allocation size class.
 type CPOut struct {
-	Obj      uint8  // CP_OBJ: object identifier
 	Addr     uint32 // CP_ADDR: byte offset within the object
+	DOut     uint32 // CP_DOUT: write data
+	Obj      uint8  // CP_OBJ: object identifier
 	Size     uint8  // access width in bytes (1, 2 or 4)
 	Access   bool   // CP_ACCESS: request valid
 	Wr       bool   // CP_WR: request is a write
-	DOut     uint32 // CP_DOUT: write data
 	Fin      bool   // CP_FIN: operation complete
 	ParamInv bool   // CP_PINV: parameter page consumed, invalidate it
 }
@@ -71,10 +72,19 @@ type Port struct {
 	imuMask  *uint32
 	imuFlags uint32
 
-	// hits is the bound IMU channel's hit service (nil: the core never
-	// takes a hit run) and ratio its IMU edges per core edge.
-	hits  HitService
+	// hits wires the bound IMU channel's hit service (nil: the core never
+	// takes a hit run).
+	hits *hitWire
+}
+
+// hitWire is a port's wiring to its IMU channel's hit service: the
+// service, the channel's IMU edges per core edge, and the scratch unit the
+// core's runs describe units into (through the Program interface, so it
+// cannot live on the stack). Only wired ports pay for it.
+type hitWire struct {
+	svc   HitService
 	ratio int64
+	unit  Unit
 }
 
 // NewPort returns a quiescent port.
@@ -137,15 +147,16 @@ func (p *Port) SettleIMU(v IMUOut) {
 }
 
 // ServeHits wires the hit service of the IMU channel the port is bound to,
-// whose clock runs ratio edges per core edge (an integer: the IMU clock is a
-// multiple of the core's). The core then takes hit runs (Mem.RunEdges)
-// wherever the service is ready. Only single-channel assemblies wire one; a
-// port left unwired runs its core on the edge FSM alone.
+// whose clock runs ratio >= 1 edges per core edge (the IMU clock is a
+// multiple of the core's); a nil service unwires it. The core then takes
+// hit runs (Mem.RunEdges) wherever the service is ready. Only
+// single-channel assemblies wire one; a port left unwired runs its core on
+// the edge FSM alone.
 func (p *Port) ServeHits(h HitService, ratio int64) {
-	if ratio < 1 {
-		h = nil
+	p.hits = nil
+	if h != nil {
+		p.hits = &hitWire{svc: h, ratio: ratio}
 	}
-	p.hits, p.ratio = h, ratio
 }
 
 // WatchCP wires the coprocessor-side change notice: every commit of a new

@@ -185,19 +185,19 @@ func (t timing) edges(u *Unit) (n, lastConsume int64) {
 	return max(cursor, ready), lastConsume
 }
 
-// runService returns the port's hit service if a run can start at the next
-// edge: a service is wired and ready, the core is started, no request is in
-// flight (a drain may be waiting for CP_TLBHIT to fall, and it has), and no
-// output change is staged or pulsing.
-func (m *Mem) runService() HitService {
-	h := m.port.hits
-	if h == nil || m.state == memIssue || m.drivenFin || m.drivenPinv || m.port.cp.Pending() {
+// runWire returns the port's hit-service wiring if a run can start at the
+// next edge: a service is wired and ready, the core is started, no request
+// is in flight (a drain may be waiting for CP_TLBHIT to fall, and it has),
+// and no output change is staged or pulsing.
+func (m *Mem) runWire() *hitWire {
+	w := m.port.hits
+	if w == nil || m.state == memIssue || m.drivenFin || m.drivenPinv || m.port.cp.Pending() {
 		return nil
 	}
-	if in := m.port.IMURef(); !in.Start || in.TLBHit || !h.Ready(m.port) {
+	if in := m.port.IMURef(); !in.Start || in.TLBHit || !w.svc.Ready(m.port) {
 		return nil
 	}
-	return h
+	return w
 }
 
 // RunEdges returns the hit-run window of a core at the top of its loop:
@@ -207,14 +207,15 @@ func (m *Mem) runService() HitService {
 // start. Cores answer it from IdleEdges at the top of their loop; asking
 // changes nothing the model can observe.
 func (m *Mem) RunEdges(p Program) int64 {
-	h := m.runService()
-	if h == nil {
+	wire := m.runWire()
+	if wire == nil {
 		return 0
 	}
-	t := newTiming(h.Latency(), m.port.ratio)
+	h := wire.svc
+	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
-	u := &m.unit
+	u := &wire.unit
 	w := int64(0)
 	for k := 0; ; k++ {
 		u.N = 0
@@ -242,15 +243,16 @@ func (m *Mem) RunEdges(p Program) int64 {
 // engine never splits such a window, because the IMU, alone in its domain,
 // is idle until input while a run can start.
 func (m *Mem) SkipRun(k int64, p Program) bool {
-	h := m.runService()
-	if h == nil {
+	wire := m.runWire()
+	if wire == nil {
 		return false
 	}
-	t := newTiming(h.Latency(), m.port.ratio)
+	h := wire.svc
+	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
 	din := m.port.IMURef().DIn
-	u := &m.unit
+	u := &wire.unit
 	var last Step
 	var n, lastConsume int64
 	ran := false
@@ -293,7 +295,7 @@ func (m *Mem) SkipRun(k int64, p Program) bool {
 		h.Finish()
 	}
 	if k > 0 {
-		m.deliver(h, p, k)
+		deliver(h, p, k, wire.ratio)
 		h.Finish()
 	}
 	return true
@@ -318,10 +320,10 @@ func (m *Mem) settle(s *Step, n, lastConsume int64, t timing, din uint32) {
 	}
 }
 
-// deliver runs k core edges, and the IMU edges up to the core's next edge,
-// on the edge FSMs: all Evals of an edge before its Updates.
-func (m *Mem) deliver(h HitService, core sim.Ticker, k int64) {
-	r := m.port.ratio
+// deliver runs k core edges, and the IMU edges (r per core edge) up to the
+// core's next edge, on the edge FSMs: all Evals of an edge before its
+// Updates.
+func deliver(h HitService, core sim.Ticker, k, r int64) {
 	for e := int64(0); e < k*r; e++ {
 		coreEdge := e%r == 0
 		if coreEdge {

@@ -157,8 +157,7 @@ func fieldsOf(v reflect.Value, skip ...string) string {
 // access helper, the IMU (table, stamps, counters global and per channel)
 // and its channel (FSM state, latched request, register bank, outputs), the
 // DP RAM's bytes and port counters, both committed port bundles and the
-// domain cycles. Per-edge and hit-run scratch and lookup memos are left
-// out.
+// domain cycles. Per-edge scratch and lookup memos are left out.
 type benchState struct {
 	Core, Mem, IMU, Channel, DPPorts string
 	DP                               []byte
@@ -176,7 +175,7 @@ func snapshot(t testing.TB, b *Bench) benchState {
 	u := reflect.ValueOf(b.IMU)
 	return benchState{
 		Core:       fieldsOf(reflect.ValueOf(b.Core)),
-		Mem:        fieldsOf(reflect.ValueOf(b.Core.(interface{ Mem() *copro.Mem }).Mem()), "unit"),
+		Mem:        fieldsOf(reflect.ValueOf(b.Core.(interface{ Mem() *copro.Mem }).Mem())),
 		IMU:        fieldsOf(u, "ch", "chbuf", "anyWork", "hz"),
 		Channel:    fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
 		DPPorts:    fieldsOf(reflect.ValueOf(b.DP)),

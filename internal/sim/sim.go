@@ -689,9 +689,10 @@ func deliver(due []*Domain) {
 // RunUntil advances the simulation until done() reports true (checked before
 // every super-edge) or at least maxEdges super-edges have been delivered,
 // whichever comes first. It returns the number of super-edges delivered
-// (counting bulk-skipped idle edges; the final count may exceed maxEdges by
-// up to the domain clock ratio when a skipped window spans the budget
-// boundary) and ErrBudget if the budget ran out, ErrNoDomains if the engine
+// (counting bulk-skipped idle edges; a skipped window is consumed whole, so
+// when one spans the budget boundary the final count exceeds maxEdges by up
+// to the window's length, which a coprocessor's hit run makes thousands of
+// edges) and ErrBudget if the budget ran out, ErrNoDomains if the engine
 // has no domain, or the error passed to Fail.
 func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
 	var never bool
