@@ -147,15 +147,16 @@ func (p *Port) SettleIMU(v IMUOut) {
 }
 
 // ServeHits wires the hit service of the IMU channel the port is bound to,
-// whose clock runs ratio >= 1 edges per core edge (the IMU clock is a
-// multiple of the core's); a nil service unwires it. The core then takes
-// hit runs (Mem.RunEdges) wherever the service is ready. Only
-// single-channel assemblies wire one; a port left unwired runs its core on
-// the edge FSM alone.
-func (p *Port) ServeHits(h HitService, ratio int64) {
+// for a core clocked at coreHz behind an IMU at imuHz. The core then takes
+// hit runs (Mem.RunEdges) wherever the service is ready. A run's timing
+// needs an IMU edge at every core edge, so the port stays unwired unless
+// the IMU clock is a multiple of the core's; a nil service unwires it.
+// Only single-channel assemblies wire one; a port left unwired runs its
+// core on the edge FSM alone.
+func (p *Port) ServeHits(h HitService, coreHz, imuHz int64) {
 	p.hits = nil
-	if h != nil {
-		p.hits = &hitWire{svc: h, ratio: ratio}
+	if h != nil && coreHz > 0 && imuHz%coreHz == 0 {
+		p.hits = &hitWire{svc: h, ratio: imuHz / coreHz}
 	}
 }
 

@@ -79,9 +79,7 @@ func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
 	}
 	port := copro.NewPort()
 	u.Bind(port)
-	if cfg.IMUHz%cfg.CoproHz == 0 {
-		port.ServeHits(u.HitService(), cfg.IMUHz/cfg.CoproHz)
-	}
+	port.ServeHits(u.HitService(), cfg.CoproHz, cfg.IMUHz)
 	core.Bind(port)
 	core.ResetCore()
 

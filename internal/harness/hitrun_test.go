@@ -288,19 +288,28 @@ func TestHitRunPartialWindow(t *testing.T) {
 	}
 }
 
-// TestNoHitRunWithoutService checks that a port left unwired (as in a
-// shell slot) never advertises a run: the core's windows are exactly the
-// edge FSM's.
+// TestNoHitRunWithoutService checks that a core whose port is not wired to
+// a hit service (as in a shell slot), or whose clock is faster than the
+// IMU's, never advertises a run: its windows are exactly the edge FSM's.
 func TestNoHitRunWithoutService(t *testing.T) {
-	b := vecaddCase(64).build(t, sim.Lockstep)
-	b.Port.ServeHits(nil, 1)
-	b.IMU.Start()
-	bulk := b.Core.(sim.BulkIdler)
-	for !b.IMU.DonePending() {
-		if w := bulk.IdleEdges(); w > 0 && w < sim.IdleForever {
-			t.Fatalf("unwired port advertised a %d-edge window", w)
+	unwired := vecaddCase(64).build(t, sim.Lockstep)
+	unwired.Port.ServeHits(nil, 0, 0)
+	frames := map[int][]byte{1: randomBytes(1, 256), 2: randomBytes(2, 256)}
+	maps := [][3]int{{vecadd.ObjA, 0, 1}, {vecadd.ObjB, 0, 2}, {vecadd.ObjC, 0, 3}}
+	fastCore := newHitBench(t, sim.Lockstep, 80_000_000, 40_000_000, imu.MultiCycle, vecadd.New(), frames, maps, 64)
+	for _, c := range []struct {
+		name string
+		b    *Bench
+	}{{"unwired", unwired}, {"core faster than IMU", fastCore}} {
+		name, b := c.name, c.b
+		b.IMU.Start()
+		bulk := b.Core.(sim.BulkIdler)
+		for !b.IMU.DonePending() {
+			if w := bulk.IdleEdges(); w > 0 && w < sim.IdleForever {
+				t.Fatalf("%s: advertised a %d-edge window", name, w)
+			}
+			b.Eng.Step()
 		}
-		b.Eng.Step()
 	}
 }
 

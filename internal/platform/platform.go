@@ -182,9 +182,7 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 	}
 	port := copro.NewPort()
 	b.IMU.Bind(port)
-	if imuHz%coreHz == 0 {
-		port.ServeHits(b.IMU.HitService(), imuHz/coreHz)
-	}
+	port.ServeHits(b.IMU.HitService(), coreHz, imuHz)
 	core.Bind(port)
 	core.ResetCore()
 
