@@ -67,7 +67,7 @@ func NewRunner(spec platform.Spec, img []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, ok := inst.(copro.Coprocessor)
+	cp, ok := inst.(*copro.Seq)
 	if !ok {
 		return nil, fmt.Errorf("baseline: bitstream %q is not a coprocessor", hdr.Core)
 	}

@@ -7,9 +7,8 @@ import (
 )
 
 // Factory builds a fresh coprocessor model instance for a parsed header.
-// The returned value is opaque to this package (the platform layer asserts
-// it to the coprocessor interface); keeping it untyped avoids an import
-// cycle between the hardware model and the loader.
+// The returned value is opaque to this package: every core registers a
+// *copro.Seq running its Program, which the loaders assert it to.
 type Factory func(h Header) (any, error)
 
 var (

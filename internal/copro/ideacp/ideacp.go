@@ -8,14 +8,15 @@
 // software, as in the paper's port where only the critical kernel moved to
 // hardware. With its 3-stage round pipeline the core sustains roughly one
 // round per cycle once full; ComputeCycles models the per-block occupancy
-// (8 rounds + output transform + pipeline fill).
+// (8 rounds + output transform + pipeline fill). The core is a
+// copro.Program run by copro.Seq: one unit per block, which reads the
+// block's two words, computes for ComputeCycles and writes two words.
 package ideacp
 
 import (
 	"repro/internal/bitstream"
 	"repro/internal/copro"
 	"repro/internal/ref"
-	"repro/internal/sim"
 )
 
 // CoreName is the identity carried in bitstream images.
@@ -32,70 +33,52 @@ const (
 // output transform and pipeline fill.
 const ComputeCycles = 12
 
-// Parameter-page layout (byte offsets).
-const (
-	ParamCount   = 0 // u32: number of 8-byte blocks
-	ParamSubkeys = 4 // 26 u32 words, two little-endian subkeys per word
-)
-
-type state uint8
-
-const (
-	stWaitStart state = iota
-	stParamCountIssue
-	stParamCountWait
-	stParamKeyIssue
-	stParamKeyWait
-	stReadLoIssue
-	stReadLoWait
-	stReadHiIssue
-	stReadHiWait
-	stCompute
-	stWriteLoIssue
-	stWriteLoWait
-	stWriteHiIssue
-	stWriteHiWait
-	stDone
-)
-
-// Core is the IDEA coprocessor model.
+// Core is the IDEA Program.
 type Core struct {
-	port *copro.Port
-	mem  *copro.Mem
-
-	st      state
-	blocks  uint32
-	blk     uint32
-	keyIdx  uint32
-	keys    [ref.IDEASubkeys]uint16
-	wLo     uint32 // first input word of the current block
-	wHi     uint32
-	yLo     uint32 // first output word
-	yHi     uint32
-	compute uint32 // remaining compute cycles
-	pinv    bool
+	blocks uint32
+	keys   [ref.IDEASubkeys]uint16
 }
 
-// New returns a reset core.
-func New() *Core { return &Core{} }
+// New returns a reset core on its sequencer.
+func New() *copro.Seq { return copro.NewSeq(&Core{}) }
 
-// Name implements copro.Coprocessor.
+// Name implements copro.Program.
 func (c *Core) Name() string { return CoreName }
 
-// Bind implements copro.Coprocessor.
-func (c *Core) Bind(p *copro.Port) {
-	c.port = p
-	c.mem = copro.NewMem(p)
+// Param implements copro.Program: word 0 is the number of 8-byte blocks,
+// words 1..26 the subkeys, two little-endian subkeys per word
+// (PackSubkeys).
+func (c *Core) Param(i int, w uint32) bool {
+	if i == 0 {
+		c.blocks = w
+		return true
+	}
+	c.keys[2*i-2] = uint16(w)
+	c.keys[2*i-1] = uint16(w >> 16)
+	return i < ref.IDEASubkeys/2
 }
 
-// ResetCore implements copro.Coprocessor.
-func (c *Core) ResetCore() {
-	c.st = stWaitStart
-	c.blocks, c.blk, c.keyIdx = 0, 0, 0
-	c.compute = 0
-	if c.mem != nil {
-		c.mem.ResetMem()
-	}
+// Units implements copro.Program: one unit per block.
+func (c *Core) Units() int { return int(c.blocks) }
+
+// Unit implements copro.Program: block i reads its two input words, runs
+// the cipher pipeline and writes its two output words.
+func (c *Core) Unit(i int, u *copro.Unit) {
+	a := uint32(i) * 8
+	u.Read(ObjIn, a, copro.Size32)
+	u.Read(ObjIn, a+4, copro.Size32)
+	u.Compute(ComputeCycles)
+	u.Write(ObjOut, a, copro.Size32)
+	u.Write(ObjOut, a+4, copro.Size32)
+}
+
+// Kernel implements copro.Program: one IDEA block.
+func (c *Core) Kernel(i int, u *copro.Unit) {
+	x1, x2 := be16Pair(u.Steps[0].Val)
+	x3, x4 := be16Pair(u.Steps[1].Val)
+	y1, y2, y3, y4 := ref.IDEACryptBlock(&c.keys, x1, x2, x3, x4)
+	u.Steps[3].Val = le32FromBE(y1, y2)
+	u.Steps[4].Val = le32FromBE(y3, y4)
 }
 
 // be16Pair splits a little-endian memory word into the two big-endian
@@ -111,202 +94,6 @@ func be16Pair(w uint32) (uint16, uint16) {
 func le32FromBE(x1, x2 uint16) uint32 {
 	return uint32(x1>>8) | uint32(x1&0xff)<<8 | uint32(x2>>8)<<16 | uint32(x2&0xff)<<24
 }
-
-// IdleEdges implements sim.BulkIdler: at the top of its loop the core
-// advertises a hit run over the blocks whose accesses all hit
-// (copro.Mem.RunEdges); otherwise it advertises the edges Eval would
-// provably no-op (or purely count down) so the engine can bulk-skip them.
-// Four windows qualify: waiting for CP_START before an operation,
-// the multi-cycle cipher compute between the block read and the block
-// write (the decrement edges are inert; the edge that drains the pipeline
-// and latches the ciphertext must be delivered), the states gated on a
-// stalled access handshake, and holding CP_FIN after completion until the
-// OS acknowledges. Each window ends only through an IMU-domain commit
-// (Start or CP_TLBHIT toggling) or the core's own advertised countdown,
-// which is exactly the contract sim.BulkIdler requires.
-func (c *Core) IdleEdges() int64 {
-	if c.st == stReadLoIssue {
-		if w := c.mem.RunEdges(c); w > 0 {
-			return w
-		}
-	}
-	switch c.st {
-	case stParamCountWait, stParamKeyIssue, stParamKeyWait, stReadLoIssue, stReadLoWait,
-		stReadHiIssue, stReadHiWait, stWriteLoIssue, stWriteLoWait, stWriteHiIssue, stWriteHiWait:
-		if c.port.IMURef().Start && c.mem.Stalled() {
-			return sim.IdleForever
-		}
-	case stWaitStart:
-		if !c.port.IMURef().Start && c.mem.Quiet() {
-			return sim.IdleForever
-		}
-	case stCompute:
-		if c.compute > 1 && c.port.IMURef().Start && c.mem.Quiet() {
-			return int64(c.compute) - 1
-		}
-	case stDone:
-		if c.port.IMURef().Start && c.mem.Quiet() && c.port.CPRef().Fin {
-			return sim.IdleForever
-		}
-	}
-	return 0
-}
-
-// SkipEdges implements sim.BulkIdler: a hit run executes its blocks,
-// skipped compute edges decrement the pipeline-occupancy countdown and
-// skipped stall edges count wait cycles, exactly as delivered edges would.
-// The other windows carry no per-edge state.
-func (c *Core) SkipEdges(k int64) {
-	if c.st == stReadLoIssue && c.mem.SkipRun(k, c) {
-		return
-	}
-	c.mem.SkipEdges(k)
-	if c.st == stCompute {
-		c.compute -= uint32(k)
-	}
-}
-
-// Unit implements copro.Program: block b reads its two input words, runs
-// the cipher pipeline and writes its two output words. The last block
-// raises CP_FIN.
-func (c *Core) Unit(k int, u *copro.Unit) bool {
-	b := c.blk + uint32(k)
-	if b+1 >= c.blocks {
-		return false
-	}
-	u.Read(ObjIn, b*8, copro.Size32)
-	u.Read(ObjIn, b*8+4, copro.Size32)
-	u.Compute(ComputeCycles)
-	u.Write(ObjOut, b*8, copro.Size32)
-	u.Write(ObjOut, b*8+4, copro.Size32)
-	return true
-}
-
-// Kernel implements copro.Program: one IDEA block.
-func (c *Core) Kernel(u *copro.Unit) {
-	c.wLo, c.wHi = u.Steps[0].Val, u.Steps[1].Val
-	c.cryptBlock()
-	u.Steps[3].Val, u.Steps[4].Val = c.yLo, c.yHi
-	c.blk++
-}
-
-// cryptBlock enciphers the latched input block into the output registers.
-func (c *Core) cryptBlock() {
-	x1, x2 := be16Pair(c.wLo)
-	x3, x4 := be16Pair(c.wHi)
-	y1, y2, y3, y4 := ref.IDEACryptBlock(&c.keys, x1, x2, x3, x4)
-	c.yLo = le32FromBE(y1, y2)
-	c.yHi = le32FromBE(y3, y4)
-}
-
-// Eval implements sim.Ticker.
-func (c *Core) Eval() {
-	in := c.port.IMU()
-	c.mem.Step()
-	pinv := false
-
-	if !in.Start && c.st != stWaitStart {
-		c.ResetCore()
-	}
-
-	switch c.st {
-	case stWaitStart:
-		if in.Start {
-			c.st = stParamCountIssue
-		}
-	case stParamCountIssue:
-		c.mem.Read(copro.ParamObj, ParamCount, copro.Size32)
-		c.st = stParamCountWait
-	case stParamCountWait:
-		if c.mem.Completed() {
-			c.blocks = c.mem.Data()
-			c.keyIdx = 0
-			c.st = stParamKeyIssue
-		}
-	case stParamKeyIssue:
-		if c.mem.Ready() {
-			c.mem.Read(copro.ParamObj, ParamSubkeys+c.keyIdx*4, copro.Size32)
-			c.st = stParamKeyWait
-		}
-	case stParamKeyWait:
-		if c.mem.Completed() {
-			w := c.mem.Data()
-			c.keys[2*c.keyIdx] = uint16(w)
-			c.keys[2*c.keyIdx+1] = uint16(w >> 16)
-			c.keyIdx++
-			if int(c.keyIdx) >= ref.IDEASubkeys/2 {
-				pinv = true
-				c.blk = 0
-				if c.blocks == 0 {
-					c.st = stDone
-				} else {
-					c.st = stReadLoIssue
-				}
-			} else {
-				c.st = stParamKeyIssue
-			}
-		}
-	case stReadLoIssue:
-		if c.mem.Ready() {
-			c.mem.Read(ObjIn, c.blk*8, copro.Size32)
-			c.st = stReadLoWait
-		}
-	case stReadLoWait:
-		if c.mem.Completed() {
-			c.wLo = c.mem.Data()
-			c.st = stReadHiIssue
-		}
-	case stReadHiIssue:
-		if c.mem.Ready() {
-			c.mem.Read(ObjIn, c.blk*8+4, copro.Size32)
-			c.st = stReadHiWait
-		}
-	case stReadHiWait:
-		if c.mem.Completed() {
-			c.wHi = c.mem.Data()
-			c.compute = ComputeCycles
-			c.st = stCompute
-		}
-	case stCompute:
-		c.compute--
-		if c.compute == 0 {
-			c.cryptBlock()
-			c.st = stWriteLoIssue
-		}
-	case stWriteLoIssue:
-		if c.mem.Ready() {
-			c.mem.Write(ObjOut, c.blk*8, copro.Size32, c.yLo)
-			c.st = stWriteLoWait
-		}
-	case stWriteLoWait:
-		if c.mem.Completed() {
-			c.st = stWriteHiIssue
-		}
-	case stWriteHiIssue:
-		if c.mem.Ready() {
-			c.mem.Write(ObjOut, c.blk*8+4, copro.Size32, c.yHi)
-			c.st = stWriteHiWait
-		}
-	case stWriteHiWait:
-		if c.mem.Completed() {
-			c.blk++
-			if c.blk >= c.blocks {
-				c.st = stDone
-			} else {
-				c.st = stReadLoIssue
-			}
-		}
-	case stDone:
-	}
-
-	c.mem.Drive(c.st == stDone, pinv)
-}
-
-// Update implements sim.Ticker.
-func (c *Core) Update() { c.mem.Commit() }
-
-// Mem exposes the access helper for reports and tests.
-func (c *Core) Mem() *copro.Mem { return c.mem }
 
 // PackSubkeys lays out 52 subkeys as the 26 parameter words the core
 // expects (two little-endian subkeys per word). The application side uses

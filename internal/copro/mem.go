@@ -1,13 +1,14 @@
 package copro
 
-// Mem is the handshake helper coprocessor FSMs use to issue virtual-address
-// accesses over a Port. It implements the request/acknowledge protocol of
-// §3.2: assert CP_ACCESS with a stable request, wait for CP_TLBHIT (which
-// arrives four IMU cycles later in the multi-cycle implementation, or stays
-// low indefinitely while the OS services a fault), consume the data, drop
-// the request, and wait for the hit line to fall before issuing again.
+// Mem is the handshake helper Seq (and a testbench driving a port by hand)
+// uses to issue virtual-address accesses over a Port. It implements the
+// request/acknowledge protocol of §3.2: assert CP_ACCESS with a stable
+// request, wait for CP_TLBHIT (which arrives four IMU cycles later in the
+// multi-cycle implementation, or stays low indefinitely while the OS
+// services a fault), consume the data, drop the request, and wait for the
+// hit line to fall before issuing again.
 //
-// Usage inside a Coprocessor, each clock edge:
+// Usage inside a ticker, each clock edge:
 //
 //	Eval:   m.Step()                  // advance the handshake
 //	        if m.Completed() { ... }  // response consumed this edge
@@ -16,7 +17,7 @@ package copro
 //	Update: m.Commit()
 //
 // The helper keeps no copy of the bundle: Read, Write, the consume in Step,
-// Drive and ResetMem edit the port's staged bundle in place (Port.StageCP),
+// Drive and resetMem edit the port's staged bundle in place (Port.StageCP),
 // so only the fields an edge changes are written. An edge that changes
 // nothing leaves the port unpending, its Commit is a no-op, and the IMU's
 // published horizon stays valid.
@@ -46,60 +47,54 @@ const (
 )
 
 // NewMem returns a helper bound to port. It stages the quiescent bundle
-// (see ResetMem), so the first Commit always lands, even onto a port left
+// (see resetMem), so the first Commit always lands, even onto a port left
 // non-quiescent by a previous owner.
 func NewMem(port *Port) *Mem {
 	m := &Mem{port: port}
-	m.ResetMem()
+	m.resetMem()
 	return m
 }
 
-// Step advances the handshake; call first in Eval.
+// Step advances the handshake; call first in Eval. It is kept within the
+// compiler's inlining budget: it runs on every edge of every core.
 func (m *Mem) Step() {
-	m.completed = false
-	imu := m.port.IMURef()
-	switch m.state {
-	case memIssue:
-		if imu.TLBHit {
-			m.data = imu.DIn
-			out := m.port.StageCP()
-			out.Access = false
-			out.Wr = false
-			m.state = memDrain
-			m.completed = true
-		} else {
-			m.WaitCycles++
-		}
-	case memDrain:
-		if !imu.TLBHit {
-			m.state = memIdle
-		}
+	in := m.port.imu.Ref()
+	m.completed = m.state == memIssue && in.TLBHit
+	if m.completed {
+		m.data = in.DIn
+		out := m.port.cp.Stage()
+		out.Access, out.Wr = false, false
+		m.state = memDrain
+	} else if m.state == memIssue {
+		m.WaitCycles++
+	} else if !in.TLBHit {
+		m.state = memIdle // a drain ends; an idle handshake stays idle
 	}
 }
 
 // Ready reports whether a new request may be issued this edge.
 func (m *Mem) Ready() bool { return m.state == memIdle }
 
-// Quiet reports that the handshake is at rest for idle-skip purposes: no
+// quiet reports that the handshake is at rest for idle-skip purposes: no
 // request is in flight (a request in flight counts WaitCycles every edge,
 // so those edges are not inert) and no output change is waiting to be
-// committed — neither a staged bundle (ResetMem outside a clock edge) nor
+// committed — neither a staged bundle (resetMem outside a clock edge) nor
 // the one-edge CP_PINV pulse, which the next Drive lowers. A drain in
 // progress — waiting for CP_TLBHIT to fall — is quiet: its only pending
 // transition is internal, commits nothing to the port, and happens at
 // whichever delivered edge first observes the hit line low, so deferring
 // it across a skipped window is unobservable.
-func (m *Mem) Quiet() bool { return m.state != memIssue && !m.port.cp.Pending() && !m.drivenPinv }
+func (m *Mem) quiet() bool { return m.state != memIssue && !m.port.cp.Pending() && !m.drivenPinv }
 
-// Stalled reports that the handshake is parked on the IMU with no output
+// stalled reports that the handshake is parked on the IMU with no output
 // change scheduled (CP_PINV low included): a request whose CP_TLBHIT has
 // not risen yet, or a consumed response whose hit line has not fallen yet.
 // Each such edge only counts a wait cycle (or nothing, while draining), and
 // the stall ends only when the IMU commits a new CP_TLBHIT — an
 // idle-until-input window (sim.IdleForever), provided the core's FSM
 // is itself gated on the handshake (Completed or Ready) while it lasts.
-// SkipEdges replays the wait cycles.
-func (m *Mem) Stalled() bool {
+// skipEdges replays the wait cycles.
+func (m *Mem) stalled() bool {
 	if m.port.cp.Pending() || m.drivenPinv {
 		return false
 	}
@@ -107,17 +102,14 @@ func (m *Mem) Stalled() bool {
 	return m.state == memIssue && !hit || m.state == memDrain && hit
 }
 
-// SkipEdges accounts k edges consumed in bulk while Stalled or Quiet: a
+// skipEdges accounts k edges consumed in bulk while stalled or quiet: a
 // request in flight counts each as a wait cycle, exactly as delivered edges
 // would; nothing else carries per-edge state.
-func (m *Mem) SkipEdges(k int64) {
+func (m *Mem) skipEdges(k int64) {
 	if m.state == memIssue {
 		m.WaitCycles += uint64(k)
 	}
 }
-
-// Busy reports whether a request is in flight or draining.
-func (m *Mem) Busy() bool { return m.state != memIdle }
 
 // Completed reports whether a response was consumed on this edge; for reads
 // Data then holds the value.
@@ -176,9 +168,9 @@ func (m *Mem) Drive(fin, paramInv bool) {
 // Commit commits the port outputs; call from Update.
 func (m *Mem) Commit() { m.port.CommitCP() }
 
-// ResetMem returns the helper to idle (coprocessor reset) and stages the
+// resetMem returns the helper to idle (coprocessor reset) and stages the
 // quiescent bundle, which the next Commit lands whatever the port held.
-func (m *Mem) ResetMem() {
+func (m *Mem) resetMem() {
 	m.state = memIdle
 	m.completed = false
 	*m.port.StageCP() = CPOut{}

@@ -1,7 +1,7 @@
 // Package copro defines the portable coprocessor interface of the paper's
 // Figure 4 — the CP_* signal bundle between a standardised coprocessor and
-// the Interface Management Unit — together with a handshake helper that
-// coprocessor FSMs use to issue virtual-address accesses.
+// the Interface Management Unit — and the one access sequencer every
+// coprocessor runs on.
 //
 // Everything on this side of the IMU is platform independent: a coprocessor
 // names an object (CP_OBJ) and a byte offset within it (CP_ADDR) and never
@@ -10,11 +10,14 @@
 // binds several ports (one per channel) over the same dual-port memory, so
 // cores need no changes to run as tenants of a shared shell.
 //
-// A core also describes its loop as a Program of units (reads, compute
-// cycles, writes and a kernel over the data). On a port wired to its IMU
-// channel's HitService — single-channel boards — Mem runs a TLB-resident
-// stretch of units as one hit run, advertised and consumed through the
-// core's own idle window, leaving exactly the state the edge FSM would.
+// A core is a Program: the parameter words it reads at start-up, and its
+// loop as a sequence of units (reads, compute cycles, writes) plus a kernel
+// over each unit's data. Seq, Figure 5's FSM, runs any Program on a Port
+// edge by edge through the request/acknowledge handshake of Mem. On a port
+// wired to its IMU channel's HitService — single-channel boards — Seq also
+// runs a TLB-resident stretch of units as one hit run, advertised and
+// consumed through its own idle window, leaving exactly the state its edge
+// path would.
 package copro
 
 import "repro/internal/sim"
@@ -78,13 +81,11 @@ type Port struct {
 }
 
 // hitWire is a port's wiring to its IMU channel's hit service: the
-// service, the channel's IMU edges per core edge, and the scratch unit the
-// core's runs describe units into (through the Program interface, so it
-// cannot live on the stack). Only wired ports pay for it.
+// service and the channel's IMU edges per core edge. Only wired ports pay
+// for it.
 type hitWire struct {
 	svc   HitService
 	ratio int64
-	unit  Unit
 }
 
 // NewPort returns a quiescent port.
@@ -148,11 +149,11 @@ func (p *Port) SettleIMU(v IMUOut) {
 
 // ServeHits wires the hit service of the IMU channel the port is bound to,
 // for a core clocked at coreHz behind an IMU at imuHz. The core then takes
-// hit runs (Mem.RunEdges) wherever the service is ready. A run's timing
+// hit runs (Seq.RunEdges) wherever the service is ready. A run's timing
 // needs an IMU edge at every core edge, so the port stays unwired unless
 // the IMU clock is a multiple of the core's; a nil service unwires it.
 // Only single-channel assemblies wire one; a port left unwired runs its
-// core on the edge FSM alone.
+// core on the edge path alone.
 func (p *Port) ServeHits(h HitService, coreHz, imuHz int64) {
 	p.hits = nil
 	if h != nil && coreHz > 0 && imuHz%coreHz == 0 {
@@ -177,17 +178,4 @@ func (p *Port) Reset() {
 	p.imu.Force(IMUOut{})
 	p.cpSeen.Invalidate()
 	p.imuChanged()
-}
-
-// Coprocessor is a synchronous coprocessor model. It is attached to its own
-// clock domain; on every rising edge Eval reads p.IMU() and stages its
-// outputs with p.StageCP, and Update commits internal state plus the port.
-type Coprocessor interface {
-	sim.Ticker
-	// Name identifies the core (matches its bitstream identity).
-	Name() string
-	// Bind attaches the port before simulation starts.
-	Bind(p *Port)
-	// ResetCore returns the FSM to its power-on state.
-	ResetCore()
 }

@@ -34,7 +34,7 @@ func TestPortTwoPhaseIsolation(t *testing.T) {
 func TestMemHandshakeProtocol(t *testing.T) {
 	p := NewPort()
 	m := NewMem(p)
-	if !m.Ready() || m.Busy() {
+	if !m.Ready() || m.state != memIdle {
 		t.Fatal("fresh helper not idle")
 	}
 
@@ -130,9 +130,9 @@ func TestMemReset(t *testing.T) {
 	m := NewMem(p)
 	m.Step()
 	m.Read(0, 0, Size32)
-	m.ResetMem()
+	m.resetMem()
 	if !m.Ready() {
-		t.Fatal("ResetMem did not return to idle")
+		t.Fatal("resetMem did not return to idle")
 	}
 }
 
@@ -229,7 +229,7 @@ func TestMemStagingMatchesByValueDrive(t *testing.T) {
 		m.Step()
 		ref.step(in)
 		if rng.Intn(40) == 0 {
-			m.ResetMem()
+			m.resetMem()
 			ref.reset()
 		}
 		if m.Ready() && rng.Intn(2) == 0 {
@@ -256,14 +256,14 @@ func TestMemStagingMatchesByValueDrive(t *testing.T) {
 			t.Fatalf("edge %d: committed %v, by-value Drive committed %v", edge, staged, refStaged)
 		}
 		if rng.Intn(60) == 0 { // a reset between edges, as a slot reload does
-			m.ResetMem()
+			m.resetMem()
 			ref.reset()
 		}
 		if got, want := p.CP(), ref.cp.Get(); got != want {
 			t.Fatalf("edge %d: committed bundle %+v, want %+v", edge, got, want)
 		}
 		if m.Completed() != ref.completed || m.Data() != ref.data || m.state != ref.state ||
-			m.WaitCycles != ref.waitCycles || m.Quiet() != ref.quiet() || m.Stalled() != ref.stalled(in) {
+			m.WaitCycles != ref.waitCycles || m.quiet() != ref.quiet() || m.stalled() != ref.stalled(in) {
 			t.Fatalf("edge %d: handshake state diverged from the by-value reference", edge)
 		}
 	}

@@ -3,20 +3,17 @@ package copro
 import "repro/internal/sim"
 
 // This file implements hit runs: the transaction-level path that moves a
-// core and its IMU channel through a TLB-resident stretch of the core's
-// loop in one step instead of one clock edge at a time.
+// sequencer and its IMU channel through a TLB-resident stretch of the
+// Program's loop in one step instead of one clock edge at a time.
 //
-// A core describes its loop as a Program: a sequence of units, each an
-// ordered step list (translated reads, compute cycles, translated writes)
-// plus a kernel that turns the unit's read data into its write data. At the
-// top of its loop the core advertises the run from IdleEdges (RunEdges) and
-// executes it from SkipEdges (SkipRun), so the engine's bulk-skip carries
-// it: the window is exactly the edges the edge FSMs would take, derived
-// from the step list and the clock ratio, and the state it leaves is
-// exactly the state those edges would leave. The hand-written edge FSMs
-// remain the reference: the lockstep scheduler never asks for idleness and
-// always runs them, and so does the event scheduler wherever a run cannot
-// start (a miss, the unit that raises CP_FIN, a shell-hosted core).
+// At the top of its loop the sequencer advertises the run from IdleEdges
+// (RunEdges) and executes it from SkipEdges (SkipRun), so the engine's
+// bulk-skip carries it: the window is exactly the edges the sequencer's
+// edge path would take, derived from the units' steps and the clock ratio,
+// and the state it leaves is exactly the state those edges would leave.
+// The edge path is the reference: the lockstep scheduler never asks for
+// idleness and always runs it, and so does the event scheduler wherever a
+// run cannot start (a miss, the last unit, a shell-hosted core).
 
 // StepKind enumerates unit steps.
 type StepKind uint8
@@ -42,13 +39,11 @@ type Step struct {
 	Addr   uint32 // byte offset within the object (reads and writes)
 	Cycles uint32 // compute cycles (StepCompute)
 	Val    uint32 // data read, or data to write
-
-	entry int // TLB entry translating the access, once a run resolved it
 }
 
-// Unit is one iteration of a core's loop, in the order the core's edge FSM
-// performs it. Every read of a unit precedes its writes: the kernel runs
-// between the last read and the first write.
+// Unit is one iteration of a Program's loop, in the order the sequencer
+// performs it. It starts with an access, and every read precedes every
+// write: the kernel runs between the last read and the first write.
 type Unit struct {
 	Steps [MaxSteps]Step
 	N     int
@@ -64,28 +59,16 @@ func (u *Unit) Write(obj uint8, addr uint32, size uint8) {
 	u.add(Step{Kind: StepWrite, Obj: obj, Addr: addr, Size: size})
 }
 
-// Compute appends n cycles of internal compute.
-func (u *Unit) Compute(n uint32) { u.add(Step{Kind: StepCompute, Cycles: n}) }
+// Compute appends n cycles of internal compute (none for n = 0).
+func (u *Unit) Compute(n uint32) {
+	if n > 0 {
+		u.add(Step{Kind: StepCompute, Cycles: n})
+	}
+}
 
 func (u *Unit) add(s Step) {
 	u.Steps[u.N] = s
 	u.N++
-}
-
-// Program is a core seen as the loop its edge FSM runs: the form in which a
-// hit run executes it. Eval and Update are the core's edge FSM, which runs a
-// partial window's tail.
-type Program interface {
-	sim.Ticker
-	// Unit describes into u (which arrives empty) the unit k places after
-	// the core's next one, and reports whether it may take part in a run:
-	// false for the unit that raises CP_FIN and for any beyond the data.
-	Unit(k int, u *Unit) bool
-	// Kernel runs the core's datapath over its next unit, as Unit(0, u)
-	// described it, with the data of every read step filled in: it fills in
-	// the data of the write steps and leaves the core at the top of the
-	// following unit, exactly as the edge FSM would.
-	Kernel(u *Unit)
 }
 
 // HitService is the transaction-level face of the IMU channel a port is
@@ -114,10 +97,10 @@ type HitService interface {
 }
 
 // runMemo remembers, per step position, the page the previous unit's step
-// translated through, so a run looks each page up once: units are regular,
-// and step j of one unit almost always lands in the page step j of the
-// previous unit did. It is valid within one RunEdges or SkipRun call (the
-// OS may rewrite the table between calls).
+// translated through and its TLB entry, so a run looks each page up once:
+// units are regular, and step j of one unit almost always lands in the
+// page step j of the previous unit did. It is valid within one RunEdges or
+// SkipRun call (the OS may rewrite the table between calls).
 type runMemo [MaxSteps]struct {
 	obj   uint8
 	vpage uint32
@@ -132,8 +115,8 @@ func newRunMemo() runMemo {
 	return m
 }
 
-// hits resolves every access of u to its TLB entry and reports whether all
-// of them hit.
+// hits resolves every access of u to its TLB entry, left in the memo at
+// the step's position, and reports whether all of them hit.
 func (m *runMemo) hits(h HitService, shift uint, u *Unit) bool {
 	for i := 0; i < u.N; i++ {
 		s := &u.Steps[i]
@@ -148,7 +131,6 @@ func (m *runMemo) hits(h HitService, shift uint, u *Unit) bool {
 				return false
 			}
 		}
-		s.entry = c.entry
 	}
 	return true
 }
@@ -186,28 +168,28 @@ func (t timing) edges(u *Unit) (n, lastConsume int64) {
 }
 
 // runWire returns the port's hit-service wiring if a run can start at the
-// next edge: a service is wired and ready, the core is started, no request
-// is in flight (a drain may be waiting for CP_TLBHIT to fall, and it has),
-// and no output change is staged or pulsing.
-func (m *Mem) runWire() *hitWire {
-	w := m.port.hits
-	if w == nil || m.state == memIssue || m.drivenFin || m.drivenPinv || m.port.cp.Pending() {
+// next edge: the sequencer is at the top of its loop (so no request is in
+// flight, though a drain may be waiting for CP_TLBHIT to fall, and it
+// has), a service is wired and ready, the core is started, and no output
+// change is staged or pulsing.
+func (s *Seq) runWire() *hitWire {
+	w := s.port.hits
+	if w == nil || s.st != seqStepIssue || s.step != 0 || s.drivenPinv || s.port.cp.Pending() {
 		return nil
 	}
-	if in := m.port.IMURef(); !in.Start || in.TLBHit || !w.svc.Ready(m.port) {
+	if in := s.port.IMURef(); !in.Start || in.TLBHit || !w.svc.Ready(s.port) {
 		return nil
 	}
 	return w
 }
 
-// RunEdges returns the hit-run window of a core at the top of its loop:
-// the edges its next units take on the edge FSMs when every access of each
-// hits in the TLB, stopping before the first unit with an access that would
-// miss and before the unit that raises CP_FIN. It is 0 when no run can
-// start. Cores answer it from IdleEdges at the top of their loop; asking
-// changes nothing the model can observe.
-func (m *Mem) RunEdges(p Program) int64 {
-	wire := m.runWire()
+// RunEdges returns the hit-run window of a sequencer at the top of its
+// loop: the edges its next units take on the edge path when every access
+// of each hits in the TLB, stopping before the first unit with an access
+// that would miss and before the last unit, which raises CP_FIN. It is 0
+// when no run can start. Asking changes nothing the model can observe.
+func (s *Seq) RunEdges() int64 {
+	wire := s.runWire()
 	if wire == nil {
 		return 0
 	}
@@ -215,35 +197,34 @@ func (m *Mem) RunEdges(p Program) int64 {
 	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
-	u := &wire.unit
+	u := &s.cur
 	w := int64(0)
-	for k := 0; ; k++ {
+	for i := s.unit; i+1 < s.units; i++ {
 		u.N = 0
-		if !p.Unit(k, u) || !memo.hits(h, shift, u) {
-			return w
+		s.prog.Unit(i, u)
+		if !memo.hits(h, shift, u) {
+			break
 		}
 		n, _ := t.edges(u)
-		if n == 0 {
-			return w
-		}
 		w += n
 	}
+	return w
 }
 
 // SkipRun consumes k edges of the window RunEdges advertised and reports
 // true, or reports false (changing nothing) when no run can start, so the
 // caller's own idle window applies. It leaves exactly the state k delivered
 // edges would: whole units run in closed form — each access through the
-// hit service, the kernel between reads and writes, the Mem counters, and
-// at the end the committed CP bundle (the last request's fields, with
+// hit service, the kernel before the first write, the Mem counters, and at
+// the end the committed CP bundle (the last request's fields, with
 // CP_ACCESS and CP_WR low) and the IMU's — and a remainder shorter than the
-// next unit runs on the edge FSMs of the core and the channel, leaving its
-// access mid-handshake. In a two-domain engine k counts core edges, and the
-// remainder takes the IMU edges before the core's next edge with it; the
-// engine never splits such a window, because the IMU, alone in its domain,
-// is idle until input while a run can start.
-func (m *Mem) SkipRun(k int64, p Program) bool {
-	wire := m.runWire()
+// next unit runs on the edge paths of the sequencer and the channel,
+// leaving its access mid-handshake. In a two-domain engine k counts core
+// edges, and the remainder takes the IMU edges before the core's next edge
+// with it; the engine never splits such a window, because the IMU, alone
+// in its domain, is idle until input while a run can start.
+func (s *Seq) SkipRun(k int64) bool {
+	wire := s.runWire()
 	if wire == nil {
 		return false
 	}
@@ -251,51 +232,52 @@ func (m *Mem) SkipRun(k int64, p Program) bool {
 	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
-	din := m.port.IMURef().DIn
-	u := &wire.unit
+	din := s.port.IMURef().DIn
+	u := &s.cur
 	var last Step
-	var n, lastConsume int64
-	ran := false
+	var lastN, lastConsume int64
 	for k > 0 {
 		u.N = 0
-		p.Unit(0, u)
+		s.prog.Unit(s.unit, u)
 		memo.hits(h, shift, u)
-		if n, lastConsume = t.edges(u); n > k {
+		n, consume := t.edges(u)
+		if n > k {
 			break
 		}
 		kernel := false
 		for i := 0; i < u.N; i++ {
-			s := &u.Steps[i]
-			switch s.Kind {
+			st := &u.Steps[i]
+			switch st.Kind {
 			case StepRead:
-				s.Val = h.Access(s.entry, s.Obj, s.Addr, s.Size, false, 0)
-				din = s.Val
-				m.Reads++
+				st.Val = h.Access(memo[i].entry, st.Obj, st.Addr, st.Size, false, 0)
+				din = st.Val
+				s.Reads++
 			case StepWrite:
 				if !kernel {
-					p.Kernel(u)
+					s.prog.Kernel(s.unit, u)
 					kernel = true
 				}
-				h.Access(s.entry, s.Obj, s.Addr, s.Size, true, s.Val)
-				m.Writes++
+				h.Access(memo[i].entry, st.Obj, st.Addr, st.Size, true, st.Val)
+				s.Writes++
 			default:
 				continue
 			}
-			m.WaitCycles += uint64(t.a - 1)
-			last = *s
+			s.WaitCycles += uint64(t.a - 1)
+			last = *st
 		}
 		if !kernel {
-			p.Kernel(u)
+			s.prog.Kernel(s.unit, u)
 		}
-		ran = true
+		s.unit++
+		lastN, lastConsume = n, consume
 		k -= n
 	}
-	if ran {
-		m.settle(&last, n, lastConsume, t, din)
+	if lastN > 0 {
+		s.settle(&last, lastN, lastConsume, t, din)
 		h.Finish()
 	}
 	if k > 0 {
-		deliver(h, p, k, wire.ratio)
+		deliver(h, s, k, wire.ratio)
 		h.Finish()
 	}
 	return true
@@ -321,9 +303,9 @@ func (m *Mem) settle(s *Step, n, lastConsume int64, t timing, din uint32) {
 }
 
 // deliver runs k core edges, and the IMU edges (r per core edge) up to the
-// core's next edge, on the edge FSMs: all Evals of an edge before its
+// core's next edge, on the edge paths: all Evals of an edge before its
 // Updates.
-func deliver(h HitService, core sim.Ticker, k, r int64) {
+func deliver(h HitService, core *Seq, k, r int64) {
 	for e := int64(0); e < k*r; e++ {
 		coreEdge := e%r == 0
 		if coreEdge {

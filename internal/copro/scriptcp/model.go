@@ -89,6 +89,9 @@ func Apply(s Script, bufs map[uint8][]byte) (uint32, map[uint8][]bool, error) {
 		}
 	}
 	for i, op := range s {
+		if err := op.check(i); err != nil {
+			return 0, nil, err
+		}
 		buf, ok := bufs[op.Obj]
 		if !ok {
 			return 0, nil, fmt.Errorf("scriptcp: op %d touches unknown object %d", i, op.Obj)

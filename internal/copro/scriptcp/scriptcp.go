@@ -7,8 +7,9 @@
 // whole-system property tests possible: a host-side model replays the same
 // script and the two must agree bit for bit.
 //
-// The core follows the full §3.2 protocol (parameter read, parameter-page
-// invalidation, CP_FIN) so it exercises exactly the same paths as the
+// The core is a copro.Program with one unit per op, run by copro.Seq, so it
+// follows the full §3.2 protocol (parameter read, parameter-page
+// invalidation, CP_FIN) through exactly the same sequencer as the
 // production coprocessors.
 package scriptcp
 
@@ -20,7 +21,6 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/copro"
-	"repro/internal/sim"
 )
 
 // CoreName is the identity carried in bitstream images.
@@ -41,7 +41,8 @@ const (
 	OpWriteChecksum
 )
 
-// Op is one scripted access. Addr must be naturally aligned to Size.
+// Op is one scripted access. Size is 1, 2 or 4 and Addr is naturally
+// aligned to it: Decode and Apply reject any other op.
 type Op struct {
 	Kind OpKind
 	Obj  uint8
@@ -71,7 +72,7 @@ func Encode(s Script) []byte {
 	return out
 }
 
-// Decode parses a payload produced by Encode.
+// Decode parses a payload produced by Encode and validates every op.
 func Decode(p []byte) (Script, error) {
 	if len(p) < 4 {
 		return nil, errors.New("scriptcp: truncated payload")
@@ -90,13 +91,32 @@ func Decode(p []byte) (Script, error) {
 			Addr: binary.LittleEndian.Uint32(b[4:]),
 			Val:  binary.LittleEndian.Uint32(b[8:]),
 		}
-		switch s[i].Kind {
-		case OpRead, OpWrite, OpWriteChecksum:
-		default:
-			return nil, fmt.Errorf("scriptcp: op %d has unknown kind %d", i, s[i].Kind)
+		if err := s[i].check(i); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// check validates op i of a script: a known kind, a Size of 1, 2 or 4 (an
+// OpWriteChecksum is always 4, whatever its Size field says) and an Addr
+// that is a multiple of it. Decode and Apply both run it on every op.
+func (op *Op) check(i int) error {
+	size := op.Size
+	switch op.Kind {
+	case OpRead, OpWrite:
+	case OpWriteChecksum:
+		size = copro.Size32
+	default:
+		return fmt.Errorf("scriptcp: op %d has unknown kind %d", i, op.Kind)
+	}
+	if size != copro.Size8 && size != copro.Size16 && size != copro.Size32 {
+		return fmt.Errorf("scriptcp: op %d has size %d, want 1, 2 or 4", i, size)
+	}
+	if op.Addr%uint32(size) != 0 {
+		return fmt.Errorf("scriptcp: op %d address %#x is not %d-byte aligned", i, op.Addr, size)
+	}
+	return nil
 }
 
 // Bitstream builds a configuration image carrying the script.
@@ -116,191 +136,54 @@ func fold(sum, v uint32, idx int) uint32 {
 	return bits.RotateLeft32(sum^v+0x9e3779b9, 7) ^ uint32(idx)*0x85ebca6b
 }
 
-type state uint8
-
-const (
-	stWaitStart state = iota
-	stParamIssue
-	stParamWait
-	stOpIssue
-	stOpWait
-	stDone
-)
-
-// Core is the scripted coprocessor model.
+// Core is the scripted Program: one unit per op.
 type Core struct {
-	port   *copro.Port
-	mem    *copro.Mem
 	script Script
-
-	st  state
-	idx int
-	sum uint32
+	sum    uint32
 }
 
-// New returns a core that will run the given script.
-func New(script Script) *Core { return &Core{script: script} }
+// New returns a core that will run the given script, on its sequencer.
+// Every op must be valid (see Op); Decode checks those of every image.
+func New(script Script) *copro.Seq { return copro.NewSeq(&Core{script: script}) }
 
-// Name implements copro.Coprocessor.
+// Name implements copro.Program.
 func (c *Core) Name() string { return CoreName }
 
-// Bind implements copro.Coprocessor.
-func (c *Core) Bind(p *copro.Port) {
-	c.port = p
-	c.mem = copro.NewMem(p)
-}
-
-// ResetCore implements copro.Coprocessor.
-func (c *Core) ResetCore() {
-	c.st = stWaitStart
-	c.idx = 0
+// Param implements copro.Program: the core reads one word, which it does
+// not use, and starts a fresh checksum.
+func (c *Core) Param(i int, w uint32) bool {
 	c.sum = 0
-	if c.mem != nil {
-		c.mem.ResetMem()
-	}
+	return false
 }
 
-// IdleEdges implements sim.BulkIdler. Before an op the core advertises a
-// hit run over the ops whose accesses hit (copro.Mem.RunEdges). Scripted
-// accesses have no compute phases between them, so otherwise only the
-// open-ended windows qualify: waiting for CP_START, the states gated on a
-// stalled access handshake, and holding CP_FIN, all ended only by an
-// IMU-domain commit.
-func (c *Core) IdleEdges() int64 {
-	if c.st == stOpIssue {
-		if w := c.mem.RunEdges(c); w > 0 {
-			return w
-		}
-	}
-	switch c.st {
-	case stParamWait, stOpIssue, stOpWait:
-		if c.port.IMURef().Start && c.mem.Stalled() {
-			return sim.IdleForever
-		}
-	case stWaitStart:
-		if !c.port.IMURef().Start && c.mem.Quiet() {
-			return sim.IdleForever
-		}
-	case stDone:
-		if c.port.IMURef().Start && c.mem.Quiet() && c.port.CPRef().Fin {
-			return sim.IdleForever
-		}
-	}
-	return 0
-}
+// Units implements copro.Program: one unit per op.
+func (c *Core) Units() int { return len(c.script) }
 
-// SkipEdges implements sim.BulkIdler: a hit run executes its ops, skipped
-// stall edges count wait cycles, and the other idle windows carry no
-// per-edge state.
-func (c *Core) SkipEdges(k int64) {
-	if c.st == stOpIssue && c.mem.SkipRun(k, c) {
-		return
-	}
-	c.mem.SkipEdges(k)
-}
-
-// Unit implements copro.Program: one unit per op. The last op raises
-// CP_FIN.
-func (c *Core) Unit(k int, u *copro.Unit) bool {
-	i := c.idx + k
-	if i+1 >= len(c.script) {
-		return false
-	}
-	op := c.script[i]
+// Unit implements copro.Program: op i is one access.
+func (c *Core) Unit(i int, u *copro.Unit) {
+	op := &c.script[i]
 	switch op.Kind {
 	case OpRead:
 		u.Read(op.Obj, op.Addr, op.Size)
-	case OpWrite:
-		u.Write(op.Obj, op.Addr, op.Size)
 	case OpWriteChecksum:
 		u.Write(op.Obj, op.Addr, copro.Size32)
 	default:
-		return false
+		u.Write(op.Obj, op.Addr, op.Size)
 	}
-	return true
 }
 
 // Kernel implements copro.Program: a read folds its data into the
 // checksum, a write takes its value or the checksum.
-func (c *Core) Kernel(u *copro.Unit) {
-	op := c.script[c.idx]
-	switch op.Kind {
+func (c *Core) Kernel(i int, u *copro.Unit) {
+	switch op := &c.script[i]; op.Kind {
 	case OpRead:
-		c.sum = fold(c.sum, u.Steps[0].Val, c.idx)
+		c.sum = fold(c.sum, u.Steps[0].Val, i)
 	case OpWrite:
 		u.Steps[0].Val = op.Val
 	case OpWriteChecksum:
 		u.Steps[0].Val = c.sum
 	}
-	c.idx++
 }
-
-// Eval implements sim.Ticker.
-func (c *Core) Eval() {
-	in := c.port.IMU()
-	c.mem.Step()
-	pinv := false
-
-	if !in.Start && c.st != stWaitStart {
-		c.ResetCore()
-	}
-
-	switch c.st {
-	case stWaitStart:
-		if in.Start {
-			c.st = stParamIssue
-		}
-	case stParamIssue:
-		c.mem.Read(copro.ParamObj, 0, copro.Size32)
-		c.st = stParamWait
-	case stParamWait:
-		if c.mem.Completed() {
-			pinv = true
-			c.idx = 0
-			c.sum = 0
-			if len(c.script) == 0 {
-				c.st = stDone
-			} else {
-				c.st = stOpIssue
-			}
-		}
-	case stOpIssue:
-		if c.mem.Ready() {
-			op := c.script[c.idx]
-			switch op.Kind {
-			case OpRead:
-				c.mem.Read(op.Obj, op.Addr, op.Size)
-			case OpWrite:
-				c.mem.Write(op.Obj, op.Addr, op.Size, op.Val)
-			case OpWriteChecksum:
-				c.mem.Write(op.Obj, op.Addr, copro.Size32, c.sum)
-			}
-			c.st = stOpWait
-		}
-	case stOpWait:
-		if c.mem.Completed() {
-			op := c.script[c.idx]
-			if op.Kind == OpRead {
-				c.sum = fold(c.sum, c.mem.Data(), c.idx)
-			}
-			c.idx++
-			if c.idx >= len(c.script) {
-				c.st = stDone
-			} else {
-				c.st = stOpIssue
-			}
-		}
-	case stDone:
-	}
-
-	c.mem.Drive(c.st == stDone, pinv)
-}
-
-// Update implements sim.Ticker.
-func (c *Core) Update() { c.mem.Commit() }
-
-// Mem exposes the access helper for reports and tests.
-func (c *Core) Mem() *copro.Mem { return c.mem }
 
 func init() {
 	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (any, error) {

@@ -2,6 +2,7 @@ package scriptcp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -131,11 +132,40 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownKind checks that Decode and Apply reject every
+// malformed op — an unknown kind, a size outside {1, 2, 4}, an address not
+// a multiple of the size, a checksum write not 4-aligned — naming its
+// index, and accept the well-formed edge cases.
 func TestDecodeRejectsUnknownKind(t *testing.T) {
-	s := Script{{Kind: OpRead, Obj: 0, Size: 4}}
-	p := Encode(s)
-	p[4] = 0x7f // corrupt the kind byte
-	if _, err := Decode(p); err == nil {
-		t.Fatal("unknown op kind accepted")
+	for _, c := range []struct {
+		name string
+		op   Op
+		ok   bool
+	}{
+		{"unknown kind", Op{Kind: 0x7f, Size: 4}, false},
+		{"size 0", Op{Kind: OpRead, Size: 0}, false},
+		{"size 3", Op{Kind: OpWrite, Size: 3, Val: 0xaabbccdd}, false},
+		{"size 8", Op{Kind: OpRead, Size: 8}, false},
+		{"32-bit write at 1", Op{Kind: OpWrite, Size: 4, Addr: 1, Val: 0xaabbccdd}, false},
+		{"32-bit read at 6", Op{Kind: OpRead, Size: 4, Addr: 6}, false},
+		{"16-bit write at 7", Op{Kind: OpWrite, Size: 2, Addr: 7}, false},
+		{"checksum at 2", Op{Kind: OpWriteChecksum, Addr: 2}, false},
+		{"8-bit read at 7", Op{Kind: OpRead, Size: 1, Addr: 7}, true},
+		{"16-bit write at 6", Op{Kind: OpWrite, Size: 2, Addr: 6}, true},
+		{"checksum at 4, size ignored", Op{Kind: OpWriteChecksum, Size: 3, Addr: 4}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := Script{{Kind: OpRead, Obj: 0, Size: 4}, c.op}
+			_, decErr := Decode(Encode(s))
+			_, _, applyErr := Apply(s, map[uint8][]byte{0: make([]byte, 16)})
+			for _, err := range []error{decErr, applyErr} {
+				if c.ok && err != nil {
+					t.Fatalf("rejected a valid op: %v", err)
+				}
+				if !c.ok && (err == nil || !strings.Contains(err.Error(), "op 1 ")) {
+					t.Fatalf("error %v, want one naming op 1", err)
+				}
+			}
+		})
 	}
 }

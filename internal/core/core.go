@@ -85,7 +85,7 @@ func (s *Session) Load(img []byte) error {
 	if err != nil {
 		return err
 	}
-	cp, ok := inst.(copro.Coprocessor)
+	cp, ok := inst.(*copro.Seq)
 	if !ok {
 		return fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 	}

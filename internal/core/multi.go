@@ -22,7 +22,7 @@ type Member struct {
 	Params []uint32
 
 	header bitstream.Header
-	core   copro.Coprocessor
+	core   *copro.Seq
 	coreHz int64
 	imuHz  int64
 
@@ -102,7 +102,7 @@ func (g *Gang) AddMember(img []byte, nframes int, cfg vim.Config, coreHz, imuHz 
 	if err != nil {
 		return nil, err
 	}
-	cp, ok := inst.(copro.Coprocessor)
+	cp, ok := inst.(*copro.Seq)
 	if !ok {
 		return nil, fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 	}
@@ -438,7 +438,7 @@ func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (
 		return nil, err
 	}
 	sl := g.Shell.Slots[slot]
-	var cp copro.Coprocessor
+	var cp *copro.Seq
 	if sl.Resident() == h.Core {
 		// Bitstream affinity: the requested core is already configured into
 		// the slot, so no configuration data moves — reset and rebind it.
@@ -449,7 +449,7 @@ func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (
 			return nil, err
 		}
 		var ok bool
-		if cp, ok = inst.(copro.Coprocessor); !ok {
+		if cp, ok = inst.(*copro.Seq); !ok {
 			return nil, fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 		}
 	}
@@ -516,7 +516,7 @@ func (g *Gang) BeginStage(slot int, img []byte) error {
 	if err != nil {
 		return err
 	}
-	cp, ok := inst.(copro.Coprocessor)
+	cp, ok := inst.(*copro.Seq)
 	if !ok {
 		return fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 	}

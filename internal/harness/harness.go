@@ -56,13 +56,13 @@ type Bench struct {
 	DP       *mem.DPRAM
 	IMU      *imu.IMU
 	Port     *copro.Port
-	Core     copro.Coprocessor
+	Core     *copro.Seq
 
 	pageSize int
 }
 
 // New assembles a bench around the given core.
-func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
+func New(cfg Config, core *copro.Seq) (*Bench, error) {
 	if core == nil {
 		return nil, fmt.Errorf("harness: nil core")
 	}
@@ -81,7 +81,6 @@ func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
 	u.Bind(port)
 	port.ServeHits(u.HitService(), cfg.CoproHz, cfg.IMUHz)
 	core.Bind(port)
-	core.ResetCore()
 
 	eng := sim.NewEngine()
 	eng.SetScheduler(cfg.Sched)

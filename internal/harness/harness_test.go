@@ -123,7 +123,7 @@ func TestSchedulerDifferentialBench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := core.Mem()
+		m := &core.Mem
 		return cycles, out[:nbytes*4], m.Reads + m.Writes, m.WaitCycles
 	}
 	lockCy, lockOut, lockAcc, lockWait := run(sim.Lockstep)

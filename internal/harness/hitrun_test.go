@@ -29,7 +29,7 @@ type hitCase struct {
 // coreHz, loads frames (frame index -> bytes), maps (obj, vpage) -> frame
 // and writes the parameter words.
 func newHitBench(t testing.TB, sched sim.Scheduler, coreHz, imuHz int64, mode imu.Mode,
-	core copro.Coprocessor, frames map[int][]byte, maps [][3]int, params ...uint32) *Bench {
+	core *copro.Seq, frames map[int][]byte, maps [][3]int, params ...uint32) *Bench {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.CoproHz, cfg.IMUHz, cfg.Mode, cfg.Sched = coreHz, imuHz, mode, sched
@@ -125,6 +125,73 @@ func scriptCase(seed int64, ops int, ratio int64) hitCase {
 	}}
 }
 
+// mixedProg is a test Program whose units differ in shape and edge count,
+// which no shipped core's do. It cycles through a read-only unit, a read
+// followed by compute (the unit ends computing), a compute between two
+// writes, a write-only unit, and two reads and two writes with compute
+// before each write; the compute lengths cycle independently. Its kernel
+// chains every read into a checksum that every write stores.
+type mixedProg struct {
+	n   uint32
+	sum uint32
+}
+
+func (p *mixedProg) Name() string { return "mixed" }
+
+func (p *mixedProg) Param(i int, w uint32) bool {
+	p.n, p.sum = w, 0
+	return false
+}
+
+func (p *mixedProg) Units() int { return int(p.n) }
+
+func (p *mixedProg) Unit(i int, u *copro.Unit) {
+	in, out, c := uint32(4*i)%4096, uint32(8*i)%4096, uint32(1+i%3)
+	switch i % 5 {
+	case 0:
+		u.Read(0, in, copro.Size16)
+	case 1:
+		u.Read(0, in, copro.Size32)
+		u.Compute(c)
+	case 2:
+		u.Write(1, out, copro.Size32)
+		u.Compute(c)
+		u.Write(1, out+4, copro.Size32)
+	case 3:
+		u.Write(1, out, copro.Size32)
+	case 4:
+		u.Read(0, in, copro.Size32)
+		u.Read(0, 4095-in, copro.Size8)
+		u.Compute(c)
+		u.Write(1, out, copro.Size16)
+		u.Compute(1)
+		u.Write(1, out+4, copro.Size32)
+	}
+}
+
+func (p *mixedProg) Kernel(i int, u *copro.Unit) {
+	for j := 0; j < u.N; j++ {
+		switch s := &u.Steps[j]; s.Kind {
+		case copro.StepRead:
+			p.sum = (p.sum^s.Val)*0x9e3779b1 + uint32(i)
+		case copro.StepWrite:
+			s.Val = p.sum + uint32(j)
+		}
+	}
+}
+
+// mixedCase runs mixedProg over two input and two output pages with the
+// core clocked at 60 MHz / ratio.
+func mixedCase(units int, ratio int64) hitCase {
+	return hitCase{fmt.Sprintf("mixed-%d-r%d", units, ratio), func(t testing.TB, sched sim.Scheduler) *Bench {
+		frames := map[int][]byte{}
+		twoPages(frames, 1, randomBytes(ratio+20, 4096))
+		maps := [][3]int{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}, {1, 1, 4}}
+		return newHitBench(t, sched, 60_000_000/ratio, 60_000_000, imu.MultiCycle,
+			copro.NewSeq(&mixedProg{}), frames, maps, uint32(units))
+	}}
+}
+
 func hitCases() []hitCase {
 	cases := []hitCase{
 		vecaddCase(1000),
@@ -134,6 +201,9 @@ func hitCases() []hitCase {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		cases = append(cases, scriptCase(seed, 400, seed))
+	}
+	for ratio := int64(1); ratio <= 3; ratio++ {
+		cases = append(cases, mixedCase(700, ratio))
 	}
 	return cases
 }
@@ -153,17 +223,18 @@ func fieldsOf(v reflect.Value, skip ...string) string {
 	return b.String()
 }
 
-// benchState is everything a hit run may touch: the core's datapath and
-// access helper, the IMU (table, stamps, counters global and per channel)
-// and its channel (FSM state, latched request, register bank, outputs), the
-// DP RAM's bytes and port counters, both committed port bundles and the
-// domain cycles. Per-edge scratch and lookup memos are left out.
+// benchState is everything a hit run may touch: the core's Program, the
+// sequencer's FSM and its access helper, the IMU (table, stamps, counters
+// global and per channel) and its channel (FSM state, latched request,
+// register bank, outputs), the DP RAM's bytes and port counters, both
+// committed port bundles and the domain cycles. Per-edge scratch (the
+// sequencer's current unit) and lookup memos are left out.
 type benchState struct {
-	Core, Mem, IMU, Channel, DPPorts string
-	DP                               []byte
-	CP                               copro.CPOut
-	IMUOut                           copro.IMUOut
-	IMUCycles, CoreCycles            int64
+	Core, Seq, Mem, IMU, Channel, DPPorts string
+	DP                                    []byte
+	CP                                    copro.CPOut
+	IMUOut                                copro.IMUOut
+	IMUCycles, CoreCycles                 int64
 }
 
 func snapshot(t testing.TB, b *Bench) benchState {
@@ -174,8 +245,9 @@ func snapshot(t testing.TB, b *Bench) benchState {
 	}
 	u := reflect.ValueOf(b.IMU)
 	return benchState{
-		Core:       fieldsOf(reflect.ValueOf(b.Core)),
-		Mem:        fieldsOf(reflect.ValueOf(b.Core.(interface{ Mem() *copro.Mem }).Mem())),
+		Core:       fieldsOf(reflect.ValueOf(b.Core).Elem().FieldByName("prog").Elem()),
+		Seq:        fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur"),
+		Mem:        fieldsOf(reflect.ValueOf(&b.Core.Mem)),
 		IMU:        fieldsOf(u, "ch", "chbuf", "anyWork", "hz"),
 		Channel:    fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
 		DPPorts:    fieldsOf(reflect.ValueOf(b.DP)),
@@ -241,9 +313,7 @@ func TestHitRunPartialWindow(t *testing.T) {
 			for _, b := range []*Bench{skip, ref} {
 				b.IMU.Start()
 			}
-			bulk := skip.Core.(sim.BulkIdler)
-			prog := skip.Core.(copro.Program)
-			mem := skip.Core.(interface{ Mem() *copro.Mem }).Mem()
+			seq := skip.Core
 			ratio := ref.IMUDom.FreqHz() / ref.CoproDom.FreqHz()
 			windows := 0
 			for steps := 0; !ref.IMU.DonePending() && steps < 10_000_000; steps++ {
@@ -255,15 +325,15 @@ func TestHitRunPartialWindow(t *testing.T) {
 				// A window starts at the core's next edge; skip it only
 				// from the IMU edge just before, so that after the skip
 				// the skipped bench's next super-edge is the core's.
-				w := bulk.IdleEdges()
-				if w <= 0 || w != mem.RunEdges(prog) || (ref.IMUDom.Cycles()+1)%ratio != 0 {
+				w := seq.IdleEdges()
+				if w <= 0 || w != seq.RunEdges() || (ref.IMUDom.Cycles()+1)%ratio != 0 {
 					skip.Eng.Step()
 					ref.Eng.Step()
 					continue
 				}
 				windows++
 				k := 1 + rng.Int63n(w)
-				bulk.SkipEdges(k)
+				seq.SkipEdges(k)
 				target := (ref.CoproDom.Cycles()+k+1)*ratio - 1
 				for ref.IMUDom.Cycles() < target {
 					ref.Eng.Step()
@@ -303,9 +373,8 @@ func TestNoHitRunWithoutService(t *testing.T) {
 	}{{"unwired", unwired}, {"core faster than IMU", fastCore}} {
 		name, b := c.name, c.b
 		b.IMU.Start()
-		bulk := b.Core.(sim.BulkIdler)
 		for !b.IMU.DonePending() {
-			if w := bulk.IdleEdges(); w > 0 && w < sim.IdleForever {
+			if w := b.Core.IdleEdges(); w > 0 && w < sim.IdleForever {
 				t.Fatalf("%s: advertised a %d-edge window", name, w)
 			}
 			b.Eng.Step()

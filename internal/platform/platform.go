@@ -158,7 +158,7 @@ type HW struct {
 	IMUDom   *sim.Domain
 	CoproDom *sim.Domain
 	Port     *copro.Port
-	Core     copro.Coprocessor
+	Core     *copro.Seq
 }
 
 // Assemble builds the clock domains for a loaded coprocessor. The IMU and
@@ -166,7 +166,7 @@ type HW struct {
 // ratio so the stall handshake lines up. When the IMU clock is a multiple
 // of the core's, the port is wired to the IMU's hit service, so the core
 // takes hit runs through TLB-resident stretches of its loop.
-func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, error) {
+func (b *Board) Assemble(coreHz, imuHz int64, core *copro.Seq) (*HW, error) {
 	if core == nil {
 		return nil, fmt.Errorf("platform: nil coprocessor")
 	}
@@ -184,7 +184,6 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 	b.IMU.Bind(port)
 	port.ServeHits(b.IMU.HitService(), coreHz, imuHz)
 	core.Bind(port)
-	core.ResetCore()
 
 	eng := sim.NewEngine()
 	imuDom := eng.NewDomain("imu", imuHz)
@@ -201,7 +200,7 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 // the core model and the clock it runs at. Every slot shares the board's
 // IMU (one channel each) and its dual-port RAM.
 type CoproSlot struct {
-	Core   copro.Coprocessor
+	Core   *copro.Seq
 	CoreHz int64
 }
 
@@ -214,7 +213,7 @@ type MultiHW struct {
 	IMUDom *sim.Domain
 	Doms   []*sim.Domain // per-slot core domain (may alias IMUDom)
 	Ports  []*copro.Port
-	Cores  []copro.Coprocessor
+	Cores  []*copro.Seq
 }
 
 // AssembleMulti builds the clock domains for several loaded coprocessors
@@ -247,7 +246,6 @@ func (b *Board) AssembleMulti(imuHz int64, slots []CoproSlot) (*MultiHW, error) 
 		port := copro.NewPort()
 		b.IMU.BindCh(i, port)
 		sl.Core.Bind(port)
-		sl.Core.ResetCore()
 		dom := imuDom
 		if sl.CoreHz != imuHz {
 			dom = eng.NewDomain(fmt.Sprintf("copro%d", i), sl.CoreHz)

@@ -21,8 +21,7 @@ type Slot struct {
 	hw   *ShellHW
 	bit  uint32 // the slot's flag in hw.changed
 	port *copro.Port
-	core copro.Coprocessor
-	bulk sim.BulkIdler // resident core's bulk-idle view, nil if not offered
+	core *copro.Seq
 
 	// Slot-local sleep (event-driven scheduler only). A core that answered
 	// IdleEdges k > 0 is withheld its next edges: from is the shell cycle
@@ -42,7 +41,7 @@ type Slot struct {
 	// the configuration port has DMA'd in behind the resident core's back.
 	// It takes no part in ticking — the buffer is passive configuration
 	// memory — until CommitSlot swaps it in for the resident core.
-	staged copro.Coprocessor
+	staged *copro.Seq
 }
 
 // Resident returns the loaded coprocessor's name, or "" while the slot is
@@ -58,7 +57,7 @@ func (s *Slot) Resident() string {
 // core is woken first, so the caller sees exactly the state full edge
 // delivery would have produced; the caller may then poke it, so the shell's
 // horizon goes stale.
-func (s *Slot) Core() copro.Coprocessor {
+func (s *Slot) Core() *copro.Seq {
 	s.wake()
 	s.hw.hz.Invalidate()
 	return s.core
@@ -71,14 +70,12 @@ func (s *Slot) Port() *copro.Port { return s.port }
 // Load configures the slot with a coprocessor over the given port (the
 // caller binds the same port to the IMU channel) and resets the core to its
 // power-on state. Engine must be paused.
-func (s *Slot) Load(core copro.Coprocessor, port *copro.Port) {
+func (s *Slot) Load(core *copro.Seq, port *copro.Port) {
 	s.wake()
 	s.core = core
 	s.port = port
-	s.bulk, _ = core.(sim.BulkIdler)
 	port.WatchIMU(&s.hw.hz, &s.hw.changed, s.bit)
 	core.Bind(port)
-	core.ResetCore()
 	s.hw.hz.Invalidate()
 }
 
@@ -90,14 +87,13 @@ func (s *Slot) Unload() {
 	s.wake()
 	s.core = nil
 	s.port = nil
-	s.bulk = nil
 	s.hw.hz.Invalidate()
 }
 
 // Stage places a coprocessor into the slot's staging buffer while the
 // resident core (if any) keeps executing undisturbed. The caller models
 // the configuration-port DMA time; the buffer itself is timeless.
-func (s *Slot) Stage(core copro.Coprocessor) {
+func (s *Slot) Stage(core *copro.Seq) {
 	s.staged = core
 }
 
@@ -112,7 +108,7 @@ func (s *Slot) Staged() string {
 
 // TakeStage empties the staging buffer and returns its coprocessor (nil if
 // none was staged).
-func (s *Slot) TakeStage() copro.Coprocessor {
+func (s *Slot) TakeStage() *copro.Seq {
 	core := s.staged
 	s.staged = nil
 	return core
@@ -141,7 +137,7 @@ func (s *Slot) wake() {
 	}
 	s.asleep = false
 	if n := s.hw.Dom.Cycles() - s.from; n > 0 {
-		s.bulk.SkipEdges(n)
+		s.core.SkipEdges(n)
 		s.total += n
 	}
 }
@@ -233,10 +229,8 @@ func (hw *ShellHW) Update() {
 			if !sleepy {
 				continue
 			}
-			if s.bulk != nil {
-				if k := s.bulk.IdleEdges(); k > 0 {
-					s.sleep(edge, edge+min(k, sim.IdleForever-edge))
-				}
+			if k := s.core.IdleEdges(); k > 0 {
+				s.sleep(edge, edge+min(k, sim.IdleForever-edge))
 			}
 		}
 		// A change notice already posted this edge wakes the core at the
@@ -295,10 +289,7 @@ func (hw *ShellHW) IdleEdges() int64 {
 		}
 		hw.changed &^= s.bit
 		if !s.asleep {
-			if s.bulk == nil {
-				return 0
-			}
-			k := s.bulk.IdleEdges()
+			k := s.core.IdleEdges()
 			if k <= 0 {
 				return 0
 			}
@@ -390,7 +381,7 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 
 // LoadSlot loads core into slot i over a fresh port and binds the IMU
 // channel to it. Engine must be paused.
-func (hw *ShellHW) LoadSlot(b *Board, i int, core copro.Coprocessor) {
+func (hw *ShellHW) LoadSlot(b *Board, i int, core *copro.Seq) {
 	port := copro.NewPort()
 	hw.Slots[i].Load(core, port)
 	b.IMU.BindCh(i, port)

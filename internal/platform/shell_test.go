@@ -152,7 +152,7 @@ func (r *rig) advance(until int64, want uint, perEdge bool, tr *[]snap, slept *b
 // words and a constructor for fresh instances.
 type shellJob struct {
 	params  []uint32
-	newCore func() copro.Coprocessor
+	newCore func() *copro.Seq
 }
 
 func jobFor(kind string) shellJob {
@@ -163,11 +163,11 @@ func jobFor(kind string) shellJob {
 		for i := 1; i < len(params); i++ {
 			params[i] = uint32(i)*0x9e3779b9 + 1
 		}
-		return shellJob{params, func() copro.Coprocessor { return ideacp.New() }}
+		return shellJob{params, func() *copro.Seq { return ideacp.New() }}
 	case "adpcm":
-		return shellJob{[]uint32{384}, func() copro.Coprocessor { return adpcmdec.New() }}
+		return shellJob{[]uint32{384}, func() *copro.Seq { return adpcmdec.New() }}
 	case "vecadd":
-		return shellJob{[]uint32{600}, func() copro.Coprocessor { return vecadd.New() }}
+		return shellJob{[]uint32{600}, func() *copro.Seq { return vecadd.New() }}
 	case "scriptcp":
 		s, err := scriptcp.Generate(rand.New(rand.NewSource(7)), []scriptcp.ObjSpec{
 			{ID: 0, Size: 4096, Readable: true, ReadbackSafe: true},
@@ -177,7 +177,7 @@ func jobFor(kind string) shellJob {
 		if err != nil {
 			panic(err)
 		}
-		return shellJob{[]uint32{uint32(len(s))}, func() copro.Coprocessor { return scriptcp.New(s) }}
+		return shellJob{[]uint32{uint32(len(s))}, func() *copro.Seq { return scriptcp.New(s) }}
 	}
 	panic("unknown core " + kind)
 }
@@ -197,8 +197,8 @@ type shellRun struct {
 func runShellScenario(t *testing.T, kind string, nslots int, sched sim.Scheduler, perEdge bool, stopAt int64) shellRun {
 	r := newRig(t, nslots, 6, sched)
 	var run shellRun
-	var cores []copro.Coprocessor
-	fresh := func(kind string) copro.Coprocessor {
+	var cores []*copro.Seq
+	fresh := func(kind string) *copro.Seq {
 		c := jobFor(kind).newCore()
 		cores = append(cores, c)
 		return c
@@ -242,7 +242,7 @@ func runShellScenario(t *testing.T, kind string, nslots int, sched sim.Scheduler
 		r.hw.Slots[i].Core() // flush any pending sleep
 	}
 	for _, c := range cores {
-		m := c.(interface{ Mem() *copro.Mem }).Mem()
+		m := &c.Mem
 		run.Mem = append(run.Mem, [3]uint64{m.Reads, m.Writes, m.WaitCycles})
 	}
 	for f := 0; f < r.b.DP.Pages(); f++ {
@@ -450,7 +450,7 @@ func testPokesAfterHorizon(t *testing.T) {
 	} {
 		t.Run("pokes/"+p.name, func(t *testing.T) {
 			w := &twin{t: t, ev: newRig(t, 2, 6, sim.EventDriven), ls: newRig(t, 2, 6, sim.Lockstep)}
-			var cores [][2]copro.Coprocessor
+			var cores [][2]*copro.Seq
 			w.each(func(r *rig) {
 				for i, kind := range []string{"idea", "adpcm"} {
 					r.hw.LoadSlot(r.b, i, jobFor(kind).newCore())
@@ -466,11 +466,11 @@ func testPokesAfterHorizon(t *testing.T) {
 				}
 			}
 			w.each(func(r *rig) {
-				cores = append(cores, [2]copro.Coprocessor{r.hw.Slots[0].Core(), r.hw.Slots[1].Core()})
+				cores = append(cores, [2]*copro.Seq{r.hw.Slots[0].Core(), r.hw.Slots[1].Core()})
 			})
 			for i := range cores[0] {
-				ev := cores[0][i].(interface{ Mem() *copro.Mem }).Mem()
-				ls := cores[1][i].(interface{ Mem() *copro.Mem }).Mem()
+				ev := &cores[0][i].Mem
+				ls := &cores[1][i].Mem
 				if ev.Reads != ls.Reads || ev.Writes != ls.Writes || ev.WaitCycles != ls.WaitCycles {
 					t.Fatalf("slot %d Mem counters diverge: lockstep %+v, event %+v", i, *ls, *ev)
 				}

@@ -187,6 +187,34 @@ func TestScriptedManySeeds(t *testing.T) {
 	}
 }
 
+// TestFPGALoadRejectsMalformedScript checks that a crafted scriptcp image
+// whose op breaks the access contract — a misaligned or odd-sized access —
+// fails FPGALoad with an error instead of running and storing wrong data.
+func TestFPGALoadRejectsMalformedScript(t *testing.T) {
+	for _, op := range []scriptcp.Op{
+		{Kind: scriptcp.OpWrite, Obj: 0, Size: 4, Addr: 1, Val: 0xaabbccdd},
+		{Kind: scriptcp.OpWrite, Obj: 0, Size: 2, Addr: 7, Val: 0xbeef},
+		{Kind: scriptcp.OpWrite, Obj: 0, Size: 3, Addr: 0, Val: 0xaabbccdd},
+		{Kind: scriptcp.OpWriteChecksum, Obj: 0, Addr: 2},
+	} {
+		sys, err := repro.NewSystem(repro.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sys.NewProcess("crafted")
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := scriptcp.Bitstream(sys.Board().Spec.Name, scriptcp.Script{op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.FPGALoad(img); err == nil {
+			t.Errorf("FPGALoad accepted an image with op %+v", op)
+		}
+	}
+}
+
 func TestScriptCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	script, err := scriptcp.Generate(rng, layouts()[0].objs, 64)
