@@ -63,13 +63,9 @@ func NewRunner(spec platform.Spec, img []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr, inst, err := bitstream.Instantiate(img, spec.Name)
+	hdr, cp, err := bitstream.Instantiate(img, spec.Name)
 	if err != nil {
 		return nil, err
-	}
-	cp, ok := inst.(*copro.Seq)
-	if !ok {
-		return nil, fmt.Errorf("baseline: bitstream %q is not a coprocessor", hdr.Core)
 	}
 	hw, err := board.Assemble(hdr.CoreClock, hdr.IMUClock, cp)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/copro"
 )
 
 func sampleHeader() Header {
@@ -81,7 +83,8 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	RegisterCore("test-core-registry", func(h Header) (any, error) { return h.Core + "!", nil })
+	want := copro.NewSeq(nil)
+	RegisterCore("test-core-registry", func(h Header) (*copro.Seq, error) { return want, nil })
 	h := sampleHeader()
 	h.Core = "test-core-registry"
 	img, _ := Build(h)
@@ -90,8 +93,8 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.(string) != "test-core-registry!" {
-		t.Fatalf("factory result = %v", core)
+	if core != want {
+		t.Fatalf("factory result = %p, want %p", core, want)
 	}
 	if _, _, err := Instantiate(img, "EPXA4"); !errors.Is(err, ErrWrongDevice) {
 		t.Fatalf("err = %v, want ErrWrongDevice", err)

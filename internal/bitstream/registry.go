@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/copro"
 )
 
-// Factory builds a fresh coprocessor model instance for a parsed header.
-// The returned value is opaque to this package: every core registers a
-// *copro.Seq running its Program, which the loaders assert it to.
-type Factory func(h Header) (any, error)
+// Factory builds a fresh coprocessor model instance for a parsed header:
+// the sequencer running the core's Program.
+type Factory func(h Header) (*copro.Seq, error)
 
 var (
 	regMu     sync.RWMutex
@@ -33,7 +34,7 @@ func RegisterCore(name string, f Factory) {
 
 // Instantiate parses img, checks it targets device, and builds the
 // registered coprocessor model.
-func Instantiate(img []byte, device string) (Header, any, error) {
+func Instantiate(img []byte, device string) (Header, *copro.Seq, error) {
 	h, err := Parse(img)
 	if err != nil {
 		return h, nil, err

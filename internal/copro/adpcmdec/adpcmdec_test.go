@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/ref"
+	"repro/internal/sim"
 )
 
 // decodeOnBench runs the core over packed input (must fit one page; output
@@ -98,5 +99,39 @@ func TestEmptyInputCompletes(t *testing.T) {
 	got := decodeOnBench(t, nil)
 	if len(got) != 0 {
 		t.Fatal("unexpected samples for empty input")
+	}
+}
+
+// TestTimingPinned pins the core's cycle timing on a fixed 48-byte input
+// under the lockstep scheduler: the IMU cycle at which CP_FIN rises and the
+// Mem counters. A change to the Program's steps or compute lengths that
+// still decodes right fails here.
+func TestTimingPinned(t *testing.T) {
+	const fin, reads, writes, wait = 2456, 49, 96, 580
+	cfg := harness.DefaultConfig()
+	cfg.Sched = sim.Lockstep
+	core := New()
+	bench, err := harness.New(cfg, core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]byte, 48)
+	for i := range in {
+		in[i] = byte(i*37 + 5)
+	}
+	for _, err := range []error{bench.SetParams(uint32(len(in))), bench.LoadFrame(1, in),
+		bench.MapPage(ObjIn, 0, 1), bench.MapPage(ObjOut, 0, 2)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := bench.RunToFin(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &core.Mem
+	if got != fin || m.Reads != reads || m.Writes != writes || m.WaitCycles != wait {
+		t.Errorf("CP_FIN at IMU cycle %d, %d reads, %d writes, %d wait cycles; want %d, %d, %d, %d",
+			got, m.Reads, m.Writes, m.WaitCycles, fin, reads, writes, wait)
 	}
 }

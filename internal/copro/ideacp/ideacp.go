@@ -107,7 +107,7 @@ func PackSubkeys(keys [ref.IDEASubkeys]uint16) [ref.IDEASubkeys / 2]uint32 {
 }
 
 func init() {
-	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (any, error) {
+	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (*copro.Seq, error) {
 		return New(), nil
 	})
 }

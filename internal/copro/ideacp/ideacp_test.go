@@ -8,6 +8,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/imu"
 	"repro/internal/ref"
+	"repro/internal/sim"
 )
 
 // ideaConfig is the paper's clock plan: 6 MHz core, 24 MHz IMU and memory.
@@ -165,5 +166,53 @@ func TestEndiannessHelpers(t *testing.T) {
 	}
 	if le32FromBE(x1, x2) != 0x44332211 {
 		t.Fatal("le32FromBE not the inverse of be16Pair")
+	}
+}
+
+// TestTimingPinned pins the core's cycle timing on a fixed 64-byte input
+// under the lockstep scheduler, in both IMU modes: the IMU cycle at which
+// CP_FIN rises and the Mem counters. A change to the Program's steps or
+// compute lengths that still produces the right ciphertext fails here.
+func TestTimingPinned(t *testing.T) {
+	for _, c := range []struct {
+		mode                imu.Mode
+		fin                 int64
+		reads, writes, wait uint64
+	}{
+		{imu.MultiCycle, 1096, 43, 16, 59},
+		{imu.Pipelined, 860, 43, 16, 0},
+	} {
+		cfg := ideaConfig(c.mode)
+		cfg.Sched = sim.Lockstep
+		core := New()
+		bench, err := harness.New(cfg, core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key ref.IDEAKey
+		for i := range key {
+			key[i] = byte(3*i + 1)
+		}
+		sub := PackSubkeys(ref.ExpandIDEAKey(key))
+		params := append([]uint32{8}, sub[:]...)
+		in := make([]byte, 64)
+		for i := range in {
+			in[i] = byte(i * 7)
+		}
+		for _, err := range []error{bench.SetParams(params...), bench.LoadFrame(1, in),
+			bench.MapPage(ObjIn, 0, 1), bench.MapPage(ObjOut, 0, 2)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		fin, err := bench.RunToFin(1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &core.Mem
+		if fin != c.fin || m.Reads != c.reads || m.Writes != c.writes || m.WaitCycles != c.wait {
+			t.Errorf("%v: CP_FIN at IMU cycle %d, %d reads, %d writes, %d wait cycles; want %d, %d, %d, %d",
+				c.mode, fin, m.Reads, m.Writes, m.WaitCycles, c.fin, c.reads, c.writes, c.wait)
+		}
 	}
 }

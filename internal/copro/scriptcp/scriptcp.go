@@ -100,7 +100,8 @@ func Decode(p []byte) (Script, error) {
 
 // check validates op i of a script: a known kind, a Size of 1, 2 or 4 (an
 // OpWriteChecksum is always 4, whatever its Size field says) and an Addr
-// that is a multiple of it. Decode and Apply both run it on every op.
+// that is a multiple of it. Bitstream, Decode and Apply all run it on every
+// op.
 func (op *Op) check(i int) error {
 	size := op.Size
 	switch op.Kind {
@@ -119,8 +120,14 @@ func (op *Op) check(i int) error {
 	return nil
 }
 
-// Bitstream builds a configuration image carrying the script.
+// Bitstream builds a configuration image carrying the script. Every op is
+// checked as Decode checks it, so an image it returns always loads.
 func Bitstream(device string, s Script) ([]byte, error) {
+	for i := range s {
+		if err := s[i].check(i); err != nil {
+			return nil, err
+		}
+	}
 	return bitstream.Build(bitstream.Header{
 		Device:    device,
 		Core:      CoreName,
@@ -186,7 +193,7 @@ func (c *Core) Kernel(i int, u *copro.Unit) {
 }
 
 func init() {
-	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (any, error) {
+	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (*copro.Seq, error) {
 		s, err := Decode(h.Payload)
 		if err != nil {
 			return nil, err

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitstream"
+	"repro/internal/harness"
+	"repro/internal/sim"
 )
 
 func specs() []ObjSpec {
@@ -132,16 +136,13 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsUnknownKind checks that Decode and Apply reject every
-// malformed op — an unknown kind, a size outside {1, 2, 4}, an address not
-// a multiple of the size, a checksum write not 4-aligned — naming its
-// index, and accept the well-formed edge cases.
-func TestDecodeRejectsUnknownKind(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		op   Op
-		ok   bool
-	}{
+// opCases are single ops, each malformed or a well-formed edge case, that
+// every op check must judge alike.
+var opCases = []struct {
+	name string
+	op   Op
+	ok   bool
+}{
 		{"unknown kind", Op{Kind: 0x7f, Size: 4}, false},
 		{"size 0", Op{Kind: OpRead, Size: 0}, false},
 		{"size 3", Op{Kind: OpWrite, Size: 3, Val: 0xaabbccdd}, false},
@@ -153,7 +154,14 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 		{"8-bit read at 7", Op{Kind: OpRead, Size: 1, Addr: 7}, true},
 		{"16-bit write at 6", Op{Kind: OpWrite, Size: 2, Addr: 6}, true},
 		{"checksum at 4, size ignored", Op{Kind: OpWriteChecksum, Size: 3, Addr: 4}, true},
-	} {
+}
+
+// TestDecodeRejectsUnknownKind checks that Decode and Apply reject every
+// malformed op — an unknown kind, a size outside {1, 2, 4}, an address not
+// a multiple of the size, a checksum write not 4-aligned — naming its
+// index, and accept the well-formed edge cases.
+func TestDecodeRejectsUnknownKind(t *testing.T) {
+	for _, c := range opCases {
 		t.Run(c.name, func(t *testing.T) {
 			s := Script{{Kind: OpRead, Obj: 0, Size: 4}, c.op}
 			_, decErr := Decode(Encode(s))
@@ -167,5 +175,61 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBitstreamRejectsMalformedOps checks that Bitstream refuses to build
+// an image around any malformed op, naming its index, and builds one that
+// loads for every well-formed edge case.
+func TestBitstreamRejectsMalformedOps(t *testing.T) {
+	for _, c := range opCases {
+		t.Run(c.name, func(t *testing.T) {
+			img, err := Bitstream("EPXA1", Script{{Kind: OpRead, Obj: 0, Size: 4}, c.op})
+			if !c.ok {
+				if err == nil || !strings.Contains(err.Error(), "op 1 ") {
+					t.Fatalf("error %v, want one naming op 1", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("rejected a valid op: %v", err)
+			}
+			if _, _, err := bitstream.Instantiate(img, "EPXA1"); err != nil {
+				t.Fatalf("the built image does not load: %v", err)
+			}
+		})
+	}
+}
+
+// TestTimingPinned pins the core's cycle timing on a fixed 40-op script
+// under the lockstep scheduler: the IMU cycle at which CP_FIN rises and the
+// Mem counters.
+func TestTimingPinned(t *testing.T) {
+	const fin, reads, writes, wait = 295, 17, 25, 168
+	s, err := Generate(rand.New(rand.NewSource(11)), specs(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harness.DefaultConfig()
+	cfg.Sched = sim.Lockstep
+	core := New(s)
+	bench, err := harness.New(cfg, core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{bench.SetParams(uint32(len(s))),
+		bench.MapPage(0, 0, 1), bench.MapPage(1, 0, 2), bench.MapPage(2, 0, 3)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := bench.RunToFin(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &core.Mem
+	if got != fin || m.Reads != reads || m.Writes != writes || m.WaitCycles != wait {
+		t.Errorf("CP_FIN at IMU cycle %d, %d reads, %d writes, %d wait cycles; want %d, %d, %d, %d",
+			got, m.Reads, m.Writes, m.WaitCycles, fin, reads, writes, wait)
 	}
 }

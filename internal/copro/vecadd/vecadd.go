@@ -58,7 +58,7 @@ func (c *Core) Kernel(i int, u *copro.Unit) {
 }
 
 func init() {
-	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (any, error) {
+	bitstream.RegisterCore(CoreName, func(h bitstream.Header) (*copro.Seq, error) {
 		return New(), nil
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/ref"
+	"repro/internal/sim"
 )
 
 // run executes the core over n elements with the given inputs, returning C.
@@ -128,5 +129,40 @@ func TestUnmappedObjectFaults(t *testing.T) {
 	}
 	if _, err := bench.Run(100_000); err == nil {
 		t.Fatal("expected a fault for unmapped object")
+	}
+}
+
+// TestTimingPinned pins the core's cycle timing on a fixed 24-element input
+// under the lockstep scheduler: the IMU cycle at which CP_FIN rises and the
+// Mem counters. A change to the Program's steps that still adds right
+// fails here.
+func TestTimingPinned(t *testing.T) {
+	const fin, reads, writes, wait = 512, 49, 24, 292
+	cfg := harness.DefaultConfig()
+	cfg.Sched = sim.Lockstep
+	core := New()
+	bench, err := harness.New(cfg, core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 24
+	ab := make([]byte, 4*n)
+	for i := range ab {
+		ab[i] = byte(i*13 + 1)
+	}
+	for _, err := range []error{bench.SetParams(n), bench.LoadFrame(1, ab), bench.LoadFrame(2, ab),
+		bench.MapPage(ObjA, 0, 1), bench.MapPage(ObjB, 0, 2), bench.MapPage(ObjC, 0, 3)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := bench.RunToFin(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &core.Mem
+	if got != fin || m.Reads != reads || m.Writes != writes || m.WaitCycles != wait {
+		t.Errorf("CP_FIN at IMU cycle %d, %d reads, %d writes, %d wait cycles; want %d, %d, %d, %d",
+			got, m.Reads, m.Writes, m.WaitCycles, fin, reads, writes, wait)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitstream"
-	"repro/internal/copro"
 	"repro/internal/imu"
 	"repro/internal/kernel"
 	"repro/internal/platform"
@@ -81,13 +80,9 @@ func (s *Session) Load(img []byte) error {
 		return ErrBusy
 	}
 	s.Board.Kern.ChargeSyscall()
-	h, inst, err := bitstream.Instantiate(img, s.Board.Spec.Name)
+	h, cp, err := bitstream.Instantiate(img, s.Board.Spec.Name)
 	if err != nil {
 		return err
-	}
-	cp, ok := inst.(*copro.Seq)
-	if !ok {
-		return fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 	}
 	hw, err := s.Board.Assemble(h.CoreClock, h.IMUClock, cp)
 	if err != nil {

@@ -98,13 +98,9 @@ func (g *Gang) AddMember(img []byte, nframes int, cfg vim.Config, coreHz, imuHz 
 	if g.HW != nil {
 		return nil, fmt.Errorf("core: gang already assembled")
 	}
-	h, inst, err := bitstream.Instantiate(img, g.Board.Spec.Name)
+	h, cp, err := bitstream.Instantiate(img, g.Board.Spec.Name)
 	if err != nil {
 		return nil, err
-	}
-	cp, ok := inst.(*copro.Seq)
-	if !ok {
-		return nil, fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 	}
 	sess, err := g.M.AddSession(cfg, nframes)
 	if err != nil {
@@ -444,13 +440,8 @@ func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (
 		// the slot, so no configuration data moves — reset and rebind it.
 		cp = sl.Core()
 	} else {
-		_, inst, err := bitstream.Instantiate(img, g.Board.Spec.Name)
-		if err != nil {
+		if _, cp, err = bitstream.Instantiate(img, g.Board.Spec.Name); err != nil {
 			return nil, err
-		}
-		var ok bool
-		if cp, ok = inst.(*copro.Seq); !ok {
-			return nil, fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 		}
 	}
 	sess, err := g.M.Attach(cfg, nframes, slot)
@@ -512,13 +503,9 @@ func (g *Gang) BeginStage(slot int, img []byte) error {
 	if sl.Staged() != "" {
 		return fmt.Errorf("core: slot %d already staging %q", slot, sl.Staged())
 	}
-	h, inst, err := bitstream.Instantiate(img, g.Board.Spec.Name)
+	_, cp, err := bitstream.Instantiate(img, g.Board.Spec.Name)
 	if err != nil {
 		return err
-	}
-	cp, ok := inst.(*copro.Seq)
-	if !ok {
-		return fmt.Errorf("core: bitstream %q produced a %T, not a coprocessor", h.Core, inst)
 	}
 	sl.Stage(cp)
 	return nil

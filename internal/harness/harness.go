@@ -156,5 +156,17 @@ func (b *Bench) Run(maxEdges int64) (int64, error) {
 	return b.IMUDom.Cycles() - start, nil
 }
 
+// RunToFin starts the coprocessor and simulates until it raises CP_FIN. It
+// returns the IMU cycles consumed, the core's completion time on the bench.
+func (b *Bench) RunToFin(maxEdges int64) (int64, error) {
+	b.IMU.Start()
+	start := b.IMUDom.Cycles()
+	_, err := b.Eng.RunUntil(func() bool { return b.Port.CP().Fin || b.IMU.FaultPending() }, maxEdges)
+	if err == nil && b.IMU.FaultPending() {
+		err = fmt.Errorf("%w: obj %d addr %#x", ErrFault, b.IMU.FaultObj(), b.IMU.FaultAddr())
+	}
+	return b.IMUDom.Cycles() - start, err
+}
+
 // PageSize returns the configured page size in bytes.
 func (b *Bench) PageSize() int { return b.pageSize }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/bitstream"
 	"repro/internal/copro/scriptcp"
 )
 
@@ -205,7 +206,16 @@ func TestFPGALoadRejectsMalformedScript(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := scriptcp.Bitstream(sys.Board().Spec.Name, scriptcp.Script{op})
+		// scriptcp.Bitstream refuses such a script, so craft the image by
+		// hand.
+		img, err := bitstream.Build(bitstream.Header{
+			Device:    sys.Board().Spec.Name,
+			Core:      scriptcp.CoreName,
+			CoreClock: 40_000_000,
+			IMUClock:  40_000_000,
+			LEs:       901,
+			Payload:   scriptcp.Encode(scriptcp.Script{op}),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
