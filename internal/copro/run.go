@@ -1,19 +1,24 @@
 package copro
 
-import "repro/internal/sim"
-
 // This file implements hit runs: the transaction-level path that moves a
 // sequencer and its IMU channel through a TLB-resident stretch of the
 // Program's loop in one step instead of one clock edge at a time.
 //
 // At the top of its loop the sequencer advertises the run from IdleEdges
-// (RunEdges) and executes it from SkipEdges (SkipRun), so the engine's
-// bulk-skip carries it: the window is exactly the edges the sequencer's
+// (RunEdges) and executes it from SkipEdges (skipRun), so the engine's
+// bulk-skip — or a shell slot's sleep — carries it: the window is exactly the edges the sequencer's
 // edge path would take, derived from the units' steps and the clock ratio,
 // and the state it leaves is exactly the state those edges would leave.
 // The edge path is the reference: the lockstep scheduler never asks for
 // idleness and always runs it, and so does the event scheduler wherever a
-// run cannot start (a miss, the last unit, a shell-hosted core).
+// run cannot start (a miss, the last unit, a core whose IMU clock is not a
+// multiple of its own).
+//
+// A run may be executed late: a shell slot sleeps through its window while
+// its neighbour keeps running, and executes the run when it wakes. Every
+// access therefore goes to the hit service with the IMU edge at which the
+// edge path would have translated it, derived from the core's own edge
+// count and the IMU's edge count when the core was bound.
 
 // StepKind enumerates unit steps.
 type StepKind uint8
@@ -72,10 +77,15 @@ func (u *Unit) add(s Step) {
 }
 
 // HitService is the transaction-level face of the IMU channel a port is
-// wired to (Port.ServeHits). Eval and Update deliver one IMU edge, which a
-// partial window's tail runs on.
+// wired to (Port.ServeHits). IMU edges are numbered from 1 over the IMU's
+// lifetime.
 type HitService interface {
-	sim.Ticker
+	// Edge is the number of IMU edges delivered or skipped so far.
+	Edge() int64
+	// Eval and Update deliver IMU edge number edge to the channel alone,
+	// for a partial window's tail.
+	Eval(edge int64)
+	Update()
 	// Ready reports whether the channel serving p can take part in a run
 	// now: idle, with no request, handshake line or OS control pending.
 	Ready(p *Port) bool
@@ -88,9 +98,9 @@ type HitService interface {
 	// access would miss.
 	Hits(obj uint8, addr uint32) int
 	// Access applies one translated access through entry e exactly as the
-	// channel's translation and commit would, and returns the data read
-	// (lane-aligned; 0 for a write).
-	Access(e int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32
+	// channel's translation at IMU edge edge and its commit would, and
+	// returns the data read (lane-aligned; 0 for a write).
+	Access(edge int64, e int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32
 	// Finish commits the channel's IMU-side bundle after a run and
 	// invalidates the IMU's published horizon.
 	Finish()
@@ -100,7 +110,7 @@ type HitService interface {
 // translated through and its TLB entry, so a run looks each page up once:
 // units are regular, and step j of one unit almost always lands in the
 // page step j of the previous unit did. It is valid within one RunEdges or
-// SkipRun call (the OS may rewrite the table between calls).
+// skipRun call (the OS may rewrite the table between calls).
 type runMemo [MaxSteps]struct {
 	obj   uint8
 	vpage uint32
@@ -151,8 +161,9 @@ func ceilDiv(x, y int64) int64 { return (x + y - 1) / y }
 
 // edges walks u's steps from the edge at which its first request issues
 // and returns the edges to the next unit's first issue, and the offset of
-// the edge that consumed its last response (-1 if it has no access).
-func (t timing) edges(u *Unit) (n, lastConsume int64) {
+// the edge that consumed its last response (-1 if it has no access). It
+// leaves the offset of each access's issuing edge in issue.
+func (t timing) edges(u *Unit, issue *[MaxSteps]int64) (n, lastConsume int64) {
 	cursor, ready := int64(0), int64(0)
 	lastConsume = -1
 	for i := 0; i < u.N; i++ {
@@ -161,7 +172,8 @@ func (t timing) edges(u *Unit) (n, lastConsume int64) {
 			cursor += int64(s.Cycles)
 			continue
 		}
-		lastConsume = max(cursor, ready) + t.a
+		issue[i] = max(cursor, ready)
+		lastConsume = issue[i] + t.a
 		cursor, ready = lastConsume+1, lastConsume+t.d
 	}
 	return max(cursor, ready), lastConsume
@@ -172,7 +184,7 @@ func (t timing) edges(u *Unit) (n, lastConsume int64) {
 // flight, though a drain may be waiting for CP_TLBHIT to fall, and it
 // has), a service is wired and ready, the core is started, and no output
 // change is staged or pulsing.
-func (s *Seq) runWire() *hitWire {
+func (s *Seq) runWire() *HitWire {
 	w := s.port.hits
 	if w == nil || s.st != seqStepIssue || s.step != 0 || s.drivenPinv || s.port.cp.Pending() {
 		return nil
@@ -197,6 +209,7 @@ func (s *Seq) RunEdges() int64 {
 	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
+	var issue [MaxSteps]int64
 	u := &s.cur
 	w := int64(0)
 	for i := s.unit; i+1 < s.units; i++ {
@@ -205,33 +218,34 @@ func (s *Seq) RunEdges() int64 {
 		if !memo.hits(h, shift, u) {
 			break
 		}
-		n, _ := t.edges(u)
+		n, _ := t.edges(u, &issue)
 		w += n
 	}
 	return w
 }
 
-// SkipRun consumes k edges of the window RunEdges advertised and reports
-// true, or reports false (changing nothing) when no run can start, so the
-// caller's own idle window applies. It leaves exactly the state k delivered
+// skipRun consumes k edges of the window the last IdleEdges answer
+// advertised as a run (RunEdges), leaving exactly the state k delivered
 // edges would: whole units run in closed form — each access through the
-// hit service, the kernel before the first write, the Mem counters, and at
-// the end the committed CP bundle (the last request's fields, with
-// CP_ACCESS and CP_WR low) and the IMU's — and a remainder shorter than the
-// next unit runs on the edge paths of the sequencer and the channel,
-// leaving its access mid-handshake. In a two-domain engine k counts core
-// edges, and the remainder takes the IMU edges before the core's next edge
-// with it; the engine never splits such a window, because the IMU, alone
-// in its domain, is idle until input while a run can start.
-func (s *Seq) SkipRun(k int64) bool {
-	wire := s.runWire()
-	if wire == nil {
-		return false
-	}
-	h := wire.svc
-	t := newTiming(h.Latency(), wire.ratio)
+// hit service at the IMU edge the edge path translates it at, the kernel
+// before the first write, the Mem counters, and at the end the committed
+// CP bundle (the last request's fields, with CP_ACCESS and CP_WR low) and
+// the IMU's — and a remainder shorter than the next unit runs on the edge
+// paths of the sequencer and the channel, leaving its access
+// mid-handshake. In a two-domain engine k counts core edges, and the
+// remainder takes the IMU edges before the core's next edge with it; the
+// engine never splits such a window, because the IMU, alone in its domain,
+// is idle until input while a run can start. What the answer was given on
+// must still hold — the port, the channel and the table — which a shell
+// guarantees by waking its sleeping cores before the OS runs.
+func (s *Seq) skipRun(k int64) {
+	wire := s.port.hits
+	h, r := wire.svc, wire.ratio
+	lat := h.Latency()
+	t := newTiming(lat, r)
 	shift := h.PageShift()
 	memo := newRunMemo()
+	var issue [MaxSteps]int64
 	din := s.port.IMURef().DIn
 	u := &s.cur
 	var last Step
@@ -240,16 +254,21 @@ func (s *Seq) SkipRun(k int64) bool {
 		u.N = 0
 		s.prog.Unit(s.unit, u)
 		memo.hits(h, shift, u)
-		n, consume := t.edges(u)
+		n, consume := t.edges(u, &issue)
 		if n > k {
 			break
 		}
+		// The unit's first request issues at the core's next edge. Core
+		// edge j coincides with IMU edge edge0 + j·r, and the channel
+		// translates an access Latency IMU edges after the one coinciding
+		// with its issue.
+		at := s.edge0 + (s.edge+1)*r + lat
 		kernel := false
 		for i := 0; i < u.N; i++ {
 			st := &u.Steps[i]
 			switch st.Kind {
 			case StepRead:
-				st.Val = h.Access(memo[i].entry, st.Obj, st.Addr, st.Size, false, 0)
+				st.Val = h.Access(at+issue[i]*r, memo[i].entry, st.Obj, st.Addr, st.Size, false, 0)
 				din = st.Val
 				s.Reads++
 			case StepWrite:
@@ -257,7 +276,7 @@ func (s *Seq) SkipRun(k int64) bool {
 					s.prog.Kernel(s.unit, u)
 					kernel = true
 				}
-				h.Access(memo[i].entry, st.Obj, st.Addr, st.Size, true, st.Val)
+				h.Access(at+issue[i]*r, memo[i].entry, st.Obj, st.Addr, st.Size, true, st.Val)
 				s.Writes++
 			default:
 				continue
@@ -269,6 +288,7 @@ func (s *Seq) SkipRun(k int64) bool {
 			s.prog.Kernel(s.unit, u)
 		}
 		s.unit++
+		s.edge += n
 		lastN, lastConsume = n, consume
 		k -= n
 	}
@@ -277,10 +297,9 @@ func (s *Seq) SkipRun(k int64) bool {
 		h.Finish()
 	}
 	if k > 0 {
-		deliver(h, s, k, wire.ratio)
+		deliver(h, s, k, r)
 		h.Finish()
 	}
-	return true
 }
 
 // settle leaves the handshake as the edges of a run's last unit (n edges,
@@ -307,12 +326,12 @@ func (m *Mem) settle(s *Step, n, lastConsume int64, t timing, din uint32) {
 // Updates.
 func deliver(h HitService, core *Seq, k, r int64) {
 	for e := int64(0); e < k*r; e++ {
-		coreEdge := e%r == 0
-		if coreEdge {
-			core.Eval()
+		m := e % r
+		if m == 0 {
+			core.Eval() // counts the core edge
 		}
-		h.Eval()
-		if coreEdge {
+		h.Eval(core.edge0 + core.edge*r + m)
+		if m == 0 {
 			core.Update()
 		}
 		h.Update()

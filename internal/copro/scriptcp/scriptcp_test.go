@@ -143,17 +143,17 @@ var opCases = []struct {
 	op   Op
 	ok   bool
 }{
-		{"unknown kind", Op{Kind: 0x7f, Size: 4}, false},
-		{"size 0", Op{Kind: OpRead, Size: 0}, false},
-		{"size 3", Op{Kind: OpWrite, Size: 3, Val: 0xaabbccdd}, false},
-		{"size 8", Op{Kind: OpRead, Size: 8}, false},
-		{"32-bit write at 1", Op{Kind: OpWrite, Size: 4, Addr: 1, Val: 0xaabbccdd}, false},
-		{"32-bit read at 6", Op{Kind: OpRead, Size: 4, Addr: 6}, false},
-		{"16-bit write at 7", Op{Kind: OpWrite, Size: 2, Addr: 7}, false},
-		{"checksum at 2", Op{Kind: OpWriteChecksum, Addr: 2}, false},
-		{"8-bit read at 7", Op{Kind: OpRead, Size: 1, Addr: 7}, true},
-		{"16-bit write at 6", Op{Kind: OpWrite, Size: 2, Addr: 6}, true},
-		{"checksum at 4, size ignored", Op{Kind: OpWriteChecksum, Size: 3, Addr: 4}, true},
+	{"unknown kind", Op{Kind: 0x7f, Size: 4}, false},
+	{"size 0", Op{Kind: OpRead, Size: 0}, false},
+	{"size 3", Op{Kind: OpWrite, Size: 3, Val: 0xaabbccdd}, false},
+	{"size 8", Op{Kind: OpRead, Size: 8}, false},
+	{"32-bit write at 1", Op{Kind: OpWrite, Size: 4, Addr: 1, Val: 0xaabbccdd}, false},
+	{"32-bit read at 6", Op{Kind: OpRead, Size: 4, Addr: 6}, false},
+	{"16-bit write at 7", Op{Kind: OpWrite, Size: 2, Addr: 7}, false},
+	{"checksum at 2", Op{Kind: OpWriteChecksum, Addr: 2}, false},
+	{"8-bit read at 7", Op{Kind: OpRead, Size: 1, Addr: 7}, true},
+	{"16-bit write at 6", Op{Kind: OpWrite, Size: 2, Addr: 6}, true},
+	{"checksum at 4, size ignored", Op{Kind: OpWriteChecksum, Size: 3, Addr: 4}, true},
 }
 
 // TestDecodeRejectsUnknownKind checks that Decode and Apply reject every

@@ -43,7 +43,7 @@ type Program interface {
 // Seq is a sim.BulkIdler: IdleEdges advertises the edges its FSM would
 // provably no-op or purely count down, and — at the top of its loop on a
 // port wired to a hit service — a hit run (RunEdges) that SkipEdges then
-// executes in closed form (SkipRun).
+// executes in closed form.
 type Seq struct {
 	// Mem is the handshake over the bound port; its counters are the
 	// core's access statistics. It leads, and the FSM fields every edge
@@ -52,8 +52,14 @@ type Seq struct {
 
 	st   seqState
 	ran  bool   // the kernel ran over the current unit
+	run  bool   // the last IdleEdges answer was a hit run
 	left uint32 // compute cycles left (seqCompute)
 	step int    // current step of cur
+
+	// edge counts the core edges since Bind, delivered or skipped; edge0 is
+	// the IMU's edge count at Bind (see HitService), so core edge j
+	// coincides with IMU edge edge0 + j·r on a port wired at ratio r.
+	edge, edge0 int64
 
 	// cur is the current unit, described at its first issue. At the top
 	// of the loop it is free, so hit runs describe into it.
@@ -83,12 +89,17 @@ func NewSeq(p Program) *Seq { return &Seq{prog: p} }
 // Name is the Program's name.
 func (s *Seq) Name() string { return s.prog.Name() }
 
-// Bind attaches the port, zeroes the access counters and resets the FSM
-// to its power-on state, staging the quiescent bundle so the first Commit
-// lands even onto a port left non-quiescent by a previous owner. Engine
-// must be paused.
+// Bind attaches the port, zeroes the access counters and the edge count
+// and resets the FSM to its power-on state, staging the quiescent bundle so
+// the first Commit lands even onto a port left non-quiescent by a previous
+// owner. Engine must be paused, and the core's next edge must coincide with
+// the IMU's next edge.
 func (s *Seq) Bind(p *Port) {
 	s.Mem = Mem{port: p}
+	s.edge, s.edge0 = 0, 0
+	if w := p.hits; w != nil {
+		s.edge0 = w.svc.Edge()
+	}
 	s.reset()
 }
 
@@ -102,6 +113,7 @@ func (s *Seq) reset() {
 
 // Eval implements sim.Ticker.
 func (s *Seq) Eval() {
+	s.edge++
 	in := s.port.IMURef()
 	s.Step()
 	pinv, stepDone := false, false
@@ -196,10 +208,12 @@ func (s *Seq) Update() { s.Commit() }
 // holding CP_FIN until the OS acknowledges.
 func (s *Seq) IdleEdges() int64 {
 	in := s.port.IMURef()
+	s.run = false
 	switch s.st {
 	case seqStepIssue:
 		if s.step == 0 && s.port.hits != nil {
 			if w := s.RunEdges(); w > 0 {
+				s.run = true
 				return w
 			}
 		}
@@ -229,11 +243,16 @@ func (s *Seq) IdleEdges() int64 {
 // SkipEdges implements sim.BulkIdler: a hit run executes its units, a
 // skipped compute edge counts down, and a skipped stall edge counts a wait
 // cycle, exactly as delivered edges would. The other windows carry no
-// per-edge state.
+// per-edge state. The kind of window is the last answer's, not the port's
+// present state: a shell hands a sleeping core its edges only after the
+// input that woke it has changed.
 func (s *Seq) SkipEdges(k int64) {
-	if s.port.hits != nil && s.SkipRun(k) {
+	if s.run {
+		s.run = false
+		s.skipRun(k)
 		return
 	}
+	s.edge += k
 	s.skipEdges(k)
 	if s.st == seqCompute {
 		s.left -= uint32(k)

@@ -59,6 +59,7 @@ type Bench struct {
 	Core     *copro.Seq
 
 	pageSize int
+	wire     copro.HitWire // the port's wiring to the IMU's hit service
 }
 
 // New assembles a bench around the given core.
@@ -77,10 +78,10 @@ func New(cfg Config, core *copro.Seq) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	port := copro.NewPort()
-	u.Bind(port)
-	port.ServeHits(u.HitService(), cfg.CoproHz, cfg.IMUHz)
-	core.Bind(port)
+	b := &Bench{DP: dp, IMU: u, Port: copro.NewPort(), Core: core, pageSize: dp.PageSize()}
+	u.Bind(b.Port)
+	b.Port.ServeHits(&b.wire, u.HitService(0), cfg.CoproHz, cfg.IMUHz)
+	core.Bind(b.Port)
 
 	eng := sim.NewEngine()
 	eng.SetScheduler(cfg.Sched)
@@ -96,16 +97,8 @@ func New(cfg Config, core *copro.Seq) (*Bench, error) {
 	// observationally irrelevant, but determinism aids debugging.
 	coproDom.Attach(core)
 	imuDom.Attach(u)
-	return &Bench{
-		Eng:      eng,
-		CoproDom: coproDom,
-		IMUDom:   imuDom,
-		DP:       dp,
-		IMU:      u,
-		Port:     port,
-		Core:     core,
-		pageSize: dp.PageSize(),
-	}, nil
+	b.Eng, b.CoproDom, b.IMUDom = eng, coproDom, imuDom
+	return b, nil
 }
 
 // MapPage installs a static TLB mapping.

@@ -248,7 +248,7 @@ func snapshot(t testing.TB, b *Bench) benchState {
 		Core:       fieldsOf(reflect.ValueOf(b.Core).Elem().FieldByName("prog").Elem()),
 		Seq:        fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur"),
 		Mem:        fieldsOf(reflect.ValueOf(&b.Core.Mem)),
-		IMU:        fieldsOf(u, "ch", "chbuf", "anyWork", "hz"),
+		IMU:        fieldsOf(u, "ch", "chbuf", "hits", "anyWork", "hz"),
 		Channel:    fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
 		DPPorts:    fieldsOf(reflect.ValueOf(b.DP)),
 		DP:         dp,
@@ -333,6 +333,13 @@ func TestHitRunPartialWindow(t *testing.T) {
 				}
 				windows++
 				k := 1 + rng.Int63n(w)
+				// The IMU's edges go on while the core sleeps through the
+				// window, as in a shell slot: its channel idles, and the
+				// core then catches up.
+				for i := int64(0); i < k*ratio; i++ {
+					skip.IMU.Eval()
+					skip.IMU.Update()
+				}
 				seq.SkipEdges(k)
 				target := (ref.CoproDom.Cycles()+k+1)*ratio - 1
 				for ref.IMUDom.Cycles() < target {
@@ -363,7 +370,7 @@ func TestHitRunPartialWindow(t *testing.T) {
 // IMU's, never advertises a run: its windows are exactly the edge FSM's.
 func TestNoHitRunWithoutService(t *testing.T) {
 	unwired := vecaddCase(64).build(t, sim.Lockstep)
-	unwired.Port.ServeHits(nil, 0, 0)
+	unwired.Port.ServeHits(nil, nil, 0, 0)
 	frames := map[int][]byte{1: randomBytes(1, 256), 2: randomBytes(2, 256)}
 	maps := [][3]int{{vecadd.ObjA, 0, 1}, {vecadd.ObjB, 0, 2}, {vecadd.ObjC, 0, 3}}
 	fastCore := newHitBench(t, sim.Lockstep, 80_000_000, 40_000_000, imu.MultiCycle, vecadd.New(), frames, maps, 64)

@@ -2,41 +2,58 @@ package imu
 
 import "repro/internal/copro"
 
-// hitService is channel 0's transaction-level face (copro.HitService):
+// hitService is one channel's transaction-level face (copro.HitService):
 // what a coprocessor's hit run asks of its channel instead of driving the
-// translation FSM edge by edge. A run is offered only on a single-channel
-// IMU: with two active channels the order in which their accesses take the
-// shared LastUse stamp depends on the edge interleaving.
-type hitService struct{ u *IMU }
+// translation FSM edge by edge. Everything it applies is the channel's
+// own — its FSM, its bundle, its counters and its session's TLB entries —
+// plus the DP RAM frames of that session and the global counters, so a
+// run may be applied after the other channels have moved on: every stamp
+// carries the edge of its access (see stamp).
+type hitService struct {
+	u *IMU
+	c *channel
+}
 
-// HitService returns the hit service of channel 0, for Port.ServeHits.
-func (u *IMU) HitService() copro.HitService { return hitService{u} }
+// HitService returns the hit service of channel i, for Port.ServeHits.
+func (u *IMU) HitService(i int) copro.HitService { return &u.hits[i] }
 
-// Eval implements sim.Ticker: one IMU edge.
-func (s hitService) Eval() { s.u.Eval() }
+// Edge implements copro.HitService.
+func (s *hitService) Edge() int64 { return s.u.edge }
 
-// Update implements sim.Ticker.
-func (s hitService) Update() { s.u.Update() }
-
-// Ready implements copro.HitService: the IMU has one channel, bound to p,
-// no waveform is being recorded, and the channel is idle with no OS control
-// bit set, CP_ACCESS, CP_FIN, CP_PINV and CP_TLBHIT low, and its outputs
-// committed to p.
-func (s hitService) Ready(p *copro.Port) bool {
-	u := s.u
-	if len(u.ch) != 1 || u.trace != nil {
-		return false
+// Eval implements copro.HitService: the channel's FSM alone steps through
+// IMU edge edge, with the idle fast path of IMU.Eval.
+func (s *hitService) Eval(edge int64) {
+	c := s.c
+	cp := c.port.CPRef()
+	c.noop = c.state == stIdle && c.ctl == 0 && !cp.Access && !cp.Fin && !cp.ParamInv
+	if !c.noop {
+		s.u.evalCh(c, cp, edge)
 	}
-	c := &u.ch[0]
+}
+
+// Update implements copro.HitService: the channel commits what its Eval
+// scheduled.
+func (s *hitService) Update() {
+	if !s.c.noop {
+		s.u.commitCh(s.c)
+	}
+}
+
+// Ready implements copro.HitService: the channel is bound to p, no waveform
+// is being recorded, and the channel is idle with no OS control bit set,
+// CP_ACCESS, CP_FIN, CP_PINV and CP_TLBHIT low, and its outputs committed
+// to p.
+func (s *hitService) Ready(p *copro.Port) bool {
+	c := s.c
 	cp := p.CPRef()
-	return c.port == p && c.state == stIdle && c.ctl == 0 &&
+	return s.u.trace == nil && c.port == p && c.state == stIdle && c.ctl == 0 &&
 		!cp.Access && !cp.Fin && !cp.ParamInv && !c.out.TLBHit && *p.IMURef() == c.out
 }
 
 // Latency implements copro.HitService: a multi-cycle hit commits CP_TLBHIT
 // at the fourth edge from the latch (latch, CAM, translation RAM, access),
 // a pipelined one at the latch edge itself.
-func (s hitService) Latency() int64 {
+func (s *hitService) Latency() int64 {
 	if s.u.cfg.Mode == Pipelined {
 		return 1
 	}
@@ -44,33 +61,30 @@ func (s hitService) Latency() int64 {
 }
 
 // PageShift implements copro.HitService.
-func (s hitService) PageShift() uint { return s.u.cfg.PageShift }
+func (s *hitService) PageShift() uint { return s.u.cfg.PageShift }
 
 // Hits implements copro.HitService through the channel's memoised CAM
 // match. An entry whose frame lies outside the DP RAM counts as a miss:
 // the edge FSM faults on it.
-func (s hitService) Hits(obj uint8, addr uint32) int {
+func (s *hitService) Hits(obj uint8, addr uint32) int {
 	u := s.u
-	i := u.camLookup(&u.ch[0], obj, addr>>u.cfg.PageShift)
+	i := u.camLookup(s.c, obj, addr>>u.cfg.PageShift)
 	if i >= 0 && int(u.tlb[i].Frame) >= u.dp.Pages() {
 		return -1
 	}
 	return i
 }
 
-// Access implements copro.HitService: what translate schedules and Update
-// commits for a hit — the latched request, the shared LastUse stamp, the
-// entry's Ref, LastUse and Dirty bits, the DP RAM word access with its byte
-// enables, the read data on CP_DIN and the global and per-channel access
-// and hit counters.
-func (s hitService) Access(i int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32 {
-	u := s.u
-	c := &u.ch[0]
+// Access implements copro.HitService: what translate schedules at edge and
+// Update commits for a hit — the latched request, the entry's Ref, LastUse
+// and Dirty bits, the DP RAM word access with its byte enables, the read
+// data on CP_DIN and the global and per-channel access and hit counters.
+func (s *hitService) Access(edge int64, i int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32 {
+	u, c := s.u, s.c
 	c.req = request{obj: obj, addr: addr, size: size, wr: wr, dout: v}
 	e := &u.tlb[i]
-	u.stamp++
 	e.Ref = true
-	e.LastUse = u.stamp
+	e.LastUse = stamp(edge, c.sess)
 	wordAddr, lane := u.locate(e, addr)
 	if wr {
 		e.Dirty = true
@@ -93,11 +107,10 @@ func (s hitService) Access(i int, obj uint8, addr uint32, size uint8, wr bool, v
 	return v
 }
 
-// Finish implements copro.HitService: CP_TLBHIT is low and CP_DIN holds the
-// last read's data, and everything the published horizon was computed on
-// may have changed.
-func (s hitService) Finish() {
-	c := &s.u.ch[0]
-	c.port.SettleIMU(c.out)
+// Finish implements copro.HitService: the channel's committed bundle goes
+// to the port, and everything the published horizon was computed on may
+// have changed.
+func (s *hitService) Finish() {
+	s.c.port.SettleIMU(s.c.out)
 	s.u.poke()
 }

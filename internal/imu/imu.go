@@ -27,15 +27,25 @@
 // operating system always knows which session to service. A single-channel
 // IMU is bit-identical to the paper's original unit.
 //
+// # LastUse stamps
+//
+// A hit stamps its entry's LastUse with the IMU edge that translated it and
+// the channel's index, packed so that stamps compare edge first, then
+// channel. Channels translate in index order within an edge, so stamps
+// order accesses exactly as they happen, and a stamp does not depend on
+// when the simulator applies the access.
+//
 // # Hit runs
 //
-// A hit always takes the same edges, so a single-channel IMU also offers
-// its channel at transaction level (HitService, wired to the port by the
-// assembler): a coprocessor's hit run asks it whether an access hits and
-// has it apply exactly what the translation FSM and its commit would — the
-// LastUse stamp, the entry's Ref and Dirty bits, the DP RAM access, CP_DIN
-// and the counters — while the core skips the edges. The FSM stays the
-// reference: the lockstep scheduler always runs it.
+// A hit always takes the same edges, so every channel is also offered at
+// transaction level (HitService, wired to the port by the assembler or the
+// shell): a coprocessor's hit run asks it whether an access hits and has it
+// apply exactly what the translation FSM and its commit would — the LastUse
+// stamp of the access's own edge, the entry's Ref and Dirty bits, the DP
+// RAM access, CP_DIN and the counters — while the core skips the edges. A
+// run touches only its own channel and its own session's entries, so it may
+// be applied after the neighbouring channels have moved on. The FSM stays
+// the reference: the lockstep scheduler always runs it.
 package imu
 
 import (
@@ -76,7 +86,7 @@ type Config struct {
 
 // TLBEntry is one row of the translation table. The OS reads and writes
 // entries through the register window; the hardware sets Dirty and Ref and
-// stamps LastUse on hits. Sess tags the owning session so several
+// stamps LastUse on hits (see stamp). Sess tags the owning session so several
 // coprocessor channels can share the table without object-identifier
 // collisions (every session numbers its objects from zero).
 type TLBEntry struct {
@@ -87,8 +97,20 @@ type TLBEntry struct {
 	Frame   uint8  // DP RAM page frame
 	Dirty   bool   // set by write hits
 	Ref     bool   // set by any hit; cleared by the OS (clock policy)
-	LastUse uint64 // access stamp of the latest hit (LRU policy)
+	LastUse uint64 // stamp of the latest hit (LRU policy)
 }
+
+// chanBits is the width of the channel index in a stamp; it holds every
+// channel index (the array length below goes negative otherwise).
+const chanBits = 3
+
+var _ [1<<chanBits - MaxChannels]struct{}
+
+// stamp is the LastUse value of a hit that channel ch translates at IMU
+// edge edge (the IMU's edges are numbered from 1 over its lifetime, across
+// every assembly): the edge, then the channel, so stamps compare in the
+// order the accesses happen.
+func stamp(edge int64, ch uint8) uint64 { return uint64(edge)<<chanBits | uint64(ch) }
 
 // Status register bits.
 const (
@@ -157,7 +179,7 @@ type Counters struct {
 
 // channel is the per-coprocessor slice of the IMU: one CP_* port, one
 // translation FSM, and one SR/AR/CR register bank. The translation table,
-// the LastUse stamp counter and the DP RAM are shared across channels.
+// the edge count and the DP RAM are shared across channels.
 // The fields read by Eval's per-edge idle check (port, state, ctl) lead
 // the struct so the fast path touches a single cache line.
 type channel struct {
@@ -207,12 +229,15 @@ type IMU struct {
 	tlb   []TLBEntry
 	ch    []channel
 	chbuf [MaxChannels]channel
+	// hits holds each channel's hit service, built once so that handing
+	// one out as a copro.HitService allocates nothing.
+	hits [MaxChannels]hitService
 	// anyWork marks an Eval in which at least one channel scheduled a
 	// state change, so Update's idle fast path is a single branch.
 	anyWork bool
 	irq     bool // CPU interrupt line: OR of the channel IRQs
 
-	stamp  uint64 // access counter for LastUse, shared across channels
+	edge   int64  // IMU edges delivered or skipped so far: the latest edge's index
 	epoch  uint64 // OS table writes so far; a CAM memo is valid only within one
 	Count  Counters
 	tlbIdx int // register-window entry selector (shared indirect port)
@@ -274,6 +299,7 @@ func (u *IMU) SetChannels(n int) error {
 	u.ch = u.chbuf[:n]
 	for i := range u.ch {
 		u.ch[i].sess = uint8(i)
+		u.hits[i] = hitService{u: u, c: &u.ch[i]}
 		// A fresh quiescent port per channel: a channel left unbound is
 		// simply idle forever instead of dereferencing a nil port at the
 		// first edge. Real bindings replace these.
@@ -413,6 +439,7 @@ func (u *IMU) chIdleEdges(c *channel) int64 {
 // read — and a faulted channel counts k stall cycles, exactly as delivered
 // edges would.
 func (u *IMU) SkipEdges(k int64) {
+	u.edge += k
 	for i := range u.ch {
 		c := &u.ch[i]
 		switch c.state {
@@ -487,6 +514,7 @@ func (u *IMU) camMatch(sess, obj uint8, vpage uint32) int {
 // and branches, with the full FSM step (evalCh) paid only by channels
 // that have work.
 func (u *IMU) Eval() {
+	u.edge++
 	if u.trace != nil && u.trace.OnEdge != nil {
 		c := &u.ch[0]
 		u.trace.OnEdge(u.trace.cycle, *c.port.CPRef(), c.out)
@@ -507,14 +535,14 @@ func (u *IMU) Eval() {
 		}
 		c.noop = false
 		anyWork = true
-		u.evalCh(c, cp)
+		u.evalCh(c, cp, u.edge)
 	}
 	u.anyWork = anyWork
 }
 
-// evalCh advances one non-idle channel's FSM, updating its private state
-// in place and scheduling the rest in c.next (see pending).
-func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
+// evalCh advances one non-idle channel's FSM at IMU edge edge, updating its
+// private state in place and scheduling the rest in c.next (see pending).
+func (u *IMU) evalCh(c *channel, cp *copro.CPOut, edge int64) {
 	n := &c.next
 	n.out = c.out
 	n.entryUpd = -1
@@ -564,7 +592,7 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 		if cp.Access {
 			c.req = request{obj: cp.Obj, addr: cp.Addr, size: cp.Size, wr: cp.Wr, dout: cp.DOut}
 			if u.cfg.Mode == Pipelined {
-				u.translate(c, n)
+				u.translate(c, n, edge)
 			} else {
 				c.state = stCAM
 			}
@@ -578,7 +606,7 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 	case stXlate:
 		c.state = stAccess
 	case stAccess:
-		u.translate(c, n)
+		u.translate(c, n, edge)
 	case stDrop:
 		if !cp.Access {
 			n.out.TLBHit = false
@@ -593,7 +621,7 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 			c.irq = false
 			// Retry the latched request from the CAM stage.
 			if u.cfg.Mode == Pipelined {
-				u.translate(c, n)
+				u.translate(c, n, edge)
 			} else {
 				c.state = stCAM
 			}
@@ -602,8 +630,8 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut) {
 }
 
 // translate performs CAM match + memory access in one step (the final stage
-// of the multi-cycle FSM, or the whole pipelined access).
-func (u *IMU) translate(c *channel, n *pending) {
+// of the multi-cycle FSM, or the whole pipelined access) at IMU edge edge.
+func (u *IMU) translate(c *channel, n *pending, edge int64) {
 	r := &c.req
 	vpage := r.addr >> u.cfg.PageShift
 	i := u.camLookup(c, r.obj, vpage)
@@ -612,9 +640,8 @@ func (u *IMU) translate(c *channel, n *pending) {
 		return
 	}
 	e := u.tlb[i]
-	u.stamp++
 	e.Ref = true
-	e.LastUse = u.stamp
+	e.LastUse = stamp(edge, c.sess)
 	wordAddr, lane := u.locate(&e, r.addr)
 
 	if r.wr {
@@ -696,34 +723,9 @@ func (u *IMU) Update() {
 	busy := false
 	for i := range u.ch {
 		c := &u.ch[i]
-		if c.noop {
-			continue
+		if !c.noop {
+			busy = u.commitCh(c) || busy
 		}
-		n := &c.next
-		if n.doWrite {
-			// The translated store hits the DP RAM exactly once, at commit.
-			if err := u.dp.WriteA(n.wAddr, n.wData, n.wBE); err != nil {
-				// Unreachable when the TLB is consistent; keep the model
-				// honest by dropping the hit and faulting instead.
-				c.state = stFault
-				c.sr |= SRFault
-				c.irq = true
-				n.out.TLBHit = false
-			}
-		}
-		if n.entryUpd >= 0 {
-			u.tlb[n.entryUpd] = n.entry
-		}
-		c.out = n.out
-		// Skip the schedule/commit pair when the port already holds the new
-		// bundle. Comparing against the port's committed value (rather than a
-		// local mirror) keeps the guard exact even if the port is Reset or
-		// rebound between runs.
-		if n.out != *c.port.IMURef() {
-			c.port.SetIMU(n.out)
-			c.port.CommitIMU()
-		}
-		busy = busy || c.state == stAccess || c.state == stDrop && !c.port.CPRef().Access
 	}
 	irq := false
 	for i := range u.ch {
@@ -743,4 +745,35 @@ func (u *IMU) Update() {
 	} else {
 		u.hz.Invalidate()
 	}
+}
+
+// commitCh commits what channel c's Eval scheduled and reports whether the
+// channel is certain to work again at its next edge: about to access the
+// memory, or to drop CP_TLBHIT after its coprocessor dropped the request.
+func (u *IMU) commitCh(c *channel) bool {
+	n := &c.next
+	if n.doWrite {
+		// The translated store hits the DP RAM exactly once, at commit.
+		if err := u.dp.WriteA(n.wAddr, n.wData, n.wBE); err != nil {
+			// Unreachable when the TLB is consistent; keep the model
+			// honest by dropping the hit and faulting instead.
+			c.state = stFault
+			c.sr |= SRFault
+			c.irq = true
+			n.out.TLBHit = false
+		}
+	}
+	if n.entryUpd >= 0 {
+		u.tlb[n.entryUpd] = n.entry
+	}
+	c.out = n.out
+	// Skip the schedule/commit pair when the port already holds the new
+	// bundle. Comparing against the port's committed value (rather than a
+	// local mirror) keeps the guard exact even if the port is Reset or
+	// rebound between runs.
+	if n.out != *c.port.IMURef() {
+		c.port.SetIMU(n.out)
+		c.port.CommitIMU()
+	}
+	return c.state == stAccess || c.state == stDrop && !c.port.CPRef().Access
 }

@@ -20,7 +20,7 @@ const (
 	RegTLBLo    = 0x10 // selected entry: valid|obj|vpage|sess (RW)
 	RegTLBHi    = 0x14 // selected entry: frame|dirty|ref (RW)
 	RegTLBCount = 0x18 // number of TLB entries (RO)
-	RegLastUse  = 0x1c // LastUse stamp of the selected entry (RO)
+	RegLastUse  = 0x1c // low 32 bits of the selected entry's LastUse stamp (RO)
 	RegWindow   = 0x20 // per-channel bank size in bytes
 )
 

@@ -159,6 +159,8 @@ type HW struct {
 	CoproDom *sim.Domain
 	Port     *copro.Port
 	Core     *copro.Seq
+
+	wire copro.HitWire // the port's wiring to the IMU's hit service
 }
 
 // Assemble builds the clock domains for a loaded coprocessor. The IMU and
@@ -180,20 +182,20 @@ func (b *Board) Assemble(coreHz, imuHz int64, core *copro.Seq) (*HW, error) {
 			return nil, err
 		}
 	}
-	port := copro.NewPort()
-	b.IMU.Bind(port)
-	port.ServeHits(b.IMU.HitService(), coreHz, imuHz)
-	core.Bind(port)
+	hw := &HW{Port: copro.NewPort(), Core: core}
+	b.IMU.Bind(hw.Port)
+	hw.Port.ServeHits(&hw.wire, b.IMU.HitService(0), coreHz, imuHz)
+	core.Bind(hw.Port)
 
-	eng := sim.NewEngine()
-	imuDom := eng.NewDomain("imu", imuHz)
-	coproDom := imuDom
+	hw.Eng = sim.NewEngine()
+	hw.IMUDom = hw.Eng.NewDomain("imu", imuHz)
+	hw.CoproDom = hw.IMUDom
 	if coreHz != imuHz {
-		coproDom = eng.NewDomain("copro", coreHz)
+		hw.CoproDom = hw.Eng.NewDomain("copro", coreHz)
 	}
-	coproDom.Attach(core)
-	imuDom.Attach(b.IMU)
-	return &HW{Eng: eng, IMUDom: imuDom, CoproDom: coproDom, Port: port, Core: core}, nil
+	hw.CoproDom.Attach(core)
+	hw.IMUDom.Attach(b.IMU)
+	return hw, nil
 }
 
 // CoproSlot describes one loaded coprocessor of a multi-session assembly:

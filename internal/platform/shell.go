@@ -22,6 +22,9 @@ type Slot struct {
 	bit  uint32 // the slot's flag in hw.changed
 	port *copro.Port
 	core *copro.Seq
+	// wire is the port's wiring to the slot's IMU channel's hit service,
+	// reused across loads.
+	wire copro.HitWire
 
 	// Slot-local sleep (event-driven scheduler only). A core that answered
 	// IdleEdges k > 0 is withheld its next edges: from is the shell cycle
@@ -128,15 +131,20 @@ func (s *Slot) sleep(now, until int64) {
 	s.until = until
 }
 
-// wake hands a sleeping core the edges it was withheld, leaving it in
-// exactly the state full delivery would have produced; the caller then
-// delivers the current edge (if any) normally. A no-op while awake.
-func (s *Slot) wake() {
+// wake hands a sleeping core the edges it was withheld up to the last
+// delivered one, leaving it in exactly the state full delivery would have
+// produced; the caller then delivers the current edge (if any) normally. A
+// no-op while awake.
+func (s *Slot) wake() { s.wakeThrough(s.hw.Dom.Cycles()) }
+
+// wakeThrough hands a sleeping core the edges it was withheld up to and
+// including shell cycle through.
+func (s *Slot) wakeThrough(through int64) {
 	if !s.asleep {
 		return
 	}
 	s.asleep = false
-	if n := s.hw.Dom.Cycles() - s.from; n > 0 {
+	if n := through - s.from; n > 0 {
 		s.core.SkipEdges(n)
 		s.total += n
 	}
@@ -159,20 +167,30 @@ func (s *Slot) wake() {
 //
 // Under the event-driven scheduler the shell puts a core to sleep after a
 // delivered edge when the core advertises k > 0 inert edges — asked after
-// every delivered edge, since a core answers from its FSM state alone. A
-// sleeping core costs one compare per edge, and wakes — SkipEdges for the
-// edges it missed, then this edge delivered normally — when its window
-// ends or the IMU has committed a changed IMU-side bundle to its port (the
-// port's change notice). So a core counting down a compute window stops
-// costing host time while its neighbour works, which the domain-wide
-// bulk-skip (every ticker idle at once) cannot achieve. The lockstep scheduler keeps
-// delivering every edge to every core, which makes it the reference the
-// sleeping path is checked against.
+// every delivered edge, once the IMU has committed too, so the answer sees
+// the bundle the core's next edge will. A sleeping core costs one compare
+// per edge, and wakes — SkipEdges for the edges it missed, then this edge
+// delivered normally — when its window ends or the IMU has committed a
+// changed IMU-side bundle to its port (the port's change notice). So a
+// core counting down a compute window stops costing host time while its
+// neighbour works, which the domain-wide bulk-skip (every ticker idle at
+// once) cannot achieve. The lockstep scheduler keeps delivering every edge
+// to every core, which makes it the reference the sleeping path is checked
+// against.
+//
+// Every slot's port is wired to its IMU channel's hit service, so a core at
+// the top of its loop sleeps through a hit run like any other window and
+// executes it when it wakes, while its neighbour keeps running: the run's
+// LastUse stamps carry the edges of its accesses, and it touches only its
+// own channel, its own session's TLB entries and DP RAM frames. Until it
+// wakes, the TLB bits, DP RAM, IMU counters and bundles the run changes lag
+// behind, so every call that hands control back to the OS (RunUntilEvent,
+// Step, RunUntil) ends with Settle, which wakes every sleeping core.
 //
 // The shell publishes its idle horizon (sim.Publisher) from every Update:
 // the earliest last-inert edge of its sleeping cores, busy while any core
 // is awake. The port change notices and every OS-side poke (Load, Unload,
-// CommitSlot, Slot.Core, SetWake) invalidate it.
+// CommitSlot, Slot.Core, SetWake, Settle) invalidate it.
 //
 // The ticker also carries the serving loop's wake deadline (SetWake): it
 // bounds the shell's horizon so a bulk-skip lands exactly on the deadline,
@@ -212,43 +230,52 @@ func (hw *ShellHW) Eval() {
 	hw.imu.Eval()
 }
 
-// Update implements sim.Ticker: commit every awake core and, under the
-// event-driven scheduler, put it to sleep if it advertises inert edges and
-// publish the shell's horizon; then commit the IMU, whose change notices
-// for the next edge therefore land after that publish.
+// Update implements sim.Ticker: commit every awake core, then the IMU, and
+// under the event-driven scheduler wake each sleeping core whose port the
+// IMU just changed, put each awake core to sleep if it advertises inert
+// edges and publish the shell's horizon. The cores are asked after the
+// IMU's commit, on the bundle their next edge reads: a core draining its
+// last response is asked once CP_TLBHIT has fallen, before its next Eval
+// issues the next request, so it can open a hit run.
 func (hw *ShellHW) Update() {
-	sleepy := hw.Eng.Scheduler() == sim.EventDriven
+	for _, s := range hw.Slots {
+		if s.core != nil && !s.asleep {
+			s.core.Update()
+		}
+	}
+	hw.imu.Update()
+	if hw.Eng.Scheduler() != sim.EventDriven {
+		return
+	}
 	edge := hw.Dom.Cycles() + 1
 	at := hw.deadline()
 	for _, s := range hw.Slots {
 		if s.core == nil {
 			continue
 		}
+		if s.asleep && hw.changed&s.bit != 0 {
+			// The IMU changed the sleeping core's port this edge, after the
+			// core's Eval would have read it: this edge was still inert.
+			s.wakeThrough(edge)
+		}
 		if !s.asleep {
-			s.core.Update()
-			if !sleepy {
-				continue
-			}
+			// The answer is given on the bundle the IMU just committed.
+			hw.changed &^= s.bit
 			if k := s.core.IdleEdges(); k > 0 {
 				s.sleep(edge, edge+min(k, sim.IdleForever-edge))
 			}
 		}
-		// A change notice already posted this edge wakes the core at the
-		// next one.
-		if !s.asleep || hw.changed&s.bit != 0 {
+		if !s.asleep {
 			at = edge
 		} else if s.until < at {
 			at = s.until
 		}
 	}
-	if sleepy {
-		k := sim.IdleForever
-		if at < sim.IdleForever {
-			k = at - edge
-		}
-		hw.hz.Publish(k)
+	k := sim.IdleForever
+	if at < sim.IdleForever {
+		k = at - edge
 	}
-	hw.imu.Update()
+	hw.hz.Publish(k)
 }
 
 // deadline is the wake deadline's share of the shell's horizon. While
@@ -267,23 +294,27 @@ func (hw *ShellHW) deadline() int64 {
 
 // IdleEdges implements sim.BulkIdler: the query behind a stale horizon.
 // Every core that is awake, or whose port changed, answers for itself (a
-// changed one is woken first) and sleeps through the window it advertises;
-// the answer is the edges before the earliest window end, further bounded
-// by the wake deadline. A core asleep until input whose port changed reads
-// busy without being asked: the change is the input it was waiting for.
+// changed one is woken first) and sleeps through the window it advertises
+// — every slot is asked, so one busy core does not keep its neighbour from
+// opening a window; the answer is the edges before the earliest window
+// end, further bounded by the wake deadline. A core asleep until input
+// whose port changed reads busy without being asked: the change is the
+// input it was waiting for.
 func (hw *ShellHW) IdleEdges() int64 {
 	now := hw.Dom.Cycles()
 	at := hw.deadline()
 	if at <= now {
 		return 0
 	}
+	busy := false
 	for _, s := range hw.Slots {
 		if s.core == nil {
 			continue
 		}
 		if s.asleep && hw.changed&s.bit != 0 {
 			if s.until == sim.IdleForever {
-				return 0
+				busy = true
+				continue
 			}
 			s.wake()
 		}
@@ -291,13 +322,17 @@ func (hw *ShellHW) IdleEdges() int64 {
 		if !s.asleep {
 			k := s.core.IdleEdges()
 			if k <= 0 {
-				return 0
+				busy = true
+				continue
 			}
 			s.sleep(now, now+min(k, sim.IdleForever-now))
 		}
 		at = min(at, s.until)
 	}
-	if at == sim.IdleForever {
+	switch {
+	case busy:
+		return 0
+	case at == sim.IdleForever:
 		return at
 	}
 	return at - now
@@ -331,11 +366,13 @@ func (hw *ShellHW) SetWake(at int64) {
 // RunUntilEvent advances the shell until the IMU raises its interrupt or
 // the armed wake deadline is reached (both checked before every super-edge,
 // exactly like RunUntil with a predicate), or until budget super-edges have
-// passed. It returns the super-edges consumed and the engine's error. The
-// shell is the engine's only domain, so super-edges are shell cycles, and
-// no bulk-skip crosses the deadline (IdleEdges bounds it): capping the run
-// at the cycles left before the deadline stops it exactly there, with the
-// interrupt line as the only flag polled.
+// passed, and settles. It returns the super-edges consumed and the engine's
+// error. The shell is the engine's only domain, so super-edges are shell
+// cycles, and no bulk-skip crosses the deadline (IdleEdges bounds it):
+// capping the run at the cycles left before the deadline stops it exactly
+// there, with the interrupt line as the only flag polled. A core asleep in
+// a hit run raises no interrupt, so the run stops where full delivery
+// would.
 func (hw *ShellHW) RunUntilEvent(budget int64) (int64, error) {
 	limit, deadline := budget, false
 	if hw.wakeAt >= 0 {
@@ -344,10 +381,41 @@ func (hw *ShellHW) RunUntilEvent(budget int64) (int64, error) {
 		}
 	}
 	n, err := hw.Eng.RunUntilFlag(hw.imu.IRQRef(), limit)
+	hw.Settle()
 	if deadline && errors.Is(err, sim.ErrBudget) {
 		err = nil
 	}
 	return n, err
+}
+
+// Step delivers one engine step (sim.Engine.Step) and settles.
+func (hw *ShellHW) Step() {
+	hw.Eng.Step()
+	hw.Settle()
+}
+
+// RunUntil runs the engine until done (sim.Engine.RunUntil) and settles.
+// done is asked between super-edges, before the cores are caught up: it
+// may read only what a sleeping core's window leaves in place, such as the
+// interrupt line or a finished core's CP_FIN.
+func (hw *ShellHW) RunUntil(done func() bool, maxEdges int64) (int64, error) {
+	n, err := hw.Eng.RunUntil(done, maxEdges)
+	hw.Settle()
+	return n, err
+}
+
+// Settle wakes every sleeping core, so it holds exactly the state full edge
+// delivery would have left at the current cycle, and so do the TLB, the DP
+// RAM, the IMU counters and the port bundles a hit run changes as it
+// executes. The shell's run calls end with it; a caller that runs Eng
+// directly calls it before the OS reads or writes the hardware. Frames are
+// session-disjoint, so the order in which the slots' runs land cannot
+// change the DP RAM.
+func (hw *ShellHW) Settle() {
+	for _, s := range hw.Slots {
+		s.wake()
+	}
+	hw.hz.Invalidate()
 }
 
 // AssembleShell builds an nslots-slot shell clocked at shellHz: the IMU is
@@ -379,11 +447,14 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 	return hw, nil
 }
 
-// LoadSlot loads core into slot i over a fresh port and binds the IMU
-// channel to it. Engine must be paused.
+// LoadSlot loads core into slot i over a fresh port, wired to the IMU
+// channel's hit service at the shell clock, and binds the IMU channel to
+// it. Engine must be paused.
 func (hw *ShellHW) LoadSlot(b *Board, i int, core *copro.Seq) {
+	s := hw.Slots[i]
 	port := copro.NewPort()
-	hw.Slots[i].Load(core, port)
+	port.ServeHits(&s.wire, b.IMU.HitService(i), hw.Dom.FreqHz(), hw.Dom.FreqHz())
+	s.Load(core, port)
 	b.IMU.BindCh(i, port)
 }
 

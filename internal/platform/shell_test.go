@@ -1,9 +1,10 @@
 package platform
 
 import (
-	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/copro"
@@ -52,6 +53,13 @@ func newRig(tb testing.TB, nslots, pool int, sched sim.Scheduler) *rig {
 	return &rig{b: b, hw: hw, pool: pool}
 }
 
+// cycles delivers n edges with no bulk-skip and settles the shell, as
+// every stop that hands control to the OS must.
+func (r *rig) cycles(n int64) {
+	r.hw.Eng.RunCycles(r.hw.Dom, n)
+	r.hw.Settle()
+}
+
 // mapFrame points (ch, obj, vpage) at frame f; TLB entry f always
 // translates frame f.
 func (r *rig) mapFrame(f, ch int, obj uint8, vpage uint32) {
@@ -93,43 +101,64 @@ func (r *rig) service() (done uint) {
 	return done
 }
 
-// snap is the shell's externally visible state at one instant: every
-// slot's committed port bundles plus the IMU's status and interrupt lines.
+// snap is the shell's state at one stop, as the OS may read it: every
+// slot's committed port bundles and its resident core's Mem counters, the
+// IMU's status and interrupt lines, its counters (global and per channel),
+// every TLB row (LastUse included) and a digest of the dual-port RAM.
 type snap struct {
-	Cycle int64
-	CP    [2]copro.CPOut
-	IMU   [2]copro.IMUOut
-	SR    [2]uint32
-	IRQ   bool
+	Cycle   int64
+	CP      [2]copro.CPOut
+	IMU     [2]copro.IMUOut
+	SR      [2]uint32
+	IRQ     bool
+	Mem     [2][3]uint64
+	Count   imu.Counters
+	ChCount [2]imu.Counters
+	TLB     [16]imu.TLBEntry
+	DP      uint32
 }
 
 func (r *rig) snap() snap {
-	s := snap{Cycle: r.hw.Dom.Cycles(), IRQ: r.b.IMU.IRQ()}
+	s := snap{Cycle: r.hw.Dom.Cycles(), IRQ: r.b.IMU.IRQ(), Count: r.b.IMU.Count}
 	for i, sl := range r.hw.Slots {
 		if p := sl.Port(); p != nil {
 			s.CP[i], s.IMU[i] = p.CP(), p.IMU()
 		}
+		if c := sl.core; c != nil {
+			s.Mem[i] = [3]uint64{c.Reads, c.Writes, c.WaitCycles}
+		}
 		s.SR[i] = r.b.IMU.SRCh(i)
+		s.ChCount[i] = r.b.IMU.ChCounters(i)
 	}
+	for i := range s.TLB {
+		s.TLB[i] = r.b.IMU.Entry(i)
+	}
+	dp, err := r.b.DP.Store().ReadBytes(0, r.b.DP.Size())
+	if err != nil {
+		panic(err)
+	}
+	s.DP = crc32.Checksum(dp, crcTable)
 	return s
 }
 
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // advance runs the shell until cycle until, or until every channel in want
 // has completed, servicing interrupts on the way, and returns the channels
-// that completed. perEdge delivers one edge at a time (RunCycles, which
-// also keeps the engine from bulk-skipping the domain); otherwise the shell
-// runs event to event with its wake deadline at until, which lets the
-// engine bulk-skip through sleeping slots. Every stop is appended to tr
-// when tr is non-nil, and slept records whether a slot was ever seen
-// asleep.
-func (r *rig) advance(until int64, want uint, perEdge bool, tr *[]snap, slept *bool) uint {
+// that completed. A stride > 0 delivers that many edges at a time
+// (RunCycles, which also keeps the engine from bulk-skipping the domain);
+// otherwise the shell runs event to event with its wake deadline at until,
+// which lets the engine bulk-skip through sleeping slots. Every stop
+// settles the shell and is appended to tr when tr is non-nil, and slept
+// records whether a slot ever slept across an edge.
+func (r *rig) advance(until int64, want uint, stride int64, tr *[]snap, slept *bool) uint {
 	var done uint
 	for r.hw.Dom.Cycles() < until && (want == 0 || done&want != want) {
 		if r.b.IMU.IRQ() {
 			done |= r.service()
-			r.hw.Eng.RunCycles(r.hw.Dom, 1) // let acks and restarts land
-		} else if perEdge {
-			r.hw.Eng.RunCycles(r.hw.Dom, 1)
+			r.cycles(1) // let acks and restarts land
+		} else if stride > 0 {
+			r.cycles(min(stride, until-r.hw.Dom.Cycles()))
 		} else {
 			r.hw.SetWake(until)
 			if _, err := r.hw.RunUntilEvent(until); err != nil {
@@ -140,9 +169,7 @@ func (r *rig) advance(until int64, want uint, perEdge bool, tr *[]snap, slept *b
 			*tr = append(*tr, r.snap())
 		}
 		if slept != nil {
-			for _, sl := range r.hw.Slots {
-				*slept = *slept || sl.asleep
-			}
+			*slept = r.hw.SleptEdges() > 0
 		}
 	}
 	return done
@@ -190,12 +217,13 @@ type shellRun struct {
 	Slept bool
 }
 
-// runShellScenario drives kind in slot 0 — next to an ADPCM decoder in
-// slot 1 when nslots is 2 — through demand faults, CP_STOP at cycle stopAt,
-// an Unload/Load of slot 0 with a restart, and a staged core committed into
+// runShellScenario drives kinds[0] in slot 0 — next to kinds[1] in slot 1
+// when there are two — through demand faults, CP_STOP at cycle stopAt, an
+// Unload/Load of slot 0 with a restart, and a staged core committed into
 // slot 0 and run to completion.
-func runShellScenario(t *testing.T, kind string, nslots int, sched sim.Scheduler, perEdge bool, stopAt int64) shellRun {
-	r := newRig(t, nslots, 6, sched)
+func runShellScenario(t *testing.T, kinds []string, sched sim.Scheduler, stride, stopAt int64) shellRun {
+	kind := kinds[0]
+	r := newRig(t, len(kinds), 6, sched)
 	var run shellRun
 	var cores []*copro.Seq
 	fresh := func(kind string) *copro.Seq {
@@ -205,13 +233,11 @@ func runShellScenario(t *testing.T, kind string, nslots int, sched sim.Scheduler
 	}
 	const budget = 1 << 21
 	adv := func(until int64, want uint) uint {
-		return r.advance(until, want, perEdge, &run.Trace, &run.Slept)
+		return r.advance(until, want, stride, &run.Trace, &run.Slept)
 	}
-	r.hw.LoadSlot(r.b, 0, fresh(kind))
-	r.start(0, jobFor(kind).params)
-	if nslots == 2 {
-		r.hw.LoadSlot(r.b, 1, fresh("adpcm"))
-		r.start(1, jobFor("adpcm").params)
+	for i, k := range kinds {
+		r.hw.LoadSlot(r.b, i, fresh(k))
+		r.start(i, jobFor(k).params)
 	}
 
 	// Stop slot 0 mid-operation; the neighbour keeps working.
@@ -238,9 +264,6 @@ func runShellScenario(t *testing.T, kind string, nslots int, sched sim.Scheduler
 	}
 	adv(r.hw.Dom.Cycles()+64, 0)
 
-	for i := range r.hw.Slots {
-		r.hw.Slots[i].Core() // flush any pending sleep
-	}
 	for _, c := range cores {
 		m := &c.Mem
 		run.Mem = append(run.Mem, [3]uint64{m.Reads, m.Writes, m.WaitCycles})
@@ -255,77 +278,107 @@ func runShellScenario(t *testing.T, kind string, nslots int, sched sim.Scheduler
 	return run
 }
 
-// sleepingStop finds a cycle at which slot 0 is asleep inside a bounded
-// compute or decode window under the event-driven scheduler (-1 if the core
-// has none), so CP_STOP there exercises an early wake.
-func sleepingStop(t *testing.T, kind string, nslots int) int64 {
-	r := newRig(t, nslots, 6, sim.EventDriven)
-	r.hw.LoadSlot(r.b, 0, jobFor(kind).newCore())
-	r.start(0, jobFor(kind).params)
-	if nslots == 2 {
-		r.hw.LoadSlot(r.b, 1, jobFor("adpcm").newCore())
-		r.start(1, jobFor("adpcm").params)
+// inRun reports whether slot s sleeps through a hit run.
+func inRun(s *Slot) bool {
+	return s.asleep && reflect.ValueOf(s.core).Elem().FieldByName("run").Bool()
+}
+
+// sleepingStop finds a cycle at which, under the event-driven scheduler,
+// slot 0 is asleep inside a bounded window at least two edges from its end
+// (-1 if there is none), so a stop there exercises an early wake. With run
+// set the window is a hit run, and so is every neighbour's; otherwise it is
+// a compute or decode window. The shell runs edge by edge and settles only
+// to service an interrupt, so windows last as they would in a serve.
+func sleepingStop(t *testing.T, kinds []string, run bool) int64 {
+	r := newRig(t, len(kinds), 6, sim.EventDriven)
+	for i, k := range kinds {
+		r.hw.LoadSlot(r.b, i, jobFor(k).newCore())
+		r.start(i, jobFor(k).params)
 	}
 	for c := int64(0); c < 20000; c++ {
-		s := r.hw.Slots[0]
-		if c >= 300 && s.asleep && s.until-r.hw.Dom.Cycles() >= 2 && s.until < sim.IdleForever {
-			return r.hw.Dom.Cycles()
+		now := r.hw.Dom.Cycles()
+		ok := c >= 300
+		for i, s := range r.hw.Slots {
+			if i == 0 || run {
+				ok = ok && s.asleep && s.until-now >= 2 && s.until < sim.IdleForever && inRun(s) == run
+			}
 		}
-		r.advance(r.hw.Dom.Cycles()+1, 0, true, nil, nil)
+		if ok {
+			return now
+		}
+		if r.b.IMU.IRQ() {
+			r.hw.Settle()
+			r.service()
+		}
+		r.hw.Eng.RunCycles(r.hw.Dom, 1)
 	}
 	return -1
 }
 
 // TestShellSleepMatchesFullDelivery is the differential test of slot-local
-// sleep: for every bundled core, in 1- and 2-slot shells, a run under the
-// event-driven scheduler (cores sleep through their idle windows) must show
-// exactly the same committed port bundles, status lines and interrupt at
-// every instant, the same Mem counters for every core instance, and the
-// same dual-port RAM contents as the lockstep reference (every edge
-// delivered to every core) — both edge by edge and when the engine is free
-// to bulk-skip through sleeping slots. The pokes subtests then apply each
-// kind of OS poke right after the shell has published an idle horizon and
-// compare against lockstep after every event-driven step (see
-// testPokesAfterHorizon).
+// sleep and of hit runs in the shell: for every bundled core, in 1- and
+// 2-slot shells, a run under the event-driven scheduler (cores sleep
+// through their idle windows and hit runs) must show at every stop exactly
+// the state of the lockstep reference (every edge delivered to every core;
+// see snap), and the same Mem counters for every core instance and
+// dual-port RAM contents at the end — stopping after every edge, after
+// every 7 edges (so sleeps and runs span stops and end early), and when
+// the engine is free to bulk-skip through sleeping slots. The kind/Nslot
+// cases
+// stop slot 0 inside a compute window (IDEA, ADPCM) or at cycle 300; the
+// runs/ cases stop it inside a hit run while every neighbour runs one too.
+// The pokes subtests then apply each kind of OS poke right after the shell
+// has published an idle horizon and compare against lockstep after every
+// step (see testPokesAfterHorizon).
 func TestShellSleepMatchesFullDelivery(t *testing.T) {
 	testPokesAfterHorizon(t)
+	type scenario struct {
+		name  string
+		kinds []string
+		run   bool // stop inside hit runs
+	}
+	var cases []scenario
 	for _, kind := range []string{"idea", "adpcm", "vecadd", "scriptcp"} {
-		for _, nslots := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/%dslot", kind, nslots), func(t *testing.T) {
-				stopAt := sleepingStop(t, kind, nslots)
-				if kind == "idea" || kind == "adpcm" {
-					if stopAt < 0 {
-						t.Fatal("slot 0 never slept inside a compute window")
-					}
-				} else {
-					stopAt = 300
+		cases = append(cases, scenario{kind + "/1slot", []string{kind}, false},
+			scenario{kind + "/2slot", []string{kind, "adpcm"}, false})
+	}
+	for _, kinds := range [][]string{{"idea"}, {"idea", "adpcm"}, {"vecadd", "scriptcp"}, {"adpcm", "idea"}} {
+		cases = append(cases, scenario{"runs/" + strings.Join(kinds, "+"), kinds, true})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stopAt := int64(300)
+			if kind := c.kinds[0]; c.run || kind == "idea" || kind == "adpcm" {
+				if stopAt = sleepingStop(t, c.kinds, c.run); stopAt < 0 {
+					t.Fatal("no stop inside the wanted windows")
 				}
-				for _, perEdge := range []bool{true, false} {
-					ref := runShellScenario(t, kind, nslots, sim.Lockstep, perEdge, stopAt)
-					got := runShellScenario(t, kind, nslots, sim.EventDriven, perEdge, stopAt)
-					if ref.Slept {
-						t.Fatal("a slot slept under the lockstep reference")
-					}
-					if !got.Slept {
-						t.Fatal("no slot ever slept under the event-driven scheduler")
-					}
-					if len(ref.Trace) != len(got.Trace) {
-						t.Fatalf("perEdge=%v: %d stops under lockstep, %d event-driven", perEdge, len(ref.Trace), len(got.Trace))
-					}
-					for i := range ref.Trace {
-						if ref.Trace[i] != got.Trace[i] {
-							t.Fatalf("perEdge=%v: stop %d diverges:\n lockstep %+v\n event    %+v", perEdge, i, ref.Trace[i], got.Trace[i])
-						}
-					}
-					if !reflect.DeepEqual(ref.Mem, got.Mem) {
-						t.Fatalf("perEdge=%v: Mem counters diverge: lockstep %v, event %v", perEdge, ref.Mem, got.Mem)
-					}
-					if !reflect.DeepEqual(ref.DP, got.DP) {
-						t.Fatalf("perEdge=%v: dual-port RAM contents diverge", perEdge)
+			}
+			for _, stride := range []int64{1, 7, 0} {
+				ref := runShellScenario(t, c.kinds, sim.Lockstep, stride, stopAt)
+				got := runShellScenario(t, c.kinds, sim.EventDriven, stride, stopAt)
+				if ref.Slept {
+					t.Fatal("a slot slept under the lockstep reference")
+				}
+				// Stops after every edge wake every core at once.
+				if stride != 1 && !got.Slept {
+					t.Fatal("no slot ever slept under the event-driven scheduler")
+				}
+				if len(ref.Trace) != len(got.Trace) {
+					t.Fatalf("stride %d: %d stops under lockstep, %d event-driven", stride, len(ref.Trace), len(got.Trace))
+				}
+				for i := range ref.Trace {
+					if ref.Trace[i] != got.Trace[i] {
+						t.Fatalf("stride %d: stop %d diverges:\n lockstep %+v\n event    %+v", stride, i, ref.Trace[i], got.Trace[i])
 					}
 				}
-			})
-		}
+				if !reflect.DeepEqual(ref.Mem, got.Mem) {
+					t.Fatalf("stride %d: Mem counters diverge: lockstep %v, event %v", stride, ref.Mem, got.Mem)
+				}
+				if !reflect.DeepEqual(ref.DP, got.DP) {
+					t.Fatalf("stride %d: dual-port RAM contents diverge", stride)
+				}
+			}
+		})
 	}
 }
 
@@ -345,19 +398,25 @@ func (w *twin) each(f func(r *rig)) {
 
 // step advances the event-driven rig by one engine Step (which may
 // bulk-skip on the published horizons) — or, while the interrupt is high,
-// services it on both rigs and delivers one edge — brings the lockstep rig
-// to the same cycle, and fails on the first difference in their externally
-// visible state.
+// services it on both rigs, delivers one edge and restarts every slot that
+// completed, so hit runs keep the shell busy across rounds — brings the
+// lockstep rig to the same cycle, and fails on the first difference in
+// their state.
 func (w *twin) step() {
 	w.steps++
 	if w.ev.b.IMU.IRQ() {
 		w.each(func(r *rig) {
-			r.service()
-			r.hw.Eng.RunCycles(r.hw.Dom, 1)
+			done := r.service()
+			r.cycles(1)
+			for ch, kind := range []string{"idea", "adpcm"} {
+				if done&(1<<ch) != 0 {
+					r.start(ch, jobFor(kind).params)
+				}
+			}
 		})
 	} else {
-		w.ev.hw.Eng.Step()
-		w.ls.hw.Eng.RunCycles(w.ls.hw.Dom, w.ev.hw.Dom.Cycles()-w.ls.hw.Dom.Cycles())
+		w.ev.hw.Step()
+		w.ls.cycles(w.ev.hw.Dom.Cycles() - w.ls.hw.Dom.Cycles())
 	}
 	w.check("step")
 }
@@ -495,7 +554,7 @@ func testPokesAfterHorizon(t *testing.T) {
 // withheld from sleeping cores per op, and fails unless an op allocates
 // nothing.
 func BenchmarkShellEdge(b *testing.B) {
-	for _, pair := range [][2]string{{"adpcm", "adpcm"}, {"idea", "vecadd"}, {"idle", "adpcm"}} {
+	for _, pair := range [][2]string{{"adpcm", "adpcm"}, {"idea", "vecadd"}, {"idle", "adpcm"}, {"idea", "adpcm"}, {"vecadd", "scriptcp"}} {
 		b.Run(pair[0]+"-"+pair[1], func(b *testing.B) {
 			r := newRig(b, 2, 14, sim.EventDriven)
 			var want uint
@@ -517,8 +576,8 @@ func BenchmarkShellEdge(b *testing.B) {
 						r.start(i, params[i])
 					}
 				}
-				r.advance(r.hw.Dom.Cycles()+1<<21, want, false, nil, nil)
-				r.advance(r.hw.Dom.Cycles()+64, 0, false, nil, nil)
+				r.advance(r.hw.Dom.Cycles()+1<<21, want, 0, nil, nil)
+				r.advance(r.hw.Dom.Cycles()+64, 0, 0, nil, nil)
 			}
 			op() // maps every page once
 			if allocs := testing.AllocsPerRun(2, op); allocs != 0 {

@@ -561,8 +561,8 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			}
 			// Let restarts and acknowledges propagate (requests are consumed
 			// at the next edge), mirroring the gang loop.
-			eng.Step()
-			eng.Step()
+			g.Shell.Step()
+			g.Shell.Step()
 			budget -= 2
 			for _, mb := range finished {
 				s := mb.Sess.ID()
@@ -582,7 +582,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				// the core observes CP_START low) so a follow-on job cannot
 				// see a stale completion.
 				port := g.Shell.Slots[s].Port()
-				n, err := eng.RunUntil(func() bool { return !port.CP().Fin }, 256)
+				n, err := g.Shell.RunUntil(func() bool { return !port.CP().Fin }, 256)
 				if err != nil {
 					return nil, fmt.Errorf("rcsched: slot %d completion handshake did not drain: %v", s, err)
 				}
