@@ -6,9 +6,10 @@ package copro
 //
 // At the top of its loop the sequencer advertises the run from IdleEdges
 // (RunEdges) and executes it from SkipEdges (skipRun), so the engine's
-// bulk-skip — or a shell slot's sleep — carries it: the window is exactly the edges the sequencer's
-// edge path would take, derived from the units' steps and the clock ratio,
-// and the state it leaves is exactly the state those edges would leave.
+// bulk-skip, or a shell slot's sleep, carries it: the window is exactly
+// the edges the sequencer's edge path would take, derived from the units'
+// steps and the clock ratio, and the state it leaves is exactly the state
+// those edges would leave.
 // The edge path is the reference: the lockstep scheduler never asks for
 // idleness and always runs it, and so does the event scheduler wherever a
 // run cannot start (a miss, the last unit, a core whose IMU clock is not a

@@ -92,8 +92,9 @@ func (s *Seq) Name() string { return s.prog.Name() }
 // Bind attaches the port, zeroes the access counters and the edge count
 // and resets the FSM to its power-on state, staging the quiescent bundle so
 // the first Commit lands even onto a port left non-quiescent by a previous
-// owner. Engine must be paused, and the core's next edge must coincide with
-// the IMU's next edge.
+// owner. Engine must be paused, and on a port wired at ratio r the core's
+// j-th edge from here must coincide with the IMU's (j·r)-th: a fresh
+// engine, or a shell slot at the shell clock.
 func (s *Seq) Bind(p *Port) {
 	s.Mem = Mem{port: p}
 	s.edge, s.edge0 = 0, 0
