@@ -237,3 +237,27 @@ func TestPackUnpackSessionTag(t *testing.T) {
 		t.Fatalf("round-trip lost fields: %+v", got)
 	}
 }
+
+// TestLastUseStampsOrderEdgeThenChannel drives one access from each channel
+// on the same edges: both translate at one IMU edge, so their stamps carry
+// that edge and differ only in the channel index, channel 0's first — the
+// order in which the channels translate within the edge.
+func TestLastUseStampsOrderEdgeThenChannel(t *testing.T) {
+	r := newMultiRig(t, [2][]tbOp{
+		{{obj: 0, addr: 0x10, size: copro.Size32}},
+		{{obj: 0, addr: 0x10, size: copro.Size32}},
+	})
+	r.mapSess(t, 0, 0, 0, 2)
+	r.mapSess(t, 1, 0, 0, 5)
+	r.runUntil(t, func() bool { return len(r.drv[0].results) == 1 && len(r.drv[1].results) == 1 })
+	s0, s1 := r.imu.Entry(2).LastUse, r.imu.Entry(5).LastUse
+	if s0>>chanBits == 0 || s0>>chanBits != s1>>chanBits {
+		t.Fatalf("stamps %#x and %#x: want one nonzero edge for both", s0, s1)
+	}
+	if s0&(1<<chanBits-1) != 0 || s1&(1<<chanBits-1) != 1 || s0 >= s1 {
+		t.Fatalf("stamps %#x and %#x: want channel 0 then channel 1 in the low bits", s0, s1)
+	}
+	if edge := int64(s0 >> chanBits); edge > r.imu.edge {
+		t.Fatalf("stamped edge %d lies beyond the IMU's %d edges", edge, r.imu.edge)
+	}
+}

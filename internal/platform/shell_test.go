@@ -408,7 +408,7 @@ func (w *twin) step() {
 		w.each(func(r *rig) {
 			done := r.service()
 			r.cycles(1)
-			for ch, kind := range []string{"idea", "adpcm"} {
+			for ch, kind := range pokeKinds {
 				if done&(1<<ch) != 0 {
 					r.start(ch, jobFor(kind).params)
 				}
@@ -443,6 +443,9 @@ func (w *twin) untilIdle(min int) {
 	}
 	w.t.Fatal("the shell never idled")
 }
+
+// pokeKinds are the cores testPokesAfterHorizon runs in slots 0 and 1.
+var pokeKinds = [2]string{"idea", "adpcm"}
 
 // testPokesAfterHorizon runs IDEA in slot 0 next to ADPCM in slot 1 on twin
 // rigs, applies one OS poke at each of several instants at which the shell
@@ -511,7 +514,7 @@ func testPokesAfterHorizon(t *testing.T) {
 			w := &twin{t: t, ev: newRig(t, 2, 6, sim.EventDriven), ls: newRig(t, 2, 6, sim.Lockstep)}
 			var cores [][2]*copro.Seq
 			w.each(func(r *rig) {
-				for i, kind := range []string{"idea", "adpcm"} {
+				for i, kind := range pokeKinds {
 					r.hw.LoadSlot(r.b, i, jobFor(kind).newCore())
 					r.start(i, jobFor(kind).params)
 				}
