@@ -291,15 +291,37 @@ func TestGoldenAllCells(t *testing.T) {
 	}
 }
 
+// experimentSeriesPath pins every experiment's full published series, by
+// experiment ID and series label, as float64 values (a drift names the
+// series that moved). Regenerate with -update-golden.
+const experimentSeriesPath = "testdata/experiment_series.json"
+
 // TestDifferentialExperiments runs every registered experiment — all
-// figures and every ablation — under both schedulers and requires every
-// published series value to match exactly. Together with TestGoldenAllCells
-// this pins the lockstep/event-driven equivalence across the entire
-// evaluation surface of the reproduction.
+// figures and every ablation — under both schedulers, requires every
+// published series value to match exactly, and compares the lockstep
+// series with the committed experimentSeriesPath. Together with
+// TestGoldenAllCells this pins the lockstep/event-driven equivalence, and
+// the values themselves, across the entire evaluation surface of the
+// reproduction.
 func TestDifferentialExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
+	var want map[string]map[string]float64
+	if *updateGolden {
+		if raceEnabled {
+			t.Fatal("-update-golden needs every experiment: build without -race")
+		}
+	} else {
+		data, err := os.ReadFile(experimentSeriesPath)
+		if err != nil {
+			t.Fatalf("missing series file (run with -update-golden to create): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]map[string]float64{}
 	for _, e := range exp.All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -322,7 +344,41 @@ func TestDifferentialExperiments(t *testing.T) {
 					t.Errorf("series %q: lockstep %v, event %v", k, lv, evnt.Series[k])
 				}
 			}
+			got[e.ID] = lock.Series
+			if want == nil {
+				return
+			}
+			w, ok := want[e.ID]
+			if !ok {
+				t.Fatalf("experiment missing from %s (re-run with -update-golden)", experimentSeriesPath)
+			}
+			for k, wv := range w {
+				if lv, ok := lock.Series[k]; !ok {
+					t.Errorf("series %q vanished (pinned %v)", k, wv)
+				} else if lv != wv {
+					t.Errorf("series %q drifted: got %v, want exactly %v", k, lv, wv)
+				}
+			}
+			for k := range lock.Series {
+				if _, ok := w[k]; !ok {
+					t.Errorf("series %q is not pinned (re-run with -update-golden)", k)
+				}
+			}
 		})
+	}
+	if *updateGolden {
+		if len(got) != len(exp.All()) {
+			t.Fatalf("-update-golden needs a full run: ran %d of %d experiments (drop the -run filter)",
+				len(got), len(exp.All()))
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(experimentSeriesPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d experiments to %s", len(got), experimentSeriesPath)
 	}
 }
 
