@@ -11,10 +11,13 @@
 // SW IMU management, plus residual OS overhead).
 //
 // Beyond the paper's single-tenant shape, a Gang (multi.go) runs several
-// loaded coprocessors concurrently behind one multi-session manager: every
-// member owns a VIM session and an IMU channel, faults and completions are
-// serviced per channel from one interruptible sleep, and the MultiReport
-// splits the shared timeline into per-session shares.
+// loaded coprocessors concurrently behind one multi-session manager, in the
+// slots of a reconfigurable shell (platform.ShellHW) whose cores run at the
+// shell clock or a divisor of it: every member owns a slot, a VIM session
+// and the slot's IMU channel, faults and completions are serviced per
+// channel from one interruptible sleep, and the MultiReport splits the
+// shared timeline into per-session shares. The rcsched serving layer drives
+// the same gang under a job stream.
 package core
 
 import (

@@ -8,23 +8,19 @@ import (
 	"repro/internal/imu"
 	"repro/internal/kernel"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vim"
 )
 
-// Member is one tenant of a Gang: a loaded coprocessor with its VIM
-// session, its process, and its scalar parameters for the next ExecuteAll
-// (or, in shell mode, the next Launch).
+// Member is one tenant of a Gang: a coprocessor loaded into a shell slot
+// with its VIM session, its process, and its scalar parameters for the next
+// Launch (or ExecuteAll).
 type Member struct {
 	Sess   *vim.Session
 	Proc   *kernel.Process
 	Params []uint32
 
 	header bitstream.Header
-	core   *copro.Seq
-	coreHz int64
-	imuHz  int64
 
 	done   bool
 	donePs float64
@@ -49,102 +45,38 @@ func (mb *Member) SW() (dp, imu, os float64) { return mb.swDP, mb.swIMU, mb.swOS
 
 // Gang runs several coprocessor sessions concurrently behind one Virtual
 // Interface Manager on one board — the multi-tenant shape of the sessions
-// layer. Members are added while the gang is unassembled; Assemble builds
-// the shared multi-channel hardware; ExecuteAll launches every member and
-// services their faults and completions until the last one finishes.
-//
-// A gang built with NewShellGang instead runs in shell mode: the hardware is
-// a fixed set of reconfigurable slots (platform.ShellHW) and members attach
-// and detach at runtime — AttachMember loads a coprocessor into a slot and
+// layer. Its hardware is a reconfigurable shell (platform.ShellHW): a fixed
+// set of slots, each wired to one IMU channel, in which members attach and
+// detach at runtime. AttachMember loads a coprocessor into a slot and
 // admits its session while other members keep executing, Launch starts it,
 // ServicePending services whatever faults and completions are pending, and
 // DetachMember reclaims the finished member's resources. The rcsched
-// scheduler drives this loop under a multi-user job stream.
+// scheduler drives this loop under a multi-user job stream; ExecuteAll
+// drives it for a fixed set of members run side by side.
 type Gang struct {
-	Board   *platform.Board
-	M       *vim.Manager
-	HW      *platform.MultiHW
-	Shell   *platform.ShellHW
-	Members []*Member
+	Board *platform.Board
+	M     *vim.Manager
+	Shell *platform.ShellHW
 
-	// bySlot is the shell-mode roster: the member currently occupying each
-	// slot (nil when the slot is free or reconfiguring).
+	// bySlot is the roster: the member currently occupying each slot (nil
+	// when the slot is free or reconfiguring).
 	bySlot []*Member
-
-	budget int64
 }
 
-// NewGang creates an empty gang over board with the given inter-session
-// arbitration policy.
-func NewGang(board *platform.Board, arb vim.Arbitration) (*Gang, error) {
+// NewGang builds an empty gang over board with the given inter-session
+// arbitration policy: an nslots-slot reconfigurable shell clocked at
+// shellHz whose members attach and detach at runtime.
+func NewGang(board *platform.Board, arb vim.Arbitration, shellHz int64, nslots int) (*Gang, error) {
+	shell, err := board.AssembleShell(shellHz, nslots)
+	if err != nil {
+		return nil, err
+	}
 	m, err := vim.NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
 		board.DP.PageSize(), arb)
 	if err != nil {
 		return nil, err
 	}
-	return &Gang{Board: board, M: m, budget: DefaultBudget}, nil
-}
-
-// SetBudget overrides the per-ExecuteAll simulation budget.
-func (g *Gang) SetBudget(edges int64) { g.budget = edges }
-
-// AddMember validates the bit-stream, instantiates the coprocessor model,
-// and carves nframes of the page pool into the new member's home
-// partition. coreHz/imuHz override the bitstream clock plan when non-zero:
-// a shared shell fixes one IMU clock for every tenant, so cores whose
-// native clocks do not divide it are recompiled against one that does.
-// Call before Assemble.
-func (g *Gang) AddMember(img []byte, nframes int, cfg vim.Config, coreHz, imuHz int64) (*Member, error) {
-	if g.HW != nil {
-		return nil, fmt.Errorf("core: gang already assembled")
-	}
-	h, cp, err := bitstream.Instantiate(img, g.Board.Spec.Name)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := g.M.AddSession(cfg, nframes)
-	if err != nil {
-		return nil, err
-	}
-	if coreHz == 0 {
-		coreHz = h.CoreClock
-	}
-	if imuHz == 0 {
-		imuHz = h.IMUClock
-	}
-	mb := &Member{
-		Sess:   sess,
-		Proc:   g.Board.Kern.NewProcess(h.Core),
-		header: h,
-		core:   cp,
-		coreHz: coreHz,
-		imuHz:  imuHz,
-	}
-	g.Members = append(g.Members, mb)
-	return mb, nil
-}
-
-// Assemble builds the shared multi-channel hardware: one engine, the
-// board's IMU with one channel per member, and one clock domain per core.
-// The shell's IMU clock is the fastest IMU clock any member requested.
-func (g *Gang) Assemble() error {
-	if len(g.Members) == 0 {
-		return fmt.Errorf("core: gang has no members")
-	}
-	imuHz := int64(0)
-	slots := make([]platform.CoproSlot, len(g.Members))
-	for i, mb := range g.Members {
-		if mb.imuHz > imuHz {
-			imuHz = mb.imuHz
-		}
-		slots[i] = platform.CoproSlot{Core: mb.core, CoreHz: mb.coreHz}
-	}
-	hw, err := g.Board.AssembleMulti(imuHz, slots)
-	if err != nil {
-		return err
-	}
-	g.HW = hw
-	return nil
+	return &Gang{Board: board, M: m, Shell: shell, bySlot: make([]*Member, nslots)}, nil
 }
 
 // SessionReport is one member's share of a gang execution.
@@ -218,14 +150,14 @@ func (r *MultiReport) Report() *Report {
 	}
 }
 
-// servicePass checks every roster member once for a pending completion or
-// translation fault on its channel and services it: a completion triggers
-// the session's end-of-operation flush and the acknowledge, a fault the
-// demand-paging service. It reports whether anything was serviced and which
-// members finished this pass. The roster order is the deterministic service
-// order; nil entries (free shell slots) are skipped.
-func (g *Gang) servicePass(roster []*Member, eng *sim.Engine) (serviced bool, finished []*Member, err error) {
-	for _, mb := range roster {
+// ServicePending runs one service pass over the occupied slots in slot
+// order, the deterministic service order: a pending completion triggers the
+// session's end-of-operation flush and the acknowledge, a translation fault
+// the demand-paging service. It returns the members that finished; serviced
+// is false when the pass found nothing to do (an IRQ that was already
+// consumed).
+func (g *Gang) ServicePending() (finished []*Member, serviced bool, err error) {
+	for _, mb := range g.bySlot {
 		if mb == nil || mb.done {
 			continue
 		}
@@ -233,12 +165,12 @@ func (g *Gang) servicePass(roster []*Member, eng *sim.Engine) (serviced bool, fi
 		if g.Board.IMU.DonePendingCh(ch) {
 			sw := g.swSnap()
 			if err := mb.Sess.Finish(); err != nil {
-				return false, nil, err
+				return nil, false, err
 			}
 			mb.addSW(g.swSnap(), sw)
 			g.Board.IMU.AckDoneCh(ch)
 			mb.done = true
-			mb.donePs = eng.NowPs()
+			mb.donePs = g.Shell.Eng.NowPs()
 			finished = append(finished, mb)
 			serviced = true
 			continue
@@ -246,13 +178,13 @@ func (g *Gang) servicePass(roster []*Member, eng *sim.Engine) (serviced bool, fi
 		if g.Board.IMU.FaultPendingCh(ch) {
 			sw := g.swSnap()
 			if err := mb.Sess.HandleFault(); err != nil {
-				return false, nil, fmt.Errorf("core: session %d (%s): %w", ch, mb.header.Core, err)
+				return nil, false, fmt.Errorf("core: session %d (%s): %w", ch, mb.header.Core, err)
 			}
 			mb.addSW(g.swSnap(), sw)
 			serviced = true
 		}
 	}
-	return serviced, finished, nil
+	return finished, serviced, nil
 }
 
 // swSnap samples the three software components of the shared timeline so
@@ -280,47 +212,42 @@ func (mb *Member) addSW(after, before [3]float64) {
 // real module, but hardware that could have kept running in parallel with
 // the CPU is not modelled (documented in docs/ARCHITECTURE.md).
 func (g *Gang) ExecuteAll() (*MultiReport, error) {
-	if g.HW == nil {
-		return nil, fmt.Errorf("core: ExecuteAll before Assemble")
+	var members []*Member
+	for _, mb := range g.bySlot {
+		if mb != nil {
+			members = append(members, mb)
+		}
 	}
-	k := g.Board.Kern
-	tl := k.TL
+	if len(members) == 0 {
+		return nil, fmt.Errorf("core: gang has no members")
+	}
+	tl := g.Board.Kern.TL
 	tl.Reset()
 	g.M.ResetCounters()
 	g.Board.IMU.ResetCounters()
-	for _, mb := range g.Members {
-		mb.done = false
-		mb.donePs = 0
+	for _, mb := range members {
 		mb.swDP, mb.swIMU, mb.swOS = 0, 0, 0
 	}
-
-	// Launch: per-session syscall, parameter page, initial mapping, start.
-	for i, mb := range g.Members {
-		k.ChargeSyscall()
-		before := g.swSnap()
-		if err := mb.Sess.PrepareExecute(mb.Params); err != nil {
+	for _, mb := range members {
+		if err := g.Launch(mb); err != nil {
 			return nil, err
 		}
-		mb.addSW(g.swSnap(), before)
-		g.Board.IMU.StartCh(i)
 	}
 
-	eng := g.HW.Eng
-	imuDom := g.HW.IMUDom
-	startCy := imuDom.Cycles()
+	sh := g.Shell
+	eng := sh.Eng
+	startCy := sh.Dom.Cycles()
 	hwPs := 0.0
-	budget := g.budget
-	irq := g.Board.IMU.IRQRef()
-	remaining := len(g.Members)
-	for remaining > 0 {
+	budget := DefaultBudget
+	for remaining := len(members); remaining > 0; {
 		before := eng.NowPs()
-		n, err := eng.RunUntilFlag(irq, budget)
+		n, err := sh.RunUntilEvent(budget)
 		hwPs += eng.NowPs() - before
 		budget -= n
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
 		}
-		serviced, finished, err := g.servicePass(g.Members, eng)
+		finished, serviced, err := g.ServicePending()
 		if err != nil {
 			return nil, err
 		}
@@ -331,26 +258,26 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 		// Let restarts and acks propagate before re-checking the IRQ line
 		// (requests are consumed at the next edge).
 		before = eng.NowPs()
-		eng.Step()
-		eng.Step()
+		sh.Step()
+		sh.Step()
 		hwPs += eng.NowPs() - before
 		budget -= 2
 	}
 	// Drain until every core has observed CP_START falling and dropped
-	// CP_FIN, so a later ExecuteAll starts clean even with slow core
-	// clock domains.
+	// CP_FIN, so a later ExecuteAll starts clean even with divided core
+	// clocks.
 	before := eng.NowPs()
-	if _, err := eng.RunUntil(func() bool {
+	if _, err := sh.RunUntil(func() bool {
 		if g.Board.IMU.IRQ() {
 			return false
 		}
-		for _, p := range g.HW.Ports {
-			if p.CP().Fin {
+		for _, mb := range members {
+			if sh.Slots[mb.Sess.ID()].Port().CP().Fin {
 				return false
 			}
 		}
 		return true
-	}, 256*int64(len(g.Members))); err != nil {
+	}, 256*int64(len(members))); err != nil {
 		return nil, fmt.Errorf("core: completion handshake did not drain: %v", err)
 	}
 	hwPs += eng.NowPs() - before
@@ -364,11 +291,11 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 		SWDPPs:  tl.Ps(stats.SWDP),
 		SWIMUPs: tl.Ps(stats.SWIMU),
 		SWOSPs:  tl.Ps(stats.SWOS),
-		HWCy:    imuDom.Cycles() - startCy,
+		HWCy:    sh.Dom.Cycles() - startCy,
 		VIM:     g.M.Count,
 		IMU:     g.Board.IMU.Count,
 	}
-	for i, mb := range g.Members {
+	for _, mb := range members {
 		rep.Sessions = append(rep.Sessions, SessionReport{
 			App:     mb.header.Core,
 			Policy:  mb.Sess.Config().Policy.Name(),
@@ -377,38 +304,13 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 			SWOSPs:  mb.swOS,
 			DonePs:  mb.donePs,
 			VIM:     mb.Sess.Count,
-			IMU:     g.Board.IMU.ChCounters(i),
+			IMU:     g.Board.IMU.ChCounters(mb.Sess.ID()),
 		})
 	}
 	return rep, nil
 }
 
-// --- Shell mode: dynamic attach/detach under a live engine ---------------
-
-// NewShellGang builds a gang in shell mode: an nslots-slot reconfigurable
-// shell clocked at shellHz whose members attach and detach at runtime. The
-// returned gang has no members; drive it with AttachMember / Launch /
-// ServicePending / DetachMember.
-func NewShellGang(board *platform.Board, arb vim.Arbitration, shellHz int64, nslots int) (*Gang, error) {
-	shell, err := board.AssembleShell(shellHz, nslots)
-	if err != nil {
-		return nil, err
-	}
-	m, err := vim.NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
-		board.DP.PageSize(), arb)
-	if err != nil {
-		return nil, err
-	}
-	return &Gang{
-		Board:  board,
-		M:      m,
-		Shell:  shell,
-		bySlot: make([]*Member, nslots),
-		budget: DefaultBudget,
-	}, nil
-}
-
-// Slots returns the shell slot count (0 for a static gang).
+// Slots returns the shell slot count.
 func (g *Gang) Slots() int { return len(g.bySlot) }
 
 // SlotMember returns the member currently occupying slot i, or nil.
@@ -416,14 +318,15 @@ func (g *Gang) SlotMember(i int) *Member { return g.bySlot[i] }
 
 // AttachMember admits a new member into shell slot i while the rest of the
 // gang keeps executing: the bit-stream is validated against the board, the
-// coprocessor is placed into the slot — reusing the resident core when its
-// identity already matches (the zero-cost path bitstream-affinity scheduling
-// exploits; the caller models reconfiguration time otherwise, having emptied
-// the slot with BeginReconfig first) — and a fresh VIM session is attached
-// on the slot's IMU channel with an nframes home partition. The member is
-// not started; call Launch.
-func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (*Member, error) {
-	if err := g.checkSlot("AttachMember", slot); err != nil {
+// coprocessor is placed into the slot at coreHz (0: the shell clock; it
+// must divide the shell clock) — reusing the resident core when its
+// identity already matches (the zero-cost path bitstream-affinity
+// scheduling exploits; the caller models reconfiguration time otherwise,
+// having emptied the slot with BeginReconfig first) — and a fresh VIM
+// session is attached on the slot's IMU channel with an nframes home
+// partition. The member is not started; call Launch.
+func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config, coreHz int64) (*Member, error) {
+	if err := g.checkSlot(slot); err != nil {
 		return nil, err
 	}
 	if g.bySlot[slot] != nil {
@@ -444,30 +347,29 @@ func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config) (
 			return nil, err
 		}
 	}
+	if coreHz == 0 {
+		coreHz = g.Shell.Dom.FreqHz()
+	}
+	if err := g.Shell.LoadSlot(g.Board, slot, cp, coreHz); err != nil {
+		return nil, err
+	}
+	// A failed attach leaves the core resident in the free slot, as a
+	// detach does.
 	sess, err := g.M.Attach(cfg, nframes, slot)
 	if err != nil {
 		return nil, err
 	}
-	g.Shell.LoadSlot(g.Board, slot, cp)
 	mb := &Member{
 		Sess:   sess,
 		Proc:   g.Board.Kern.NewProcess(h.Core),
 		header: h,
-		core:   cp,
-		coreHz: g.Shell.Dom.FreqHz(),
-		imuHz:  g.Shell.Dom.FreqHz(),
 	}
 	g.bySlot[slot] = mb
-	g.Members = append(g.Members, mb)
 	return mb, nil
 }
 
-// checkSlot rejects a slot operation op on a non-shell gang or on a slot
-// index outside the shell.
-func (g *Gang) checkSlot(op string, slot int) error {
-	if g.Shell == nil {
-		return fmt.Errorf("core: %s on a non-shell gang", op)
-	}
+// checkSlot rejects a slot index outside the shell.
+func (g *Gang) checkSlot(slot int) error {
 	if slot < 0 || slot >= len(g.bySlot) {
 		return fmt.Errorf("core: slot %d out of range [0,%d)", slot, len(g.bySlot))
 	}
@@ -479,7 +381,7 @@ func (g *Gang) checkSlot(op string, slot int) error {
 // keeps translating. The caller models the configuration-port time (derived
 // from the incoming bit-stream's size) before calling AttachMember.
 func (g *Gang) BeginReconfig(slot int) error {
-	if err := g.checkSlot("BeginReconfig", slot); err != nil {
+	if err := g.checkSlot(slot); err != nil {
 		return err
 	}
 	if g.bySlot[slot] != nil {
@@ -496,7 +398,7 @@ func (g *Gang) BeginReconfig(slot int) error {
 // the staged core in for a fixed commit latency instead of a full
 // configuration stream.
 func (g *Gang) BeginStage(slot int, img []byte) error {
-	if err := g.checkSlot("BeginStage", slot); err != nil {
+	if err := g.checkSlot(slot); err != nil {
 		return err
 	}
 	sl := g.Shell.Slots[slot]
@@ -516,7 +418,7 @@ func (g *Gang) BeginStage(slot int, img []byte) error {
 // fixed commit latency before the next AttachMember, which then finds the
 // staged core resident and reuses it with zero configuration traffic.
 func (g *Gang) CommitStage(slot int) error {
-	if err := g.checkSlot("CommitStage", slot); err != nil {
+	if err := g.checkSlot(slot); err != nil {
 		return err
 	}
 	if g.bySlot[slot] != nil {
@@ -530,7 +432,7 @@ func (g *Gang) CommitStage(slot int) error {
 // for dispatched elsewhere. The resident core and every running neighbour
 // are untouched.
 func (g *Gang) CancelStage(slot int) error {
-	if err := g.checkSlot("CancelStage", slot); err != nil {
+	if err := g.checkSlot(slot); err != nil {
 		return err
 	}
 	if g.Shell.Slots[slot].Staged() == "" {
@@ -540,7 +442,7 @@ func (g *Gang) CancelStage(slot int) error {
 	return nil
 }
 
-// Launch implements the FPGA_EXECUTE entry for one shell-mode member:
+// Launch implements the FPGA_EXECUTE entry for one member:
 // syscall charge, parameter page and initial mapping on its session, and
 // CP_START on its channel. The engine is not run; the serving loop resumes
 // it.
@@ -557,23 +459,11 @@ func (g *Gang) Launch(mb *Member) error {
 	return nil
 }
 
-// ServicePending runs one service pass over the occupied slots, handling
-// every pending completion and translation fault, and returns the members
-// that finished. serviced is false when the pass found nothing to do (an
-// IRQ that was already consumed).
-func (g *Gang) ServicePending() (finished []*Member, serviced bool, err error) {
-	serviced, finished, err = g.servicePass(g.bySlot, g.Shell.Eng)
-	return finished, serviced, err
-}
-
 // DetachMember reclaims a finished member's session — frames, translation
 // entries and session slot — and frees its shell slot. The resident core
 // stays configured in the slot so a later member running the same
 // application can attach without reconfiguration.
 func (g *Gang) DetachMember(mb *Member) error {
-	if g.Shell == nil {
-		return fmt.Errorf("core: DetachMember on a non-shell gang")
-	}
 	slot := mb.Sess.ID()
 	if g.bySlot[slot] != mb {
 		return fmt.Errorf("core: member %q not current in slot %d", mb.App(), slot)
@@ -582,11 +472,5 @@ func (g *Gang) DetachMember(mb *Member) error {
 		return err
 	}
 	g.bySlot[slot] = nil
-	for i, m := range g.Members {
-		if m == mb {
-			g.Members = append(g.Members[:i], g.Members[i+1:]...)
-			break
-		}
-	}
 	return nil
 }

@@ -34,16 +34,17 @@ func vecaddImg(t *testing.T, board string) []byte {
 	return img
 }
 
-// TestGangTwoVecAdds runs two vector-add sessions concurrently behind one
-// VIM on the EPXA1 (four frames each, objects exceeding the partitions so
-// both sessions demand-page), and verifies both results.
+// TestGangTwoVecAdds runs two vector-add sessions concurrently in a
+// two-slot shell behind one VIM on the EPXA1 (four frames each, objects
+// exceeding the partitions so both sessions demand-page), and verifies both
+// results.
 func TestGangTwoVecAdds(t *testing.T) {
 	const n = 1024 // elements: 3 x 4 KB objects per session, 2 pages each
 	board, err := platform.NewBoard(platform.EPXA1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGang(board, vim.StaticPartition)
+	g, err := NewGang(board, vim.StaticPartition, 40_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestGangTwoVecAdds(t *testing.T) {
 	var wants [2][]uint32
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2; i++ {
-		mb, err := g.AddMember(img, 4, vim.Config{}, 0, 0)
+		mb, err := g.AttachMember(i, img, 4, vim.Config{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +95,6 @@ func TestGangTwoVecAdds(t *testing.T) {
 		members[i] = mb
 		outs[i] = c
 		wants[i] = want
-	}
-	if err := g.Assemble(); err != nil {
-		t.Fatal(err)
 	}
 	rep, err := g.ExecuteAll()
 	if err != nil {
@@ -140,38 +138,36 @@ func TestGangTwoVecAdds(t *testing.T) {
 	}
 }
 
-// TestGangConstructionErrors pins the gang construction contract.
+// TestGangConstructionErrors pins the gang construction contract: an empty
+// gang does not execute, and a one-frame member or a core clock that does
+// not divide the shell clock is rejected without taking the slot.
 func TestGangConstructionErrors(t *testing.T) {
 	board, err := platform.NewBoard(platform.EPXA1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGang(board, vim.GlobalLRU)
+	g, err := NewGang(board, vim.GlobalLRU, 40_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Assemble(); err == nil {
-		t.Fatal("assembled an empty gang")
-	}
 	if _, err := g.ExecuteAll(); err == nil {
-		t.Fatal("executed an unassembled gang")
+		t.Fatal("executed an empty gang")
 	}
 	img := vecaddImg(t, "EPXA1")
-	if _, err := g.AddMember(img, 1, vim.Config{}, 0, 0); err == nil {
+	if _, err := g.AttachMember(0, img, 1, vim.Config{}, 0); err == nil {
 		t.Fatal("accepted a one-frame member")
 	}
-	if _, err := g.AddMember(img, 4, vim.Config{}, 0, 0); err != nil {
-		t.Fatal(err)
+	for _, hz := range []int64{-1, 30_000_000, 80_000_000} {
+		if _, err := g.AttachMember(0, img, 4, vim.Config{}, hz); err == nil {
+			t.Fatalf("accepted a %d Hz core on a 40 MHz shell", hz)
+		}
 	}
-	if err := g.Assemble(); err != nil {
+	if _, err := g.AttachMember(0, img, 4, vim.Config{}, 10_000_000); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := g.AddMember(img, 4, vim.Config{}, 0, 0); err == nil {
-		t.Fatal("added a member to an assembled gang")
 	}
 }
 
-// TestShellGangStaging pins the shell-mode staging contract: BeginStage
+// TestShellGangStaging pins the staging contract: BeginStage
 // parks an instantiated coprocessor in a slot's staging buffer without
 // disturbing the resident core, CommitStage swaps it in (so a following
 // AttachMember reuses it with zero configuration traffic), CancelStage
@@ -181,7 +177,7 @@ func TestShellGangStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewShellGang(board, vim.StaticPartition, 24_000_000, 2)
+	g, err := NewGang(board, vim.StaticPartition, 24_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +213,7 @@ func TestShellGangStaging(t *testing.T) {
 		t.Fatalf("resident after commit = %q, want %q", got, vecadd.CoreName)
 	}
 	resident := g.Shell.Slots[0].Core()
-	mb, err := g.AttachMember(0, img, 4, vim.Config{})
+	mb, err := g.AttachMember(0, img, 4, vim.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,15 +244,6 @@ func TestShellGangStaging(t *testing.T) {
 	if err := g.DetachMember(mb); err != nil {
 		t.Fatal(err)
 	}
-
-	// Stage APIs are shell-only.
-	flat, err := NewGang(board, vim.StaticPartition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.BeginStage(0, img); err == nil {
-		t.Fatal("BeginStage on a non-shell gang succeeded")
-	}
 }
 
 // TestBeginReconfigRejectsBadSlot pins BeginReconfig's slot check: like
@@ -267,7 +254,7 @@ func TestBeginReconfigRejectsBadSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewShellGang(board, vim.StaticPartition, 24_000_000, 2)
+	g, err := NewGang(board, vim.StaticPartition, 24_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func runGlobalLRUShell(t *testing.T, sched sim.Scheduler) ([]lruStop, *platform.
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewShellGang(board, vim.GlobalLRU, 40_000_000, 2)
+	g, err := NewGang(board, vim.GlobalLRU, 40_000_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func runGlobalLRUShell(t *testing.T, sched sim.Scheduler) ([]lruStop, *platform.
 	var outs [2]uint32
 	var wants [2][]byte
 	for i, n := range []int{1024, 640} {
-		mb, err := g.AttachMember(i, img, 3, vim.Config{})
+		mb, err := g.AttachMember(i, img, 3, vim.Config{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

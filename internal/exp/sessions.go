@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro"
+	"repro/internal/bitstream"
 	"repro/internal/copro/adpcmdec"
 	"repro/internal/copro/ideacp"
 	"repro/internal/core"
@@ -15,14 +16,15 @@ import (
 	"repro/internal/vim"
 )
 
-// SessionsClockHz is the shared shell clock plan of the sessions gang: one
-// IMU clock for every tenant, with cores recompiled against divisors of it
-// (the IDEA core keeps its native 6 MHz, which divides 24 MHz; the ADPCM
-// core is recompiled from 40 MHz down to the shell's 24 MHz).
+// SessionsClockHz is the shell clock of the sessions gang: one IMU clock
+// for every tenant, with cores recompiled against divisors of it (the IDEA
+// core keeps its native 6 MHz, which divides 24 MHz; the ADPCM core is
+// recompiled from 40 MHz down to the shell's 24 MHz).
 const SessionsClockHz = 24_000_000
 
 // SessionsGang runs the concurrent IDEA+ADPCM gang: two coprocessor
-// sessions behind one Virtual Interface Manager on one board, IDEA
+// sessions in the slots of a two-slot shell behind one Virtual Interface
+// Manager on one board, IDEA
 // encrypting ideaBytes and ADPCM decoding adpcmBytes at the same time,
 // with ideaFrames of the page pool carved into IDEA's home partition and
 // the rest into ADPCM's. Both outputs are verified against the golden
@@ -40,18 +42,22 @@ func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, 
 	if err != nil {
 		return nil, err
 	}
-	g, err := core.NewGang(board, arbitration)
+	g, err := core.NewGang(board, arbitration, SessionsClockHz, 2)
 	if err != nil {
 		return nil, err
 	}
 
-	idea, err := g.AddMember(repro.IDEABitstream(spec.Name), ideaFrames, vim.Config{}, 0, SessionsClockHz)
+	ideaImg := repro.IDEABitstream(spec.Name)
+	h, err := bitstream.Parse(ideaImg)
+	if err != nil {
+		return nil, err
+	}
+	idea, err := g.AttachMember(0, ideaImg, ideaFrames, vim.Config{}, h.CoreClock)
 	if err != nil {
 		return nil, err
 	}
 	adpcmFrames := board.DP.Pages() - ideaFrames
-	adpcm, err := g.AddMember(repro.ADPCMBitstream(spec.Name), adpcmFrames, vim.Config{},
-		SessionsClockHz, SessionsClockHz)
+	adpcm, err := g.AttachMember(1, repro.ADPCMBitstream(spec.Name), adpcmFrames, vim.Config{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -103,9 +109,6 @@ func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, 
 	idea.Params = repro.IDEAEncryptParams(key, ideaBytes/8)
 	adpcm.Params = []uint32{uint32(adpcmBytes)}
 
-	if err := g.Assemble(); err != nil {
-		return nil, err
-	}
 	rep, err := g.ExecuteAll()
 	if err != nil {
 		return nil, err

@@ -3,10 +3,11 @@
 // TLB and the memory frames are preloaded by the caller and the run fails
 // on any translation fault.
 //
-// It serves two purposes: unit-level verification of coprocessor models
-// against the golden algorithms, and the "typical coprocessor" baseline of
-// the paper's Figure 3/Figure 9, where the application manages the physical
-// memory by hand and no interface virtualisation takes place.
+// It serves tests only: the coprocessor packages verify their models
+// against the golden algorithms on it, and its own tests check hit runs
+// against edge-by-edge delivery. (The paper's "typical coprocessor"
+// baseline of Figure 3/Figure 9, where the application manages the
+// physical memory by hand, is internal/baseline on platform.Assemble.)
 package harness
 
 import (

@@ -5,9 +5,13 @@
 // require only recompiling the module").
 //
 // A Board owns the platform-fixed hardware (CPU, SDRAM, flash, AHB, DP RAM,
-// IMU); Assemble instantiates the per-application clock domains around a
-// loaded coprocessor, since core and IMU frequencies travel with the
-// bitstream.
+// IMU). Hardware is assembled around it in one of two shapes. Assemble
+// instantiates the per-application clock domains around one loaded
+// coprocessor, since core and IMU frequencies travel with the bitstream.
+// AssembleShell builds the multi-tenant shape: one shell clock domain
+// carrying the IMU and a fixed set of reconfigurable slots, each wired to
+// its own IMU channel and running its core at the shell clock or at a
+// divisor of it.
 package platform
 
 import (
@@ -175,7 +179,7 @@ func (b *Board) Assemble(coreHz, imuHz int64, core *copro.Seq) (*HW, error) {
 	if err := sim.CheckClocks(coreHz, imuHz); err != nil {
 		return nil, err
 	}
-	// A previous multi-session assembly may have left the IMU with several
+	// A previous shell assembly may have left the IMU with several
 	// channels; the single-coprocessor shape uses exactly one.
 	if b.IMU.Channels() != 1 {
 		if err := b.IMU.SetChannels(1); err != nil {
@@ -195,68 +199,5 @@ func (b *Board) Assemble(coreHz, imuHz int64, core *copro.Seq) (*HW, error) {
 	}
 	hw.CoproDom.Attach(core)
 	hw.IMUDom.Attach(b.IMU)
-	return hw, nil
-}
-
-// CoproSlot describes one loaded coprocessor of a multi-session assembly:
-// the core model and the clock it runs at. Every slot shares the board's
-// IMU (one channel each) and its dual-port RAM.
-type CoproSlot struct {
-	Core   *copro.Seq
-	CoreHz int64
-}
-
-// MultiHW is a multi-coprocessor hardware assembly: one engine driving the
-// board's IMU plus one clock domain and port per loaded coprocessor —
-// the FOS/SYNERGY-style shell in which several accelerators sit behind one
-// memory interface.
-type MultiHW struct {
-	Eng    *sim.Engine
-	IMUDom *sim.Domain
-	Doms   []*sim.Domain // per-slot core domain (may alias IMUDom)
-	Ports  []*copro.Port
-	Cores  []*copro.Seq
-}
-
-// AssembleMulti builds the clock domains for several loaded coprocessors
-// sharing the board's IMU: channel i of the IMU serves slots[i]. All clock
-// pairs must form integer ratios (the shared shell fixes one clock plan for
-// every tenant, so cores are "recompiled" against divisors of the shell's
-// IMU clock). Cores attach before the IMU so the deterministic order is
-// fixed; two-phase semantics make the order observationally irrelevant.
-func (b *Board) AssembleMulti(imuHz int64, slots []CoproSlot) (*MultiHW, error) {
-	if len(slots) == 0 {
-		return nil, fmt.Errorf("platform: no coprocessor slots")
-	}
-	hz := []int64{imuHz}
-	for i, sl := range slots {
-		if sl.Core == nil {
-			return nil, fmt.Errorf("platform: nil coprocessor in slot %d", i)
-		}
-		hz = append(hz, sl.CoreHz)
-	}
-	if err := sim.CheckClocks(hz...); err != nil {
-		return nil, err
-	}
-	if err := b.IMU.SetChannels(len(slots)); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	imuDom := eng.NewDomain("imu", imuHz)
-	hw := &MultiHW{Eng: eng, IMUDom: imuDom}
-	for i, sl := range slots {
-		port := copro.NewPort()
-		b.IMU.BindCh(i, port)
-		sl.Core.Bind(port)
-		dom := imuDom
-		if sl.CoreHz != imuHz {
-			dom = eng.NewDomain(fmt.Sprintf("copro%d", i), sl.CoreHz)
-		}
-		dom.Attach(sl.Core)
-		hw.Doms = append(hw.Doms, dom)
-		hw.Ports = append(hw.Ports, port)
-		hw.Cores = append(hw.Cores, sl.Core)
-	}
-	imuDom.Attach(b.IMU)
 	return hw, nil
 }

@@ -82,12 +82,6 @@ func TestAssembleValidatesClocks(t *testing.T) {
 	if _, err := b.Assemble(1<<62-1, 1<<62-3, core); err == nil {
 		t.Fatal("coprime clocks beyond the schedule accepted")
 	}
-	if _, err := b.AssembleMulti(24_000_000, []CoproSlot{{Core: core, CoreHz: 6_000_000}, {Core: vecadd.New(), CoreHz: 4_000_000}}); err == nil {
-		t.Fatal("AssembleMulti accepted cores in a non-integer ratio")
-	}
-	if _, err := b.AssembleMulti(1<<40, []CoproSlot{{Core: core, CoreHz: 3 << 40}, {Core: vecadd.New(), CoreHz: 1<<62 - 1}}); err == nil {
-		t.Fatal("AssembleMulti accepted clocks beyond the schedule")
-	}
 	hw, err := b.Assemble(6_000_000, 24_000_000, core)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +95,46 @@ func TestAssembleValidatesClocks(t *testing.T) {
 	}
 	if hw2.CoproDom != hw2.IMUDom {
 		t.Fatal("equal clocks should share one domain")
+	}
+}
+
+// TestLoadSlotValidatesClock pins LoadSlot's clock check: a core clock must
+// be positive and divide the shell clock, and a rejected load leaves the
+// slot as it was.
+func TestLoadSlotValidatesClock(t *testing.T) {
+	b, err := NewBoard(EPXA1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		shellHz int64
+		coreHz  []int64
+	}{
+		{24_000_000, []int64{0, -6_000_000, 16_000_000, 7_000_000}}, // non-integer ratio
+		{1 << 40, []int64{3 << 40, 1<<62 - 1}},                      // beyond the schedule
+	} {
+		hw, err := b.AssembleShell(c.shellHz, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hz := range c.coreHz {
+			if err := hw.LoadSlot(b, 0, vecadd.New(), hz); err == nil {
+				t.Errorf("%d Hz core accepted on a %d Hz shell", hz, c.shellHz)
+			}
+			if hw.Slots[0].Resident() != "" || hw.Slots[0].Port() != nil {
+				t.Errorf("rejected %d Hz load changed the slot", hz)
+			}
+		}
+	}
+	hw, err := b.AssembleShell(24_000_000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hw.LoadSlot(b, 1, vecadd.New(), 6_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if hw.Slots[1].div != 4 {
+		t.Fatalf("6 MHz core on a 24 MHz shell: divisor %d, want 4", hw.Slots[1].div)
 	}
 }
 
@@ -118,7 +152,9 @@ func TestSlotStagingBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw.LoadSlot(b, 0, vecadd.New())
+	if err := hw.LoadSlot(b, 0, vecadd.New(), 24_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if got := hw.Slots[0].Resident(); got != "vecadd" {
 		t.Fatalf("resident = %q, want vecadd", got)
 	}

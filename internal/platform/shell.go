@@ -22,23 +22,27 @@ type Slot struct {
 	bit  uint32 // the slot's flag in hw.changed
 	port *copro.Port
 	core *copro.Seq
+	// div is the shell cycles per core edge: the core's clock is the shell
+	// clock divided by div, so its edges fall on the shell cycles that are
+	// multiples of div, where a clock domain of its own would put them.
+	div int64
 	// wire is the port's wiring to the slot's IMU channel's hit service,
 	// reused across loads.
 	wire copro.HitWire
 
 	// Slot-local sleep (event-driven scheduler only). A core that answered
-	// IdleEdges k > 0 is withheld its next edges: from is the shell cycle
-	// it fell asleep at, until the shell cycle of its last inert edge
-	// (sim.IdleForever while idle until input). The edges withheld since
-	// from are owed to the core as one SkipEdges at wake-up. The port is
-	// the core's only input, so the core wakes at the first edge after
-	// until, or at the first edge after the IMU committed a changed
-	// IMU-side bundle to it (the port's change notice sets the slot's flag
-	// in hw.changed).
+	// IdleEdges k > 0 is withheld its next k edges: from is the shell cycle
+	// it fell asleep at, until the last shell cycle before the first edge
+	// it is owed (sim.IdleForever while idle until input). The core edges
+	// withheld since from are owed to the core as one SkipEdges at wake-up.
+	// The port is the core's only input, so the core wakes at the first
+	// shell edge after until, or at the first edge after the IMU committed
+	// a changed IMU-side bundle to it (the port's change notice sets the
+	// slot's flag in hw.changed).
 	asleep bool
 	from   int64
 	until  int64
-	total  int64 // slot-edges withheld over the slot's lifetime, flushed at wake
+	total  int64 // core edges withheld over the slot's lifetime, flushed at wake
 
 	// staged is the slot's staging buffer: a coprocessor whose bitstream
 	// the configuration port has DMA'd in behind the resident core's back.
@@ -72,7 +76,8 @@ func (s *Slot) Port() *copro.Port { return s.port }
 
 // Load configures the slot with a coprocessor over the given port (the
 // caller binds the same port to the IMU channel) and resets the core to its
-// power-on state. Engine must be paused.
+// power-on state. The core keeps the slot's clock divisor (LoadSlot sets
+// it). Engine must be paused.
 func (s *Slot) Load(core *copro.Seq, port *copro.Port) {
 	s.wake()
 	s.core = core
@@ -123,12 +128,35 @@ func (s *Slot) CancelStage() {
 	s.staged = nil
 }
 
-// sleep withholds the resident core's edges after shell cycle now, up to
-// and including until (see the Slot fields).
-func (s *Slot) sleep(now, until int64) {
+// ticks reports whether shell edge edge is one of the core's own edges.
+func (s *Slot) ticks(edge int64) bool { return s.div == 1 || edge%s.div == 0 }
+
+// sleep withholds the resident core's next k edges after shell cycle now
+// (see the Slot fields); k = sim.IdleForever withholds them until input.
+func (s *Slot) sleep(now, k int64) {
 	s.asleep = true
 	s.from = now
-	s.until = until
+	if s.div == 1 {
+		s.until = now + min(k, sim.IdleForever-now)
+		return
+	}
+	// The core's next edges fall on shell cycles (c+1)*div, (c+2)*div, ...
+	// The first it is owed is the (k+1)-th.
+	c := now / s.div
+	if k >= sim.IdleForever/s.div-c-1 {
+		s.until = sim.IdleForever
+		return
+	}
+	s.until = (c+k+1)*s.div - 1
+}
+
+// withheld counts the core's edges after shell cycle s.from, up to and
+// including shell cycle through.
+func (s *Slot) withheld(through int64) int64 {
+	if s.div == 1 {
+		return through - s.from
+	}
+	return through/s.div - s.from/s.div
 }
 
 // wake hands a sleeping core the edges it was withheld up to the last
@@ -144,7 +172,7 @@ func (s *Slot) wakeThrough(through int64) {
 		return
 	}
 	s.asleep = false
-	if n := through - s.from; n > 0 {
+	if n := s.withheld(through); n > 0 {
 		s.core.SkipEdges(n)
 		s.total += n
 	}
@@ -152,10 +180,14 @@ func (s *Slot) wakeThrough(through int64) {
 
 // ShellHW is the dynamically-reconfigurable hardware assembly: one engine
 // and one shell clock domain carrying the board's IMU plus a fixed set of
-// slots whose resident coprocessors come and go at runtime. Every tenant —
-// and the IMU — runs at the shell clock, the "recompiled against the shell's
-// clock plan" regime of the sessions layer, so a slot can host any
-// registered core without re-planning the engine.
+// slots whose resident coprocessors come and go at runtime. It is the only
+// multi-tenant assembly. The IMU runs at the shell clock; every tenant
+// runs at the shell clock or at a divisor of it (LoadSlot), the "recompiled
+// against the shell's clock plan" regime of the sessions layer, so a slot
+// can host any registered core without re-planning the engine. A slot
+// whose core runs at shellHz/d is delivered the shell edges whose cycle is
+// a multiple of d, exactly the edges a clock domain of its own would get;
+// its sleep windows and the edges it is owed at wake count its own edges.
 //
 // ShellHW is the shell domain's one ticker, a composite that drives the
 // awake resident cores and the board's IMU. The shell's wiring to the IMU
@@ -178,8 +210,9 @@ func (s *Slot) wakeThrough(through int64) {
 // to every core, which makes it the reference the sleeping path is checked
 // against.
 //
-// Every slot's port is wired to its IMU channel's hit service, so a core at
-// the top of its loop sleeps through a hit run like any other window and
+// Every slot whose core runs at the shell clock has its port wired to its
+// IMU channel's hit service, so a core at the top of its loop sleeps
+// through a hit run like any other window and
 // executes it when it wakes, while its neighbour keeps running: the run's
 // LastUse stamps carry the edges of its accesses, and it touches only its
 // own channel, its own session's TLB entries and DP RAM frames. Until it
@@ -224,7 +257,9 @@ func (hw *ShellHW) Eval() {
 			}
 			s.wake()
 		}
-		s.core.Eval()
+		if s.ticks(edge) {
+			s.core.Eval()
+		}
 	}
 	hw.changed = 0
 	hw.imu.Eval()
@@ -238,8 +273,9 @@ func (hw *ShellHW) Eval() {
 // last response is asked once CP_TLBHIT has fallen, before its next Eval
 // issues the next request, so it can open a hit run.
 func (hw *ShellHW) Update() {
+	edge := hw.Dom.Cycles() + 1
 	for _, s := range hw.Slots {
-		if s.core != nil && !s.asleep {
+		if s.core != nil && !s.asleep && s.ticks(edge) {
 			s.core.Update()
 		}
 	}
@@ -247,7 +283,6 @@ func (hw *ShellHW) Update() {
 	if hw.Eng.Scheduler() != sim.EventDriven {
 		return
 	}
-	edge := hw.Dom.Cycles() + 1
 	at := hw.deadline()
 	for _, s := range hw.Slots {
 		if s.core == nil {
@@ -262,7 +297,7 @@ func (hw *ShellHW) Update() {
 			// The answer is given on the bundle the IMU just committed.
 			hw.changed &^= s.bit
 			if k := s.core.IdleEdges(); k > 0 {
-				s.sleep(edge, edge+min(k, sim.IdleForever-edge))
+				s.sleep(edge, k)
 			}
 		}
 		if !s.asleep {
@@ -325,7 +360,7 @@ func (hw *ShellHW) IdleEdges() int64 {
 				busy = true
 				continue
 			}
-			s.sleep(now, now+min(k, sim.IdleForever-now))
+			s.sleep(now, k)
 		}
 		at = min(at, s.until)
 	}
@@ -344,14 +379,14 @@ func (hw *ShellHW) IdleEdges() int64 {
 // replay here.
 func (hw *ShellHW) SkipEdges(k int64) {}
 
-// SleptEdges counts the slot-edges withheld from sleeping cores so far,
+// SleptEdges counts the core edges withheld from sleeping cores so far,
 // across all slots (reporting only: it never perturbs the schedule).
 func (hw *ShellHW) SleptEdges() int64 {
 	n := int64(0)
 	for _, s := range hw.Slots {
 		n += s.total
 		if s.asleep {
-			n += hw.Dom.Cycles() - s.from
+			n += s.withheld(hw.Dom.Cycles())
 		}
 	}
 	return n
@@ -421,9 +456,8 @@ func (hw *ShellHW) Settle() {
 // AssembleShell builds an nslots-slot shell clocked at shellHz: the IMU is
 // reconfigured to one channel per slot, and channel i serves whatever core
 // is currently loaded into Slots[i]. The shell ticker is the domain's only
-// ticker and drives the IMU itself, after the cores — AssembleMulti's
-// deterministic order (two-phase semantics make the order unobservable to
-// the model). The domain watches the IMU's horizon after the shell's, so
+// ticker and drives the IMU itself, after the cores (two-phase semantics
+// make the order unobservable to the model). The domain watches the IMU's horizon after the shell's, so
 // the engine's idleness probe asks the shell — whose awake cores answer
 // from their FSM state alone — before the IMU's CAM lookups.
 func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
@@ -440,22 +474,34 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 	dom := eng.NewDomain("shell", shellHz)
 	hw := &ShellHW{Eng: eng, Dom: dom, imu: b.IMU, wakeAt: -1}
 	for i := 0; i < nslots; i++ {
-		hw.Slots = append(hw.Slots, &Slot{hw: hw, bit: 1 << i})
+		hw.Slots = append(hw.Slots, &Slot{hw: hw, bit: 1 << i, div: 1})
 	}
 	dom.Attach(hw)
 	dom.Watch(b.IMU)
 	return hw, nil
 }
 
-// LoadSlot loads core into slot i over a fresh port, wired to the IMU
-// channel's hit service at the shell clock, and binds the IMU channel to
-// it. Engine must be paused.
-func (hw *ShellHW) LoadSlot(b *Board, i int, core *copro.Seq) {
+// LoadSlot loads core into slot i over a fresh port, running at coreHz,
+// and binds the IMU channel to it. coreHz must divide the shell clock. A
+// core at the shell clock has its port wired to the IMU channel's hit
+// service; a divided one is not, because a run's partial-window tail steps
+// the channel through IMU edges after the core's edge, which the shell
+// would then deliver again. Engine must be paused.
+func (hw *ShellHW) LoadSlot(b *Board, i int, core *copro.Seq, coreHz int64) error {
+	shellHz := hw.Dom.FreqHz()
+	if coreHz <= 0 || shellHz%coreHz != 0 {
+		return fmt.Errorf("platform: core clock %d Hz does not divide the %d Hz shell clock", coreHz, shellHz)
+	}
 	s := hw.Slots[i]
 	port := copro.NewPort()
-	port.ServeHits(&s.wire, b.IMU.HitService(i), hw.Dom.FreqHz(), hw.Dom.FreqHz())
+	div := shellHz / coreHz
+	if div == 1 {
+		port.ServeHits(&s.wire, b.IMU.HitService(i), shellHz, shellHz)
+	}
 	s.Load(core, port)
+	s.div = div
 	b.IMU.BindCh(i, port)
+	return nil
 }
 
 // UnloadSlot empties slot i and unbinds its IMU channel (partial
@@ -466,8 +512,9 @@ func (hw *ShellHW) UnloadSlot(b *Board, i int) {
 }
 
 // CommitSlot swaps slot i's staged coprocessor in for the resident one:
-// the old core is dropped, the staged core becomes resident over a fresh
-// port and the IMU channel rebinds to it. The caller models the fixed
+// the old core is dropped, the staged core becomes resident at the shell
+// clock over a fresh port and the IMU channel rebinds to it. The caller
+// models the fixed
 // commit latency — the double-buffered configuration swap, not a
 // configuration-port stream. Engine must be paused.
 func (hw *ShellHW) CommitSlot(b *Board, i int) error {
@@ -476,6 +523,5 @@ func (hw *ShellHW) CommitSlot(b *Board, i int) error {
 		return fmt.Errorf("platform: slot %d has no staged coprocessor to commit", i)
 	}
 	hw.UnloadSlot(b, i)
-	hw.LoadSlot(b, i, core)
-	return nil
+	return hw.LoadSlot(b, i, core, hw.Dom.FreqHz())
 }

@@ -31,13 +31,16 @@ type rig struct {
 	next int // round-robin cursor into the data frames
 }
 
+// rigHz is the rig's shell clock.
+const rigHz = 24_000_000
+
 func newRig(tb testing.TB, nslots, pool int, sched sim.Scheduler) *rig {
 	tb.Helper()
 	b, err := NewBoard(EPXA4())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	hw, err := b.AssembleShell(24_000_000, nslots)
+	hw, err := b.AssembleShell(rigHz, nslots)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -51,6 +54,13 @@ func newRig(tb testing.TB, nslots, pool int, sched sim.Scheduler) *rig {
 		}
 	}
 	return &rig{b: b, hw: hw, pool: pool}
+}
+
+// load loads core c, of the given kind, into slot i at the kind's clock.
+func (r *rig) load(i int, kind string, c *copro.Seq) {
+	if err := r.hw.LoadSlot(r.b, i, c, jobFor(kind).hz); err != nil {
+		panic(err)
+	}
 }
 
 // cycles delivers n edges with no bulk-skip and settles the shell, as
@@ -176,25 +186,32 @@ func (r *rig) advance(until int64, want uint, stride int64, tr *[]snap, slept *b
 }
 
 // shellJob is one bundled coprocessor with a small workload: its parameter
-// words and a constructor for fresh instances.
+// words, a constructor for fresh instances and the core's clock.
 type shellJob struct {
 	params  []uint32
 	newCore func() *copro.Seq
+	hz      int64
 }
 
+// jobFor returns the job of a kind. Every kind runs at the shell clock but
+// "idea6", which is IDEA at its native 6 MHz: a divided slot.
 func jobFor(kind string) shellJob {
 	switch kind {
+	case "idea6":
+		j := jobFor("idea")
+		j.hz = 6_000_000
+		return j
 	case "idea":
 		params := make([]uint32, 1+26) // block count, then 52 packed subkeys
 		params[0] = 96                 // 768 B in, 768 B out
 		for i := 1; i < len(params); i++ {
 			params[i] = uint32(i)*0x9e3779b9 + 1
 		}
-		return shellJob{params, func() *copro.Seq { return ideacp.New() }}
+		return shellJob{params, func() *copro.Seq { return ideacp.New() }, rigHz}
 	case "adpcm":
-		return shellJob{[]uint32{384}, func() *copro.Seq { return adpcmdec.New() }}
+		return shellJob{[]uint32{384}, func() *copro.Seq { return adpcmdec.New() }, rigHz}
 	case "vecadd":
-		return shellJob{[]uint32{600}, func() *copro.Seq { return vecadd.New() }}
+		return shellJob{[]uint32{600}, func() *copro.Seq { return vecadd.New() }, rigHz}
 	case "scriptcp":
 		s, err := scriptcp.Generate(rand.New(rand.NewSource(7)), []scriptcp.ObjSpec{
 			{ID: 0, Size: 4096, Readable: true, ReadbackSafe: true},
@@ -204,7 +221,7 @@ func jobFor(kind string) shellJob {
 		if err != nil {
 			panic(err)
 		}
-		return shellJob{[]uint32{uint32(len(s))}, func() *copro.Seq { return scriptcp.New(s) }}
+		return shellJob{[]uint32{uint32(len(s))}, func() *copro.Seq { return scriptcp.New(s) }, rigHz}
 	}
 	panic("unknown core " + kind)
 }
@@ -236,7 +253,7 @@ func runShellScenario(t *testing.T, kinds []string, sched sim.Scheduler, stride,
 		return r.advance(until, want, stride, &run.Trace, &run.Slept)
 	}
 	for i, k := range kinds {
-		r.hw.LoadSlot(r.b, i, fresh(k))
+		r.load(i, k, fresh(k))
 		r.start(i, jobFor(k).params)
 	}
 
@@ -248,7 +265,7 @@ func runShellScenario(t *testing.T, kinds []string, sched sim.Scheduler, stride,
 	// Reconfigure slot 0 with a fresh core, stage another behind it and
 	// run the fresh one to completion.
 	r.hw.UnloadSlot(r.b, 0)
-	r.hw.LoadSlot(r.b, 0, fresh(kind))
+	r.load(0, kind, fresh(kind))
 	r.hw.Slots[0].Stage(fresh(kind))
 	r.start(0, jobFor(kind).params)
 	adv(r.hw.Dom.Cycles()+budget, 1)
@@ -292,7 +309,7 @@ func inRun(s *Slot) bool {
 func sleepingStop(t *testing.T, kinds []string, run bool) int64 {
 	r := newRig(t, len(kinds), 6, sim.EventDriven)
 	for i, k := range kinds {
-		r.hw.LoadSlot(r.b, i, jobFor(k).newCore())
+		r.load(i, k, jobFor(k).newCore())
 		r.start(i, jobFor(k).params)
 	}
 	for c := int64(0); c < 20000; c++ {
@@ -324,9 +341,10 @@ func sleepingStop(t *testing.T, kinds []string, run bool) int64 {
 // dual-port RAM contents at the end — stopping after every edge, after
 // every 7 edges (so sleeps and runs span stops and end early), and when
 // the engine is free to bulk-skip through sleeping slots. The kind/Nslot
-// cases
-// stop slot 0 inside a compute window (IDEA, ADPCM) or at cycle 300; the
-// runs/ cases stop it inside a hit run while every neighbour runs one too.
+// cases stop slot 0 inside a compute window (IDEA, ADPCM) or at cycle 300;
+// the runs/ cases stop it inside a hit run while every neighbour runs one
+// too; the divided/ case stops a 6 MHz IDEA slot inside a compute window
+// while its 24 MHz neighbour takes hit runs.
 // The pokes subtests then apply each kind of OS poke right after the shell
 // has published an idle horizon and compare against lockstep after every
 // step (see testPokesAfterHorizon).
@@ -345,10 +363,12 @@ func TestShellSleepMatchesFullDelivery(t *testing.T) {
 	for _, kinds := range [][]string{{"idea"}, {"idea", "adpcm"}, {"vecadd", "scriptcp"}, {"adpcm", "idea"}} {
 		cases = append(cases, scenario{"runs/" + strings.Join(kinds, "+"), kinds, true})
 	}
+	// IDEA at 6 MHz beside ADPCM taking hit runs at the 24 MHz shell clock.
+	cases = append(cases, scenario{"divided/idea6+adpcm", []string{"idea6", "adpcm"}, false})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			stopAt := int64(300)
-			if kind := c.kinds[0]; c.run || kind == "idea" || kind == "adpcm" {
+			if kind := c.kinds[0]; c.run || kind == "idea" || kind == "idea6" || kind == "adpcm" {
 				if stopAt = sleepingStop(t, c.kinds, c.run); stopAt < 0 {
 					t.Fatal("no stop inside the wanted windows")
 				}
@@ -460,7 +480,7 @@ func testPokesAfterHorizon(t *testing.T) {
 		{"load-unload", func(w *twin) {
 			w.each(func(r *rig) {
 				r.hw.UnloadSlot(r.b, 0)
-				r.hw.LoadSlot(r.b, 0, jobFor("idea").newCore())
+				r.load(0, "idea", jobFor("idea").newCore())
 				r.start(0, jobFor("idea").params)
 			})
 		}},
@@ -515,7 +535,7 @@ func testPokesAfterHorizon(t *testing.T) {
 			var cores [][2]*copro.Seq
 			w.each(func(r *rig) {
 				for i, kind := range pokeKinds {
-					r.hw.LoadSlot(r.b, i, jobFor(kind).newCore())
+					r.load(i, kind, jobFor(kind).newCore())
 					r.start(i, jobFor(kind).params)
 				}
 			})
@@ -563,7 +583,7 @@ func BenchmarkShellEdge(b *testing.B) {
 			var want uint
 			for i, kind := range pair {
 				if kind != "idle" {
-					r.hw.LoadSlot(r.b, i, jobFor(kind).newCore())
+					r.load(i, kind, jobFor(kind).newCore())
 					want |= 1 << i
 				}
 			}

@@ -309,7 +309,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		return nil, err
 	}
 
-	g, err := core.NewShellGang(board, vim.StaticPartition, cfg.ShellHz, cfg.Slots)
+	g, err := core.NewGang(board, vim.StaticPartition, cfg.ShellHz, cfg.Slots)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +486,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	// launch attaches job j's session onto slot s and starts it.
 	launch := func(s, j int) error {
 		a := apps[order[j].App]
-		mb, err := g.AttachMember(s, a.img, frames, vim.Config{})
+		mb, err := g.AttachMember(s, a.img, frames, vim.Config{}, 0)
 		if err != nil {
 			return fmt.Errorf("rcsched: job %d attach: %w", order[j].ID, err)
 		}

@@ -87,11 +87,11 @@ func TestFinishJobVerificationStrength(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			g, err := core.NewShellGang(board, vim.StaticPartition, DefaultShellHz, 1)
+			g, err := core.NewGang(board, vim.StaticPartition, DefaultShellHz, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mb, err := g.AttachMember(0, a.img, board.DP.Pages(), vim.Config{})
+			mb, err := g.AttachMember(0, a.img, board.DP.Pages(), vim.Config{}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

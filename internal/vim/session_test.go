@@ -26,11 +26,11 @@ func twoSessions(t *testing.T, arb Arbitration) (*platform.Board, *Manager, *Ses
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.AddSession(Config{}, 4)
+	a, err := m.Attach(Config{}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.AddSession(Config{}, 4)
+	b, err := m.Attach(Config{}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,15 @@ func fill(t *testing.T, s *Session, obj uint8, pages int) uint32 {
 	return base
 }
 
-func TestAddSessionPartitioning(t *testing.T) {
+// TestAttachPartitioning pins the partition carve and Attach's checks: a
+// session needs two frames and a configured IMU channel, and partitions are
+// carved first fit in attach order.
+func TestAttachPartitioning(t *testing.T) {
 	board, err := platform.NewBoard(platform.EPXA1())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := board.IMU.SetChannels(2); err != nil {
 		t.Fatal(err)
 	}
 	m, err := NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
@@ -66,8 +72,13 @@ func TestAddSessionPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddSession(Config{}, 1); !errors.Is(err, ErrPartition) {
+	if _, err := m.Attach(Config{}, 1, 0); !errors.Is(err, ErrPartition) {
 		t.Fatalf("one-frame session accepted: %v", err)
+	}
+	for _, ch := range []int{-1, 2} {
+		if _, err := m.Attach(Config{}, 4, ch); !errors.Is(err, ErrPartition) {
+			t.Fatalf("session on channel %d of a 2-channel IMU accepted: %v", ch, err)
+		}
 	}
 	// The single-session compatibility shims must error, not panic, on a
 	// manager that has no sessions yet.
@@ -83,17 +94,17 @@ func TestAddSessionPartitioning(t *testing.T) {
 	if objs := m.Objects(); objs != nil {
 		t.Fatalf("Objects on a session-less manager = %v", objs)
 	}
-	a, err := m.AddSession(Config{}, 5)
+	a, err := m.Attach(Config{}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lo, hi := a.Partition(); lo != 0 || hi != 5 {
 		t.Fatalf("session A partition = [%d,%d), want [0,5)", lo, hi)
 	}
-	if _, err := m.AddSession(Config{}, 4); !errors.Is(err, ErrPartition) {
+	if _, err := m.Attach(Config{}, 4, 1); !errors.Is(err, ErrPartition) {
 		t.Fatalf("overcommitted partition accepted: %v", err)
 	}
-	b, err := m.AddSession(Config{}, 3)
+	b, err := m.Attach(Config{}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

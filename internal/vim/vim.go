@@ -25,14 +25,16 @@
 // the manager-wide Arbitration policy: StaticPartition confines every
 // session to its home partition, GlobalLRU lets a loaded session steal the
 // globally least-recently-used frame from a neighbour. The single-session
-// constructor New builds a manager whose only session spans the whole pool,
-// which reproduces the paper's original module bit for bit.
+// constructor New builds a manager whose only session, on IMU channel 0,
+// spans the whole pool, which reproduces the paper's original module bit
+// for bit.
 //
-// Sessions are dynamic: Attach admits a new session while others are
-// mid-execution (first-fit partition carve, lowest free session slot) and
-// Detach reclaims a finished session's frames, translation-table slice and
-// slot, so an OS-level scheduler (package rcsched) can load and unload
-// coprocessors at runtime under a live job stream.
+// Sessions are dynamic: Attach admits a new session on a named session
+// slot, which is its IMU channel and must already be configured, while
+// others are mid-execution (first-fit partition carve), and Detach reclaims
+// a finished session's frames, translation-table slice and slot, so a
+// gang of shell slots (package core) can load and unload coprocessors at
+// runtime, under a live job stream (package rcsched) or side by side.
 package vim
 
 import (
@@ -200,7 +202,7 @@ type Manager struct {
 
 // NewManager builds an empty multi-session manager over the kernel and IMU;
 // dpBase and regBase are the AHB addresses of the DP RAM and the IMU
-// register window. Partitions are carved by AddSession.
+// register window. Partitions are carved by Attach.
 func NewManager(k *kernel.Kernel, u *imu.IMU, dpBase, regBase uint32, pageSize int, arb Arbitration) (*Manager, error) {
 	if k == nil || u == nil {
 		return nil, fmt.Errorf("vim: nil kernel or IMU")
@@ -218,50 +220,28 @@ func NewManager(k *kernel.Kernel, u *imu.IMU, dpBase, regBase uint32, pageSize i
 }
 
 // New builds a single-session manager: the paper's original module, whose
-// only session spans the whole page pool.
+// only session, on IMU channel 0, spans the whole page pool.
 func New(k *kernel.Kernel, u *imu.IMU, dpBase, regBase uint32, pageSize int, cfg Config) (*Manager, error) {
 	m, err := NewManager(k, u, dpBase, regBase, pageSize, StaticPartition)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.AddSession(cfg, len(m.frames)); err != nil {
+	if _, err := m.Attach(cfg, len(m.frames), 0); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// AddSession carves the next nframes frames of the pool into a new
-// session's home partition and returns the session. The session index must
-// have a matching IMU channel by the time hardware runs; the parameter page
-// occupies the partition's first frame, so a runnable session needs at
-// least two frames.
-func (m *Manager) AddSession(cfg Config, nframes int) (*Session, error) {
-	return m.Attach(cfg, nframes, -1)
-}
-
-// Attach dynamically admits a new session: it claims session slot ch (which
-// is also the session's IMU channel; ch < 0 picks the lowest free slot),
-// carves a first-fit contiguous run of nframes free frames into the new
-// session's home partition, and returns the session. Attach may be called
-// while other sessions are mid-execution — the carve only ever takes frames
-// that belong to no live partition and hold no page, so neighbours keep
-// translating undisturbed. Detach is the inverse.
+// Attach admits a new session: it claims session slot ch, which is also the
+// session's IMU channel and so must name a configured channel, carves a
+// first-fit contiguous run of nframes free frames into the new session's
+// home partition, and returns the session. The parameter page occupies the
+// partition's first frame, so a runnable session needs at least two
+// frames. Attach may be called while other sessions are mid-execution — the
+// carve only ever takes frames that belong to no live partition and hold no
+// page, so neighbours keep translating undisturbed. Detach is the inverse.
 func (m *Manager) Attach(cfg Config, nframes int, ch int) (*Session, error) {
-	if ch < 0 {
-		for i := 0; i < imu.MaxChannels; i++ {
-			if i >= len(m.sessions) || m.sessions[i] == nil {
-				ch = i
-				break
-			}
-		}
-		if ch < 0 {
-			return nil, fmt.Errorf("%w: all %d IMU channels hold live sessions", ErrPartition, imu.MaxChannels)
-		}
-	} else if ch >= m.u.Channels() {
-		// An explicit slot binds to existing hardware immediately, so it
-		// must name a configured channel. (Auto-picked slots keep the
-		// looser AddSession contract: the static gang carves sessions
-		// first and assembles the matching channels afterwards.)
+	if ch < 0 || ch >= m.u.Channels() {
 		return nil, fmt.Errorf("%w: session slot %d on a %d-channel IMU", ErrPartition, ch, m.u.Channels())
 	}
 	if ch < len(m.sessions) && m.sessions[ch] != nil {
@@ -373,11 +353,11 @@ func (m *Manager) Sessions() []*Session {
 func (m *Manager) Arbitration() Arbitration { return m.arb }
 
 // errNoSessions guards the single-session compatibility shims: a manager
-// built with NewManager has no sessions until AddSession, and slot 0 may
-// have been detached since.
+// built with NewManager has no sessions until Attach, and slot 0 may have
+// been detached since.
 func (m *Manager) errNoSessions() error {
 	if len(m.sessions) == 0 || m.sessions[0] == nil {
-		return fmt.Errorf("%w: manager has no session in slot 0 (AddSession first)", ErrPartition)
+		return fmt.Errorf("%w: manager has no session in slot 0 (Attach first)", ErrPartition)
 	}
 	return nil
 }
