@@ -227,8 +227,6 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 	g.Board.IMU.ResetCounters()
 	for _, mb := range members {
 		mb.swDP, mb.swIMU, mb.swOS = 0, 0, 0
-	}
-	for _, mb := range members {
 		if err := g.Launch(mb); err != nil {
 			return nil, err
 		}

@@ -24,11 +24,10 @@ const SessionsClockHz = 24_000_000
 
 // SessionsGang runs the concurrent IDEA+ADPCM gang: two coprocessor
 // sessions in the slots of a two-slot shell behind one Virtual Interface
-// Manager on one board, IDEA
-// encrypting ideaBytes and ADPCM decoding adpcmBytes at the same time,
-// with ideaFrames of the page pool carved into IDEA's home partition and
-// the rest into ADPCM's. Both outputs are verified against the golden
-// algorithms before the report is returned.
+// Manager on one board, IDEA encrypting ideaBytes and ADPCM decoding
+// adpcmBytes at the same time, with ideaFrames of the page pool carved into
+// IDEA's home partition and the rest into ADPCM's. Both outputs are
+// verified against the golden algorithms before the report is returned.
 func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, seed int64) (*core.MultiReport, error) {
 	spec, ok := platform.SpecByName(boardName)
 	if !ok {

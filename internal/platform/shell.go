@@ -212,10 +212,10 @@ func (s *Slot) wakeThrough(through int64) {
 //
 // Every slot whose core runs at the shell clock has its port wired to its
 // IMU channel's hit service, so a core at the top of its loop sleeps
-// through a hit run like any other window and
-// executes it when it wakes, while its neighbour keeps running: the run's
-// LastUse stamps carry the edges of its accesses, and it touches only its
-// own channel, its own session's TLB entries and DP RAM frames. Until it
+// through a hit run like any other window and executes it when it wakes,
+// while its neighbour keeps running: the run's LastUse stamps carry the
+// edges of its accesses, and it touches only its own channel, its own
+// session's TLB entries and DP RAM frames. Until it
 // wakes, the TLB bits, DP RAM, IMU counters and bundles the run changes lag
 // behind, so every call that hands control back to the OS (RunUntilEvent,
 // Step, RunUntil) ends with Settle, which wakes every sleeping core.
