@@ -57,7 +57,6 @@ type Session struct {
 	header   bitstream.Header
 	loaded   bool
 	configPs float64
-	budget   int64
 }
 
 // NewSession creates a session for proc on board with the given VIM
@@ -68,11 +67,8 @@ func NewSession(board *platform.Board, proc *kernel.Process, vimCfg vim.Config) 
 	if err != nil {
 		return nil, err
 	}
-	return &Session{Board: board, Proc: proc, VIM: m, budget: DefaultBudget}, nil
+	return &Session{Board: board, Proc: proc, VIM: m}, nil
 }
-
-// SetBudget overrides the per-execution simulation budget.
-func (s *Session) SetBudget(edges int64) { s.budget = edges }
 
 // Load implements FPGA_LOAD: it validates the bit-stream, instantiates the
 // registered coprocessor model ("configures the PLD"), assembles the clock
@@ -189,7 +185,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 	startCy := imuDom.Cycles()
 	startSim := eng.Stats()
 	hwPs := 0.0
-	budget := s.budget
+	budget := DefaultBudget
 	// The interruptible sleep polls the IRQ line through the engine's
 	// flag-based loop: edge-exact (the cycle counters feed the measured
 	// components) but free of the per-edge closure call of RunUntil.

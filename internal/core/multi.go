@@ -311,9 +311,6 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 // Slots returns the shell slot count.
 func (g *Gang) Slots() int { return len(g.bySlot) }
 
-// SlotMember returns the member currently occupying slot i, or nil.
-func (g *Gang) SlotMember(i int) *Member { return g.bySlot[i] }
-
 // AttachMember admits a new member into shell slot i while the rest of the
 // gang keeps executing: the bit-stream is validated against the board, the
 // coprocessor is placed into the slot at coreHz (0: the shell clock; it

@@ -108,9 +108,6 @@ func (c *Core) ResetStats() {
 // runs for cold-cache measurements).
 func (c *Core) InvalidateCache() { c.cache.invalidate() }
 
-// PsPerCycle returns the clock period in picoseconds (reporting only).
-func (c *Core) PsPerCycle() float64 { return 1e12 / float64(c.FreqHz) }
-
 // touch charges the cache/SDRAM cost of accessing addr.
 func (c *Core) touch(addr uint32, write bool) {
 	hit, wb := c.cache.access(addr, write)

@@ -61,9 +61,6 @@ func (u *IMU) ARCh(i int) uint32 { return u.ch[i].ar }
 // IRQ reports whether the (shared) interrupt line is asserted.
 func (u *IMU) IRQ() bool { return u.irq }
 
-// IRQCh reports whether channel i is contributing to the interrupt line.
-func (u *IMU) IRQCh(i int) bool { return u.ch[i].irq }
-
 // IRQRef exposes the interrupt line for the engine's flag-polled run loop
 // (sim.Engine.RunUntilFlag). The line is the OR of the channel IRQs and is
 // only written during Update, so polling it between super-edges observes
@@ -192,13 +189,6 @@ func (u *IMU) SetEntry(i int, e TLBEntry) error {
 	u.tlb[i] = e
 	u.tableWritten()
 	return nil
-}
-
-// ClearRefBits clears every entry's reference bit (clock policy sweep).
-func (u *IMU) ClearRefBits() {
-	for i := range u.tlb {
-		u.tlb[i].Ref = false
-	}
 }
 
 // InvalidateAll clears the whole TLB (end of operation, single session).

@@ -86,11 +86,6 @@ func (t *Timeline) TotalPs() float64 {
 	return s
 }
 
-// Total returns the sum over all components as a duration.
-func (t *Timeline) Total() time.Duration {
-	return time.Duration(t.TotalPs() / 1e3 * float64(time.Nanosecond))
-}
-
 // Fraction returns component c as a fraction of the total (0 if empty).
 func (t *Timeline) Fraction(c Component) float64 {
 	tot := t.TotalPs()

@@ -65,9 +65,6 @@ func (r *Recorder) Record(id int, time int64, val uint64) {
 	r.hasLast[id] = true
 }
 
-// Signals returns the declared signals in declaration order.
-func (r *Recorder) Signals() []Signal { return r.signals }
-
 // vcdID returns a short printable identifier for signal i.
 func vcdID(i int) string {
 	const alphabet = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
