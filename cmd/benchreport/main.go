@@ -4,8 +4,11 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-bench regex] [-benchtime 3x] [-out BENCH_results.json]
+//	go run ./cmd/benchreport [-bench regex] [-benchtime 3x] [-count 1] [-out BENCH_results.json]
 //	    [-compare BENCH_results.json] [-max-regress 0.25]
+//
+// With -count > 1, each benchmark keeps its fastest repetition's ns/op and
+// the median of its repetitions' B/op and allocs/op.
 //
 // With -compare, the fresh results are diffed against a committed baseline
 // file and the run fails (exit 1) when any benchmark's wall-clock ns/op
@@ -25,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"runtime"
@@ -64,7 +68,7 @@ func main() {
 	compare := flag.String("compare", "", "baseline JSON to diff against; exit 1 on wall-clock or allocation regression")
 	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression vs -compare baseline")
 	noiseFloor := flag.Float64("noise-floor-ns", 50_000, "absolute ns/op delta below which a wall-clock regression is ignored (micro-benchmark host jitter)")
-	count := flag.Int("count", 1, "benchmark repetitions (go test -count); the per-benchmark minimum ns/op is kept, which damps host noise for the regression gate")
+	count := flag.Int("count", 1, "benchmark repetitions (go test -count); the per-benchmark minimum ns/op and median B/op and allocs/op are kept, which damps host noise for the regression gate")
 	flag.Parse()
 
 	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-count", fmt.Sprint(*count)}
@@ -89,24 +93,13 @@ func main() {
 		Bench:     *bench,
 		Benchtime: *benchtime,
 	}
-	// With -count > 1 each benchmark appears several times; keep the
-	// fastest repetition (the least noise-contaminated wall-clock sample)
-	// while preserving first-seen order.
-	index := map[string]int{}
+	var rows []Result
 	for _, line := range strings.Split(string(raw), "\n") {
-		r, ok := parseLine(line)
-		if !ok {
-			continue
+		if r, ok := parseLine(line); ok {
+			rows = append(rows, r)
 		}
-		if i, seen := index[r.Name]; seen {
-			if r.NsPerOp < rep.Results[i].NsPerOp {
-				rep.Results[i] = r
-			}
-			continue
-		}
-		index[r.Name] = len(rep.Results)
-		rep.Results = append(rep.Results, r)
 	}
+	rep.Results = mergeRepetitions(rows)
 	if len(rep.Results) == 0 {
 		fmt.Fprintf(os.Stderr, "benchreport: no benchmark lines matched %q\n", *bench)
 		os.Exit(1)
@@ -133,9 +126,62 @@ func main() {
 
 // allocRegress is the allowed fractional growth of a benchmark's B/op and
 // allocs/op, the BENCHMARK.json bound for the allocation metrics. Unlike
-// wall time these counts barely move between runs, so the bound is tight
-// and needs no -count or noise floor.
+// wall time most of these counts repeat exactly, so the bound is tight and
+// needs no noise floor; the few that do not (the fleet's boards run on
+// goroutines) are damped by mergeRepetitions' median under -count > 1.
 const allocRegress = 0.05
+
+// mergeRepetitions folds the rows -count > 1 produces into one result per
+// benchmark, in first-seen order. It keeps the fastest repetition's row
+// (the least noise-contaminated wall-clock sample) but replaces its B/op
+// and allocs/op with their median across the repetitions, so a single
+// outlier allocation count neither fails the allocation gate nor, carried
+// by the fastest row, decides it.
+func mergeRepetitions(rows []Result) []Result {
+	var names []string
+	reps := map[string][]Result{}
+	for _, r := range rows {
+		if _, seen := reps[r.Name]; !seen {
+			names = append(names, r.Name)
+		}
+		reps[r.Name] = append(reps[r.Name], r)
+	}
+	out := make([]Result, 0, len(names))
+	for _, name := range names {
+		rs := reps[name]
+		best := rs[0]
+		for _, r := range rs[1:] {
+			if r.NsPerOp < best.NsPerOp {
+				best = r
+			}
+		}
+		best.Metrics = maps.Clone(best.Metrics)
+		for _, m := range allocMetrics {
+			var vals []float64
+			for _, r := range rs {
+				if v, ok := r.Metrics[m]; ok {
+					vals = append(vals, v)
+				}
+			}
+			if len(vals) > 0 {
+				best.Metrics[m] = median(vals)
+			}
+		}
+		out = append(out, best)
+	}
+	return out
+}
+
+// median returns the middle value of vals (the mean of the middle two for
+// an even count), sorting vals in place.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
 
 // allocMetrics are the gated allocation columns -benchmem reports.
 var allocMetrics = []string{"B/op", "allocs/op"}

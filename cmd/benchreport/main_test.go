@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -46,6 +47,56 @@ func TestCompareReports(t *testing.T) {
 			got := compareReports(io.Discard, Report{Results: c.base}, Report{Results: c.fresh}, maxRegress, noiseFloor)
 			if got != c.regress {
 				t.Fatalf("compareReports = %v, want %v", got, c.regress)
+			}
+		})
+	}
+}
+
+// TestMergeRepetitions pins how -count > 1 folds repetitions: the fastest
+// row's ns/op and other columns, the median B/op and allocs/op. Its first
+// case is the fleet's non-repeatable allocation count: the fastest of
+// three repetitions carries a +9.1% B/op outlier, which failed the 5% gate
+// when the fastest row's counts were kept and passes on the median.
+func TestMergeRepetitions(t *testing.T) {
+	const maxRegress, noiseFloor = 0.25, 50_000
+	row := func(name string, ns, bytes, allocs float64) Result {
+		return Result{Name: name, NsPerOp: ns, Metrics: map[string]float64{"B/op": bytes, "allocs/op": allocs, "sim-edges/op": 7}}
+	}
+	const fleet = "BenchmarkFleet/random"
+	base := Report{Results: []Result{row(fleet, 12e6, 961_536, 4437)}}
+	cases := []struct {
+		name    string
+		rows    []Result
+		want    []Result
+		regress bool // compareReports of the merge against base
+	}{
+		{"outlier on the fastest row",
+			[]Result{row(fleet, 10e6, 1_049_648, 4441), row(fleet, 11e6, 962_469, 4437), row(fleet, 12e6, 961_536, 4439)},
+			[]Result{row(fleet, 10e6, 962_469, 4439)}, false},
+		{"outlier in the median",
+			[]Result{row(fleet, 10e6, 1_049_648, 4437), row(fleet, 11e6, 1_051_000, 4437), row(fleet, 12e6, 961_536, 4437)},
+			[]Result{row(fleet, 10e6, 1_049_648, 4437)}, true},
+		{"even count",
+			[]Result{row(fleet, 13e6, 961_000, 4437), row(fleet, 10e6, 963_000, 4439)},
+			[]Result{row(fleet, 10e6, 962_000, 4438)}, false},
+		{"one repetition",
+			[]Result{row(fleet, 10e6, 1_049_648, 4441)},
+			[]Result{row(fleet, 10e6, 1_049_648, 4441)}, true},
+		{"first-seen order",
+			[]Result{row(fleet, 11e6, 961_536, 4437), row("BenchmarkNew", 1, 0, 0), row(fleet, 10e6, 961_536, 4437)},
+			[]Result{row(fleet, 10e6, 961_536, 4437), row("BenchmarkNew", 1, 0, 0)}, false},
+		{"no alloc columns",
+			[]Result{{Name: fleet, NsPerOp: 11e6, Metrics: map[string]float64{"sim-edges/op": 7}}, {Name: fleet, NsPerOp: 10e6, Metrics: map[string]float64{"sim-edges/op": 7}}},
+			[]Result{{Name: fleet, NsPerOp: 10e6, Metrics: map[string]float64{"sim-edges/op": 7}}}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := mergeRepetitions(c.rows)
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("mergeRepetitions = %+v, want %+v", got, c.want)
+			}
+			if r := compareReports(io.Discard, base, Report{Results: got}, maxRegress, noiseFloor); r != c.regress {
+				t.Fatalf("compareReports of the merge = %v, want %v", r, c.regress)
 			}
 		})
 	}
