@@ -77,10 +77,10 @@ func TestAssembleValidatesClocks(t *testing.T) {
 	if _, err := b.Assemble(7_000_000, 24_000_000, core); err == nil {
 		t.Fatal("non-integer clock ratio accepted")
 	}
-	// So must clocks (say, from a crafted bitstream header) whose LCM
-	// overflows the event schedule, before any domain is created.
+	// So must coprime clocks near the int64 limit (say, from a crafted
+	// bitstream header), before any domain is created.
 	if _, err := b.Assemble(1<<62-1, 1<<62-3, core); err == nil {
-		t.Fatal("coprime clocks beyond the schedule accepted")
+		t.Fatal("coprime clocks near the int64 limit accepted")
 	}
 	hw, err := b.Assemble(6_000_000, 24_000_000, core)
 	if err != nil {

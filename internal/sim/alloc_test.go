@@ -54,7 +54,7 @@ func TestIdleSkipMatchesUnskipped(t *testing.T) {
 // Engine.Stats: delivered plus skipped edges must equal the sum of the
 // per-domain cycle counters under both schedulers. The event-driven
 // scheduler skips the idle domain; lockstep, the no-skip reference, skips
-// nothing and never touches the heap.
+// nothing. HeapOps stays 0 under both: no scheduler keeps a heap.
 func TestStatsAccountAllEdges(t *testing.T) {
 	for _, sched := range []Scheduler{EventDriven, Lockstep} {
 		e := NewEngine()
@@ -74,38 +74,12 @@ func TestStatsAccountAllEdges(t *testing.T) {
 				sched, st.EdgesDelivered, st.EdgesSkipped, total)
 		}
 		switch {
+		case st.HeapOps != 0:
+			t.Fatalf("%v: %d heap ops, want 0", sched, st.HeapOps)
 		case sched == EventDriven && st.EdgesSkipped == 0:
 			t.Fatal("event-driven: idle fast domain skipped no edges")
-		case sched == Lockstep && (st.EdgesSkipped != 0 || st.HeapOps != 0):
-			t.Fatalf("lockstep: %d edges skipped and %d heap ops, want 0 and 0", st.EdgesSkipped, st.HeapOps)
-		}
-	}
-}
-
-// TestHeapOnlyForThreeOrMoreDomains pins where the event-driven scheduler
-// spends heap operations: one- and two-domain engines have no heap and
-// count none, however much they skip, while an engine of three or more
-// domains pops, pushes and rebuilds the heap after every skip.
-func TestHeapOnlyForThreeOrMoreDomains(t *testing.T) {
-	for n := 1; n <= 4; n++ {
-		e := NewEngine()
-		e.SetScheduler(EventDriven)
-		for i := 0; i < n; i++ {
-			e.NewDomain(fmt.Sprintf("d%d", i), int64(4000)>>i).Attach(&phaseBulk{active: 2, idle: 16, rem: 2})
-		}
-		var never bool
-		if _, err := e.RunUntilFlag(&never, 500); err != ErrBudget {
-			t.Fatal(err)
-		}
-		st := e.Stats()
-		if st.EdgesSkipped == 0 {
-			t.Fatalf("%d domains: nothing was skipped", n)
-		}
-		if n < 3 && st.HeapOps != 0 {
-			t.Fatalf("%d domains: %d heap ops, want none", n, st.HeapOps)
-		}
-		if n >= 3 && st.HeapOps <= int64(10*n) {
-			t.Fatalf("%d domains: %d heap ops; the heap was not maintained across skips", n, st.HeapOps)
+		case sched == Lockstep && st.EdgesSkipped != 0:
+			t.Fatalf("lockstep: %d edges skipped, want 0", st.EdgesSkipped)
 		}
 	}
 }
@@ -121,29 +95,28 @@ func (alwaysIdle) SkipEdges(int64)  {}
 
 // TestEventStepZeroAllocAllLayouts pins the allocation-free contract of the
 // event-driven scheduler across every dispatch path: the solo and pair
-// inline paths, the n >= 3 heap path (pop/push per super-edge), and the
-// bulk-skip passes (which rebuild the heap). After warm-up, neither Step
-// nor the skip machinery may allocate.
+// paths and the pair's bulk-skip pass. After warm-up, neither Step nor the
+// skip machinery may allocate.
 func TestEventStepZeroAllocAllLayouts(t *testing.T) {
 	build := func(domains int) *Engine {
 		e := NewEngine()
 		e.SetScheduler(EventDriven)
 		for i := 0; i < domains; i++ {
-			d := e.NewDomain(fmt.Sprintf("d%d", i), int64(48_000_000)>>(i%3))
+			d := e.NewDomain(fmt.Sprintf("d%d", i), int64(48_000_000)>>i)
 			if i%2 == 0 {
 				// Alternating active/countdown windows keep the skip
-				// passes (and heap rebuilds) on the measured path.
+				// passes on the measured path.
 				d.Attach(&phaseBulk{active: 2, idle: 16, rem: 2})
 			} else {
 				d.Attach(&counter{})
 			}
 		}
 		for i := 0; i < 64; i++ {
-			e.step() // warm up: plan, heap, due scratch, skip pass
+			e.step() // warm up: plan, due scratch, skip pass
 		}
 		return e
 	}
-	for _, domains := range []int{1, 2, 3, 8} {
+	for _, domains := range []int{1, 2} {
 		e := build(domains)
 		if avg := testing.AllocsPerRun(2000, func() { e.step() }); avg != 0 {
 			t.Fatalf("event step with %d domains allocates %v times per super-edge, want 0", domains, avg)
@@ -153,12 +126,11 @@ func TestEventStepZeroAllocAllLayouts(t *testing.T) {
 
 // TestRunUntilFlagZeroAlloc pins the same contract for the flag-polled run
 // loop the execute path uses, under both schedulers and in each layout the
-// run loop chooses between: solo, pair and the step loop behind every other
-// layout, each with a countdown component so the event-driven skips stay on
-// the measured path.
+// run loop chooses between, solo and pair, each with a countdown component
+// so the event-driven skips stay on the measured path.
 func TestRunUntilFlagZeroAlloc(t *testing.T) {
 	for _, s := range schedulers() {
-		for _, domains := range []int{1, 2, 3} {
+		for _, domains := range []int{1, 2} {
 			e := NewEngine()
 			e.SetScheduler(s.sched)
 			for i := 0; i < domains; i++ {

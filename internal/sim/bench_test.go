@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // busyBulk is a BulkIdler that is never idle — the worst case for the
 // event scheduler's per-edge idleness probing (a coprocessor core that
@@ -71,7 +68,7 @@ func benchSpan(b *testing.B, e *Engine, span int64) {
 			b.Fatal(err)
 		}
 	}
-	op() // warm up: plan, heap, due scratch
+	op() // warm up: plan, due scratch
 	if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
 		b.Fatalf("%v allocs per op, want 0", allocs)
 	}
@@ -119,45 +116,5 @@ func BenchmarkPairWait(b *testing.B) {
 			slow.Attach(&busyBulk{})
 			benchSpan(b, e, 1024)
 		})
-	}
-}
-
-// BenchmarkNDomainIdle measures the event scheduler on engines of three
-// or more clock domains where most domains are idle on well over half
-// their edges. Lockstep must deliver every inert edge; the event scheduler
-// jumps each idle subset to the wake horizon, but every skip asks all n
-// domains for their wake tick and rebuilds the heap, so its advantage does
-// not grow with domain count: on a 2-core Xeon host it is level with
-// lockstep at 3 domains, about 1.5x faster at 4 and level again at 8. No
-// shipped board has more than three domains. Iteration cost is normalised
-// per delivered unit of work, not per edge: both schedulers run the same
-// simulated span per loop.
-func BenchmarkNDomainIdle(b *testing.B) {
-	for _, n := range []int{3, 4, 8} {
-		for _, s := range schedulers() {
-			b.Run(fmt.Sprintf("domains=%d/%s", n, s.name), func(b *testing.B) {
-				e := NewEngine()
-				e.SetScheduler(s.sched)
-				driver := e.NewDomain("drv", 48_000_000)
-				// The driver works one edge in eight; every other domain
-				// idles in long countdown windows (>= 87% idle edges).
-				driver.Attach(&phaseBulk{active: 1, idle: 7, rem: 1})
-				for i := 1; i < n; i++ {
-					d := e.NewDomain(fmt.Sprintf("idle%d", i), 48_000_000/int64(1<<(i%3)))
-					d.Attach(&phaseBulk{active: 1, idle: 63, rem: 1})
-				}
-				e.Step()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Advance a fixed simulated span with skipping allowed
-					// (RunCycles would suspend it): both schedulers cover
-					// identical simulated time per iteration.
-					target := driver.Cycles() + 512
-					if _, err := e.RunUntil(func() bool { return driver.Cycles() >= target }, 1<<40); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -155,8 +155,9 @@ func runPub(t *testing.T, sched Scheduler, specs []domSpec, fireEvery, target in
 }
 
 // TestPublishedHorizonsMatchLockstep checks the Publisher contract end to
-// end: for seeded random configurations of 1–5 domains whose tickers all
-// publish their horizons (and invalidate each other's on wake-ups), the
+// end: for seeded random configurations of one domain, or two at an integer
+// ratio, whose tickers all publish their horizons (and invalidate each
+// other's on wake-ups), the
 // event-driven engine — which reads the published horizons instead of
 // asking — must agree with the lockstep reference on every observable,
 // through each run method: Step, RunUntil, RunUntilFlag and RunCycles
@@ -168,13 +169,8 @@ func TestPublishedHorizonsMatchLockstep(t *testing.T) {
 	var skipped, watchSkipped int64
 	for seed := int64(0); seed < 24; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
-		nd := 1 + r.Intn(5)
-		var freqs []int64
-		if seed%4 == 3 && nd > 1 {
-			freqs = coprimeFreqs(r, nd)
-		} else {
-			freqs = intRatioFreqs(r, nd)
-		}
+		nd := 1 + r.Intn(2)
+		freqs := intRatioFreqs(r, nd)
 		specs := make([]domSpec, nd)
 		for i := range specs {
 			phases, hasWait := randPhases(r, i == 0, true)

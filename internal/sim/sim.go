@@ -1,39 +1,38 @@
-// Package sim provides a deterministic, two-phase, multi-clock-domain
-// synchronous simulation kernel.
+// Package sim provides a deterministic, two-phase synchronous simulation
+// kernel of one or two clock domains.
 //
-// The kernel models a set of clock domains, each with an integer frequency in
-// hertz. Synchronous components register against a domain and receive two
-// callbacks per rising edge: Eval, during which they may read the committed
-// outputs of every other component and compute their next state, and Update,
-// during which they commit that state. Because every component samples only
-// committed values during Eval, evaluation order within an edge is
-// irrelevant and the simulation is free of combinational races by
-// construction — the classic two-phase (evaluate/commit) RTL discipline.
+// The kernel models the clock plans boards build: one clock domain, or two
+// whose integer frequencies in hertz have an integer ratio (a coprocessor
+// core and the IMU/memory clock it crosses to; CheckClocks states the rule
+// and NewDomain enforces it). Synchronous components register against a
+// domain and receive two callbacks per rising edge: Eval, during which they
+// may read the committed outputs of every other component and compute their
+// next state, and Update, during which they commit that state. Because
+// every component samples only committed values during Eval, evaluation
+// order within an edge is irrelevant and the simulation is free of
+// combinational races by construction — the classic two-phase
+// (evaluate/commit) RTL discipline.
 //
-// Edges from different domains are interleaved in exact time order without
+// Edges of the two domains are interleaved in exact time order without
 // floating-point time. Coincident edges (for example a 6 MHz core and a
 // 24 MHz bus every fourth bus cycle) are merged into a single super-edge:
 // all Evals run, then all Updates, preserving the synchronous contract
-// across domain boundaries.
+// across the domain boundary.
 //
 // # Schedulers
 //
 // The engine offers two interchangeable schedulers, selected per Engine
 // (SetScheduler) or process-wide (SetDefaultScheduler):
 //
-//   - EventDriven (the default): time is counted in ticks of a base clock
-//     whose frequency is the least common multiple of the domain
-//     frequencies, so every domain edge lands exactly on a tick (for the
-//     integer ratios real platforms use, which CheckClocks enforces, the
-//     base clock is the fastest domain). The engine keeps, per domain, its period in ticks (ratio) and
-//     the absolute tick of its next edge (nextAt); engines of three or more
-//     domains keep them in a binary heap keyed by (nextAt, creation order),
-//     while one- and two-domain engines need no heap. Coincidence is an
-//     integer compare and ties break towards creation order, so coincident
-//     edges Eval and Update in exactly the order the lockstep scheduler
-//     uses. Idle domains are bulk-skipped (below).
+//   - EventDriven (the default): time is counted in ticks of the fastest
+//     domain, on which every edge of the other lands exactly, since the
+//     ratio is an integer. The engine keeps, per domain, its period in
+//     ticks (ratio) and the absolute tick of its next edge (nextAt). The
+//     earlier edge is one integer compare away, and coincident edges Eval
+//     and Update in creation order, exactly as the lockstep scheduler
+//     orders them. Idle domains are bulk-skipped (below).
 //
-//   - Lockstep: a linear scan over all domains per super-edge that compares
+//   - Lockstep: a linear scan over the domains per super-edge that compares
 //     next-edge times as rationals, (cycles+1)/freqHz, by cross-
 //     multiplication in int64. It reads no plan and no idleness answer and
 //     delivers every edge, so it is a strict reference for the event
@@ -68,18 +67,18 @@
 //     reconfigurable shell publish this way.
 //
 // When every ticker of a domain is idle, the event-driven scheduler advances
-// the domain's cycle counter in bulk to the earliest non-inert edge across
-// all domains (the wake horizon) in one O(n) pass — any subset of idle
-// domains is jumped over at once. The skipped edges are exactly the ones
-// whose Eval would have taken the component's no-op fast path, so cycle
-// counts, counters, committed values and NowPs are bit-identical to the
-// unskipped schedule; edges at the horizon itself are delivered normally,
-// because that is where a skipped component wakes or another domain commits.
+// the domain's cycle counter in bulk to the earliest non-inert edge of
+// either domain (the wake horizon) in one pass, which jumps one or both
+// domains at once. The skipped edges are exactly the ones whose Eval would
+// have taken the component's no-op fast path, so cycle counts, counters,
+// committed values and NowPs are bit-identical to the unskipped schedule;
+// edges at the horizon itself are delivered normally, because that is where
+// a skipped component wakes or the other domain commits.
 //
 // The kernel is allocation-free in steady state: Step reuses one scratch
 // slice for the set of due domains (callers must not retain it across
-// steps), heap operations never allocate, and the flag-polled run loop
-// RunUntilFlag stops on a plain bool without any per-edge closure call.
+// steps), and the flag-polled run loop RunUntilFlag stops on a plain bool
+// without any per-edge closure call.
 package sim
 
 import (
@@ -220,8 +219,8 @@ const (
 	// unless overridden with SetDefaultScheduler). It is the zero value so
 	// that config structs embedding a Scheduler default sensibly.
 	SchedulerDefault Scheduler = iota
-	// EventDriven schedules super-edges from a min-heap of next-edge times
-	// and bulk-skips any subset of idle domains to the wake horizon.
+	// EventDriven schedules super-edges from integer next-edge ticks and
+	// bulk-skips idle domains to the wake horizon.
 	EventDriven
 	// Lockstep is the linear due-domain scan that delivers every edge,
 	// kept as the reference implementation for differential testing.
@@ -295,7 +294,6 @@ type Domain struct {
 	cycles  int64 // rising edges already delivered
 	tickers []Ticker
 	eng     *Engine
-	order   int // creation index; breaks scheduling ties deterministically
 
 	// Event schedule (valid while eng.planned): the domain's period in
 	// ticks of the engine's base clock, and the absolute tick of its next
@@ -426,7 +424,7 @@ func (d *Domain) bind(p Publisher) {
 	d.pubs = append(d.pubs, h)
 }
 
-// Engine owns a set of clock domains and advances them in time order.
+// Engine owns one or two clock domains and advances them in time order.
 type Engine struct {
 	domains []*Domain
 	// stopErr is set by a Ticker via Fail and aborts the current Run.
@@ -435,13 +433,9 @@ type Engine struct {
 	// sched selects the scheduling algorithm (resolved, never
 	// SchedulerDefault).
 	sched Scheduler
-	// base is the tick rate of the event schedule: the least common
-	// multiple of the domain frequencies (0 while there is no domain).
+	// base is the tick rate of the event schedule: the fastest domain's
+	// frequency (0 while there is no domain).
 	base int64
-	// eheap is the event scheduler's binary min-heap over (nextAt, order),
-	// used by engines of three or more domains; storage is reused across
-	// rebuilds.
-	eheap []*Domain
 
 	// due is the scratch buffer Step returns; reused every super-edge.
 	due []*Domain
@@ -451,27 +445,24 @@ type Engine struct {
 	// per-domain cycle target exactly, not jump past it).
 	noSkip int
 
-	// Telemetry tallies, maintained off the per-edge hot paths: skipped
-	// edges accrue only inside the (rare) bulk-skip passes and heap ops
-	// only inside the heap mutators. Delivered edges are derived lazily in
-	// Stats from the per-domain cycle counters, so the delivery loops stay
-	// untouched.
+	// Telemetry tally, maintained off the per-edge hot paths: skipped edges
+	// accrue only inside the (rare) bulk-skip passes. Delivered edges are
+	// derived lazily in Stats from the per-domain cycle counters, so the
+	// delivery loops stay untouched.
 	statSkipped int64
-	statHeapOps int64
 }
 
 // Stats is a snapshot of the engine's scheduling tallies, all monotonic
 // over the engine's lifetime. EdgesDelivered counts domain edges whose
 // tickers actually ran Eval/Update; EdgesSkipped counts edges consumed by
-// idle bulk-skip instead (the two sum to every domain's cycle counter);
-// HeapOps counts event-heap mutations (pushes, pops, and one per domain on
-// each wholesale rebuild). The lockstep scheduler neither skips nor touches
-// the heap, so both tallies stay zero under it, and one- and two-domain
-// event-driven engines have no heap, so their HeapOps stays zero too.
+// idle bulk-skip instead (the two sum to every domain's cycle counter). The
+// lockstep scheduler never skips, so EdgesSkipped stays zero under it.
 type Stats struct {
 	EdgesDelivered int64
 	EdgesSkipped   int64
-	HeapOps        int64
+	// HeapOps is always 0: the scheduler keeps no event heap. The field
+	// stays because exported telemetry reports it (sim_heap_ops_total).
+	HeapOps int64
 }
 
 // Since returns the tallies accrued after the snapshot prev.
@@ -479,7 +470,6 @@ func (s Stats) Since(prev Stats) Stats {
 	return Stats{
 		EdgesDelivered: s.EdgesDelivered - prev.EdgesDelivered,
 		EdgesSkipped:   s.EdgesSkipped - prev.EdgesSkipped,
-		HeapOps:        s.HeapOps - prev.HeapOps,
 	}
 }
 
@@ -493,7 +483,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		EdgesDelivered: total - e.statSkipped,
 		EdgesSkipped:   e.statSkipped,
-		HeapOps:        e.statHeapOps,
 	}
 }
 
@@ -522,38 +511,31 @@ func (e *Engine) SetScheduler(s Scheduler) {
 // Scheduler returns the engine's resolved scheduling algorithm.
 func (e *Engine) Scheduler() Scheduler { return e.sched }
 
-// NewDomain creates a clock domain. It panics unless the frequency is
-// positive and the least common multiple of the engine's frequencies,
-// which the event schedule counts time in, fits in an int64; assemblers
-// reject such clocks with CheckClocks first. The schedule's tick count
-// bounds a run to about 9.2e18 / LCM simulated seconds: centuries at the
-// integer ratios CheckClocks accepts. NewDomain must not be called while
-// RunUntil or RunUntilFlag is in progress.
+// NewDomain creates a clock domain. It panics on a third domain and on a
+// frequency CheckClocks rejects: one that is not positive or has no integer
+// ratio to the other domain's. Assemblers run CheckClocks first on clocks
+// from outside the program, to return an error instead. The schedule
+// counts ticks of the fastest domain, so a run is bounded to about 9.2e18
+// of its cycles: centuries at any clock a board runs. NewDomain must not be
+// called while RunUntil or RunUntilFlag is in progress.
 func (e *Engine) NewDomain(name string, freqHz int64) *Domain {
-	if freqHz <= 0 {
-		panic(fmt.Sprintf("sim: domain %q: frequency %d Hz must be positive", name, freqHz))
+	var err error
+	switch len(e.domains) {
+	case 0:
+		err = CheckClocks(freqHz)
+	case 1:
+		err = CheckClocks(e.domains[0].freqHz, freqHz)
+	default:
+		err = errors.New("sim: an engine has at most two clock domains")
 	}
-	base := freqHz
-	if e.base > 0 {
-		q := freqHz / gcd(e.base, freqHz)
-		if e.base > math.MaxInt64/q {
-			panic(fmt.Sprintf("sim: domain %q: frequency %d Hz puts the LCM of the engine's frequencies beyond int64", name, freqHz))
-		}
-		base = e.base * q
+	if err != nil {
+		panic(fmt.Sprintf("%v (domain %q)", err, name))
 	}
-	e.base = base
-	d := &Domain{name: name, freqHz: freqHz, eng: e, order: len(e.domains)}
+	e.base = max(e.base, freqHz)
+	d := &Domain{name: name, freqHz: freqHz, eng: e}
 	e.domains = append(e.domains, d)
 	e.planned = false
 	return d
-}
-
-// gcd is the greatest common divisor of two positive integers.
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // Domains returns the engine's domains in creation order.
@@ -564,16 +546,12 @@ func (e *Engine) Domains() []*Domain { return e.domains }
 func (e *Engine) Fail(err error) { e.stopErr = err }
 
 // plan rebuilds the scheduling plan: each domain gets its period in ticks
-// of the base clock and the absolute tick of its next edge, and an
-// event-driven engine of three or more domains builds its heap.
+// of the base clock and the absolute tick of its next edge.
 func (e *Engine) plan() {
 	e.planned = true
 	for _, d := range e.domains {
 		d.ratio = e.base / d.freqHz
 		d.nextAt = (d.cycles + 1) * d.ratio
-	}
-	if e.sched == EventDriven && len(e.domains) >= 3 {
-		e.heapInit()
 	}
 }
 
@@ -629,7 +607,7 @@ func (e *Engine) step() int64 {
 // across all domains together with every other domain edge coincident with
 // it. It returns the domains that ticked, in creation order. Under the
 // event-driven scheduler a Step may additionally consume bulk-skipped idle
-// edges of other domains up to the delivered instant, exactly as the run
+// edges of either domain up to the delivered instant, exactly as the run
 // loops do. The returned slice is a scratch buffer owned by the engine and
 // is overwritten by the next Step; callers must copy it if they need to
 // retain it.
@@ -715,7 +693,7 @@ func (e *Engine) RunUntilFlag(stop *bool, maxEdges int64) (int64, error) {
 //
 // The layout is chosen once per call, not once per edge: a solo
 // event-driven engine runs runSolo, an event-driven pair loops over
-// eventStepPair, and every other layout over its scheduler's step. Tickers
+// eventStepPair, and a lockstep engine over lockstepStep. Tickers
 // must therefore not add domains or tickers, or switch the scheduler, while
 // a run is in progress.
 func (e *Engine) run(stop *bool, done func() bool, maxEdges int64) (int64, error) {
@@ -724,7 +702,7 @@ func (e *Engine) run(stop *bool, done func() bool, maxEdges int64) (int64, error
 		return 0, spent(stop, done)
 	}
 	// The first poll comes before the plan, which a fresh engine builds
-	// only once it delivers an edge (plan counts heap operations).
+	// only once it delivers an edge.
 	if *stop || done != nil && done() {
 		return 0, nil
 	}
@@ -736,14 +714,10 @@ func (e *Engine) run(stop *bool, done func() bool, maxEdges int64) (int64, error
 	}
 	step := e.lockstepStep
 	if e.sched == EventDriven {
-		switch len(e.domains) {
-		case 1:
+		if len(e.domains) == 1 {
 			return e.runSolo(stop, done, maxEdges)
-		case 2:
-			step = e.eventStepPair
-		default:
-			step = e.eventStepHeap
 		}
+		step = e.eventStepPair
 	}
 	n := int64(0)
 	for {
@@ -837,8 +811,8 @@ func (e *Engine) NowPs() float64 {
 // frequency must be positive and every pair must have an integer ratio, so
 // edges align (and the event schedule's base clock is the fastest domain).
 // It returns an error naming the first offending clock or pair, or nil.
-// Assemblers call it on clocks from outside the program before creating
-// domains, since NewDomain panics on a plan it cannot schedule.
+// NewDomain applies it to each new domain and panics on its error, so
+// assemblers call it first on clocks from outside the program.
 func CheckClocks(hz ...int64) error {
 	for i, a := range hz {
 		if a <= 0 {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -135,9 +137,8 @@ func TestFailAbortsRun(t *testing.T) {
 
 // TestValidateRejectsNonIntegerRatio pins CheckClocks, the clock-plan check
 // assemblers run before creating domains: a non-integer pair, a
-// non-positive clock and a coprime pair whose LCM overflows int64 (which
-// NewDomain would panic on) are errors; integer ratios, repeats included,
-// pass.
+// non-positive clock and a coprime pair near the int64 limit are errors;
+// integer ratios, repeats included, pass.
 func TestValidateRejectsNonIntegerRatio(t *testing.T) {
 	for _, hz := range [][]int64{
 		{133_000_000, 40_000_000},
@@ -240,21 +241,6 @@ func TestRegStage(t *testing.T) {
 	}
 }
 
-func TestThreeDomainInterleaving(t *testing.T) {
-	e := NewEngine()
-	d1 := e.NewDomain("a", 6_000_000)
-	d2 := e.NewDomain("b", 24_000_000)
-	d3 := e.NewDomain("c", 48_000_000)
-	c1, c2, c3 := &counter{}, &counter{}, &counter{}
-	d1.Attach(c1)
-	d2.Attach(c2)
-	d3.Attach(c3)
-	e.RunCycles(d3, 480)
-	if c3.n.Get() != 480 || c2.n.Get() != 240 || c1.n.Get() != 60 {
-		t.Fatalf("counts %d/%d/%d, want 480/240/60", c3.n.Get(), c2.n.Get(), c1.n.Get())
-	}
-}
-
 func TestSchedulerSelection(t *testing.T) {
 	// Pin the package default for the duration of the test so a
 	// SIM_SCHEDULER override in the environment cannot skew it.
@@ -342,33 +328,76 @@ func TestEmptyEngineRunReturnsError(t *testing.T) {
 	}
 }
 
-// TestNewDomainRejectsLCMOverflow pins that NewDomain panics when the least
-// common multiple of the engine's frequencies, the event schedule's tick
-// rate, no longer fits in an int64, and accepts a set just inside it.
-func TestNewDomainRejectsLCMOverflow(t *testing.T) {
-	mustPanic := func(f func()) (msg any) {
-		defer func() { msg = recover() }()
-		f()
-		return nil
+// mustPanic runs f and returns what it panicked with, or nil.
+func mustPanic(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
+}
+
+// TestNewDomainRejectsUnschedulableClocks pins the clock plans NewDomain
+// refuses: a third domain, a frequency without an integer ratio to the
+// existing domain's, and a non-positive frequency. Each panics and leaves
+// the engine's domains as they were, and the engine still runs.
+func TestNewDomainRejectsUnschedulableClocks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		have []int64
+		hz   int64
+	}{
+		{"third domain", []int64{24_000_000, 6_000_000}, 24_000_000},
+		{"non-integer ratio", []int64{24_000_000}, 9_000_000},
+		{"coprime near int64", []int64{1<<62 - 1}, 1<<62 - 3},
+		{"zero", []int64{24_000_000}, 0},
+		{"zero on an empty engine", nil, 0},
+		{"negative", []int64{24_000_000}, -6_000_000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			for i, hz := range c.have {
+				e.NewDomain(fmt.Sprint("d", i), hz).Attach(&counter{})
+			}
+			before := append([]*Domain(nil), e.Domains()...)
+			if msg := mustPanic(func() { e.NewDomain("bad", c.hz) }); msg == nil {
+				t.Fatalf("NewDomain accepted %d Hz next to %v", c.hz, c.have)
+			}
+			if got := e.Domains(); !slices.Equal(got, before) {
+				t.Fatalf("a rejected domain changed the engine: %d domains, want %d", len(got), len(before))
+			}
+			if len(before) == 0 {
+				return
+			}
+			for _, s := range schedulers() {
+				e.SetScheduler(s.sched)
+				if _, err := e.RunUntil(nil, 4); err != ErrBudget {
+					t.Fatalf("%s: %v", s.name, err)
+				}
+			}
+		})
 	}
-	e := NewEngine()
-	e.NewDomain("a", 3_000_000_019) // prime
-	e.NewDomain("b", 3_000_000_017) // odd, coprime to a: LCM ~9.0e18, inside int64
-	if msg := mustPanic(func() { e.NewDomain("c", 2) }); msg == nil {
-		t.Fatal("NewDomain accepted a frequency set whose LCM overflows int64")
-	}
-	if n := len(e.Domains()); n != 2 {
-		t.Fatalf("rejected domain was added: %d domains", n)
-	}
-	// A frequency dividing the LCM does not grow it and is accepted.
-	e.NewDomain("d", 3_000_000_019)
-	for _, s := range schedulers() {
-		e.SetScheduler(s.sched)
-		if _, err := e.RunUntil(nil, 4); err != ErrBudget {
-			t.Fatalf("%s: %v", s.name, err)
+}
+
+// TestQuickNewDomainMatchesCheckClocks pins that clocks are validated in
+// one place: for random frequency pairs, NewDomain(a) then NewDomain(b)
+// panics exactly when CheckClocks(a, b) reports an error.
+func TestQuickNewDomainMatchesCheckClocks(t *testing.T) {
+	f := func(a, b int64, mul uint8, small bool) bool {
+		if small {
+			// Random int64s almost never divide each other; draw mostly
+			// small clocks and exact multiples so both answers occur.
+			a, b = a%50, b%50
+			if mul%2 == 0 {
+				b = a * int64(mul%5)
+			}
 		}
+		e := NewEngine()
+		panicked := mustPanic(func() {
+			e.NewDomain("a", a)
+			e.NewDomain("b", b)
+		}) != nil
+		return panicked == (CheckClocks(a, b) != nil)
 	}
-	if msg := mustPanic(func() { NewEngine().NewDomain("z", 0) }); msg == nil {
-		t.Fatal("NewDomain accepted a zero frequency")
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
