@@ -50,6 +50,27 @@ func TestIdleSkipMatchesUnskipped(t *testing.T) {
 	}
 }
 
+// TestForeverIdlePairDeliversEveryEdge pins the skip pass's fallback: when
+// both domains are idle until input, the event-driven engine delivers the
+// earliest (no-op) super-edge, skipping nothing, exactly as lockstep does,
+// so a run budget counts the same edges under both schedulers.
+func TestForeverIdlePairDeliversEveryEdge(t *testing.T) {
+	for _, s := range schedulers() {
+		e := NewEngine()
+		e.SetScheduler(s.sched)
+		fast := e.NewDomain("fast", 4000)
+		slow := e.NewDomain("slow", 1000)
+		fast.Attach(alwaysIdle{})
+		slow.Attach(alwaysIdle{})
+		if n, err := e.RunUntil(nil, 40); n != 40 || err != ErrBudget {
+			t.Fatalf("%s: RunUntil = %d, %v; want 40 and ErrBudget", s.name, n, err)
+		}
+		if st := e.Stats(); fast.Cycles() != 40 || slow.Cycles() != 10 || st.EdgesSkipped != 0 {
+			t.Fatalf("%s: cycles %d/%d, %d skipped; want 40/10, none skipped", s.name, fast.Cycles(), slow.Cycles(), st.EdgesSkipped)
+		}
+	}
+}
+
 // TestStatsAccountAllEdges pins the telemetry invariant behind
 // Engine.Stats: delivered plus skipped edges must equal the sum of the
 // per-domain cycle counters under both schedulers. The event-driven

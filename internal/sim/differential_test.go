@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -272,11 +273,7 @@ func traceSchedule(sched Scheduler, freqs []int64, steps int) ([]int64, float64,
 	var trace []int64
 	for s := 0; s < steps; s++ {
 		for _, d := range e.Step() {
-			i := int64(0)
-			if d != e.Domains()[0] {
-				i = 1
-			}
-			trace = append(trace, i<<32|d.Cycles())
+			trace = append(trace, int64(slices.Index(e.Domains(), d))<<32|d.Cycles())
 		}
 		trace = append(trace, -1)
 	}

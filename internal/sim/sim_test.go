@@ -328,8 +328,8 @@ func TestEmptyEngineRunReturnsError(t *testing.T) {
 	}
 }
 
-// mustPanic runs f and returns what it panicked with, or nil.
-func mustPanic(f func()) (msg any) {
+// panicOf runs f and returns what it panicked with, or nil.
+func panicOf(f func()) (msg any) {
 	defer func() { msg = recover() }()
 	f()
 	return nil
@@ -358,7 +358,7 @@ func TestNewDomainRejectsUnschedulableClocks(t *testing.T) {
 				e.NewDomain(fmt.Sprint("d", i), hz).Attach(&counter{})
 			}
 			before := append([]*Domain(nil), e.Domains()...)
-			if msg := mustPanic(func() { e.NewDomain("bad", c.hz) }); msg == nil {
+			if msg := panicOf(func() { e.NewDomain("bad", c.hz) }); msg == nil {
 				t.Fatalf("NewDomain accepted %d Hz next to %v", c.hz, c.have)
 			}
 			if got := e.Domains(); !slices.Equal(got, before) {
@@ -391,7 +391,7 @@ func TestQuickNewDomainMatchesCheckClocks(t *testing.T) {
 			}
 		}
 		e := NewEngine()
-		panicked := mustPanic(func() {
+		panicked := panicOf(func() {
 			e.NewDomain("a", a)
 			e.NewDomain("b", b)
 		}) != nil
