@@ -5,7 +5,10 @@
 // Usage:
 //
 //	go run ./cmd/benchreport [-bench regex] [-benchtime 3x] [-count 1] [-out BENCH_results.json]
-//	    [-compare BENCH_results.json] [-max-regress 0.25]
+//	    [-compare BENCH_results.json] [-max-regress 0.25] [-profile DIR]
+//
+// With -profile, the run also writes DIR/cpu.pprof and DIR/mem.pprof and
+// keeps the test binary as DIR/repro.test, for go tool pprof.
 //
 // With -count > 1, each benchmark keeps its fastest repetition's ns/op and
 // the median of its repetitions' B/op and allocs/op.
@@ -31,6 +34,7 @@ import (
 	"maps"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -69,14 +73,16 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression vs -compare baseline")
 	noiseFloor := flag.Float64("noise-floor-ns", 50_000, "absolute ns/op delta below which a wall-clock regression is ignored (micro-benchmark host jitter)")
 	count := flag.Int("count", 1, "benchmark repetitions (go test -count); the per-benchmark minimum ns/op and median B/op and allocs/op are kept, which damps host noise for the regression gate")
+	profile := flag.String("profile", "", "directory for a CPU and a memory profile of the run and its test binary")
 	flag.Parse()
 
-	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-count", fmt.Sprint(*count)}
-	if *benchmem {
-		args = append(args, "-benchmem")
+	if *profile != "" {
+		if err := os.MkdirAll(*profile, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+			os.Exit(1)
+		}
 	}
-	args = append(args, ".")
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", testArgs(*bench, *benchtime, *count, *benchmem, *profile)...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {
@@ -122,6 +128,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// testArgs is the go test command line that runs the root package's
+// benchmarks. A non-empty profile directory adds a CPU and a memory profile
+// of the run and keeps the test binary beside them.
+func testArgs(bench, benchtime string, count int, benchmem bool, profile string) []string {
+	args := []string{"test", "-run", "^$", "-bench", bench, "-benchtime", benchtime, "-count", fmt.Sprint(count)}
+	if benchmem {
+		args = append(args, "-benchmem")
+	}
+	if profile != "" {
+		args = append(args, "-cpuprofile", filepath.Join(profile, "cpu.pprof"),
+			"-memprofile", filepath.Join(profile, "mem.pprof"), "-o", filepath.Join(profile, "repro.test"))
+	}
+	return append(args, ".")
 }
 
 // allocRegress is the allowed fractional growth of a benchmark's B/op and

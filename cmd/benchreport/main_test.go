@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -97,6 +98,32 @@ func TestMergeRepetitions(t *testing.T) {
 			}
 			if r := compareReports(io.Discard, base, Report{Results: got}, maxRegress, noiseFloor); r != c.regress {
 				t.Fatalf("compareReports of the merge = %v, want %v", r, c.regress)
+			}
+		})
+	}
+}
+
+// TestTestArgs pins the go test command line, with and without -profile.
+func TestTestArgs(t *testing.T) {
+	cases := []struct {
+		name      string
+		benchmem  bool
+		count     int
+		profile   string
+		wantExtra []string
+	}{
+		{"plain", false, 1, "", nil},
+		{"benchmem", true, 3, "", []string{"-benchmem"}},
+		{"profile", true, 1, "prof", []string{"-benchmem",
+			"-cpuprofile", "prof/cpu.pprof", "-memprofile", "prof/mem.pprof", "-o", "prof/repro.test"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := testArgs("Serve", "3x", c.count, c.benchmem, c.profile)
+			want := []string{"test", "-run", "^$", "-bench", "Serve", "-benchtime", "3x", "-count", fmt.Sprint(c.count)}
+			want = append(append(want, c.wantExtra...), ".")
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("testArgs = %q, want %q", got, want)
 			}
 		})
 	}

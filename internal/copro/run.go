@@ -15,6 +15,12 @@ package copro
 // run cannot start (a miss, the last unit, a core whose IMU clock is not a
 // multiple of its own).
 //
+// A window is found once: the first ask walks the units to the first miss
+// and leaves a plan (runPlan) keyed on the unit index and the table
+// generation of the channel's session. Asks in between, after a
+// neighbour's edge or a run cut short, answer from the plan, which skipRun
+// keeps current as it consumes the window.
+//
 // A run may be executed late: a shell slot sleeps through its window while
 // its neighbour keeps running, and executes the run when it wakes. Every
 // access therefore goes to the hit service with the IMU edge at which the
@@ -95,6 +101,10 @@ type HitService interface {
 	Latency() int64
 	// PageShift is log2 of the translation page size.
 	PageShift() uint
+	// Gen is the table generation of the channel's session: it changes
+	// whenever a table write may change a Hits answer, and never on an
+	// access, so Hits answers stand while it is unchanged.
+	Gen() uint64
 	// Hits returns the TLB entry that translates (obj, addr), or -1 if the
 	// access would miss.
 	Hits(obj uint8, addr uint32) int
@@ -110,8 +120,9 @@ type HitService interface {
 // runMemo remembers, per step position, the page the previous unit's step
 // translated through and its TLB entry, so a run looks each page up once:
 // units are regular, and step j of one unit almost always lands in the
-// page step j of the previous unit did. It is valid within one RunEdges or
-// skipRun call (the OS may rewrite the table between calls).
+// page step j of the previous unit did. It is valid within one RunEdges
+// walk or skipRun call; what outlives a call is the plan (runPlan), which
+// keeps the window's length, not its entries.
 type runMemo [MaxSteps]struct {
 	obj   uint8
 	vpage uint32
@@ -196,17 +207,35 @@ func (s *Seq) runWire() *HitWire {
 	return w
 }
 
+// runPlan is the hit-run window RunEdges last found: w edges from the top
+// of unit unit, under table generation gen of the channel's session. A
+// later ask at the same unit under the same generation finds the same
+// window, so it answers from the plan without a walk. skipRun moves the
+// plan past every unit it runs or hands to the edge path; any other
+// progress of the sequencer leaves its unit index off the plan's, and
+// reset clears it (unit -1).
+type runPlan struct {
+	unit int
+	gen  uint64
+	w    int64
+}
+
 // RunEdges returns the hit-run window of a sequencer at the top of its
 // loop: the edges its next units take on the edge path when every access
 // of each hits in the TLB, stopping before the first unit with an access
 // that would miss and before the last unit, which raises CP_FIN. It is 0
-// when no run can start. Asking changes nothing the model can observe.
+// when no run can start. Asking changes nothing the model can observe; it
+// walks the units only when the plan does not hold.
 func (s *Seq) RunEdges() int64 {
 	wire := s.runWire()
 	if wire == nil {
 		return 0
 	}
 	h := wire.svc
+	gen := h.Gen()
+	if s.plan.unit == s.unit && s.plan.gen == gen {
+		return s.plan.w
+	}
 	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
@@ -222,6 +251,7 @@ func (s *Seq) RunEdges() int64 {
 		n, _ := t.edges(u, &issue)
 		w += n
 	}
+	s.plan = runPlan{unit: s.unit, gen: gen, w: w}
 	return w
 }
 
@@ -256,6 +286,10 @@ func (s *Seq) skipRun(k int64) {
 		s.prog.Unit(s.unit, u)
 		memo.hits(h, shift, u)
 		n, consume := t.edges(u, &issue)
+		// The plan moves past the unit either way: a remainder on the
+		// edge path reaches the next unit's top with the unit index.
+		s.plan.unit++
+		s.plan.w -= n
 		if n > k {
 			break
 		}

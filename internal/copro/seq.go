@@ -64,6 +64,8 @@ type Seq struct {
 	// cur is the current unit, described at its first issue. At the top
 	// of the loop it is free, so hit runs describe into it.
 	cur Unit
+	// plan is the last hit-run window found (RunEdges).
+	plan runPlan
 
 	unit  int // absolute index of the current unit
 	units int // Program.Units, latched after the parameters
@@ -109,6 +111,7 @@ func (s *Seq) reset() {
 	s.st = seqWaitStart
 	s.step, s.left, s.ran = 0, 0, false
 	s.unit, s.units, s.param = 0, 0, 0
+	s.plan = runPlan{unit: -1}
 	s.resetMem()
 }
 

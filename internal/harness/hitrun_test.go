@@ -228,7 +228,8 @@ func fieldsOf(v reflect.Value, skip ...string) string {
 // global and per channel) and its channel (FSM state, latched request,
 // register bank, outputs), the DP RAM's bytes and port counters, both
 // committed port bundles and the domain cycles. Per-edge scratch (the
-// sequencer's current unit) and lookup memos are left out.
+// sequencer's current unit) and lookup memos (the sequencer's hit-run plan,
+// the channel's CAM memo) are left out.
 type benchState struct {
 	Core, Seq, Mem, IMU, Channel, DPPorts string
 	DP                                    []byte
@@ -246,7 +247,7 @@ func snapshot(t testing.TB, b *Bench) benchState {
 	u := reflect.ValueOf(b.IMU)
 	return benchState{
 		Core:       fieldsOf(reflect.ValueOf(b.Core).Elem().FieldByName("prog").Elem()),
-		Seq:        fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur"),
+		Seq:        fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur", "plan"),
 		Mem:        fieldsOf(reflect.ValueOf(&b.Core.Mem)),
 		IMU:        fieldsOf(u, "ch", "chbuf", "hits", "anyWork", "hz"),
 		Channel:    fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
@@ -300,11 +301,23 @@ func TestHitRunMatchesFullDelivery(t *testing.T) {
 	}
 }
 
+// planned reports whether the sequencer's hit-run plan is at its current
+// unit, so that its next ask is answered from the plan if the table
+// generation still holds.
+func planned(s *copro.Seq) bool {
+	v := reflect.ValueOf(s).Elem()
+	return v.FieldByName("plan").FieldByName("unit").Int() == v.FieldByName("unit").Int()
+}
+
 // TestHitRunPartialWindow consumes a random part of each advertised hit-run
 // window through the core's SkipEdges and requires exactly the state the
 // edge FSMs reach over the same edges — k core edges and the IMU edges
 // before the core's next one — including an access left mid-handshake; then
-// runs both benches to completion and compares again.
+// runs both benches to completion and compares again. At every step the
+// skipped bench's window answer, which after a skip comes from the plan the
+// skip left, must equal the reference sequencer's: the reference never
+// skips, so its plan never outlives the unit it was found at, and its first
+// answer at each unit is a fresh walk.
 func TestHitRunPartialWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range hitCases() {
@@ -315,10 +328,13 @@ func TestHitRunPartialWindow(t *testing.T) {
 			}
 			seq := skip.Core
 			ratio := ref.IMUDom.FreqHz() / ref.CoproDom.FreqHz()
-			windows := 0
+			windows, fromPlan := 0, 0
 			for steps := 0; !ref.IMU.DonePending() && steps < 10_000_000; steps++ {
 				if ref.IMU.FaultPending() {
 					t.Fatal("unexpected fault")
+				}
+				if planned(seq) && !planned(ref.Core) {
+					fromPlan++
 				}
 				// Take hit-run windows only: the core's other windows
 				// defer an inert drain step, which no component observes.
@@ -326,6 +342,10 @@ func TestHitRunPartialWindow(t *testing.T) {
 				// from the IMU edge just before, so that after the skip
 				// the skipped bench's next super-edge is the core's.
 				w := seq.IdleEdges()
+				if want := ref.Core.RunEdges(); seq.RunEdges() != want {
+					t.Fatalf("after %d windows: the window answer is %d edges, a fresh walk finds %d",
+						windows, seq.RunEdges(), want)
+				}
 				if w <= 0 || w != seq.RunEdges() || (ref.IMUDom.Cycles()+1)%ratio != 0 {
 					skip.Eng.Step()
 					ref.Eng.Step()
@@ -354,6 +374,9 @@ func TestHitRunPartialWindow(t *testing.T) {
 			}
 			if windows == 0 {
 				t.Fatal("no hit-run window was advertised")
+			}
+			if fromPlan == 0 {
+				t.Fatal("no window was answered from a plan")
 			}
 			if !skip.IMU.DonePending() {
 				t.Fatal("the skipped bench did not finish with the reference")
@@ -389,12 +412,13 @@ func TestNoHitRunWithoutService(t *testing.T) {
 	}
 }
 
-// BenchmarkHitRun executes each core once per op on a mapped bench, as hit
-// runs (event scheduler) and through the edge FSMs alone (lockstep). It
-// reports host ns per translated access, delivered edges per op and
-// simulated edges per op (delivered + skipped, the same for both paths).
+// BenchmarkHitRun executes each hit-run case's core once per op on a mapped
+// bench, as hit runs (event scheduler) and through the edge FSMs alone
+// (lockstep). It reports host ns per executed unit and per translated
+// access, delivered edges per op and simulated edges per op (delivered +
+// skipped, the same for both paths).
 func BenchmarkHitRun(b *testing.B) {
-	for _, c := range []hitCase{vecaddCase(1000), adpcmCase(900), ideaCase(2560, imu.MultiCycle)} {
+	for _, c := range hitCases() {
 		for _, path := range []struct {
 			name  string
 			sched sim.Scheduler
@@ -415,6 +439,13 @@ func BenchmarkHitRun(b *testing.B) {
 					}
 				}
 				exec() // warm the DP RAM pages and the table
+				// A second bench held at CP_FIN shows how many units a run
+				// executes (the sequencer forgets once the OS acknowledges).
+				probe := c.build(b, path.sched)
+				if _, err := probe.RunToFin(50_000_000); err != nil {
+					b.Fatal(err)
+				}
+				units := reflect.ValueOf(probe.Core).Elem().FieldByName("units").Int()
 				st0, acc0 := bench.Eng.Stats(), bench.IMU.Count.Accesses
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -424,6 +455,7 @@ func BenchmarkHitRun(b *testing.B) {
 				b.StopTimer()
 				st, acc := bench.Eng.Stats(), bench.IMU.Count.Accesses
 				n := float64(b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(n*float64(units)), "ns/unit")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(acc-acc0), "ns/access")
 				b.ReportMetric(float64(st.EdgesDelivered-st0.EdgesDelivered)/n, "edges/op")
 				b.ReportMetric(float64(st.EdgesDelivered+st.EdgesSkipped-st0.EdgesDelivered-st0.EdgesSkipped)/n, "sim-edges/op")

@@ -261,3 +261,69 @@ func TestLastUseStampsOrderEdgeThenChannel(t *testing.T) {
 		t.Fatalf("stamped edge %d lies beyond the IMU's %d edges", edge, r.imu.edge)
 	}
 }
+
+// TestSessionGenerations pins which table writes bump which session's
+// generation (copro.HitService.Gen), the key of a core's hit-run plan: a
+// write that may change what a session's lookups match bumps that session
+// and no other, and a hit, delivered or run, bumps none.
+func TestSessionGenerations(t *testing.T) {
+	r := newMultiRig(t, [2][]tbOp{
+		{{obj: 0, addr: 0x10, size: copro.Size32}, {wr: true, obj: 0, addr: 0x14, size: copro.Size32, val: 7}},
+		{{obj: 0, addr: 0x10, size: copro.Size32}},
+	})
+	svc := [2]copro.HitService{r.imu.HitService(0), r.imu.HitService(1)}
+	gens := func() [2]uint64 { return [2]uint64{svc[0].Gen(), svc[1].Gen()} }
+	expect := func(what string, before [2]uint64, bumped0, bumped1 bool) {
+		t.Helper()
+		got := gens()
+		for i, bumped := range []bool{bumped0, bumped1} {
+			if changed := got[i] != before[i]; changed != bumped {
+				t.Errorf("%s: session %d generation %d -> %d, want bumped=%v", what, i, before[i], got[i], bumped)
+			}
+		}
+	}
+
+	g := gens()
+	r.mapSess(t, 0, 0, 0, 2)
+	expect("mapping a free entry for session 0", g, true, false)
+
+	g = gens()
+	if err := r.imu.SetEntry(2, TLBEntry{Valid: true, Sess: 1, Obj: 0, VPage: 0, Frame: 2}); err != nil {
+		t.Fatal(err)
+	}
+	expect("session 1 stealing session 0's entry", g, true, true)
+
+	g = gens()
+	r.mapSess(t, 0, 0, 0, 3)
+	r.mapSess(t, 0, 1, 0, 4)
+	expect("mapping more entries for session 0", g, true, false)
+
+	g = gens()
+	r.imu.InvalidateSession(0)
+	expect("InvalidateSession(0)", g, true, false)
+
+	g = gens()
+	r.imu.InvalidateAll()
+	expect("InvalidateAll", g, true, true)
+
+	r.mapSess(t, 0, 0, 0, 2)
+	r.mapSess(t, 1, 0, 0, 5)
+	g = gens()
+	r.runUntil(t, func() bool { return len(r.drv[0].results) == 2 && len(r.drv[1].results) == 1 })
+	if n := r.imu.Count.Hits; n != 3 {
+		t.Fatalf("%d hits on the edge path, want 3", n)
+	}
+	expect("hits on the edge path", g, false, false)
+
+	e := svc[0].Hits(0, 0x20)
+	if e != 2 {
+		t.Fatalf("Hits(0, 0x20) = %d, want entry 2", e)
+	}
+	svc[0].Access(r.imu.edge+4, e, 0, 0x20, copro.Size32, true, 9)
+	svc[0].Access(r.imu.edge+8, e, 0, 0x20, copro.Size32, false, 0)
+	svc[0].Finish()
+	if d := r.imu.Entry(e); !d.Dirty || !d.Ref {
+		t.Fatalf("entry after the run's accesses: %+v, want Dirty and Ref", d)
+	}
+	expect("a hit run's accesses", g, false, false)
+}

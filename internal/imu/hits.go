@@ -20,6 +20,11 @@ func (u *IMU) HitService(i int) copro.HitService { return &u.hits[i] }
 // Edge implements copro.HitService.
 func (s *hitService) Edge() int64 { return s.u.edge }
 
+// Gen implements copro.HitService: the table generation of the channel's
+// session, which every table write that may change one of its matches
+// bumps (see sessionWritten). A hit, run or delivered, bumps none.
+func (s *hitService) Gen() uint64 { return s.u.gen[s.c.sess] }
+
 // Eval implements copro.HitService: the channel's FSM alone steps through
 // IMU edge edge, with the idle fast path of IMU.Eval.
 func (s *hitService) Eval(edge int64) {

@@ -44,8 +44,10 @@
 // stamp of the access's own edge, the entry's Ref and Dirty bits, the DP
 // RAM access, CP_DIN and the counters — while the core skips the edges. A
 // run touches only its own channel and its own session's entries, so it may
-// be applied after the neighbouring channels have moved on. The FSM stays
-// the reference: the lockstep scheduler always runs it.
+// be applied after the neighbouring channels have moved on. Each session
+// has a table generation that every table write which may change one of
+// its matches bumps, so a core keeps the window it found until then. The
+// FSM stays the reference: the lockstep scheduler always runs it.
 package imu
 
 import (
@@ -237,10 +239,14 @@ type IMU struct {
 	anyWork bool
 	irq     bool // CPU interrupt line: OR of the channel IRQs
 
-	edge   int64  // IMU edges delivered or skipped so far: the latest edge's index
-	epoch  uint64 // OS table writes so far; a CAM memo is valid only within one
+	edge   int64 // IMU edges delivered or skipped so far: the latest edge's index
 	Count  Counters
 	tlbIdx int // register-window entry selector (shared indirect port)
+
+	// gen is each session's table generation (see sessionWritten),
+	// indexed by session tag; a CAM memo and a hit-run plan are valid
+	// only within one generation of their session.
+	gen [MaxChannels]uint64
 
 	// hz is the published idle horizon (sim.Publisher), see IdleEdges.
 	hz sim.Horizon
@@ -315,11 +321,15 @@ func (u *IMU) SetChannels(n int) error {
 // paused: the published horizon goes stale.
 func (u *IMU) poke() { u.hz.Invalidate() }
 
-// tableWritten pokes after an OS write to the translation table, which may
-// change what any lookup finds: it also retires every channel's CAM memo.
-func (u *IMU) tableWritten() {
-	u.epoch++
-	u.poke()
+// sessionWritten records a table write that may change which entries match
+// session sess's lookups: it bumps the session's generation, retiring its
+// channel's CAM memo and its core's hit-run plan. Writes that only touch a
+// hit's Ref, LastUse or Dirty bits change no match and bump nothing. A tag
+// no channel carries matches no lookup.
+func (u *IMU) sessionWritten(sess uint8) {
+	if int(sess) < len(u.gen) {
+		u.gen[sess]++
+	}
 }
 
 // Horizon implements sim.Publisher.
@@ -467,9 +477,9 @@ func (u *IMU) SkipEdges(k int64) {
 }
 
 // camMemo is a channel's last CAM lookup: the key, the index found (-1 for
-// a miss) and the table-write epoch it was found in.
+// a miss) and the session's table generation it was found in.
 type camMemo struct {
-	epoch uint64
+	gen   uint64
 	obj   uint8
 	vpage uint32
 	idx   int
@@ -478,13 +488,15 @@ type camMemo struct {
 // camLookup is channel c's CAM match for (obj, vpage), memoised, so the
 // horizon query, the CAM edge and the access edge of one translated access
 // share a single scan of the table. The result is always camMatch's
-// (the lowest matching index): between OS table writes, which retire the
-// memo, hardware never makes an entry match — an access rewrites only
-// Ref/LastUse/Dirty and a parameter release only clears Valid — so a
-// memoised miss stands and a memoised hit stands while its entry still
-// matches.
+// (the lowest matching index): within one generation of the channel's
+// session (see sessionWritten) no entry starts matching the session's
+// lookups — another session's writes cannot make one match, an access
+// rewrites only Ref/LastUse/Dirty and a parameter release only clears
+// Valid — so a memoised miss stands and a memoised hit stands while its
+// entry still matches.
 func (u *IMU) camLookup(c *channel, obj uint8, vpage uint32) int {
-	if m := &c.cam; m.epoch == u.epoch && m.obj == obj && m.vpage == vpage {
+	gen := u.gen[c.sess]
+	if m := &c.cam; m.gen == gen && m.obj == obj && m.vpage == vpage {
 		if m.idx < 0 {
 			return -1
 		}
@@ -493,7 +505,7 @@ func (u *IMU) camLookup(c *channel, obj uint8, vpage uint32) int {
 		}
 	}
 	i := u.camMatch(c.sess, obj, vpage)
-	c.cam = camMemo{epoch: u.epoch, obj: obj, vpage: vpage, idx: i}
+	c.cam = camMemo{gen: gen, obj: obj, vpage: vpage, idx: i}
 	return i
 }
 
@@ -576,6 +588,9 @@ func (u *IMU) evalCh(c *channel, cp *copro.CPOut, edge int64) {
 	// Parameter-page invalidation pulse.
 	if cp.ParamInv {
 		if i := u.camMatch(c.sess, copro.ParamObj, 0); i >= 0 {
+			// The release stops the entry matching. Plans are asked
+			// for between edges, after this edge's Update commits it.
+			u.sessionWritten(c.sess)
 			e := u.tlb[i]
 			e.Valid = false
 			e.Dirty = false

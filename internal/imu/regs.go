@@ -186,8 +186,14 @@ func (u *IMU) SetEntry(i int, e TLBEntry) error {
 	if i < 0 || i >= len(u.tlb) {
 		return fmt.Errorf("imu: TLB index %d out of range", i)
 	}
+	if old := u.tlb[i]; old.Valid {
+		u.sessionWritten(old.Sess)
+	}
+	if e.Valid {
+		u.sessionWritten(e.Sess)
+	}
 	u.tlb[i] = e
-	u.tableWritten()
+	u.poke()
 	return nil
 }
 
@@ -196,7 +202,10 @@ func (u *IMU) InvalidateAll() {
 	for i := range u.tlb {
 		u.tlb[i] = TLBEntry{}
 	}
-	u.tableWritten()
+	for i := range u.gen {
+		u.gen[i]++
+	}
+	u.poke()
 }
 
 // InvalidateSession clears only the entries owned by session sess (end of
@@ -207,7 +216,8 @@ func (u *IMU) InvalidateSession(sess uint8) {
 			u.tlb[i] = TLBEntry{}
 		}
 	}
-	u.tableWritten()
+	u.sessionWritten(sess)
+	u.poke()
 }
 
 // ResetCounters zeroes the activity counters, global and per channel
