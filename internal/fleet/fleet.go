@@ -79,27 +79,18 @@ type Config struct {
 	// target.
 	BoundPs float64
 	// Board is the per-board serving configuration handed verbatim to each
-	// board's rcsched.Serve run.
+	// board's rcsched.Serve run. Each board's decisions land in its own
+	// report's event log (Report.Boards[b].Events), next to the routing
+	// decisions in Report.Decisions.
 	Board rcsched.Config
-	// Observe, when non-nil, supplies a per-board rcsched.Observer that Run
-	// installs on that board's serving config (overriding Board.Observer).
-	// Boards serve concurrently, so each board gets its own Observer and
-	// Serve calls it only from that board's goroutine. Observation is
-	// passive: a nil-Observe run is bit-identical to an observed one.
-	Observe Observer
 	// Meter, when non-nil, collects the fleet run's telemetry: the
 	// dispatcher's routing decisions and per-board backlog series feed it
 	// directly, and each board's serving run gets a child meter (boards
 	// run concurrently) folded back in under a "board" label after all
 	// boards join — in board order, so the result is deterministic.
-	// Strictly passive, like Observe (overrides Board.Meter).
+	// Strictly passive: a nil-Meter run is bit-identical to a metered one
+	// (overrides Board.Meter).
 	Meter *telemetry.Meter
-}
-
-// Observer hands out one rcsched.Observer per board for a fleet run; see
-// Config.Observe. BoardObserver may return nil to leave a board unobserved.
-type Observer interface {
-	BoardObserver(board int) rcsched.Observer
 }
 
 // Decision records one routing decision for the property tests: which board
@@ -124,7 +115,10 @@ type Decision struct {
 // one arrival-ordered stream with fleet-wide aggregates over it.
 type Report struct {
 	Dispatch string
-	Boards   []*rcsched.Report // index = board; an unused board gets an empty report
+	// Boards holds every board's serving report, index = board; an unused
+	// board gets an empty report carrying only the resolved Board, Policy,
+	// Slots and ConfigBW.
+	Boards []*rcsched.Report
 
 	Decisions []Decision
 	// Jobs is every board's job reports merged in arrival order (ties by
@@ -414,10 +408,8 @@ func Run(cfg Config, jobs []rcsched.Job) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, _, err := newDispatcher(cfg.Dispatch, 0)
-	if err != nil {
-		return nil, err
-	}
+	name, _, _ := newDispatcher(cfg.Dispatch, 0) // validated by Route
+	board, _ := cfg.Board.Resolve()
 	rep := &Report{
 		Dispatch:  name,
 		Boards:    make([]*rcsched.Report, cfg.Boards),
@@ -433,16 +425,14 @@ func Run(cfg Config, jobs []rcsched.Job) (*Report, error) {
 			// An idle board serves nothing: an explicit empty report keeps
 			// the per-board indexing and the utilisation spread honest.
 			rep.Boards[b] = &rcsched.Report{
-				Policy:   cfg.Board.Policy,
-				Slots:    cfg.Board.Slots,
-				ConfigBW: cfg.Board.ConfigBW,
+				Board:    board.Board,
+				Policy:   board.Policy,
+				Slots:    board.Slots,
+				ConfigBW: board.ConfigBW,
 			}
 			continue
 		}
 		boardCfg := cfg.Board
-		if cfg.Observe != nil {
-			boardCfg.Observer = cfg.Observe.BoardObserver(b)
-		}
 		// Each board gets its own child meter (boards run concurrently;
 		// a Meter is single-goroutine) and its own trace pid.
 		meters[b] = cfg.Meter.Child()

@@ -171,8 +171,8 @@ func TestDispatchConservation(t *testing.T) {
 }
 
 // TestIdleBoardsSummary pins a fleet wider than its stream: every idle
-// board carries exactly the {Policy, Slots, ConfigBW} stub report — so its
-// Summary is zero, which is also the fold of no jobs — the utilisation
+// board carries exactly the resolved {Board, Policy, Slots, ConfigBW} stub
+// report — so its Summary is zero, which is also the fold of no jobs — the utilisation
 // spread bottoms out at 0, and the fleet's and every board's Summary is
 // the fold of its own jobs.
 func TestIdleBoardsSummary(t *testing.T) {
@@ -190,7 +190,7 @@ func TestIdleBoardsSummary(t *testing.T) {
 			continue
 		}
 		idle++
-		want := &rcsched.Report{Policy: board.Policy, Slots: board.Slots, ConfigBW: board.ConfigBW}
+		want := &rcsched.Report{Board: "EPXA4", Policy: board.Policy, Slots: board.Slots, ConfigBW: rcsched.DefaultConfigBW}
 		if !reflect.DeepEqual(br, want) {
 			t.Errorf("idle board %d report %+v, want exactly %+v", b, br, want)
 		}
@@ -604,5 +604,35 @@ func TestRunRejectsBadJobs(t *testing.T) {
 				t.Fatal("fleet.Route accepted a bad job")
 			}
 		})
+	}
+}
+
+// TestIdleBoardStubResolved is the regression test for an idle board's
+// stub report carrying the unresolved per-board config (Board "", Policy
+// "", ConfigBW 0) while the served boards carry the resolved EPXA4, fcfs
+// and DefaultConfigBW: every board of one fleet must describe the same
+// board configuration, served or not.
+func TestIdleBoardStubResolved(t *testing.T) {
+	rep, err := fleet.Run(fleet.Config{Boards: 3, Dispatch: fleet.Affinity,
+		Board: rcsched.Config{Slots: 2}}, stream(t, 1, 7, 800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := -1
+	for b, br := range rep.Boards {
+		if len(br.Jobs) > 0 {
+			served = b
+		}
+	}
+	if served < 0 {
+		t.Fatal("no board served the job")
+	}
+	want := rep.Boards[served]
+	for b, br := range rep.Boards {
+		if br.Board != want.Board || br.Policy != want.Policy || br.Slots != want.Slots || br.ConfigBW != want.ConfigBW {
+			t.Errorf("board %d describes {%q %q %d %g}, served board %d {%q %q %d %g}",
+				b, br.Board, br.Policy, br.Slots, br.ConfigBW,
+				served, want.Board, want.Policy, want.Slots, want.ConfigBW)
+		}
 	}
 }

@@ -8,194 +8,162 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Passiveobserver enforces the observability contract the record/replay
-// and telemetry layers are built on: an observer watches, it never
-// steers. Types implementing the rcsched or fleet Observer interfaces
-// receive the serving loop's reports and decisions after the state change
-// is committed; writing into those parameters (even into a by-value copy,
-// where the write is a silent no-op) is either an attempt to influence
-// the run or a latent bug the differential passivity tests would have to
-// catch at runtime. The analyzer finds every type in the package whose
-// method set implements an Observer interface and flags assignments whose
-// target is rooted at a parameter of the interface's methods.
+// Passiveobserver enforces the observability contract: an observer
+// watches, it never steers. The serving loops log their decisions in
+// their reports, so the passive hooks left are the telemetry adapters —
+// a function with a *telemetry.Meter or *telemetry.Trace parameter must
+// not assign into its other parameters (the report it renders; even a
+// write into a by-value copy is a silent no-op bug) — and the live gauges:
+// a function literal passed to Meter.SetFunc must not assign to any
+// variable declared outside it (the loop state it samples mid-run).
 var Passiveobserver = &analysis.Analyzer{
 	Name: "passiveobserver",
-	Doc: "types implementing the rcsched/fleet Observer interfaces must not assign into " +
-		"observed parameters: observation is strictly passive",
+	Doc: "telemetry adapters (functions with a *telemetry.Meter or *telemetry.Trace parameter) " +
+		"must not assign into observed parameters, and Meter.SetFunc closures must not assign " +
+		"to variables declared outside them: observation is strictly passive",
 	Run: runPassiveobserver,
 }
 
-// observerIfaces collects the Observer interfaces visible to the package:
-// named interface types called "Observer" defined in an rcsched or fleet
-// package (the package itself, or anywhere in its import closure).
-func observerIfaces(pkg *types.Package) map[*types.Interface]string {
-	out := map[*types.Interface]string{}
-	seen := map[*types.Package]bool{}
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		path := p.Path()
-		if path == "rcsched" || path == "fleet" ||
-			strings.HasSuffix(path, "/rcsched") || strings.HasSuffix(path, "/fleet") {
-			if obj, ok := p.Scope().Lookup("Observer").(*types.TypeName); ok {
-				if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
-					out[iface] = p.Name() + ".Observer"
-				}
-			}
-		}
-		for _, imp := range p.Imports() {
-			visit(imp)
+// telemetryType reports whether t is *telemetry.<name> for one of names.
+func telemetryType(t types.Type, names ...string) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	if path != "telemetry" && !strings.HasSuffix(path, "/telemetry") {
+		return false
+	}
+	for _, n := range names {
+		if named.Obj().Name() == n {
+			return true
 		}
 	}
-	visit(pkg)
-	return out
+	return false
 }
 
 func runPassiveobserver(pass *analysis.Pass) (interface{}, error) {
-	ifaces := observerIfaces(pass.Pkg)
-	if len(ifaces) == 0 {
-		return nil, nil
-	}
-	// Which named types of this package observe, and through which
-	// interface methods?
-	watched := map[types.Object]map[string]string{} // type -> method name -> iface label
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		for iface, label := range ifaces {
-			if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
-				continue
-			}
-			methods := watched[tn]
-			if methods == nil {
-				methods = map[string]string{}
-				watched[tn] = methods
-			}
-			for i := 0; i < iface.NumMethods(); i++ {
-				methods[iface.Method(i).Name()] = label
-			}
-		}
-	}
-	if len(watched) == 0 {
-		return nil, nil
-	}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || len(fd.Recv.List) == 0 {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkAdapter(pass, n.Name.Name, n.Type, n.Body)
+				}
+			case *ast.FuncLit:
+				checkAdapter(pass, "func literal", n.Type, n.Body)
+			case *ast.CallExpr:
+				if isSetFunc(pass, n) {
+					for _, arg := range n.Args {
+						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+							checkGauge(pass, lit)
+						}
+					}
+				}
 			}
-			recvType := receiverTypeName(pass, fd)
-			if recvType == nil {
-				continue
-			}
-			methods, ok := watched[recvType]
-			if !ok {
-				continue
-			}
-			label, ok := methods[fd.Name.Name]
-			if !ok {
-				continue
-			}
-			checkObserverBody(pass, fd, recvType.Name(), label)
-		}
+			return true
+		})
 	}
 	return nil, nil
 }
 
-// receiverTypeName resolves a method declaration's receiver to the
-// *types.TypeName of its named type.
-func receiverTypeName(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
-	t := fd.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.ParenExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver
-			t = tt.X
-		case *ast.Ident:
-			return pass.TypesInfo.Uses[tt]
-		default:
-			return nil
-		}
+// isSetFunc reports whether call is a call of the Meter.SetFunc method.
+func isSetFunc(pass *analysis.Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "SetFunc" {
+		return false
 	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && telemetryType(recv.Type(), "Meter")
 }
 
-// checkObserverBody flags assignments in one observer method whose target
-// is rooted at a method parameter: jr.Field = x, rep.Jobs[i] = x, *p = x.
-func checkObserverBody(pass *analysis.Pass, fd *ast.FuncDecl, typeName, label string) {
-	params := map[types.Object]bool{}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := pass.TypesInfo.Defs[name]; obj != nil {
-				params[obj] = true
+// checkAdapter flags, in a function with a *telemetry.Meter or
+// *telemetry.Trace parameter, assignments rooted at one of its other
+// parameters: rep.Field = x, rep.Jobs[i] = x, *p = x.
+func checkAdapter(pass *analysis.Pass, name string, ft *ast.FuncType, body *ast.BlockStmt) {
+	observed := map[types.Object]bool{}
+	sink := false
+	for _, field := range ft.Params.List {
+		isSink := telemetryType(pass.TypesInfo.TypeOf(field.Type), "Meter", "Trace")
+		sink = sink || isSink
+		for _, id := range field.Names {
+			if obj := pass.TypesInfo.Defs[id]; obj != nil && !isSink {
+				observed[obj] = true
 			}
 		}
 	}
-	if len(params) == 0 {
+	if !sink || len(observed) == 0 {
 		return
 	}
-	report := func(lhs ast.Expr, root *ast.Ident) {
+	forEachWrite(body, func(lhs ast.Expr) {
+		if root, through := writeRoot(lhs); root != nil && through && observed[pass.TypesInfo.Uses[root]] {
+			pass.Reportf(lhs.Pos(),
+				"%s feeds telemetry and must be passive: assignment into observed parameter %s",
+				name, root.Name)
+		}
+	})
+}
+
+// checkGauge flags assignments in a Meter.SetFunc closure to a variable
+// declared outside the closure: queue = nil, slots[s].mb = nil, n++.
+func checkGauge(pass *analysis.Pass, lit *ast.FuncLit) {
+	forEachWrite(lit.Body, func(lhs ast.Expr) {
+		root, _ := writeRoot(lhs)
+		if root == nil {
+			return
+		}
+		v, ok := pass.TypesInfo.Uses[root].(*types.Var)
+		if !ok || v.IsField() || (v.Pos() >= lit.Pos() && v.Pos() < lit.End()) {
+			return
+		}
 		pass.Reportf(lhs.Pos(),
-			"%s.%s implements %s and must be passive: assignment into observed parameter %s",
-			typeName, fd.Name.Name, label, root.Name)
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+			"Meter.SetFunc gauge must be passive: assignment to %s, declared outside the closure", root.Name)
+	})
+}
+
+// forEachWrite calls fn with every assignment and increment target in body.
+func forEachWrite(body *ast.BlockStmt, fn func(lhs ast.Expr)) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if root := paramWriteRoot(pass, lhs, params); root != nil {
-					report(lhs, root)
-				}
+				fn(lhs)
 			}
 		case *ast.IncDecStmt:
-			if root := paramWriteRoot(pass, n.X, params); root != nil {
-				report(n.X, root)
-			}
+			fn(n.X)
 		}
 		return true
 	})
 }
 
-// paramWriteRoot returns the parameter identifier at the root of a
-// field/element/pointer write target, or nil. A bare reassignment of the
-// parameter itself (jr = normalize(jr)) only rebinds the local copy and
-// is not flagged.
-func paramWriteRoot(pass *analysis.Pass, lhs ast.Expr, params map[types.Object]bool) *ast.Ident {
-	lhs = ast.Unparen(lhs)
-	wrote := false // saw at least one selector/index/deref on the path
+// writeRoot returns the identifier at the root of a write target, and
+// whether the write reaches through it (a field, element or pointee)
+// rather than rebinding the identifier itself. A bare reassignment of a
+// parameter (jr = normalize(jr)) only rebinds the local copy; a bare
+// reassignment of a captured variable changes the caller's state.
+func writeRoot(lhs ast.Expr) (root *ast.Ident, through bool) {
 	for {
 		switch e := lhs.(type) {
 		case *ast.SelectorExpr:
-			wrote = true
-			lhs = e.X
+			through, lhs = true, e.X
 		case *ast.IndexExpr:
-			wrote = true
-			lhs = e.X
+			through, lhs = true, e.X
 		case *ast.StarExpr:
-			wrote = true
-			lhs = e.X
+			through, lhs = true, e.X
 		case *ast.ParenExpr:
 			lhs = e.X
 		case *ast.Ident:
-			if wrote && params[pass.TypesInfo.Uses[e]] {
-				return e
-			}
-			return nil
+			return e, through
 		default:
-			return nil
+			return nil, false
 		}
 	}
 }

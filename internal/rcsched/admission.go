@@ -38,7 +38,8 @@ const (
 //   - freePs holds, per slot, the earliest instant the slot could accept a
 //     new job (now when free; reconfiguration end plus the waiting job's
 //     estimate when configuring; launch instant plus the cost-model
-//     estimate when executing).
+//     estimate when executing). It is the caller's scratch: the greedy
+//     placement below advances it in place.
 //   - Jobs already queued ahead of j are placed greedily onto the
 //     earliest-free slot at their bare execution estimate — no
 //     reconfiguration charged, the optimistic floor for the backlog they
@@ -48,24 +49,23 @@ const (
 //     ahead that could leave it resident — otherwise the full stream).
 func bestCaseDonePs(nowPs float64, freePs []float64, queued []*Job,
 	est func(*Job) float64, j *Job, configPs float64) float64 {
-	f := append([]float64(nil), freePs...)
-	for i := range f {
-		if f[i] < nowPs {
-			f[i] = nowPs
+	for i := range freePs {
+		if freePs[i] < nowPs {
+			freePs[i] = nowPs
 		}
 	}
 	earliest := func() int {
 		b := 0
-		for i := 1; i < len(f); i++ {
-			if f[i] < f[b] {
+		for i := 1; i < len(freePs); i++ {
+			if freePs[i] < freePs[b] {
 				b = i
 			}
 		}
 		return b
 	}
 	for _, q := range queued {
-		f[earliest()] += est(q)
+		freePs[earliest()] += est(q)
 	}
 	s := earliest()
-	return f[s] + configPs + est(j)
+	return freePs[s] + configPs + est(j)
 }

@@ -27,8 +27,9 @@ type PickCtx struct {
 // Pick sees the admission queue in arrival order (ties broken by job ID at
 // trace generation), every slot's state and the run context; it must
 // return a queue index and a free slot index, or ok == false to leave the
-// queue waiting. All bundled policies are work-conserving: they always
-// dispatch when a job and a free slot exist.
+// queue waiting. It must not retain queue or slots: Serve refills both in
+// place between calls. All bundled policies are work-conserving: they
+// always dispatch when a job and a free slot exist.
 type Policy interface {
 	Name() string
 	Pick(queue []*Job, slots []SlotState, ctx *PickCtx) (jobIdx, slot int, ok bool)

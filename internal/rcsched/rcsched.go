@@ -85,14 +85,10 @@ type Config struct {
 	// Budget bounds the whole run in simulation super-edges (0 = the
 	// core.DefaultBudget).
 	Budget int64
-	// Observer, when non-nil, receives shed/dispatch/finish events as the
-	// serving loop makes them. Observation is passive: a nil-Observer run
-	// is bit-identical to an observed one.
-	Observer Observer
 	// Meter, when non-nil, receives the run's telemetry: live gauges
 	// (queue depth, slot states) sampled on simulated time, and counters,
-	// histograms and trace spans folded in from the final report. Like
-	// Observer it is strictly passive — a nil-Meter run is bit-identical
+	// histograms and trace spans folded in from the final report and its
+	// event log. It is strictly passive — a nil-Meter run is bit-identical
 	// to a metered one.
 	Meter *telemetry.Meter
 	// TracePid is the trace process ID the run's slot tracks render
@@ -197,6 +193,11 @@ type Report struct {
 	ConfigBW float64
 
 	Jobs []JobReport
+
+	// Events is the serving loop's decision log in the order Serve made
+	// the decisions: every shed, dispatch and finish (see Event). Scenario
+	// recording and the telemetry adapter both read it here.
+	Events []Event
 
 	// Summary is the job-population fold of Jobs (Summarize).
 	Summary
@@ -354,6 +355,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		Slots:         cfg.Slots,
 		ConfigBW:      cfg.ConfigBW,
 		Jobs:          make([]JobReport, len(order)),
+		Events:        make([]Event, 0, 2*len(order)),
 		SlotBusyPs:    make([]float64, cfg.Slots),
 		SlotOccupancy: make([]SlotShare, cfg.Slots),
 	}
@@ -365,7 +367,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		slots[i].reconfigUntil = -1
 		slots[i].stageReady = -1
 	}
-	queue := []int{} // indices into order, admission order
+	queue := make([]int, 0, len(order)) // indices into order, admission order
 	nextArrival := 0
 	completed := 0
 	budget := cfg.Budget
@@ -405,6 +407,43 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	estPs := func(j *Job) float64 { return ExecEstPs(j.App, j.Size, cfg.ShellHz) }
 	stageSlot := -1
 
+	// The policy's view of the run, built once and refilled in place: ctx
+	// (NowPs set each iteration), states (slotStates) and qjobs
+	// (queuedJobs). Policy.Pick must not retain either slice.
+	ctx := &PickCtx{
+		ExecEstPs: estPs,
+		ReconfigPs: func(j *Job) float64 {
+			return float64(reconfigEdges(apps[j.App].img)) * periodPs
+		},
+	}
+	states := make([]SlotState, cfg.Slots)
+	qjobs := make([]*Job, 0, len(order))
+	queuedJobs := func() []*Job {
+		qjobs = qjobs[:0]
+		for _, j := range queue {
+			qjobs = append(qjobs, &order[j])
+		}
+		return qjobs
+	}
+	// slotStates is the policy's view of the slots at shell cycle now: a
+	// staging DMA still in flight is invisible (advertising it would let a
+	// policy mistake a barely-started transfer for a cheap dispatch), but
+	// the scheduler itself still commits a partial transfer when a
+	// matching job lands on the slot — always at most the cost of
+	// streaming from scratch.
+	slotStates := func(now int64) []SlotState {
+		for s := range slots {
+			states[s] = SlotState{
+				Free:     slots[s].mb == nil && slots[s].reconfigUntil < 0,
+				Resident: g.Shell.Slots[s].Resident(),
+			}
+			if slots[s].stageReady >= 0 && slots[s].stageReady <= now {
+				states[s].Staged = g.Shell.Slots[s].Staged()
+			}
+		}
+		return states
+	}
+
 	// Admission control. swFreePs is the timed-SW server's next free
 	// instant — degraded jobs run the golden algorithm on the ARM core
 	// sequentially at the calibrated SW estimate, off the contended shell
@@ -412,6 +451,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	// live slot, stage and queue state: a true result proves the deadline
 	// out of reach no matter what the policy does.
 	swFreePs := 0.0
+	freePs := make([]float64, cfg.Slots)
 	unmeetable := func(ji int) bool {
 		j := &order[ji]
 		if admit == AdmitOff || j.DeadlinePs <= 0 {
@@ -419,7 +459,6 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		}
 		nowPs := eng.NowPs()
 		now := dom.Cycles()
-		freePs := make([]float64, cfg.Slots)
 		for s := range slots {
 			switch {
 			case slots[s].reconfigUntil >= 0:
@@ -438,10 +477,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				break
 			}
 		}
-		queued := make([]*Job, len(queue))
-		for i, qi := range queue {
-			queued[i] = &order[qi]
-			if order[qi].coreName == j.coreName {
+		queued := queuedJobs()
+		for _, q := range queued {
+			if q.coreName == j.coreName {
 				configPs = 0 // a job ahead may leave the bitstream resident
 			}
 		}
@@ -478,9 +516,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		}
 		rep.Jobs[ji] = jr
 		completed++
-		if cfg.Observer != nil {
-			cfg.Observer.JobShed(jr)
-		}
+		rep.Events = append(rep.Events, Event{
+			Kind: EventShed, Job: jr.ID, Slot: -1, AtPs: jr.DonePs, Path: string(jr.Disposition),
+		})
 	}
 
 	// launch attaches job j's session onto slot s and starts it.
@@ -570,9 +608,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				if err := finishJob(rep, board.Kern, ws, apps[order[j].App], &order[j], preps[j], &slots[s], mb, j); err != nil {
 					return nil, err
 				}
-				if cfg.Observer != nil {
-					cfg.Observer.JobFinished(rep.Jobs[j])
-				}
+				rep.Events = append(rep.Events, Event{
+					Kind: EventFinish, Job: order[j].ID, Slot: s, AtPs: rep.Jobs[j].DonePs,
+				})
 				if err := g.DetachMember(mb); err != nil {
 					return nil, err
 				}
@@ -593,38 +631,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 
 		// Dispatch: keep pairing queued jobs with free slots until the
 		// policy declines.
-		ctx := &PickCtx{
-			NowPs:     eng.NowPs(),
-			ExecEstPs: estPs,
-			ReconfigPs: func(j *Job) float64 {
-				return float64(reconfigEdges(apps[j.App].img)) * periodPs
-			},
-		}
-		// slotStates is the policy's view: a staging DMA still in flight is
-		// invisible (advertising it would let a policy mistake a
-		// barely-started transfer for a cheap dispatch), but the scheduler
-		// itself still commits a partial transfer when a matching job lands
-		// on the slot — always at most the cost of streaming from scratch.
-		slotStates := func() []SlotState {
-			states := make([]SlotState, cfg.Slots)
-			for s := range slots {
-				states[s] = SlotState{
-					Free:     slots[s].mb == nil && slots[s].reconfigUntil < 0,
-					Resident: g.Shell.Slots[s].Resident(),
-				}
-				if slots[s].stageReady >= 0 && slots[s].stageReady <= now {
-					states[s].Staged = g.Shell.Slots[s].Staged()
-				}
-			}
-			return states
-		}
+		ctx.NowPs = eng.NowPs()
 		for len(queue) > 0 {
-			states := slotStates()
-			qjobs := make([]*Job, len(queue))
-			for i, j := range queue {
-				qjobs[i] = &order[j]
-			}
-			qi, s, ok := policy.Pick(qjobs, states, ctx)
+			qi, s, ok := policy.Pick(queuedJobs(), slotStates(now), ctx)
 			if !ok {
 				break
 			}
@@ -633,17 +642,17 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			slots[s].job = j
 			slots[s].dispatchPs = eng.NowPs()
 			slots[s].stagedHit = false
-			if cfg.Observer != nil {
-				path := DispatchStream
-				switch {
-				case g.Shell.Slots[s].Resident() == order[j].coreName:
-					path = DispatchResident
-				case cfg.Stage && g.Shell.Slots[s].Staged() == order[j].coreName:
-					path = DispatchStaged
-				}
-				cfg.Observer.JobDispatched(order[j].ID, s, slots[s].dispatchPs, path)
+			path := DispatchStream
+			switch {
+			case g.Shell.Slots[s].Resident() == order[j].coreName:
+				path = DispatchResident
+			case cfg.Stage && g.Shell.Slots[s].Staged() == order[j].coreName:
+				path = DispatchStaged
 			}
-			if g.Shell.Slots[s].Resident() == order[j].coreName {
+			rep.Events = append(rep.Events, Event{
+				Kind: EventDispatch, Job: order[j].ID, Slot: s, AtPs: slots[s].dispatchPs, Path: path,
+			})
+			if path == DispatchResident {
 				// Zero-config dispatch; a staged bitstream on this slot (for
 				// some later job) stays parked in the buffer.
 				slots[s].reconfigPs = 0
@@ -652,7 +661,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				}
 				continue
 			}
-			if cfg.Stage && g.Shell.Slots[s].Staged() == order[j].coreName {
+			if path == DispatchStaged {
 				// Staged hit: the bitstream is already (or nearly) in the
 				// slot's staging buffer, so the swap costs the remaining DMA
 				// time plus the fixed commit window instead of a full stream.
@@ -770,13 +779,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				}
 			}
 			if target >= 0 {
-				hyp := slotStates()
+				hyp := slotStates(now)
 				hyp[target].Free = true
-				qjobs := make([]*Job, len(queue))
-				for i, j := range queue {
-					qjobs[i] = &order[j]
-				}
-				qi, hs, ok := policy.Pick(qjobs, hyp, ctx)
+				qi, hs, ok := policy.Pick(queuedJobs(), hyp, ctx)
 				if ok && hs == target {
 					next := &order[queue[qi]]
 					if g.Shell.Slots[target].Resident() != next.coreName {

@@ -12,8 +12,9 @@ import (
 // package: it folds a finished Report into a Meter (counters, histograms,
 // per-slot occupancy gauges) and renders it as trace-event spans. Keeping
 // the adapter here — not in telemetry — keeps telemetry a leaf package,
-// and deriving everything from the Report keeps the serving loop itself
-// nearly untouched: the only live instrumentation is the gauge sampler.
+// and deriving everything from the Report and its event log keeps the
+// serving loop itself nearly untouched: the only live instrumentation is
+// the gauge sampler.
 
 // Trace track layout: pid 0 is the scheduler/dispatcher, pid 1 the job
 // view (tid = job ID), and pid ServeBoardPid+b board b's slot view
@@ -31,10 +32,10 @@ const (
 
 // meterReport folds rep's aggregates into m: the stack-wide counters (sim
 // engine, VIM, IMU global and per channel) and the serving-layer tallies
-// (dispatch paths, admission dispositions, staging, reconfigurations,
-// per-slot occupancy, wait/latency distributions). The sim tallies come
-// in separately — they are scheduler-implementation detail the Report
-// deliberately does not carry.
+// (dispatch paths and shed dispositions from the event log, admission
+// dispositions, staging, reconfigurations, per-slot occupancy, wait/latency
+// distributions). The sim tallies come in separately — they are
+// scheduler-implementation detail the Report deliberately does not carry.
 func meterReport(m *telemetry.Meter, rep *Report, st sim.Stats) {
 	m.Count("sim_edges_delivered_total", uint64(st.EdgesDelivered))
 	m.Count("sim_edges_skipped_total", uint64(st.EdgesSkipped))
@@ -72,9 +73,13 @@ func meterReport(m *telemetry.Meter, rep *Report, st sim.Stats) {
 		m.Set("rcsched_slot_idle_ps", o.IdlePs, "slot", l)
 	}
 
+	for _, e := range rep.Events {
+		if e.Kind != EventFinish {
+			m.Count("rcsched_dispatch_total", 1, "path", e.Path)
+		}
+	}
 	for i := range rep.Jobs {
 		j := &rep.Jobs[i]
-		m.Count("rcsched_dispatch_total", 1, "path", dispatchPathOf(j))
 		if j.Disposition == Rejected {
 			continue
 		}
@@ -84,27 +89,13 @@ func meterReport(m *telemetry.Meter, rep *Report, st sim.Stats) {
 	}
 }
 
-// dispatchPathOf reconstructs the dispatch path an Observer would have
-// seen from the job's final report; sheds get their disposition instead.
-func dispatchPathOf(j *JobReport) string {
-	switch {
-	case j.Disposition != Admitted:
-		return string(j.Disposition)
-	case j.Staged:
-		return DispatchStaged
-	case j.Reconfigured:
-		return DispatchStream
-	default:
-		return DispatchResident
-	}
-}
-
 // TraceReport renders rep's job lifecycles as Chrome trace events on tr:
 // per-job queue → config → exec spans on the job track group (JobsPid,
 // tid = job ID), and per-slot config and exec spans on the board's track
 // group (boardPid, tid = slot). Rejected jobs become instants, degraded
-// jobs a software-execution span. Every value is read from the Report, so
-// a trace is exactly as deterministic as the run it renders.
+// jobs a software-execution span. Every value is read from the Report (a
+// job's path arg from its shed or dispatch event), so a trace is exactly
+// as deterministic as the run it renders.
 func TraceReport(tr *telemetry.Trace, rep *Report, boardPid int) {
 	if tr == nil {
 		return
@@ -114,13 +105,19 @@ func TraceReport(tr *telemetry.Trace, rep *Report, boardPid int) {
 	for s := 0; s < rep.Slots; s++ {
 		tr.NameThread(boardPid, s, fmt.Sprintf("slot %d", s))
 	}
+	paths := make(map[int]string, len(rep.Jobs))
+	for _, e := range rep.Events {
+		if e.Kind != EventFinish {
+			paths[e.Job] = e.Path
+		}
+	}
 	for i := range rep.Jobs {
 		j := &rep.Jobs[i]
 		tr.NameThread(JobsPid, j.ID, fmt.Sprintf("job %d (%s)", j.ID, j.App))
 		args := map[string]string{
 			"app":  j.App,
 			"size": strconv.Itoa(j.Size),
-			"path": dispatchPathOf(j),
+			"path": paths[j.ID],
 		}
 		switch j.Disposition {
 		case Rejected:

@@ -7,41 +7,22 @@ import (
 	"repro/internal/rcsched"
 )
 
-// recorder is the passive rcsched.Observer that turns one board's serving
-// run into an event stream. A fleet run uses one recorder per board, each
-// called only from its own board's goroutine.
-type recorder struct {
-	events []Event
+// eventsOf converts one board's decision log (rcsched.Report.Events). The
+// result is never nil, so a board that served nothing pins an explicitly
+// empty stream.
+func eventsOf(log []rcsched.Event) []Event {
+	events := make([]Event, len(log))
+	for i, e := range log {
+		events[i] = Event(e)
+	}
+	return events
 }
 
-func (r *recorder) JobShed(jr rcsched.JobReport) {
-	r.events = append(r.events, Event{
-		Kind: EventShed, Job: jr.ID, Slot: -1, AtPs: jr.DonePs, Path: string(jr.Disposition),
-	})
-}
-
-func (r *recorder) JobDispatched(jobID, slot int, atPs float64, path string) {
-	r.events = append(r.events, Event{Kind: EventDispatch, Job: jobID, Slot: slot, AtPs: atPs, Path: path})
-}
-
-func (r *recorder) JobFinished(jr rcsched.JobReport) {
-	r.events = append(r.events, Event{Kind: EventFinish, Job: jr.ID, Slot: jr.Slot, AtPs: jr.DonePs})
-}
-
-// fleetRecorder hands each board its own recorder.
-type fleetRecorder struct {
-	boards []recorder
-}
-
-func (f *fleetRecorder) BoardObserver(b int) rcsched.Observer { return &f.boards[b] }
-
-// RecordServe executes one rcsched.Serve run with recording attached and
-// returns it as a scenario. The configuration is stored fully resolved
-// (rcsched.Config.Resolve), so later default changes cannot silently
-// re-parameterise a pinned run.
+// RecordServe executes one rcsched.Serve run and returns it as a scenario,
+// its event stream read from the report's decision log. The configuration
+// is stored fully resolved (rcsched.Config.Resolve), so later default
+// changes cannot silently re-parameterise a pinned run.
 func RecordServe(name, desc string, cfg rcsched.Config, jobs []rcsched.Job, match Match) (*Scenario, error) {
-	rec := &recorder{}
-	cfg.Observer = rec
 	rep, err := rcsched.Serve(cfg, jobs)
 	if err != nil {
 		return nil, err
@@ -56,7 +37,7 @@ func RecordServe(name, desc string, cfg rcsched.Config, jobs []rcsched.Job, matc
 		Serve:       serveConfigOf(cfg),
 		Jobs:        jobSpecsOf(jobs),
 		Expect: Expect{
-			Events:    rec.events,
+			Events:    eventsOf(rep.Events),
 			Jobs:      jobRecords(rep.Jobs, nil),
 			Aggregate: serveAggregate(rep),
 		},
@@ -67,14 +48,9 @@ func RecordServe(name, desc string, cfg rcsched.Config, jobs []rcsched.Job, matc
 	return sc, nil
 }
 
-// RecordFleet executes one fleet.Run with per-board recording attached and
-// returns it as a scenario.
+// RecordFleet executes one fleet.Run and returns it as a scenario, with
+// the routing decisions and every board's decision log from its report.
 func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match Match) (*Scenario, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rec := &fleetRecorder{boards: make([]recorder, cfg.Boards)}
-	cfg.Observe = rec
 	rep, err := fleet.Run(cfg, jobs)
 	if err != nil {
 		return nil, err
@@ -91,12 +67,9 @@ func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match 
 	}
 	boardEvents := make([][]Event, cfg.Boards)
 	var faults uint64
-	for b := range rec.boards {
-		boardEvents[b] = rec.boards[b].events
-		if boardEvents[b] == nil {
-			boardEvents[b] = []Event{} // an idle board pins an explicitly empty stream
-		}
-		faults += rep.Boards[b].VIM.Faults
+	for b, br := range rep.Boards {
+		boardEvents[b] = eventsOf(br.Events)
+		faults += br.VIM.Faults
 	}
 	sc := &Scenario{
 		Format:      Format,

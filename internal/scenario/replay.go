@@ -54,8 +54,8 @@ func ReplayMetered(sc *Scenario, modeOverride string, m *telemetry.Meter) (*Resu
 	res := &Result{Name: sc.Name, Kind: sc.Kind, Mode: match.effectiveMode()}
 
 	// Re-recording the reconstructed run reuses the exact capture path the
-	// original recording took: same observers, same resolution, same
-	// ordering — the comparison is recorder-output against recorder-output.
+	// original recording took: same event logs, same resolution, same
+	// ordering — the comparison is recording against recording.
 	var re *Scenario
 	var err error
 	switch sc.Kind {

@@ -9,11 +9,12 @@
 // within a relative tolerance. Divergences come back as human-readable
 // first-divergence diffs and render as text, JSON or JUnit for CI.
 //
-// Recording rides the passive observer hooks in rcsched and fleet
-// (rcsched.Config.Observer, fleet.Config.Observe), so a recorded run is
-// bit-identical to an unobserved one — any run worth keeping can be
-// promoted into the corpus under testdata/scenarios/ exactly as it
-// happened. The scenario-file design follows the cli-replay related repo.
+// Recording reads the decision logs the serving layers keep in their
+// reports (rcsched.Report.Events per board, fleet.Report.Decisions for
+// routing), so a recorded run is the plain run itself — any run worth
+// keeping can be promoted into the corpus under testdata/scenarios/
+// exactly as it happened. The scenario-file design follows the cli-replay
+// related repo.
 package scenario
 
 import (
@@ -114,25 +115,15 @@ type JobSpec struct {
 	Seed       int64   `json:"seed"`
 }
 
-// Event kinds, in the order the serving loop emits them.
-const (
-	EventShed     = "shed"     // admission rejected or degraded the job
-	EventDispatch = "dispatch" // the policy paired the job with a slot
-	EventFinish   = "finish"   // the job's output verified and it detached
-)
-
-// Event is one step of a board's recorded decision stream.
+// Event is one step of a board's recorded decision stream: an
+// rcsched.Event (same fields, same meaning; Kind is one of rcsched's
+// EventShed, EventDispatch and EventFinish) with its JSON names.
 type Event struct {
-	Kind string `json:"kind"`
-	Job  int    `json:"job"`
-	// Slot is the shell slot (dispatch/finish); shed events carry -1.
-	Slot int `json:"slot"`
-	// AtPs is the decision instant: dispatch time, completion time, or the
-	// shed instant.
+	Kind string  `json:"kind"`
+	Job  int     `json:"job"`
+	Slot int     `json:"slot"`
 	AtPs float64 `json:"at_ps"`
-	// Path annotates dispatches (resident/staged/stream) and sheds
-	// (rejected/degraded); finish events leave it empty.
-	Path string `json:"path,omitempty"`
+	Path string  `json:"path,omitempty"`
 }
 
 // DecisionRecord is one fleet routing decision.

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -140,7 +139,7 @@ func TestReplayCatchesPerturbations(t *testing.T) {
 			name: "event-slot",
 			mutate: func(sc *Scenario) {
 				for i := range sc.Expect.Events {
-					if sc.Expect.Events[i].Kind == EventDispatch {
+					if sc.Expect.Events[i].Kind == rcsched.EventDispatch {
 						sc.Expect.Events[i].Slot ^= 1
 						return
 					}
@@ -152,7 +151,7 @@ func TestReplayCatchesPerturbations(t *testing.T) {
 			name: "event-path",
 			mutate: func(sc *Scenario) {
 				for i := range sc.Expect.Events {
-					if sc.Expect.Events[i].Kind == EventDispatch {
+					if sc.Expect.Events[i].Kind == rcsched.EventDispatch {
 						sc.Expect.Events[i].Path = DispatchPathFlip(sc.Expect.Events[i].Path)
 						return
 					}
@@ -305,43 +304,5 @@ func TestParseRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
-	}
-}
-
-// TestObserverPassive is the recording-off/on differential: attaching the
-// recorder must not change a single bit of the run it observes — the same
-// stream served with and without an observer yields deeply equal reports,
-// for a plain serve and for a fleet run.
-func TestObserverPassive(t *testing.T) {
-	jobs := testStream(t, 8)
-	cfg := rcsched.Config{Slots: 2, Policy: "slack", Stage: true, ConfigBW: 250_000}
-	rcsched.SetBudgets(jobs, 1)
-	bare, err := rcsched.Serve(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Observer = &recorder{}
-	observed, err := rcsched.Serve(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bare, observed) {
-		t.Errorf("observing a serve run perturbed it:\n bare     %+v\n observed %+v", bare, observed)
-	}
-
-	fjobs := testStream(t, 12)
-	fcfg := fleet.Config{Boards: 2, Dispatch: fleet.Po2, Seed: 7,
-		Board: rcsched.Config{Slots: 2, Policy: "affinity"}}
-	fbare, err := fleet.Run(fcfg, fjobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcfg.Observe = &fleetRecorder{boards: make([]recorder, fcfg.Boards)}
-	fobserved, err := fleet.Run(fcfg, fjobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fbare, fobserved) {
-		t.Error("observing a fleet run perturbed it")
 	}
 }

@@ -12,8 +12,8 @@
 // layer is keyed entirely on simulated time (never the wall clock), so
 // every exported byte is a pure function of (configuration, seed): golden
 // cells and recorded scenarios stay bit-identical with telemetry off and
-// on, which the differential tests at the repository root prove the same
-// way PR 8 proved it for observers.
+// on, which the differential tests at the repository root prove
+// (TestTelemetryPassive).
 //
 // # Naming and labels
 //

@@ -1,5 +1,5 @@
-// Telemetry passivity and determinism, proven the way PR 8 proved it for
-// observers: a metered run's report is DeepEqual to an unmetered one —
+// Telemetry passivity and determinism, proven differentially: a metered
+// run's report is DeepEqual to an unmetered one —
 // over a serving board and over a fleet, under BOTH simulation schedulers
 // — and the exports themselves (metrics JSON, Chrome trace JSON) are a
 // pure function of (config, seed), byte for byte. The recorded scenario
