@@ -17,8 +17,10 @@
 // file and the run fails (exit 1) when any benchmark's wall-clock ns/op
 // regressed by more than -max-regress (a fraction; 0.25 = 25%), its B/op or
 // allocs/op grew by more than 5%, or any simulated column (see
-// exactMetric) differs from the baseline at all. CI uses this as the
-// performance trend gate against the committed baseline.
+// exactMetric) differs from the baseline at all, or a baseline benchmark
+// the -bench pattern selects did not run (one it does not select is listed
+// as not run). CI uses this as the performance trend gate against the
+// committed baseline.
 //
 // The tool shells out to `go test -bench` (so results match what developers
 // measure by hand) and parses the standard benchmark output format:
@@ -35,6 +37,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -250,7 +253,8 @@ func diffBaseline(rep Report, path string, maxRegress, noiseFloor float64) bool 
 // jitter that means nothing for the millisecond-scale cells the gate
 // exists to protect), B/op or allocs/op beyond allocRegress, or a
 // simulated column (exactMetric) changed or vanished. A baseline benchmark
-// missing from rep also fails.
+// missing from rep also fails, unless rep's -bench pattern does not select
+// it (a subset run), in which case it is listed as not run.
 func compareReports(w io.Writer, base, rep Report, maxRegress, noiseFloor float64) bool {
 	baseline := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
@@ -316,16 +320,36 @@ func compareReports(w io.Writer, base, rep Report, maxRegress, noiseFloor float6
 		fmt.Fprintf(w, "  note: %d benchmark(s) regressed beyond %.0f%% but under the %.0f µs noise floor (excused): %s\n",
 			len(floored), maxRegress*100, noiseFloor/1000, strings.Join(floored, ", "))
 	}
-	// A baseline benchmark that no longer runs must not slip out of the
-	// gate silently: removing or renaming one requires re-capturing the
-	// baseline in the same change.
+	// A baseline benchmark that this run's -bench pattern selects but that
+	// no longer runs must not slip out of the gate silently: removing or
+	// renaming one requires re-capturing the baseline in the same change.
 	for _, b := range base.Results {
-		if !fresh[b.Name] {
+		switch {
+		case fresh[b.Name]:
+		case benchSelected(rep.Bench, b.Name):
 			fmt.Fprintf(w, "  FAIL %-55s in baseline but missing from this run (re-capture the baseline)\n", b.Name)
 			regressed = true
+		default:
+			fmt.Fprintf(w, "  skip     %-55s not run (not selected by -bench %q)\n", b.Name, rep.Bench)
 		}
 	}
 	return regressed
+}
+
+// benchSelected reports whether `go test -bench pattern` runs the benchmark
+// called name, judged as go test does at the top level: the pattern's first
+// slash-separated element must match the name's. Sub-benchmark levels are
+// not judged, so a run of one sub-benchmark still fails on its vanished
+// siblings. An empty pattern (a report that records none) or one that does
+// not compile selects every benchmark.
+func benchSelected(pattern, name string) bool {
+	top, _, _ := strings.Cut(pattern, "/")
+	re, err := regexp.Compile(top)
+	if pattern == "" || err != nil {
+		return true
+	}
+	name, _, _ = strings.Cut(name, "/")
+	return re.MatchString(name)
 }
 
 // parseLine decodes one "BenchmarkX-N iter value unit value unit..." line.

@@ -51,6 +51,32 @@ func TestCompareReports(t *testing.T) {
 			}
 		})
 	}
+
+	// A -bench subset run is gated on the baseline rows its pattern selects.
+	row := func(name string) Result { return Result{Name: name, NsPerOp: 10e6} }
+	all := []Result{row("BenchmarkServe/fcfs"), row("BenchmarkServe/sjf"), row("BenchmarkFleet/po2"), row("BenchmarkFig3MotivatingExample")}
+	subsets := []struct {
+		name    string
+		bench   string
+		fresh   []Result
+		regress bool
+	}{
+		{"subset run", "BenchmarkServe", all[:2], false},
+		{"subset alternation", "Serve|Fig3", []Result{all[0], all[1], all[3]}, false},
+		{"selected row vanished", "BenchmarkServe", all[:1], true},
+		{"sibling of a selected sub-benchmark", "BenchmarkServe/fcfs", all[:1], true},
+		{"pattern does not compile", "Serve(", all[:2], true},
+		{"bench dot", ".", all[:2], true},
+		{"bench dot, every row", ".", all, false},
+	}
+	for _, c := range subsets {
+		t.Run("subset/"+c.name, func(t *testing.T) {
+			got := compareReports(io.Discard, Report{Results: all}, Report{Bench: c.bench, Results: c.fresh}, maxRegress, noiseFloor)
+			if got != c.regress {
+				t.Fatalf("compareReports(-bench %q) = %v, want %v", c.bench, got, c.regress)
+			}
+		})
+	}
 }
 
 // TestMergeRepetitions pins how -count > 1 folds repetitions: the fastest

@@ -1,18 +1,15 @@
 // Golden determinism tests for the deadline-aware serving layer: every
 // pinned DEADLINE cell runs the full scheduler — pre-staged
-// reconfiguration included — under BOTH simulation schedulers, and the
-// measured metrics must match the committed values bit for bit.
+// reconfiguration included — and the measured metrics must match the
+// committed values bit for bit.
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/rcsched"
-	"repro/internal/sim"
 )
 
 // deadlineCell is the pinned measurement record of one deadline cell.
@@ -75,88 +72,47 @@ func (c deadlineCellSpec) name() string {
 	return fmt.Sprintf("%s/%s/%dKBps", c.policy, staging, int(c.bw)/1000)
 }
 
-func (c deadlineCellSpec) run() (*rcsched.Report, error) {
-	return rcsched.Serve(rcsched.Config{
+func (c deadlineCellSpec) run() (deadlineCell, error) {
+	rep, err := rcsched.Serve(rcsched.Config{
 		Policy:   c.policy,
 		Slots:    2,
 		ConfigBW: c.bw,
 		Stage:    c.stage,
 	}, exp.DeadlineTrace(1))
+	if err != nil {
+		return deadlineCell{}, err
+	}
+	return deadlineCellOf(rep), nil
 }
 
-const deadlineCellsPath = "testdata/deadline_cells.json"
-
 // TestGoldenDeadlineCells pins every deadline-aware serving cell end to end
-// under both the lockstep reference scheduler and the event-driven default
-// (which must agree bit for bit), and enforces the committed golden file.
-// Regenerate with -update-golden.
+// against testdata/deadline_cells.json.
 func TestGoldenDeadlineCells(t *testing.T) {
-	var want map[string]deadlineCell
-	if !*updateGolden {
-		data, err := os.ReadFile(deadlineCellsPath)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-		}
-		want = map[string]deadlineCell{}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(allDeadlineCells()) {
-			t.Errorf("golden file has %d cells, expected %d", len(want), len(allDeadlineCells()))
-		}
+	var specs []goldenSpec[deadlineCell]
+	for _, c := range allDeadlineCells() {
+		specs = append(specs, goldenSpec[deadlineCell]{c.name(), c.run})
 	}
-	got := map[string]deadlineCell{}
-	for _, spec := range allDeadlineCells() {
-		spec := spec
-		t.Run(spec.name(), func(t *testing.T) {
-			lockRep, err := runWith(sim.Lockstep, spec.run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			evntRep, err := runWith(sim.EventDriven, spec.run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lock, evnt := deadlineCellOf(lockRep), deadlineCellOf(evntRep)
-			if lock != evnt {
-				t.Errorf("schedulers disagree:\n lockstep %+v\n event    %+v", lock, evnt)
-			}
-			got[spec.name()] = lock
-			if want != nil {
-				w, ok := want[spec.name()]
-				if !ok {
-					t.Errorf("cell %s missing from golden file (re-run with -update-golden)", spec.name())
-				} else if lock != w {
-					t.Errorf("cell drifted:\n got  %+v\n want %+v", lock, w)
-				}
-			}
-		})
-	}
+	goldenCells(t, pins[deadlineCell]{path: "testdata/deadline_cells.json", specs: specs, accept: acceptDeadline})
+}
 
-	// The acceptance property of the deadline work, asserted on the pinned
-	// cells themselves: on the same saturated stream with a slow
-	// configuration port, slack with pre-staging strictly lowers both the
-	// p99 latency and the deadline miss-rate against the plain
-	// bitstream-affinity scheduler, and pre-staging strictly cuts full
-	// reconfigurations for every policy that uses it.
-	aff, okA := got["affinity/nostage/250KBps"]
-	slk, okS := got["slack/stage/250KBps"]
-	if okA && okS { // a -run subtest filter may have skipped one side
-		if slk.P99LatencyPs >= aff.P99LatencyPs {
-			t.Errorf("slack+staging p99 %.3f ms not below plain affinity's %.3f ms",
-				slk.P99LatencyPs/1e9, aff.P99LatencyPs/1e9)
-		}
-		if slk.MissRate >= aff.MissRate {
-			t.Errorf("slack+staging miss rate %.3f not below plain affinity's %.3f",
-				slk.MissRate, aff.MissRate)
-		}
+// acceptDeadline is the acceptance property of the deadline work, asserted
+// on the pinned cells themselves: on the same saturated stream with a slow
+// configuration port, slack with pre-staging strictly lowers both the p99
+// latency and the deadline miss-rate against the plain bitstream-affinity
+// scheduler, and pre-staging strictly cuts full reconfigurations for every
+// policy that uses it.
+func acceptDeadline(t *testing.T, got map[string]deadlineCell) {
+	aff, slk := got["affinity/nostage/250KBps"], got["slack/stage/250KBps"]
+	if slk.P99LatencyPs >= aff.P99LatencyPs {
+		t.Errorf("slack+staging p99 %.3f ms not below plain affinity's %.3f ms",
+			slk.P99LatencyPs/1e9, aff.P99LatencyPs/1e9)
+	}
+	if slk.MissRate >= aff.MissRate {
+		t.Errorf("slack+staging miss rate %.3f not below plain affinity's %.3f",
+			slk.MissRate, aff.MissRate)
 	}
 	for _, policy := range []string{"affinity", "edf", "slack"} {
-		off, okOff := got[policy+"/nostage/250KBps"]
-		on, okOn := got[policy+"/stage/250KBps"]
-		if !okOff || !okOn {
-			continue // a -run subtest filter skipped one side of the pair
-		}
+		off, on := got[policy+"/nostage/250KBps"], got[policy+"/stage/250KBps"]
 		if on.StageCommits == 0 {
 			t.Errorf("%s with staging never committed a pre-staged bitstream", policy)
 		}
@@ -164,16 +120,5 @@ func TestGoldenDeadlineCells(t *testing.T) {
 			t.Errorf("%s with staging streamed %d full reconfigurations, %d without — no saving",
 				policy, on.Reconfigs, off.Reconfigs)
 		}
-	}
-
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(deadlineCellsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d cells to %s", len(got), deadlineCellsPath)
 	}
 }

@@ -1,22 +1,18 @@
 // Golden determinism tests for the fleet dispatch layer: every pinned FLEET
 // cell — dispatch policy x pool size at twice the single-board knee per
-// board — runs under BOTH simulation schedulers, and the measured fleet
-// aggregates must match the committed values bit for bit. The acceptance
-// property of the fleet work is asserted on the pinned cells themselves:
-// at 4 boards the locality-aware policies strictly beat seeded-random
-// routing on goodput AND fleet-wide configuration traffic.
+// board — must match the committed fleet aggregates bit for bit. The
+// acceptance property of the fleet work is asserted on the pinned cells
+// themselves: at 4 boards the locality-aware policies strictly beat
+// seeded-random routing on goodput AND fleet-wide configuration traffic.
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/rcsched"
-	"repro/internal/sim"
 )
 
 // fleetCell is the pinned measurement record of one fleet cell.
@@ -75,132 +71,56 @@ func (c fleetCellSpec) name() string {
 	return fmt.Sprintf("%s/%db", c.dispatch, c.boards)
 }
 
-func (c fleetCellSpec) run(kneeRPS float64) (*fleet.Report, error) {
+func (c fleetCellSpec) run(kneeRPS float64) (fleetCell, error) {
 	jobs, err := exp.FleetStream(c.boards, kneeRPS)
 	if err != nil {
-		return nil, err
+		return fleetCell{}, err
 	}
-	return fleet.Run(exp.FleetConfig(c.dispatch, c.boards, rcsched.AdmitOff), jobs)
+	rep, err := fleet.Run(exp.FleetConfig(c.dispatch, c.boards, rcsched.AdmitOff), jobs)
+	if err != nil {
+		return fleetCell{}, err
+	}
+	return fleetCellOf(rep), nil
 }
 
-const fleetCellsPath = "testdata/fleet_cells.json"
-
-// fleetGolden is the committed golden file: the single-board knee the
-// offered rates scale from, plus every pinned cell.
-type fleetGolden struct {
-	KneeRPS float64              `json:"knee_rps"`
-	Cells   map[string]fleetCell `json:"cells"`
-}
-
-// TestGoldenFleetCells pins the fleet experiment end to end under both the
-// lockstep reference scheduler and the event-driven default (which must
-// agree bit for bit): the single-board knee the stream scales from, then
-// every dispatch x pool-size cell, enforcing the committed golden file.
-// Regenerate with -update-golden.
+// TestGoldenFleetCells pins the fleet experiment end to end against
+// testdata/fleet_cells.json: the single-board knee the stream scales from
+// (the saturation fixture's), then every dispatch x pool-size cell.
 func TestGoldenFleetCells(t *testing.T) {
-	if raceEnabled {
-		t.Skip("fleet golden sweep under -race: see race_enabled_test.go")
-	}
-	var want *fleetGolden
-	if !*updateGolden {
-		data, err := os.ReadFile(fleetCellsPath)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-		}
-		want = &fleetGolden{}
-		if err := json.Unmarshal(data, want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Cells) != len(allFleetCells()) {
-			t.Errorf("golden file has %d cells, expected %d", len(want.Cells), len(allFleetCells()))
-		}
-	}
-
-	// The knee the fleet rates scale from is the saturation fixture's: both
-	// schedulers must agree, and the committed value must not drift.
-	ramp := func() (float64, error) {
-		r, err := exp.SaturateRamp(exp.SaturateConfig("slack", rcsched.AdmitOff))
-		if err != nil {
-			return 0, err
-		}
-		return r.KneeRPS, nil
-	}
-	lockKnee, err := runWith(sim.Lockstep, ramp)
+	ramp, err := saturateRamp()
 	if err != nil {
 		t.Fatal(err)
 	}
-	evntKnee, err := runWith(sim.EventDriven, ramp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lockKnee != evntKnee {
-		t.Fatalf("schedulers disagree on the single-board knee: lockstep %.0f, event %.0f", lockKnee, evntKnee)
-	}
-	if lockKnee == 0 {
+	if ramp.KneeRPS == 0 {
 		t.Fatal("the canonical ramp found no knee to scale the fleet rates from")
 	}
-	if want != nil && lockKnee != want.KneeRPS {
-		t.Errorf("knee drifted: got %.0f, want %.0f", lockKnee, want.KneeRPS)
+	var specs []goldenSpec[fleetCell]
+	for _, c := range allFleetCells() {
+		specs = append(specs, goldenSpec[fleetCell]{c.name(), func() (fleetCell, error) { return c.run(ramp.KneeRPS) }})
 	}
+	goldenCells(t, pins[fleetCell]{
+		path:   "testdata/fleet_cells.json",
+		specs:  specs,
+		knee:   &kneePin{KneeRPS: ramp.KneeRPS},
+		accept: acceptFleet,
+	})
+}
 
-	got := map[string]fleetCell{}
-	for _, spec := range allFleetCells() {
-		spec := spec
-		t.Run(spec.name(), func(t *testing.T) {
-			run := func() (*fleet.Report, error) { return spec.run(lockKnee) }
-			lockRep, err := runWith(sim.Lockstep, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			evntRep, err := runWith(sim.EventDriven, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lock, evnt := fleetCellOf(lockRep), fleetCellOf(evntRep)
-			if lock != evnt {
-				t.Errorf("schedulers disagree:\n lockstep %+v\n event    %+v", lock, evnt)
-			}
-			got[spec.name()] = lock
-			if want != nil {
-				w, ok := want.Cells[spec.name()]
-				if !ok {
-					t.Errorf("cell %s missing from golden file (re-run with -update-golden)", spec.name())
-				} else if lock != w {
-					t.Errorf("cell drifted:\n got  %+v\n want %+v", lock, w)
-				}
-			}
-		})
-	}
-
-	// The acceptance property of the fleet work, asserted on the pinned
-	// cells themselves: at 2x the single-board knee per board on 4 boards,
-	// the locality-aware policies strictly beat seeded-random routing on
-	// goodput AND on fleet-wide configuration traffic.
-	if random, ok := got["random/4b"]; ok {
-		for _, dispatch := range []string{fleet.Affinity, fleet.Po2} {
-			cell, ok := got[dispatch+"/4b"]
-			if !ok {
-				continue // a -run subtest filter skipped the cell
-			}
-			if cell.GoodputRPS <= random.GoodputRPS {
-				t.Errorf("%s goodput %.0f jobs/s not above random's %.0f at 4 boards",
-					dispatch, cell.GoodputRPS, random.GoodputRPS)
-			}
-			if cell.TotalReconfigPs >= random.TotalReconfigPs {
-				t.Errorf("%s config traffic %.3f ms not below random's %.3f ms at 4 boards",
-					dispatch, cell.TotalReconfigPs/1e9, random.TotalReconfigPs/1e9)
-			}
+// acceptFleet is the acceptance property of the fleet work, asserted on the
+// pinned cells themselves: at 2x the single-board knee per board on 4
+// boards, the locality-aware policies strictly beat seeded-random routing
+// on goodput AND on fleet-wide configuration traffic.
+func acceptFleet(t *testing.T, got map[string]fleetCell) {
+	random := got["random/4b"]
+	for _, dispatch := range []string{fleet.Affinity, fleet.Po2} {
+		cell := got[dispatch+"/4b"]
+		if cell.GoodputRPS <= random.GoodputRPS {
+			t.Errorf("%s goodput %.0f jobs/s not above random's %.0f at 4 boards",
+				dispatch, cell.GoodputRPS, random.GoodputRPS)
 		}
-	}
-
-	if *updateGolden {
-		data, err := json.MarshalIndent(&fleetGolden{KneeRPS: lockKnee, Cells: got}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+		if cell.TotalReconfigPs >= random.TotalReconfigPs {
+			t.Errorf("%s config traffic %.3f ms not below random's %.3f ms at 4 boards",
+				dispatch, cell.TotalReconfigPs/1e9, random.TotalReconfigPs/1e9)
 		}
-		if err := os.WriteFile(fleetCellsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d cells to %s (knee %.0f jobs/s)", len(got), fleetCellsPath, lockKnee)
 	}
 }

@@ -7,28 +7,17 @@
 package repro_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"reflect"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/imu"
 	"repro/internal/platform"
-	"repro/internal/sim"
+	"repro/internal/vim"
 )
-
-// -update-golden regenerates testdata/golden_cells.json from the lockstep
-// reference scheduler (the seed-equivalent engine). Committed values are
-// then enforced against BOTH schedulers on every run.
-var updateGolden = flag.Bool("update-golden", false,
-	"regenerate testdata/golden_cells.json from the lockstep reference engine")
 
 // eq compares a float64 metric for exact (bitwise) equality.
 func eq(t *testing.T, what string, got, want float64) {
@@ -152,234 +141,77 @@ func (c goldenCellSpec) run() (*core.Report, error) {
 	}
 }
 
-// runWith runs fn with the given package-default sim scheduler installed.
-func runWith[T any](s sim.Scheduler, fn func() (T, error)) (T, error) {
-	prev := sim.SetDefaultScheduler(s)
-	defer sim.SetDefaultScheduler(prev)
-	return fn()
+// cellReports holds one run of each cell per test process, so
+// TestGoldenAllCells and TestGoldenCellCounters pin two views of the same
+// sweep.
+var cellReports sync.Map // cell name -> func() (*core.Report, error)
+
+func (c goldenCellSpec) report() (*core.Report, error) {
+	run, _ := cellReports.LoadOrStore(c.name(), sync.OnceValues(c.run))
+	return run.(func() (*core.Report, error))()
 }
 
-const goldenCellsPath = "testdata/golden_cells.json"
-
-func loadGoldenCells(t *testing.T) map[string]goldenCell {
-	t.Helper()
-	data, err := os.ReadFile(goldenCellsPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+// cellSpecs is every golden cell, seen through view.
+func cellSpecs[C any](view func(*core.Report) C) []goldenSpec[C] {
+	var specs []goldenSpec[C]
+	for _, c := range allGoldenCells() {
+		specs = append(specs, goldenSpec[C]{c.name(), func() (C, error) {
+			rep, err := c.report()
+			if err != nil {
+				var zero C
+				return zero, err
+			}
+			return view(rep), nil
+		}})
 	}
-	want := map[string]goldenCell{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
-// runCellsParallel fans deterministic, independent experiment cells out
-// across GOMAXPROCS with the given package-default scheduler installed for
-// the whole batch (the default is process-global, so the two scheduler
-// passes run as sequential phases while the cells within a phase run
-// concurrently). Results come back indexed, keeping every later comparison
-// deterministic.
-func runCellsParallel(s sim.Scheduler, specs []goldenCellSpec) ([]*core.Report, []error) {
-	prev := sim.SetDefaultScheduler(s)
-	defer sim.SetDefaultScheduler(prev)
-	reps := make([]*core.Report, len(specs))
-	errs := make([]error, len(specs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reps[i], errs[i] = specs[i].run()
-		}(i)
-	}
-	wg.Wait()
-	return reps, errs
-}
-
-// subtestFiltered reports whether the -run flag narrows execution below
-// the named test (a '/' in the pattern), in which case precomputing every
-// cell would defeat the filter.
-func subtestFiltered() bool {
-	f := flag.Lookup("test.run")
-	return f != nil && strings.Contains(f.Value.String(), "/")
+	return specs
 }
 
 // TestGoldenAllCells pins every policy × board × workload cell end to end
-// and doubles as the whole-system differential harness: each cell is run
-// under the lockstep reference scheduler and the event-driven default, the
-// two reports must agree bit for bit, and both must match the committed
-// golden file (captured from the lockstep engine with -update-golden).
-// Cells are independent, so a full run farms each scheduler pass across
-// GOMAXPROCS up front; a subtest-filtered run
-// (-run 'TestGoldenAllCells/<workload>/<board>/<policy>') skips the
-// precompute and simulates only the selected cells.
+// against testdata/golden_cells.json (run one cell with
+// -run 'TestGoldenAllCells/<workload>/<board>/<policy>').
 func TestGoldenAllCells(t *testing.T) {
-	var want map[string]goldenCell
-	if !*updateGolden {
-		want = loadGoldenCells(t)
-		if len(want) != len(allGoldenCells()) {
-			t.Errorf("golden file has %d cells, expected %d", len(want), len(allGoldenCells()))
-		}
-	}
-	specs := allGoldenCells()
-	var lockReps, evntReps []*core.Report
-	var lockErrs, evntErrs []error
-	if !subtestFiltered() {
-		lockReps, lockErrs = runCellsParallel(sim.Lockstep, specs)
-		evntReps, evntErrs = runCellsParallel(sim.EventDriven, specs)
-	}
-	got := map[string]goldenCell{}
-	for i, spec := range specs {
-		i, spec := i, spec
-		t.Run(spec.name(), func(t *testing.T) {
-			var lockRep, evntRep *core.Report
-			var err error
-			if lockReps != nil {
-				if lockErrs[i] != nil {
-					t.Fatal(lockErrs[i])
-				}
-				if evntErrs[i] != nil {
-					t.Fatal(evntErrs[i])
-				}
-				lockRep, evntRep = lockReps[i], evntReps[i]
-			} else {
-				if lockRep, err = runWith(sim.Lockstep, spec.run); err != nil {
-					t.Fatal(err)
-				}
-				if evntRep, err = runWith(sim.EventDriven, spec.run); err != nil {
-					t.Fatal(err)
-				}
-			}
-			lock, evnt := cellOf(lockRep), cellOf(evntRep)
-			if lock != evnt {
-				t.Errorf("schedulers disagree:\n lockstep %+v\n event    %+v", lock, evnt)
-			}
-			if lockRep.IMU != evntRep.IMU {
-				t.Errorf("IMU counters disagree:\n lockstep %+v\n event    %+v", lockRep.IMU, evntRep.IMU)
-			}
-			if !reflect.DeepEqual(lockRep.VIM, evntRep.VIM) {
-				t.Errorf("VIM counters disagree:\n lockstep %+v\n event    %+v", lockRep.VIM, evntRep.VIM)
-			}
-			got[spec.name()] = lock
-			if want != nil {
-				w, ok := want[spec.name()]
-				if !ok {
-					t.Errorf("cell %s missing from golden file (re-run with -update-golden)", spec.name())
-				} else if lock != w {
-					t.Errorf("cell drifted:\n got  %+v\n want %+v", lock, w)
-				}
-			}
-		})
-	}
-	if *updateGolden {
-		if len(got) != len(allGoldenCells()) {
-			t.Fatalf("-update-golden needs a full run: ran %d of %d cells (drop the -run filter)",
-				len(got), len(allGoldenCells()))
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenCellsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d cells to %s", len(got), goldenCellsPath)
-	}
+	goldenCells(t, pins[goldenCell]{path: "testdata/golden_cells.json", specs: cellSpecs(cellOf)})
 }
 
-// experimentSeriesPath pins every experiment's full published series, by
-// experiment ID and series label, as float64 values (a drift names the
-// series that moved). Regenerate with -update-golden.
-const experimentSeriesPath = "testdata/experiment_series.json"
+// counterCell is the pinned IMU and VIM counters of one golden cell.
+type counterCell struct {
+	IMU imu.Counters `json:"imu"`
+	VIM vim.Counters `json:"vim"`
+}
+
+// TestGoldenCellCounters pins every golden cell's IMU and VIM counters,
+// from the same runs as TestGoldenAllCells.
+func TestGoldenCellCounters(t *testing.T) {
+	goldenCells(t, pins[counterCell]{
+		path: "testdata/cell_counters.json",
+		specs: cellSpecs(func(rep *core.Report) counterCell {
+			return counterCell{rep.IMU, rep.VIM}
+		}),
+	})
+}
 
 // TestDifferentialExperiments runs every registered experiment — all
-// figures and every ablation — under both schedulers, requires every
-// published series value to match exactly, and compares the lockstep
-// series with the committed experimentSeriesPath. Together with
-// TestGoldenAllCells this pins the lockstep/event-driven equivalence, and
-// the values themselves, across the entire evaluation surface of the
-// reproduction.
+// figures and every ablation — and pins every published series value, by
+// experiment ID and series label, against
+// testdata/experiment_series.json. Checked under each scheduler against the
+// same file, it pins the lockstep/event-driven equivalence, and the values
+// themselves, across the entire evaluation surface of the reproduction.
 func TestDifferentialExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	var want map[string]map[string]float64
-	if *updateGolden {
-		if raceEnabled {
-			t.Fatal("-update-golden needs every experiment: build without -race")
-		}
-	} else {
-		data, err := os.ReadFile(experimentSeriesPath)
-		if err != nil {
-			t.Fatalf("missing series file (run with -update-golden to create): %v", err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[string]map[string]float64{}
+	var specs []goldenSpec[map[string]float64]
 	for _, e := range exp.All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if raceEnabled && e.ID == "FLEET" {
-				t.Skip("fleet sweep under -race: see race_enabled_test.go")
-			}
-			lock, err := runWith(sim.Lockstep, e.Run)
+		specs = append(specs, goldenSpec[map[string]float64]{e.ID, func() (map[string]float64, error) {
+			res, err := e.Run()
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			evnt, err := runWith(sim.EventDriven, e.Run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(lock.Series) != len(evnt.Series) {
-				t.Fatalf("series sizes differ: lockstep %d, event %d", len(lock.Series), len(evnt.Series))
-			}
-			for k, lv := range lock.Series {
-				if ev, ok := evnt.Series[k]; !ok || ev != lv {
-					t.Errorf("series %q: lockstep %v, event %v", k, lv, evnt.Series[k])
-				}
-			}
-			got[e.ID] = lock.Series
-			if want == nil {
-				return
-			}
-			w, ok := want[e.ID]
-			if !ok {
-				t.Fatalf("experiment missing from %s (re-run with -update-golden)", experimentSeriesPath)
-			}
-			for k, wv := range w {
-				if lv, ok := lock.Series[k]; !ok {
-					t.Errorf("series %q vanished (pinned %v)", k, wv)
-				} else if lv != wv {
-					t.Errorf("series %q drifted: got %v, want exactly %v", k, lv, wv)
-				}
-			}
-			for k := range lock.Series {
-				if _, ok := w[k]; !ok {
-					t.Errorf("series %q is not pinned (re-run with -update-golden)", k)
-				}
-			}
-		})
+			return res.Series, nil
+		}})
 	}
-	if *updateGolden {
-		if len(got) != len(exp.All()) {
-			t.Fatalf("-update-golden needs a full run: ran %d of %d experiments (drop the -run filter)",
-				len(got), len(exp.All()))
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(experimentSeriesPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d experiments to %s", len(got), experimentSeriesPath)
-	}
+	goldenCells(t, pins[map[string]float64]{path: "testdata/experiment_series.json", specs: specs})
 }
 
 // TestGoldenFig9Policies pins the 32 KB IDEA run under all four replacement

@@ -347,7 +347,8 @@ func sleepingStop(t *testing.T, kinds []string, run bool) int64 {
 // while its 24 MHz neighbour takes hit runs.
 // The pokes subtests then apply each kind of OS poke right after the shell
 // has published an idle horizon and compare against lockstep after every
-// step (see testPokesAfterHorizon).
+// step (see testPokesAfterHorizon). Every case builds its own rigs with an
+// explicit scheduler, so the cases run as parallel subtests.
 func TestShellSleepMatchesFullDelivery(t *testing.T) {
 	testPokesAfterHorizon(t)
 	type scenario struct {
@@ -367,6 +368,7 @@ func TestShellSleepMatchesFullDelivery(t *testing.T) {
 	cases = append(cases, scenario{"divided/idea6+adpcm", []string{"idea6", "adpcm"}, false})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			stopAt := int64(300)
 			if kind := c.kinds[0]; c.run || kind == "idea" || kind == "idea6" || kind == "adpcm" {
 				if stopAt = sleepingStop(t, c.kinds, c.run); stopAt < 0 {
@@ -531,6 +533,7 @@ func testPokesAfterHorizon(t *testing.T) {
 		}},
 	} {
 		t.Run("pokes/"+p.name, func(t *testing.T) {
+			t.Parallel()
 			w := &twin{t: t, ev: newRig(t, 2, 6, sim.EventDriven), ls: newRig(t, 2, 6, sim.Lockstep)}
 			var cores [][2]*copro.Seq
 			w.each(func(r *rig) {

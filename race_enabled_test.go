@@ -3,9 +3,6 @@
 package repro_test
 
 // raceEnabled reports whether this test binary was built with the race
-// detector. The heaviest sweeps (the FLEET differential run and the fleet
-// golden cells) skip under -race: the detector slows the fleet sweeps
-// ~25x past the package test timeout, and the fleet fan-out's race
-// coverage lives in internal/fleet's stress and scheduler-agreement
-// tests, which do run under -race.
+// detector, which instruments allocation: the allocation-bound tests skip
+// under it.
 const raceEnabled = true

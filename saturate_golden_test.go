@@ -1,18 +1,15 @@
 // Golden determinism tests for the open-loop saturation layer: the RPS
 // ramp's detected knee and every pinned SATURATE cell — offered rate x
-// policy x admission mode — run under BOTH simulation schedulers, and the
-// measured metrics must match the committed values bit for bit.
+// policy x admission mode — must match the committed values bit for bit.
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/rcsched"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -75,113 +72,57 @@ func (c saturateCellSpec) name() string {
 	return fmt.Sprintf("%s/%s/%gx", c.policy, c.admit, c.mult)
 }
 
-func (c saturateCellSpec) run(kneeRPS float64) (*rcsched.Report, error) {
+func (c saturateCellSpec) run(kneeRPS float64) (saturateCell, error) {
 	jobs, err := exp.SaturateStream(c.mult * kneeRPS)
 	if err != nil {
-		return nil, err
+		return saturateCell{}, err
 	}
-	return rcsched.Serve(exp.SaturateConfig(c.policy, c.admit), jobs)
+	rep, err := rcsched.Serve(exp.SaturateConfig(c.policy, c.admit), jobs)
+	if err != nil {
+		return saturateCell{}, err
+	}
+	return saturateCellOf(rep), nil
 }
 
-const saturateCellsPath = "testdata/saturate_cells.json"
+// saturateRamp is the canonical RPS ramp the SATURATE and FLEET cells scale
+// from, run once for both.
+var saturateRamp = sync.OnceValues(func() (*traffic.Ramp, error) {
+	return exp.SaturateRamp(exp.SaturateConfig("slack", rcsched.AdmitOff))
+})
 
-// saturateGolden is the committed golden file: the ramp's detected knee
-// plus every pinned cell.
-type saturateGolden struct {
-	KneeRPS       float64                 `json:"knee_rps"`
-	SaturationRPS float64                 `json:"saturation_rps"`
-	Cells         map[string]saturateCell `json:"cells"`
-}
-
-// TestGoldenSaturateCells pins the saturation experiment end to end under
-// both the lockstep reference scheduler and the event-driven default (which
-// must agree bit for bit): first the RPS ramp's detected knee, then every
-// offered-rate x policy x admission cell at the knee and past it, enforcing
-// the committed golden file. Regenerate with -update-golden.
+// TestGoldenSaturateCells pins the saturation experiment end to end against
+// testdata/saturate_cells.json: first the RPS ramp's detected knee, then
+// every offered-rate x policy x admission cell at the knee and past it.
 func TestGoldenSaturateCells(t *testing.T) {
-	var want *saturateGolden
-	if !*updateGolden {
-		data, err := os.ReadFile(saturateCellsPath)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-		}
-		want = &saturateGolden{}
-		if err := json.Unmarshal(data, want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Cells) != len(allSaturateCells()) {
-			t.Errorf("golden file has %d cells, expected %d", len(want.Cells), len(allSaturateCells()))
-		}
-	}
-
-	// The ramp itself is part of the fixture: both schedulers must detect
-	// the same knee, and the committed knee must not drift.
-	ramp := func() (*traffic.Ramp, error) {
-		return exp.SaturateRamp(exp.SaturateConfig("slack", rcsched.AdmitOff))
-	}
-	lockRamp, err := runWith(sim.Lockstep, ramp)
+	ramp, err := saturateRamp()
 	if err != nil {
 		t.Fatal(err)
 	}
-	evntRamp, err := runWith(sim.EventDriven, ramp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lockRamp.KneeRPS != evntRamp.KneeRPS || lockRamp.SaturationRPS != evntRamp.SaturationRPS {
-		t.Fatalf("schedulers disagree on the knee: lockstep %.0f/%.0f, event %.0f/%.0f",
-			lockRamp.KneeRPS, lockRamp.SaturationRPS, evntRamp.KneeRPS, evntRamp.SaturationRPS)
-	}
-	if lockRamp.SaturationRPS == 0 {
+	if ramp.SaturationRPS == 0 {
 		t.Fatal("the canonical ramp never saturated the board")
 	}
-	if want != nil && (lockRamp.KneeRPS != want.KneeRPS || lockRamp.SaturationRPS != want.SaturationRPS) {
-		t.Errorf("knee drifted: got %.0f/%.0f, want %.0f/%.0f",
-			lockRamp.KneeRPS, lockRamp.SaturationRPS, want.KneeRPS, want.SaturationRPS)
+	var specs []goldenSpec[saturateCell]
+	for _, c := range allSaturateCells() {
+		specs = append(specs, goldenSpec[saturateCell]{c.name(), func() (saturateCell, error) { return c.run(ramp.KneeRPS) }})
 	}
-	knee := lockRamp.KneeRPS
+	goldenCells(t, pins[saturateCell]{
+		path:   "testdata/saturate_cells.json",
+		specs:  specs,
+		knee:   &kneePin{ramp.KneeRPS, ramp.SaturationRPS},
+		accept: acceptSaturate,
+	})
+}
 
-	got := map[string]saturateCell{}
-	for _, spec := range allSaturateCells() {
-		spec := spec
-		t.Run(spec.name(), func(t *testing.T) {
-			run := func() (*rcsched.Report, error) { return spec.run(knee) }
-			lockRep, err := runWith(sim.Lockstep, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			evntRep, err := runWith(sim.EventDriven, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lock, evnt := saturateCellOf(lockRep), saturateCellOf(evntRep)
-			if lock != evnt {
-				t.Errorf("schedulers disagree:\n lockstep %+v\n event    %+v", lock, evnt)
-			}
-			got[spec.name()] = lock
-			if want != nil {
-				w, ok := want.Cells[spec.name()]
-				if !ok {
-					t.Errorf("cell %s missing from golden file (re-run with -update-golden)", spec.name())
-				} else if lock != w {
-					t.Errorf("cell drifted:\n got  %+v\n want %+v", lock, w)
-				}
-			}
-		})
-	}
-
-	// The acceptance property of the admission-control work, asserted on
-	// the pinned cells themselves: past saturation (twice the detected
-	// knee), shedding provably-late jobs strictly improves goodput and
-	// strictly tightens the admitted-job p99 against admitting everything,
-	// for both deadline policies — and actually sheds something, or the
-	// comparison is vacuous. At the knee, admission must stay close to
-	// inert: a healthy board should not shed its whole stream.
+// acceptSaturate is the acceptance property of the admission-control work,
+// asserted on the pinned cells themselves: past saturation (twice the
+// detected knee), shedding provably-late jobs strictly improves goodput and
+// strictly tightens the admitted-job p99 against admitting everything, for
+// both deadline policies — and actually sheds something, or the comparison
+// is vacuous. At the knee, admission must stay close to inert: a healthy
+// board should not shed its whole stream.
+func acceptSaturate(t *testing.T, got map[string]saturateCell) {
 	for _, policy := range []string{"slack", "edf"} {
-		off, okOff := got[policy+"/off/2x"]
-		rej, okRej := got[policy+"/reject/2x"]
-		if !okOff || !okRej {
-			continue // a -run subtest filter skipped one side
-		}
+		off, rej := got[policy+"/off/2x"], got[policy+"/reject/2x"]
 		if rej.Rejected == 0 {
 			t.Errorf("%s: admission shed nothing at 2x the knee", policy)
 		}
@@ -193,27 +134,12 @@ func TestGoldenSaturateCells(t *testing.T) {
 			t.Errorf("%s: admitted-job p99 %.3f ms not below admit-everything's %.3f ms",
 				policy, rej.P99AdmittedPs/1e9, off.P99AdmittedPs/1e9)
 		}
-		if knee1, ok := got[policy+"/reject/1x"]; ok && knee1.Rejected > knee1.Admitted {
+		if knee1 := got[policy+"/reject/1x"]; knee1.Rejected > knee1.Admitted {
 			t.Errorf("%s: admission shed most of a knee-rate stream (%d of %d)",
 				policy, knee1.Rejected, knee1.Admitted+knee1.Rejected)
 		}
-		if deg, ok := got[policy+"/degrade/2x"]; ok && deg.Rejected != 0 {
+		if deg := got[policy+"/degrade/2x"]; deg.Rejected != 0 {
 			t.Errorf("%s: degrade mode rejected %d jobs outright", policy, deg.Rejected)
 		}
-	}
-
-	if *updateGolden {
-		data, err := json.MarshalIndent(&saturateGolden{
-			KneeRPS:       lockRamp.KneeRPS,
-			SaturationRPS: lockRamp.SaturationRPS,
-			Cells:         got,
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(saturateCellsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d cells to %s (knee %.0f jobs/s)", len(got), saturateCellsPath, lockRamp.KneeRPS)
 	}
 }

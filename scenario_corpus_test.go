@@ -1,9 +1,8 @@
 // Scenario corpus replay: every recorded scenario under testdata/scenarios/
 // is a pinned end-to-end run — full config, arrival stream, per-job
 // dispatch decisions and final report — and this driver replays each one
-// bit for bit under BOTH simulation schedulers. Where the golden tables pin
-// aggregate metrics per cell, the corpus pins the step-by-step trajectory,
-// so a regression surfaces as a first-divergence diff ("job 17 landed on
+// bit for bit. Where the golden tables pin aggregate metrics per cell, the
+// corpus pins the step-by-step trajectory, so a regression surfaces as a first-divergence diff ("job 17 landed on
 // slot 1, recorded slot 0") instead of a bare metric delta.
 //
 // Refresh a scenario after an intentional behaviour change with:
@@ -17,13 +16,10 @@ package repro_test
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 const scenarioDir = "testdata/scenarios"
@@ -55,62 +51,28 @@ func loadScenarioCorpus(t *testing.T) []*scenario.Scenario {
 	return scs
 }
 
-// replayCorpusParallel replays every scenario with the given package-default
-// scheduler installed for the whole batch (same two-phase pattern as the
-// golden sweeps: schedulers are sequential phases, scenarios within a phase
-// run concurrently — each replay only touches its own recorder).
-func replayCorpusParallel(t *testing.T, s sim.Scheduler, scs []*scenario.Scenario) []*scenario.Result {
-	t.Helper()
-	prev := sim.SetDefaultScheduler(s)
-	defer sim.SetDefaultScheduler(prev)
-	results := make([]*scenario.Result, len(scs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range scs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := scenario.Replay(scs[i], "")
-			if err != nil {
-				res = &scenario.Result{Name: scs[i].Name, Err: err.Error()}
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	return results
-}
-
 // TestScenarioCorpus replays the committed scenario corpus under the
-// lockstep reference scheduler and the event-driven default. Every scenario
-// must reproduce exactly (its own match mode; the seeded corpus is strict),
-// under both engines — the corpus therefore doubles as another
-// whole-system scheduler-equivalence differential.
+// package-default scheduler, one parallel subtest per scenario under the
+// scheduler's name. Every scenario must reproduce exactly (its own match
+// mode; the seeded corpus is strict) — under each scheduler, so the corpus
+// doubles as another whole-system scheduler-equivalence check.
 func TestScenarioCorpus(t *testing.T) {
 	scs := loadScenarioCorpus(t)
-	phases := []struct {
-		name  string
-		sched sim.Scheduler
-	}{
-		{"lockstep", sim.Lockstep},
-		{"event", sim.EventDriven},
-	}
-	for _, ph := range phases {
-		results := replayCorpusParallel(t, ph.sched, scs)
-		t.Run(ph.name, func(t *testing.T) {
-			for i, sc := range scs {
-				res := results[i]
-				t.Run(sc.Name, func(t *testing.T) {
-					if !res.Pass() {
-						t.Errorf("scenario did not reproduce:\n%s", res.Text())
-					}
-					if res.Err == "" && res.Steps == 0 {
-						t.Errorf("replay matched zero stream steps; scenario pins nothing")
-					}
-				})
-			}
-		})
-	}
+	t.Run(schedulerKey(), func(t *testing.T) {
+		for _, sc := range scs {
+			t.Run(sc.Name, func(t *testing.T) {
+				t.Parallel()
+				res, err := scenario.Replay(sc, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Pass() {
+					t.Errorf("scenario did not reproduce:\n%s", res.Text())
+				}
+				if res.Steps == 0 {
+					t.Errorf("replay matched zero stream steps; scenario pins nothing")
+				}
+			})
+		}
+	})
 }

@@ -1,19 +1,16 @@
 // Golden determinism tests for the serving layer: every pinned SERVE cell
 // runs the full dynamic-reconfiguration scheduler — sessions attaching and
 // detaching at runtime, slots reconfiguring, every job output verified
-// against the golden algorithms — under BOTH simulation schedulers, and the
-// measured metrics must match the committed values bit for bit.
+// against the golden algorithms — and the measured metrics must match the
+// committed values bit for bit.
 package repro_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/rcsched"
-	"repro/internal/sim"
 )
 
 // serveCell is the pinned measurement record of one serving cell.
@@ -71,91 +68,37 @@ func (c serveCellSpec) name() string {
 	return fmt.Sprintf("%s/%dslots/%dKBps", c.policy, c.slots, int(c.bw)/1000)
 }
 
-func (c serveCellSpec) run() (*rcsched.Report, error) {
-	return rcsched.Serve(rcsched.Config{Policy: c.policy, Slots: c.slots, ConfigBW: c.bw}, exp.ServeTrace())
+func (c serveCellSpec) run() (serveCell, error) {
+	rep, err := rcsched.Serve(rcsched.Config{Policy: c.policy, Slots: c.slots, ConfigBW: c.bw}, exp.ServeTrace())
+	if err != nil {
+		return serveCell{}, err
+	}
+	return serveCellOf(rep), nil
 }
 
-const serveCellsPath = "testdata/serve_cells.json"
-
-// TestGoldenServeCells pins every serving cell end to end under both the
-// lockstep reference scheduler and the event-driven default (which must
-// agree bit for bit), and enforces the committed golden file. Regenerate
-// with -update-golden (captured from the lockstep engine, like the
-// execution cells).
+// TestGoldenServeCells pins every serving cell end to end against
+// testdata/serve_cells.json.
 func TestGoldenServeCells(t *testing.T) {
-	var want map[string]serveCell
-	if !*updateGolden {
-		data, err := os.ReadFile(serveCellsPath)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-		}
-		want = map[string]serveCell{}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(allServeCells()) {
-			t.Errorf("golden file has %d cells, expected %d", len(want), len(allServeCells()))
-		}
+	var specs []goldenSpec[serveCell]
+	for _, c := range allServeCells() {
+		specs = append(specs, goldenSpec[serveCell]{c.name(), c.run})
 	}
-	got := map[string]serveCell{}
-	for _, spec := range allServeCells() {
-		spec := spec
-		t.Run(spec.name(), func(t *testing.T) {
-			lockRep, err := runWith(sim.Lockstep, spec.run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			evntRep, err := runWith(sim.EventDriven, spec.run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lock, evnt := serveCellOf(lockRep), serveCellOf(evntRep)
-			if lock != evnt {
-				t.Errorf("schedulers disagree:\n lockstep %+v\n event    %+v", lock, evnt)
-			}
-			got[spec.name()] = lock
-			if want != nil {
-				w, ok := want[spec.name()]
-				if !ok {
-					t.Errorf("cell %s missing from golden file (re-run with -update-golden)", spec.name())
-				} else if lock != w {
-					t.Errorf("cell drifted:\n got  %+v\n want %+v", lock, w)
-				}
-			}
-		})
-	}
+	goldenCells(t, pins[serveCell]{path: "testdata/serve_cells.json", specs: specs, accept: acceptServe})
+}
 
-	// The acceptance property of the bitstream-affinity policy, asserted on
-	// the pinned cells themselves: on the same stream it spends strictly
-	// less configuration-port time than FCFS — at the default bandwidth and
-	// even more visibly on the slow port.
-	for _, pair := range [][2]string{
-		{"affinity/2slots/1000KBps", "fcfs/2slots/1000KBps"},
-		{"affinity/2slots/250KBps", "fcfs/2slots/250KBps"},
-	} {
-		aff, okA := got[pair[0]]
-		fcfs, okF := got[pair[1]]
-		if !okA || !okF {
-			continue // a -run subtest filter skipped one side of the pair
-		}
+// acceptServe is the acceptance property of the bitstream-affinity policy,
+// asserted on the pinned cells themselves: on the same stream it spends
+// strictly less configuration-port time than FCFS — at the default
+// bandwidth and even more visibly on the slow port.
+func acceptServe(t *testing.T, got map[string]serveCell) {
+	for _, bw := range []string{"1000KBps", "250KBps"} {
+		aff, fcfs := got["affinity/2slots/"+bw], got["fcfs/2slots/"+bw]
 		if aff.TotalReconfigPs >= fcfs.TotalReconfigPs {
-			t.Errorf("%s reconfig %.3f ms not below %s's %.3f ms",
-				pair[0], aff.TotalReconfigPs/1e9, pair[1], fcfs.TotalReconfigPs/1e9)
+			t.Errorf("affinity at %s: reconfig %.3f ms not below fcfs's %.3f ms",
+				bw, aff.TotalReconfigPs/1e9, fcfs.TotalReconfigPs/1e9)
 		}
 		if aff.Reconfigs >= fcfs.Reconfigs {
-			t.Errorf("%s reconfigured %d times, %s %d — no saving",
-				pair[0], aff.Reconfigs, pair[1], fcfs.Reconfigs)
+			t.Errorf("affinity at %s reconfigured %d times, fcfs %d — no saving", bw, aff.Reconfigs, fcfs.Reconfigs)
 		}
-	}
-
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(serveCellsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d cells to %s", len(got), serveCellsPath)
 	}
 }

@@ -3,10 +3,8 @@ package repro_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro"
@@ -27,15 +25,13 @@ type softwareCell struct {
 	OutSHA256  string  `json:"out_sha256"`
 }
 
-const softwareCellsPath = "testdata/software_cells.json"
-
-// softwareSpec is one pinned software cell. run sets the process up exactly
+// softwareSpec is one pinned software cell. setUp sets the process up exactly
 // as the experiment that owns the cell does and returns the run's report
 // with its output buffer; expMs returns the owning experiment's own timing
 // of the cell in milliseconds, which must agree.
 type softwareSpec struct {
 	name  string
-	run   func(p *repro.Process) (*repro.Report, repro.Buffer, error)
+	setUp func(p *repro.Process) (*repro.Report, repro.Buffer, error)
 	expMs func() (float64, error)
 }
 
@@ -45,7 +41,7 @@ func softwareSpecs() []softwareSpec {
 		seed := int64(900 + n)
 		specs = append(specs, softwareSpec{
 			name: fmt.Sprintf("idea-sw/%dKB", n/1024),
-			run: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
+			setUp: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
 				// exp.IdeaSW's set-up.
 				in, out, err := alloc2(p, n, n)
 				if err != nil {
@@ -75,7 +71,7 @@ func softwareSpecs() []softwareSpec {
 		seed := int64(800 + n)
 		specs = append(specs, softwareSpec{
 			name: fmt.Sprintf("adpcm-sw/%dKB", n/1024),
-			run: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
+			setUp: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
 				// exp.AdpcmSW's set-up.
 				in, out, err := alloc2(p, n, 4*n)
 				if err != nil {
@@ -101,7 +97,7 @@ func softwareSpecs() []softwareSpec {
 	const n = 4096
 	specs = append(specs, softwareSpec{
 		name: "vecadd-sw/fig3",
-		run: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
+		setUp: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
 			// exp.RunFig3's software run.
 			a, b, err := alloc2(p, 4*n, 4*n)
 			if err != nil {
@@ -146,8 +142,9 @@ func alloc2(p *repro.Process, n1, n2 int) (repro.Buffer, repro.Buffer, error) {
 	return b1, b2, err
 }
 
-// runSoftwareCell runs spec on a fresh default board and records the cell.
-func runSoftwareCell(spec softwareSpec) (softwareCell, error) {
+// run runs the cell on a fresh default board and records it; its timing
+// must agree with the owning experiment's own run.
+func (spec softwareSpec) run() (softwareCell, error) {
 	sys, err := repro.NewSystem(repro.Config{})
 	if err != nil {
 		return softwareCell{}, err
@@ -156,13 +153,20 @@ func runSoftwareCell(spec softwareSpec) (softwareCell, error) {
 	if err != nil {
 		return softwareCell{}, err
 	}
-	rep, out, err := spec.run(p)
+	rep, out, err := spec.setUp(p)
 	if err != nil {
 		return softwareCell{}, err
 	}
 	data, err := out.Read()
 	if err != nil {
 		return softwareCell{}, err
+	}
+	ms, err := spec.expMs()
+	if err != nil {
+		return softwareCell{}, err
+	}
+	if got := rep.PurePs / 1e9; got != ms {
+		return softwareCell{}, fmt.Errorf("%v ms, the experiment's own run %v ms", got, ms)
 	}
 	sum := sha256.Sum256(data)
 	c := sys.Board().CPU
@@ -179,56 +183,15 @@ func runSoftwareCell(spec softwareSpec) (softwareCell, error) {
 }
 
 // TestGoldenSoftware pins the pure-software baseline runs the figures
-// compare against: Figure 9's IDEA cells, Figure 8's adpcmdecode cells and
-// Figure 3's vector addition. Besides the timing it pins every CPU counter
-// and the output bytes, so a change to the timed CPU model or to a software
-// kernel must reproduce the accounting access for access, not just the
-// total. The software runs never touch the sim scheduler, so one pass
-// suffices.
+// compare against, in testdata/software_cells.json: Figure 9's IDEA cells,
+// Figure 8's adpcmdecode cells and Figure 3's vector addition. Besides the
+// timing it pins every CPU counter and the output bytes, so a change to the
+// timed CPU model or to a software kernel must reproduce the accounting
+// access for access, not just the total.
 func TestGoldenSoftware(t *testing.T) {
-	var want map[string]softwareCell
-	if !*updateGolden {
-		data, err := os.ReadFile(softwareCellsPath)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
+	var specs []goldenSpec[softwareCell]
+	for _, spec := range softwareSpecs() {
+		specs = append(specs, goldenSpec[softwareCell]{spec.name, spec.run})
 	}
-	specs := softwareSpecs()
-	if want != nil && len(want) != len(specs) {
-		t.Errorf("golden file has %d cells, expected %d", len(want), len(specs))
-	}
-	got := map[string]softwareCell{}
-	for _, spec := range specs {
-		t.Run(spec.name, func(t *testing.T) {
-			cell, err := runSoftwareCell(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[spec.name] = cell
-			ms, err := spec.expMs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			eq(t, "ms against the experiment's own run", cell.PurePs/1e9, ms)
-			if want != nil && cell != want[spec.name] {
-				t.Errorf("cell drifted:\n got  %+v\n want %+v", cell, want[spec.name])
-			}
-		})
-	}
-	if *updateGolden {
-		if len(got) != len(specs) {
-			t.Fatalf("-update-golden needs a full run: ran %d of %d cells", len(got), len(specs))
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(softwareCellsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d cells to %s", len(got), softwareCellsPath)
-	}
+	goldenCells(t, pins[softwareCell]{path: "testdata/software_cells.json", specs: specs})
 }

@@ -1,8 +1,7 @@
 // Telemetry passivity and determinism, proven differentially: a metered
-// run's report is DeepEqual to an unmetered one —
-// over a serving board and over a fleet, under BOTH simulation schedulers
-// — and the exports themselves (metrics JSON, Chrome trace JSON) are a
-// pure function of (config, seed), byte for byte. The recorded scenario
+// run's report is DeepEqual to an unmetered one — over a serving board and
+// over a fleet — and the exports themselves (metrics JSON, Chrome trace
+// JSON) are a pure function of (config, seed), byte for byte. The recorded scenario
 // corpus doubles as the drift detector: every pinned scenario must still
 // reproduce exactly with telemetry attached.
 package repro_test
@@ -12,14 +11,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/rcsched"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -29,13 +26,8 @@ import (
 // many boundaries.
 const telemetrySamplePs = 1e9
 
-func telemetryStream(t *testing.T) []rcsched.Job {
-	t.Helper()
-	jobs, err := traffic.Stream(48, 2024, traffic.Spec{Process: traffic.Poisson, RPS: 3200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return jobs
+func telemetryStream() ([]rcsched.Job, error) {
+	return traffic.Stream(48, 2024, traffic.Spec{Process: traffic.Poisson, RPS: 3200})
 }
 
 func telemetryServeConfig(m *telemetry.Meter) rcsched.Config {
@@ -47,65 +39,56 @@ func telemetryFleetConfig(m *telemetry.Meter) fleet.Config {
 }
 
 // TestTelemetryPassive is the passivity differential: with telemetry off
-// and on, a serve run and a fleet run produce DeepEqual reports under both
-// the lockstep reference scheduler and the event-driven default.
+// and on, a serve run and a fleet run produce DeepEqual reports under the
+// package-default scheduler (a subtest named after it).
 func TestTelemetryPassive(t *testing.T) {
-	jobs := telemetryStream(t)
-	for _, ph := range []struct {
-		name  string
-		sched sim.Scheduler
-	}{
-		{"lockstep", sim.Lockstep},
-		{"event", sim.EventDriven},
-	} {
-		t.Run(ph.name, func(t *testing.T) {
-			prev := sim.SetDefaultScheduler(ph.sched)
-			defer sim.SetDefaultScheduler(prev)
-
-			plain, err := rcsched.Serve(telemetryServeConfig(nil), jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			metered, err := rcsched.Serve(telemetryServeConfig(telemetry.NewMeter(telemetrySamplePs)), jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, metered) {
-				t.Error("metering a serve run changed its report")
-			}
-
-			fplain, err := fleet.Run(telemetryFleetConfig(nil), jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmetered, err := fleet.Run(telemetryFleetConfig(telemetry.NewMeter(telemetrySamplePs)), jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fplain, fmetered) {
-				t.Error("metering a fleet run changed its report")
-			}
-		})
+	jobs, err := telemetryStream()
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Run(schedulerKey(), func(t *testing.T) {
+		plain, err := rcsched.Serve(telemetryServeConfig(nil), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metered, err := rcsched.Serve(telemetryServeConfig(telemetry.NewMeter(telemetrySamplePs)), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, metered) {
+			t.Error("metering a serve run changed its report")
+		}
+
+		fplain, err := fleet.Run(telemetryFleetConfig(nil), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmetered, err := fleet.Run(telemetryFleetConfig(telemetry.NewMeter(telemetrySamplePs)), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fplain, fmetered) {
+			t.Error("metering a fleet run changed its report")
+		}
+	})
 }
 
 // telemetryFleetExports runs the metered fleet of telemetryFleetConfig over
 // telemetryStream and returns its metrics dump and Chrome trace bytes.
-func telemetryFleetExports(t *testing.T) (metrics, trace []byte) {
-	t.Helper()
-	m := telemetry.NewMeter(telemetrySamplePs)
-	if _, err := fleet.Run(telemetryFleetConfig(m), telemetryStream(t)); err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := m.DumpJSON()
+func telemetryFleetExports() (metrics, trace []byte, err error) {
+	jobs, err := telemetryStream()
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
+	}
+	m := telemetry.NewMeter(telemetrySamplePs)
+	if _, err := fleet.Run(telemetryFleetConfig(m), jobs); err != nil {
+		return nil, nil, err
+	}
+	if metrics, err = m.DumpJSON(); err != nil {
+		return nil, nil, err
 	}
 	trace, err = m.Trace().Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return metrics, trace
+	return metrics, trace, err
 }
 
 // TestTelemetryExportsDeterministic pins the export side: two same-seed
@@ -113,8 +96,14 @@ func telemetryFleetExports(t *testing.T) (metrics, trace []byte) {
 // trace parses as Chrome trace-event JSON with span and instant events,
 // and the sampled queue-depth time series is present and non-empty.
 func TestTelemetryExportsDeterministic(t *testing.T) {
-	m1, t1 := telemetryFleetExports(t)
-	m2, t2 := telemetryFleetExports(t)
+	m1, t1, err := telemetryFleetExports()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, t2, err := telemetryFleetExports()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(m1, m2) {
 		t.Error("same-seed fleet runs dumped different metrics bytes")
 	}
@@ -158,99 +147,51 @@ func TestTelemetryExportsDeterministic(t *testing.T) {
 	}
 }
 
-// telemetryDigestsPath holds the SHA-256 of telemetryFleetExports' two
-// byte streams under each scheduler. Run-vs-run identity alone would let a
-// change that alters the exports consistently pass; the digests pin them
-// across commits. The metrics dump differs between schedulers because it
-// carries the engine's own edge and skip tallies.
-const telemetryDigestsPath = "testdata/telemetry_digests.json"
-
+// telemetryDigests is the SHA-256 of telemetryFleetExports' two byte
+// streams. Run-vs-run identity alone would let a change that alters the
+// exports consistently pass; the digests pin them across commits.
 type telemetryDigests struct {
 	MetricsSHA256 string `json:"metrics_sha256"`
 	TraceSHA256   string `json:"trace_sha256"`
 }
 
-// TestTelemetryExportDigests enforces the committed export digests under
-// both schedulers. Regenerate with -update-golden.
+// TestTelemetryExportDigests enforces the committed export digests of the
+// running scheduler in testdata/telemetry_digests.json, which is keyed by
+// scheduler: the metrics dump differs between schedulers because it
+// carries the engine's own edge and skip tallies.
 func TestTelemetryExportDigests(t *testing.T) {
 	digest := func(b []byte) string {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:])
 	}
-	var want map[string]telemetryDigests
-	if !*updateGolden {
-		data, err := os.ReadFile(telemetryDigestsPath)
-		if err != nil {
-			t.Fatalf("missing digest file (run with -update-golden to create): %v", err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[string]telemetryDigests{}
-	for _, ph := range []struct {
-		name  string
-		sched sim.Scheduler
-	}{
-		{"lockstep", sim.Lockstep},
-		{"event", sim.EventDriven},
-	} {
-		prev := sim.SetDefaultScheduler(ph.sched)
-		metrics, trace := telemetryFleetExports(t)
-		sim.SetDefaultScheduler(prev)
-		g := telemetryDigests{MetricsSHA256: digest(metrics), TraceSHA256: digest(trace)}
-		got[ph.name] = g
-		if want == nil {
-			continue
-		}
-		w, ok := want[ph.name]
-		if !ok {
-			t.Errorf("%s: no digests in %s (re-run with -update-golden)", ph.name, telemetryDigestsPath)
-			continue
-		}
-		if g.MetricsSHA256 != w.MetricsSHA256 {
-			t.Errorf("%s: metrics export digest drifted: got %s, want %s", ph.name, g.MetricsSHA256, w.MetricsSHA256)
-		}
-		if g.TraceSHA256 != w.TraceSHA256 {
-			t.Errorf("%s: trace export digest drifted: got %s, want %s", ph.name, g.TraceSHA256, w.TraceSHA256)
-		}
-	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(telemetryDigestsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", telemetryDigestsPath)
-	}
+	goldenCells(t, pins[telemetryDigests]{
+		path: "testdata/telemetry_digests.json",
+		specs: []goldenSpec[telemetryDigests]{{schedulerKey(), func() (telemetryDigests, error) {
+			metrics, trace, err := telemetryFleetExports()
+			return telemetryDigests{digest(metrics), digest(trace)}, err
+		}}},
+		byScheduler: true,
+	})
 }
 
 // TestScenarioCorpusMetered replays every pinned scenario with telemetry
-// attached, under both schedulers: zero drift allowed. Passivity over the
-// whole greppable regression corpus, not just the synthetic streams above.
+// attached, one parallel subtest per scenario under the scheduler's name:
+// zero drift allowed. Passivity over the whole greppable regression corpus,
+// not just the synthetic streams above.
 func TestScenarioCorpusMetered(t *testing.T) {
 	scs := loadScenarioCorpus(t)
-	for _, ph := range []struct {
-		name  string
-		sched sim.Scheduler
-	}{
-		{"lockstep", sim.Lockstep},
-		{"event", sim.EventDriven},
-	} {
-		t.Run(ph.name, func(t *testing.T) {
-			prev := sim.SetDefaultScheduler(ph.sched)
-			defer sim.SetDefaultScheduler(prev)
-			for _, sc := range scs {
+	t.Run(schedulerKey(), func(t *testing.T) {
+		for _, sc := range scs {
+			t.Run(sc.Name, func(t *testing.T) {
+				t.Parallel()
 				res, err := scenario.ReplayMetered(sc, "", telemetry.NewMeter(telemetrySamplePs))
 				if err != nil {
-					t.Fatalf("%s: %v", sc.Name, err)
+					t.Fatal(err)
 				}
 				if !res.Pass() {
-					t.Errorf("%s drifted under telemetry:\n%s", sc.Name, res.Text())
+					t.Errorf("drifted under telemetry:\n%s", res.Text())
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
