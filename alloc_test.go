@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro"
@@ -41,21 +42,14 @@ func TestByteStoreLazyPages(t *testing.T) {
 // the whole array up front).
 func TestNewSystemNoEagerSDRAMZeroing(t *testing.T) {
 	if testing.Short() {
-		t.Skip("testing.Benchmark in -short mode")
+		t.Skip("allocation measurement in -short mode")
 	}
 	spec := platform.EPXA10()
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys, err := repro.NewSystem(repro.Config{Board: "EPXA10"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = sys
-		}
-	})
-	limit := int64(spec.SDRAMBytes / 8)
-	if got := res.AllocedBytesPerOp(); got > limit {
+	limit := uint64(spec.SDRAMBytes / 8)
+	if got := bytesPerOp(t, func() error {
+		_, err := repro.NewSystem(repro.Config{Board: "EPXA10"})
+		return err
+	}); got > limit {
 		t.Fatalf("NewSystem(EPXA10) allocates %d B/op, want <= %d (SDRAM is %d)",
 			got, limit, spec.SDRAMBytes)
 	}
@@ -68,24 +62,37 @@ func TestNewSystemNoEagerSDRAMZeroing(t *testing.T) {
 	}
 }
 
-// allocMBPerOp measures the heap bytes one call of op allocates, in MB.
+// measuredOps is how many calls bytesPerOp averages over.
+const measuredOps = 10
+
+// bytesPerOp measures the heap bytes one call of op allocates: the mean
+// over measuredOps calls after a first one, which fills the page pool the
+// serving loops recycle. Nothing else runs meanwhile: the tests that call
+// it are not parallel.
+func bytesPerOp(t *testing.T, op func() error) uint64 {
+	t.Helper()
+	if err := op(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < measuredOps; i++ {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / measuredOps
+}
+
+// allocMBPerOp is bytesPerOp in MB, skipped in -short mode and under
+// -race, which distorts allocation.
 func allocMBPerOp(t *testing.T, op func() error) float64 {
 	t.Helper()
 	if testing.Short() || raceEnabled {
-		t.Skip("allocation gate: testing.Benchmark is skipped in -short mode and distorted by -race")
+		t.Skip("allocation gate: skipped in -short mode and distorted by -race")
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := op(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if res.N == 0 {
-		t.Fatal("benchmark did not run (op failed)")
-	}
-	return float64(res.AllocedBytesPerOp()) / 1e6
+	return float64(bytesPerOp(t, op)) / 1e6
 }
 
 // TestServeAllocationBound gates the per-job setup garbage of a serving

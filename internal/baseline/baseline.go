@@ -50,7 +50,7 @@ type ParamsFunc func(items int) []uint32
 // Runner executes an application against a board without any VIM.
 type Runner struct {
 	Board *platform.Board
-	HW    *platform.HW
+	HW    *platform.ShellHW // a one-slot shell
 	hdr   bitstream.Header
 
 	scratch uint32 // staging buffer in user memory, one DP RAM's worth
@@ -67,8 +67,11 @@ func NewRunner(spec platform.Spec, img []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	hw, err := board.Assemble(hdr.CoreClock, hdr.IMUClock, cp)
+	hw, err := board.AssembleShell(hdr.IMUClock, 1)
 	if err != nil {
+		return nil, err
+	}
+	if err := hw.LoadSlot(board, 0, cp, hdr.CoreClock); err != nil {
 		return nil, err
 	}
 	scratch, err := board.Kern.Alloc(board.DP.Size() + 8)
@@ -159,9 +162,9 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 		}
 	}
 
-	eng := r.HW.Eng
-	imuDom := r.HW.IMUDom
-	startCy := imuDom.Cycles()
+	hw := r.HW
+	eng := hw.Eng
+	startCy := hw.Dom.Cycles()
 	startSim := eng.Stats()
 	hwPs := 0.0
 
@@ -233,7 +236,7 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 			// Poll until the coprocessor has consumed the parameters and
 			// invalidated their page (§3.2), then reuse frame 0 and its
 			// CAM slot for the final output page.
-			if _, err := eng.RunUntil(func() bool { return u.ParamFree() || u.IRQ() }, core.DefaultBudget); err != nil {
+			if _, err := hw.RunUntil(func() bool { return u.ParamFree() || u.IRQ() }, core.DefaultBudget); err != nil {
 				return nil, err
 			}
 			hwPs += eng.NowPs() - before
@@ -251,7 +254,7 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 			}
 			before = eng.NowPs()
 		}
-		if _, err := eng.RunUntilFlag(u.IRQRef(), core.DefaultBudget); err != nil {
+		if _, err := hw.RunUntilEvent(core.DefaultBudget); err != nil {
 			return nil, err
 		}
 		hwPs += eng.NowPs() - before
@@ -261,9 +264,10 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 		}
 		u.AckDone()
 		// Drain until the core has observed CP_START falling and dropped
-		// CP_FIN — with a slow core domain this takes several bus edges.
+		// CP_FIN — with a slow core clock this takes several bus edges.
 		before = eng.NowPs()
-		if _, err := eng.RunUntil(func() bool { return !r.HW.Port.CP().Fin && !u.IRQ() }, 256); err != nil {
+		port := hw.Slots[0].Port()
+		if _, err := hw.RunUntil(func() bool { return !port.CP().Fin && !u.IRQ() }, 256); err != nil {
 			return nil, fmt.Errorf("baseline: completion handshake did not drain: %v", err)
 		}
 		hwPs += eng.NowPs() - before
@@ -292,7 +296,7 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 		SWIMUPs: tl.Ps(stats.SWIMU),
 		SWOSPs:  tl.Ps(stats.SWOS),
 		IMU:     u.Count,
-		HWCy:    imuDom.Cycles() - startCy,
+		HWCy:    hw.Dom.Cycles() - startCy,
 		Sim:     eng.Stats().Since(startSim),
 	}, nil
 }

@@ -14,10 +14,10 @@
 // loop as a sequence of units (reads, compute cycles, writes) plus a kernel
 // over each unit's data. Seq, Figure 5's FSM, runs any Program on a Port
 // edge by edge through the request/acknowledge handshake of Mem. On a port
-// wired to its IMU channel's HitService — single-channel boards and shell
-// slots — Seq also runs a TLB-resident stretch of units as one hit run,
-// advertised and consumed through its own idle window, leaving exactly the
-// state its edge path would.
+// wired to its IMU channel's HitService — every shell slot's — Seq also
+// runs a TLB-resident stretch of units as one hit run, advertised and
+// consumed through its own idle window, leaving exactly the state its edge
+// path would.
 package copro
 
 import "repro/internal/sim"
@@ -80,12 +80,15 @@ type Port struct {
 	hits *HitWire
 }
 
-// HitWire is a port's wiring to its IMU channel's hit service: the service
-// and the channel's IMU edges per core edge. Its owner keeps it (a shell
-// slot reuses one across loads), so wiring a port allocates nothing.
+// HitWire is a port's wiring to its IMU channel's hit service: the service,
+// the channel's IMU edges per core edge, and the phase at wiring time (the
+// IMU edges since the last one on which a core edge could fall). Its owner
+// keeps it (a shell slot reuses one across loads), so wiring a port
+// allocates nothing.
 type HitWire struct {
 	svc   HitService
 	ratio int64
+	phase int64
 }
 
 // NewPort returns a quiescent port.
@@ -148,17 +151,16 @@ func (p *Port) SettleIMU(v IMUOut) {
 }
 
 // ServeHits wires the hit service h of the IMU channel the port is bound
-// to, for a core clocked at coreHz behind an IMU at imuHz, through w. The
-// core then takes hit runs (Seq.RunEdges) wherever the service is ready. A
-// run's timing needs an IMU edge at every core edge, so the port stays
-// unwired unless the IMU clock is a multiple of the core's; a nil w or h
-// unwires it, and a port left unwired runs its core on the edge path
-// alone. Wire the port before binding the core (Seq.Bind), which reads the
-// IMU's edge count through it.
-func (p *Port) ServeHits(w *HitWire, h HitService, coreHz, imuHz int64) {
+// to through w, for a core that ticks on every ratio-th IMU edge, the next
+// of them ratio-phase edges after the IMU's current one. The core then
+// takes hit runs (Seq.RunEdges) wherever the service is ready. A nil w or
+// h, or a ratio below 1, unwires it, and a port left unwired runs its core
+// on the edge path alone. Wire the port before binding the core
+// (Seq.Bind), which reads the IMU's edge count and the phase through it.
+func (p *Port) ServeHits(w *HitWire, h HitService, ratio, phase int64) {
 	p.hits = nil
-	if w != nil && h != nil && coreHz > 0 && imuHz%coreHz == 0 {
-		*w = HitWire{svc: h, ratio: imuHz / coreHz}
+	if w != nil && h != nil && ratio > 0 {
+		*w = HitWire{svc: h, ratio: ratio, phase: phase}
 		p.hits = w
 	}
 }

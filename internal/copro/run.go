@@ -12,8 +12,7 @@ package copro
 // those edges would leave.
 // The edge path is the reference: the lockstep scheduler never asks for
 // idleness and always runs it, and so does the event scheduler wherever a
-// run cannot start (a miss, the last unit, a core whose IMU clock is not a
-// multiple of its own).
+// run cannot start (a miss, the last unit).
 //
 // A window is found once: the first ask walks the units to the first miss
 // and leaves a plan (runPlan) keyed on the unit index and the table
@@ -25,7 +24,11 @@ package copro
 // its neighbour keeps running, and executes the run when it wakes. Every
 // access therefore goes to the hit service with the IMU edge at which the
 // edge path would have translated it, derived from the core's own edge
-// count and the IMU's edge count when the core was bound.
+// count and the IMU edge its edge 0 fell on (Bind). A run may also be cut
+// short, when the OS stops the shell inside it: the units whose IMU edges
+// have all been delivered run in closed form and the rest on the edge
+// paths, up to the IMU's current edge; the shell delivers the channel's
+// later edges itself.
 
 // StepKind enumerates unit steps.
 type StepKind uint8
@@ -262,12 +265,12 @@ func (s *Seq) RunEdges() int64 {
 // before the first write, the Mem counters, and at the end the committed
 // CP bundle (the last request's fields, with CP_ACCESS and CP_WR low) and
 // the IMU's — and a remainder shorter than the next unit runs on the edge
-// paths of the sequencer and the channel, leaving its access
-// mid-handshake. In a two-domain engine k counts core edges, and the
-// remainder takes the IMU edges before the core's next edge with it; the
-// engine never splits such a window, because the IMU, alone in its domain,
-// is idle until input while a run can start. What the answer was given on
-// must still hold — the port, the channel and the table — which a shell
+// paths of the sequencer and the channel (deliver), leaving its access
+// mid-handshake. A unit runs in closed form only once the IMU has
+// delivered every edge before the core's next one: a divided core woken at
+// its own edge has a CP_TLBHIT fall still to come in the IMU edges after
+// it, so that unit goes to the edge paths too. What the answer was given
+// on must still hold — the port, the channel and the table — which a shell
 // guarantees by waking its sleeping cores before the OS runs.
 func (s *Seq) skipRun(k int64) {
 	wire := s.port.hits
@@ -275,6 +278,7 @@ func (s *Seq) skipRun(k int64) {
 	lat := h.Latency()
 	t := newTiming(lat, r)
 	shift := h.PageShift()
+	now := h.Edge()
 	memo := newRunMemo()
 	var issue [MaxSteps]int64
 	din := s.port.IMURef().DIn
@@ -290,7 +294,7 @@ func (s *Seq) skipRun(k int64) {
 		// edge path reaches the next unit's top with the unit index.
 		s.plan.unit++
 		s.plan.w -= n
-		if n > k {
+		if n > k || s.edge0+(s.edge+n+1)*r-1 > now {
 			break
 		}
 		// The unit's first request issues at the core's next edge. Core
@@ -356,17 +360,22 @@ func (m *Mem) settle(s *Step, n, lastConsume int64, t timing, din uint32) {
 	}
 }
 
-// deliver runs k core edges, and the IMU edges (r per core edge) up to the
-// core's next edge, on the edge paths: all Evals of an edge before its
-// Updates.
+// deliver runs the core's next k edges on the edge paths, with the
+// channel's IMU edges (r per core edge) from the first of them up to the
+// core's edge after the last, or up to the IMU's current edge if that
+// comes first: all Evals of an edge before its Updates. The channel's
+// edges after the IMU's current one are still to come, and the shell
+// delivers them.
 func deliver(h HitService, core *Seq, k, r int64) {
-	for e := int64(0); e < k*r; e++ {
-		m := e % r
-		if m == 0 {
+	first := core.edge0 + (core.edge+1)*r
+	last := min(first+k*r-1, h.Edge())
+	for edge := first; edge <= last; edge++ {
+		onCore := (edge-first)%r == 0
+		if onCore {
 			core.Eval() // counts the core edge
 		}
-		h.Eval(core.edge0 + core.edge*r + m)
-		if m == 0 {
+		h.Eval(edge)
+		if onCore {
 			core.Update()
 		}
 		h.Update()

@@ -94,14 +94,16 @@ func (s *Seq) Name() string { return s.prog.Name() }
 // Bind attaches the port, zeroes the access counters and the edge count
 // and resets the FSM to its power-on state, staging the quiescent bundle so
 // the first Commit lands even onto a port left non-quiescent by a previous
-// owner. Engine must be paused, and on a port wired at ratio r the core's
-// j-th edge from here must coincide with the IMU's (j·r)-th: a fresh
-// engine, or a shell slot at the shell clock.
+// owner. Engine must be paused. On a port wired at ratio r, edge0 is
+// aligned to the wire's phase: the IMU's edge count less the IMU edges
+// since the last one a core edge could fall on, so that the core's j-th
+// edge from here coincides with IMU edge edge0 + j·r wherever in its
+// divisor's cycle the core was loaded.
 func (s *Seq) Bind(p *Port) {
 	s.Mem = Mem{port: p}
 	s.edge, s.edge0 = 0, 0
 	if w := p.hits; w != nil {
-		s.edge0 = w.svc.Edge()
+		s.edge0 = w.svc.Edge() - w.phase
 	}
 	s.reset()
 }

@@ -40,7 +40,7 @@ var (
 	ErrBudget      = errors.New("core: execution exceeded the simulation budget")
 )
 
-// DefaultBudget bounds one FPGA_EXECUTE in simulation super-edges.
+// DefaultBudget bounds one FPGA_EXECUTE in simulated shell edges.
 const DefaultBudget = int64(200_000_000)
 
 // ConfigClockHz is the passive-serial configuration clock used to charge
@@ -52,7 +52,7 @@ type Session struct {
 	Board *platform.Board
 	Proc  *kernel.Process
 	VIM   *vim.Manager
-	HW    *platform.HW
+	HW    *platform.ShellHW // a one-slot shell while loaded
 
 	header   bitstream.Header
 	loaded   bool
@@ -71,9 +71,11 @@ func NewSession(board *platform.Board, proc *kernel.Process, vimCfg vim.Config) 
 }
 
 // Load implements FPGA_LOAD: it validates the bit-stream, instantiates the
-// registered coprocessor model ("configures the PLD"), assembles the clock
-// domains, and accounts the configuration time. The PLD is held exclusively
-// by this session until Unload.
+// registered coprocessor model ("configures the PLD"), assembles a one-slot
+// shell at the bitstream's IMU clock with the core loaded at its core
+// clock, and accounts the configuration time. A core clock that is not a
+// divisor of the IMU clock is an error. The PLD is held exclusively by this
+// session until Unload.
 func (s *Session) Load(img []byte) error {
 	if s.loaded {
 		return ErrBusy
@@ -83,8 +85,11 @@ func (s *Session) Load(img []byte) error {
 	if err != nil {
 		return err
 	}
-	hw, err := s.Board.Assemble(h.CoreClock, h.IMUClock, cp)
+	hw, err := s.Board.AssembleShell(h.IMUClock, 1)
 	if err != nil {
+		return err
+	}
+	if err := hw.LoadSlot(s.Board, 0, cp, h.CoreClock); err != nil {
 		return err
 	}
 	// Configuration time: flash readout plus shifting the image into the
@@ -180,19 +185,19 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 	}
 	s.Board.IMU.Start()
 
-	eng := s.HW.Eng
-	imuDom := s.HW.IMUDom
-	startCy := imuDom.Cycles()
+	hw := s.HW
+	eng := hw.Eng
+	startCy := hw.Dom.Cycles()
 	startSim := eng.Stats()
 	hwPs := 0.0
 	budget := DefaultBudget
 	// The interruptible sleep polls the IRQ line through the engine's
-	// flag-based loop: edge-exact (the cycle counters feed the measured
-	// components) but free of the per-edge closure call of RunUntil.
-	irq := s.Board.IMU.IRQRef()
+	// flag-based loop (RunUntilEvent, with no wake deadline armed):
+	// edge-exact, since the cycle counters feed the measured components,
+	// but free of the per-edge closure call of RunUntil.
 	for {
 		before := eng.NowPs()
-		n, err := eng.RunUntilFlag(irq, budget)
+		n, err := hw.RunUntilEvent(budget)
 		hwPs += eng.NowPs() - before
 		budget -= n
 		if err != nil {
@@ -205,10 +210,11 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 			s.Board.IMU.AckDone()
 			// Drain until the core has observed CP_START falling and
 			// dropped CP_FIN, so a later FPGA_EXECUTE starts clean even
-			// with a slow coprocessor clock domain.
+			// with a slow coprocessor clock.
 			before = eng.NowPs()
-			if _, err := eng.RunUntil(func() bool {
-				return !s.HW.Port.CP().Fin && !s.Board.IMU.IRQ()
+			port := hw.Slots[0].Port()
+			if _, err := hw.RunUntil(func() bool {
+				return !port.CP().Fin && !s.Board.IMU.IRQ()
 			}, 256); err != nil {
 				return nil, fmt.Errorf("core: completion handshake did not drain: %v", err)
 			}
@@ -222,8 +228,8 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 			// Let the restart propagate before re-checking the IRQ
 			// line (the request is consumed at the next edge).
 			before = eng.NowPs()
-			eng.Step()
-			eng.Step()
+			hw.Step()
+			hw.Step()
 			hwPs += eng.NowPs() - before
 			budget -= 2
 			continue
@@ -244,7 +250,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 		ConfigPs: s.configPs,
 		VIM:      s.VIM.Count,
 		IMU:      s.Board.IMU.Count,
-		HWCy:     imuDom.Cycles() - startCy,
+		HWCy:     hw.Dom.Cycles() - startCy,
 		Sim:      eng.Stats().Since(startSim),
 	}, nil
 }

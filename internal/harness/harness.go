@@ -3,11 +3,14 @@
 // TLB and the memory frames are preloaded by the caller and the run fails
 // on any translation fault.
 //
-// It serves tests only: the coprocessor packages verify their models
-// against the golden algorithms on it, and its own tests check hit runs
-// against edge-by-edge delivery. (The paper's "typical coprocessor"
-// baseline of Figure 3/Figure 9, where the application manages the
-// physical memory by hand, is internal/baseline on platform.Assemble.)
+// A bench is a board (platform.NewBoard, with the bench's DP RAM size,
+// page size and IMU mode) carrying a one-slot shell (platform.ShellHW) at
+// the IMU clock, with the core loaded at its own clock: the assembly every
+// session runs on. It serves tests only: the coprocessor packages verify
+// their models against the golden algorithms on it, and its own tests
+// check hit runs against edge-by-edge delivery. (The paper's "typical
+// coprocessor" baseline of Figure 3/Figure 9, where the application
+// manages the physical memory by hand, is internal/baseline.)
 package harness
 
 import (
@@ -17,6 +20,7 @@ import (
 	"repro/internal/copro"
 	"repro/internal/imu"
 	"repro/internal/mem"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -49,57 +53,41 @@ func DefaultConfig() Config {
 	}
 }
 
-// Bench is an assembled hardware testbench.
+// Bench is an assembled hardware testbench. Shell is driven through its
+// settling calls (Step, RunUntil, RunUntilEvent), or Settled after running
+// its engine directly, before its state is read.
 type Bench struct {
-	Eng      *sim.Engine
-	CoproDom *sim.Domain
-	IMUDom   *sim.Domain
-	DP       *mem.DPRAM
-	IMU      *imu.IMU
-	Port     *copro.Port
-	Core     *copro.Seq
+	Shell *platform.ShellHW
+	DP    *mem.DPRAM
+	IMU   *imu.IMU
+	Port  *copro.Port
+	Core  *copro.Seq
 
 	pageSize int
-	wire     copro.HitWire // the port's wiring to the IMU's hit service
 }
 
-// New assembles a bench around the given core.
+// New assembles a bench around the given core. The core clock must divide
+// the IMU clock.
 func New(cfg Config, core *copro.Seq) (*Bench, error) {
 	if core == nil {
 		return nil, fmt.Errorf("harness: nil core")
 	}
-	if err := sim.CheckClocks(cfg.IMUHz, cfg.CoproHz); err != nil {
-		return nil, err
-	}
-	dp, err := mem.NewDPRAM(cfg.DPBytes, 1<<cfg.PageLog)
+	spec := platform.EPXA1()
+	spec.DPBytes, spec.PageLog, spec.IMUMode = cfg.DPBytes, cfg.PageLog, cfg.Mode
+	board, err := platform.NewBoard(spec)
 	if err != nil {
 		return nil, err
 	}
-	u, err := imu.New(imu.Config{PageShift: cfg.PageLog, Entries: dp.Pages(), Mode: cfg.Mode}, dp)
+	hw, err := board.AssembleShell(cfg.IMUHz, 1)
 	if err != nil {
 		return nil, err
 	}
-	b := &Bench{DP: dp, IMU: u, Port: copro.NewPort(), Core: core, pageSize: dp.PageSize()}
-	u.Bind(b.Port)
-	b.Port.ServeHits(&b.wire, u.HitService(0), cfg.CoproHz, cfg.IMUHz)
-	core.Bind(b.Port)
-
-	eng := sim.NewEngine()
-	eng.SetScheduler(cfg.Sched)
-	imuDom := eng.NewDomain("imu", cfg.IMUHz)
-	var coproDom *sim.Domain
-	if cfg.CoproHz == cfg.IMUHz {
-		coproDom = imuDom
-	} else {
-		coproDom = eng.NewDomain("copro", cfg.CoproHz)
+	hw.Eng.SetScheduler(cfg.Sched)
+	if err := hw.LoadSlot(board, 0, core, cfg.CoproHz); err != nil {
+		return nil, err
 	}
-	// Attach the core before the IMU within a shared domain so that the
-	// deterministic order is fixed; two-phase semantics make the order
-	// observationally irrelevant, but determinism aids debugging.
-	coproDom.Attach(core)
-	imuDom.Attach(u)
-	b.Eng, b.CoproDom, b.IMUDom = eng, coproDom, imuDom
-	return b, nil
+	return &Bench{Shell: hw, DP: board.DP, IMU: board.IMU, Port: hw.Slots[0].Port(), Core: core,
+		pageSize: board.DP.PageSize()}, nil
 }
 
 // MapPage installs a static TLB mapping.
@@ -134,32 +122,34 @@ func (b *Bench) SetParams(words ...uint32) error {
 // (this bench has no OS to service it).
 func (b *Bench) Run(maxEdges int64) (int64, error) {
 	b.IMU.Start()
-	start := b.IMUDom.Cycles()
-	_, err := b.Eng.RunUntil(func() bool {
+	dom := b.Shell.Dom
+	start := dom.Cycles()
+	_, err := b.Shell.RunUntil(func() bool {
 		return b.IMU.DonePending() || b.IMU.FaultPending()
 	}, maxEdges)
 	if err != nil {
-		return b.IMUDom.Cycles() - start, err
+		return dom.Cycles() - start, err
 	}
 	if b.IMU.FaultPending() {
-		return b.IMUDom.Cycles() - start, fmt.Errorf("%w: obj %d addr %#x",
+		return dom.Cycles() - start, fmt.Errorf("%w: obj %d addr %#x",
 			ErrFault, b.IMU.FaultObj(), b.IMU.FaultAddr())
 	}
 	b.IMU.AckDone()
-	b.Eng.RunCycles(b.IMUDom, 4) // let the ack propagate and the core reset
-	return b.IMUDom.Cycles() - start, nil
+	b.Shell.Eng.RunCycles(dom, 4) // let the ack propagate and the core reset
+	b.Shell.Settle()
+	return dom.Cycles() - start, nil
 }
 
 // RunToFin starts the coprocessor and simulates until it raises CP_FIN. It
 // returns the IMU cycles consumed, the core's completion time on the bench.
 func (b *Bench) RunToFin(maxEdges int64) (int64, error) {
 	b.IMU.Start()
-	start := b.IMUDom.Cycles()
-	_, err := b.Eng.RunUntil(func() bool { return b.Port.CP().Fin || b.IMU.FaultPending() }, maxEdges)
+	start := b.Shell.Dom.Cycles()
+	_, err := b.Shell.RunUntil(func() bool { return b.Port.CP().Fin || b.IMU.FaultPending() }, maxEdges)
 	if err == nil && b.IMU.FaultPending() {
 		err = fmt.Errorf("%w: obj %d addr %#x", ErrFault, b.IMU.FaultObj(), b.IMU.FaultAddr())
 	}
-	return b.IMUDom.Cycles() - start, err
+	return b.Shell.Dom.Cycles() - start, err
 }
 
 // PageSize returns the configured page size in bytes.

@@ -229,13 +229,14 @@ func fieldsOf(v reflect.Value, skip ...string) string {
 // register bank, outputs), the DP RAM's bytes and port counters, both
 // committed port bundles and the domain cycles. Per-edge scratch (the
 // sequencer's current unit) and lookup memos (the sequencer's hit-run plan,
-// the channel's CAM memo) are left out.
+// the channel's CAM memo) are left out. The core's edge count is the
+// sequencer's edge field.
 type benchState struct {
 	Core, Seq, Mem, IMU, Channel, DPPorts string
 	DP                                    []byte
 	CP                                    copro.CPOut
 	IMUOut                                copro.IMUOut
-	IMUCycles, CoreCycles                 int64
+	Cycles                                int64 // the shell's
 }
 
 func snapshot(t testing.TB, b *Bench) benchState {
@@ -246,17 +247,16 @@ func snapshot(t testing.TB, b *Bench) benchState {
 	}
 	u := reflect.ValueOf(b.IMU)
 	return benchState{
-		Core:       fieldsOf(reflect.ValueOf(b.Core).Elem().FieldByName("prog").Elem()),
-		Seq:        fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur", "plan"),
-		Mem:        fieldsOf(reflect.ValueOf(&b.Core.Mem)),
-		IMU:        fieldsOf(u, "ch", "chbuf", "hits", "anyWork", "hz"),
-		Channel:    fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
-		DPPorts:    fieldsOf(reflect.ValueOf(b.DP)),
-		DP:         dp,
-		CP:         b.Port.CP(),
-		IMUOut:     b.Port.IMU(),
-		IMUCycles:  b.IMUDom.Cycles(),
-		CoreCycles: b.CoproDom.Cycles(),
+		Core:    fieldsOf(reflect.ValueOf(b.Core).Elem().FieldByName("prog").Elem()),
+		Seq:     fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur", "plan"),
+		Mem:     fieldsOf(reflect.ValueOf(&b.Core.Mem)),
+		IMU:     fieldsOf(u, "ch", "chbuf", "hits", "anyWork", "hz"),
+		Channel: fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
+		DPPorts: fieldsOf(reflect.ValueOf(b.DP)),
+		DP:      dp,
+		CP:      b.Port.CP(),
+		IMUOut:  b.Port.IMU(),
+		Cycles:  b.Shell.Dom.Cycles(),
 	}
 }
 
@@ -292,7 +292,7 @@ func TestHitRunMatchesFullDelivery(t *testing.T) {
 			diffStates(t, "after the run", snapshot(t, lock), snapshot(t, evnt))
 			// The runs must actually have carried the work: a handful of
 			// delivered edges per unit boundary, not four per access.
-			ls, es := lock.Eng.Stats(), evnt.Eng.Stats()
+			ls, es := lock.Shell.Eng.Stats(), evnt.Shell.Eng.Stats()
 			if es.EdgesDelivered*10 > ls.EdgesDelivered {
 				t.Errorf("event scheduler delivered %d of lockstep's %d edges: hit runs did not carry the work",
 					es.EdgesDelivered, ls.EdgesDelivered)
@@ -311,9 +311,10 @@ func planned(s *copro.Seq) bool {
 
 // TestHitRunPartialWindow consumes a random part of each advertised hit-run
 // window through the core's SkipEdges and requires exactly the state the
-// edge FSMs reach over the same edges — k core edges and the IMU edges
-// before the core's next one — including an access left mid-handshake; then
-// runs both benches to completion and compares again. At every step the
+// edge FSMs reach over the same edges — k core edges and a random number of
+// the IMU edges before the core's next one, then the rest of those —
+// including an access left mid-handshake; then runs both benches to
+// completion and compares again. At every step the
 // skipped bench's window answer, which after a skip comes from the plan the
 // skip left, must equal the reference sequencer's: the reference never
 // skips, so its plan never outlives the unit it was found at, and its first
@@ -327,7 +328,7 @@ func TestHitRunPartialWindow(t *testing.T) {
 				b.IMU.Start()
 			}
 			seq := skip.Core
-			ratio := ref.IMUDom.FreqHz() / ref.CoproDom.FreqHz()
+			ratio := reflect.ValueOf(ref.Shell.Slots[0]).Elem().FieldByName("div").Int()
 			windows, fromPlan := 0, 0
 			for steps := 0; !ref.IMU.DonePending() && steps < 10_000_000; steps++ {
 				if ref.IMU.FaultPending() {
@@ -340,36 +341,49 @@ func TestHitRunPartialWindow(t *testing.T) {
 				// defer an inert drain step, which no component observes.
 				// A window starts at the core's next edge; skip it only
 				// from the IMU edge just before, so that after the skip
-				// the skipped bench's next super-edge is the core's.
+				// the skipped bench's next edge is the core's.
 				w := seq.IdleEdges()
 				if want := ref.Core.RunEdges(); seq.RunEdges() != want {
 					t.Fatalf("after %d windows: the window answer is %d edges, a fresh walk finds %d",
 						windows, seq.RunEdges(), want)
 				}
-				if w <= 0 || w != seq.RunEdges() || (ref.IMUDom.Cycles()+1)%ratio != 0 {
-					skip.Eng.Step()
-					ref.Eng.Step()
+				if w <= 0 || w != seq.RunEdges() || (ref.Shell.Dom.Cycles()+1)%ratio != 0 {
+					skip.Shell.Step()
+					ref.Shell.Step()
 					continue
 				}
 				windows++
 				k := 1 + rng.Int63n(w)
 				// The IMU's edges go on while the core sleeps through the
 				// window, as in a shell slot: its channel idles, and the
-				// core then catches up.
-				for i := int64(0); i < k*ratio; i++ {
+				// core then catches up, at its k-th edge or at a later IMU
+				// edge before its next one (m IMU edges past it), as when
+				// the OS stops the shell there. The shell then delivers
+				// the channel's edges up to the core's next one.
+				m := rng.Int63n(ratio)
+				split := (k-1)*ratio + 1 + m
+				for i := int64(0); i < split; i++ {
 					skip.IMU.Eval()
 					skip.IMU.Update()
 				}
 				seq.SkipEdges(k)
-				target := (ref.CoproDom.Cycles()+k+1)*ratio - 1
-				for ref.IMUDom.Cycles() < target {
-					ref.Eng.Step()
-				}
-				want, got := snapshot(t, ref), snapshot(t, skip)
-				want.IMUCycles, want.CoreCycles = got.IMUCycles, got.CoreCycles
-				diffStates(t, fmt.Sprintf("window %d, %d of %d edges", windows, k, w), want, got)
-				if t.Failed() {
-					return
+				for stage, rest := range []int64{split, ratio - 1 - m} {
+					if stage > 0 {
+						for i := int64(0); i < rest; i++ {
+							skip.IMU.Eval()
+							skip.IMU.Update()
+						}
+					}
+					for target := ref.Shell.Dom.Cycles() + rest; ref.Shell.Dom.Cycles() < target; {
+						ref.Shell.Step()
+					}
+					want, got := snapshot(t, ref), snapshot(t, skip)
+					want.Cycles = got.Cycles
+					diffStates(t, fmt.Sprintf("window %d, %d of %d edges, woken %d IMU edges on, stage %d",
+						windows, k, w, m, stage), want, got)
+					if t.Failed() {
+						return
+					}
 				}
 			}
 			if windows == 0 {
@@ -382,33 +396,24 @@ func TestHitRunPartialWindow(t *testing.T) {
 				t.Fatal("the skipped bench did not finish with the reference")
 			}
 			want, got := snapshot(t, ref), snapshot(t, skip)
-			want.IMUCycles, want.CoreCycles = got.IMUCycles, got.CoreCycles
+			want.Cycles = got.Cycles
 			diffStates(t, "at completion", want, got)
 		})
 	}
 }
 
 // TestNoHitRunWithoutService checks that a core whose port is not wired to
-// a hit service (as in a shell slot), or whose clock is faster than the
-// IMU's, never advertises a run: its windows are exactly the edge FSM's.
+// a hit service never advertises a run: its windows are exactly the edge
+// FSM's.
 func TestNoHitRunWithoutService(t *testing.T) {
-	unwired := vecaddCase(64).build(t, sim.Lockstep)
-	unwired.Port.ServeHits(nil, nil, 0, 0)
-	frames := map[int][]byte{1: randomBytes(1, 256), 2: randomBytes(2, 256)}
-	maps := [][3]int{{vecadd.ObjA, 0, 1}, {vecadd.ObjB, 0, 2}, {vecadd.ObjC, 0, 3}}
-	fastCore := newHitBench(t, sim.Lockstep, 80_000_000, 40_000_000, imu.MultiCycle, vecadd.New(), frames, maps, 64)
-	for _, c := range []struct {
-		name string
-		b    *Bench
-	}{{"unwired", unwired}, {"core faster than IMU", fastCore}} {
-		name, b := c.name, c.b
-		b.IMU.Start()
-		for !b.IMU.DonePending() {
-			if w := b.Core.IdleEdges(); w > 0 && w < sim.IdleForever {
-				t.Fatalf("%s: advertised a %d-edge window", name, w)
-			}
-			b.Eng.Step()
+	b := vecaddCase(64).build(t, sim.Lockstep)
+	b.Port.ServeHits(nil, nil, 0, 0)
+	b.IMU.Start()
+	for !b.IMU.DonePending() {
+		if w := b.Core.IdleEdges(); w > 0 && w < sim.IdleForever {
+			t.Fatalf("unwired: advertised a %d-edge window", w)
 		}
+		b.Shell.Step()
 	}
 }
 
@@ -446,14 +451,14 @@ func BenchmarkHitRun(b *testing.B) {
 					b.Fatal(err)
 				}
 				units := reflect.ValueOf(probe.Core).Elem().FieldByName("units").Int()
-				st0, acc0 := bench.Eng.Stats(), bench.IMU.Count.Accesses
+				st0, acc0 := bench.Shell.Eng.Stats(), bench.IMU.Count.Accesses
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					exec()
 				}
 				b.StopTimer()
-				st, acc := bench.Eng.Stats(), bench.IMU.Count.Accesses
+				st, acc := bench.Shell.Eng.Stats(), bench.IMU.Count.Accesses
 				n := float64(b.N)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(n*float64(units)), "ns/unit")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(acc-acc0), "ns/access")

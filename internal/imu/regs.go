@@ -63,7 +63,7 @@ func (u *IMU) IRQ() bool { return u.irq }
 
 // IRQRef exposes the interrupt line for the engine's flag-polled run loop
 // (sim.Engine.RunUntilFlag). The line is the OR of the channel IRQs and is
-// only written during Update, so polling it between super-edges observes
+// only written during Update, so polling it between edges observes
 // committed state.
 func (u *IMU) IRQRef() *bool { return &u.irq }
 

@@ -5,25 +5,22 @@
 // require only recompiling the module").
 //
 // A Board owns the platform-fixed hardware (CPU, SDRAM, flash, AHB, DP RAM,
-// IMU). Hardware is assembled around it in one of two shapes. Assemble
-// instantiates the per-application clock domains around one loaded
-// coprocessor, since core and IMU frequencies travel with the bitstream.
-// AssembleShell builds the multi-tenant shape: one shell clock domain
-// carrying the IMU and a fixed set of reconfigurable slots, each wired to
-// its own IMU channel and running its core at the shell clock or at a
-// divisor of it.
+// IMU). Hardware is assembled around it in one shape, AssembleShell: one
+// shell clock domain carrying the IMU and a fixed set of reconfigurable
+// slots, each wired to its own IMU channel and running its core at the
+// shell clock or at a divisor of it. A single-coprocessor session is a
+// one-slot shell clocked at its bitstream's IMU clock, with the core
+// loaded at the bitstream's core clock.
 package platform
 
 import (
 	"fmt"
 
 	"repro/internal/amba"
-	"repro/internal/copro"
 	"repro/internal/cpu"
 	"repro/internal/imu"
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // AHB address map (stripe-side). The DP RAM and register windows sit above
@@ -153,51 +150,4 @@ func NewBoard(spec Spec) (*Board, error) {
 		Kern:  kern,
 		IMU:   u,
 	}, nil
-}
-
-// HW is a per-application hardware assembly: the clock domains running a
-// loaded coprocessor against the board's IMU.
-type HW struct {
-	Eng      *sim.Engine
-	IMUDom   *sim.Domain
-	CoproDom *sim.Domain
-	Port     *copro.Port
-	Core     *copro.Seq
-
-	wire copro.HitWire // the port's wiring to the IMU's hit service
-}
-
-// Assemble builds the clock domains for a loaded coprocessor. The IMU and
-// core frequencies come from the bitstream header; they must be an integer
-// ratio so the stall handshake lines up. When the IMU clock is a multiple
-// of the core's, the port is wired to the IMU's hit service, so the core
-// takes hit runs through TLB-resident stretches of its loop.
-func (b *Board) Assemble(coreHz, imuHz int64, core *copro.Seq) (*HW, error) {
-	if core == nil {
-		return nil, fmt.Errorf("platform: nil coprocessor")
-	}
-	if err := sim.CheckClocks(coreHz, imuHz); err != nil {
-		return nil, err
-	}
-	// A previous shell assembly may have left the IMU with several
-	// channels; the single-coprocessor shape uses exactly one.
-	if b.IMU.Channels() != 1 {
-		if err := b.IMU.SetChannels(1); err != nil {
-			return nil, err
-		}
-	}
-	hw := &HW{Port: copro.NewPort(), Core: core}
-	b.IMU.Bind(hw.Port)
-	hw.Port.ServeHits(&hw.wire, b.IMU.HitService(0), coreHz, imuHz)
-	core.Bind(hw.Port)
-
-	hw.Eng = sim.NewEngine()
-	hw.IMUDom = hw.Eng.NewDomain("imu", imuHz)
-	hw.CoproDom = hw.IMUDom
-	if coreHz != imuHz {
-		hw.CoproDom = hw.Eng.NewDomain("copro", coreHz)
-	}
-	hw.CoproDom.Attach(core)
-	hw.IMUDom.Attach(b.IMU)
-	return hw, nil
 }

@@ -61,43 +61,6 @@ func TestNewBoardWiresAddressMap(t *testing.T) {
 	}
 }
 
-func TestAssembleValidatesClocks(t *testing.T) {
-	b, err := NewBoard(EPXA1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := vecadd.New()
-	if _, err := b.Assemble(0, 40_000_000, core); err == nil {
-		t.Fatal("zero core clock accepted")
-	}
-	if _, err := b.Assemble(40_000_000, 40_000_000, nil); err == nil {
-		t.Fatal("nil core accepted")
-	}
-	// Non-integer ratio must be rejected by the clock-plan check.
-	if _, err := b.Assemble(7_000_000, 24_000_000, core); err == nil {
-		t.Fatal("non-integer clock ratio accepted")
-	}
-	// So must coprime clocks near the int64 limit (say, from a crafted
-	// bitstream header), before any domain is created.
-	if _, err := b.Assemble(1<<62-1, 1<<62-3, core); err == nil {
-		t.Fatal("coprime clocks near the int64 limit accepted")
-	}
-	hw, err := b.Assemble(6_000_000, 24_000_000, core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hw.CoproDom == hw.IMUDom {
-		t.Fatal("distinct clocks must produce distinct domains")
-	}
-	hw2, err := b.Assemble(40_000_000, 40_000_000, core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hw2.CoproDom != hw2.IMUDom {
-		t.Fatal("equal clocks should share one domain")
-	}
-}
-
 // TestLoadSlotValidatesClock pins LoadSlot's clock check: a core clock must
 // be positive and divide the shell clock, and a rejected load leaves the
 // slot as it was.

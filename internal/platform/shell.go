@@ -76,8 +76,9 @@ func (s *Slot) Port() *copro.Port { return s.port }
 
 // Load configures the slot with a coprocessor over the given port (the
 // caller binds the same port to the IMU channel) and resets the core to its
-// power-on state. The core keeps the slot's clock divisor (LoadSlot sets
-// it). Engine must be paused.
+// power-on state. The core keeps the slot's clock divisor, and a port wired
+// to the channel's hit service keeps the phase it was wired at (LoadSlot
+// sets both). Engine must be paused.
 func (s *Slot) Load(core *copro.Seq, port *copro.Port) {
 	s.wake()
 	s.core = core
@@ -210,15 +211,16 @@ func (s *Slot) wakeThrough(through int64) {
 // to every core, which makes it the reference the sleeping path is checked
 // against.
 //
-// Every slot whose core runs at the shell clock has its port wired to its
-// IMU channel's hit service, so a core at the top of its loop sleeps
-// through a hit run like any other window and executes it when it wakes,
-// while its neighbour keeps running: the run's LastUse stamps carry the
-// edges of its accesses, and it touches only its own channel, its own
-// session's TLB entries and DP RAM frames. Until it
-// wakes, the TLB bits, DP RAM, IMU counters and bundles the run changes lag
-// behind, so every call that hands control back to the OS (RunUntilEvent,
-// Step, RunUntil) ends with Settle, which wakes every sleeping core.
+// Every slot has its port wired to its IMU channel's hit service, so a
+// core at the top of its loop sleeps through a hit run like any other
+// window and executes it when it wakes, while its neighbour keeps running:
+// the run's LastUse stamps carry the edges of its accesses, and it touches
+// only its own channel, its own session's TLB entries and DP RAM frames.
+// Until it wakes, the TLB bits, DP RAM, IMU counters and bundles the run
+// changes lag behind, so every call that hands control back to the OS
+// (RunUntilEvent, Step, RunUntil) ends with Settle, which wakes every
+// sleeping core. A divided core woken between two of its edges runs the
+// rest of its window on the edge paths up to the current IMU edge.
 //
 // The shell publishes its idle horizon (sim.Publisher) from every Update:
 // the earliest last-inert edge of its sleeping cores, busy while any core
@@ -399,11 +401,10 @@ func (hw *ShellHW) SetWake(at int64) {
 }
 
 // RunUntilEvent advances the shell until the IMU raises its interrupt or
-// the armed wake deadline is reached (both checked before every super-edge,
-// exactly like RunUntil with a predicate), or until budget super-edges have
-// passed, and settles. It returns the super-edges consumed and the engine's
-// error. The shell is the engine's only domain, so super-edges are shell
-// cycles, and no bulk-skip crosses the deadline (IdleEdges bounds it):
+// the armed wake deadline is reached (both checked before every edge,
+// exactly like RunUntil with a predicate), or until budget edges have
+// passed, and settles. It returns the edges consumed and the engine's
+// error. No bulk-skip crosses the deadline (IdleEdges bounds it):
 // capping the run at the cycles left before the deadline stops it exactly
 // there, with the interrupt line as the only flag polled. A core asleep in
 // a hit run raises no interrupt, so the run stops where full delivery
@@ -430,7 +431,7 @@ func (hw *ShellHW) Step() {
 }
 
 // RunUntil runs the engine until done (sim.Engine.RunUntil) and settles.
-// done is asked between super-edges, before the cores are caught up: it
+// done is asked between edges, before the cores are caught up: it
 // may read only what a sleeping core's window leaves in place, such as the
 // interrupt line or a finished core's CP_FIN.
 func (hw *ShellHW) RunUntil(done func() bool, maxEdges int64) (int64, error) {
@@ -482,11 +483,11 @@ func (b *Board) AssembleShell(shellHz int64, nslots int) (*ShellHW, error) {
 }
 
 // LoadSlot loads core into slot i over a fresh port, running at coreHz,
-// and binds the IMU channel to it. coreHz must divide the shell clock. A
-// core at the shell clock has its port wired to the IMU channel's hit
-// service; a divided one is not, because a run's partial-window tail steps
-// the channel through IMU edges after the core's edge, which the shell
-// would then deliver again. Engine must be paused.
+// and binds the IMU channel to it. coreHz must divide the shell clock, so
+// a core can be no faster than the shell. The port is wired to the IMU
+// channel's hit service at the slot's divisor and at the phase of the
+// current cycle within it, so the core takes hit runs whatever its clock
+// and whenever it is loaded. Engine must be paused.
 func (hw *ShellHW) LoadSlot(b *Board, i int, core *copro.Seq, coreHz int64) error {
 	shellHz := hw.Dom.FreqHz()
 	if coreHz <= 0 || shellHz%coreHz != 0 {
@@ -495,9 +496,7 @@ func (hw *ShellHW) LoadSlot(b *Board, i int, core *copro.Seq, coreHz int64) erro
 	s := hw.Slots[i]
 	port := copro.NewPort()
 	div := shellHz / coreHz
-	if div == 1 {
-		port.ServeHits(&s.wire, b.IMU.HitService(i), shellHz, shellHz)
-	}
+	port.ServeHits(&s.wire, b.IMU.HitService(i), div, hw.Dom.Cycles()%div)
 	s.Load(core, port)
 	s.div = div
 	b.IMU.BindCh(i, port)

@@ -235,10 +235,10 @@ type shellRun struct {
 }
 
 // runShellScenario drives kinds[0] in slot 0 — next to kinds[1] in slot 1
-// when there are two — through demand faults, CP_STOP at cycle stopAt, an
-// Unload/Load of slot 0 with a restart, and a staged core committed into
-// slot 0 and run to completion.
-func runShellScenario(t *testing.T, kinds []string, sched sim.Scheduler, stride, stopAt int64) shellRun {
+// when there are two, loaded and started at cycle late — through demand
+// faults, CP_STOP at cycle stopAt, an Unload/Load of slot 0 with a
+// restart, and a staged core committed into slot 0 and run to completion.
+func runShellScenario(t *testing.T, kinds []string, sched sim.Scheduler, stride, stopAt, late int64) shellRun {
 	kind := kinds[0]
 	r := newRig(t, len(kinds), 6, sched)
 	var run shellRun
@@ -253,6 +253,9 @@ func runShellScenario(t *testing.T, kinds []string, sched sim.Scheduler, stride,
 		return r.advance(until, want, stride, &run.Trace, &run.Slept)
 	}
 	for i, k := range kinds {
+		if i > 0 {
+			adv(late, 0)
+		}
 		r.load(i, k, fresh(k))
 		r.start(i, jobFor(k).params)
 	}
@@ -343,8 +346,13 @@ func sleepingStop(t *testing.T, kinds []string, run bool) int64 {
 // the engine is free to bulk-skip through sleeping slots. The kind/Nslot
 // cases stop slot 0 inside a compute window (IDEA, ADPCM) or at cycle 300;
 // the runs/ cases stop it inside a hit run while every neighbour runs one
-// too; the divided/ case stops a 6 MHz IDEA slot inside a compute window
-// while its 24 MHz neighbour takes hit runs.
+// too; the divided/idea6+adpcm case stops a 6 MHz IDEA slot inside a
+// compute window while its 24 MHz neighbour takes hit runs. In
+// divided/late-idea6 the 6 MHz IDEA is loaded into slot 1 at cycle 203,
+// three cycles into its divisor's four, after scriptcp in slot 0 has run:
+// scriptcp's pages outnumber the data frames, so its faults keep stopping
+// the shell inside IDEA's hit runs, whose LastUse stamps every stop
+// compares.
 // The pokes subtests then apply each kind of OS poke right after the shell
 // has published an idle horizon and compare against lockstep after every
 // step (see testPokesAfterHorizon). Every case builds its own rigs with an
@@ -354,18 +362,21 @@ func TestShellSleepMatchesFullDelivery(t *testing.T) {
 	type scenario struct {
 		name  string
 		kinds []string
-		run   bool // stop inside hit runs
+		run   bool  // stop inside hit runs
+		late  int64 // the cycle slot 1 is loaded at
 	}
 	var cases []scenario
 	for _, kind := range []string{"idea", "adpcm", "vecadd", "scriptcp"} {
-		cases = append(cases, scenario{kind + "/1slot", []string{kind}, false},
-			scenario{kind + "/2slot", []string{kind, "adpcm"}, false})
+		cases = append(cases, scenario{kind + "/1slot", []string{kind}, false, 0},
+			scenario{kind + "/2slot", []string{kind, "adpcm"}, false, 0})
 	}
 	for _, kinds := range [][]string{{"idea"}, {"idea", "adpcm"}, {"vecadd", "scriptcp"}, {"adpcm", "idea"}} {
-		cases = append(cases, scenario{"runs/" + strings.Join(kinds, "+"), kinds, true})
+		cases = append(cases, scenario{"runs/" + strings.Join(kinds, "+"), kinds, true, 0})
 	}
-	// IDEA at 6 MHz beside ADPCM taking hit runs at the 24 MHz shell clock.
-	cases = append(cases, scenario{"divided/idea6+adpcm", []string{"idea6", "adpcm"}, false})
+	// IDEA at 6 MHz beside ADPCM taking hit runs at the 24 MHz shell clock,
+	// and loaded out of phase beside scriptcp.
+	cases = append(cases, scenario{"divided/idea6+adpcm", []string{"idea6", "adpcm"}, false, 0},
+		scenario{"divided/late-idea6", []string{"scriptcp", "idea6"}, false, 203})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -376,8 +387,8 @@ func TestShellSleepMatchesFullDelivery(t *testing.T) {
 				}
 			}
 			for _, stride := range []int64{1, 7, 0} {
-				ref := runShellScenario(t, c.kinds, sim.Lockstep, stride, stopAt)
-				got := runShellScenario(t, c.kinds, sim.EventDriven, stride, stopAt)
+				ref := runShellScenario(t, c.kinds, sim.Lockstep, stride, stopAt, c.late)
+				got := runShellScenario(t, c.kinds, sim.EventDriven, stride, stopAt, c.late)
 				if ref.Slept {
 					t.Fatal("a slot slept under the lockstep reference")
 				}

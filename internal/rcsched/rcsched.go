@@ -79,12 +79,6 @@ type Config struct {
 	// them to the timed-SW baseline path instead. Jobs without a deadline
 	// are always admitted.
 	Admit string
-	// FramesPerSlot sizes each session's home partition (0 = page pool
-	// divided evenly across slots).
-	FramesPerSlot int
-	// Budget bounds the whole run in simulation super-edges (0 = the
-	// core.DefaultBudget).
-	Budget int64
 	// Meter, when non-nil, receives the run's telemetry: live gauges
 	// (queue depth, slot states) sampled on simulated time, and counters,
 	// histograms and trace spans folded in from the final report and its
@@ -280,9 +274,6 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Budget == 0 {
-		cfg.Budget = core.DefaultBudget
-	}
 	policy, _ := NewPolicy(cfg.Policy)
 	admit := cfg.Admit
 	spec, _ := platform.SpecByName(cfg.Board)
@@ -297,11 +288,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	sdram.Recycle()
 	defer sdram.Release()
 	pool := board.DP.Pages()
-	frames := cfg.FramesPerSlot
-	if frames == 0 {
-		frames = pool / cfg.Slots
-	}
-	if frames < 2 || frames*cfg.Slots > pool {
+	// Each session's home partition is an even share of the page pool.
+	frames := pool / cfg.Slots
+	if frames < 2 {
 		return nil, fmt.Errorf("rcsched: %d slots x %d frames does not fit the %d-frame pool",
 			cfg.Slots, frames, pool)
 	}
@@ -370,7 +359,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	queue := make([]int, 0, len(order)) // indices into order, admission order
 	nextArrival := 0
 	completed := 0
-	budget := cfg.Budget
+	budget := core.DefaultBudget // the whole run, in simulated edges
 	irq := board.IMU.IRQRef()
 
 	// Live gauges for the simulated-time sampler. The closures read loop

@@ -104,14 +104,13 @@ func RecordFleet(name, desc string, cfg fleet.Config, jobs []rcsched.Job, match 
 func serveConfigOf(cfg rcsched.Config) ServeConfig {
 	r, _ := cfg.Resolve()
 	return ServeConfig{
-		Board:         r.Board,
-		Slots:         r.Slots,
-		ShellHz:       r.ShellHz,
-		Policy:        r.Policy,
-		ConfigBW:      r.ConfigBW,
-		Stage:         r.Stage,
-		Admit:         r.Admit,
-		FramesPerSlot: r.FramesPerSlot,
+		Board:    r.Board,
+		Slots:    r.Slots,
+		ShellHz:  r.ShellHz,
+		Policy:   r.Policy,
+		ConfigBW: r.ConfigBW,
+		Stage:    r.Stage,
+		Admit:    r.Admit,
 	}
 }
 

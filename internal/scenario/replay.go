@@ -85,14 +85,13 @@ func ReplayMetered(sc *Scenario, modeOverride string, m *telemetry.Meter) (*Resu
 // serveConfig rebuilds the rcsched configuration the scenario pinned.
 func (sc *Scenario) serveConfig() rcsched.Config {
 	return rcsched.Config{
-		Board:         sc.Serve.Board,
-		Slots:         sc.Serve.Slots,
-		ShellHz:       sc.Serve.ShellHz,
-		Policy:        sc.Serve.Policy,
-		ConfigBW:      sc.Serve.ConfigBW,
-		Stage:         sc.Serve.Stage,
-		Admit:         sc.Serve.Admit,
-		FramesPerSlot: sc.Serve.FramesPerSlot,
+		Board:    sc.Serve.Board,
+		Slots:    sc.Serve.Slots,
+		ShellHz:  sc.Serve.ShellHz,
+		Policy:   sc.Serve.Policy,
+		ConfigBW: sc.Serve.ConfigBW,
+		Stage:    sc.Serve.Stage,
+		Admit:    sc.Serve.Admit,
 	}
 }
 

@@ -87,14 +87,13 @@ type Match struct {
 // ServeConfig is a fully resolved rcsched.Config: defaults are filled in at
 // record time so a replay cannot drift when a default changes.
 type ServeConfig struct {
-	Board         string  `json:"board"`
-	Slots         int     `json:"slots"`
-	ShellHz       int64   `json:"shell_hz"`
-	Policy        string  `json:"policy"`
-	ConfigBW      float64 `json:"config_bw"`
-	Stage         bool    `json:"stage,omitempty"`
-	Admit         string  `json:"admit,omitempty"`
-	FramesPerSlot int     `json:"frames_per_slot,omitempty"`
+	Board    string  `json:"board"`
+	Slots    int     `json:"slots"`
+	ShellHz  int64   `json:"shell_hz"`
+	Policy   string  `json:"policy"`
+	ConfigBW float64 `json:"config_bw"`
+	Stage    bool    `json:"stage,omitempty"`
+	Admit    string  `json:"admit,omitempty"`
 }
 
 // FleetConfig is the resolved dispatch layer of a KindFleet scenario.

@@ -57,8 +57,8 @@ func schedulers() []struct {
 	}{{"lockstep", Lockstep}, {"event", EventDriven}}
 }
 
-// benchSpan times RunUntilFlag over a fixed span of super-edges per op,
-// with a stop flag that never rises, so the run loop each layout chooses is
+// benchSpan times RunUntilFlag over a fixed span of edges per op, with a
+// stop flag that never rises, so the run loop each scheduler chooses is
 // what gets measured. It reports host ns per delivered edge and fails
 // unless an op allocates nothing.
 func benchSpan(b *testing.B, e *Engine, span int64) {
@@ -68,7 +68,7 @@ func benchSpan(b *testing.B, e *Engine, span int64) {
 			b.Fatal(err)
 		}
 	}
-	op() // warm up: plan, due scratch
+	op()
 	if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
 		b.Fatalf("%v allocs per op, want 0", allocs)
 	}
@@ -95,25 +95,6 @@ func BenchmarkSoloBusy(b *testing.B) {
 			d := e.NewDomain("clk", 40_000_000)
 			d.Attach(&busyBulk{})
 			d.Attach(&busyBulk{})
-			benchSpan(b, e, 1024)
-		})
-	}
-}
-
-// BenchmarkPairWait pins the two-domain layout of the IDEA board: a
-// ratio-1 domain that idles between bursts (the IMU) against a slower
-// always-busy domain (a core waiting on translated accesses). Each op
-// covers the same span of fast-domain ticks, so the schedulers are
-// comparable even though the event engine consumes several edges per step.
-func BenchmarkPairWait(b *testing.B) {
-	for _, s := range schedulers() {
-		b.Run(s.name, func(b *testing.B) {
-			e := NewEngine()
-			e.SetScheduler(s.sched)
-			fast := e.NewDomain("imu", 24_000_000)
-			slow := e.NewDomain("copro", 6_000_000)
-			fast.Attach(&phaseBulk{active: 4, idle: 4, rem: 4})
-			slow.Attach(&busyBulk{})
 			benchSpan(b, e, 1024)
 		})
 	}

@@ -5,21 +5,20 @@ package sim
 // identical edge schedules when nothing is skippable, and identical
 // observable state (cycle counts, component state, NowPs) when idle windows
 // let the event engine bulk-skip. Configurations are generated from fixed
-// seeds: two domains at integer frequency ratios (the only multi-domain
-// layout NewDomain builds), with random mixes of active, bounded-countdown
-// and wait-for-input windows.
+// seeds: one domain at a random clock carrying several scripted tickers,
+// with random mixes of active, bounded-countdown and wait-for-input
+// windows.
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 const (
 	phActive = iota // does work every edge (never skippable)
 	phCount         // bounded countdown: inert except the final edge
-	phWait          // idle until another domain commits the wake flag
+	phWait          // idle until another ticker commits the wake flag
 )
 
 type sphase struct {
@@ -118,19 +117,18 @@ func (t *scriptTicker) SkipEdges(k int64) {
 	}
 }
 
-// domSpec describes one domain of a differential configuration.
-type domSpec struct {
-	freq       int64
+// tickSpec describes one scripted ticker of a differential configuration.
+type tickSpec struct {
 	phases     []sphase
 	hasWait    bool
 	extraIdler bool // attach an always-idle BulkIdler alongside
-	watched    bool // runPub only: deliver the ticker through a carrier, Watch its horizon
+	watched    bool // newPubRig only: deliver the ticker through a carrier, Watch its horizon
 }
 
 // diffResult is everything observable about one run, plus the number of
 // engine steps taken (done() polls), which shows how much skipping helped.
 type diffResult struct {
-	cycles []int64
+	cycles int64
 	edges  []int64
 	active []int64
 	sums   []uint64
@@ -138,15 +136,37 @@ type diffResult struct {
 	steps  int64
 }
 
-// runSpec assembles fresh components for specs and runs them under sched
-// until the driver (domain 0) has performed target active edges.
-func runSpec(t *testing.T, sched Scheduler, specs []domSpec, fireEvery, target int64) diffResult {
+// observe fills in the per-ticker observables of ticks.
+func (r *diffResult) observe(ticks []*scriptTicker) {
+	for _, tk := range ticks {
+		r.edges = append(r.edges, tk.edges)
+		r.active = append(r.active, tk.active)
+		r.sums = append(r.sums, tk.sum)
+	}
+}
+
+// wire makes ticks[0] the driver: it raises the wake flag of every waiting
+// ticker.
+func wire(ticks []*scriptTicker, fireEvery int64) {
+	drv := ticks[0]
+	drv.fireEvery = fireEvery
+	for _, tk := range ticks[1:] {
+		if tk.flag != nil {
+			drv.out = append(drv.out, tk.flag)
+		}
+	}
+}
+
+// runSpec assembles fresh tickers for specs on one domain at freq and runs
+// them under sched until the driver (ticker 0) has performed target active
+// edges.
+func runSpec(t *testing.T, sched Scheduler, freq int64, specs []tickSpec, fireEvery, target int64) diffResult {
 	t.Helper()
 	e := NewEngine()
 	e.SetScheduler(sched)
+	d := e.NewDomain("clk", freq)
 	ticks := make([]*scriptTicker, len(specs))
 	for i, s := range specs {
-		d := e.NewDomain(fmt.Sprintf("d%d", i), s.freq)
 		tk := newScriptTicker(s.phases)
 		if s.hasWait {
 			tk.flag = new(bool)
@@ -157,24 +177,14 @@ func runSpec(t *testing.T, sched Scheduler, specs []domSpec, fireEvery, target i
 			d.Attach(alwaysIdle{})
 		}
 	}
+	wire(ticks, fireEvery)
 	drv := ticks[0]
-	drv.fireEvery = fireEvery
-	for _, tk := range ticks[1:] {
-		if tk.flag != nil {
-			drv.out = append(drv.out, tk.flag)
-		}
-	}
 	var polls int64
 	if _, err := e.RunUntil(func() bool { polls++; return drv.active >= target }, 50_000_000); err != nil {
 		t.Fatalf("%v run did not finish: %v", sched, err)
 	}
-	res := diffResult{nowPs: e.NowPs(), steps: polls}
-	for i, d := range e.Domains() {
-		res.cycles = append(res.cycles, d.Cycles())
-		res.edges = append(res.edges, ticks[i].edges)
-		res.active = append(res.active, ticks[i].active)
-		res.sums = append(res.sums, ticks[i].sum)
-	}
+	res := diffResult{cycles: d.Cycles(), nowPs: e.NowPs(), steps: polls}
+	res.observe(ticks)
 	return res
 }
 
@@ -199,109 +209,113 @@ func randPhases(r *rand.Rand, driver, canWait bool) ([]sphase, bool) {
 	return phases, hasWait
 }
 
-// intRatioFreqs yields n (one or two) frequencies with an integer ratio:
-// one random domain runs at the base rate, the fastest, which every other
-// member divides evenly.
-func intRatioFreqs(r *rand.Rand, n int) []int64 {
-	base := int64(1+r.Intn(999)) * 48_000
+// randFreq draws a clock: a multiple of 48 kHz below 48 MHz divided by a
+// small divisor, as a board's clocks are.
+func randFreq(r *rand.Rand) int64 {
 	divs := []int64{1, 2, 3, 4, 6, 8, 12, 16, 24, 48}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = base / divs[r.Intn(len(divs))]
+	return int64(1+r.Intn(999)) * 48_000 / divs[r.Intn(len(divs))]
+}
+
+// randSpecs draws n ticker scripts; ticker 0 is the driver.
+func randSpecs(r *rand.Rand, n int) []tickSpec {
+	specs := make([]tickSpec, n)
+	for i := range specs {
+		phases, hasWait := randPhases(r, i == 0, true)
+		specs[i] = tickSpec{phases: phases, hasWait: hasWait, extraIdler: r.Intn(4) == 0}
 	}
-	out[r.Intn(n)] = base
-	return out
+	return specs
+}
+
+// diffResults reports every observable on which evnt differs from lock.
+func diffResults(t *testing.T, lock, evnt diffResult) {
+	t.Helper()
+	if lock.nowPs != evnt.nowPs {
+		t.Errorf("NowPs: lockstep %v, event %v", lock.nowPs, evnt.nowPs)
+	}
+	if lock.cycles != evnt.cycles {
+		t.Errorf("cycles: lockstep %d, event %d", lock.cycles, evnt.cycles)
+	}
+	for i := range lock.edges {
+		if lock.edges[i] != evnt.edges[i] || lock.active[i] != evnt.active[i] || lock.sums[i] != evnt.sums[i] {
+			t.Errorf("ticker %d: lockstep edges/active/hash %d/%d/%#x, event %d/%d/%#x",
+				i, lock.edges[i], lock.active[i], lock.sums[i], evnt.edges[i], evnt.active[i], evnt.sums[i])
+		}
+	}
 }
 
 // TestDifferentialIdleConfigs is the headline equivalence test: for seeded
-// random configurations of two domains at an integer ratio and random idle
-// patterns, the event-driven engine (which bulk-skips) and the
-// lockstep engine (which delivers every edge) must agree on every
-// observable: per-domain cycle counts, per-component edge and active-edge
-// counts, the active-edge hash, and simulated time.
+// random configurations of two or three tickers with random idle patterns,
+// the event-driven engine (which bulk-skips) and the lockstep engine (which
+// delivers every edge) must agree on every observable: the cycle count,
+// per-ticker edge and active-edge counts, the active-edge hash, and
+// simulated time.
 func TestDifferentialIdleConfigs(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			const nd = 2
-			freqs := intRatioFreqs(r, nd)
-			specs := make([]domSpec, nd)
-			for i := range specs {
-				phases, hasWait := randPhases(r, i == 0, true)
-				specs[i] = domSpec{
-					freq:       freqs[i],
-					phases:     phases,
-					hasWait:    hasWait,
-					extraIdler: r.Intn(4) == 0,
-				}
-			}
+			freq := randFreq(r)
+			specs := randSpecs(r, 2+r.Intn(2))
 			fireEvery := int64(1 + r.Intn(3))
-			lock := runSpec(t, Lockstep, specs, fireEvery, 200)
-			evnt := runSpec(t, EventDriven, specs, fireEvery, 200)
-			if lock.nowPs != evnt.nowPs {
-				t.Errorf("NowPs: lockstep %v, event %v", lock.nowPs, evnt.nowPs)
-			}
-			for i := 0; i < nd; i++ {
-				if lock.cycles[i] != evnt.cycles[i] {
-					t.Errorf("domain %d cycles: lockstep %d, event %d", i, lock.cycles[i], evnt.cycles[i])
-				}
-				if lock.edges[i] != evnt.edges[i] {
-					t.Errorf("domain %d edges: lockstep %d, event %d", i, lock.edges[i], evnt.edges[i])
-				}
-				if lock.active[i] != evnt.active[i] {
-					t.Errorf("domain %d active: lockstep %d, event %d", i, lock.active[i], evnt.active[i])
-				}
-				if lock.sums[i] != evnt.sums[i] {
-					t.Errorf("domain %d hash: lockstep %#x, event %#x", i, lock.sums[i], evnt.sums[i])
-				}
-			}
+			diffResults(t, runSpec(t, Lockstep, freq, specs, fireEvery, 200),
+				runSpec(t, EventDriven, freq, specs, fireEvery, 200))
 		})
 	}
 }
 
-// traceSchedule drives an engine Step by Step and records the full edge
-// schedule: for every super-edge, the due domains (by creation order) and
-// their post-edge cycle counts.
-func traceSchedule(sched Scheduler, freqs []int64, steps int) ([]int64, float64, int64) {
-	e := NewEngine()
-	e.SetScheduler(sched)
-	for i, f := range freqs {
-		d := e.NewDomain(fmt.Sprintf("d%d", i), f)
-		d.Attach(&counter{})
+// traceSchedule drives an engine of n tickers that never idle (counters,
+// and BulkIdlers that always answer busy) Step by Step and records, after
+// every Step, the cycle count and every counter's committed value.
+func traceSchedule(sched Scheduler, freq int64, kinds []bool, steps int) ([]int64, float64, int64) {
+	build := func() (*Engine, *Domain, []*counter) {
+		e := NewEngine()
+		e.SetScheduler(sched)
+		d := e.NewDomain("clk", freq)
+		var cs []*counter
+		for _, busy := range kinds {
+			if busy {
+				d.Attach(&busyBulk{})
+				continue
+			}
+			c := &counter{}
+			cs = append(cs, c)
+			d.Attach(c)
+		}
+		return e, d, cs
 	}
+	e, d, cs := build()
 	var trace []int64
 	for s := 0; s < steps; s++ {
-		for _, d := range e.Step() {
-			trace = append(trace, int64(slices.Index(e.Domains(), d))<<32|d.Cycles())
+		e.Step()
+		trace = append(trace, d.Cycles())
+		for _, c := range cs {
+			trace = append(trace, int64(c.n.Get()))
 		}
-		trace = append(trace, -1)
 	}
-	// A second engine over the same frequencies checks the run-loop edge
-	// accounting: with nothing skippable both schedulers count identically.
-	e2 := NewEngine()
-	e2.SetScheduler(sched)
-	for i, f := range freqs {
-		d := e2.NewDomain(fmt.Sprintf("d%d", i), f)
-		d.Attach(&counter{})
-	}
+	// A second engine checks the run-loop edge accounting: with nothing
+	// skippable both schedulers count identically.
+	e2, _, _ := build()
 	n, _ := e2.RunUntil(nil, int64(steps))
 	return trace, e.NowPs(), n
 }
 
-// TestDifferentialSchedules pins exact super-edge equivalence when nothing
-// is skippable: for seeded random integer-ratio pairs, the event schedule,
-// in ticks of the faster domain, must deliver the same due sets in the same
-// order with the same cycle counts as the lockstep linear scan, and the run
-// loops must count the same number of super-edges.
+// TestDifferentialSchedules pins exact edge equivalence when nothing is
+// skippable: for seeded random clocks and mixes of counters and busy
+// BulkIdlers, every event-driven Step must deliver exactly the edge the
+// lockstep Step does, with the same cycle count and component state, and
+// the run loops must count the same number of edges.
 func TestDifferentialSchedules(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed + 1000))
-			freqs := intRatioFreqs(r, 2)
-			lockT, lockNow, lockN := traceSchedule(Lockstep, freqs, 600)
-			evntT, evntNow, evntN := traceSchedule(EventDriven, freqs, 600)
+			freq := randFreq(r)
+			kinds := make([]bool, 1+r.Intn(3))
+			for i := range kinds {
+				kinds[i] = r.Intn(2) == 0
+			}
+			lockT, lockNow, lockN := traceSchedule(Lockstep, freq, kinds, 600)
+			evntT, evntNow, evntN := traceSchedule(EventDriven, freq, kinds, 600)
 			if lockNow != evntNow {
 				t.Errorf("NowPs: lockstep %v, event %v", lockNow, evntNow)
 			}
@@ -313,7 +327,7 @@ func TestDifferentialSchedules(t *testing.T) {
 			}
 			for i := range lockT {
 				if lockT[i] != evntT[i] {
-					t.Fatalf("trace diverges at %d: lockstep %#x, event %#x", i, lockT[i], evntT[i])
+					t.Fatalf("trace diverges at %d: lockstep %d, event %d", i, lockT[i], evntT[i])
 				}
 			}
 		})
@@ -321,26 +335,18 @@ func TestDifferentialSchedules(t *testing.T) {
 }
 
 // TestDifferentialBoundedSkipExact is a directed (non-random) case easy to
-// reason about by hand: two domains at a 1:4 ratio, a driver working one
-// edge in 32, and a component that alternates long countdowns with waiting
-// for the driver's input. It additionally pins that the event engine really skips (the
-// step count is smaller), so the equivalence above is not vacuous.
+// reason about by hand: a driver working one edge in 32, and a component
+// that alternates long countdowns with waiting for the driver's input. It
+// additionally pins that the event engine really skips (the step count is
+// smaller), so the equivalence above is not vacuous.
 func TestDifferentialBoundedSkipExact(t *testing.T) {
-	specs := []domSpec{
-		{freq: 48_000_000, phases: []sphase{{kind: phActive, n: 1}, {kind: phCount, n: 31}}},
-		{freq: 12_000_000, phases: []sphase{{kind: phCount, n: 63}, {kind: phActive, n: 2}, {kind: phWait}, {kind: phActive, n: 1}}, hasWait: true},
+	specs := []tickSpec{
+		{phases: []sphase{{kind: phActive, n: 1}, {kind: phCount, n: 31}}},
+		{phases: []sphase{{kind: phCount, n: 250}, {kind: phActive, n: 2}, {kind: phWait}, {kind: phActive, n: 1}}, hasWait: true},
 	}
-	lock := runSpec(t, Lockstep, specs, 2, 400)
-	evnt := runSpec(t, EventDriven, specs, 2, 400)
-	for i := range specs {
-		if lock.cycles[i] != evnt.cycles[i] || lock.sums[i] != evnt.sums[i] || lock.edges[i] != evnt.edges[i] {
-			t.Errorf("domain %d diverged: cycles %d/%d edges %d/%d hash %#x/%#x",
-				i, lock.cycles[i], evnt.cycles[i], lock.edges[i], evnt.edges[i], lock.sums[i], evnt.sums[i])
-		}
-	}
-	if lock.nowPs != evnt.nowPs {
-		t.Errorf("NowPs: lockstep %v, event %v", lock.nowPs, evnt.nowPs)
-	}
+	lock := runSpec(t, Lockstep, 48_000_000, specs, 2, 400)
+	evnt := runSpec(t, EventDriven, 48_000_000, specs, 2, 400)
+	diffResults(t, lock, evnt)
 	// The idle windows above dominate the schedule; the event engine must
 	// have covered the same simulated span in far fewer steps, proving the
 	// equivalence asserted here is about real skipping, not a no-op.

@@ -59,22 +59,23 @@ func (c *carrier) Update()          { c.sub.Update() }
 func (c *carrier) IdleEdges() int64 { return IdleForever }
 func (c *carrier) SkipEdges(int64)  {}
 
-// pubRig is an engine assembled from specs with every script ticker a
-// publisher; a watched spec's publisher is delivered by a carrier and
-// watched by its domain instead of attached. Domain 0's ticker is the
-// driver: it raises the wake flags of every waiting ticker and invalidates
-// their horizons.
+// pubRig is an engine of one domain assembled from specs with every script
+// ticker a publisher; a watched spec's publisher is delivered by a carrier
+// and watched by the domain instead of attached. Ticker 0 is the driver:
+// it raises the wake flags of every waiting ticker and invalidates their
+// horizons.
 type pubRig struct {
 	e        *Engine
+	d        *Domain
 	ticks    []*pubTicker
 	carriers []*carrier // nil where the publisher is attached
 }
 
-func newPubRig(sched Scheduler, specs []domSpec, fireEvery int64) *pubRig {
+func newPubRig(sched Scheduler, freq int64, specs []tickSpec, fireEvery int64) *pubRig {
 	r := &pubRig{e: NewEngine(), ticks: make([]*pubTicker, len(specs)), carriers: make([]*carrier, len(specs))}
 	r.e.SetScheduler(sched)
+	r.d = r.e.NewDomain("clk", freq)
 	for i, s := range specs {
-		d := r.e.NewDomain(fmt.Sprintf("d%d", i), s.freq)
 		tk := &pubTicker{scriptTicker: newScriptTicker(s.phases)}
 		if s.hasWait {
 			tk.flag = new(bool)
@@ -82,45 +83,48 @@ func newPubRig(sched Scheduler, specs []domSpec, fireEvery int64) *pubRig {
 		r.ticks[i] = tk
 		if s.watched {
 			r.carriers[i] = &carrier{sub: tk}
-			d.Attach(r.carriers[i])
-			d.Watch(tk)
+			r.d.Attach(r.carriers[i])
+			r.d.Watch(tk)
 		} else {
-			d.Attach(tk)
+			r.d.Attach(tk)
 		}
 		if s.extraIdler {
-			d.Attach(alwaysIdle{})
+			r.d.Attach(alwaysIdle{})
 		}
 	}
+	wire(r.scripts(), fireEvery)
 	drv := r.ticks[0]
-	drv.fireEvery = fireEvery
 	for _, tk := range r.ticks[1:] {
 		if tk.flag != nil {
-			drv.out = append(drv.out, tk.flag)
 			drv.wakes = append(drv.wakes, &tk.hz)
 		}
 	}
 	return r
 }
 
+// scripts returns the rig's script tickers.
+func (r *pubRig) scripts() []*scriptTicker {
+	out := make([]*scriptTicker, len(r.ticks))
+	for i, tk := range r.ticks {
+		out[i] = tk.scriptTicker
+	}
+	return out
+}
+
 // result is everything observable about the rig so far.
 func (r *pubRig) result() diffResult {
-	res := diffResult{nowPs: r.e.NowPs()}
-	for i, d := range r.e.Domains() {
-		res.cycles = append(res.cycles, d.Cycles())
-		res.edges = append(res.edges, r.ticks[i].edges)
-		res.active = append(res.active, r.ticks[i].active)
-		res.sums = append(res.sums, r.ticks[i].sum)
-	}
+	res := diffResult{cycles: r.d.Cycles(), nowPs: r.e.NowPs()}
+	res.observe(r.scripts())
 	return res
 }
 
 // runPub drives a fresh pubRig by the named run method until the driver
 // has performed target active edges (RunCycles instead delivers a fixed
-// number of driver-domain edges). The edges skipped in watched domains
-// come back as the third result.
-func runPub(t *testing.T, sched Scheduler, specs []domSpec, fireEvery, target int64, method string) (diffResult, Stats, int64) {
+// number of edges). The edges skipped past the carriers of watched
+// publishers come back as the third result.
+func runPub(t *testing.T, sched Scheduler, freq int64, specs []tickSpec, fireEvery, target int64, method string) (diffResult, Stats, int64) {
 	t.Helper()
-	r := newPubRig(sched, specs, fireEvery)
+	r := newPubRig(sched, freq, specs, fireEvery)
 	e, drv := r.e, r.ticks[0]
 	const budget = 50_000_000
 	done := func() bool { return drv.active >= target }
@@ -140,72 +144,55 @@ func runPub(t *testing.T, sched Scheduler, specs []domSpec, fireEvery, target in
 			e.Step()
 		}
 	case "RunCycles":
-		e.RunCycles(e.Domains()[0], 40*target)
+		e.RunCycles(r.d, 40*target)
 	}
 	if err != nil {
 		t.Fatalf("%v %s did not finish: %v", sched, method, err)
 	}
 	var watchSkipped int64
-	for i, d := range e.Domains() {
-		if c := r.carriers[i]; c != nil {
-			watchSkipped += d.Cycles() - c.delivered
+	for _, c := range r.carriers {
+		if c != nil {
+			watchSkipped += r.d.Cycles() - c.delivered
 		}
 	}
 	return r.result(), e.Stats(), watchSkipped
 }
 
 // TestPublishedHorizonsMatchLockstep checks the Publisher contract end to
-// end: for seeded random configurations of one domain, or two at an integer
-// ratio, whose tickers all publish their horizons (and invalidate each
-// other's on wake-ups), the
+// end: for seeded random configurations of one or two tickers that all
+// publish their horizons (and invalidate each other's on wake-ups), the
 // event-driven engine — which reads the published horizons instead of
 // asking — must agree with the lockstep reference on every observable,
 // through each run method: Step, RunUntil, RunUntilFlag and RunCycles
 // (which suspends skipping). Each configuration runs twice: with every
-// publisher attached, and again with the publishers of about half the
-// domains watched behind a carrier (Domain.Watch) instead (the watched/
-// subtests).
+// publisher attached, and again with about half the publishers watched
+// behind a carrier (Domain.Watch) instead (the watched/ subtests).
 func TestPublishedHorizonsMatchLockstep(t *testing.T) {
 	var skipped, watchSkipped int64
 	for seed := int64(0); seed < 24; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
-		nd := 1 + r.Intn(2)
-		freqs := intRatioFreqs(r, nd)
-		specs := make([]domSpec, nd)
-		for i := range specs {
-			phases, hasWait := randPhases(r, i == 0, true)
-			specs[i] = domSpec{freq: freqs[i], phases: phases, hasWait: hasWait, extraIdler: r.Intn(4) == 0}
-		}
+		freq := randFreq(r)
+		specs := randSpecs(r, 1+r.Intn(2))
 		fireEvery := int64(1 + r.Intn(3))
-		watchedSpecs := append([]domSpec(nil), specs...)
+		watchedSpecs := append([]tickSpec(nil), specs...)
 		for i := range watchedSpecs {
 			watchedSpecs[i].watched = (seed+int64(i))%2 == 1
 		}
 		for _, wiring := range []struct {
 			prefix string
-			specs  []domSpec
+			specs  []tickSpec
 		}{{"", specs}, {"watched/", watchedSpecs}} {
 			specs := wiring.specs
 			for _, method := range []string{"Step", "RunUntil", "RunUntilFlag", "RunCycles"} {
 				t.Run(fmt.Sprintf("%sseed=%d/%s", wiring.prefix, seed, method), func(t *testing.T) {
-					lock, _, _ := runPub(t, Lockstep, specs, fireEvery, 150, method)
-					evnt, st, ws := runPub(t, EventDriven, specs, fireEvery, 150, method)
+					lock, _, _ := runPub(t, Lockstep, freq, specs, fireEvery, 150, method)
+					evnt, st, ws := runPub(t, EventDriven, freq, specs, fireEvery, 150, method)
 					skipped += st.EdgesSkipped
 					watchSkipped += ws
 					if method == "RunCycles" && st.EdgesSkipped != 0 {
 						t.Errorf("RunCycles skipped %d edges", st.EdgesSkipped)
 					}
-					if lock.nowPs != evnt.nowPs {
-						t.Errorf("NowPs: lockstep %v, event %v", lock.nowPs, evnt.nowPs)
-					}
-					for i := 0; i < nd; i++ {
-						if lock.cycles[i] != evnt.cycles[i] || lock.edges[i] != evnt.edges[i] ||
-							lock.active[i] != evnt.active[i] || lock.sums[i] != evnt.sums[i] {
-							t.Errorf("domain %d: lockstep cycles/edges/active/hash %d/%d/%d/%#x, event %d/%d/%d/%#x",
-								i, lock.cycles[i], lock.edges[i], lock.active[i], lock.sums[i],
-								evnt.cycles[i], evnt.edges[i], evnt.active[i], evnt.sums[i])
-						}
-					}
+					diffResults(t, lock, evnt)
 				})
 			}
 		}
@@ -214,7 +201,7 @@ func TestPublishedHorizonsMatchLockstep(t *testing.T) {
 		t.Fatal("the event-driven engine never skipped on a published horizon")
 	}
 	if watchSkipped == 0 {
-		t.Fatal("the event-driven engine never skipped a domain on a watched horizon")
+		t.Fatal("the event-driven engine never skipped a watched publisher's edges")
 	}
 }
 
@@ -267,7 +254,7 @@ func TestWatchedHorizon(t *testing.T) {
 	// then delivers the edge at the wake horizon.
 	var stop bool
 	if n, err := e.RunUntilFlag(&stop, 1); n != 3 || err != ErrBudget {
-		t.Fatalf("RunUntilFlag = %d, %v; want 3 super-edges and ErrBudget", n, err)
+		t.Fatalf("RunUntilFlag = %d, %v; want 3 edges and ErrBudget", n, err)
 	}
 	if p.skipped != 2 || p.delivered != 1 || d.Cycles() != 3 {
 		t.Fatalf("skipped %d, delivered %d, cycles %d; want 2, 1, 3", p.skipped, p.delivered, d.Cycles())

@@ -1,46 +1,33 @@
 // Package sim provides a deterministic, two-phase synchronous simulation
-// kernel of one or two clock domains.
+// kernel of one clock domain.
 //
-// The kernel models the clock plans boards build: one clock domain, or two
-// whose integer frequencies in hertz have an integer ratio (a coprocessor
-// core and the IMU/memory clock it crosses to; CheckClocks states the rule
-// and NewDomain enforces it). Synchronous components register against a
-// domain and receive two callbacks per rising edge: Eval, during which they
-// may read the committed outputs of every other component and compute their
+// An engine drives one clock domain at an integer frequency in hertz
+// (NewDomain panics on a second): every board shape is a shell whose one
+// clock carries the IMU, and a core clocked at a divisor of it is delivered
+// the shell edges its own clock would see by the shell's composite ticker
+// (package platform). Synchronous components register against the domain
+// and receive two callbacks per rising edge: Eval, during which they may
+// read the committed outputs of every other component and compute their
 // next state, and Update, during which they commit that state. Because
 // every component samples only committed values during Eval, evaluation
 // order within an edge is irrelevant and the simulation is free of
 // combinational races by construction — the classic two-phase
 // (evaluate/commit) RTL discipline.
 //
-// Edges of the two domains are interleaved in exact time order without
-// floating-point time. Coincident edges (for example a 6 MHz core and a
-// 24 MHz bus every fourth bus cycle) are merged into a single super-edge:
-// all Evals run, then all Updates, preserving the synchronous contract
-// across the domain boundary.
-//
 // # Schedulers
 //
 // The engine offers two interchangeable schedulers, selected per Engine
 // (SetScheduler) or process-wide (SetDefaultScheduler):
 //
-//   - EventDriven (the default): time is counted in ticks of the fastest
-//     domain, on which every edge of the other lands exactly, since the
-//     ratio is an integer. The engine keeps, per domain, its period in
-//     ticks (ratio) and the absolute tick of its next edge (nextAt). The
-//     earlier edge is one integer compare away, and coincident edges Eval
-//     and Update in creation order, exactly as the lockstep scheduler
-//     orders them. Idle domains are bulk-skipped (below).
+//   - EventDriven (the default): edges are delivered one after another,
+//     and idle stretches of the domain are bulk-skipped (below).
 //
-//   - Lockstep: a linear scan over the domains per super-edge that compares
-//     next-edge times as rationals, (cycles+1)/freqHz, by cross-
-//     multiplication in int64. It reads no plan and no idleness answer and
-//     delivers every edge, so it is a strict reference for the event
-//     scheduler's skips. The differential tests in this package (and the
-//     whole-system golden tests at the repository root) prove the two
-//     schedulers deliver bit-identical cycle counts and metrics for every
-//     configuration, which is what makes the event-driven path safe to
-//     default to.
+//   - Lockstep: every edge is delivered. It reads no idleness answer, so
+//     it is a strict reference for the event scheduler's skips. The
+//     differential tests in this package (and the whole-system golden
+//     tests at the repository root) prove the two schedulers deliver
+//     bit-identical cycle counts and metrics for every configuration,
+//     which is what makes the event-driven path safe to default to.
 //
 // # Idle bulk-skip
 //
@@ -54,7 +41,7 @@
 //     multi-cycle compute phase (a cipher pipeline filling, a serial decode
 //     counting down) knows exactly how many upcoming edges are inert; the
 //     coprocessor cores answer this way, from their FSM state alone. The
-//     engine asks it whenever it considers skipping the component's domain.
+//     engine asks it before every edge.
 //
 //   - Publisher turns the question around. A BulkIdler that keeps a Horizon
 //     current — the absolute domain cycle of its last inert edge, published
@@ -66,19 +53,19 @@
 //     means "re-query", never a skip on out-of-date state. The IMU and the
 //     reconfigurable shell publish this way.
 //
-// When every ticker of a domain is idle, the event-driven scheduler advances
-// the domain's cycle counter in bulk to the earliest non-inert edge of
-// either domain (the wake horizon) in one pass, which jumps one or both
-// domains at once. The skipped edges are exactly the ones whose Eval would
-// have taken the component's no-op fast path, so cycle counts, counters,
-// committed values and NowPs are bit-identical to the unskipped schedule;
-// edges at the horizon itself are delivered normally, because that is where
-// a skipped component wakes or the other domain commits.
+// When every ticker of the domain is idle for a bounded window, the
+// event-driven scheduler advances the domain's cycle counter over the
+// window in one pass and delivers the edge after it normally, because that
+// is where a skipped component wakes. The skipped edges are exactly the
+// ones whose Eval would have taken the component's no-op fast path, so
+// cycle counts, counters, committed values and NowPs are bit-identical to
+// the unskipped schedule. An open-ended window (every ticker idle until
+// input) is not skipped: nothing would end it, so its edges are delivered
+// one by one and run budgets still advance, exactly as under lockstep.
 //
-// The kernel is allocation-free in steady state: Step reuses one scratch
-// slice for the set of due domains (callers must not retain it across
-// steps), and the flag-polled run loop RunUntilFlag stops on a plain bool
-// without any per-edge closure call.
+// The kernel is allocation-free in steady state, and the flag-polled run
+// loop RunUntilFlag stops on a plain bool without any per-edge closure
+// call.
 package sim
 
 import (
@@ -111,15 +98,15 @@ const IdleForever = int64(math.MaxInt64)
 //
 // IdleEdges reports how many upcoming edges are provably inert: delivering
 // them would neither commit state observable by other components nor depend
-// on state other domains may commit meanwhile (internal countdowns are
+// on state other components may commit meanwhile (internal countdowns are
 // allowed; that is the point). It returns 0 when the component is busy and
 // IdleForever when it is idle until input. The window may end early only
-// through (a) a commit by a component in another clock domain, or (b) an
-// external poke between run calls (the OS models only touch hardware while
-// the engine is paused). A plain BulkIdler is asked afresh every time the
-// engine considers skipping its domain, so both are seen; a Publisher is
-// asked only while its Horizon is stale, and must itself invalidate the
-// horizon on every such commit or poke.
+// through an external poke between run calls (the OS models only touch
+// hardware while the engine is paused). A plain BulkIdler is asked afresh
+// every time the engine considers skipping its domain, so pokes are seen; a
+// Publisher is asked only while its Horizon is stale, and must itself
+// invalidate the horizon on every poke and on every commit of another
+// component its answer was computed on.
 //
 // SkipEdges(k) tells the component that k of those edges (k never exceeds
 // the advertised count) were consumed in bulk; it must leave the component
@@ -151,9 +138,9 @@ type BulkIdler interface {
 //   - from its Update, Publish the edges after the one being delivered that
 //     are inert (what IdleEdges would answer once the edge completes);
 //   - whenever an input the published value was computed on changes —
-//     another component's commit, in any domain, or an OS poke between run
-//     calls — Invalidate it, so the engine re-queries IdleEdges before it
-//     next relies on it.
+//     another component's commit or an OS poke between run calls —
+//     Invalidate it, so the engine re-queries IdleEdges before it next
+//     relies on it.
 //
 // Invalidating in place of publishing is always allowed: it only defers
 // the answer to the engine's next read.
@@ -211,7 +198,7 @@ func horizonAt(now, k int64) int64 {
 	return now + k
 }
 
-// Scheduler selects the engine's super-edge scheduling algorithm.
+// Scheduler selects the engine's scheduling algorithm.
 type Scheduler uint8
 
 const (
@@ -219,11 +206,11 @@ const (
 	// unless overridden with SetDefaultScheduler). It is the zero value so
 	// that config structs embedding a Scheduler default sensibly.
 	SchedulerDefault Scheduler = iota
-	// EventDriven schedules super-edges from integer next-edge ticks and
-	// bulk-skips idle domains to the wake horizon.
+	// EventDriven bulk-skips bounded windows in which every ticker is
+	// idle.
 	EventDriven
-	// Lockstep is the linear due-domain scan that delivers every edge,
-	// kept as the reference implementation for differential testing.
+	// Lockstep delivers every edge, kept as the reference implementation
+	// for differential testing.
 	Lockstep
 )
 
@@ -295,17 +282,6 @@ type Domain struct {
 	tickers []Ticker
 	eng     *Engine
 
-	// Event schedule (valid while eng.planned): the domain's period in
-	// ticks of the engine's base clock, and the absolute tick of its next
-	// edge.
-	ratio  int64
-	nextAt int64
-
-	// Skip-pass input: the absolute tick of the domain's first non-inert
-	// edge (math.MaxInt64: idle until input), filled in by the pass's
-	// caller.
-	wake int64
-
 	// pubs and polled hold the tickers that advertise idleness: the
 	// Publishers' horizons and the other BulkIdlers (asked every time).
 	// Each ticker lands in at most one of them (Publisher wins); pubs also
@@ -371,7 +347,6 @@ func (d *Domain) skipEdges(k int64) {
 		b.SkipEdges(k)
 	}
 	d.cycles += k
-	d.nextAt += k * d.ratio
 	d.eng.statSkipped += k
 }
 
@@ -424,30 +399,22 @@ func (d *Domain) bind(p Publisher) {
 	d.pubs = append(d.pubs, h)
 }
 
-// Engine owns one or two clock domains and advances them in time order.
+// Engine owns one clock domain and advances it edge by edge.
 type Engine struct {
-	domains []*Domain
+	dom *Domain // nil until NewDomain
 	// stopErr is set by a Ticker via Fail and aborts the current Run.
 	stopErr error
 
 	// sched selects the scheduling algorithm (resolved, never
 	// SchedulerDefault).
 	sched Scheduler
-	// base is the tick rate of the event schedule: the fastest domain's
-	// frequency (0 while there is no domain).
-	base int64
-
-	// due is the scratch buffer Step returns; reused every super-edge.
-	due []*Domain
-	// planned marks the scheduling plan valid; adding a domain clears it.
-	planned bool
 	// noSkip > 0 suspends idle bulk-skipping (RunCycles needs to hit its
-	// per-domain cycle target exactly, not jump past it).
+	// cycle target exactly, not jump past it).
 	noSkip int
 
 	// Telemetry tally, maintained off the per-edge hot paths: skipped edges
 	// accrue only inside the (rare) bulk-skip passes. Delivered edges are
-	// derived lazily in Stats from the per-domain cycle counters, so the
+	// derived lazily in Stats from the domain's cycle counter, so the
 	// delivery loops stay untouched.
 	statSkipped int64
 }
@@ -455,7 +422,7 @@ type Engine struct {
 // Stats is a snapshot of the engine's scheduling tallies, all monotonic
 // over the engine's lifetime. EdgesDelivered counts domain edges whose
 // tickers actually ran Eval/Update; EdgesSkipped counts edges consumed by
-// idle bulk-skip instead (the two sum to every domain's cycle counter). The
+// idle bulk-skip instead (the two sum to the domain's cycle counter). The
 // lockstep scheduler never skips, so EdgesSkipped stays zero under it.
 type Stats struct {
 	EdgesDelivered int64
@@ -477,8 +444,8 @@ func (s Stats) Since(prev Stats) Stats {
 // them never perturbs the schedule.
 func (e *Engine) Stats() Stats {
 	total := int64(0)
-	for _, d := range e.domains {
-		total += d.cycles
+	if e.dom != nil {
+		total = e.dom.cycles
 	}
 	return Stats{
 		EdgesDelivered: total - e.statSkipped,
@@ -490,19 +457,17 @@ func (e *Engine) Stats() Stats {
 func NewEngine() *Engine { return &Engine{sched: defaultScheduler} }
 
 // SetScheduler selects the engine's scheduling algorithm; SchedulerDefault
-// resolves to the package default. Switching forces a plan rebuild and
-// invalidates every published horizon (owners stop publishing under
-// lockstep), so it is safe between run calls and between Steps, but not
-// from a ticker or done() inside RunUntil or RunUntilFlag, which keep the
-// loop they chose when called.
+// resolves to the package default. Switching invalidates every published
+// horizon (owners stop publishing under lockstep), so it is safe between
+// run calls and between Steps, but not from a ticker or done() inside
+// RunUntil or RunUntilFlag, which keep the loop they chose when called.
 func (e *Engine) SetScheduler(s Scheduler) {
 	if s == SchedulerDefault {
 		s = defaultScheduler
 	}
 	e.sched = s
-	e.planned = false
-	for _, d := range e.domains {
-		for _, h := range d.pubs {
+	if e.dom != nil {
+		for _, h := range e.dom.pubs {
 			h.Invalidate()
 		}
 	}
@@ -511,72 +476,33 @@ func (e *Engine) SetScheduler(s Scheduler) {
 // Scheduler returns the engine's resolved scheduling algorithm.
 func (e *Engine) Scheduler() Scheduler { return e.sched }
 
-// NewDomain creates a clock domain. It panics on a third domain and on a
-// frequency CheckClocks rejects: one that is not positive or has no integer
-// ratio to the other domain's. Assemblers run CheckClocks first on clocks
-// from outside the program, to return an error instead. The schedule
-// counts ticks of the fastest domain, so a run is bounded to about 9.2e18
-// of its cycles: centuries at any clock a board runs. NewDomain must not be
+// NewDomain creates the engine's clock domain. It panics on a second
+// domain and on a frequency that is not positive. NewDomain must not be
 // called while RunUntil or RunUntilFlag is in progress.
 func (e *Engine) NewDomain(name string, freqHz int64) *Domain {
-	var err error
-	switch len(e.domains) {
-	case 0:
-		err = CheckClocks(freqHz)
-	case 1:
-		err = CheckClocks(e.domains[0].freqHz, freqHz)
-	default:
-		err = errors.New("sim: an engine has at most two clock domains")
+	switch {
+	case e.dom != nil:
+		panic(fmt.Sprintf("sim: an engine has one clock domain (domain %q)", name))
+	case freqHz <= 0:
+		panic(fmt.Sprintf("sim: clock %d Hz must be positive (domain %q)", freqHz, name))
 	}
-	if err != nil {
-		panic(fmt.Sprintf("%v (domain %q)", err, name))
-	}
-	e.base = max(e.base, freqHz)
-	d := &Domain{name: name, freqHz: freqHz, eng: e}
-	e.domains = append(e.domains, d)
-	e.planned = false
-	return d
+	e.dom = &Domain{name: name, freqHz: freqHz, eng: e}
+	return e.dom
 }
-
-// Domains returns the engine's domains in creation order.
-func (e *Engine) Domains() []*Domain { return e.domains }
 
 // Fail aborts the current Run with err. It is intended to be called from a
 // Ticker when the model reaches an impossible state.
 func (e *Engine) Fail(err error) { e.stopErr = err }
 
-// plan rebuilds the scheduling plan: each domain gets its period in ticks
-// of the base clock and the absolute tick of its next edge.
-func (e *Engine) plan() {
-	e.planned = true
-	for _, d := range e.domains {
-		d.ratio = e.base / d.freqHz
-		d.nextAt = (d.cycles + 1) * d.ratio
-	}
-}
-
-// edgeBefore reports whether domain a's next edge is strictly before b's.
-// Next-edge times are (a.cycles+1)/a.freq and (b.cycles+1)/b.freq; compare
-// by cross multiplication. Frequencies are bounded by ~1e9 and cycle counts
-// by the run budget, so the products stay well inside int64.
-func edgeBefore(a, b *Domain) bool {
-	return (a.cycles+1)*b.freqHz < (b.cycles+1)*a.freqHz
-}
-
-// edgeCoincident reports whether the next edges of a and b are simultaneous.
-func edgeCoincident(a, b *Domain) bool {
-	return (a.cycles+1)*b.freqHz == (b.cycles+1)*a.freqHz
-}
-
 // ErrBudget is returned by Run variants when the cycle budget is exhausted
 // before the stop condition is met.
 var ErrBudget = errors.New("sim: cycle budget exhausted")
 
-// ErrNoDomains is returned by Run variants on an engine without clock
-// domains, which has no edge to deliver.
-var ErrNoDomains = errors.New("sim: engine has no clock domains")
+// ErrNoDomains is returned by Run variants on an engine without a clock
+// domain, which has no edge to deliver.
+var ErrNoDomains = errors.New("sim: engine has no clock domain")
 
-// tick delivers one edge to a single domain: all Evals, then all Updates.
+// tick delivers one edge to the domain: all Evals, then all Updates.
 func (d *Domain) tick() {
 	for _, t := range d.tickers {
 		t.Eval()
@@ -585,89 +511,36 @@ func (d *Domain) tick() {
 		t.Update()
 	}
 	d.cycles++
-	d.nextAt += d.ratio
 }
 
-// step advances the simulation without materialising the due set and
-// returns the number of super-edges consumed: 1 normally, more when idle
-// bulk-skip jumps a domain over a no-op window. RunCycles steps with it,
-// and it is the reference the run loops, which choose their step once per
-// call, must match; Step is the due-returning public variant.
+// step advances the simulation by one edge, after bulk-skipping a bounded
+// idle window under the event-driven scheduler unless skipping is
+// suspended, and returns the edges consumed. RunCycles steps with it, and
+// it is the reference the run loops, which choose their loop once per
+// call, must match.
 func (e *Engine) step() int64 {
-	if !e.planned {
-		e.plan()
+	if e.sched == EventDriven && e.noSkip == 0 {
+		var never bool
+		n, _ := e.runSolo(&never, nil, 1)
+		return n
 	}
-	if e.sched == EventDriven {
-		return e.eventStep()
-	}
-	return e.lockstepStep()
-}
-
-// Step delivers the earliest pending super-edge: the earliest pending edge
-// across all domains together with every other domain edge coincident with
-// it. It returns the domains that ticked, in creation order. Under the
-// event-driven scheduler a Step may additionally consume bulk-skipped idle
-// edges of either domain up to the delivered instant, exactly as the run
-// loops do. The returned slice is a scratch buffer owned by the engine and
-// is overwritten by the next Step; callers must copy it if they need to
-// retain it.
-func (e *Engine) Step() []*Domain {
-	switch len(e.domains) {
-	case 0:
-		return nil
-	case 1:
-		// The event-driven solo path leaves due bookkeeping to this (cold)
-		// wrapper.
-		e.due = append(e.due[:0], e.domains[0])
-	}
-	e.step()
-	return e.due
-}
-
-// lockstepStep is the reference scheduler: a linear scan finds the earliest
-// next edge by cross-multiplied rational comparison and collects every
-// coincident domain, in creation order; all their Evals run, then all
-// their Updates. It asks no component for idleness, so every edge is
-// delivered.
-func (e *Engine) lockstepStep() int64 {
-	earliest := e.domains[0]
-	for _, d := range e.domains[1:] {
-		if edgeBefore(d, earliest) {
-			earliest = d
-		}
-	}
-	due := e.due[:0]
-	for _, d := range e.domains {
-		if d == earliest || edgeCoincident(d, earliest) {
-			due = append(due, d)
-		}
-	}
-	e.due = due
-	deliver(due)
+	e.dom.tick()
 	return 1
 }
 
-// deliver runs one super-edge on the due domains, given in creation order:
-// all Evals, then all Updates.
-func deliver(due []*Domain) {
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Eval()
-		}
-	}
-	for _, d := range due {
-		for _, t := range d.tickers {
-			t.Update()
-		}
-		d.cycles++
-		d.nextAt += d.ratio
+// Step delivers the next edge of the engine's domain (none on an engine
+// without one). Under the event-driven scheduler a Step may first consume
+// a bulk-skipped idle window, exactly as the run loops do.
+func (e *Engine) Step() {
+	if e.dom != nil {
+		e.step()
 	}
 }
 
 // RunUntil advances the simulation until done() reports true (checked before
-// every super-edge) or at least maxEdges super-edges have been delivered,
-// whichever comes first. It returns the number of super-edges delivered
-// (counting bulk-skipped idle edges; a skipped window is consumed whole, so
+// every edge) or at least maxEdges edges have been delivered, whichever
+// comes first. It returns the number of edges delivered (counting
+// bulk-skipped idle edges; a skipped window is consumed whole, so
 // when one spans the budget boundary the final count exceeds maxEdges by up
 // to the window's length, which a coprocessor's hit run makes thousands of
 // edges) and ErrBudget if the budget ran out, ErrNoDomains if the engine
@@ -678,50 +551,41 @@ func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
 }
 
 // RunUntilFlag advances the simulation until *stop is true (checked before
-// every super-edge, exactly as RunUntil) or maxEdges super-edges have been
-// delivered. It is the allocation- and closure-free variant of RunUntil for
+// every edge, exactly as RunUntil) or maxEdges edges have been delivered. It is the allocation- and closure-free variant of RunUntil for
 // hot loops whose stop condition is a single level-sensitive line, such as
 // an interrupt request.
 func (e *Engine) RunUntilFlag(stop *bool, maxEdges int64) (int64, error) {
 	return e.run(stop, nil, maxEdges)
 }
 
-// run is the loop behind RunUntil and RunUntilFlag. Before every super-edge
-// it stops once *stop is up or done() reports true; otherwise it runs until
-// maxEdges super-edges have passed. It returns the super-edges consumed and
-// the error passed to Fail, or what spent says once maxEdges have passed.
+// run is the loop behind RunUntil and RunUntilFlag. Before every edge it
+// stops once *stop is up or done() reports true; otherwise it runs until
+// maxEdges edges have passed. It returns the edges consumed and the error
+// passed to Fail, or what spent says once maxEdges have passed.
 //
-// The layout is chosen once per call, not once per edge: a solo
-// event-driven engine runs runSolo, an event-driven pair loops over
-// eventStepPair, and a lockstep engine over lockstepStep. Tickers
-// must therefore not add domains or tickers, or switch the scheduler, while
-// a run is in progress.
+// The loop is chosen once per call, not once per edge: an event-driven
+// engine runs runSolo, a lockstep engine the plain delivery loop below.
+// Tickers must therefore not add tickers, or switch the scheduler, while a
+// run is in progress.
 func (e *Engine) run(stop *bool, done func() bool, maxEdges int64) (int64, error) {
 	e.stopErr = nil
 	if maxEdges <= 0 {
 		return 0, spent(stop, done)
 	}
-	// The first poll comes before the plan, which a fresh engine builds
-	// only once it delivers an edge.
 	if *stop || done != nil && done() {
 		return 0, nil
 	}
-	if len(e.domains) == 0 {
+	d := e.dom
+	if d == nil {
 		return 0, ErrNoDomains
 	}
-	if !e.planned {
-		e.plan()
-	}
-	step := e.lockstepStep
 	if e.sched == EventDriven {
-		if len(e.domains) == 1 {
-			return e.runSolo(stop, done, maxEdges)
-		}
-		step = e.eventStepPair
+		return e.runSolo(stop, done, maxEdges)
 	}
 	n := int64(0)
 	for {
-		n += step()
+		d.tick()
+		n++
 		if e.stopErr != nil {
 			return n, e.stopErr
 		}
@@ -734,17 +598,16 @@ func (e *Engine) run(stop *bool, done func() bool, maxEdges int64) (int64, error
 	}
 }
 
-// runSolo is run's loop for a single-domain event-driven engine, and the
-// only code that skips in that layout: eventStep runs it with a one-edge
-// budget unless skipping is suspended. A solo engine has no schedule to
-// consult, so a bounded idle window (a compute phase) is jumped in one go.
-// An open-ended one is not: with no other domain to wake the component,
-// its no-op edges are delivered one by one so run budgets still advance,
-// exactly as lockstep does. Domain.tick is inlined over a hoisted ticker
-// slice: serving spends most of its host time in this loop, and looping
-// over a step function instead measured about 5% slower.
+// runSolo is run's loop for an event-driven engine, and the only code
+// that skips: step runs it with a one-edge budget unless skipping is
+// suspended. A bounded idle window (a compute phase) is jumped in one go.
+// An open-ended one is not: with nothing to wake the component, its no-op
+// edges are delivered one by one so run budgets still advance, exactly as
+// lockstep does. Domain.tick is inlined over a hoisted ticker slice:
+// serving spends most of its host time in this loop, and looping over a
+// step function instead measured about 5% slower.
 func (e *Engine) runSolo(stop *bool, done func() bool, maxEdges int64) (int64, error) {
-	d := e.domains[0]
+	d := e.dom
 	ts := d.tickers
 	n := int64(0)
 	for {
@@ -761,7 +624,6 @@ func (e *Engine) runSolo(stop *bool, done func() bool, maxEdges int64) (int64, e
 			t.Update()
 		}
 		d.cycles++
-		d.nextAt += d.ratio
 		n += k + 1
 		if e.stopErr != nil {
 			return n, e.stopErr
@@ -784,8 +646,7 @@ func spent(stop *bool, done func() bool) error {
 	return ErrBudget
 }
 
-// RunCycles delivers exactly n rising edges to domain d (other domains tick
-// as time passes).
+// RunCycles delivers exactly n rising edges to d, the engine's domain.
 func (e *Engine) RunCycles(d *Domain, n int64) {
 	// Idle bulk-skip could jump d past target; deliver edge by edge.
 	e.noSkip++
@@ -797,32 +658,10 @@ func (e *Engine) RunCycles(d *Domain, n int64) {
 }
 
 // NowPs returns the current simulation time in picoseconds, defined as the
-// time of the latest delivered edge across all domains. Reporting only.
+// time of the latest delivered edge. Reporting only.
 func (e *Engine) NowPs() float64 {
-	now := 0.0
-	for _, d := range e.domains {
-		t := float64(d.cycles) / float64(d.freqHz) * 1e12
-		now = math.Max(now, t)
+	if e.dom == nil {
+		return 0
 	}
-	return now
-}
-
-// CheckClocks checks a clock plan whose components exchange signals: every
-// frequency must be positive and every pair must have an integer ratio, so
-// edges align (and the event schedule's base clock is the fastest domain).
-// It returns an error naming the first offending clock or pair, or nil.
-// NewDomain applies it to each new domain and panics on its error, so
-// assemblers call it first on clocks from outside the program.
-func CheckClocks(hz ...int64) error {
-	for i, a := range hz {
-		if a <= 0 {
-			return fmt.Errorf("sim: clock %d Hz must be positive", a)
-		}
-		for _, b := range hz[:i] {
-			if lo, hi := min(a, b), max(a, b); hi%lo != 0 {
-				return fmt.Errorf("sim: clocks %d Hz and %d Hz have a non-integer ratio", lo, hi)
-			}
-		}
-	}
-	return nil
+	return float64(e.dom.cycles) / float64(e.dom.freqHz) * 1e12
 }

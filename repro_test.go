@@ -3,9 +3,11 @@ package repro
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/ref"
 )
 
@@ -405,5 +407,71 @@ func TestWrongDeviceBitstreamRejected(t *testing.T) {
 	p, _ := sys.NewProcess("wrong")
 	if err := p.FPGALoad(VecAddBitstream("EPXA1")); err == nil {
 		t.Fatal("EPXA1 image accepted on EPXA4")
+	}
+}
+
+// clockedImage returns the vector-add image with its header's clocks
+// rewritten to coreHz and imuHz and its header CRC recomputed: a crafted
+// image whose clocks bitstream.Build would refuse to write.
+func clockedImage(t *testing.T, coreHz, imuHz int64) []byte {
+	t.Helper()
+	img := VecAddBitstream("EPXA1")
+	h, err := bitstream.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clocksAt, fixed = 10, 34 // offsets of the clocks and of the names
+	binary.LittleEndian.PutUint64(img[clocksAt:], uint64(coreHz))
+	binary.LittleEndian.PutUint64(img[clocksAt+8:], uint64(imuHz))
+	namesEnd := fixed + len(h.Device) + len(h.Core)
+	binary.LittleEndian.PutUint32(img[namesEnd:], crc32.ChecksumIEEE(img[:namesEnd]))
+	if h, err := bitstream.Parse(img); err != nil || h.CoreClock != coreHz || h.IMUClock != imuHz {
+		t.Fatalf("crafted image reads back as %d/%d Hz (%v)", h.CoreClock, h.IMUClock, err)
+	}
+	return img
+}
+
+// TestFPGALoadRejectsBadClocks pins FPGA_LOAD's clock check: a bitstream
+// whose core clock is not positive, does not divide its IMU clock or
+// exceeds it, or whose IMU clock is not positive, is an error, never a
+// panic, and leaves the PLD free; so is an image naming no registered
+// core. The paper's two clock plans, IDEA's 6 MHz core behind a 24 MHz
+// IMU and vecadd's 40/40 MHz, load.
+func TestFPGALoadRejectsBadClocks(t *testing.T) {
+	sys := newSys(t, Config{})
+	p, err := sys.NewProcess("clocks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown, err := bitstream.Build(bitstream.Header{Device: "EPXA1", Core: "nosuchcore",
+		CoreClock: 40_000_000, IMUClock: 40_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		img  []byte
+	}{
+		{"0 Hz core", clockedImage(t, 0, 40_000_000)},
+		{"0 Hz IMU", clockedImage(t, 40_000_000, 0)},
+		{"negative core", clockedImage(t, -6_000_000, 24_000_000)},
+		{"7/24 MHz", clockedImage(t, 7_000_000, 24_000_000)},
+		{"coprime near int64", clockedImage(t, 1<<62-1, 1<<62-3)},
+		{"80/40 MHz", clockedImage(t, 80_000_000, 40_000_000)},
+		{"unknown core", unknown},
+	} {
+		if err := p.FPGALoad(c.img); err == nil {
+			t.Errorf("%s: FPGA_LOAD accepted the image", c.name)
+			p.FPGAUnload()
+		}
+		if sys.pldOwner != nil || p.Session().HW != nil {
+			t.Errorf("%s: a rejected load configured the PLD", c.name)
+		}
+	}
+	for _, img := range [][]byte{IDEABitstream("EPXA1"), clockedImage(t, 40_000_000, 40_000_000)} {
+		if err := p.FPGALoad(img); err != nil {
+			t.Fatal(err)
+		}
+		p.FPGAUnload()
 	}
 }
