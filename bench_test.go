@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fleet"
-	"repro/internal/platform"
 	"repro/internal/rcsched"
 	"repro/internal/telemetry"
 )
@@ -102,7 +101,7 @@ func BenchmarkFig8Adpcmdecode(b *testing.B) {
 		label := map[int]string{2048: "2KB", 4096: "4KB", 8192: "8KB"}[n]
 		b.Run("SW-"+label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.AdpcmSW(repro.Config{}, n, int64(800+n))
+				rep, err := exp.Run(repro.Config{}, "adpcm", "sw", n, int64(800+n), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -113,7 +112,7 @@ func BenchmarkFig8Adpcmdecode(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				if rep, err = exp.AdpcmVIM(repro.Config{}, n, int64(800+n)); err != nil {
+				if rep, err = exp.Run(repro.Config{}, "adpcm", "vim", n, int64(800+n), nil); err != nil {
 					b.Fatal(err)
 				}
 				reportSim(b, "sim-ms", rep.TotalPs())
@@ -132,7 +131,7 @@ func BenchmarkFig9IDEA(b *testing.B) {
 		label := labels[n]
 		b.Run("SW-"+label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.IdeaSW(repro.Config{}, n, int64(900+n))
+				rep, err := exp.Run(repro.Config{}, "idea", "sw", n, int64(900+n), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -142,12 +141,9 @@ func BenchmarkFig9IDEA(b *testing.B) {
 		if n <= 8192 {
 			b.Run("Normal-"+label, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rep, err := exp.IdeaNormal(platform.EPXA1(), n, int64(900+n))
+					rep, err := exp.Run(repro.Config{}, "idea", "normal", n, int64(900+n), nil)
 					if err != nil {
 						b.Fatal(err)
-					}
-					if rep == nil {
-						b.Fatal("normal coprocessor unexpectedly exceeded memory")
 					}
 					reportSim(b, "sim-ms", rep.TotalPs())
 				}
@@ -157,7 +153,7 @@ func BenchmarkFig9IDEA(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				if rep, err = exp.IdeaVIM(repro.Config{}, n, int64(900+n)); err != nil {
+				if rep, err = exp.Run(repro.Config{}, "idea", "vim", n, int64(900+n), nil); err != nil {
 					b.Fatal(err)
 				}
 				reportSim(b, "sim-ms", rep.TotalPs())
@@ -185,7 +181,7 @@ func BenchmarkTablePortability(b *testing.B) {
 	for _, board := range []string{"EPXA1", "EPXA4", "EPXA10"} {
 		b.Run(board, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.IdeaVIM(repro.Config{Board: board}, 16384, 777)
+				rep, err := exp.Run(repro.Config{Board: board}, "idea", "vim", 16384, 777, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -201,7 +197,7 @@ func BenchmarkAblationPolicies(b *testing.B) {
 	for _, pol := range []string{"fifo", "lru", "clock", "random"} {
 		b.Run(pol, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.IdeaVIM(repro.Config{Policy: pol, Seed: 4242}, 32768, 4242)
+				rep, err := exp.Run(repro.Config{Policy: pol, Seed: 4242}, "idea", "vim", 32768, 4242, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,7 +217,7 @@ func BenchmarkAblationBounceBuffer(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.AdpcmVIM(repro.Config{BounceBuffer: bounce}, 8192, 21)
+				rep, err := exp.Run(repro.Config{BounceBuffer: bounce}, "adpcm", "vim", 8192, 21, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -240,7 +236,7 @@ func BenchmarkAblationPipelinedIMU(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.IdeaVIM(repro.Config{PipelinedIMU: pipe}, 16384, 32)
+				rep, err := exp.Run(repro.Config{PipelinedIMU: pipe}, "idea", "vim", 16384, 32, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -255,7 +251,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	for _, pf := range []int{0, 1, 2} {
 		b.Run(map[int]string{0: "off", 1: "1page", 2: "2pages"}[pf], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.AdpcmVIM(repro.Config{PrefetchPages: pf}, 8192, 51)
+				rep, err := exp.Run(repro.Config{PrefetchPages: pf}, "adpcm", "vim", 8192, 51, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,7 +267,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 	for _, lg := range []uint{10, 11, 12} {
 		b.Run(map[uint]string{10: "1KB", 11: "2KB", 12: "4KB"}[lg], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := exp.AdpcmVIM(repro.Config{PageLog: lg}, 8192, 71)
+				rep, err := exp.Run(repro.Config{PageLog: lg}, "adpcm", "vim", 8192, 71, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,7 +8,7 @@
 //	vimsim -app adpcm -size 8192 -policy lru -prefetch 1
 //	vimsim -app vecadd -size 4096 -board EPXA4 -pipelined
 //	vimsim -app idea -size 16384 -mode normal      # no-OS baseline
-//	vimsim -app idea -size 32768 -mode chunked     # hand-chunked baseline
+//	vimsim -app vecadd -size 16384 -mode chunked   # hand-chunked baseline
 //	vimsim -app idea -size 16384 -mode sw          # pure software
 //	vimsim -mode multi -board EPXA4 -split 4       # concurrent IDEA+ADPCM
 //	vimsim -mode multi -arb global-lru             # ... with frame stealing
@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"runtime/pprof"
 	"slices"
@@ -48,10 +47,8 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/ideautil"
 	"repro/internal/platform"
 	"repro/internal/rcsched"
-	"repro/internal/ref"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -236,7 +233,6 @@ func main() {
 
 // execute runs a parsed command line and returns the process exit code.
 func execute(o *options) (int, error) {
-	vcdOut = o.vcd
 	switch o.mode {
 	case "serve", "saturate", "fleet":
 		return 0, o.srv.run()
@@ -251,15 +247,7 @@ func execute(o *options) (int, error) {
 	case "multi":
 		return 0, runMulti(o.board, o.arb, o.split, o.size, o.seed)
 	}
-	cfg := repro.Config{
-		Board:         o.board,
-		Policy:        o.policy,
-		PipelinedIMU:  o.pipelined,
-		BounceBuffer:  o.bounce,
-		PrefetchPages: o.prefetch,
-		Seed:          o.seed,
-	}
-	rep, err := run(cfg, o.app, o.mode, o.size, o.seed)
+	rep, rec, err := o.run()
 	if errors.Is(err, baseline.ErrExceedsMemory) {
 		fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
 			o.app, o.size, o.mode)
@@ -269,7 +257,7 @@ func execute(o *options) (int, error) {
 		return 0, err
 	}
 	printReport(rep)
-	return 0, flushTrace()
+	return 0, writeVCD(o.vcd, rec)
 }
 
 // profiled runs f under a host CPU profile written to path (pprof's
@@ -295,135 +283,28 @@ func profiled(path string, f func() (int, error)) (int, error) {
 	return code, err
 }
 
-// run executes one single-application run: vim, normal, chunked or sw.
-func run(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	if mode == "normal" || mode == "chunked" {
-		return runBaseline(cfg, app, mode, size, seed)
+// run executes the single run (vim, normal, chunked or sw) the options
+// describe. With -vcd it records the session waveform, returned with the
+// report.
+func (o *options) run() (*core.Report, *trace.Recorder, error) {
+	cfg := repro.Config{
+		Board:         o.board,
+		Policy:        o.policy,
+		PipelinedIMU:  o.pipelined,
+		BounceBuffer:  o.bounce,
+		PrefetchPages: o.prefetch,
+		Seed:          o.seed,
 	}
-	return runVirtual(cfg, app, mode, size, seed)
-}
-
-func runVirtual(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	sys, err := repro.NewSystem(cfg)
-	if err != nil {
-		return nil, err
+	var rec *trace.Recorder
+	var loaded func(*repro.Process) error
+	if o.vcd != "" {
+		loaded = func(p *repro.Process) (err error) {
+			rec, err = p.Session().TraceSession()
+			return err
+		}
 	}
-	p, err := sys.NewProcess(app)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	switch app {
-	case "vecadd":
-		n := size / 4
-		a, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		b, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		c, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, size)
-		rng.Read(buf)
-		if err := a.Write(buf); err != nil {
-			return nil, err
-		}
-		rng.Read(buf)
-		if err := b.Write(buf); err != nil {
-			return nil, err
-		}
-		if mode == "sw" {
-			return p.RunVecAddSW(a, b, c, n)
-		}
-		if err := p.FPGALoad(repro.VecAddBitstream(sys.Board().Spec.Name)); err != nil {
-			return nil, err
-		}
-		if err := armTrace(p); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.VecAddObjA, a, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.VecAddObjB, b, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.VecAddObjC, c, repro.Out); err != nil {
-			return nil, err
-		}
-		return p.FPGAExecute(uint32(n))
-
-	case "adpcm":
-		in, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		out, err := p.Alloc(size * 4)
-		if err != nil {
-			return nil, err
-		}
-		packed := make([]byte, size)
-		rng.Read(packed)
-		if err := in.Write(packed); err != nil {
-			return nil, err
-		}
-		if mode == "sw" {
-			return p.RunADPCMDecodeSW(in, out)
-		}
-		if err := p.FPGALoad(repro.ADPCMBitstream(sys.Board().Spec.Name)); err != nil {
-			return nil, err
-		}
-		if err := armTrace(p); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.ADPCMObjIn, in, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.ADPCMObjOut, out, repro.Out); err != nil {
-			return nil, err
-		}
-		return p.FPGAExecute(uint32(size))
-
-	case "idea":
-		size = size &^ 7
-		in, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		out, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		var key repro.IDEAKey
-		rng.Read(key[:])
-		plain := make([]byte, size)
-		rng.Read(plain)
-		if err := in.Write(plain); err != nil {
-			return nil, err
-		}
-		if mode == "sw" {
-			return p.RunIDEASW(key, in, out)
-		}
-		if err := p.FPGALoad(repro.IDEABitstream(sys.Board().Spec.Name)); err != nil {
-			return nil, err
-		}
-		if err := armTrace(p); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.IDEAObjIn, in, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.IDEAObjOut, out, repro.Out); err != nil {
-			return nil, err
-		}
-		return p.FPGAExecute(repro.IDEAEncryptParams(key, size/8)...)
-	}
-	return nil, fmt.Errorf("unknown app %q", app)
+	rep, err := exp.Run(cfg, o.app, o.mode, o.size, o.seed, loaded)
+	return rep, rec, err
 }
 
 // runMulti runs the multi-coprocessor sessions gang: IDEA (size bytes) and
@@ -464,75 +345,21 @@ func runMulti(board, arb string, split, size int, seed int64) error {
 	return nil
 }
 
-func runBaseline(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	spec, ok := platform.SpecByName(cfg.Board)
-	if !ok {
-		return nil, fmt.Errorf("unknown board %q", cfg.Board)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	switch app {
-	case "idea":
-		size = size &^ 7
-		var key ref.IDEAKey
-		rng.Read(key[:])
-		in := make([]byte, size)
-		rng.Read(in)
-		r, err := baseline.NewRunner(spec, repro.IDEABitstream(spec.Name))
-		if err != nil {
-			return nil, err
-		}
-		if mode == "normal" {
-			return r.RunSingleShot(size/8, ideautil.Streams(in), ideautil.Params(key))
-		}
-		return r.RunChunked(size/8, ideautil.Streams(in), ideautil.Params(key))
-	case "adpcm":
-		in := make([]byte, size)
-		rng.Read(in)
-		r, err := baseline.NewRunner(spec, repro.ADPCMBitstream(spec.Name))
-		if err != nil {
-			return nil, err
-		}
-		if mode == "normal" {
-			return r.RunSingleShot(size, ideautil.ADPCMStreams(in), ideautil.ADPCMParams())
-		}
-		return r.RunChunked(size, ideautil.ADPCMStreams(in), ideautil.ADPCMParams())
-	default:
-		return nil, fmt.Errorf("baseline modes support idea and adpcm, not %q", app)
-	}
-}
-
-// vcdOut is the -vcd flag value; armTrace installs a recorder when set and
-// registers the deferred writer.
-var (
-	vcdOut string
-	vcdRec *trace.Recorder
-)
-
-func armTrace(p *repro.Process) error {
-	if vcdOut == "" {
+// writeVCD writes the recorded waveform to path (nothing when path is
+// empty).
+func writeVCD(path string, rec *trace.Recorder) error {
+	if path == "" {
 		return nil
 	}
-	rec, err := p.Session().TraceSession()
-	if err != nil {
-		return err
-	}
-	vcdRec = rec
-	return nil
-}
-
-func flushTrace() error {
-	if vcdOut == "" || vcdRec == nil {
-		return nil
-	}
-	f, err := os.Create(vcdOut)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := core.WriteVCD(f, vcdRec); err != nil {
+	if err := core.WriteVCD(f, rec); err != nil {
 		return err
 	}
-	fmt.Printf("waveform     %s\n", vcdOut)
+	fmt.Printf("waveform     %s\n", path)
 	return nil
 }
 

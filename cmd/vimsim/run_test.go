@@ -1,7 +1,7 @@
 package main
 
 import (
-	"math/rand"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,86 +10,35 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/ideautil"
-	"repro/internal/platform"
-	"repro/internal/ref"
+	"repro/internal/sim"
 )
 
-// expBaseline sets a no-VIM baseline up the way the experiments do (a
-// fresh runner on the default board and the shared stream descriptors)
-// and runs it single-shot ("normal") or hand-chunked.
-func expBaseline(app, mode string, size int, seed int64) (*core.Report, error) {
-	rng := rand.New(rand.NewSource(seed))
-	var (
-		img     []byte
-		items   int
-		streams []*baseline.Stream
-		params  baseline.ParamsFunc
-	)
-	switch app {
-	case "idea":
-		var key ref.IDEAKey
-		rng.Read(key[:])
-		in := make([]byte, size)
-		rng.Read(in)
-		img, items, streams, params = repro.IDEABitstream("EPXA1"), size/8, ideautil.Streams(in), ideautil.Params(key)
-	default:
-		in := make([]byte, size)
-		rng.Read(in)
-		img, items, streams, params = repro.ADPCMBitstream("EPXA1"), size, ideautil.ADPCMStreams(in), ideautil.ADPCMParams()
-	}
-	r, err := baseline.NewRunner(platform.EPXA1(), img)
-	if err != nil {
-		return nil, err
-	}
-	if mode == "normal" {
-		return r.RunSingleShot(items, streams, params)
-	}
-	return r.RunChunked(items, streams, params)
-}
-
 // TestRunMatchesExperiments holds every single run vimsim executes to the
-// experiments' own run of the same cell: the reports must be deeply equal.
-// vimsim's vecadd -size is bytes per vector; the experiments count
-// elements.
+// experiments' own run of the same cell: the reports must be deeply equal,
+// and so must the errors (the hand-chunked ADPCM run fails its golden
+// check: each chunk restarts the decoder's state). vimsim's vecadd -size is
+// bytes per vector, as the experiments' is.
 func TestRunMatchesExperiments(t *testing.T) {
 	const seed = 4242
-	cfg := repro.Config{}
-	baselineCase := func(app, mode string, size int) func() (*core.Report, error) {
-		return func() (*core.Report, error) { return expBaseline(app, mode, size, seed) }
-	}
 	cases := []struct {
 		app, mode string
 		size      int
-		seed      int64
-		want      func() (*core.Report, error)
 	}{
-		{"idea", "vim", 8192, seed, func() (*core.Report, error) { return exp.IdeaVIM(cfg, 8192, seed) }},
-		{"idea", "sw", 8192, seed, func() (*core.Report, error) { return exp.IdeaSW(cfg, 8192, seed) }},
-		{"idea", "normal", 4096, seed, func() (*core.Report, error) { return exp.IdeaNormal(platform.EPXA1(), 4096, seed) }},
-		{"idea", "chunked", 32768, seed, baselineCase("idea", "chunked", 32768)},
-		{"adpcm", "vim", 4096, seed, func() (*core.Report, error) { return exp.AdpcmVIM(cfg, 4096, seed) }},
-		{"adpcm", "sw", 4096, seed, func() (*core.Report, error) { return exp.AdpcmSW(cfg, 4096, seed) }},
-		{"adpcm", "normal", 2048, seed, baselineCase("adpcm", "normal", 2048)},
-		{"adpcm", "chunked", 8192, seed, baselineCase("adpcm", "chunked", 8192)},
-		{"vecadd", "vim", 16384, seed, func() (*core.Report, error) { return exp.VecAddVIM(cfg, 4096, seed) }},
-		{"vecadd", "sw", 16384, 303, func() (*core.Report, error) {
-			sw, _, _, err := exp.Fig3Reports()
-			return sw, err
-		}},
+		{"idea", "vim", 8192}, {"idea", "sw", 8192}, {"idea", "normal", 4096}, {"idea", "chunked", 32768},
+		{"adpcm", "vim", 4096}, {"adpcm", "sw", 4096}, {"adpcm", "normal", 2048}, {"adpcm", "chunked", 8192},
+		{"vecadd", "vim", 16384}, {"vecadd", "sw", 16384},
 	}
 	for _, c := range cases {
 		t.Run(c.app+"/"+c.mode, func(t *testing.T) {
-			got, err := run(cfg, c.app, c.mode, c.size, c.seed)
+			o, err := parse(t, "-app", c.app, "-mode", c.mode, "-size", fmt.Sprint(c.size), "-seed", fmt.Sprint(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := c.want()
-			if err != nil {
-				t.Fatal(err)
+			got, _, gotErr := o.run()
+			want, wantErr := exp.Run(repro.Config{}, c.app, c.mode, c.size, seed, nil)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("vimsim error %v, the experiments' %v", gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("vimsim report differs from the experiments'\n got %+v\nwant %+v", got, want)
@@ -98,16 +47,17 @@ func TestRunMatchesExperiments(t *testing.T) {
 	}
 }
 
-// TestVCDWritesSessionSignals runs a traced vim-mode run end to end and
-// checks the written waveform declares every signal core.TraceSession
-// records.
+// TestVCDWritesSessionSignals runs a traced vim-mode run end to end: the
+// written waveform must declare every signal core.TraceSession records, and
+// the report must match the untraced run's except for the engine's
+// scheduling tallies (a trace disables the idle bulk-skip).
 func TestVCDWritesSessionSignals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.vcd")
-	o, err := parse(t, "-app", "adpcm", "-size", "2048", "-vcd", path)
+	args := []string{"-app", "adpcm", "-size", "2048"}
+	o, err := parse(t, append(args, "-vcd", path)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { vcdOut, vcdRec = "", nil }()
 	if _, err := execute(o); err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +73,22 @@ func TestVCDWritesSessionSignals(t *testing.T) {
 		"cp_tlbhit", "cp_din", "cp_start", "cp_fin", "irq_pld"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("VCD declares %v, want the %d session signals %v", got, len(want), want)
+	}
+
+	traced, rec, err := o.run()
+	if err != nil || rec == nil {
+		t.Fatalf("traced run: recorder %v, err %v", rec, err)
+	}
+	plain, err := parse(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untraced, _, err := plain.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced.Sim, untraced.Sim = sim.Stats{}, sim.Stats{}
+	if !reflect.DeepEqual(traced, untraced) {
+		t.Fatalf("tracing moved the report\n traced %+v\nuntraced %+v", traced, untraced)
 	}
 }

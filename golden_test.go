@@ -50,7 +50,7 @@ func TestGoldenFig7(t *testing.T) {
 
 // TestGoldenFig8 pins the 8 KB adpcmdecode VIM run (the benchmarked cell).
 func TestGoldenFig8(t *testing.T) {
-	rep, err := exp.AdpcmVIM(repro.Config{}, 8192, 800+8192)
+	rep, err := exp.Run(repro.Config{}, "adpcm", "vim", 8192, 800+8192, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func (c goldenCellSpec) run() (*core.Report, error) {
 	cfg := repro.Config{Board: c.board, Policy: c.policy, Seed: 4242}
 	switch c.workload {
 	case "vecadd":
-		return exp.VecAddVIM(cfg, 16384, 4242) // 3 × 64 KB objects
+		return exp.Run(cfg, "vecadd", "vim", 4*16384, 4242, nil) // 3 × 64 KB objects
 	case "adpcm":
-		return exp.AdpcmVIM(cfg, 8192, 4242) // 8 KB in, 32 KB out
+		return exp.Run(cfg, "adpcm", "vim", 8192, 4242, nil) // 8 KB in, 32 KB out
 	case "idea":
-		return exp.IdeaVIM(cfg, 32768, 4242) // 32 KB in and out
+		return exp.Run(cfg, "idea", "vim", 32768, 4242, nil) // 32 KB in and out
 	case "sessions":
 		// Concurrent IDEA+ADPCM gang, half the frames each; the policy
 		// column names the inter-session arbitration.
@@ -237,7 +237,7 @@ func TestGoldenFig9Policies(t *testing.T) {
 			if c.policy == "random" {
 				cfg.Seed = 4242
 			}
-			rep, err := exp.IdeaVIM(cfg, 32768, 900+32768)
+			rep, err := exp.Run(cfg, "idea", "vim", 32768, 900+32768, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,6 +54,10 @@ type Session struct {
 	VIM   *vim.Manager
 	HW    *platform.ShellHW // a one-slot shell while loaded
 
+	// vs is the manager's only session: the paper's original module, on
+	// IMU channel 0, spanning the whole page pool.
+	vs *vim.Session
+
 	header   bitstream.Header
 	loaded   bool
 	configPs float64
@@ -62,12 +66,16 @@ type Session struct {
 // NewSession creates a session for proc on board with the given VIM
 // configuration.
 func NewSession(board *platform.Board, proc *kernel.Process, vimCfg vim.Config) (*Session, error) {
-	m, err := vim.New(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
-		board.DP.PageSize(), vimCfg)
+	m, err := vim.NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
+		board.DP.PageSize(), vim.StaticPartition)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{Board: board, Proc: proc, VIM: m}, nil
+	vs, err := m.Attach(vimCfg, board.DP.Pages(), 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{Board: board, Proc: proc, VIM: m, vs: vs}, nil
 }
 
 // Load implements FPGA_LOAD: it validates the bit-stream, instantiates the
@@ -114,13 +122,13 @@ func (s *Session) Load(img []byte) error {
 func (s *Session) Unload() {
 	s.loaded = false
 	s.HW = nil
-	s.VIM.UnmapAll()
+	s.vs.UnmapAll()
 }
 
 // MapObject implements FPGA_MAP_OBJECT.
 func (s *Session) MapObject(id uint8, base, size uint32, dir vim.Direction) error {
 	s.Board.Kern.ChargeSyscall()
-	return s.VIM.MapObject(id, base, size, dir)
+	return s.vs.MapObject(id, base, size, dir)
 }
 
 // Report aggregates one execution's measurements.
@@ -180,7 +188,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 	s.Board.IMU.ResetCounters()
 
 	k.ChargeSyscall()
-	if err := s.VIM.PrepareExecute(params); err != nil {
+	if err := s.vs.PrepareExecute(params); err != nil {
 		return nil, err
 	}
 	s.Board.IMU.Start()
@@ -204,7 +212,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
 		}
 		if s.Board.IMU.DonePending() {
-			if err := s.VIM.Finish(); err != nil {
+			if err := s.vs.Finish(); err != nil {
 				return nil, err
 			}
 			s.Board.IMU.AckDone()
@@ -222,7 +230,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 			break
 		}
 		if s.Board.IMU.FaultPending() {
-			if err := s.VIM.HandleFault(); err != nil {
+			if err := s.vs.HandleFault(); err != nil {
 				return nil, err
 			}
 			// Let the restart propagate before re-checking the IRQ
@@ -241,7 +249,7 @@ func (s *Session) Execute(params ...uint32) (*Report, error) {
 	return &Report{
 		App:      s.header.Core,
 		Board:    s.Board.Spec.Name,
-		Policy:   s.VIM.Config().Policy.Name(),
+		Policy:   s.vs.Config().Policy.Name(),
 		IMUMode:  s.Board.IMU.Config().Mode.String(),
 		HWPs:     tl.Ps(stats.HW),
 		SWDPPs:   tl.Ps(stats.SWDP),

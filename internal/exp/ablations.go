@@ -2,13 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro"
-	"repro/internal/baseline"
-	"repro/internal/ideautil"
 	"repro/internal/platform"
-	"repro/internal/ref"
 	"repro/internal/stats"
 )
 
@@ -23,11 +19,11 @@ func RunOverhead() (*Result, error) {
 	series := map[string]float64{}
 
 	for _, n := range []int{4096, 8192} {
-		rep, err := AdpcmVIM(repro.Config{}, n, int64(n))
+		rep, err := Run(repro.Config{}, "adpcm", "vim", n, int64(n), nil)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := AdpcmVIM(repro.Config{PipelinedIMU: true}, n, int64(n))
+		pipe, err := Run(repro.Config{PipelinedIMU: true}, "adpcm", "vim", n, int64(n), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -39,11 +35,11 @@ func RunOverhead() (*Result, error) {
 		series["adpcm_xlat_frac/"+label] = xlatFrac
 	}
 	for _, n := range []int{8192, 16384} {
-		rep, err := IdeaVIM(repro.Config{}, n, int64(n))
+		rep, err := Run(repro.Config{}, "idea", "vim", n, int64(n), nil)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := IdeaVIM(repro.Config{PipelinedIMU: true}, n, int64(n))
+		pipe, err := Run(repro.Config{PipelinedIMU: true}, "idea", "vim", n, int64(n), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -75,11 +71,11 @@ func RunPortability() (*Result, error) {
 	series := map[string]float64{}
 	for _, name := range []string{"EPXA1", "EPXA4", "EPXA10"} {
 		spec, _ := platform.SpecByName(name)
-		sw, err := IdeaSW(repro.Config{Board: name}, 16384, 777)
+		sw, err := Run(repro.Config{Board: name}, "idea", "sw", 16384, 777, nil)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := IdeaVIM(repro.Config{Board: name}, 16384, 777)
+		rep, err := Run(repro.Config{Board: name}, "idea", "vim", 16384, 777, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +104,7 @@ func RunPolicyAblation() (*Result, error) {
 	}
 	series := map[string]float64{}
 	for _, pol := range []string{"fifo", "lru", "clock", "random"} {
-		rep, err := IdeaVIM(repro.Config{Policy: pol, Seed: 4242}, 32768, 4242)
+		rep, err := Run(repro.Config{Policy: pol, Seed: 4242}, "idea", "vim", 32768, 4242, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -133,11 +129,11 @@ func RunBounceAblation() (*Result, error) {
 	}
 	series := map[string]float64{}
 	for _, n := range []int{8192} {
-		direct, err := AdpcmVIM(repro.Config{}, n, 21)
+		direct, err := Run(repro.Config{}, "adpcm", "vim", n, 21, nil)
 		if err != nil {
 			return nil, err
 		}
-		bounce, err := AdpcmVIM(repro.Config{BounceBuffer: true}, n, 21)
+		bounce, err := Run(repro.Config{BounceBuffer: true}, "adpcm", "vim", n, 21, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -146,11 +142,11 @@ func RunBounceAblation() (*Result, error) {
 		series["swdp_ratio/adpcm"] = bounce.SWDPPs / direct.SWDPPs
 	}
 	for _, n := range []int{16384} {
-		direct, err := IdeaVIM(repro.Config{}, n, 22)
+		direct, err := Run(repro.Config{}, "idea", "vim", n, 22, nil)
 		if err != nil {
 			return nil, err
 		}
-		bounce, err := IdeaVIM(repro.Config{BounceBuffer: true}, n, 22)
+		bounce, err := Run(repro.Config{BounceBuffer: true}, "idea", "vim", n, 22, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -176,11 +172,11 @@ func RunPipelineAblation() (*Result, error) {
 	}
 	series := map[string]float64{}
 	for _, n := range []int{8192} {
-		multi, err := AdpcmVIM(repro.Config{}, n, 31)
+		multi, err := Run(repro.Config{}, "adpcm", "vim", n, 31, nil)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := AdpcmVIM(repro.Config{PipelinedIMU: true}, n, 31)
+		pipe, err := Run(repro.Config{PipelinedIMU: true}, "adpcm", "vim", n, 31, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -190,11 +186,11 @@ func RunPipelineAblation() (*Result, error) {
 		series["hw_saved_pct/adpcm"] = saved
 	}
 	for _, n := range []int{16384} {
-		multi, err := IdeaVIM(repro.Config{}, n, 32)
+		multi, err := Run(repro.Config{}, "idea", "vim", n, 32, nil)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := IdeaVIM(repro.Config{PipelinedIMU: true}, n, 32)
+		pipe, err := Run(repro.Config{PipelinedIMU: true}, "idea", "vim", n, 32, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +217,7 @@ func RunPrefetchAblation() (*Result, error) {
 	}
 	series := map[string]float64{}
 	for _, pf := range []int{0, 1, 2, 4} {
-		rep, err := AdpcmVIM(repro.Config{PrefetchPages: pf}, 8192, 51)
+		rep, err := Run(repro.Config{PrefetchPages: pf}, "adpcm", "vim", 8192, 51, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -244,23 +240,12 @@ func RunPrefetchAblation() (*Result, error) {
 // RunChunkAblation compares the hand-chunked baseline against the VIM on a
 // dataset that exceeds the DP RAM.
 func RunChunkAblation() (*Result, error) {
-	n := 32768
-	seed := int64(61)
-	rng := rand.New(rand.NewSource(seed))
-	var key ref.IDEAKey
-	rng.Read(key[:])
-	in := make([]byte, n)
-	rng.Read(in)
-
-	runner, err := baseline.NewRunner(platform.EPXA1(), repro.IDEABitstream("EPXA1"))
+	const n = 32768
+	chunked, err := Run(repro.Config{}, "idea", "chunked", n, 61, nil)
 	if err != nil {
 		return nil, err
 	}
-	chunked, err := runner.RunChunked(n/8, ideautil.Streams(in), ideautil.Params(key))
-	if err != nil {
-		return nil, err
-	}
-	vimRep, err := IdeaVIM(repro.Config{}, n, seed)
+	vimRep, err := Run(repro.Config{}, "idea", "vim", n, 61, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +281,7 @@ func RunPageSizeAblation() (*Result, error) {
 	}
 	series := map[string]float64{}
 	for _, lg := range []uint{9, 10, 11, 12} {
-		rep, err := AdpcmVIM(repro.Config{PageLog: lg}, 8192, 71)
+		rep, err := Run(repro.Config{PageLog: lg}, "adpcm", "vim", 8192, 71, nil)
 		if err != nil {
 			return nil, err
 		}

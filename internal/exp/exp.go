@@ -5,17 +5,17 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 
 	"repro"
+	"repro/internal/apps"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/ideautil"
 	"repro/internal/platform"
-	"repro/internal/ref"
 	"repro/internal/stats"
 )
 
@@ -99,202 +99,125 @@ func Render(r *Result) string {
 // ms formats picoseconds as milliseconds.
 func ms(ps float64) string { return fmt.Sprintf("%.2f", ps/1e9) }
 
-// VecAddVIM runs the vector-add coprocessor through the virtual interface
-// (n 32-bit elements per object, so 3·4n bytes of mapped data).
-func VecAddVIM(cfg repro.Config, n int, seed int64) (*core.Report, error) {
+// Run executes one single run of the named application over size input
+// bytes (rounded down to whole work items) drawn from seed, on a fresh
+// board, and checks its output against the application's golden model.
+// Mode "vim" maps the objects through the virtual interface (loaded, when
+// not nil, runs right after FPGA_LOAD: vimsim installs its waveform
+// recorder there); "sw" runs the pure-software version; "normal" and
+// "chunked" are the no-VIM baselines on cfg's board, single-shot (an error
+// wrapping baseline.ErrExceedsMemory when the data does not fit) and
+// hand-chunked.
+func Run(cfg repro.Config, app, mode string, size int, seed int64, loaded func(*repro.Process) error) (*core.Report, error) {
+	a, ok := apps.Get(app)
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown app %q", app)
+	}
+	size -= size % a.Objects[0].ItemBytes
+	in := make([]byte, a.InBytes(size))
+	rand.New(rand.NewSource(seed)).Read(in)
+	want := make([]byte, a.Bytes(a.Out(), size))
+	a.Golden(in, want)
+	switch mode {
+	case "vim", "sw":
+		return runProcess(cfg, a, mode, size, in, want, loaded)
+	case "normal", "chunked":
+		return runBaseline(cfg.Board, a, mode, size, in, want)
+	}
+	return nil, fmt.Errorf("exp: unknown mode %q", mode)
+}
+
+// runProcess runs a through a user process: the virtual interface or the
+// pure-software version.
+func runProcess(cfg repro.Config, a *apps.App, mode string, size int, in, want []byte, loaded func(*repro.Process) error) (*core.Report, error) {
 	sys, err := repro.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	p, err := sys.NewProcess("vecadd")
+	p, err := sys.NewProcess(a.Name)
 	if err != nil {
 		return nil, err
 	}
-	a, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	b, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	c, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	av := make([]byte, 4*n)
-	bv := make([]byte, 4*n)
-	rng.Read(av)
-	rng.Read(bv)
-	if err := a.Write(av); err != nil {
-		return nil, err
-	}
-	if err := b.Write(bv); err != nil {
-		return nil, err
-	}
-	if err := p.FPGALoad(repro.VecAddBitstream(sys.Board().Spec.Name)); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjA, a, repro.In); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjB, b, repro.In); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjC, c, repro.Out); err != nil {
-		return nil, err
-	}
-	return p.FPGAExecute(uint32(n))
-}
-
-// AdpcmVIM runs the coprocessor adpcmdecode through the virtual interface.
-func AdpcmVIM(cfg repro.Config, nbytes int, seed int64) (*core.Report, error) {
-	sys, err := repro.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sys.NewProcess("adpcm")
-	if err != nil {
-		return nil, err
-	}
-	in, err := p.Alloc(nbytes)
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Alloc(nbytes * 4)
-	if err != nil {
-		return nil, err
-	}
-	packed := make([]byte, nbytes)
-	rand.New(rand.NewSource(seed)).Read(packed)
-	if err := in.Write(packed); err != nil {
-		return nil, err
-	}
-	if err := p.FPGALoad(repro.ADPCMBitstream(sys.Board().Spec.Name)); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.ADPCMObjIn, in, repro.In); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.ADPCMObjOut, out, repro.Out); err != nil {
-		return nil, err
-	}
-	return p.FPGAExecute(uint32(nbytes))
-}
-
-// AdpcmSW runs the pure-software decoder.
-func AdpcmSW(cfg repro.Config, nbytes int, seed int64) (*core.Report, error) {
-	sys, err := repro.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sys.NewProcess("adpcm-sw")
-	if err != nil {
-		return nil, err
-	}
-	in, err := p.Alloc(nbytes)
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Alloc(nbytes * 4)
-	if err != nil {
-		return nil, err
-	}
-	packed := make([]byte, nbytes)
-	rand.New(rand.NewSource(seed)).Read(packed)
-	if err := in.Write(packed); err != nil {
-		return nil, err
-	}
-	return p.RunADPCMDecodeSW(in, out)
-}
-
-// IdeaVIM runs the IDEA coprocessor through the virtual interface.
-func IdeaVIM(cfg repro.Config, nbytes int, seed int64) (*core.Report, error) {
-	sys, err := repro.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sys.NewProcess("idea")
-	if err != nil {
-		return nil, err
-	}
-	in, err := p.Alloc(nbytes)
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Alloc(nbytes)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var key repro.IDEAKey
-	rng.Read(key[:])
-	plain := make([]byte, nbytes)
-	rng.Read(plain)
-	if err := in.Write(plain); err != nil {
-		return nil, err
-	}
-	if err := p.FPGALoad(repro.IDEABitstream(sys.Board().Spec.Name)); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.IDEAObjIn, in, repro.In); err != nil {
-		return nil, err
-	}
-	if err := p.FPGAMapObject(repro.IDEAObjOut, out, repro.Out); err != nil {
-		return nil, err
-	}
-	return p.FPGAExecute(repro.IDEAEncryptParams(key, nbytes/8)...)
-}
-
-// IdeaSW runs the pure-software cipher.
-func IdeaSW(cfg repro.Config, nbytes int, seed int64) (*core.Report, error) {
-	sys, err := repro.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sys.NewProcess("idea-sw")
-	if err != nil {
-		return nil, err
-	}
-	in, err := p.Alloc(nbytes)
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.Alloc(nbytes)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var key repro.IDEAKey
-	rng.Read(key[:])
-	plain := make([]byte, nbytes)
-	rng.Read(plain)
-	if err := in.Write(plain); err != nil {
-		return nil, err
-	}
-	return p.RunIDEASW(key, in, out)
-}
-
-// IdeaNormal runs the single-shot "normal coprocessor" baseline; a nil
-// report with nil error means the dataset exceeds the available memory.
-func IdeaNormal(board platform.Spec, nbytes int, seed int64) (*core.Report, error) {
-	rng := rand.New(rand.NewSource(seed))
-	var key ref.IDEAKey
-	rng.Read(key[:])
-	in := make([]byte, nbytes)
-	rng.Read(in)
-	r, err := baseline.NewRunner(board, repro.IDEABitstream(board.Name))
-	if err != nil {
-		return nil, err
-	}
-	streams := ideautil.Streams(in)
-	rep, err := r.RunSingleShot(nbytes/8, streams, ideautil.Params(key))
-	if err != nil {
-		if strings.Contains(err.Error(), "exceeds available memory") {
-			return nil, nil
+	bufs := make([]repro.Buffer, len(a.Objects))
+	for i := range bufs {
+		if bufs[i], err = p.Alloc(a.Bytes(i, size)); err != nil {
+			return nil, err
 		}
+	}
+	for i, b := range bufs {
+		if data := a.Input(in, i, size); data != nil {
+			if err := b.Write(data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var rep *core.Report
+	if mode == "sw" {
+		rep, err = a.SW(p, bufs, in)
+	} else {
+		rep, err = runVIM(sys, p, a, size, in, bufs, loaded)
+	}
+	if err != nil {
 		return nil, err
+	}
+	at, err := sys.Board().Kern.MismatchUser(bufs[a.Out()].Addr(), want)
+	if err != nil {
+		return nil, err
+	}
+	if at >= 0 {
+		return nil, fmt.Errorf("exp: %s %s output diverges from the golden model at byte %d", a.Name, mode, at)
+	}
+	return rep, nil
+}
+
+// runVIM loads a's bitstream, maps its objects and runs FPGA_EXECUTE.
+func runVIM(sys *repro.System, p *repro.Process, a *apps.App, size int, in []byte, bufs []repro.Buffer, loaded func(*repro.Process) error) (*core.Report, error) {
+	if err := p.FPGALoad(a.Bitstream(sys.Board().Spec.Name)); err != nil {
+		return nil, err
+	}
+	if loaded != nil {
+		if err := loaded(p); err != nil {
+			return nil, err
+		}
+	}
+	for i, o := range a.Objects {
+		if err := p.FPGAMapObject(int(o.ID), bufs[i], o.Dir); err != nil {
+			return nil, err
+		}
+	}
+	return p.FPGAExecute(a.Params(in, a.Items(size))...)
+}
+
+// runBaseline runs a without the VIM on a fresh board, its objects as
+// baseline streams.
+func runBaseline(board string, a *apps.App, mode string, size int, in, want []byte) (*core.Report, error) {
+	spec, ok := platform.SpecByName(board)
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown board %q", board)
+	}
+	r, err := baseline.NewRunner(spec, a.Bitstream(spec.Name))
+	if err != nil {
+		return nil, err
+	}
+	streams := make([]*baseline.Stream, len(a.Objects))
+	for i, o := range a.Objects {
+		streams[i] = &baseline.Stream{ID: o.ID, Dir: o.Dir, ItemBytes: o.ItemBytes, Data: a.Input(in, i, size)}
+	}
+	params := func(items int) []uint32 { return a.Params(in, items) }
+	run := r.RunChunked
+	if mode == "normal" {
+		run = r.RunSingleShot
+	}
+	rep, err := run(a.Items(size), streams, params)
+	if err != nil {
+		return nil, err
+	}
+	if got := streams[a.Out()].Out; !bytes.Equal(got, want) {
+		at := 0
+		for got[at] == want[at] {
+			at++
+		}
+		return nil, fmt.Errorf("exp: %s %s output diverges from the golden model at byte %d", a.Name, mode, at)
 	}
 	return rep, nil
 }

@@ -1,22 +1,19 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro"
 	"repro/internal/baseline"
 	"repro/internal/copro"
-	"repro/internal/copro/vecadd"
 	"repro/internal/core"
 	"repro/internal/imu"
 	"repro/internal/mem"
-	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vim"
 )
 
 // RunFig3 reproduces the motivating example: the same vector addition as
@@ -60,83 +57,20 @@ const fig3Elements = 4096
 // Fig3Reports runs Figure 3's three versions of the vector addition and
 // returns their reports: pure software, the hand-chunked typical
 // coprocessor and the VIM-based one.
-func Fig3Reports() (*core.Report, *core.Report, *core.Report, error) {
-	const n = fig3Elements
-	seed := int64(303)
-
-	// Pure software.
-	sys, err := repro.NewSystem(repro.Config{})
-	if err != nil {
+func Fig3Reports() (sw, typ, vim *core.Report, err error) {
+	run := func(mode string) (*core.Report, error) {
+		return Run(repro.Config{}, "vecadd", mode, 4*fig3Elements, 303, nil)
+	}
+	if sw, err = run("sw"); err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := sys.NewProcess("vecadd")
-	if err != nil {
+	if vim, err = run("vim"); err != nil {
 		return nil, nil, nil, err
 	}
-	a, err := p.Alloc(4 * n)
-	if err != nil {
+	if typ, err = run("chunked"); err != nil {
 		return nil, nil, nil, err
 	}
-	b, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c, err := p.Alloc(4 * n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	av := make([]byte, 4*n)
-	bv := make([]byte, 4*n)
-	rng.Read(av)
-	rng.Read(bv)
-	if err := a.Write(av); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := b.Write(bv); err != nil {
-		return nil, nil, nil, err
-	}
-	swRep, err := p.RunVecAddSW(a, b, c, n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// VIM-based coprocessor (three mapped objects, one execute call).
-	if err := p.FPGALoad(repro.VecAddBitstream("EPXA1")); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjA, a, repro.In); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjB, b, repro.In); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := p.FPGAMapObject(repro.VecAddObjC, c, repro.Out); err != nil {
-		return nil, nil, nil, err
-	}
-	vimRep, err := p.FPGAExecute(n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Typical coprocessor: the hand-written chunking loop of Figure 3.
-	runner, err := baseline.NewRunner(platform.EPXA1(), repro.VecAddBitstream("EPXA1"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	streams := []*baseline.Stream{
-		{ID: vecadd.ObjA, Dir: vim.In, ItemBytes: 4, Data: av},
-		{ID: vecadd.ObjB, Dir: vim.In, ItemBytes: 4, Data: bv},
-		{ID: vecadd.ObjC, Dir: vim.Out, ItemBytes: 4},
-	}
-	typRep, err := runner.RunChunked(n, streams, func(items int) []uint32 {
-		return []uint32{uint32(items)}
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	return swRep, typRep, vimRep, nil
+	return sw, typ, vim, nil
 }
 
 // Fig7Bench is the Figure 7 testbench after its run: one 32-bit read,
@@ -272,11 +206,11 @@ func RunFig8() (*Result, error) {
 	var notes []string
 	for _, n := range sizes {
 		seed := int64(800 + n)
-		swRep, err := AdpcmSW(repro.Config{}, n, seed)
+		swRep, err := Run(repro.Config{}, "adpcm", "sw", n, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		hwRep, err := AdpcmVIM(repro.Config{}, n, seed)
+		hwRep, err := Run(repro.Config{}, "adpcm", "vim", n, seed, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -311,15 +245,15 @@ func RunFig9() (*Result, error) {
 	series := map[string]float64{}
 	for _, n := range sizes {
 		seed := int64(900 + n)
-		swRep, err := IdeaSW(repro.Config{}, n, seed)
+		swRep, err := Run(repro.Config{}, "idea", "sw", n, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		normRep, err := IdeaNormal(platform.EPXA1(), n, seed)
-		if err != nil {
+		normRep, err := Run(repro.Config{}, "idea", "normal", n, seed, nil)
+		if err != nil && !errors.Is(err, baseline.ErrExceedsMemory) {
 			return nil, err
 		}
-		vimRep, err := IdeaVIM(repro.Config{}, n, seed)
+		vimRep, err := Run(repro.Config{}, "idea", "vim", n, seed, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
-	"repro"
+	"repro/internal/apps"
 	"repro/internal/bitstream"
-	"repro/internal/copro/adpcmdec"
-	"repro/internal/copro/ideacp"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/stats"
@@ -46,93 +42,68 @@ func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, 
 		return nil, err
 	}
 
-	ideaImg := repro.IDEABitstream(spec.Name)
-	h, err := bitstream.Parse(ideaImg)
+	table, err := apps.Images(spec.Name)
 	if err != nil {
 		return nil, err
 	}
-	idea, err := g.AttachMember(0, ideaImg, ideaFrames, vim.Config{}, h.CoreClock)
+	h, err := bitstream.Parse(table["idea"].Img)
 	if err != nil {
 		return nil, err
 	}
-	adpcmFrames := board.DP.Pages() - ideaFrames
-	adpcm, err := g.AttachMember(1, repro.ADPCMBitstream(spec.Name), adpcmFrames, vim.Config{}, 0)
-	if err != nil {
-		return nil, err
+	members := []struct {
+		a      *apps.Image
+		frames int
+		hz     int64
+		size   int
+		mb     *core.Member
+		in     []byte
+		base   [apps.MaxObjects]uint32
+	}{
+		{a: table["idea"], frames: ideaFrames, hz: h.CoreClock, size: ideaBytes},
+		{a: table["adpcm"], frames: board.DP.Pages() - ideaFrames, size: adpcmBytes},
 	}
-
-	// User buffers and inputs (each member models its own process image).
+	for i := range members {
+		m := &members[i]
+		if m.mb, err = g.AttachMember(i, m.a.Img, m.frames, vim.Config{}, m.hz); err != nil {
+			return nil, err
+		}
+	}
+	// User buffers and inputs (each member models its own process image),
+	// drawn in member order from one generator.
 	rng := rand.New(rand.NewSource(seed))
-	var key repro.IDEAKey
-	rng.Read(key[:])
-	plain := make([]byte, ideaBytes)
-	rng.Read(plain)
-	packed := make([]byte, adpcmBytes)
-	rng.Read(packed)
-
-	ideaIn, err := board.Kern.Alloc(ideaBytes)
-	if err != nil {
-		return nil, err
+	for i := range members {
+		m := &members[i]
+		m.in = make([]byte, m.a.InBytes(m.size))
+		rng.Read(m.in)
+		if err := m.a.Place(board.Kern, m.size, m.in, m.base[:]); err != nil {
+			return nil, err
+		}
 	}
-	ideaOut, err := board.Kern.Alloc(ideaBytes)
-	if err != nil {
-		return nil, err
+	for i := range members {
+		m := &members[i]
+		if err := m.a.Map(m.mb.Sess, m.size, m.base[:]); err != nil {
+			return nil, err
+		}
+		m.mb.Params = m.a.Params(m.in, m.a.Items(m.size))
 	}
-	adpcmIn, err := board.Kern.Alloc(adpcmBytes)
-	if err != nil {
-		return nil, err
-	}
-	adpcmOut, err := board.Kern.Alloc(adpcmBytes * 4)
-	if err != nil {
-		return nil, err
-	}
-	if err := board.Kern.WriteUser(ideaIn, plain); err != nil {
-		return nil, err
-	}
-	if err := board.Kern.WriteUser(adpcmIn, packed); err != nil {
-		return nil, err
-	}
-
-	if err := idea.Sess.MapObject(ideacp.ObjIn, ideaIn, uint32(ideaBytes), vim.In); err != nil {
-		return nil, err
-	}
-	if err := idea.Sess.MapObject(ideacp.ObjOut, ideaOut, uint32(ideaBytes), vim.Out); err != nil {
-		return nil, err
-	}
-	if err := adpcm.Sess.MapObject(adpcmdec.ObjIn, adpcmIn, uint32(adpcmBytes), vim.In); err != nil {
-		return nil, err
-	}
-	if err := adpcm.Sess.MapObject(adpcmdec.ObjOut, adpcmOut, uint32(adpcmBytes*4), vim.Out); err != nil {
-		return nil, err
-	}
-	idea.Params = repro.IDEAEncryptParams(key, ideaBytes/8)
-	adpcm.Params = []uint32{uint32(adpcmBytes)}
 
 	rep, err := g.ExecuteAll()
 	if err != nil {
 		return nil, err
 	}
 
-	// Verify both sessions' results against the golden algorithms — the
-	// gang must not trade correctness for concurrency.
-	gotIdea, err := board.Kern.ReadUser(ideaOut, ideaBytes)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(gotIdea, repro.GoldenIDEAEncrypt(key, plain)) {
-		return nil, fmt.Errorf("exp: gang IDEA output diverges from the reference cipher")
-	}
-	gotAdpcm, err := board.Kern.ReadUser(adpcmOut, adpcmBytes*4)
-	if err != nil {
-		return nil, err
-	}
-	wantSamples := repro.GoldenADPCMDecode(packed)
-	want := make([]byte, 2*len(wantSamples))
-	for i, s := range wantSamples {
-		binary.LittleEndian.PutUint16(want[2*i:], uint16(s))
-	}
-	if !bytes.Equal(gotAdpcm, want) {
-		return nil, fmt.Errorf("exp: gang ADPCM output diverges from the reference decoder")
+	// Verify both sessions' results against the golden models — the gang
+	// must not trade correctness for concurrency.
+	for _, m := range members {
+		want := make([]byte, m.a.Bytes(m.a.Out(), m.size))
+		m.a.Golden(m.in, want)
+		at, err := board.Kern.MismatchUser(m.base[m.a.Out()], want)
+		if err != nil {
+			return nil, err
+		}
+		if at >= 0 {
+			return nil, fmt.Errorf("exp: gang %s output diverges from the golden model at byte %d", m.a.Name, at)
+		}
 	}
 	return rep, nil
 }

@@ -23,7 +23,7 @@ import (
 	"strconv"
 	"sync"
 
-	"repro"
+	"repro/internal/apps"
 	"repro/internal/rcsched"
 	"repro/internal/telemetry"
 )
@@ -285,21 +285,6 @@ func newDispatcher(name string, boundPs float64) (string, dispatcher, error) {
 	return "", nil, fmt.Errorf("fleet: unknown dispatch policy %q (want random, least-loaded, affinity or po2)", name)
 }
 
-// bitstreamBytes is the configuration-stream size of app's bitstream on the
-// given board — what the dispatcher's backlog model charges for routing a
-// job whose bitstream it does not model as resident.
-func bitstreamBytes(board, app string) (int, error) {
-	switch app {
-	case "idea":
-		return len(repro.IDEABitstream(board)), nil
-	case "adpcm":
-		return len(repro.ADPCMBitstream(board)), nil
-	case "vecadd":
-		return len(repro.VecAddBitstream(board)), nil
-	}
-	return 0, fmt.Errorf("fleet: unknown application %q", app)
-}
-
 // Validate checks cfg before any routing or serving work: a positive board
 // count, a known dispatch policy, a non-negative load bound, and a
 // per-board config rcsched.Config.Resolve accepts.
@@ -342,6 +327,10 @@ func Route(cfg Config, jobs []rcsched.Job) (subs [][]rcsched.Job, decisions []De
 	}
 	_, pick, _ := newDispatcher(cfg.Dispatch, bound)
 	board, _ := cfg.Board.Resolve() // validated above
+	table, err := apps.Images(board.Board)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// Dispatch epochs: arrival order, ties by ID — the same admission order
 	// each board's serving loop uses.
@@ -386,11 +375,11 @@ func Route(cfg Config, jobs []rcsched.Job) (subs [][]rcsched.Job, decisions []De
 			start = t
 		}
 		if !boards[b].has(j.App) {
-			n, err := bitstreamBytes(board.Board, j.App)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fleet: job %d: %w", j.ID, err)
+			a, ok := table[j.App]
+			if !ok {
+				return nil, nil, fmt.Errorf("fleet: job %d: unknown application %q", j.ID, j.App)
 			}
-			start += float64(n) / board.ConfigBW * 1e12
+			start += float64(len(a.Img)) / board.ConfigBW * 1e12
 		}
 		boards[b].busyUntilPs = start + rcsched.ExecEstPs(j.App, j.Size, board.ShellHz)
 		boards[b].touch(j.App, board.Slots)

@@ -27,6 +27,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/imu"
 	"repro/internal/kernel"
@@ -294,7 +295,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		return nil, fmt.Errorf("rcsched: %d slots x %d frames does not fit the %d-frame pool",
 			cfg.Slots, frames, pool)
 	}
-	apps, err := appTable(spec.Name)
+	table, err := apps.Images(spec.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -318,18 +319,19 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	// Materialise every job's process image up front (untimed, like the
 	// single-run experiments: the data already exists in user space).
 	ws := newWorkspace()
-	preps := make([]*prepared, len(order))
+	preps := make([]prepared, len(order))
 	for i := range order {
-		a, ok := apps[order[i].App]
+		j := &order[i]
+		a, ok := table[j.App]
 		if !ok {
-			return nil, fmt.Errorf("rcsched: job %d: unknown application %q", order[i].ID, order[i].App)
+			return nil, fmt.Errorf("rcsched: job %d: unknown application %q", j.ID, j.App)
 		}
-		order[i].coreName = a.coreName
-		p, err := a.prepare(board.Kern, order[i].Size, ws.inputs(a, &order[i]))
-		if err != nil {
-			return nil, fmt.Errorf("rcsched: job %d: %w", order[i].ID, err)
+		j.coreName = a.Core
+		in := ws.inputs(a, j)
+		if err := a.Place(board.Kern, j.Size, in, preps[i].base[:]); err != nil {
+			return nil, fmt.Errorf("rcsched: job %d: %w", j.ID, err)
 		}
-		preps[i] = p
+		preps[i].params = a.Params(in, a.Items(j.Size))
 	}
 
 	periodPs := dom.PeriodPs()
@@ -402,7 +404,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	ctx := &PickCtx{
 		ExecEstPs: estPs,
 		ReconfigPs: func(j *Job) float64 {
-			return float64(reconfigEdges(apps[j.App].img)) * periodPs
+			return float64(reconfigEdges(table[j.App].Img)) * periodPs
 		},
 	}
 	states := make([]SlotState, cfg.Slots)
@@ -459,7 +461,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				freePs[s] = nowPs
 			}
 		}
-		configPs := float64(reconfigEdges(apps[j.App].img)) * periodPs
+		configPs := float64(reconfigEdges(table[j.App].Img)) * periodPs
 		for s := range slots {
 			if g.Shell.Slots[s].Resident() == j.coreName || g.Shell.Slots[s].Staged() == j.coreName {
 				configPs = 0 // the bitstream is already (or nearly) on board
@@ -512,15 +514,13 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 
 	// launch attaches job j's session onto slot s and starts it.
 	launch := func(s, j int) error {
-		a := apps[order[j].App]
-		mb, err := g.AttachMember(s, a.img, frames, vim.Config{}, 0)
+		a := table[order[j].App]
+		mb, err := g.AttachMember(s, a.Img, frames, vim.Config{}, 0)
 		if err != nil {
 			return fmt.Errorf("rcsched: job %d attach: %w", order[j].ID, err)
 		}
-		for _, o := range preps[j].objs {
-			if err := mb.Sess.MapObject(o.id, o.base, o.size, o.dir); err != nil {
-				return fmt.Errorf("rcsched: job %d map: %w", order[j].ID, err)
-			}
+		if err := a.Map(mb.Sess, order[j].Size, preps[j].base[:]); err != nil {
+			return fmt.Errorf("rcsched: job %d map: %w", order[j].ID, err)
 		}
 		mb.Params = preps[j].params
 		if err := g.Launch(mb); err != nil {
@@ -594,7 +594,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			for _, mb := range finished {
 				s := mb.Sess.ID()
 				j := slots[s].job
-				if err := finishJob(rep, board.Kern, ws, apps[order[j].App], &order[j], preps[j], &slots[s], mb, j); err != nil {
+				if err := finishJob(rep, board.Kern, ws, table[order[j].App], &order[j], &preps[j], &slots[s], mb, j); err != nil {
 					return nil, err
 				}
 				rep.Events = append(rep.Events, Event{
@@ -666,7 +666,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				// streaming from scratch; the port controller finishes
 				// whichever way is faster, so a staged hit never costs more
 				// than a full stream.
-				if full := now + reconfigEdges(apps[order[j].App].img); until > full {
+				if full := now + reconfigEdges(table[order[j].App].Img); until > full {
 					until = full
 				}
 				slots[s].reconfigUntil = until
@@ -707,7 +707,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			if err := g.BeginReconfig(s); err != nil {
 				return nil, err
 			}
-			edges := reconfigEdges(apps[order[j].App].img)
+			edges := reconfigEdges(table[order[j].App].Img)
 			slots[s].reconfigUntil = now + edges
 			slots[s].reconfigPs = float64(edges) * periodPs
 			rep.Reconfigs++
@@ -774,10 +774,10 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				if ok && hs == target {
 					next := &order[queue[qi]]
 					if g.Shell.Slots[target].Resident() != next.coreName {
-						if err := g.BeginStage(target, apps[next.App].img); err != nil {
+						if err := g.BeginStage(target, table[next.App].Img); err != nil {
 							return nil, err
 						}
-						slots[target].stageReady = now + reconfigEdges(apps[next.App].img)
+						slots[target].stageReady = now + reconfigEdges(table[next.App].Img)
 						stageSlot = target
 					}
 				}
@@ -862,8 +862,8 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 // finishJob verifies a completed job's output in place against the golden
 // algorithm, regenerated from the job's seed into ws, and records its
 // metrics.
-func finishJob(rep *Report, k *kernel.Kernel, ws *workspace, a *appSpec, job *Job, p *prepared, sr *slotRun, mb *core.Member, idx int) error {
-	i, err := k.MismatchUser(p.outAddr, ws.golden(a, job, p.outLen))
+func finishJob(rep *Report, k *kernel.Kernel, ws *workspace, a *apps.Image, job *Job, p *prepared, sr *slotRun, mb *core.Member, idx int) error {
+	i, err := k.MismatchUser(p.base[a.Out()], ws.golden(a, job))
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/vim"
@@ -64,26 +65,27 @@ func TestFinishJobVerificationStrength(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer board.SDRAM.Store().Release()
-			apps, err := appTable(spec.Name)
+			table, err := apps.Images(spec.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := apps[app]
+			a := table[app]
 			ws := newWorkspace()
 			// Leave the shared generator mid-stream on another job first:
 			// reseeding must restart the job's stream from scratch.
 			ws.inputs(a, &Job{App: app, Size: 1000, Seed: 1})
 
 			job := Job{ID: 5, App: app, Size: 2048, Seed: 4242}
-			p, err := a.prepare(board.Kern, job.Size, ws.inputs(a, &job))
-			if err != nil {
+			p := &prepared{}
+			if err := a.Place(board.Kern, job.Size, ws.inputs(a, &job), p.base[:]); err != nil {
 				t.Fatal(err)
 			}
 			want := oracleOutput(t, job)
-			if got := ws.golden(a, &job, p.outLen); !bytes.Equal(got, want) {
+			if got := ws.golden(a, &job); !bytes.Equal(got, want) {
 				t.Fatalf("regenerated golden output (%d B) differs from the reference functions (%d B)", len(got), len(want))
 			}
-			if err := board.Kern.WriteUser(p.outAddr, want); err != nil {
+			out := p.base[a.Out()]
+			if err := board.Kern.WriteUser(out, want); err != nil {
 				t.Fatal(err)
 			}
 
@@ -91,7 +93,7 @@ func TestFinishJobVerificationStrength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mb, err := g.AttachMember(0, a.img, board.DP.Pages(), vim.Config{}, 0)
+			mb, err := g.AttachMember(0, a.Img, board.DP.Pages(), vim.Config{}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +107,7 @@ func TestFinishJobVerificationStrength(t *testing.T) {
 
 			store := board.SDRAM.Store()
 			for _, n := range []int{0, len(want) / 2, len(want) - 1} {
-				addr := p.outAddr + uint32(n)
+				addr := out + uint32(n)
 				if err := store.SetByte(addr, want[n]^0x5a); err != nil {
 					t.Fatal(err)
 				}

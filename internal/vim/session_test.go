@@ -80,20 +80,6 @@ func TestAttachPartitioning(t *testing.T) {
 			t.Fatalf("session on channel %d of a 2-channel IMU accepted: %v", ch, err)
 		}
 	}
-	// The single-session compatibility shims must error, not panic, on a
-	// manager that has no sessions yet.
-	if err := m.PrepareExecute(nil); !errors.Is(err, ErrPartition) {
-		t.Fatalf("PrepareExecute on a session-less manager: %v", err)
-	}
-	if err := m.HandleFault(); !errors.Is(err, ErrPartition) {
-		t.Fatalf("HandleFault on a session-less manager: %v", err)
-	}
-	if err := m.Finish(); !errors.Is(err, ErrPartition) {
-		t.Fatalf("Finish on a session-less manager: %v", err)
-	}
-	if objs := m.Objects(); objs != nil {
-		t.Fatalf("Objects on a session-less manager = %v", objs)
-	}
 	a, err := m.Attach(Config{}, 5, 0)
 	if err != nil {
 		t.Fatal(err)

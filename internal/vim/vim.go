@@ -24,10 +24,9 @@
 // pool, and its own counters. How sessions compete for frames is decided by
 // the manager-wide Arbitration policy: StaticPartition confines every
 // session to its home partition, GlobalLRU lets a loaded session steal the
-// globally least-recently-used frame from a neighbour. The single-session
-// constructor New builds a manager whose only session, on IMU channel 0,
-// spans the whole pool, which reproduces the paper's original module bit
-// for bit.
+// globally least-recently-used frame from a neighbour. A manager whose
+// only session, on IMU channel 0, spans the whole pool (core.Session's)
+// reproduces the paper's original module bit for bit.
 //
 // Sessions are dynamic: Attach admits a new session on a named session
 // slot, which is its IMU channel and must already be configured, while
@@ -219,19 +218,6 @@ func NewManager(k *kernel.Kernel, u *imu.IMU, dpBase, regBase uint32, pageSize i
 	}, nil
 }
 
-// New builds a single-session manager: the paper's original module, whose
-// only session, on IMU channel 0, spans the whole page pool.
-func New(k *kernel.Kernel, u *imu.IMU, dpBase, regBase uint32, pageSize int, cfg Config) (*Manager, error) {
-	m, err := NewManager(k, u, dpBase, regBase, pageSize, StaticPartition)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.Attach(cfg, len(m.frames), 0); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Attach admits a new session: it claims session slot ch, which is also the
 // session's IMU channel and so must name a configured channel, carves a
 // first-fit contiguous run of nframes free frames into the new session's
@@ -352,82 +338,11 @@ func (m *Manager) Sessions() []*Session {
 // Arbitration returns the inter-session arbitration policy.
 func (m *Manager) Arbitration() Arbitration { return m.arb }
 
-// errNoSessions guards the single-session compatibility shims: a manager
-// built with NewManager has no sessions until Attach, and slot 0 may have
-// been detached since.
-func (m *Manager) errNoSessions() error {
-	if len(m.sessions) == 0 || m.sessions[0] == nil {
-		return fmt.Errorf("%w: manager has no session in slot 0 (Attach first)", ErrPartition)
-	}
-	return nil
-}
-
-// Config returns the first session's configuration (single-session
-// compatibility; zero Config on a session-less manager).
-func (m *Manager) Config() Config {
-	if len(m.sessions) == 0 || m.sessions[0] == nil {
-		return Config{}
-	}
-	return m.sessions[0].cfg
-}
-
 // PageSize returns the page size in bytes.
 func (m *Manager) PageSize() uint32 { return m.pageSz }
 
 // Frames returns a copy of the shared frame table (tests, reports).
 func (m *Manager) Frames() []Frame { return append([]Frame(nil), m.frames...) }
-
-// Objects returns the first session's mapped objects (single-session
-// compatibility).
-func (m *Manager) Objects() []Object {
-	if len(m.sessions) == 0 || m.sessions[0] == nil {
-		return nil
-	}
-	return m.sessions[0].Objects()
-}
-
-// MapObject registers a user-space object on the first session
-// (single-session compatibility).
-func (m *Manager) MapObject(id uint8, base, size uint32, dir Direction) error {
-	if err := m.errNoSessions(); err != nil {
-		return err
-	}
-	return m.sessions[0].MapObject(id, base, size, dir)
-}
-
-// UnmapAll clears the first session's object table (between executions).
-func (m *Manager) UnmapAll() {
-	if len(m.sessions) > 0 && m.sessions[0] != nil {
-		m.sessions[0].UnmapAll()
-	}
-}
-
-// PrepareExecute performs the FPGA_EXECUTE setup on the first session
-// (single-session compatibility).
-func (m *Manager) PrepareExecute(params []uint32) error {
-	if err := m.errNoSessions(); err != nil {
-		return err
-	}
-	return m.sessions[0].PrepareExecute(params)
-}
-
-// HandleFault services the first session's translation fault
-// (single-session compatibility).
-func (m *Manager) HandleFault() error {
-	if err := m.errNoSessions(); err != nil {
-		return err
-	}
-	return m.sessions[0].HandleFault()
-}
-
-// Finish performs the first session's end-of-operation service
-// (single-session compatibility).
-func (m *Manager) Finish() error {
-	if err := m.errNoSessions(); err != nil {
-		return err
-	}
-	return m.sessions[0].Finish()
-}
 
 // ResetCounters zeroes the aggregate and every live session's counters.
 func (m *Manager) ResetCounters() {

@@ -11,47 +11,53 @@ import (
 	"repro/internal/platform"
 )
 
-// rig builds a board plus a manager for direct unit testing.
-func rig(t *testing.T, cfg Config) (*platform.Board, *Manager) {
+// rig builds a board plus a manager whose only session, on IMU channel 0,
+// spans the whole page pool (the paper's original module), for direct unit
+// testing.
+func rig(t *testing.T, cfg Config) (*platform.Board, *Session) {
 	t.Helper()
 	board, err := platform.NewBoard(platform.EPXA1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
-		board.DP.PageSize(), cfg)
+	m, err := NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
+		board.DP.PageSize(), StaticPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return board, m
+	s, err := m.Attach(cfg, board.DP.Pages(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return board, s
 }
 
 func TestMapObjectValidation(t *testing.T) {
-	_, m := rig(t, Config{})
-	if err := m.MapObject(copro.ParamObj, 0, 16, In); !errors.Is(err, ErrBadObject) {
+	_, s := rig(t, Config{})
+	if err := s.MapObject(copro.ParamObj, 0, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("reserved id accepted: %v", err)
 	}
-	if err := m.MapObject(1, 0x1000, 0, In); !errors.Is(err, ErrBadObject) {
+	if err := s.MapObject(1, 0x1000, 0, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("zero size accepted: %v", err)
 	}
-	if err := m.MapObject(1, 0x1001, 16, In); !errors.Is(err, ErrBadObject) {
+	if err := s.MapObject(1, 0x1001, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("unaligned base accepted: %v", err)
 	}
-	if err := m.MapObject(1, 0x1000, 16, In); err != nil {
+	if err := s.MapObject(1, 0x1000, 16, In); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MapObject(1, 0x2000, 16, In); !errors.Is(err, ErrBadObject) {
+	if err := s.MapObject(1, 0x2000, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("duplicate id accepted: %v", err)
 	}
-	m.UnmapAll()
-	if err := m.MapObject(1, 0x2000, 16, In); err != nil {
+	s.UnmapAll()
+	if err := s.MapObject(1, 0x2000, 16, In); err != nil {
 		t.Fatalf("id not released by UnmapAll: %v", err)
 	}
 }
 
 func TestPrepareExecuteInitialMapping(t *testing.T) {
-	board, m := rig(t, Config{})
-	ps := int(m.PageSize())
+	board, s := rig(t, Config{})
+	ps := int(s.m.PageSize())
 	// 2-page input, 2-page output: everything plus the parameter page
 	// fits the 8 frames.
 	inBase, _ := board.Kern.Alloc(2 * ps)
@@ -63,13 +69,13 @@ func TestPrepareExecuteInitialMapping(t *testing.T) {
 	if err := board.Kern.WriteUser(inBase, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MapObject(0, inBase, uint32(2*ps), In); err != nil {
+	if err := s.MapObject(0, inBase, uint32(2*ps), In); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MapObject(1, outBase, uint32(2*ps), Out); err != nil {
+	if err := s.MapObject(1, outBase, uint32(2*ps), Out); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PrepareExecute([]uint32{0xabcd, 42}); err != nil {
+	if err := s.PrepareExecute([]uint32{0xabcd, 42}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,11 +85,11 @@ func TestPrepareExecuteInitialMapping(t *testing.T) {
 		t.Fatalf("param word 0 = %#x", w)
 	}
 	// Input pages were loaded; output pages mapped without copies.
-	if m.Count.PagesLoaded != 2 {
-		t.Fatalf("pages loaded = %d, want 2", m.Count.PagesLoaded)
+	if s.m.Count.PagesLoaded != 2 {
+		t.Fatalf("pages loaded = %d, want 2", s.m.Count.PagesLoaded)
 	}
-	if m.Count.LoadsElided != 2 {
-		t.Fatalf("loads elided = %d, want 2", m.Count.LoadsElided)
+	if s.m.Count.LoadsElided != 2 {
+		t.Fatalf("loads elided = %d, want 2", s.m.Count.LoadsElided)
 	}
 	// Input page 0 contents landed in some frame.
 	found := false
@@ -99,7 +105,7 @@ func TestPrepareExecuteInitialMapping(t *testing.T) {
 	}
 	// The TLB mirrors the frame table: every occupied frame has a valid
 	// entry at its own index.
-	for f, fr := range m.Frames() {
+	for f, fr := range s.m.Frames() {
 		e := board.IMU.Entry(f)
 		if fr.Occupied != e.Valid {
 			t.Fatalf("frame %d occupancy %v but TLB valid %v", f, fr.Occupied, e.Valid)
@@ -111,27 +117,27 @@ func TestPrepareExecuteInitialMapping(t *testing.T) {
 }
 
 func TestPrepareExecuteRejectsTooManyParams(t *testing.T) {
-	_, m := rig(t, Config{})
-	params := make([]uint32, int(m.PageSize()/4)+1)
-	if err := m.PrepareExecute(params); err == nil {
+	_, s := rig(t, Config{})
+	params := make([]uint32, int(s.m.PageSize()/4)+1)
+	if err := s.PrepareExecute(params); err == nil {
 		t.Fatal("oversized parameter list accepted")
 	}
 }
 
 func TestPrepareExecuteStopsWhenFull(t *testing.T) {
-	board, m := rig(t, Config{})
-	ps := int(m.PageSize())
+	board, s := rig(t, Config{})
+	ps := int(s.m.PageSize())
 	// 12 input pages for 7 free frames: initial mapping must stop at
 	// capacity and leave the rest for demand paging.
 	base, _ := board.Kern.Alloc(12 * ps)
-	if err := m.MapObject(0, base, uint32(12*ps), In); err != nil {
+	if err := s.MapObject(0, base, uint32(12*ps), In); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PrepareExecute(nil); err != nil {
+	if err := s.PrepareExecute(nil); err != nil {
 		t.Fatal(err)
 	}
 	occupied := 0
-	for _, fr := range m.Frames() {
+	for _, fr := range s.m.Frames() {
 		if fr.Occupied {
 			occupied++
 		}
@@ -139,8 +145,8 @@ func TestPrepareExecuteStopsWhenFull(t *testing.T) {
 	if occupied != board.DP.Pages() {
 		t.Fatalf("occupied frames = %d, want all %d", occupied, board.DP.Pages())
 	}
-	if m.Count.PagesLoaded != uint64(board.DP.Pages()-1) {
-		t.Fatalf("pages loaded = %d, want %d", m.Count.PagesLoaded, board.DP.Pages()-1)
+	if s.m.Count.PagesLoaded != uint64(board.DP.Pages()-1) {
+		t.Fatalf("pages loaded = %d, want %d", s.m.Count.PagesLoaded, board.DP.Pages()-1)
 	}
 }
 
@@ -291,38 +297,38 @@ func TestDirectionString(t *testing.T) {
 
 func TestManagerRejectsNilDependencies(t *testing.T) {
 	board, _ := rig(t, Config{})
-	if _, err := New(nil, board.IMU, platform.DPBase, platform.IMURegBase, 2048, Config{}); err == nil {
+	if _, err := NewManager(nil, board.IMU, platform.DPBase, platform.IMURegBase, 2048, StaticPartition); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
-	if _, err := New(board.Kern, nil, platform.DPBase, platform.IMURegBase, 2048, Config{}); err == nil {
+	if _, err := NewManager(board.Kern, nil, platform.DPBase, platform.IMURegBase, 2048, StaticPartition); err == nil {
 		t.Fatal("nil IMU accepted")
 	}
 }
 
 func TestBounceBufferAllocatedOnce(t *testing.T) {
-	_, m := rig(t, Config{BounceBuffer: true})
-	if !m.Config().BounceBuffer {
+	_, s := rig(t, Config{BounceBuffer: true})
+	if !s.Config().BounceBuffer {
 		t.Fatal("bounce flag lost")
 	}
-	if m.bounce == 0 {
+	if s.m.bounce == 0 {
 		t.Fatal("bounce buffer not allocated")
 	}
 }
 
 func TestFinishFlushesDirtyPages(t *testing.T) {
-	board, m := rig(t, Config{})
-	ps := int(m.PageSize())
+	board, s := rig(t, Config{})
+	ps := int(s.m.PageSize())
 	base, _ := board.Kern.Alloc(ps)
-	if err := m.MapObject(3, base, uint32(ps), Out); err != nil {
+	if err := s.MapObject(3, base, uint32(ps), Out); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PrepareExecute(nil); err != nil {
+	if err := s.PrepareExecute(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Find the frame holding the output page and dirty it through the
 	// hardware path (write via port B + dirty bit in the TLB entry).
 	var frame int = -1
-	for f, fr := range m.Frames() {
+	for f, fr := range s.m.Frames() {
 		if fr.Occupied && !fr.Pinned && fr.Obj == 3 {
 			frame = f
 		}
@@ -338,18 +344,18 @@ func TestFinishFlushesDirtyPages(t *testing.T) {
 	if err := board.IMU.SetEntry(frame, e); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Finish(); err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := board.Kern.ReadUser(base, 4)
 	if got[0] != 0xde || got[1] != 0xc0 {
 		t.Fatalf("dirty page not flushed: % x", got)
 	}
-	if m.Count.PagesFlushed != 1 {
-		t.Fatalf("PagesFlushed = %d, want 1", m.Count.PagesFlushed)
+	if s.m.Count.PagesFlushed != 1 {
+		t.Fatalf("PagesFlushed = %d, want 1", s.m.Count.PagesFlushed)
 	}
 	// All frames released and the TLB cleared.
-	for f, fr := range m.Frames() {
+	for f, fr := range s.m.Frames() {
 		if fr.Occupied && !fr.Pinned {
 			t.Fatalf("frame %d still occupied after Finish", f)
 		}

@@ -13,7 +13,7 @@ import (
 // picosecond and every counter.
 func TestBitReproducibility(t *testing.T) {
 	run := func() *repro.Report {
-		rep, err := exp.IdeaVIM(repro.Config{Policy: "random", Seed: 1234}, 16384, 99)
+		rep, err := exp.Run(repro.Config{Policy: "random", Seed: 1234}, "idea", "vim", 16384, 99, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestBitReproducibility(t *testing.T) {
 // TestCounterConsistency cross-checks the bookkeeping of the three layers
 // (IMU hardware counters, VIM counters, report) against each other.
 func TestCounterConsistency(t *testing.T) {
-	rep, err := exp.AdpcmVIM(repro.Config{}, 8192, 7)
+	rep, err := exp.Run(repro.Config{}, "adpcm", "vim", 8192, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestConfigValidation(t *testing.T) {
 
 // TestQuickFacadeRandomSizes is the facade-level randomized sweep: random
 // IDEA sizes and policies must always produce golden ciphertext (checked
-// inside exp.IdeaVIM's caller path via the report being error-free, and
+// inside exp.Run, whose report is error-free only on golden output, and
 // here against the golden model directly).
 func TestQuickFacadeRandomSizes(t *testing.T) {
 	if testing.Short() {

@@ -42,7 +42,7 @@ func softwareSpecs() []softwareSpec {
 		specs = append(specs, softwareSpec{
 			name: fmt.Sprintf("idea-sw/%dKB", n/1024),
 			setUp: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
-				// exp.IdeaSW's set-up.
+				// exp.Run's set-up of an IDEA sw run.
 				in, out, err := alloc2(p, n, n)
 				if err != nil {
 					return nil, out, err
@@ -59,7 +59,7 @@ func softwareSpecs() []softwareSpec {
 				return rep, out, err
 			},
 			expMs: func() (float64, error) {
-				rep, err := exp.IdeaSW(repro.Config{}, n, seed)
+				rep, err := exp.Run(repro.Config{}, "idea", "sw", n, seed, nil)
 				if err != nil {
 					return 0, err
 				}
@@ -72,7 +72,7 @@ func softwareSpecs() []softwareSpec {
 		specs = append(specs, softwareSpec{
 			name: fmt.Sprintf("adpcm-sw/%dKB", n/1024),
 			setUp: func(p *repro.Process) (*repro.Report, repro.Buffer, error) {
-				// exp.AdpcmSW's set-up.
+				// exp.Run's set-up of an ADPCM sw run.
 				in, out, err := alloc2(p, n, 4*n)
 				if err != nil {
 					return nil, out, err
@@ -86,7 +86,7 @@ func softwareSpecs() []softwareSpec {
 				return rep, out, err
 			},
 			expMs: func() (float64, error) {
-				rep, err := exp.AdpcmSW(repro.Config{}, n, seed)
+				rep, err := exp.Run(repro.Config{}, "adpcm", "sw", n, seed, nil)
 				if err != nil {
 					return 0, err
 				}
