@@ -60,6 +60,37 @@ func TestObjectLayout(t *testing.T) {
 	}
 }
 
+// TestStreamsLayout pins IDEA's objects: one input and one output, each
+// one cipher block per item, with the input aliasing the drawn plaintext.
+func TestStreamsLayout(t *testing.T) {
+	a, _ := Get("idea")
+	if len(a.Objects) != 2 {
+		t.Fatalf("objects = %d, want 2", len(a.Objects))
+	}
+	if a.Objects[0].Dir != vim.In || a.Objects[1].Dir != vim.Out {
+		t.Fatal("object directions wrong")
+	}
+	if a.Objects[0].ItemBytes != ref.IDEABlockBytes || a.Objects[1].ItemBytes != ref.IDEABlockBytes {
+		t.Fatal("item size must be one cipher block")
+	}
+	in := make([]byte, a.InBytes(64))
+	if &a.Input(in, 0, 64)[0] != &in[a.Key] {
+		t.Fatal("input object must alias the drawn plaintext")
+	}
+}
+
+// TestADPCMDescriptors pins ADPCM's 1-byte-in, 4-bytes-out items and its
+// item-count parameter.
+func TestADPCMDescriptors(t *testing.T) {
+	a, _ := Get("adpcm")
+	if a.Objects[0].ItemBytes != 1 || a.Objects[1].ItemBytes != 4 {
+		t.Fatal("adpcm item sizes must be 1 byte in, 4 bytes out")
+	}
+	if p := a.Params(make([]byte, 16), 7); len(p) != 1 || p[0] != 7 {
+		t.Fatalf("adpcm params = %v", p)
+	}
+}
+
 // TestParamsShape pins the FPGA_EXECUTE parameters: IDEA passes the block
 // count followed by the packed encryption subkeys, the others the item
 // count alone.
