@@ -62,6 +62,24 @@ func TestNewSystemNoEagerSDRAMZeroing(t *testing.T) {
 	}
 }
 
+// TestNewBoardAllocationBound gates the construction cost of a serving
+// board: its memories build no page table and no page until first
+// written (a board built its 48 KB SDRAM page table and 32 KB DP RAM page
+// eagerly before, ~90 KB/op).
+func TestNewBoardAllocationBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	got := bytesPerOp(t, func() error {
+		_, err := platform.NewBoard(platform.EPXA4())
+		return err
+	})
+	const limit = 16 << 10
+	if got > limit {
+		t.Fatalf("platform.NewBoard(EPXA4) allocates %d B/op, want <= %d", got, limit)
+	}
+}
+
 // measuredOps is how many calls bytesPerOp averages over.
 const measuredOps = 10
 
@@ -96,9 +114,11 @@ func allocMBPerOp(t *testing.T, op func() error) float64 {
 }
 
 // TestServeAllocationBound gates the per-job setup garbage of a serving
-// run: job data is drawn through one reseeded generator and reused scratch,
-// outputs are verified in place, and the board's SDRAM pages are recycled
-// (the SATURATE cell at 2x knee allocated 1.32 MB/op before that).
+// run: job data is drawn once through one reseeded generator and reused
+// scratch, outputs are verified in place against inputs read back from
+// user memory, and the board's SDRAM and DP RAM pages are recycled (the
+// SATURATE cell at 2x knee allocated 1.32 MB/op before that, and ~0.20 MB/op
+// while every board built its page tables eagerly).
 func TestServeAllocationBound(t *testing.T) {
 	jobs, err := exp.SaturateStream(1600)
 	if err != nil {
@@ -108,14 +128,15 @@ func TestServeAllocationBound(t *testing.T) {
 		_, err := rcsched.Serve(rcsched.Config{Policy: "slack", Slots: 2, Admit: rcsched.AdmitReject}, jobs)
 		return err
 	})
-	const limit = 0.35
+	const limit = 0.20
 	if got > limit {
 		t.Fatalf("rcsched.Serve(saturate, slack, reject) allocates %.3f MB/op, want <= %.2f", got, limit)
 	}
 }
 
 // TestFleetAllocationBound gates the same for a four-board affinity fleet,
-// where every board runs its own serving loop (4.03 MB/op before).
+// where every board runs its own serving loop (4.03 MB/op before, and
+// ~0.74 MB/op while every board built its page tables eagerly).
 func TestFleetAllocationBound(t *testing.T) {
 	jobs, err := exp.FleetStream(4, 800)
 	if err != nil {
@@ -125,7 +146,7 @@ func TestFleetAllocationBound(t *testing.T) {
 		_, err := fleet.Run(exp.FleetConfig(fleet.Affinity, 4, rcsched.AdmitOff), jobs)
 		return err
 	})
-	const limit = 1.3
+	const limit = 0.6
 	if got > limit {
 		t.Fatalf("fleet.Run(affinity, 4 boards) allocates %.3f MB/op, want <= %.1f", got, limit)
 	}

@@ -23,8 +23,12 @@ import (
 	"repro/internal/vim"
 )
 
-// MaxObjects bounds the data objects of any bundled application.
-const MaxObjects = 3
+// MaxObjects bounds the data objects of any bundled application, and
+// MaxKey its key bytes.
+const (
+	MaxObjects = 3
+	MaxKey     = 16
+)
 
 // Object is one data object of an application.
 type Object struct {

@@ -27,7 +27,7 @@ func TestObjectLayout(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing from the table", c.app)
 		}
-		if a.Key != c.key || len(a.Objects) != len(c.dirs) || a.Out() != len(c.dirs)-1 {
+		if a.Key != c.key || a.Key > MaxKey || len(a.Objects) != len(c.dirs) || len(a.Objects) > MaxObjects || a.Out() != len(c.dirs)-1 {
 			t.Fatalf("%s: key %d, %d objects, output %d", c.app, a.Key, len(a.Objects), a.Out())
 		}
 		in := make([]byte, a.InBytes(size))

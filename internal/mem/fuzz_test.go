@@ -42,6 +42,19 @@ func FuzzByteStoreSparse(f *testing.F) {
 		7, 0xf8, 0xff, 0x00, 0x00, 4, 0, // read it back
 		7, 0x00, 0x00, 0x02, 0x00, 0x00, 0x02, // word block over an unwritten page
 	})
+	f.Add([]byte{
+		0, 0x0a, 0x00, 0x03, 0x00, 0x77, // first write lands on page 3: the empty table grows to 4
+		2, 0x00, 0x00, 0x00, 0x00, 1, 2, 3, 4, 0x0f, // page 0 below it
+		5, 0xf0, 0xff, 0x01, 0x00, 0x40, 0x00, // block read over unwritten pages 1 and 2
+	})
+	f.Add([]byte{
+		0, 0x00, 0x00, 0x01, 0x00, 0x11, // table grows to 2
+		1, 0x00, 0x00, 0x03, 0x00, // byte read past the table
+		3, 0xfe, 0xff, 0x01, 0x00, // word read straddling the table's end
+		6, 0xfc, 0xff, 0x02, 0x00, 2, 1, 2, 3, 4, 5, 6, 7, 8, // word block straddling page 2/3 grows it to 4
+		7, 0xfc, 0xff, 0x02, 0x00, 2, 0, // read it back
+		4, 0xd0, 0x04, 0x03, 0x00, 2, 0xaa, 0xbb, // block write at the ragged tail
+	})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := NewByteStore(fuzzStoreSize)

@@ -7,18 +7,22 @@
 // parameters the bus and CPU models need to cost accesses.
 //
 // Storage is sparse: a ByteStore is backed by fixed-size pages that are
-// materialised on first write, and unwritten pages read as zero. Building a
-// board model with 256 MB of SDRAM therefore costs a small page table, not a
-// 256 MB memset — experiment harnesses construct (and discard) whole systems
-// per run, and the eager zeroing used to dominate their profiles.
+// materialised on first write, and unwritten pages read as zero. Its page
+// table is built on first write too, and only up to the highest page
+// written. Building a board model with 256 MB of SDRAM and a 32 KB dual-port
+// RAM therefore costs two store headers, not a 256 MB memset or a 48 KB
+// page table — experiment harnesses construct (and discard) whole systems
+// per run, and the eager set-up used to dominate their profiles.
 //
-// A store whose owner opts in with ByteStore.Recycle takes its full 64 KB
-// backing pages from a bounded package-level pool, and ByteStore.Release
-// hands them back. A recycled page is zeroed when it is taken, so it reads
-// exactly like a fresh one. Only the store's owner may release it, once it
-// has made its last access: a serving loop recycles its board's SDRAM and
-// releases it when the run returns. Any other store allocates its pages
-// and leaves them to the garbage collector.
+// A store whose owner opts in with ByteStore.Recycle takes its backing
+// pages from a bounded package-level pool of 64 KB pages — a store smaller
+// than one page takes a pooled page sliced to its size — and
+// ByteStore.Release hands them back. A recycled page is zeroed when it is
+// taken, so it reads exactly like a fresh one. Only the store's owner may
+// release it, once it has made its last access: a serving loop recycles its
+// board's SDRAM and dual-port RAM and releases both when the run returns.
+// Any other store allocates its pages and leaves them to the garbage
+// collector.
 package mem
 
 import (
@@ -46,28 +50,19 @@ const (
 //
 // The address space is backed by lazily-allocated pages: reads of a page
 // that was never written return zero without allocating, and the first
-// write to a page materialises it. Stores no larger than one backing page
-// (the dual-port RAMs, register files) are materialised eagerly, with a
-// single page of exactly the store's size.
+// write to a page materialises it, growing the page table up to that page.
+// A page is pageBytes long, or the store's size for a store smaller than
+// one page.
 type ByteStore struct {
 	size   int
-	pages  [][]byte
-	pooled bool // full pages come from the pool (see Recycle)
+	pages  [][]byte // nil until the first write; no longer than the highest page written
+	pooled bool     // pages come from the pool (see Recycle)
 }
 
-// NewByteStore allocates a zeroed store of the given size.
+// NewByteStore returns a zeroed store of the given size. It allocates
+// nothing but the store itself.
 func NewByteStore(size int) *ByteStore {
-	if size < 0 {
-		size = 0
-	}
-	n := (size + pageBytes - 1) >> pageShift
-	s := &ByteStore{size: size, pages: make([][]byte, n)}
-	if n == 1 {
-		// Small store: skip the lazy machinery, the single page costs
-		// one allocation of the store's size.
-		s.pages[0] = s.newPage()
-	}
-	return s
+	return &ByteStore{size: max(size, 0)}
 }
 
 // maxPooledPages bounds the page pool (4 MB); pages released beyond it are
@@ -82,50 +77,48 @@ var pagePool struct {
 	free []*[pageBytes]byte
 }
 
-// newPage returns a zeroed backing page: exactly the store's size for a
-// store smaller than one page, else a full page, taken from the pool when
-// the store recycles and the pool has one.
+// newPage returns a zeroed backing page of min(size, pageBytes) bytes,
+// taken from the pool when the store recycles and the pool has one.
 func (s *ByteStore) newPage() []byte {
-	if s.size < pageBytes {
-		return make([]byte, s.size)
-	}
+	n := min(s.size, pageBytes)
 	if !s.pooled {
-		return make([]byte, pageBytes)
+		return make([]byte, n)
 	}
 	var p *[pageBytes]byte
 	pagePool.Lock()
-	if n := len(pagePool.free); n > 0 {
-		p = pagePool.free[n-1]
-		pagePool.free = pagePool.free[:n-1]
+	if k := len(pagePool.free); k > 0 {
+		p = pagePool.free[k-1]
+		pagePool.free = pagePool.free[:k-1]
 	}
 	pagePool.Unlock()
 	if p == nil {
-		return make([]byte, pageBytes)
+		return make([]byte, n, pageBytes)
 	}
-	clear(p[:])
-	return p[:]
+	clear(p[:n])
+	return p[:n]
 }
 
-// Recycle makes the store take its full backing pages from the pool. Its
-// owner pairs it with Release, so the pool's takers are exactly the stores
-// that hand pages back, and a store that never recycles allocates the same
-// fresh pages whatever ran before it.
+// Recycle makes the store take its backing pages from the pool. Its owner
+// pairs it with Release, so the pool's takers are exactly the stores that
+// hand pages back, and a store that never recycles allocates the same fresh
+// pages whatever ran before it.
 func (s *ByteStore) Recycle() { s.pooled = true }
 
-// Release returns the store's full backing pages to the pool and leaves
-// the store empty but usable: it reads as zero and re-materialises pages on
-// the next write. Only the store's owner may call it, once the contents
-// are no longer needed; slices returned by ReadBytes are copies and stay
-// valid.
+// Release returns every backing page with a 64 KB capacity to the pool and
+// leaves the store empty but usable: it reads as zero and re-materialises
+// pages on the next write. Only the store's owner may call it, once the
+// contents are no longer needed; slices returned by ReadBytes are copies
+// and stay valid.
 func (s *ByteStore) Release() {
 	pagePool.Lock()
 	defer pagePool.Unlock()
-	for i, p := range s.pages {
-		if len(p) == pageBytes && len(pagePool.free) < maxPooledPages {
-			pagePool.free = append(pagePool.free, (*[pageBytes]byte)(p))
+	for _, p := range s.pages {
+		if cap(p) == pageBytes && len(pagePool.free) < maxPooledPages {
+			pagePool.free = append(pagePool.free, (*[pageBytes]byte)(p[:pageBytes]))
 		}
-		s.pages[i] = nil
 	}
+	clear(s.pages)
+	s.pages = s.pages[:0]
 }
 
 // Size returns the store capacity in bytes.
@@ -149,9 +142,21 @@ func (s *ByteStore) MaterializedBytes() int {
 	return n
 }
 
-// page materialises and returns the backing page containing addr.
+// at returns backing page i, or nil when it was never written.
+func (s *ByteStore) at(i uint32) []byte {
+	if int(i) < len(s.pages) {
+		return s.pages[i]
+	}
+	return nil
+}
+
+// page materialises and returns the backing page containing addr, growing
+// the page table up to it.
 func (s *ByteStore) page(addr uint32) []byte {
-	i := addr >> pageShift
+	i := int(addr >> pageShift)
+	if i >= len(s.pages) {
+		s.pages = append(s.pages, make([][]byte, i+1-len(s.pages))...)
+	}
 	p := s.pages[i]
 	if p == nil {
 		p = s.newPage()
@@ -165,7 +170,7 @@ func (s *ByteStore) Byte(addr uint32) (byte, error) {
 	if !s.InRange(addr, 1) {
 		return 0, fmt.Errorf("%w: byte read at %#x (size %#x)", ErrOutOfRange, addr, s.size)
 	}
-	p := s.pages[addr>>pageShift]
+	p := s.at(addr >> pageShift)
 	if p == nil {
 		return 0, nil
 	}
@@ -189,7 +194,7 @@ func (s *ByteStore) Read32(addr uint32) (uint32, error) {
 	}
 	off := addr & pageMask
 	if off <= pageBytes-4 {
-		p := s.pages[addr>>pageShift]
+		p := s.at(addr >> pageShift)
 		if p == nil {
 			return 0, nil
 		}
@@ -252,7 +257,7 @@ func (s *ByteStore) ReadWords(addr uint32, dst []uint32) error {
 		}
 		return nil
 	}
-	p := s.pages[addr>>pageShift]
+	p := s.at(addr >> pageShift)
 	if p == nil {
 		clear(dst)
 		return nil
@@ -307,7 +312,7 @@ func (s *ByteStore) ReadInto(addr uint32, dst []byte) error {
 		a := addr + uint32(done)
 		off := int(a & pageMask)
 		chunk := min(pageBytes-off, n-done)
-		if p := s.pages[a>>pageShift]; p != nil {
+		if p := s.at(a >> pageShift); p != nil {
 			copy(dst[done:done+chunk], p[off:])
 		} else {
 			clear(dst[done : done+chunk])
@@ -347,7 +352,7 @@ func (s *ByteStore) Mismatch(addr uint32, p []byte) (int, error) {
 		off := int(a & pageMask)
 		chunk := min(pageBytes-off, len(p)-done)
 		want := p[done : done+chunk]
-		if pg := s.pages[a>>pageShift]; pg != nil {
+		if pg := s.at(a >> pageShift); pg != nil {
 			got := pg[off : off+chunk]
 			if !bytes.Equal(got, want) {
 				for i := range want {

@@ -216,14 +216,129 @@ func TestReleasedPageReadsZeroInAnotherStore(t *testing.T) {
 	}
 }
 
+// pooled returns the number of pages waiting in the pool.
+func pooled() int {
+	pagePool.Lock()
+	defer pagePool.Unlock()
+	return len(pagePool.free)
+}
+
 func TestNonRecyclingStoreAllocatesFresh(t *testing.T) {
 	a := NewByteStore(pageBytes)
+	a.Recycle()
 	dirty(t, a)
-	p := &a.pages[0][0]
 	a.Release()
+	free := pooled()
+	if free == 0 {
+		t.Fatal("Release pooled nothing")
+	}
 	b := NewByteStore(pageBytes)
-	if &b.pages[0][0] == p {
-		t.Fatal("a store that never called Recycle took a pooled page")
+	dirty(t, b)
+	if got := pooled(); got != free {
+		t.Fatalf("a store that never called Recycle took a pooled page: pool %d -> %d", free, got)
+	}
+	if v, _ := b.Read32(4); v != 0 {
+		t.Fatalf("fresh page reads %#x at an unwritten word", v)
+	}
+}
+
+// TestFreshStoreAllocatesOnlyHeader checks that building even an
+// SDRAM-sized store allocates the store itself and no page table.
+func TestFreshStoreAllocatesOnlyHeader(t *testing.T) {
+	var s *ByteStore
+	if allocs := testing.AllocsPerRun(10, func() { s = NewByteStore(128 << 20) }); allocs != 1 {
+		t.Fatalf("NewByteStore(128 MB) allocates %.0f times, want 1 (the header)", allocs)
+	}
+	if s.pages != nil || s.MaterializedBytes() != 0 {
+		t.Fatalf("fresh store holds a %d-entry page table, %d bytes", len(s.pages), s.MaterializedBytes())
+	}
+}
+
+// TestPageTableGrowsToHighestWrite checks that the page table grows only
+// on a write, up to the page written, and that reads past its end return
+// zero without growing it.
+func TestPageTableGrowsToHighestWrite(t *testing.T) {
+	const size = 128 << 20
+	s := NewByteStore(size)
+	if err := s.SetByte(100, 0x11); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.pages) != 1 {
+		t.Fatalf("a write to page 0 grew the table to %d entries, want 1", len(s.pages))
+	}
+	for _, addr := range []uint32{pageBytes, size / 2, size - 4} {
+		if v, err := s.Read32(addr); err != nil || v != 0 {
+			t.Fatalf("Read32(%#x) past the table = %#x, %v; want 0, nil", addr, v, err)
+		}
+	}
+	dst := bytes.Repeat([]byte{0xee}, 64)
+	if err := s.ReadInto(size-64, dst); err != nil || !bytes.Equal(dst, make([]byte, 64)) {
+		t.Fatalf("ReadInto past the table = %x, %v; want zeros", dst, err)
+	}
+	if i, err := s.Mismatch(size-64, make([]byte, 64)); err != nil || i != -1 {
+		t.Fatalf("Mismatch past the table = %d, %v; want -1", i, err)
+	}
+	if len(s.pages) != 1 {
+		t.Fatalf("reads grew the table to %d entries, want 1", len(s.pages))
+	}
+	if err := s.SetByte(size-1, 0xab); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.pages) != size/pageBytes {
+		t.Fatalf("a write at the last byte grew the table to %d entries, want %d", len(s.pages), size/pageBytes)
+	}
+	for addr, want := range map[uint32]byte{100: 0x11, size - 1: 0xab, size - 2: 0} {
+		if b, err := s.Byte(addr); err != nil || b != want {
+			t.Fatalf("Byte(%#x) = %#x, %v; want %#x", addr, b, err, want)
+		}
+	}
+	if got := s.MaterializedBytes(); got != 2*pageBytes {
+		t.Fatalf("two writes materialised %d bytes, want %d", got, 2*pageBytes)
+	}
+}
+
+// TestRecycledSmallStore checks that a recycling store smaller than one
+// page takes a dirty pooled page sliced to its size, reads zero, and gives
+// the page back on Release.
+func TestRecycledSmallStore(t *testing.T) {
+	const size = 32 * 1024
+	a := NewByteStore(pageBytes)
+	a.Recycle()
+	dirty(t, a)
+	page := &a.pages[0][0]
+	a.Release()
+
+	s := NewByteStore(size)
+	s.Recycle()
+	if err := s.Write32(size-4, 0x01020304, 0xf); err != nil {
+		t.Fatal(err)
+	}
+	if &s.pages[0][0] != page {
+		t.Fatal("the recycling 32 KB store did not take the released page")
+	}
+	if got := s.MaterializedBytes(); got != size {
+		t.Fatalf("materialised %d bytes, want exactly %d", got, size)
+	}
+	got, err := s.ReadBytes(0, size-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("a store built from a dirty pooled page reads non-zero bytes")
+	}
+	if err := s.Write32(size-3, 0, 0xf); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("Write32 past the 32 KB store err = %v, want ErrOutOfRange", err)
+	}
+	free := pooled()
+	s.Release()
+	if pooled() != free+1 {
+		t.Fatalf("Release did not return the sliced page: pool %d -> %d", free, pooled())
+	}
+	pagePool.Lock()
+	back := &pagePool.free[len(pagePool.free)-1][0]
+	pagePool.Unlock()
+	if back != page {
+		t.Fatal("Release pooled a different page than the store held")
 	}
 }
 
@@ -338,11 +453,14 @@ func TestReadInto(t *testing.T) {
 func TestSinglePageStoreExactSize(t *testing.T) {
 	const size = 16 * 1024
 	s := NewByteStore(size)
-	if got := s.MaterializedBytes(); got != size {
-		t.Fatalf("16 KB store materialised %d bytes, want exactly %d", got, size)
+	if got := s.MaterializedBytes(); got != 0 {
+		t.Fatalf("fresh 16 KB store materialised %d bytes, want 0", got)
 	}
 	if err := s.Write32(size-4, 0xcafef00d, 0xf); err != nil {
 		t.Fatalf("Write32 at the last word: %v", err)
+	}
+	if got := s.MaterializedBytes(); got != size {
+		t.Fatalf("written 16 KB store materialised %d bytes, want exactly %d", got, size)
 	}
 	for _, addr := range []uint32{size - 3, size} {
 		if err := s.Write32(addr, 1, 0xf); !errors.Is(err, ErrOutOfRange) {

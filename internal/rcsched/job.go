@@ -2,10 +2,12 @@ package rcsched
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 
 	"repro/internal/apps"
+	"repro/internal/kernel"
 )
 
 // Job is one unit of the multi-user stream: a user asking for application
@@ -77,20 +79,27 @@ func ValidateJobs(jobs []Job) error {
 }
 
 // prepared is a job's materialised process image: the user address of
-// each of its application's objects, in table order, and its launch
-// parameters. The expected output is not kept: finishJob regenerates it
-// from the job's seed.
+// each of its application's objects, in table order, its launch
+// parameters, the key bytes of its drawn input (which live in no object)
+// and a CRC-32C of the whole drawn input. The expected output is not kept:
+// finishJob recomputes it from the input objects read back from user
+// memory, checked against crc.
 type prepared struct {
 	base   [apps.MaxObjects]uint32
 	params []uint32
+	key    [apps.MaxKey]byte
+	crc    uint32
 }
+
+// castagnoli is the CRC-32C table prepared.crc is taken with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // workspace is one Serve loop's job-data scratch: a single generator,
 // reseeded per job (Rand.Seed restarts exactly the stream
 // rand.New(rand.NewSource(seed)) would draw), plus reused input and
-// golden-output buffers. A job's inputs are drawn once to build its
-// process image and again at completion to regenerate its expected output,
-// so no per-job buffer outlives its use.
+// golden-output buffers. A job's inputs are drawn once, to build its
+// process image; at completion they are read back from user memory, so no
+// per-job buffer outlives its use.
 type workspace struct {
 	rng      *rand.Rand
 	in, want []byte
@@ -100,20 +109,45 @@ func newWorkspace() *workspace {
 	return &workspace{rng: rand.New(rand.NewSource(0))}
 }
 
-// inputs draws job j's input bytes for app a from the job's seed.
-func (w *workspace) inputs(a *apps.Image, j *Job) []byte {
+// place draws job j's input bytes for app a from the job's seed and
+// builds its process image in k's user memory (untimed, like the
+// single-run experiments: the data already exists in user space),
+// recording it in p.
+func (w *workspace) place(k *kernel.Kernel, a *apps.Image, j *Job, p *prepared) error {
 	w.rng.Seed(j.Seed)
 	w.in = resize(w.in, a.InBytes(j.Size))
-	w.rng.Read(w.in)
-	return w.in
+	in := w.in
+	w.rng.Read(in)
+	if err := a.Place(k, j.Size, in, p.base[:]); err != nil {
+		return err
+	}
+	p.params = a.Params(in, a.Items(j.Size))
+	copy(p.key[:], in[:a.Key])
+	p.crc = crc32.Checksum(in, castagnoli)
+	return nil
 }
 
-// golden regenerates job j's inputs and returns its expected output.
-func (w *workspace) golden(a *apps.Image, j *Job) []byte {
-	in := w.inputs(a, j)
+// golden reads job j's input objects back from k's user memory (untimed,
+// like place) behind the key bytes kept in p, checks the reassembled input
+// against the CRC taken at placement, and returns the expected output.
+func (w *workspace) golden(k *kernel.Kernel, a *apps.Image, j *Job, p *prepared) ([]byte, error) {
+	w.in = resize(w.in, a.InBytes(j.Size))
+	copy(w.in, p.key[:a.Key])
+	st := k.CPU.SDRAM.Store()
+	for i := range a.Objects {
+		if obj := a.Input(w.in, i, j.Size); obj != nil {
+			if err := st.ReadInto(p.base[i], obj); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if crc32.Checksum(w.in, castagnoli) != p.crc {
+		return nil, fmt.Errorf("rcsched: job %d (%s, %d B) input objects changed in user memory since placement",
+			j.ID, j.App, j.Size)
+	}
 	w.want = resize(w.want, a.Bytes(a.Out(), j.Size))
-	a.Golden(in, w.want)
-	return w.want
+	a.Golden(w.in, w.want)
+	return w.want, nil
 }
 
 // resize returns b with length n, reallocating only when it must grow.

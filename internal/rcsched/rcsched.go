@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/imu"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -282,12 +283,13 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Serve owns the board and nothing reads its SDRAM after returning, so
-	// the job-data pages come from the shared pool and go back to it on
-	// every return path.
-	sdram := board.SDRAM.Store()
-	sdram.Recycle()
-	defer sdram.Release()
+	// Serve owns the board and nothing reads its memories after returning,
+	// so the SDRAM's job-data pages and the DP RAM's page come from the
+	// shared pool and go back to it on every return path.
+	for _, st := range []*mem.ByteStore{board.SDRAM.Store(), board.DP.Store()} {
+		st.Recycle()
+		defer st.Release()
+	}
 	pool := board.DP.Pages()
 	// Each session's home partition is an even share of the page pool.
 	frames := pool / cfg.Slots
@@ -316,8 +318,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		return order[i].ID < order[j].ID
 	})
 
-	// Materialise every job's process image up front (untimed, like the
-	// single-run experiments: the data already exists in user space).
+	// Materialise every job's process image up front.
 	ws := newWorkspace()
 	preps := make([]prepared, len(order))
 	for i := range order {
@@ -327,11 +328,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			return nil, fmt.Errorf("rcsched: job %d: unknown application %q", j.ID, j.App)
 		}
 		j.coreName = a.Core
-		in := ws.inputs(a, j)
-		if err := a.Place(board.Kern, j.Size, in, preps[i].base[:]); err != nil {
+		if err := ws.place(board.Kern, a, j, &preps[i]); err != nil {
 			return nil, fmt.Errorf("rcsched: job %d: %w", j.ID, err)
 		}
-		preps[i].params = a.Params(in, a.Items(j.Size))
 	}
 
 	periodPs := dom.PeriodPs()
@@ -860,10 +859,14 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 }
 
 // finishJob verifies a completed job's output in place against the golden
-// algorithm, regenerated from the job's seed into ws, and records its
-// metrics.
+// algorithm, computed into ws from the job's input objects as user memory
+// holds them (checked intact first), and records its metrics.
 func finishJob(rep *Report, k *kernel.Kernel, ws *workspace, a *apps.Image, job *Job, p *prepared, sr *slotRun, mb *core.Member, idx int) error {
-	i, err := k.MismatchUser(p.base[a.Out()], ws.golden(a, job))
+	want, err := ws.golden(k, a, job, p)
+	if err != nil {
+		return err
+	}
+	i, err := k.MismatchUser(p.base[a.Out()], want)
 	if err != nil {
 		return err
 	}

@@ -53,9 +53,11 @@ func oracleOutput(t *testing.T, j Job) []byte {
 }
 
 // TestFinishJobVerificationStrength pins the end-of-job check: the golden
-// output regenerated from a job's seed matches the public reference
-// functions, finishJob accepts exactly that output, and a single flipped
-// byte anywhere in it is reported at its index.
+// output computed from the input objects read back from user memory
+// matches the public reference functions on the job's seed, finishJob
+// accepts exactly that output, a single flipped byte anywhere in it is
+// reported at its index, and a single flipped byte in any input object
+// fails the job before its output is judged.
 func TestFinishJobVerificationStrength(t *testing.T) {
 	spec, _ := platform.SpecByName("EPXA4")
 	for _, app := range []string{"idea", "adpcm", "vecadd"} {
@@ -73,16 +75,27 @@ func TestFinishJobVerificationStrength(t *testing.T) {
 			ws := newWorkspace()
 			// Leave the shared generator mid-stream on another job first:
 			// reseeding must restart the job's stream from scratch.
-			ws.inputs(a, &Job{App: app, Size: 1000, Seed: 1})
+			if err := ws.place(board.Kern, a, &Job{App: app, Size: 1000, Seed: 1}, &prepared{}); err != nil {
+				t.Fatal(err)
+			}
 
 			job := Job{ID: 5, App: app, Size: 2048, Seed: 4242}
 			p := &prepared{}
-			if err := a.Place(board.Kern, job.Size, ws.inputs(a, &job), p.base[:]); err != nil {
+			if err := ws.place(board.Kern, a, &job, p); err != nil {
+				t.Fatal(err)
+			}
+			// Draw another job's inputs over the scratch buffer: the golden
+			// output must come from user memory, not from what ws holds.
+			if err := ws.place(board.Kern, a, &Job{App: app, Size: 2048, Seed: 2}, &prepared{}); err != nil {
 				t.Fatal(err)
 			}
 			want := oracleOutput(t, job)
-			if got := ws.golden(a, &job); !bytes.Equal(got, want) {
-				t.Fatalf("regenerated golden output (%d B) differs from the reference functions (%d B)", len(got), len(want))
+			got, err := ws.golden(board.Kern, a, &job, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("golden output read back from user memory (%d B) differs from the reference functions (%d B)", len(got), len(want))
 			}
 			out := p.base[a.Out()]
 			if err := board.Kern.WriteUser(out, want); err != nil {
@@ -106,18 +119,38 @@ func TestFinishJobVerificationStrength(t *testing.T) {
 			}
 
 			store := board.SDRAM.Store()
+			// flip xors one byte at addr, runs finishJob, checks that its
+			// error names the job and contains msg, and restores the byte.
+			flip := func(addr uint32, what, msg string) {
+				t.Helper()
+				b, err := store.Byte(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.SetByte(addr, b^0x5a); err != nil {
+					t.Fatal(err)
+				}
+				err = finish()
+				if err == nil || !strings.Contains(err.Error(), "job 5 ") || !strings.Contains(err.Error(), msg) {
+					t.Fatalf("%s flipped: finishJob err = %v, want one naming job 5 and %q", what, err, msg)
+				}
+				if err := store.SetByte(addr, b); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, n := range []int{0, len(want) / 2, len(want) - 1} {
-				addr := out + uint32(n)
-				if err := store.SetByte(addr, want[n]^0x5a); err != nil {
-					t.Fatal(err)
+				flip(out+uint32(n), fmt.Sprintf("output byte %d", n), fmt.Sprintf("diverges from the golden algorithm at byte %d", n))
+			}
+			for i := range a.Objects {
+				if a.Objects[i].Dir == vim.Out {
+					continue
 				}
-				err := finish()
-				if msg := fmt.Sprintf("diverges from the golden algorithm at byte %d", n); err == nil || !strings.Contains(err.Error(), msg) {
-					t.Fatalf("byte %d flipped: finishJob err = %v, want %q", n, err, msg)
+				for _, n := range []int{0, a.Bytes(i, job.Size) - 1} {
+					flip(p.base[i]+uint32(n), fmt.Sprintf("input object %d byte %d", i, n), "input objects changed in user memory")
 				}
-				if err := store.SetByte(addr, want[n]); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := finish(); err != nil {
+				t.Fatalf("restored memory rejected: %v", err)
 			}
 		})
 	}
