@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/mem"
@@ -149,5 +150,38 @@ func TestFleetAllocationBound(t *testing.T) {
 	const limit = 0.6
 	if got > limit {
 		t.Fatalf("fleet.Run(affinity, 4 boards) allocates %.3f MB/op, want <= %.1f", got, limit)
+	}
+}
+
+// TestSingleRunAllocationBound gates the host allocations of one VIM cell
+// through exp.Run on the EPXA1: a fresh system, its process, FPGA_LOAD,
+// the object mappings, one FPGA_EXECUTE and the golden check. The bounds
+// are the counts measured when a single session still had its own execute
+// loop beside the gang's. AllocsPerRun truncates the mean, so it averages
+// over 10 calls: over 3, a few stray runtime allocations read as one more.
+func TestSingleRunAllocationBound(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation gate: skipped in -short mode and distorted by -race")
+	}
+	for _, c := range []struct {
+		app   string
+		size  int
+		limit float64
+	}{
+		{"idea", 32 << 10, 91},
+		{"adpcm", 8 << 10, 86},
+		{"vecadd", 64 << 10, 94},
+	} {
+		run := func() (*core.Report, error) {
+			return exp.Run(repro.Config{Board: "EPXA1"}, c.app, "vim", c.size, 4242, nil)
+		}
+		if _, err := run(); err != nil {
+			t.Fatalf("%s: %v", c.app, err)
+		}
+		got := testing.AllocsPerRun(10, func() { run() })
+		if got > c.limit {
+			t.Errorf("exp.Run(%s %d KB, vim, EPXA1) allocates %.0f objects/op, want <= %.0f",
+				c.app, c.size>>10, got, c.limit)
+		}
 	}
 }
