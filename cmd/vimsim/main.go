@@ -327,9 +327,9 @@ func runMulti(board, arb string, split, size int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mode        multi-session (concurrent %s)\n", rep.Report().App)
+	fmt.Printf("mode        multi-session (concurrent %s)\n", rep.App)
 	fmt.Printf("board       %s\n", rep.Board)
-	fmt.Printf("arbitration %s\n", rep.Arb)
+	fmt.Printf("arbitration %s\n", rep.Policy)
 	fmt.Printf("imu         %s\n", rep.IMUMode)
 	fmt.Printf("total       %.3f ms\n", rep.TotalMs())
 	fmt.Printf("  HW        %.3f ms\n", rep.HWPs/1e9)

@@ -131,11 +131,7 @@ func (c goldenCellSpec) run() (*core.Report, error) {
 			return nil, fmt.Errorf("unknown board %q", c.board)
 		}
 		frames := spec.DPBytes >> spec.PageLog
-		rep, err := exp.SessionsGang(c.board, c.policy, frames/2, 16384, 8192, 4242)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Report(), nil
+		return exp.SessionsGang(c.board, c.policy, frames/2, 16384, 8192, 4242)
 	default:
 		return nil, fmt.Errorf("unknown workload %q", c.workload)
 	}

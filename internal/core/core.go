@@ -1,41 +1,40 @@
 // Package core binds the pieces of the virtualisation layer — the platform
 // board, the kernel model, the Virtual Interface Manager and the loaded
-// coprocessor — into a Session that executes the paper's three OS services
-// (FPGA_LOAD, FPGA_MAP_OBJECT, FPGA_EXECUTE) on a single coherent timeline.
+// coprocessors — into the paper's three OS services (FPGA_LOAD,
+// FPGA_MAP_OBJECT, FPGA_EXECUTE) on a single coherent timeline.
 //
 // The timeline alternates exactly as on the real system: hardware segments
 // are cycle-simulated until the IMU raises an interrupt (fault or
-// completion); the coprocessor is then stalled while the timed software
+// completion); the coprocessors are then stalled while the timed software
 // model services the event; simulation resumes afterwards. Each segment
 // lands in the paper's measurement buckets (HW, SW dual-port management,
 // SW IMU management, plus residual OS overhead).
 //
-// Beyond the paper's single-tenant shape, a Gang (multi.go) runs several
-// loaded coprocessors concurrently behind one multi-session manager, in the
-// slots of a reconfigurable shell (platform.ShellHW) whose cores run at the
-// shell clock or a divisor of it: every member owns a slot, a VIM session
-// and the slot's IMU channel, faults and completions are serviced per
-// channel from one interruptible sleep, and the MultiReport splits the
-// shared timeline into per-session shares. The rcsched serving layer drives
-// the same gang under a job stream.
+// A Gang (multi.go) runs loaded coprocessors in the slots of a
+// reconfigurable shell (platform.ShellHW) whose cores run at the shell
+// clock or a divisor of it, behind one multi-session manager: every member
+// owns a slot, a VIM session and the slot's IMU channel, and faults and
+// completions are serviced per channel from one interruptible sleep, the
+// one FPGA_EXECUTE loop (Gang.ExecuteAll). A Session, the paper's single
+// tenant, is a one-member gang whose member spans the whole page pool; the
+// rcsched serving layer drives the same gang under a job stream. Every
+// execution is described by one Report, which splits the shared timeline
+// into per-member shares.
 package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/bitstream"
 	"repro/internal/imu"
-	"repro/internal/kernel"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/vim"
 )
 
 // Errors returned by Session operations.
 var (
-	ErrNoBitstream = errors.New("core: FPGA_EXECUTE before FPGA_LOAD")
+	ErrNoBitstream = errors.New("core: no coprocessor loaded (FPGA_LOAD first)")
 	ErrBusy        = errors.New("core: PLD already configured by another session")
 	ErrBudget      = errors.New("core: execution exceeded the simulation budget")
 )
@@ -47,45 +46,37 @@ const DefaultBudget = int64(200_000_000)
 // bit-stream load time.
 const ConfigClockHz = 10_000_000
 
-// Session executes applications through the virtual interface.
+// Session executes one application through the virtual interface: a
+// one-slot gang, built by Load, whose only member is the paper's original
+// module on IMU channel 0 spanning the whole page pool.
 type Session struct {
 	Board *platform.Board
-	Proc  *kernel.Process
-	VIM   *vim.Manager
-	HW    *platform.ShellHW // a one-slot shell while loaded
+	HW    *platform.ShellHW // the gang's one-slot shell while loaded, else nil
 
-	// vs is the manager's only session: the paper's original module, on
-	// IMU channel 0, spanning the whole page pool.
-	vs *vim.Session
-
-	header   bitstream.Header
-	loaded   bool
+	cfg      vim.Config
 	configPs float64
+
+	// The gang, its member and its roster live in the session, so a load
+	// and an execution allocate no more than the manager and shell need.
+	gang   Gang
+	member Member
+	roster [1]*Member
 }
 
-// NewSession creates a session for proc on board with the given VIM
+// NewSession creates an unloaded session on board with the given VIM
 // configuration.
-func NewSession(board *platform.Board, proc *kernel.Process, vimCfg vim.Config) (*Session, error) {
-	m, err := vim.NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
-		board.DP.PageSize(), vim.StaticPartition)
-	if err != nil {
-		return nil, err
-	}
-	vs, err := m.Attach(vimCfg, board.DP.Pages(), 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{Board: board, Proc: proc, VIM: m, vs: vs}, nil
+func NewSession(board *platform.Board, vimCfg vim.Config) *Session {
+	return &Session{Board: board, cfg: vimCfg}
 }
 
 // Load implements FPGA_LOAD: it validates the bit-stream, instantiates the
-// registered coprocessor model ("configures the PLD"), assembles a one-slot
-// shell at the bitstream's IMU clock with the core loaded at its core
-// clock, and accounts the configuration time. A core clock that is not a
-// divisor of the IMU clock is an error. The PLD is held exclusively by this
-// session until Unload.
+// registered coprocessor model ("configures the PLD"), builds a one-slot
+// gang at the bitstream's IMU clock whose member, loaded at its core clock,
+// owns every page frame, and accounts the configuration time. A core clock
+// that is not a divisor of the IMU clock is an error. The PLD is held
+// exclusively by this session until Unload.
 func (s *Session) Load(img []byte) error {
-	if s.loaded {
+	if s.HW != nil {
 		return ErrBusy
 	}
 	s.Board.Kern.ChargeSyscall()
@@ -93,11 +84,10 @@ func (s *Session) Load(img []byte) error {
 	if err != nil {
 		return err
 	}
-	hw, err := s.Board.AssembleShell(h.IMUClock, 1)
-	if err != nil {
+	if err := s.gang.init(s.Board, vim.StaticPartition, h.IMUClock, s.roster[:]); err != nil {
 		return err
 	}
-	if err := hw.LoadSlot(s.Board, 0, cp, h.CoreClock); err != nil {
+	if err := s.gang.attach(&s.member, 0, h, cp, s.Board.DP.Pages(), s.cfg, h.CoreClock); err != nil {
 		return err
 	}
 	// Configuration time: flash readout plus shifting the image into the
@@ -112,26 +102,35 @@ func (s *Session) Load(img []byte) error {
 	}
 	s.configPs = float64(flashCycles)*1e12/float64(s.Board.Spec.CPUHz) +
 		float64(bitstream.ConfigCycles(img))*1e12/float64(ConfigClockHz)
-	s.header = h
-	s.HW = hw
-	s.loaded = true
+	s.HW = s.gang.Shell
 	return nil
 }
 
-// Unload releases the PLD.
+// Unload releases the PLD and detaches the member, so a later Load starts
+// from a fresh VIM session.
 func (s *Session) Unload() {
-	s.loaded = false
+	if s.HW == nil {
+		return
+	}
+	// Cannot fail: Load seated the member in slot 0 and only Unload
+	// detaches it.
+	_ = s.gang.DetachMember(&s.member)
 	s.HW = nil
-	s.vs.UnmapAll()
 }
 
-// MapObject implements FPGA_MAP_OBJECT.
+// MapObject implements FPGA_MAP_OBJECT on the loaded coprocessor's session.
 func (s *Session) MapObject(id uint8, base, size uint32, dir vim.Direction) error {
+	if s.HW == nil {
+		return ErrNoBitstream
+	}
 	s.Board.Kern.ChargeSyscall()
-	return s.vs.MapObject(id, base, size, dir)
+	return s.member.Sess.MapObject(id, base, size, dir)
 }
 
-// Report aggregates one execution's measurements.
+// Report aggregates one execution's measurements: a single session's, a
+// gang's or a software run's. For a gang, App joins the members' names
+// with "+" and Policy is the arbitration; for a session they are the core
+// and its replacement policy.
 type Report struct {
 	App     string
 	Board   string
@@ -150,14 +149,17 @@ type Report struct {
 	// ConfigPs is the FPGA_LOAD configuration time (not part of TotalPs).
 	ConfigPs float64
 
-	VIM  vim.Counters
-	IMU  imu.Counters
-	HWCy int64 // IMU-domain cycles consumed
+	VIM  vim.Counters // aggregate across sessions
+	IMU  imu.Counters // aggregate across channels
+	HWCy int64        // IMU-domain cycles consumed
 
 	// Sim is the engine's scheduling tallies over the run: how many edges
 	// the host delivered and skipped. It measures the simulator, not the
 	// simulated system, so it differs between schedulers.
 	Sim sim.Stats
+
+	// Sessions is each member's share of the run, in slot order.
+	Sessions []SessionReport
 }
 
 // TotalPs is the end-to-end execution time of the run.
@@ -174,93 +176,21 @@ func (r *Report) TotalMs() float64 { return r.TotalPs() / 1e9 }
 // SWPs is the total operating-system time of the run.
 func (r *Report) SWPs() float64 { return r.SWDPPs + r.SWIMUPs + r.SWOSPs }
 
-// Execute implements FPGA_EXECUTE: initial mapping and parameter passing,
-// coprocessor start, interruptible sleep with fault service, and end-of-
-// operation flush. It returns the measured report.
+// Execute implements FPGA_EXECUTE: the gang's one execute loop run for
+// the session's member with params as its scalar parameters. It returns
+// the measured report.
 func (s *Session) Execute(params ...uint32) (*Report, error) {
-	if !s.loaded {
+	if s.HW == nil {
 		return nil, ErrNoBitstream
 	}
-	k := s.Board.Kern
-	tl := k.TL
-	tl.Reset()
-	s.VIM.ResetCounters()
-	s.Board.IMU.ResetCounters()
-
-	k.ChargeSyscall()
-	if err := s.vs.PrepareExecute(params); err != nil {
+	s.member.Params = params
+	rep, err := s.gang.ExecuteAll()
+	if err != nil {
 		return nil, err
 	}
-	s.Board.IMU.Start()
-
-	hw := s.HW
-	eng := hw.Eng
-	startCy := hw.Dom.Cycles()
-	startSim := eng.Stats()
-	hwPs := 0.0
-	budget := DefaultBudget
-	// The interruptible sleep polls the IRQ line through the engine's
-	// flag-based loop (RunUntilEvent, with no wake deadline armed):
-	// edge-exact, since the cycle counters feed the measured components,
-	// but free of the per-edge closure call of RunUntil.
-	for {
-		before := eng.NowPs()
-		n, err := hw.RunUntilEvent(budget)
-		hwPs += eng.NowPs() - before
-		budget -= n
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
-		}
-		if s.Board.IMU.DonePending() {
-			if err := s.vs.Finish(); err != nil {
-				return nil, err
-			}
-			s.Board.IMU.AckDone()
-			// Drain until the core has observed CP_START falling and
-			// dropped CP_FIN, so a later FPGA_EXECUTE starts clean even
-			// with a slow coprocessor clock.
-			before = eng.NowPs()
-			port := hw.Slots[0].Port()
-			if _, err := hw.RunUntil(func() bool {
-				return !port.CP().Fin && !s.Board.IMU.IRQ()
-			}, 256); err != nil {
-				return nil, fmt.Errorf("core: completion handshake did not drain: %v", err)
-			}
-			hwPs += eng.NowPs() - before
-			break
-		}
-		if s.Board.IMU.FaultPending() {
-			if err := s.vs.HandleFault(); err != nil {
-				return nil, err
-			}
-			// Let the restart propagate before re-checking the IRQ
-			// line (the request is consumed at the next edge).
-			before = eng.NowPs()
-			hw.Step()
-			hw.Step()
-			hwPs += eng.NowPs() - before
-			budget -= 2
-			continue
-		}
-		return nil, fmt.Errorf("core: IRQ with neither fault nor completion pending (SR=%#x)", s.Board.IMU.SR())
-	}
-	tl.Add(stats.HW, hwPs)
-
-	return &Report{
-		App:      s.header.Core,
-		Board:    s.Board.Spec.Name,
-		Policy:   s.vs.Config().Policy.Name(),
-		IMUMode:  s.Board.IMU.Config().Mode.String(),
-		HWPs:     tl.Ps(stats.HW),
-		SWDPPs:   tl.Ps(stats.SWDP),
-		SWIMUPs:  tl.Ps(stats.SWIMU),
-		SWOSPs:   tl.Ps(stats.SWOS),
-		ConfigPs: s.configPs,
-		VIM:      s.VIM.Count,
-		IMU:      s.Board.IMU.Count,
-		HWCy:     hw.Dom.Cycles() - startCy,
-		Sim:      eng.Stats().Since(startSim),
-	}, nil
+	rep.Policy = rep.Sessions[0].Policy
+	rep.ConfigPs = s.configPs
+	return rep, nil
 }
 
 // RunSoftware measures a pure-software execution of fn on the board's CPU

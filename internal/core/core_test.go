@@ -34,18 +34,40 @@ func newSession(t *testing.T) (*Session, *platform.Board) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := board.Kern.NewProcess("t")
-	s, err := NewSession(board, proc, vim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, board
+	return NewSession(board, vim.Config{}), board
 }
 
 func TestExecuteBeforeLoad(t *testing.T) {
 	s, _ := newSession(t)
 	if _, err := s.Execute(1); !errors.Is(err, ErrNoBitstream) {
 		t.Fatalf("err = %v, want ErrNoBitstream", err)
+	}
+}
+
+// TestMapObjectBeforeLoad pins FPGA_MAP_OBJECT's order: the VIM session
+// exists from FPGA_LOAD to the unload, and a reload starts from a fresh
+// session with no objects mapped.
+func TestMapObjectBeforeLoad(t *testing.T) {
+	s, board := newSession(t)
+	a, _ := board.Kern.Alloc(64)
+	if err := s.MapObject(vecadd.ObjA, a, 64, vim.In); !errors.Is(err, ErrNoBitstream) {
+		t.Fatalf("map before load: err = %v, want ErrNoBitstream", err)
+	}
+	if err := s.Load(vecaddImage(t, "EPXA1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MapObject(vecadd.ObjA, a, 64, vim.In); err != nil {
+		t.Fatal(err)
+	}
+	s.Unload()
+	if err := s.MapObject(vecadd.ObjA, a, 64, vim.In); !errors.Is(err, ErrNoBitstream) {
+		t.Fatalf("map after unload: err = %v, want ErrNoBitstream", err)
+	}
+	if err := s.Load(vecaddImage(t, "EPXA1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MapObject(vecadd.ObjA, a, 64, vim.In); err != nil {
+		t.Fatalf("map after reload: %v", err)
 	}
 }
 
@@ -120,8 +142,8 @@ func TestExecuteEndToEndAndRepeated(t *testing.T) {
 		if rep.HWPs <= 0 {
 			t.Fatalf("round %d: empty HW time", round)
 		}
-		if rep.App != vecadd.CoreName {
-			t.Fatalf("report app = %q", rep.App)
+		if rep.App != vecadd.CoreName || rep.Policy != "fifo" || len(rep.Sessions) != 1 {
+			t.Fatalf("report app = %q, policy = %q, %d sessions", rep.App, rep.Policy, len(rep.Sessions))
 		}
 	}
 }

@@ -6,18 +6,16 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/copro"
 	"repro/internal/imu"
-	"repro/internal/kernel"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/vim"
 )
 
 // Member is one tenant of a Gang: a coprocessor loaded into a shell slot
-// with its VIM session, its process, and its scalar parameters for the next
-// Launch (or ExecuteAll).
+// with its VIM session and its scalar parameters for the next Launch (or
+// ExecuteAll).
 type Member struct {
 	Sess   *vim.Session
-	Proc   *kernel.Process
 	Params []uint32
 
 	header bitstream.Header
@@ -32,16 +30,8 @@ type Member struct {
 // App returns the member's coprocessor name (its bitstream identity).
 func (mb *Member) App() string { return mb.header.Core }
 
-// Done reports whether the member's coprocessor has completed and been
-// flushed.
-func (mb *Member) Done() bool { return mb.done }
-
 // DonePs is the hardware-timeline instant of the member's completion.
 func (mb *Member) DonePs() float64 { return mb.donePs }
-
-// SW returns the member's attributed slices of the software components
-// (dual-port management, IMU management, OS overhead), in picoseconds.
-func (mb *Member) SW() (dp, imu, os float64) { return mb.swDP, mb.swIMU, mb.swOS }
 
 // Gang runs several coprocessor sessions concurrently behind one Virtual
 // Interface Manager on one board — the multi-tenant shape of the sessions
@@ -52,7 +42,8 @@ func (mb *Member) SW() (dp, imu, os float64) { return mb.swDP, mb.swIMU, mb.swOS
 // ServicePending services whatever faults and completions are pending, and
 // DetachMember reclaims the finished member's resources. The rcsched
 // scheduler drives this loop under a multi-user job stream; ExecuteAll
-// drives it for a fixed set of members run side by side.
+// drives it for a fixed set of members run side by side, and a Session is
+// a one-member gang.
 type Gang struct {
 	Board *platform.Board
 	M     *vim.Manager
@@ -67,16 +58,27 @@ type Gang struct {
 // arbitration policy: an nslots-slot reconfigurable shell clocked at
 // shellHz whose members attach and detach at runtime.
 func NewGang(board *platform.Board, arb vim.Arbitration, shellHz int64, nslots int) (*Gang, error) {
-	shell, err := board.AssembleShell(shellHz, nslots)
-	if err != nil {
+	g := &Gang{}
+	if err := g.init(board, arb, shellHz, make([]*Member, nslots)); err != nil {
 		return nil, err
+	}
+	return g, nil
+}
+
+// init builds g in place with roster as its (emptied) slot table.
+func (g *Gang) init(board *platform.Board, arb vim.Arbitration, shellHz int64, roster []*Member) error {
+	shell, err := board.AssembleShell(shellHz, len(roster))
+	if err != nil {
+		return err
 	}
 	m, err := vim.NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
 		board.DP.PageSize(), arb)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Gang{Board: board, M: m, Shell: shell, bySlot: make([]*Member, nslots)}, nil
+	clear(roster)
+	*g = Gang{Board: board, M: m, Shell: shell, bySlot: roster}
+	return nil
 }
 
 // SessionReport is one member's share of a gang execution.
@@ -97,66 +99,13 @@ type SessionReport struct {
 	IMU imu.Counters // the member channel's counters
 }
 
-// MultiReport aggregates one gang execution: the shared hardware timeline
-// plus one SessionReport per member.
-type MultiReport struct {
-	Board   string
-	Arb     string
-	IMUMode string
-
-	HWPs    float64
-	SWDPPs  float64
-	SWIMUPs float64
-	SWOSPs  float64
-	HWCy    int64 // IMU-domain cycles consumed
-
-	VIM vim.Counters // aggregate across sessions
-	IMU imu.Counters // aggregate across channels
-
-	Sessions []SessionReport
-}
-
-// TotalPs is the end-to-end execution time of the gang run (last member
-// in, all fault service included).
-func (r *MultiReport) TotalPs() float64 {
-	return r.HWPs + r.SWDPPs + r.SWIMUPs + r.SWOSPs
-}
-
-// TotalMs is TotalPs in milliseconds.
-func (r *MultiReport) TotalMs() float64 { return r.TotalPs() / 1e9 }
-
-// Report flattens the gang run into the single-run Report shape (golden
-// cells, report printers); App and Policy describe the gang as a whole.
-func (r *MultiReport) Report() *Report {
-	apps := ""
-	for i, s := range r.Sessions {
-		if i > 0 {
-			apps += "+"
-		}
-		apps += s.App
-	}
-	return &Report{
-		App:     apps,
-		Board:   r.Board,
-		Policy:  r.Arb,
-		IMUMode: r.IMUMode,
-		HWPs:    r.HWPs,
-		SWDPPs:  r.SWDPPs,
-		SWIMUPs: r.SWIMUPs,
-		SWOSPs:  r.SWOSPs,
-		VIM:     r.VIM,
-		IMU:     r.IMU,
-		HWCy:    r.HWCy,
-	}
-}
-
 // ServicePending runs one service pass over the occupied slots in slot
 // order, the deterministic service order: a pending completion triggers the
 // session's end-of-operation flush and the acknowledge, a translation fault
-// the demand-paging service. It returns the members that finished; serviced
-// is false when the pass found nothing to do (an IRQ that was already
-// consumed).
-func (g *Gang) ServicePending() (finished []*Member, serviced bool, err error) {
+// the demand-paging service. It appends the members that finished to
+// finished and returns it; serviced is false when the pass found nothing
+// to do (an IRQ that was already consumed).
+func (g *Gang) ServicePending(finished []*Member) (_ []*Member, serviced bool, err error) {
 	for _, mb := range g.bySlot {
 		if mb == nil || mb.done {
 			continue
@@ -200,44 +149,48 @@ func (mb *Member) addSW(after, before [3]float64) {
 	mb.swOS += after[2] - before[2]
 }
 
-// ExecuteAll implements FPGA_EXECUTE for every member at once: parameter
-// passing and initial mapping per session, concurrent launch, interruptible
-// sleep with per-channel fault service, and per-session end-of-operation
-// flush as each coprocessor completes. It returns when the last member is
-// done.
+// ExecuteAll implements FPGA_EXECUTE for every member at once, the one
+// execute loop of the package: parameter passing and initial mapping per
+// session, concurrent launch, interruptible sleep with per-channel fault
+// service, and per-session end-of-operation flush as each coprocessor
+// completes. It returns when the last member is done.
 //
 // Modelling note: the engine pauses while the OS services any channel, so
 // a fault on one session also stalls the others for the service duration —
 // the single-CPU system is serialised through the kernel exactly like the
 // real module, but hardware that could have kept running in parallel with
 // the CPU is not modelled (documented in docs/ARCHITECTURE.md).
-func (g *Gang) ExecuteAll() (*MultiReport, error) {
-	var members []*Member
-	for _, mb := range g.bySlot {
-		if mb != nil {
-			members = append(members, mb)
-		}
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("core: gang has no members")
-	}
+func (g *Gang) ExecuteAll() (*Report, error) {
 	tl := g.Board.Kern.TL
 	tl.Reset()
 	g.M.ResetCounters()
 	g.Board.IMU.ResetCounters()
-	for _, mb := range members {
+	members := 0
+	for _, mb := range g.bySlot {
+		if mb == nil {
+			continue
+		}
 		mb.swDP, mb.swIMU, mb.swOS = 0, 0, 0
 		if err := g.Launch(mb); err != nil {
 			return nil, err
 		}
+		members++
+	}
+	if members == 0 {
+		return nil, fmt.Errorf("core: gang has no members")
 	}
 
 	sh := g.Shell
 	eng := sh.Eng
 	startCy := sh.Dom.Cycles()
+	startSim := eng.Stats()
 	hwPs := 0.0
 	budget := DefaultBudget
-	for remaining := len(members); remaining > 0; {
+	// The interruptible sleep polls the IRQ line through the engine's
+	// flag-based loop (RunUntilEvent, with no wake deadline armed):
+	// edge-exact, since the cycle counters feed the measured components.
+	var buf [1]*Member // one pass's finished members, off the heap for a Session
+	for remaining := members; remaining > 0; {
 		before := eng.NowPs()
 		n, err := sh.RunUntilEvent(budget)
 		hwPs += eng.NowPs() - before
@@ -245,7 +198,7 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
 		}
-		finished, serviced, err := g.ServicePending()
+		finished, serviced, err := g.ServicePending(buf[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -265,37 +218,36 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 	// CP_FIN, so a later ExecuteAll starts clean even with divided core
 	// clocks.
 	before := eng.NowPs()
-	if _, err := sh.RunUntil(func() bool {
-		if g.Board.IMU.IRQ() {
-			return false
-		}
-		for _, mb := range members {
-			if sh.Slots[mb.Sess.ID()].Port().CP().Fin {
-				return false
-			}
-		}
-		return true
-	}, 256*int64(len(members))); err != nil {
+	if _, err := sh.RunUntil(g.drained, 256*int64(members)); err != nil {
 		return nil, fmt.Errorf("core: completion handshake did not drain: %v", err)
 	}
 	hwPs += eng.NowPs() - before
 	tl.Add(stats.HW, hwPs)
 
-	rep := &MultiReport{
-		Board:   g.Board.Spec.Name,
-		Arb:     g.M.Arbitration().String(),
-		IMUMode: g.Board.IMU.Config().Mode.String(),
-		HWPs:    tl.Ps(stats.HW),
-		SWDPPs:  tl.Ps(stats.SWDP),
-		SWIMUPs: tl.Ps(stats.SWIMU),
-		SWOSPs:  tl.Ps(stats.SWOS),
-		HWCy:    sh.Dom.Cycles() - startCy,
-		VIM:     g.M.Count,
-		IMU:     g.Board.IMU.Count,
+	rep := &Report{
+		Board:    g.Board.Spec.Name,
+		Policy:   g.M.Arbitration().String(),
+		IMUMode:  g.Board.IMU.Config().Mode.String(),
+		HWPs:     tl.Ps(stats.HW),
+		SWDPPs:   tl.Ps(stats.SWDP),
+		SWIMUPs:  tl.Ps(stats.SWIMU),
+		SWOSPs:   tl.Ps(stats.SWOS),
+		VIM:      g.M.Count,
+		IMU:      g.Board.IMU.Count,
+		HWCy:     sh.Dom.Cycles() - startCy,
+		Sim:      eng.Stats().Since(startSim),
+		Sessions: make([]SessionReport, 0, members),
 	}
-	for _, mb := range members {
+	for _, mb := range g.bySlot {
+		if mb == nil {
+			continue
+		}
+		if rep.App != "" {
+			rep.App += "+"
+		}
+		rep.App += mb.App()
 		rep.Sessions = append(rep.Sessions, SessionReport{
-			App:     mb.header.Core,
+			App:     mb.App(),
 			Policy:  mb.Sess.Config().Policy.Name(),
 			SWDPPs:  mb.swDP,
 			SWIMUPs: mb.swIMU,
@@ -308,8 +260,19 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 	return rep, nil
 }
 
-// Slots returns the shell slot count.
-func (g *Gang) Slots() int { return len(g.bySlot) }
+// drained reports whether the IRQ line is low and no member's core still
+// holds CP_FIN.
+func (g *Gang) drained() bool {
+	if g.Board.IMU.IRQ() {
+		return false
+	}
+	for _, mb := range g.bySlot {
+		if mb != nil && g.Shell.Slots[mb.Sess.ID()].Port().CP().Fin {
+			return false
+		}
+	}
+	return true
+}
 
 // AttachMember admits a new member into shell slot i while the rest of the
 // gang keeps executing: the bit-stream is validated against the board, the
@@ -331,36 +294,40 @@ func (g *Gang) AttachMember(slot int, img []byte, nframes int, cfg vim.Config, c
 	if err != nil {
 		return nil, err
 	}
-	sl := g.Shell.Slots[slot]
 	var cp *copro.Seq
-	if sl.Resident() == h.Core {
+	if sl := g.Shell.Slots[slot]; sl.Resident() == h.Core {
 		// Bitstream affinity: the requested core is already configured into
 		// the slot, so no configuration data moves — reset and rebind it.
 		cp = sl.Core()
-	} else {
-		if _, cp, err = bitstream.Instantiate(img, g.Board.Spec.Name); err != nil {
-			return nil, err
-		}
+	} else if _, cp, err = bitstream.Instantiate(img, g.Board.Spec.Name); err != nil {
+		return nil, err
 	}
 	if coreHz == 0 {
 		coreHz = g.Shell.Dom.FreqHz()
 	}
-	if err := g.Shell.LoadSlot(g.Board, slot, cp, coreHz); err != nil {
+	mb := &Member{}
+	if err := g.attach(mb, slot, h, cp, nframes, cfg, coreHz); err != nil {
 		return nil, err
+	}
+	return mb, nil
+}
+
+// attach loads cp, the core h describes, into slot at coreHz, attaches a
+// VIM session with an nframes home partition on the slot's channel, and
+// seats mb, reset, in the slot.
+func (g *Gang) attach(mb *Member, slot int, h bitstream.Header, cp *copro.Seq, nframes int, cfg vim.Config, coreHz int64) error {
+	if err := g.Shell.LoadSlot(g.Board, slot, cp, coreHz); err != nil {
+		return err
 	}
 	// A failed attach leaves the core resident in the free slot, as a
 	// detach does.
 	sess, err := g.M.Attach(cfg, nframes, slot)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	mb := &Member{
-		Sess:   sess,
-		Proc:   g.Board.Kern.NewProcess(h.Core),
-		header: h,
-	}
+	*mb = Member{Sess: sess, header: h}
 	g.bySlot[slot] = mb
-	return mb, nil
+	return nil
 }
 
 // checkSlot rejects a slot index outside the shell.

@@ -113,7 +113,7 @@ func runGlobalLRUShell(t *testing.T, sched sim.Scheduler) ([]lruStop, *platform.
 			t.Fatal(err)
 		}
 		stops = append(stops, snap())
-		finished, serviced, err := g.ServicePending()
+		finished, serviced, err := g.ServicePending(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,10 @@ import (
 //
 // The recorder's timescale is one IMU clock period.
 func (s *Session) TraceSession() (*trace.Recorder, error) {
-	if !s.loaded {
+	if s.HW == nil {
 		return nil, ErrNoBitstream
 	}
-	periodPs := int64(1e12 / float64(s.header.IMUClock))
+	periodPs := int64(1e12 / float64(s.member.header.IMUClock))
 	rec := trace.NewRecorder(periodPs)
 	sClk := rec.Declare("clk", 1)
 	sObj := rec.Declare("cp_obj", 8)

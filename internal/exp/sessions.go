@@ -24,7 +24,7 @@ const SessionsClockHz = 24_000_000
 // adpcmBytes at the same time, with ideaFrames of the page pool carved into
 // IDEA's home partition and the rest into ADPCM's. Both outputs are
 // verified against the golden algorithms before the report is returned.
-func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, seed int64) (*core.MultiReport, error) {
+func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, seed int64) (*core.Report, error) {
 	spec, ok := platform.SpecByName(boardName)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown board %q", boardName)

@@ -531,6 +531,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		return nil
 	}
 
+	var finished []*core.Member // reused by every service pass
 	for completed < len(order) {
 		now := dom.Cycles()
 		if meter != nil {
@@ -578,7 +579,8 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		// Service pending hardware events before dispatching: a completion
 		// frees a slot this same instant.
 		if *irq {
-			finished, serviced, err := g.ServicePending()
+			var serviced bool
+			finished, serviced, err = g.ServicePending(finished[:0])
 			if err != nil {
 				return nil, err
 			}

@@ -82,9 +82,6 @@ func (s *Session) MapObject(id uint8, base, size uint32, dir Direction) error {
 	return nil
 }
 
-// UnmapAll clears the object table (between executions).
-func (s *Session) UnmapAll() { s.objects = map[uint8]*Object{} }
-
 // PrepareExecute performs the FPGA_EXECUTE setup of §3.1: it resets the
 // session's translation state, writes the scalar parameters into the
 // dedicated parameter page (the first frame of the home partition), and

@@ -188,7 +188,8 @@ type Manager struct {
 	live     int
 
 	// view is the reusable scratch slice scopedVictim hands to replacement
-	// policies: a copy of frames with foreign sessions' frames blanked.
+	// policies: a copy of frames with foreign sessions' frames blanked,
+	// built on first use (a single session never needs it).
 	view []Frame
 
 	// bounce is the kernel-space staging buffer address (allocated once,
@@ -214,7 +215,6 @@ func NewManager(k *kernel.Kernel, u *imu.IMU, dpBase, regBase uint32, pageSize i
 		regBase: regBase,
 		pageSz:  uint32(pageSize),
 		frames:  make([]Frame, u.Entries()),
-		view:    make([]Frame, u.Entries()),
 	}, nil
 }
 
@@ -362,7 +362,7 @@ func (m *Manager) frameAddr(f int) uint32 { return m.dpBase + uint32(f)*m.pageSz
 // view with every foreign (or free) frame blanked, so policies written for
 // the single-session manager work unchanged on a partitioned pool.
 func (m *Manager) scopedVictim(owner *Session) int {
-	copy(m.view, m.frames)
+	m.view = append(m.view[:0], m.frames...)
 	for i := range m.view {
 		if !(m.view[i].Occupied && m.view[i].Sess == owner.id) {
 			m.view[i] = Frame{}

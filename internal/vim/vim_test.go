@@ -49,9 +49,17 @@ func TestMapObjectValidation(t *testing.T) {
 	if err := s.MapObject(1, 0x2000, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("duplicate id accepted: %v", err)
 	}
-	s.UnmapAll()
+	// A detach releases the ids: the next session on the slot maps afresh.
+	m := s.Manager()
+	if err := m.Detach(s); err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Attach(Config{}, len(m.Frames()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.MapObject(1, 0x2000, 16, In); err != nil {
-		t.Fatalf("id not released by UnmapAll: %v", err)
+		t.Fatalf("id not released by Detach: %v", err)
 	}
 }
 

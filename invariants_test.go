@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro"
@@ -20,7 +21,7 @@ func TestBitReproducibility(t *testing.T) {
 		return rep
 	}
 	a, b := run(), run()
-	if *a != *b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical runs diverged:\n%+v\n%+v", a, b)
 	}
 }

@@ -134,12 +134,11 @@ type Process struct {
 
 // NewProcess creates a process with its own session state.
 func (s *System) NewProcess(name string) (*Process, error) {
-	kp := s.board.Kern.NewProcess(name)
-	sess, err := core.NewSession(s.board, kp, s.vimCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Process{sys: s, proc: kp, sess: sess}, nil
+	return &Process{
+		sys:  s,
+		proc: s.board.Kern.NewProcess(name),
+		sess: core.NewSession(s.board, s.vimCfg),
+	}, nil
 }
 
 // Session exposes the underlying session (experiments, tools).
