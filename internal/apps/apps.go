@@ -18,16 +18,20 @@ import (
 
 	"repro"
 	"repro/internal/bitstream"
+	"repro/internal/copro/adpcmdec"
+	"repro/internal/copro/ideacp"
 	"repro/internal/kernel"
 	"repro/internal/ref"
 	"repro/internal/vim"
 )
 
-// MaxObjects bounds the data objects of any bundled application, and
-// MaxKey its key bytes.
+// MaxObjects bounds the data objects of any bundled application, MaxKey
+// its key bytes and MaxParams its FPGA_EXECUTE parameter words (IDEA's
+// block count and 26 packed subkey words).
 const (
 	MaxObjects = 3
 	MaxKey     = 16
+	MaxParams  = 1 + ref.IDEASubkeys/2
 )
 
 // Object is one data object of an application.
@@ -49,9 +53,16 @@ type App struct {
 	// only feed the parameters (IDEA's cipher key).
 	Key     int
 	Objects []Object
-	// Params builds the FPGA_EXECUTE parameters for items work items of the
-	// drawn input in.
-	Params func(in []byte, items int) []uint32
+	// Params appends to dst the FPGA_EXECUTE parameters for items work
+	// items of the drawn input in (at most MaxParams words).
+	Params func(dst []uint32, in []byte, items int) []uint32
+	// Resume, if set, extends a chunk's parameters p so that the core
+	// continues from the state the first done work items of in left it in;
+	// out holds the output of those items. The hand-chunked baseline runs
+	// one FPGA_EXECUTE per chunk and calls it for every chunk after the
+	// first: a core whose state runs across items (ADPCM's predictor and
+	// step index) would otherwise restart it at every chunk.
+	Resume func(p []uint32, in, out []byte, done int) []uint32
 	// Golden writes the expected output of the drawn input in into want
 	// (the output object's bytes); a ragged tail the core never touches
 	// stays zero.
@@ -69,7 +80,7 @@ var table = map[string]*App{
 			{repro.IDEAObjIn, vim.In, ref.IDEABlockBytes},
 			{repro.IDEAObjOut, vim.Out, ref.IDEABlockBytes},
 		},
-		Params: func(in []byte, items int) []uint32 { return repro.IDEAEncryptParams(ideaKey(in), items) },
+		Params: ideaParams,
 		Golden: goldenIDEA,
 		SW: func(p *repro.Process, b []repro.Buffer, in []byte) (*repro.Report, error) {
 			return p.RunIDEASW(ideaKey(in), b[0], b[1])
@@ -83,6 +94,7 @@ var table = map[string]*App{
 			{repro.ADPCMObjOut, vim.Out, 4}, // two 16-bit samples per packed byte
 		},
 		Params: countParam,
+		Resume: adpcmResume,
 		Golden: goldenADPCM,
 		SW: func(p *repro.Process, b []repro.Buffer, _ []byte) (*repro.Report, error) {
 			return p.RunADPCMDecodeSW(b[0], b[1])
@@ -207,7 +219,27 @@ func Images(board string) (map[string]*Image, error) {
 }
 
 // countParam passes the work-item count as the only parameter.
-func countParam(_ []byte, items int) []uint32 { return []uint32{uint32(items)} }
+func countParam(dst []uint32, _ []byte, items int) []uint32 { return append(dst, uint32(items)) }
+
+// ideaParams passes the block count and the encryption key schedule,
+// packed two subkeys per word (repro.IDEAEncryptParams, appended in place).
+func ideaParams(dst []uint32, in []byte, items int) []uint32 {
+	sk := ideacp.PackSubkeys(ref.ExpandIDEAKey(ideaKey(in)))
+	return append(append(dst, uint32(items)), sk[:]...)
+}
+
+// adpcmResume announces the decoder state after the first done packed
+// bytes as a second parameter word, as a hand-written application carries
+// it: the predictor is the last sample decoded, and the step index follows
+// from the codes consumed.
+func adpcmResume(p []uint32, packed, out []byte, done int) []uint32 {
+	st := ref.ADPCMState{Valprev: int16(binary.LittleEndian.Uint16(out[4*done-2:]))}
+	for _, b := range packed[:done] {
+		st.Index = ref.ADPCMNextIndex(ref.ADPCMNextIndex(st.Index, b>>4), b&0xf)
+	}
+	p[0] |= adpcmdec.ParamResume
+	return append(p, adpcmdec.StateWord(st))
+}
 
 // ideaKey is the cipher key at the head of IDEA's drawn input.
 func ideaKey(in []byte) repro.IDEAKey {

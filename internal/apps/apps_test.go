@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 
+	"repro"
 	"repro/internal/ref"
 	"repro/internal/vim"
 )
@@ -86,7 +88,7 @@ func TestADPCMDescriptors(t *testing.T) {
 	if a.Objects[0].ItemBytes != 1 || a.Objects[1].ItemBytes != 4 {
 		t.Fatal("adpcm item sizes must be 1 byte in, 4 bytes out")
 	}
-	if p := a.Params(make([]byte, 16), 7); len(p) != 1 || p[0] != 7 {
+	if p := a.Params(nil, make([]byte, 16), 7); len(p) != 1 || p[0] != 7 {
 		t.Fatalf("adpcm params = %v", p)
 	}
 }
@@ -98,7 +100,10 @@ func TestParamsShape(t *testing.T) {
 	idea, _ := Get("idea")
 	in := make([]byte, idea.InBytes(800))
 	in[0] = 0x42
-	p := idea.Params(in, 100)
+	p := idea.Params(nil, in, 100)
+	if !slices.Equal(p, repro.IDEAEncryptParams(ideaKey(in), 100)) {
+		t.Fatalf("params = %v, want repro.IDEAEncryptParams' %v", p, repro.IDEAEncryptParams(ideaKey(in), 100))
+	}
 	if p[0] != 100 {
 		t.Fatalf("param 0 = %d, want the item count", p[0])
 	}
@@ -111,7 +116,7 @@ func TestParamsShape(t *testing.T) {
 	}
 	for _, name := range []string{"adpcm", "vecadd"} {
 		a, _ := Get(name)
-		if p := a.Params(nil, 7); len(p) != 1 || p[0] != 7 {
+		if p := a.Params([]uint32{9}, nil, 7); len(p) != 2 || p[0] != 9 || p[1] != 7 {
 			t.Fatalf("%s params = %v", name, p)
 		}
 	}

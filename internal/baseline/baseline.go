@@ -44,8 +44,11 @@ type Stream struct {
 }
 
 // ParamsFunc builds the FPGA_EXECUTE-style scalar parameters for a chunk of
-// the given number of items.
-type ParamsFunc func(items int) []uint32
+// items work items that follows the first done: a core whose state runs
+// across items must be told, from the second chunk on, the state the
+// previous chunks left it in (the outputs copied back so far are in the
+// streams).
+type ParamsFunc func(done, items int) []uint32
 
 // Runner executes an application against a board without any VIM.
 type Runner struct {
@@ -180,7 +183,7 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 		// overflow output page wraps onto frame 0, reusing the parameter
 		// page the coprocessor releases after start-up (§3.2).
 		u.InvalidateAll()
-		for i, w := range params(n) {
+		for i, w := range params(done, n) {
 			if err := k.BusWrite32(stats.SWIMU, platform.DPBase+uint32(4*i), w); err != nil {
 				return nil, err
 			}

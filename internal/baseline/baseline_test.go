@@ -56,7 +56,7 @@ func ideaStreams(in []byte) []*Stream {
 func ideaParams(key ref.IDEAKey) ParamsFunc {
 	ek := ref.ExpandIDEAKey(key)
 	packed := ideacp.PackSubkeys(ek)
-	return func(items int) []uint32 {
+	return func(_, items int) []uint32 {
 		p := []uint32{uint32(items)}
 		for _, w := range packed {
 			p = append(p, w)
@@ -147,24 +147,30 @@ func TestADPCMChunkedMatchesGolden(t *testing.T) {
 		{ID: adpcmdec.ObjIn, Dir: vim.In, ItemBytes: 1, Data: in},
 		{ID: adpcmdec.ObjOut, Dir: vim.Out, ItemBytes: 4},
 	}
-	_, err = r.RunChunked(n, streams, func(items int) []uint32 {
-		return []uint32{uint32(items)}
+	// Every chunk after the first resumes from the codec state the
+	// previous chunks left, computed here by decoding them in software.
+	chunks := 0
+	_, err = r.RunChunked(n, streams, func(done, items int) []uint32 {
+		chunks++
+		if done == 0 {
+			return []uint32{uint32(items)}
+		}
+		var st ref.ADPCMState
+		for _, b := range in[:done] {
+			ref.ADPCMDecodeNibble(&st, b>>4)
+			ref.ADPCMDecodeNibble(&st, b&0xf)
+		}
+		return []uint32{uint32(items) | adpcmdec.ParamResume, adpcmdec.StateWord(st)}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decoder state resets at each chunk in this baseline; the golden
-	// comparison must mirror the chunking.
-	chunk := r.maxChunk(streams, n)
+	if chunks < 2 {
+		t.Fatalf("%d B ran in %d chunk(s), want several", n, chunks)
+	}
 	var want []byte
-	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
-		for _, s := range ref.ADPCMDecode(ref.ADPCMState{}, in[off:end]) {
-			want = append(want, byte(s), byte(uint16(s)>>8))
-		}
+	for _, s := range ref.ADPCMDecode(ref.ADPCMState{}, in) {
+		want = append(want, byte(s), byte(uint16(s)>>8))
 	}
 	if !bytes.Equal(streams[1].Out, want) {
 		t.Fatal("chunked ADPCM output mismatch")

@@ -45,11 +45,28 @@ func New() *copro.Seq { return copro.NewSeq(&Core{}) }
 // Name implements copro.Program.
 func (c *Core) Name() string { return CoreName }
 
-// Param implements copro.Program: the only word is the input byte count,
-// and every operation starts from the codec's initial state.
+// ParamResume, set in the count word, announces a second parameter word
+// (StateWord) holding the codec state to start from; without it an
+// operation starts from the codec's initial state. A run split into
+// several FPGA_EXECUTEs carries the state across them this way.
+const ParamResume = 1 << 31
+
+// StateWord packs a codec state as the resume parameter word: the
+// predictor in the low 16 bits, the step-size index in the next 8.
+func StateWord(st ref.ADPCMState) uint32 {
+	return uint32(uint16(st.Valprev)) | uint32(uint8(st.Index))<<16
+}
+
+// Param implements copro.Program: word 0 is the input byte count, with
+// ParamResume set if word 1 is a StateWord. An index beyond the step table
+// saturates at its last entry.
 func (c *Core) Param(i int, w uint32) bool {
-	c.nbytes = w
-	c.dec = ref.ADPCMState{}
+	if i == 0 {
+		c.nbytes = w &^ ParamResume
+		c.dec = ref.ADPCMState{}
+		return w&ParamResume != 0
+	}
+	c.dec = ref.ADPCMState{Valprev: int16(w), Index: int8(min(w>>16&0xff, uint32(ref.ADPCMMaxIndex)))}
 	return false
 }
 

@@ -283,7 +283,10 @@ func (s *Seq) skipRun(k int64) {
 	var issue [MaxSteps]int64
 	din := s.port.IMURef().DIn
 	u := &s.cur
-	var last Step
+	// The last access's request, kept field by field: copying the Step
+	// whole reloads it 16 bytes wide right after Val's 4-byte store, a
+	// store-forwarding stall on every access.
+	var last CPOut
 	var lastN, lastConsume int64
 	for k > 0 {
 		u.N = 0
@@ -309,6 +312,7 @@ func (s *Seq) skipRun(k int64) {
 			case StepRead:
 				st.Val = h.Access(at+issue[i]*r, memo[i].entry, st.Obj, st.Addr, st.Size, false, 0)
 				din = st.Val
+				last.DOut = 0
 				s.Reads++
 			case StepWrite:
 				if !kernel {
@@ -316,12 +320,13 @@ func (s *Seq) skipRun(k int64) {
 					kernel = true
 				}
 				h.Access(at+issue[i]*r, memo[i].entry, st.Obj, st.Addr, st.Size, true, st.Val)
+				last.DOut = st.Val
 				s.Writes++
 			default:
 				continue
 			}
 			s.WaitCycles += uint64(t.a - 1)
-			last = *st
+			last.Obj, last.Addr, last.Size = st.Obj, st.Addr, st.Size
 		}
 		if !kernel {
 			s.prog.Kernel(s.unit, u)
@@ -332,7 +337,7 @@ func (s *Seq) skipRun(k int64) {
 		k -= n
 	}
 	if lastN > 0 {
-		s.settle(&last, lastN, lastConsume, t, din)
+		s.settle(last, lastN, lastConsume, t, din)
 		h.Finish()
 	}
 	if k > 0 {
@@ -342,15 +347,11 @@ func (s *Seq) skipRun(k int64) {
 }
 
 // settle leaves the handshake as the edges of a run's last unit (n edges,
-// its last access s consumed at lastConsume) would: the request's fields on
-// the committed bundle with CP_ACCESS and CP_WR low, the response data of
-// the last read, and a drain still waiting for CP_TLBHIT to fall if the
-// next request may only issue at the next edge.
-func (m *Mem) settle(s *Step, n, lastConsume int64, t timing, din uint32) {
-	out := CPOut{Obj: s.Obj, Addr: s.Addr, Size: s.Size}
-	if s.Kind == StepWrite {
-		out.DOut = s.Val
-	}
+// its last access consumed at lastConsume) would: that request's fields
+// (out, with CP_ACCESS and CP_WR low) on the committed bundle, the response
+// data of the last read, and a drain still waiting for CP_TLBHIT to fall if
+// the next request may only issue at the next edge.
+func (m *Mem) settle(out CPOut, n, lastConsume int64, t timing, din uint32) {
 	m.port.cp.Force(out)
 	m.data = din
 	m.completed = lastConsume == n-1

@@ -185,7 +185,7 @@ func runVIM(sys *repro.System, p *repro.Process, a *apps.App, size int, in []byt
 			return nil, err
 		}
 	}
-	return p.FPGAExecute(a.Params(in, a.Items(size))...)
+	return p.FPGAExecute(a.Params(nil, in, a.Items(size))...)
 }
 
 // runBaseline runs a without the VIM on a fresh board, its objects as
@@ -203,7 +203,13 @@ func runBaseline(board string, a *apps.App, mode string, size int, in, want []by
 	for i, o := range a.Objects {
 		streams[i] = &baseline.Stream{ID: o.ID, Dir: o.Dir, ItemBytes: o.ItemBytes, Data: a.Input(in, i, size)}
 	}
-	params := func(items int) []uint32 { return a.Params(in, items) }
+	params := func(done, items int) []uint32 {
+		p := a.Params(nil, in, items)
+		if done > 0 && a.Resume != nil {
+			p = a.Resume(p, in, streams[a.Out()].Out, done)
+		}
+		return p
+	}
 	run := r.RunChunked
 	if mode == "normal" {
 		run = r.RunSingleShot

@@ -84,7 +84,7 @@ func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, 
 		if err := m.a.Map(m.mb.Sess, m.size, m.base[:]); err != nil {
 			return nil, err
 		}
-		m.mb.Params = m.a.Params(m.in, m.a.Items(m.size))
+		m.mb.Params = m.a.Params(nil, m.in, m.a.Items(m.size))
 	}
 
 	rep, err := g.ExecuteAll()

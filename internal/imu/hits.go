@@ -86,7 +86,11 @@ func (s *hitService) Hits(obj uint8, addr uint32) int {
 // data on CP_DIN and the global and per-channel access and hit counters.
 func (s *hitService) Access(edge int64, i int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32 {
 	u, c := s.u, s.c
-	c.req = request{obj: obj, addr: addr, size: size, wr: wr, dout: v}
+	// Field by field: a composite literal is built on the stack with
+	// narrow stores and copied with one 16-byte load, which stalls on
+	// store forwarding once per access.
+	r := &c.req
+	r.obj, r.addr, r.size, r.wr, r.dout = obj, addr, size, wr, v
 	e := &u.tlb[i]
 	e.Ref = true
 	e.LastUse = stamp(edge, c.sess)

@@ -1,10 +1,12 @@
 package rcsched
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"repro/internal/apps"
 	"repro/internal/kernel"
@@ -12,7 +14,10 @@ import (
 
 // Job is one unit of the multi-user stream: a user asking for application
 // App over Size bytes of fresh input, arriving at ArrivalPs on the serving
-// clock. Seed drives the job's input data, so a trace replays bit-for-bit.
+// clock. Seed drives the job's input data, so a trace replays bit-for-bit:
+// the app's drawn input (see package apps) is the little-endian bytes of
+// successive Uint64 draws of math/rand/v2's PCG seeded with
+// (uint64(Seed), InputStream), the last word cut to the bytes still needed.
 // DeadlinePs is the job's service-level objective — the instant by which it
 // should complete (arrival plus a per-app budget; 0 means no deadline);
 // the deadline-aware policies schedule against it and Report measures
@@ -78,50 +83,60 @@ func ValidateJobs(jobs []Job) error {
 	return nil
 }
 
+// InputStream is the PCG stream every job's input is drawn on (Job.Seed
+// selects the state).
+const InputStream = 0x9e3779b97f4a7c15
+
 // prepared is a job's materialised process image: the user address of
 // each of its application's objects, in table order, its launch
-// parameters, the key bytes of its drawn input (which live in no object)
-// and a CRC-32C of the whole drawn input. The expected output is not kept:
-// finishJob recomputes it from the input objects read back from user
-// memory, checked against crc.
+// parameters (the first nparams words of params), the key bytes of its
+// drawn input (which live in no object) and a CRC-32C of the whole drawn
+// input. The expected output is not kept: finishJob recomputes it from
+// the input objects read back from user memory, checked against crc.
 type prepared struct {
-	base   [apps.MaxObjects]uint32
-	params []uint32
-	key    [apps.MaxKey]byte
-	crc    uint32
+	base    [apps.MaxObjects]uint32
+	params  [apps.MaxParams]uint32
+	nparams int
+	key     [apps.MaxKey]byte
+	crc     uint32
 }
 
 // castagnoli is the CRC-32C table prepared.crc is taken with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // workspace is one Serve loop's job-data scratch: a single generator,
-// reseeded per job (Rand.Seed restarts exactly the stream
-// rand.New(rand.NewSource(seed)) would draw), plus reused input and
-// golden-output buffers. A job's inputs are drawn once, to build its
-// process image; at completion they are read back from user memory, so no
-// per-job buffer outlives its use.
+// reseeded in place per job (a PCG's whole state is two words), plus
+// reused input and golden-output buffers. A job's inputs are drawn once,
+// to build its process image; at completion they are read back from user
+// memory, so no per-job buffer outlives its use.
 type workspace struct {
-	rng      *rand.Rand
+	rng      randv2.PCG
 	in, want []byte
 }
 
-func newWorkspace() *workspace {
-	return &workspace{rng: rand.New(rand.NewSource(0))}
-}
+func newWorkspace() *workspace { return &workspace{} }
 
 // place draws job j's input bytes for app a from the job's seed and
 // builds its process image in k's user memory (untimed, like the
 // single-run experiments: the data already exists in user space),
 // recording it in p.
 func (w *workspace) place(k *kernel.Kernel, a *apps.Image, j *Job, p *prepared) error {
-	w.rng.Seed(j.Seed)
 	w.in = resize(w.in, a.InBytes(j.Size))
 	in := w.in
-	w.rng.Read(in)
+	w.rng.Seed(uint64(j.Seed), InputStream)
+	b := in
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, w.rng.Uint64())
+	}
+	if len(b) > 0 {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], w.rng.Uint64())
+		copy(b, word[:])
+	}
 	if err := a.Place(k, j.Size, in, p.base[:]); err != nil {
 		return err
 	}
-	p.params = a.Params(in, a.Items(j.Size))
+	p.nparams = len(a.Params(p.params[:0], in, a.Items(j.Size)))
 	copy(p.key[:], in[:a.Key])
 	p.crc = crc32.Checksum(in, castagnoli)
 	return nil

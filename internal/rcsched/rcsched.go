@@ -521,7 +521,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 		if err := a.Map(mb.Sess, order[j].Size, preps[j].base[:]); err != nil {
 			return fmt.Errorf("rcsched: job %d map: %w", order[j].ID, err)
 		}
-		mb.Params = preps[j].params
+		mb.Params = preps[j].params[:preps[j].nparams]
 		if err := g.Launch(mb); err != nil {
 			return fmt.Errorf("rcsched: job %d launch: %w", order[j].ID, err)
 		}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -16,32 +16,35 @@ import (
 )
 
 // oracleOutput is the expected output of job j computed the way a caller
-// outside the scheduler would: a fresh generator on the job's seed and the
-// public golden reference functions.
+// outside the scheduler would: the job's input drawn by the contract
+// Job.Seed documents, on a fresh generator, and the public golden
+// reference functions.
 func oracleOutput(t *testing.T, j Job) []byte {
 	t.Helper()
-	rng := rand.New(rand.NewSource(j.Seed))
+	g := rand.NewPCG(uint64(j.Seed), InputStream)
+	var stream []byte
+	draw := func(n int) []byte {
+		for len(stream) < n {
+			stream = binary.LittleEndian.AppendUint64(stream, g.Uint64())
+		}
+		b := stream[:n]
+		stream = stream[n:]
+		return b
+	}
 	switch j.App {
 	case "idea":
 		var key repro.IDEAKey
-		rng.Read(key[:])
-		plain := make([]byte, j.Size)
-		rng.Read(plain)
-		return repro.GoldenIDEAEncrypt(key, plain)
+		copy(key[:], draw(len(key)))
+		return repro.GoldenIDEAEncrypt(key, draw(j.Size))
 	case "adpcm":
-		packed := make([]byte, j.Size)
-		rng.Read(packed)
-		samples := repro.GoldenADPCMDecode(packed)
+		samples := repro.GoldenADPCMDecode(draw(j.Size))
 		out := make([]byte, 2*len(samples))
 		for i, s := range samples {
 			binary.LittleEndian.PutUint16(out[2*i:], uint16(s))
 		}
 		return out
 	case "vecadd":
-		a := make([]byte, j.Size)
-		b := make([]byte, j.Size)
-		rng.Read(a)
-		rng.Read(b)
+		a, b := draw(j.Size), draw(j.Size)
 		out := make([]byte, j.Size)
 		for i := 0; i+4 <= j.Size; i += 4 {
 			binary.LittleEndian.PutUint32(out[i:], binary.LittleEndian.Uint32(a[i:])+binary.LittleEndian.Uint32(b[i:]))

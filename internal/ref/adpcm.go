@@ -37,20 +37,22 @@ func ADPCMIndexTable() [16]int { return adpcmIndexTable }
 // ADPCMStepTable exposes the step-size table ROM.
 func ADPCMStepTable() [89]int { return adpcmStepTable }
 
+// ADPCMMaxIndex is the last index into the step-size table.
+const ADPCMMaxIndex = len(adpcmStepTable) - 1
+
+// ADPCMNextIndex is the step-size index after code delta at index idx: the
+// index adaptation alone, which depends on the codes and not on the
+// samples.
+func ADPCMNextIndex(idx int8, delta byte) int8 {
+	return int8(min(max(int(idx)+adpcmIndexTable[delta&0xf], 0), ADPCMMaxIndex))
+}
+
 // ADPCMDecodeNibble advances the decoder by one 4-bit code and returns the
 // reconstructed sample. This is the shared primitive between the golden
 // decoder, the timed software kernel and the coprocessor model tests.
 func ADPCMDecodeNibble(st *ADPCMState, delta byte) int16 {
 	step := adpcmStepTable[st.Index]
-
-	idx := int(st.Index) + adpcmIndexTable[delta&0xf]
-	if idx < 0 {
-		idx = 0
-	}
-	if idx > 88 {
-		idx = 88
-	}
-	st.Index = int8(idx)
+	st.Index = ADPCMNextIndex(st.Index, delta)
 
 	sign := delta & 8
 	mag := int(delta & 7)
@@ -127,15 +129,7 @@ func ADPCMEncodeSample(st *ADPCMState, sample int16) byte {
 		v = -32768
 	}
 	st.Valprev = int16(v)
-
-	idx := int(st.Index) + adpcmIndexTable[delta&0xf]
-	if idx < 0 {
-		idx = 0
-	}
-	if idx > 88 {
-		idx = 88
-	}
-	st.Index = int8(idx)
+	st.Index = ADPCMNextIndex(st.Index, delta)
 	return delta & 0xf
 }
 
