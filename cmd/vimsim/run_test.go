@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro"
@@ -45,6 +46,26 @@ func TestRunMatchesExperiments(t *testing.T) {
 				t.Fatalf("vimsim report differs from the experiments'\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsSizeWithoutWorkItem holds every single-run mode to one
+// error, not a panic or an empty run, for a size that holds no whole work
+// item: negative, zero, or less than one IDEA block.
+func TestRunRejectsSizeWithoutWorkItem(t *testing.T) {
+	for _, mode := range []string{"vim", "sw", "normal", "chunked"} {
+		for _, size := range []int{-8, 0, 4} {
+			t.Run(fmt.Sprintf("%s/%d", mode, size), func(t *testing.T) {
+				o, err := parse(t, "-app", "idea", "-mode", mode, "-size", fmt.Sprint(size))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = execute(o)
+				if err == nil || !strings.Contains(err.Error(), "holds no whole 8-byte work item") {
+					t.Fatalf("got error %v, want the no-whole-work-item error", err)
+				}
+			})
+		}
 	}
 }
 

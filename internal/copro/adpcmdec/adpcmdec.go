@@ -75,14 +75,15 @@ func (c *Core) Units() int { return int(c.nbytes) }
 
 // Unit implements copro.Program: input byte i is read, and its high and
 // then its low nibble are decoded serially and written as samples 2i and
-// 2i+1.
-func (c *Core) Unit(i int, u *copro.Unit) {
+// 2i+1. Every later byte repeats it, one input byte and two samples on.
+func (c *Core) Unit(i int, u *copro.Unit) int {
 	s := uint32(i) * 4
-	u.Read(ObjIn, uint32(i), copro.Size8)
+	u.Read(ObjIn, uint32(i), copro.Size8, 1)
 	u.Compute(DecodeCycles)
-	u.Write(ObjOut, s, copro.Size16)
+	u.Write(ObjOut, s, copro.Size16, 4)
 	u.Compute(DecodeCycles)
-	u.Write(ObjOut, s+2, copro.Size16)
+	u.Write(ObjOut, s+2, copro.Size16, 4)
+	return c.Units() - i
 }
 
 // Kernel implements copro.Program: both nibbles of one input byte.

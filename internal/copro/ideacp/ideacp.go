@@ -62,14 +62,16 @@ func (c *Core) Param(i int, w uint32) bool {
 func (c *Core) Units() int { return int(c.blocks) }
 
 // Unit implements copro.Program: block i reads its two input words, runs
-// the cipher pipeline and writes its two output words.
-func (c *Core) Unit(i int, u *copro.Unit) {
+// the cipher pipeline and writes its two output words. Every later block
+// repeats it 8 bytes on.
+func (c *Core) Unit(i int, u *copro.Unit) int {
 	a := uint32(i) * 8
-	u.Read(ObjIn, a, copro.Size32)
-	u.Read(ObjIn, a+4, copro.Size32)
+	u.Read(ObjIn, a, copro.Size32, 8)
+	u.Read(ObjIn, a+4, copro.Size32, 8)
 	u.Compute(ComputeCycles)
-	u.Write(ObjOut, a, copro.Size32)
-	u.Write(ObjOut, a+4, copro.Size32)
+	u.Write(ObjOut, a, copro.Size32, 8)
+	u.Write(ObjOut, a+4, copro.Size32, 8)
+	return c.Units() - i
 }
 
 // Kernel implements copro.Program: one IDEA block.

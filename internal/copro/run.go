@@ -1,5 +1,7 @@
 package copro
 
+import "math"
+
 // This file implements hit runs: the transaction-level path that moves a
 // sequencer and its IMU channel through a TLB-resident stretch of the
 // Program's loop in one step instead of one clock edge at a time.
@@ -14,11 +16,16 @@ package copro
 // idleness and always runs it, and so does the event scheduler wherever a
 // run cannot start (a miss, the last unit).
 //
-// A window is found once: the first ask walks the units to the first miss
-// and leaves a plan (runPlan) keyed on the unit index and the table
-// generation of the channel's session. Asks in between, after a
-// neighbour's edge or a run cut short, answer from the plan, which skipRun
-// keeps current as it consumes the window.
+// A window costs a step per repeat and per page crossing, not per unit: a
+// Program declares, with each unit it describes, how many units from it
+// on repeat its shape with every access moved by the step's Stride, and
+// within such a repeat every unit takes the same edges and an access can
+// only start to miss where it enters a new page. RunEdges times the
+// repeat's unit once and looks the TLB up only at page crossings; skipRun
+// advances the previous unit's addresses by the strides instead of
+// describing each unit again, and re-resolves its TLB entries only at a
+// crossing. Nothing outlives a call: every ask walks afresh. A Program
+// with irregular units declares one-unit repeats and takes the same path.
 //
 // A run may be executed late: a shell slot sleeps through its window while
 // its neighbour keeps running, and executes the run when it wakes. Every
@@ -52,6 +59,7 @@ type Step struct {
 	Obj    uint8  // object identifier (reads and writes)
 	Size   uint8  // access width in bytes (reads and writes)
 	Addr   uint32 // byte offset within the object (reads and writes)
+	Stride int32  // Addr's move from one unit of a repeat to the next
 	Cycles uint32 // compute cycles (StepCompute)
 	Val    uint32 // data read, or data to write
 }
@@ -64,26 +72,61 @@ type Unit struct {
 	N     int
 }
 
-// Read appends a translated read of size bytes at addr of object obj.
-func (u *Unit) Read(obj uint8, addr uint32, size uint8) {
-	u.add(Step{Kind: StepRead, Obj: obj, Addr: addr, Size: size})
+// Read appends a translated read of size bytes at addr of object obj,
+// which each later unit of the repeat reads stride bytes further on.
+func (u *Unit) Read(obj uint8, addr uint32, size uint8, stride int32) {
+	u.add(StepRead, obj, size, addr, stride, 0)
 }
 
-// Write appends a translated write of size bytes at addr of object obj.
-func (u *Unit) Write(obj uint8, addr uint32, size uint8) {
-	u.add(Step{Kind: StepWrite, Obj: obj, Addr: addr, Size: size})
+// Write appends a translated write of size bytes at addr of object obj,
+// which each later unit of the repeat writes stride bytes further on.
+func (u *Unit) Write(obj uint8, addr uint32, size uint8, stride int32) {
+	u.add(StepWrite, obj, size, addr, stride, 0)
 }
 
 // Compute appends n cycles of internal compute (none for n = 0).
 func (u *Unit) Compute(n uint32) {
 	if n > 0 {
-		u.add(Step{Kind: StepCompute, Cycles: n})
+		u.add(StepCompute, 0, 0, 0, 0, n)
 	}
 }
 
-func (u *Unit) add(s Step) {
-	u.Steps[u.N] = s
+// add appends a step field by field: a Step literal is built on the stack
+// with narrow stores and copied with wide loads, which stall on store
+// forwarding once per step.
+func (u *Unit) add(kind StepKind, obj, size uint8, addr uint32, stride int32, cycles uint32) {
+	s := &u.Steps[u.N]
+	s.Kind, s.Obj, s.Size, s.Addr, s.Stride, s.Cycles, s.Val = kind, obj, size, addr, stride, cycles, 0
 	u.N++
+}
+
+// advance moves u m units on within its repeat: every access by m strides.
+func (u *Unit) advance(m int) {
+	for i := 0; i < u.N; i++ {
+		s := &u.Steps[i]
+		s.Addr += uint32(s.Stride) * uint32(m)
+	}
+}
+
+// span returns how many units of u's repeat, from u on, keep every access
+// in the page it is in now (MaxInt if no access moves).
+func (u *Unit) span(shift uint) int {
+	mask := uint32(1)<<shift - 1
+	m := math.MaxInt
+	for i := 0; i < u.N; i++ {
+		s := &u.Steps[i]
+		var left uint32
+		switch off := s.Addr & mask; {
+		case s.Stride > 0:
+			left = (mask - off) / uint32(s.Stride)
+		case s.Stride < 0:
+			left = off / uint32(-int64(s.Stride))
+		default:
+			continue
+		}
+		m = min(m, int(left)+1)
+	}
+	return m
 }
 
 // HitService is the transaction-level face of the IMU channel a port is
@@ -104,10 +147,6 @@ type HitService interface {
 	Latency() int64
 	// PageShift is log2 of the translation page size.
 	PageShift() uint
-	// Gen is the table generation of the channel's session: it changes
-	// whenever a table write may change a Hits answer, and never on an
-	// access, so Hits answers stand while it is unchanged.
-	Gen() uint64
 	// Hits returns the TLB entry that translates (obj, addr), or -1 if the
 	// access would miss.
 	Hits(obj uint8, addr uint32) int
@@ -120,12 +159,11 @@ type HitService interface {
 	Finish()
 }
 
-// runMemo remembers, per step position, the page the previous unit's step
-// translated through and its TLB entry, so a run looks each page up once:
-// units are regular, and step j of one unit almost always lands in the
-// page step j of the previous unit did. It is valid within one RunEdges
-// walk or skipRun call; what outlives a call is the plan (runPlan), which
-// keeps the window's length, not its entries.
+// runMemo remembers, per step position, the page the step last translated
+// through and its TLB entry, so a run looks each page up once: step j of
+// one unit almost always lands in the page step j of the previous unit
+// did, and always within a repeat until span runs out. It is valid within
+// one RunEdges walk or skipRun call.
 type runMemo [MaxSteps]struct {
 	obj   uint8
 	vpage uint32
@@ -210,51 +248,49 @@ func (s *Seq) runWire() *HitWire {
 	return w
 }
 
-// runPlan is the hit-run window RunEdges last found: w edges from the top
-// of unit unit, under table generation gen of the channel's session. A
-// later ask at the same unit under the same generation finds the same
-// window, so it answers from the plan without a walk. skipRun moves the
-// plan past every unit it runs or hands to the edge path; any other
-// progress of the sequencer leaves its unit index off the plan's, and
-// reset clears it (unit -1).
-type runPlan struct {
-	unit int
-	gen  uint64
-	w    int64
-}
-
 // RunEdges returns the hit-run window of a sequencer at the top of its
 // loop: the edges its next units take on the edge path when every access
 // of each hits in the TLB, stopping before the first unit with an access
 // that would miss and before the last unit, which raises CP_FIN. It is 0
-// when no run can start. Asking changes nothing the model can observe; it
-// walks the units only when the plan does not hold.
+// when no run can start. Asking changes nothing the model can observe. It
+// describes and times the unit at the start of each repeat, and looks the
+// TLB up only where an access enters a new page: within a repeat every
+// unit takes the same edges, and an access that stays in its page hits as
+// the unit before it did.
 func (s *Seq) RunEdges() int64 {
 	wire := s.runWire()
 	if wire == nil {
 		return 0
 	}
 	h := wire.svc
-	gen := h.Gen()
-	if s.plan.unit == s.unit && s.plan.gen == gen {
-		return s.plan.w
-	}
 	t := newTiming(h.Latency(), wire.ratio)
 	shift := h.PageShift()
 	memo := newRunMemo()
 	var issue [MaxSteps]int64
 	u := &s.cur
 	w := int64(0)
-	for i := s.unit; i+1 < s.units; i++ {
+	for i := s.unit; i+1 < s.units; {
 		u.N = 0
-		s.prog.Unit(i, u)
+		end := min(i+s.prog.Unit(i, u), s.units-1)
 		if !memo.hits(h, shift, u) {
 			break
 		}
 		n, _ := t.edges(u, &issue)
-		w += n
+		for {
+			m := end - i
+			if m > 1 {
+				m = min(m, u.span(shift))
+			}
+			w += int64(m) * n
+			if i += m; i == end {
+				break
+			}
+			u.advance(m)
+			if !memo.hits(h, shift, u) {
+				return w
+			}
+		}
 	}
-	s.plan = runPlan{unit: s.unit, gen: gen, w: w}
 	return w
 }
 
@@ -288,17 +324,25 @@ func (s *Seq) skipRun(k int64) {
 	// store-forwarding stall on every access.
 	var last CPOut
 	var lastN, lastConsume int64
+	// u is unit s.unit, rep units of its repeat are left from it on, and
+	// stay of them keep every access in the page memo resolved it to.
+	var n, consume int64
+	rep, stay := 0, 0
 	for k > 0 {
-		u.N = 0
-		s.prog.Unit(s.unit, u)
-		memo.hits(h, shift, u)
-		n, consume := t.edges(u, &issue)
-		// The plan moves past the unit either way: a remainder on the
-		// edge path reaches the next unit's top with the unit index.
-		s.plan.unit++
-		s.plan.w -= n
+		if rep == 0 {
+			u.N = 0
+			rep = s.prog.Unit(s.unit, u)
+			n, consume = t.edges(u, &issue)
+			stay = 0
+		}
 		if n > k || s.edge0+(s.edge+n+1)*r-1 > now {
 			break
+		}
+		if stay == 0 {
+			memo.hits(h, shift, u)
+			if rep > 1 {
+				stay = u.span(shift)
+			}
 		}
 		// The unit's first request issues at the core's next edge. Core
 		// edge j coincides with IMU edge edge0 + j·r, and the channel
@@ -335,6 +379,10 @@ func (s *Seq) skipRun(k int64) {
 		s.edge += n
 		lastN, lastConsume = n, consume
 		k -= n
+		if rep--; rep > 0 {
+			u.advance(1)
+			stay--
+		}
 	}
 	if lastN > 0 {
 		s.settle(last, lastN, lastConsume, t, din)

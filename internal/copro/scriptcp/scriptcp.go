@@ -166,17 +166,19 @@ func (c *Core) Param(i int, w uint32) bool {
 // Units implements copro.Program: one unit per op.
 func (c *Core) Units() int { return len(c.script) }
 
-// Unit implements copro.Program: op i is one access.
-func (c *Core) Unit(i int, u *copro.Unit) {
+// Unit implements copro.Program: op i is one access, and a repeat of its
+// own: a script's ops follow no pattern.
+func (c *Core) Unit(i int, u *copro.Unit) int {
 	op := &c.script[i]
 	switch op.Kind {
 	case OpRead:
-		u.Read(op.Obj, op.Addr, op.Size)
+		u.Read(op.Obj, op.Addr, op.Size, 0)
 	case OpWriteChecksum:
-		u.Write(op.Obj, op.Addr, copro.Size32)
+		u.Write(op.Obj, op.Addr, copro.Size32, 0)
 	default:
-		u.Write(op.Obj, op.Addr, op.Size)
+		u.Write(op.Obj, op.Addr, op.Size, 0)
 	}
+	return 1
 }
 
 // Kernel implements copro.Program: a read folds its data into the

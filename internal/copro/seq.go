@@ -19,8 +19,12 @@ type Program interface {
 	Units() int
 	// Unit describes unit i into u, which arrives empty: its steps in
 	// the order the core performs them. A unit starts with an access, and
-	// its reads come before its writes.
-	Unit(i int, u *Unit)
+	// its reads come before its writes. It returns the unit's repeat, at
+	// least 1: units i+1 up to i+repeat-1 (those below Units) have the
+	// same steps, but for each access's Addr, which moves by its Stride
+	// from one to the next. A core whose units change shape, or whose
+	// accesses move irregularly, returns 1.
+	Unit(i int, u *Unit) (repeat int)
 	// Kernel runs the datapath over unit i, as Unit described it, with
 	// the data of every read step filled in: it fills in the data of the
 	// write steps. It advances only datapath state (a decoder's
@@ -64,8 +68,6 @@ type Seq struct {
 	// cur is the current unit, described at its first issue. At the top
 	// of the loop it is free, so hit runs describe into it.
 	cur Unit
-	// plan is the last hit-run window found (RunEdges).
-	plan runPlan
 
 	unit  int // absolute index of the current unit
 	units int // Program.Units, latched after the parameters
@@ -113,7 +115,6 @@ func (s *Seq) reset() {
 	s.st = seqWaitStart
 	s.step, s.left, s.ran = 0, 0, false
 	s.unit, s.units, s.param = 0, 0, 0
-	s.plan = runPlan{unit: -1}
 	s.resetMem()
 }
 

@@ -44,12 +44,13 @@ func (c *Core) Param(i int, w uint32) bool {
 func (c *Core) Units() int { return int(c.count) }
 
 // Unit implements copro.Program: element i reads A[i] and B[i] and writes
-// C[i].
-func (c *Core) Unit(i int, u *copro.Unit) {
+// C[i]. Every later element repeats it one word on.
+func (c *Core) Unit(i int, u *copro.Unit) int {
 	a := uint32(i) * 4
-	u.Read(ObjA, a, copro.Size32)
-	u.Read(ObjB, a, copro.Size32)
-	u.Write(ObjC, a, copro.Size32)
+	u.Read(ObjA, a, copro.Size32, 4)
+	u.Read(ObjB, a, copro.Size32, 4)
+	u.Write(ObjC, a, copro.Size32, 4)
+	return c.Units() - i
 }
 
 // Kernel implements copro.Program: C[i] = A[i] + B[i].

@@ -100,8 +100,9 @@ func Render(r *Result) string {
 func ms(ps float64) string { return fmt.Sprintf("%.2f", ps/1e9) }
 
 // Run executes one single run of the named application over size input
-// bytes (rounded down to whole work items) drawn from seed, on a fresh
-// board, and checks its output against the application's golden model.
+// bytes (rounded down to whole work items; a size that holds none is an
+// error) drawn from seed, on a fresh board, and checks its output against
+// the application's golden model.
 // Mode "vim" maps the objects through the virtual interface (loaded, when
 // not nil, runs right after FPGA_LOAD: vimsim installs its waveform
 // recorder there); "sw" runs the pure-software version; "normal" and
@@ -113,7 +114,11 @@ func Run(cfg repro.Config, app, mode string, size int, seed int64, loaded func(*
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown app %q", app)
 	}
-	size -= size % a.Objects[0].ItemBytes
+	item := a.Objects[0].ItemBytes
+	if size < item {
+		return nil, fmt.Errorf("exp: %s input of %d bytes holds no whole %d-byte work item", app, size, item)
+	}
+	size -= size % item
 	in := make([]byte, a.InBytes(size))
 	rand.New(rand.NewSource(seed)).Read(in)
 	want := make([]byte, a.Bytes(a.Out(), size))

@@ -145,28 +145,29 @@ func (p *mixedProg) Param(i int, w uint32) bool {
 
 func (p *mixedProg) Units() int { return int(p.n) }
 
-func (p *mixedProg) Unit(i int, u *copro.Unit) {
+func (p *mixedProg) Unit(i int, u *copro.Unit) int {
 	in, out, c := uint32(4*i)%4096, uint32(8*i)%4096, uint32(1+i%3)
 	switch i % 5 {
 	case 0:
-		u.Read(0, in, copro.Size16)
+		u.Read(0, in, copro.Size16, 0)
 	case 1:
-		u.Read(0, in, copro.Size32)
+		u.Read(0, in, copro.Size32, 0)
 		u.Compute(c)
 	case 2:
-		u.Write(1, out, copro.Size32)
+		u.Write(1, out, copro.Size32, 0)
 		u.Compute(c)
-		u.Write(1, out+4, copro.Size32)
+		u.Write(1, out+4, copro.Size32, 0)
 	case 3:
-		u.Write(1, out, copro.Size32)
+		u.Write(1, out, copro.Size32, 0)
 	case 4:
-		u.Read(0, in, copro.Size32)
-		u.Read(0, 4095-in, copro.Size8)
+		u.Read(0, in, copro.Size32, 0)
+		u.Read(0, 4095-in, copro.Size8, 0)
 		u.Compute(c)
-		u.Write(1, out, copro.Size16)
+		u.Write(1, out, copro.Size16, 0)
 		u.Compute(1)
-		u.Write(1, out+4, copro.Size32)
+		u.Write(1, out+4, copro.Size32, 0)
 	}
+	return 1
 }
 
 func (p *mixedProg) Kernel(i int, u *copro.Unit) {
@@ -192,6 +193,52 @@ func mixedCase(units int, ratio int64) hitCase {
 	}}
 }
 
+// stridedProg is a test Program whose repeats are short and end where no
+// page does, which no shipped core's do: their repeats span the whole loop.
+// Repeats take their lengths from stridedRepeats in turn, and alternate
+// in shape (the compute length, and a second write in odd repeats). Within
+// a repeat one read streams up and enters its second page at unit 487,
+// one reads a fixed word (stride 0), and one write streams down and enters
+// its first page at unit 512. Its kernel is mixedProg's.
+type stridedProg struct{ mixedProg }
+
+var stridedRepeats = [...]int{1, 3, 64, 7, 200, 2, 29}
+
+func (p *stridedProg) Name() string { return "strided" }
+
+func (p *stridedProg) Unit(i int, u *copro.Unit) int {
+	period := 0
+	for _, n := range stridedRepeats {
+		period += n
+	}
+	r, k := len(stridedRepeats)*(i/period), i%period
+	for k >= stridedRepeats[r%len(stridedRepeats)] {
+		k -= stridedRepeats[r%len(stridedRepeats)]
+		r++
+	}
+	a := uint32(4 * i)
+	u.Read(0, a+100, copro.Size16, 4)
+	u.Read(0, 4092, copro.Size32, 0)
+	u.Compute(uint32(1 + r%3))
+	u.Write(1, 4094-a, copro.Size16, -4)
+	if r%2 == 1 {
+		u.Write(1, a/2, copro.Size8, 2)
+	}
+	return stridedRepeats[r%len(stridedRepeats)] - k
+}
+
+// stridedCase runs stridedProg over two input and two output pages with
+// the core clocked at 60 MHz / ratio.
+func stridedCase(units int, ratio int64) hitCase {
+	return hitCase{fmt.Sprintf("strided-%d-r%d", units, ratio), func(t testing.TB, sched sim.Scheduler) *Bench {
+		frames := map[int][]byte{}
+		twoPages(frames, 1, randomBytes(ratio+30, 4096))
+		maps := [][3]int{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}, {1, 1, 4}}
+		return newHitBench(t, sched, 60_000_000/ratio, 60_000_000, imu.MultiCycle,
+			copro.NewSeq(&stridedProg{}), frames, maps, uint32(units))
+	}}
+}
+
 func hitCases() []hitCase {
 	cases := []hitCase{
 		vecaddCase(1000),
@@ -205,7 +252,7 @@ func hitCases() []hitCase {
 	for ratio := int64(1); ratio <= 3; ratio++ {
 		cases = append(cases, mixedCase(700, ratio))
 	}
-	return cases
+	return append(cases, stridedCase(700, 1), stridedCase(700, 3))
 }
 
 // fieldsOf renders every non-pointer field of struct v (a struct or a
@@ -228,9 +275,8 @@ func fieldsOf(v reflect.Value, skip ...string) string {
 // global and per channel) and its channel (FSM state, latched request,
 // register bank, outputs), the DP RAM's bytes and port counters, both
 // committed port bundles and the domain cycles. Per-edge scratch (the
-// sequencer's current unit) and lookup memos (the sequencer's hit-run plan,
-// the channel's CAM memo) are left out. The core's edge count is the
-// sequencer's edge field.
+// sequencer's current unit) and lookup memos (the channel's CAM memo) are
+// left out. The core's edge count is the sequencer's edge field.
 type benchState struct {
 	Core, Seq, Mem, IMU, Channel, DPPorts string
 	DP                                    []byte
@@ -248,7 +294,7 @@ func snapshot(t testing.TB, b *Bench) benchState {
 	u := reflect.ValueOf(b.IMU)
 	return benchState{
 		Core:    fieldsOf(reflect.ValueOf(b.Core).Elem().FieldByName("prog").Elem()),
-		Seq:     fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur", "plan"),
+		Seq:     fieldsOf(reflect.ValueOf(b.Core), "Mem", "cur"),
 		Mem:     fieldsOf(reflect.ValueOf(&b.Core.Mem)),
 		IMU:     fieldsOf(u, "ch", "chbuf", "hits", "anyWork", "hz"),
 		Channel: fieldsOf(u.Elem().FieldByName("ch").Index(0), "noop", "next", "cam"),
@@ -301,24 +347,14 @@ func TestHitRunMatchesFullDelivery(t *testing.T) {
 	}
 }
 
-// planned reports whether the sequencer's hit-run plan is at its current
-// unit, so that its next ask is answered from the plan if the table
-// generation still holds.
-func planned(s *copro.Seq) bool {
-	v := reflect.ValueOf(s).Elem()
-	return v.FieldByName("plan").FieldByName("unit").Int() == v.FieldByName("unit").Int()
-}
-
 // TestHitRunPartialWindow consumes a random part of each advertised hit-run
 // window through the core's SkipEdges and requires exactly the state the
 // edge FSMs reach over the same edges — k core edges and a random number of
 // the IMU edges before the core's next one, then the rest of those —
 // including an access left mid-handshake; then runs both benches to
-// completion and compares again. At every step the
-// skipped bench's window answer, which after a skip comes from the plan the
-// skip left, must equal the reference sequencer's: the reference never
-// skips, so its plan never outlives the unit it was found at, and its first
-// answer at each unit is a fresh walk.
+// completion and compares again. At every step the skipped bench's window
+// answer, asked where a skip left its sequencer, must equal the reference
+// sequencer's, which never skips.
 func TestHitRunPartialWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range hitCases() {
@@ -329,13 +365,10 @@ func TestHitRunPartialWindow(t *testing.T) {
 			}
 			seq := skip.Core
 			ratio := reflect.ValueOf(ref.Shell.Slots[0]).Elem().FieldByName("div").Int()
-			windows, fromPlan := 0, 0
+			windows := 0
 			for steps := 0; !ref.IMU.DonePending() && steps < 10_000_000; steps++ {
 				if ref.IMU.FaultPending() {
 					t.Fatal("unexpected fault")
-				}
-				if planned(seq) && !planned(ref.Core) {
-					fromPlan++
 				}
 				// Take hit-run windows only: the core's other windows
 				// defer an inert drain step, which no component observes.
@@ -389,9 +422,6 @@ func TestHitRunPartialWindow(t *testing.T) {
 			if windows == 0 {
 				t.Fatal("no hit-run window was advertised")
 			}
-			if fromPlan == 0 {
-				t.Fatal("no window was answered from a plan")
-			}
 			if !skip.IMU.DonePending() {
 				t.Fatal("the skipped bench did not finish with the reference")
 			}
@@ -421,9 +451,28 @@ func TestNoHitRunWithoutService(t *testing.T) {
 // bench, as hit runs (event scheduler) and through the edge FSMs alone
 // (lockstep). It reports host ns per executed unit and per translated
 // access, delivered edges per op and simulated edges per op (delivered +
-// skipped, the same for both paths).
+// skipped, the same for both paths). Its ask path times one window answer
+// (Seq.RunEdges) per op, asked at the top of the core's first unit, and
+// reports the window's edges.
 func BenchmarkHitRun(b *testing.B) {
 	for _, c := range hitCases() {
+		b.Run(c.name+"/ask", func(b *testing.B) {
+			bench := c.build(b, sim.Lockstep)
+			bench.IMU.Start()
+			for bench.Core.RunEdges() == 0 {
+				if bench.IMU.DonePending() {
+					b.Fatal("no hit-run window was advertised")
+				}
+				bench.Shell.Step()
+			}
+			var w int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w = bench.Core.RunEdges()
+			}
+			b.ReportMetric(float64(w), "window-edges")
+		})
 		for _, path := range []struct {
 			name  string
 			sched sim.Scheduler

@@ -263,16 +263,16 @@ func TestLastUseStampsOrderEdgeThenChannel(t *testing.T) {
 }
 
 // TestSessionGenerations pins which table writes bump which session's
-// generation (copro.HitService.Gen), the key of a core's hit-run plan: a
-// write that may change what a session's lookups match bumps that session
-// and no other, and a hit, delivered or run, bumps none.
+// generation, the key of its channel's CAM memo: a write that may change
+// what a session's lookups match bumps that session and no other, and a
+// hit, delivered or run, bumps none.
 func TestSessionGenerations(t *testing.T) {
 	r := newMultiRig(t, [2][]tbOp{
 		{{obj: 0, addr: 0x10, size: copro.Size32}, {wr: true, obj: 0, addr: 0x14, size: copro.Size32, val: 7}},
 		{{obj: 0, addr: 0x10, size: copro.Size32}},
 	})
 	svc := [2]copro.HitService{r.imu.HitService(0), r.imu.HitService(1)}
-	gens := func() [2]uint64 { return [2]uint64{svc[0].Gen(), svc[1].Gen()} }
+	gens := func() [2]uint64 { return [2]uint64{r.imu.gen[r.imu.ch[0].sess], r.imu.gen[r.imu.ch[1].sess]} }
 	expect := func(what string, before [2]uint64, bumped0, bumped1 bool) {
 		t.Helper()
 		got := gens()

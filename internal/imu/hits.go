@@ -20,11 +20,6 @@ func (u *IMU) HitService(i int) copro.HitService { return &u.hits[i] }
 // Edge implements copro.HitService.
 func (s *hitService) Edge() int64 { return s.u.edge }
 
-// Gen implements copro.HitService: the table generation of the channel's
-// session, which every table write that may change one of its matches
-// bumps (see sessionWritten). A hit, run or delivered, bumps none.
-func (s *hitService) Gen() uint64 { return s.u.gen[s.c.sess] }
-
 // Eval implements copro.HitService: the channel's FSM alone steps through
 // IMU edge edge, with the idle fast path of IMU.Eval.
 func (s *hitService) Eval(edge int64) {
@@ -70,11 +65,11 @@ func (s *hitService) PageShift() uint { return s.u.cfg.PageShift }
 
 // Hits implements copro.HitService through the channel's memoised CAM
 // match. An entry whose frame lies outside the DP RAM counts as a miss:
-// the edge FSM faults on it.
+// the edge FSM faults on it. The DP RAM has one frame per entry (New).
 func (s *hitService) Hits(obj uint8, addr uint32) int {
 	u := s.u
 	i := u.camLookup(s.c, obj, addr>>u.cfg.PageShift)
-	if i >= 0 && int(u.tlb[i].Frame) >= u.dp.Pages() {
+	if i >= 0 && int(u.tlb[i].Frame) >= len(u.tlb) {
 		return -1
 	}
 	return i

@@ -244,8 +244,8 @@ type IMU struct {
 	tlbIdx int // register-window entry selector (shared indirect port)
 
 	// gen is each session's table generation (see sessionWritten),
-	// indexed by session tag; a CAM memo and a hit-run plan are valid
-	// only within one generation of their session.
+	// indexed by session tag; a CAM memo is valid only within one
+	// generation of its session.
 	gen [MaxChannels]uint64
 
 	// hz is the published idle horizon (sim.Publisher), see IdleEdges.
@@ -323,9 +323,9 @@ func (u *IMU) poke() { u.hz.Invalidate() }
 
 // sessionWritten records a table write that may change which entries match
 // session sess's lookups: it bumps the session's generation, retiring its
-// channel's CAM memo and its core's hit-run plan. Writes that only touch a
-// hit's Ref, LastUse or Dirty bits change no match and bump nothing. A tag
-// no channel carries matches no lookup.
+// channel's CAM memo. Writes that only touch a hit's Ref, LastUse or Dirty
+// bits change no match and bump nothing. A tag no channel carries matches
+// no lookup.
 func (u *IMU) sessionWritten(sess uint8) {
 	if int(sess) < len(u.gen) {
 		u.gen[sess]++
