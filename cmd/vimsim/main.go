@@ -322,7 +322,6 @@ func runMulti(board, arb string, split, size int, seed int64) error {
 	if split < 2 || split > pages-2 {
 		return fmt.Errorf("split %d out of range [2,%d] on %s", split, pages-2, board)
 	}
-	size = size &^ 7
 	rep, err := exp.SessionsGang(board, arb, split, size, size/2, seed)
 	if err != nil {
 		return err

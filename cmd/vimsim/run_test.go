@@ -49,14 +49,19 @@ func TestRunMatchesExperiments(t *testing.T) {
 	}
 }
 
-// TestRunRejectsSizeWithoutWorkItem holds every single-run mode to one
-// error, not a panic or an empty run, for a size that holds no whole work
-// item: negative, zero, or less than one IDEA block.
+// TestRunRejectsSizeWithoutWorkItem holds every single-run mode, and the
+// multi-session gang, to one error, not a panic or an empty run, for a
+// size that holds no whole work item: negative, zero, or less than one
+// IDEA block.
 func TestRunRejectsSizeWithoutWorkItem(t *testing.T) {
-	for _, mode := range []string{"vim", "sw", "normal", "chunked"} {
+	for _, mode := range []string{"vim", "sw", "normal", "chunked", "multi"} {
 		for _, size := range []int{-8, 0, 4} {
 			t.Run(fmt.Sprintf("%s/%d", mode, size), func(t *testing.T) {
-				o, err := parse(t, "-app", "idea", "-mode", mode, "-size", fmt.Sprint(size))
+				args := []string{"-mode", mode, "-size", fmt.Sprint(size)}
+				if mode != "multi" { // the gang runs IDEA and ADPCM
+					args = append(args, "-app", "idea")
+				}
+				o, err := parse(t, args...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,6 +34,33 @@ const (
 	Size32 = 4
 )
 
+// ByteEnables are the byte enables of a size-byte store at byte lane lane
+// of a memory word: the lanes from lane on that the access covers. A
+// store's data moves to its lane (v << 8·lane), and whatever passes the
+// word's last lane is dropped: a Size16 store at lane 3 writes one byte.
+func ByteEnables(size uint8, lane uint32) uint8 {
+	switch size {
+	case Size8:
+		return 1 << lane
+	case Size16:
+		return 3 << lane
+	}
+	return 0xf
+}
+
+// LaneData extracts a size-byte load at byte lane lane from a memory word,
+// lane-aligned to bit 0.
+func LaneData(word, lane uint32, size uint8) uint32 {
+	v := word >> (8 * lane)
+	switch size {
+	case Size8:
+		v &= 0xff
+	case Size16:
+		v &= 0xffff
+	}
+	return v
+}
+
 // CPOut is the set of signals driven by the coprocessor, committed at the
 // coprocessor's clock edge. The wide fields lead so the bundle packs into
 // 16 bytes, which keeps a Port within its allocation size class.

@@ -1,6 +1,10 @@
 package copro
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/mem"
+)
 
 // This file implements hit runs: the transaction-level path that moves a
 // sequencer and its IMU channel through a TLB-resident stretch of the
@@ -27,11 +31,15 @@ import "math"
 // crossing. Nothing outlives a call: every ask walks afresh. A Program
 // with irregular units declares one-unit repeats and takes the same path.
 //
+// skipRun moves each access's word through port A's view of its DP RAM
+// frame, resolved once per page stay, and commits the TLB bookkeeping of
+// the stay's accesses once, at its end, with their final values.
+//
 // A run may be executed late: a shell slot sleeps through its window while
 // its neighbour keeps running, and executes the run when it wakes. Every
-// access therefore goes to the hit service with the IMU edge at which the
-// edge path would have translated it, derived from the core's own edge
-// count and the IMU edge its edge 0 fell on (Bind). A run may also be cut
+// access's stamp therefore carries the IMU edge at which the edge path
+// would have translated it, derived from the core's own edge count and
+// the IMU edge its edge 0 fell on (Bind). A run may also be cut
 // short, when the OS stops the shell inside it: the units whose IMU edges
 // have all been delivered run in closed form and the rest on the edge
 // paths, up to the IMU's current edge; the shell delivers the channel's
@@ -130,8 +138,12 @@ func (u *Unit) span(shift uint) int {
 }
 
 // HitService is the transaction-level face of the IMU channel a port is
-// wired to (Port.ServeHits). IMU edges are numbered from 1 over the IMU's
-// lifetime.
+// wired to (Port.ServeHits). A run applies what the channel's translation
+// FSM and its commit would for each of its hits in two parts: it moves
+// each access's word itself, through the view Frame gives of the entry's
+// DP RAM frame, and has the channel apply the rest once, with its final
+// values — Touch per TLB entry and page stay, Commit per run. IMU edges
+// are numbered from 1 over the IMU's lifetime.
 type HitService interface {
 	// Edge is the number of IMU edges delivered or skipped so far.
 	Edge() int64
@@ -150,10 +162,20 @@ type HitService interface {
 	// Hits returns the TLB entry that translates (obj, addr), or -1 if the
 	// access would miss.
 	Hits(obj uint8, addr uint32) int
-	// Access applies one translated access through entry e exactly as the
-	// channel's translation at IMU edge edge and its commit would, and
-	// returns the data read (lane-aligned; 0 for a write).
-	Access(edge int64, e int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32
+	// Frame returns port A's view of the DP RAM frame entry e maps: a run
+	// moves the word of each access through e in it, a word load or a
+	// byte-enabled word store, as the channel's translation would.
+	Frame(e int) mem.Frame
+	// Touch applies to entry e what the channel's translations of a page
+	// stay's accesses through it would: Ref, Dirty if wr, and LastUse
+	// stamped with IMU edge edge, the last access's.
+	Touch(e int, edge int64, wr bool)
+	// Commit applies the rest of what a run's reads and writes (all hits)
+	// leave on the channel, with its final values: the access and hit
+	// counters, the DP RAM's port-A counters, the latched request of the
+	// last access (last, with CP_WR as it was) and the last read's data
+	// din on CP_DIN.
+	Commit(reads, writes uint64, last CPOut, din uint32)
 	// Finish commits the channel's IMU-side bundle after a run and
 	// invalidates the IMU's published horizon.
 	Finish()
@@ -296,13 +318,18 @@ func (s *Seq) RunEdges() int64 {
 
 // skipRun consumes k edges of the window the last IdleEdges answer
 // advertised as a run (RunEdges), leaving exactly the state k delivered
-// edges would: whole units run in closed form — each access through the
-// hit service at the IMU edge the edge path translates it at, the kernel
-// before the first write, the Mem counters, and at the end the committed
-// CP bundle (the last request's fields, with CP_ACCESS and CP_WR low) and
-// the IMU's — and a remainder shorter than the next unit runs on the edge
-// paths of the sequencer and the channel (deliver), leaving its access
-// mid-handshake. A unit runs in closed form only once the IMU has
+// edges would. Whole units run in closed form a page stay at a time: at a
+// stay's first unit each access's TLB entry (the entry RunEdges found) and
+// port A's view of its frame are resolved, each access of each unit then
+// moves its word through that view as the channel's translation would,
+// with the kernel between the unit's reads and its writes, and at the
+// stay's end each entry is touched with the IMU edge the edge path
+// translates its last access at, and the Mem counters are added. At the
+// end the channel takes the run's counters, latched request and CP_DIN
+// (Commit) and the committed CP bundle the last request's fields with
+// CP_ACCESS and CP_WR low. A remainder shorter than the next unit runs on
+// the edge paths of the sequencer and the channel (deliver), leaving its
+// access mid-handshake. A unit runs in closed form only once the IMU has
 // delivered every edge before the core's next one: a divided core woken at
 // its own edge has a CP_TLBHIT fall still to come in the IMU edges after
 // it, so that unit goes to the edge paths too. What the answer was given
@@ -314,83 +341,161 @@ func (s *Seq) skipRun(k int64) {
 	lat := h.Latency()
 	t := newTiming(lat, r)
 	shift := h.PageShift()
-	now := h.Edge()
+	mask := uint32(1)<<shift - 1
 	memo := newRunMemo()
 	var issue [MaxSteps]int64
+	// frames[i] is the view step i moves its words through; views keeps
+	// the views taken, direct-mapped on the entry.
+	var frames [MaxSteps]mem.Frame
+	var views [8]struct {
+		e int
+		f mem.Frame
+	}
+	for i := range views {
+		views[i].e = -1
+	}
+	var acc accesses
+	var run runTally
 	din := s.port.IMURef().DIn
 	u := &s.cur
-	// The last access's request, kept field by field: copying the Step
-	// whole reloads it 16 bytes wide right after Val's 4-byte store, a
-	// store-forwarding stall on every access.
-	var last CPOut
-	var lastN, lastConsume int64
-	// u is unit s.unit, rep units of its repeat are left from it on, and
-	// stay of them keep every access in the page memo resolved it to.
-	var n, consume int64
-	rep, stay := 0, 0
-	for k > 0 {
+	// A unit runs in closed form if it ends within the k edges, and the
+	// IMU has delivered every edge before the core's next one: core edge
+	// j coincides with IMU edge edge0 + j·r, so the unit may end at core
+	// edge stop at the latest.
+	start := s.edge
+	stop := min(start+k, (h.Edge()-s.edge0+1)/r-1)
+	// u is unit s.unit, or the unit before it if moved is false; rep
+	// units of its repeat are left from s.unit on.
+	var n, consume, lastN, lastConsume int64
+	rep, moved := 0, true
+	for {
 		if rep == 0 {
 			u.N = 0
 			rep = s.prog.Unit(s.unit, u)
 			n, consume = t.edges(u, &issue)
-			stay = 0
+			acc.of(u)
+			moved = true
 		}
-		if n > k || s.edge0+(s.edge+n+1)*r-1 > now {
+		if s.edge+n > stop {
 			break
 		}
-		if stay == 0 {
-			memo.hits(h, shift, u)
-			if rep > 1 {
-				stay = u.span(shift)
-			}
-		}
-		// The unit's first request issues at the core's next edge. Core
-		// edge j coincides with IMU edge edge0 + j·r, and the channel
-		// translates an access Latency IMU edges after the one coinciding
-		// with its issue.
-		at := s.edge0 + (s.edge+1)*r + lat
-		kernel := false
-		for i := 0; i < u.N; i++ {
-			st := &u.Steps[i]
-			switch st.Kind {
-			case StepRead:
-				st.Val = h.Access(at+issue[i]*r, memo[i].entry, st.Obj, st.Addr, st.Size, false, 0)
-				din = st.Val
-				last.DOut = 0
-				s.Reads++
-			case StepWrite:
-				if !kernel {
-					s.prog.Kernel(s.unit, u)
-					kernel = true
-				}
-				h.Access(at+issue[i]*r, memo[i].entry, st.Obj, st.Addr, st.Size, true, st.Val)
-				last.DOut = st.Val
-				s.Writes++
-			default:
-				continue
-			}
-			s.WaitCycles += uint64(t.a - 1)
-			last.Obj, last.Addr, last.Size = st.Obj, st.Addr, st.Size
-		}
-		if !kernel {
-			s.prog.Kernel(s.unit, u)
-		}
-		s.unit++
-		s.edge += n
-		lastN, lastConsume = n, consume
-		k -= n
-		if rep--; rep > 0 {
+		if !moved {
 			u.advance(1)
-			stay--
 		}
+		// A page stay: m units that keep every access in the page of its
+		// entry in memo, whose frame it moves its words through.
+		memo.hits(h, shift, u)
+		for _, i := range acc.at[:acc.n] {
+			e := memo[i].entry
+			v := &views[e%len(views)]
+			if v.e != e {
+				v.e, v.f = e, h.Frame(e)
+			}
+			frames[i] = v.f
+		}
+		m := int64(rep)
+		if rep > 1 {
+			m = min(m, int64(u.span(shift)))
+		}
+		if s.edge+m*n > stop {
+			m = (stop - s.edge) / n
+		}
+		for j := int64(1); ; j++ {
+			for _, i := range acc.reads() {
+				st := &u.Steps[i]
+				off := st.Addr & mask
+				st.Val = LaneData(frames[i].Read32(off&^3), off&3, st.Size)
+				din = st.Val
+			}
+			// The kernel runs between the reads and the writes, as on
+			// the edge path.
+			s.prog.Kernel(s.unit, u)
+			for _, i := range acc.writes() {
+				st := &u.Steps[i]
+				off := st.Addr & mask
+				frames[i].Write32(off&^3, st.Val<<(8*(off&3)), ByteEnables(st.Size, off&3))
+			}
+			s.unit++
+			if j == m {
+				break
+			}
+			u.advance(1)
+		}
+		s.edge += m * n
+		rep -= int(m)
+		moved = false
+		// The stay's last unit issued its first request at the core edge
+		// after s.edge - n, which coincides with IMU edge edge0 +
+		// (s.edge-n+1)·r, and the channel translates each access Latency
+		// IMU edges after the one coinciding with its issue.
+		s.commitStay(h, &acc, &memo, &issue, s.edge0+(s.edge-n+1)*r+lat, r, uint64(m), t.a-1, &run)
+		lastN, lastConsume = n, consume
 	}
 	if lastN > 0 {
-		s.settle(last, lastN, lastConsume, t, din)
+		h.Commit(run.reads, run.writes, run.last, din)
+		run.last.Wr = false
+		s.settle(run.last, lastN, lastConsume, t, din)
 		h.Finish()
 	}
-	if k > 0 {
+	if k -= s.edge - start; k > 0 {
 		deliver(h, s, k, r)
 		h.Finish()
+	}
+}
+
+// accesses lists the positions of a unit's access steps in step order,
+// which is its reads, then its writes (Program.Unit).
+type accesses struct {
+	at       [MaxSteps]uint8
+	n, nread int
+}
+
+// of lists u's accesses.
+func (a *accesses) of(u *Unit) {
+	a.n, a.nread = 0, 0
+	for i := 0; i < u.N; i++ {
+		switch u.Steps[i].Kind {
+		case StepRead:
+			a.nread++
+		case StepWrite:
+		default:
+			continue
+		}
+		a.at[a.n] = uint8(i)
+		a.n++
+	}
+}
+
+func (a *accesses) reads() []uint8  { return a.at[:a.nread] }
+func (a *accesses) writes() []uint8 { return a.at[a.nread:a.n] }
+
+// runTally is what a run's page stays add up to: their reads and writes,
+// and the request of the last access.
+type runTally struct {
+	reads, writes uint64
+	last          CPOut
+}
+
+// commitStay applies what a page stay's units units, u and the units of
+// its repeat before it, leave besides their words, the last translating
+// its accesses (acc) from IMU edge at on (step i at at + issue[i]·r): each
+// access's entry in memo touched with the edge of its last access, in step
+// order, so a later step through the same entry stamps it, and Mem's
+// counters, wait wait cycles an access. It adds the stay to run.
+func (s *Seq) commitStay(h HitService, acc *accesses, memo *runMemo, issue *[MaxSteps]int64, at, r int64, units uint64, wait int64, run *runTally) {
+	for j, i := range acc.at[:acc.n] {
+		h.Touch(memo[i].entry, at+issue[i]*r, j >= acc.nread)
+	}
+	reads, writes := units*uint64(acc.nread), units*uint64(acc.n-acc.nread)
+	s.Reads += reads
+	s.Writes += writes
+	s.WaitCycles += (reads + writes) * uint64(wait)
+	run.reads += reads
+	run.writes += writes
+	st := &s.cur.Steps[acc.at[acc.n-1]]
+	run.last = CPOut{Addr: st.Addr, Obj: st.Obj, Size: st.Size, Wr: st.Kind == StepWrite}
+	if run.last.Wr {
+		run.last.DOut = st.Val
 	}
 }
 

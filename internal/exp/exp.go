@@ -99,6 +99,16 @@ func Render(r *Result) string {
 // ms formats picoseconds as milliseconds.
 func ms(ps float64) string { return fmt.Sprintf("%.2f", ps/1e9) }
 
+// wholeItems rounds size input bytes of a down to whole work items, and
+// fails when they hold none.
+func wholeItems(a *apps.App, size int) (int, error) {
+	item := a.Objects[0].ItemBytes
+	if size < item {
+		return 0, fmt.Errorf("exp: %s input of %d bytes holds no whole %d-byte work item", a.Name, size, item)
+	}
+	return size - size%item, nil
+}
+
 // Run executes one single run of the named application over size input
 // bytes (rounded down to whole work items; a size that holds none is an
 // error) drawn from seed, on a fresh board, and checks its output against
@@ -114,11 +124,10 @@ func Run(cfg repro.Config, app, mode string, size int, seed int64, loaded func(*
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown app %q", app)
 	}
-	item := a.Objects[0].ItemBytes
-	if size < item {
-		return nil, fmt.Errorf("exp: %s input of %d bytes holds no whole %d-byte work item", app, size, item)
+	size, err := wholeItems(a, size)
+	if err != nil {
+		return nil, err
 	}
-	size -= size % item
 	in := make([]byte, a.InBytes(size))
 	rand.New(rand.NewSource(seed)).Read(in)
 	want := make([]byte, a.Bytes(a.Out(), size))

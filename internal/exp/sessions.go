@@ -22,8 +22,10 @@ const SessionsClockHz = 24_000_000
 // sessions in the slots of a two-slot shell behind one Virtual Interface
 // Manager on one board, IDEA encrypting ideaBytes and ADPCM decoding
 // adpcmBytes at the same time, with ideaFrames of the page pool carved into
-// IDEA's home partition and the rest into ADPCM's. Both outputs are
-// verified against the golden algorithms before the report is returned.
+// IDEA's home partition and the rest into ADPCM's. Each size is rounded
+// down to whole work items, and one that holds none is exp.Run's error,
+// returned before the board is built. Both outputs are verified against
+// the golden algorithms before the report is returned.
 func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, seed int64) (*core.Report, error) {
 	spec, ok := platform.SpecByName(boardName)
 	if !ok {
@@ -32,6 +34,14 @@ func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, 
 	arbitration, ok := vim.NewArbitration(arb)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown arbitration %q", arb)
+	}
+	sizes := [2]int{ideaBytes, adpcmBytes}
+	for i, app := range [2]string{"idea", "adpcm"} {
+		a, _ := apps.Get(app)
+		var err error
+		if sizes[i], err = wholeItems(a, sizes[i]); err != nil {
+			return nil, err
+		}
 	}
 	board, err := platform.NewBoard(spec)
 	if err != nil {
@@ -59,8 +69,8 @@ func SessionsGang(boardName, arb string, ideaFrames, ideaBytes, adpcmBytes int, 
 		in     []byte
 		base   [apps.MaxObjects]uint32
 	}{
-		{a: table["idea"], frames: ideaFrames, hz: h.CoreClock, size: ideaBytes},
-		{a: table["adpcm"], frames: board.DP.Pages() - ideaFrames, size: adpcmBytes},
+		{a: table["idea"], frames: ideaFrames, hz: h.CoreClock, size: sizes[0]},
+		{a: table["adpcm"], frames: board.DP.Pages() - ideaFrames, size: sizes[1]},
 	}
 	for i := range members {
 		m := &members[i]

@@ -206,16 +206,24 @@ var stridedRepeats = [...]int{1, 3, 64, 7, 200, 2, 29}
 
 func (p *stridedProg) Name() string { return "strided" }
 
-func (p *stridedProg) Unit(i int, u *copro.Unit) int {
+// repeatAt returns which repeat unit i falls in, when repeats take their
+// lengths from lengths in turn, and its position k in it: the repeat's
+// length less k units of it are left from i on.
+func repeatAt(i int, lengths []int) (r, k int) {
 	period := 0
-	for _, n := range stridedRepeats {
+	for _, n := range lengths {
 		period += n
 	}
-	r, k := len(stridedRepeats)*(i/period), i%period
-	for k >= stridedRepeats[r%len(stridedRepeats)] {
-		k -= stridedRepeats[r%len(stridedRepeats)]
+	r, k = len(lengths)*(i/period), i%period
+	for k >= lengths[r%len(lengths)] {
+		k -= lengths[r%len(lengths)]
 		r++
 	}
+	return r, k
+}
+
+func (p *stridedProg) Unit(i int, u *copro.Unit) int {
+	r, k := repeatAt(i, stridedRepeats[:])
 	a := uint32(4 * i)
 	u.Read(0, a+100, copro.Size16, 4)
 	u.Read(0, 4092, copro.Size32, 0)
@@ -239,6 +247,50 @@ func stridedCase(units int, ratio int64) hitCase {
 	}}
 }
 
+// foldProg is a test Program for the TLB bookkeeping a hit run commits
+// once per page stay rather than per access. Its repeats take their
+// lengths from foldRepeats in turn (one-unit stays among them), and each
+// moves one size at one byte lane: Size8 and Size16 in turn, at lanes 0 to
+// 3. A unit reads object 1 at 8i + lane and, after the kernel, writes it 8
+// bytes on, where the next unit reads: two steps through one entry, one a
+// write, which enter object 1's second page at units 255 (the write) and
+// 256 (the read). It also
+// reads a word of object 0 streaming up, which crosses at unit 487, and a
+// fixed location of object 2, whose frame is never written: that access
+// stays in its page while the others cross, so its entry's last stamp
+// comes from the run's last stay. Its kernel is mixedProg's.
+type foldProg struct{ mixedProg }
+
+var foldRepeats = [...]int{1, 5, 37, 3, 200, 1, 64, 2}
+
+func (p *foldProg) Name() string { return "fold" }
+
+func (p *foldProg) Unit(i int, u *copro.Unit) int {
+	r, k := repeatAt(i, foldRepeats[:])
+	size, lane := uint8(copro.Size8<<(r%2)), uint32(r/2%4)
+	a := uint32(8*i) + lane
+	u.Read(1, a, size, 8)
+	u.Read(0, uint32(100+4*i), copro.Size32, 4)
+	u.Read(2, 64+lane, size, 0)
+	u.Compute(uint32(1 + r%3))
+	u.Write(1, a+8, size, 8)
+	return foldRepeats[r%len(foldRepeats)] - k
+}
+
+// foldCase runs foldProg over 500 units, whose accesses stay within the
+// two pages of objects 0 and 1, with the core clocked at 60 MHz / ratio.
+// Object 2's frame is mapped but never loaded.
+func foldCase(ratio int64) hitCase {
+	return hitCase{fmt.Sprintf("fold-500-r%d", ratio), func(t testing.TB, sched sim.Scheduler) *Bench {
+		frames := map[int][]byte{}
+		twoPages(frames, 1, randomBytes(ratio+40, 4096))
+		twoPages(frames, 3, randomBytes(ratio+41, 4096))
+		maps := [][3]int{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}, {1, 1, 4}, {2, 0, 5}}
+		return newHitBench(t, sched, 60_000_000/ratio, 60_000_000, imu.MultiCycle,
+			copro.NewSeq(&foldProg{}), frames, maps, 500)
+	}}
+}
+
 func hitCases() []hitCase {
 	cases := []hitCase{
 		vecaddCase(1000),
@@ -252,7 +304,7 @@ func hitCases() []hitCase {
 	for ratio := int64(1); ratio <= 3; ratio++ {
 		cases = append(cases, mixedCase(700, ratio))
 	}
-	return append(cases, stridedCase(700, 1), stridedCase(700, 3))
+	return append(cases, stridedCase(700, 1), stridedCase(700, 3), foldCase(1), foldCase(3))
 }
 
 // fieldsOf renders every non-pointer field of struct v (a struct or a

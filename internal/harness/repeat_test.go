@@ -57,6 +57,7 @@ func TestDeclaredRepeats(t *testing.T) {
 		{"scriptcp-seed2", script(2, 50), [][]uint32{{0}}},
 		{"mixed", copro.NewSeq(&mixedProg{}), [][]uint32{{1}, {700}}},
 		{"strided", copro.NewSeq(&stridedProg{}), [][]uint32{{1}, {4}, {700}, {1000}}},
+		{"fold", copro.NewSeq(&foldProg{}), [][]uint32{{1}, {6}, {500}}},
 	}
 	for _, c := range cases {
 		p := programOf(c.core)

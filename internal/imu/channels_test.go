@@ -319,8 +319,17 @@ func TestSessionGenerations(t *testing.T) {
 	if e != 2 {
 		t.Fatalf("Hits(0, 0x20) = %d, want entry 2", e)
 	}
-	svc[0].Access(r.imu.edge+4, e, 0, 0x20, copro.Size32, true, 9)
-	svc[0].Access(r.imu.edge+8, e, 0, 0x20, copro.Size32, false, 0)
+	// A run's write then read of one word through entry e, as skipRun
+	// applies them: the words through the frame view, then the stay's
+	// touches in step order, then the run's commit.
+	f := svc[0].Frame(e)
+	f.Write32(0x20, 9, 0xf)
+	if v := f.Read32(0x20); v != 9 {
+		t.Fatalf("read back %d through the frame view, want 9", v)
+	}
+	svc[0].Touch(e, r.imu.edge+4, true)
+	svc[0].Touch(e, r.imu.edge+8, false)
+	svc[0].Commit(1, 1, copro.CPOut{Addr: 0x20, Size: copro.Size32}, 9)
 	svc[0].Finish()
 	if d := r.imu.Entry(e); !d.Dirty || !d.Ref {
 		t.Fatalf("entry after the run's accesses: %+v, want Dirty and Ref", d)

@@ -1,14 +1,21 @@
 package imu
 
-import "repro/internal/copro"
+import (
+	"repro/internal/copro"
+	"repro/internal/mem"
+)
 
 // hitService is one channel's transaction-level face (copro.HitService):
 // what a coprocessor's hit run asks of its channel instead of driving the
-// translation FSM edge by edge. Everything it applies is the channel's
-// own — its FSM, its bundle, its counters and its session's TLB entries —
-// plus the DP RAM frames of that session and the global counters, so a
-// run may be applied after the other channels have moved on: every stamp
-// carries the edge of its access (see stamp).
+// translation FSM edge by edge. It hands out port A's view of a hit's DP
+// RAM frame, which the run moves its words through, and applies the rest
+// of what the FSM and its commit would, with final values: per TLB entry
+// and page stay its Ref, Dirty and LastUse (Touch), per run the counters,
+// the latched request and CP_DIN (Commit). Everything it applies is the
+// channel's own — its FSM, its bundle, its counters and its session's TLB
+// entries — plus the DP RAM frames of that session and the global
+// counters, so a run may be applied after the other channels have moved
+// on: every stamp carries the edge of its access (see stamp).
 type hitService struct {
 	u *IMU
 	c *channel
@@ -64,51 +71,57 @@ func (s *hitService) Latency() int64 {
 func (s *hitService) PageShift() uint { return s.u.cfg.PageShift }
 
 // Hits implements copro.HitService through the channel's memoised CAM
-// match. An entry whose frame lies outside the DP RAM counts as a miss:
-// the edge FSM faults on it. The DP RAM has one frame per entry (New).
+// match. An entry whose frame port A has no view of counts as a miss: the
+// edge FSM faults on a frame outside the DP RAM, and a frame across a
+// backing page of its store (mem.DPRAM.FrameA) takes the edge path. The
+// DP RAM has one frame per entry (New), so only a page larger than a
+// backing page can have no view.
 func (s *hitService) Hits(obj uint8, addr uint32) int {
 	u := s.u
 	i := u.camLookup(s.c, obj, addr>>u.cfg.PageShift)
-	if i >= 0 && int(u.tlb[i].Frame) >= len(u.tlb) {
+	if i >= 0 && (int(u.tlb[i].Frame) >= len(u.tlb) || !u.framed) {
 		return -1
 	}
 	return i
 }
 
-// Access implements copro.HitService: what translate schedules at edge and
-// Update commits for a hit — the latched request, the entry's Ref, LastUse
-// and Dirty bits, the DP RAM word access with its byte enables, the read
-// data on CP_DIN and the global and per-channel access and hit counters.
-func (s *hitService) Access(edge int64, i int, obj uint8, addr uint32, size uint8, wr bool, v uint32) uint32 {
-	u, c := s.u, s.c
-	// Field by field: a composite literal is built on the stack with
-	// narrow stores and copied with one 16-byte load, which stalls on
-	// store forwarding once per access.
-	r := &c.req
-	r.obj, r.addr, r.size, r.wr, r.dout = obj, addr, size, wr, v
-	e := &u.tlb[i]
+// Frame implements copro.HitService: port A's view of the DP RAM frame
+// entry i maps (mem.DPRAM.FrameA), which Hits checked it has.
+func (s *hitService) Frame(i int) mem.Frame {
+	return s.u.dp.FrameA(int(s.u.tlb[i].Frame))
+}
+
+// Touch implements copro.HitService: what the translations of a page
+// stay's accesses through entry i leave on it — Ref, Dirty for a write,
+// and LastUse stamped with the last one's edge and the channel. Nothing
+// reads the entry before the run's last touch: the OS runs only once the
+// run has finished, and no other channel matches this session's entries.
+func (s *hitService) Touch(i int, edge int64, wr bool) {
+	e := &s.u.tlb[i]
 	e.Ref = true
-	e.LastUse = stamp(edge, c.sess)
-	wordAddr, lane := u.locate(e, addr)
 	if wr {
 		e.Dirty = true
-		if err := u.dp.WriteA(wordAddr, v<<(8*lane), byteEnables(size, lane)); err != nil {
-			panic("imu: hit run stored outside the DP RAM: " + err.Error()) // Hits checked the frame
-		}
-		v = 0
-	} else {
-		word, err := u.dp.ReadA(wordAddr)
-		if err != nil {
-			panic("imu: hit run loaded outside the DP RAM: " + err.Error()) // Hits checked the frame
-		}
-		v = laneData(word, lane, size)
-		c.out.DIn = v
 	}
-	u.Count.Accesses++
-	u.Count.Hits++
-	c.Count.Accesses++
-	c.Count.Hits++
-	return v
+	e.LastUse = stamp(edge, s.c.sess)
+}
+
+// Commit implements copro.HitService: the rest of what translate schedules
+// and Update commits for each of a run's hits, with its final values — the
+// global and per-channel access and hit counters, the DP RAM's port-A
+// counters, the latched request of the last access and the last read's
+// data on CP_DIN.
+func (s *hitService) Commit(reads, writes uint64, last copro.CPOut, din uint32) {
+	u, c := s.u, s.c
+	n := reads + writes
+	u.Count.Accesses += n
+	u.Count.Hits += n
+	c.Count.Accesses += n
+	c.Count.Hits += n
+	u.dp.ReadsA += reads
+	u.dp.WritesA += writes
+	r := &c.req
+	r.obj, r.addr, r.size, r.wr, r.dout = last.Obj, last.Addr, last.Size, last.Wr, last.DOut
+	c.out.DIn = din
 }
 
 // Finish implements copro.HitService: the channel's committed bundle goes

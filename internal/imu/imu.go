@@ -39,10 +39,12 @@
 //
 // A hit always takes the same edges, so every channel is also offered at
 // transaction level (HitService, wired to the port by the assembler or the
-// shell): a coprocessor's hit run asks it whether an access hits and has it
-// apply exactly what the translation FSM and its commit would — the LastUse
-// stamp of the access's own edge, the entry's Ref and Dirty bits, the DP
-// RAM access, CP_DIN and the counters — while the core skips the edges. A
+// shell): a coprocessor's hit run asks it whether an access hits, moves the
+// access's word through port A's view of the frame it hands out, and has
+// it apply the rest of what the translation FSM and its commit would, once
+// per page stay or run with final values — the LastUse stamp of the last
+// access's own edge, the entry's Ref and Dirty bits, CP_DIN and the
+// counters — while the core skips the edges. A
 // run touches only its own channel and its own session's entries, so it may
 // be applied after the neighbouring channels have moved on. Each session
 // has a table generation that every table write which may change one of
@@ -234,6 +236,8 @@ type IMU struct {
 	// hits holds each channel's hit service, built once so that handing
 	// one out as a copro.HitService allocates nothing.
 	hits [MaxChannels]hitService
+	// framed records that port A views every DP RAM frame (see Hits).
+	framed bool
 	// anyWork marks an Eval in which at least one channel scheduled a
 	// state change, so Update's idle fast path is a single branch.
 	anyWork bool
@@ -283,9 +287,10 @@ func New(cfg Config, dp *mem.DPRAM) (*IMU, error) {
 		return nil, fmt.Errorf("imu: %d TLB entries but %d DP RAM frames", cfg.Entries, dp.Pages())
 	}
 	u := &IMU{
-		cfg: cfg,
-		dp:  dp,
-		tlb: make([]TLBEntry, cfg.Entries),
+		cfg:    cfg,
+		dp:     dp,
+		tlb:    make([]TLBEntry, cfg.Entries),
+		framed: dp.Framed(),
 	}
 	if err := u.SetChannels(1); err != nil {
 		return nil, err
@@ -664,7 +669,7 @@ func (u *IMU) translate(c *channel, n *pending, edge int64) {
 		n.doWrite = true
 		n.wAddr = wordAddr
 		n.wData = r.dout << (8 * lane)
-		n.wBE = byteEnables(r.size, lane)
+		n.wBE = copro.ByteEnables(r.size, lane)
 	} else {
 		word, err := u.dp.ReadA(wordAddr)
 		if err != nil {
@@ -673,7 +678,7 @@ func (u *IMU) translate(c *channel, n *pending, edge int64) {
 			u.raiseFault(c)
 			return
 		}
-		n.out.DIn = laneData(word, lane, r.size)
+		n.out.DIn = copro.LaneData(word, lane, r.size)
 	}
 	n.entryUpd = i
 	n.entry = e
@@ -690,30 +695,6 @@ func (u *IMU) translate(c *channel, n *pending, edge int64) {
 func (u *IMU) locate(e *TLBEntry, addr uint32) (wordAddr, lane uint32) {
 	phys := u.dp.PageBase(int(e.Frame)) + addr&(1<<u.cfg.PageShift-1)
 	return phys &^ 3, phys & 3
-}
-
-// byteEnables are the DP RAM byte enables of a size-byte store at lane.
-func byteEnables(size uint8, lane uint32) uint8 {
-	switch size {
-	case copro.Size8:
-		return 1 << lane
-	case copro.Size16:
-		return 3 << lane
-	}
-	return 0xf
-}
-
-// laneData extracts a size-byte load at lane from a DP RAM word,
-// lane-aligned to bit 0.
-func laneData(word, lane uint32, size uint8) uint32 {
-	v := word >> (8 * lane)
-	switch size {
-	case copro.Size8:
-		v &= 0xff
-	case copro.Size16:
-		v &= 0xffff
-	}
-	return v
 }
 
 // raiseFault latches the fault cause in the channel's bank and interrupts

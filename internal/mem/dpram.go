@@ -54,6 +54,24 @@ func (d *DPRAM) WriteA(addr uint32, v uint32, be uint8) error {
 	return d.store.Write32(addr, v, be)
 }
 
+// Framed reports whether FrameA views every frame: each lies inside one
+// backing page of the store.
+func (d *DPRAM) Framed() bool { return pageBytes%d.pageSize == 0 }
+
+// FrameA returns page frame f as port A moves words through it: a slice
+// of the store's backing page, which it materialises as a write would, or
+// nil if the frame lies outside the RAM or across a backing page. Moves
+// through the view are not counted: its taker adds them to ReadsA and
+// WritesA.
+func (d *DPRAM) FrameA(f int) Frame {
+	base := f * d.pageSize // a multiple of the page size, as is Size
+	off := base & pageMask
+	if f < 0 || base >= d.Size() || off+d.pageSize > pageBytes {
+		return nil
+	}
+	return d.store.page(uint32(base))[off : off+d.pageSize : off+d.pageSize]
+}
+
 // ReadB performs a port-B (AHB side) word read.
 func (d *DPRAM) ReadB(addr uint32) (uint32, error) {
 	d.ReadsB++

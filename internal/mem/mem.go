@@ -218,19 +218,7 @@ func (s *ByteStore) Write32(addr uint32, v uint32, be uint8) error {
 	}
 	off := addr & pageMask
 	if off <= pageBytes-4 {
-		p := s.page(addr)
-		if be == 0xf {
-			p[off] = byte(v)
-			p[off+1] = byte(v >> 8)
-			p[off+2] = byte(v >> 16)
-			p[off+3] = byte(v >> 24)
-			return nil
-		}
-		for lane := uint32(0); lane < 4; lane++ {
-			if be&(1<<lane) != 0 {
-				p[off+lane] = byte(v >> (8 * lane))
-			}
-		}
+		Frame(s.page(addr)).Write32(off, v, be)
 		return nil
 	}
 	for lane := uint32(0); lane < 4; lane++ {
@@ -240,6 +228,47 @@ func (s *ByteStore) Write32(addr uint32, v uint32, be uint8) error {
 	}
 	return nil
 }
+
+// Frame is a view of a store's bytes (DPRAM.FrameA) that moves
+// little-endian words as Read32 and Write32 do. An offset is the word's
+// byte offset within the view; a word that does not lie inside it panics.
+type Frame []byte
+
+// Read32 returns the little-endian word at off.
+func (f Frame) Read32(off uint32) uint32 {
+	return binary.LittleEndian.Uint32(f[off : off+4 : off+4])
+}
+
+// Write32 stores the little-endian word v at off, honouring the
+// byte-enable mask be (bit i enables byte lane i; higher bits enable
+// nothing).
+func (f Frame) Write32(off, v uint32, be uint8) {
+	d := f[off : off+4 : off+4]
+	switch be & 0xf {
+	case 0xf:
+		binary.LittleEndian.PutUint32(d, v)
+	case 0x3: // the halfword stores, without reading the word
+		binary.LittleEndian.PutUint16(d, uint16(v))
+	case 0xc:
+		binary.LittleEndian.PutUint16(d[2:], uint16(v>>16))
+	default:
+		m := laneMasks[be&0xf]
+		binary.LittleEndian.PutUint32(d, binary.LittleEndian.Uint32(d)&^m|v&m)
+	}
+}
+
+// laneMasks holds, for each byte-enable mask, the word bits of the lanes
+// it enables.
+var laneMasks = func() (m [16]uint32) {
+	for be := range m {
+		for lane := 0; lane < 4; lane++ {
+			if be&(1<<lane) != 0 {
+				m[be] |= 0xff << (8 * lane)
+			}
+		}
+	}
+	return m
+}()
 
 // ReadWords fills dst with the little-endian words starting at addr, as
 // len(dst) Read32 calls at successive word addresses would, but with one

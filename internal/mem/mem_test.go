@@ -42,6 +42,50 @@ func TestByteStoreByteEnables(t *testing.T) {
 	}
 }
 
+// TestFrameAViewsPortAStorage holds a DP RAM frame view to the port-A
+// word path: every byte-enable mask stores through the view exactly the
+// lanes WriteA stores, ReadA and the view read each other's words, the
+// view's moves are not counted, and a frame outside the RAM, or one
+// across a backing page, has no view.
+func TestFrameAViewsPortAStorage(t *testing.T) {
+	view, ports := mustDPRAM(t, 8192, 2048), mustDPRAM(t, 8192, 2048)
+	f := view.FrameA(2)
+	for be := uint8(0); be < 32; be++ {
+		off := 4 * uint32(be)
+		v := 0x9abcdef0 ^ uint32(be)*0x01010101
+		f.Write32(off, 0x11111111, 0xf)
+		f.Write32(off, v, be)
+		if err := ports.WriteA(ports.PageBase(2)+off, 0x11111111, 0xf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ports.WriteA(ports.PageBase(2)+off, v, be); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ports.ReadA(ports.PageBase(2) + off)
+		if got, _ := view.ReadA(view.PageBase(2) + off); got != want || f.Read32(off) != want {
+			t.Errorf("be %#x: view stored %#x (reads back %#x), WriteA stored %#x", be, got, f.Read32(off), want)
+		}
+	}
+	if view.WritesA != 0 || view.ReadsA != 32 {
+		t.Errorf("port-A counters %d writes, %d reads: the view's moves were counted", view.WritesA, view.ReadsA)
+	}
+	if len(f) != 2048 || view.FrameA(-1) != nil || view.FrameA(4) != nil {
+		t.Errorf("frame view of %d bytes; views outside the RAM %v, %v", len(f), view.FrameA(-1), view.FrameA(4))
+	}
+	if big := mustDPRAM(t, 256<<10, 128<<10); big.Framed() || big.FrameA(0) != nil {
+		t.Error("a frame across backing pages has a view")
+	}
+}
+
+func mustDPRAM(t *testing.T, size, page int) *DPRAM {
+	t.Helper()
+	d, err := NewDPRAM(size, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestByteStoreOutOfRange(t *testing.T) {
 	s := NewByteStore(4)
 	if _, err := s.Read32(1); !errors.Is(err, ErrOutOfRange) {

@@ -107,18 +107,17 @@ func InvertIDEAKey(ek [IDEASubkeys]uint16) [IDEASubkeys]uint16 {
 // with the given subkeys. Encryption and decryption differ only in the
 // subkey array.
 func IDEACryptBlock(k *[IDEASubkeys]uint16, x1, x2, x3, x4 uint16) (y1, y2, y3, y4 uint16) {
-	ki := 0
-	next := func() uint16 { v := k[ki]; ki++; return v }
 	for r := 0; r < IDEARounds; r++ {
-		x1 = IdeaMul(x1, next())
-		x2 += next()
-		x3 += next()
-		x4 = IdeaMul(x4, next())
+		rk := (*[6]uint16)(k[6*r:]) // the round's subkeys; r < IDEARounds bounds it
+		x1 = IdeaMul(x1, rk[0])
+		x2 += rk[1]
+		x3 += rk[2]
+		x4 = IdeaMul(x4, rk[3])
 
 		s3 := x3
-		x3 = IdeaMul(x1^x3, next())
+		x3 = IdeaMul(x1^x3, rk[4])
 		s2 := x2
-		x2 = IdeaMul((x2^x4)+x3, next())
+		x2 = IdeaMul((x2^x4)+x3, rk[5])
 		x3 += x2
 
 		x1 ^= x2
@@ -126,10 +125,10 @@ func IDEACryptBlock(k *[IDEASubkeys]uint16, x1, x2, x3, x4 uint16) (y1, y2, y3, 
 		x2 ^= s3
 		x3 ^= s2
 	}
-	y1 = IdeaMul(x1, next())
-	y2 = x3 + next() // the final transform undoes the last swap
-	y3 = x2 + next()
-	y4 = IdeaMul(x4, next())
+	y1 = IdeaMul(x1, k[6*IDEARounds])
+	y2 = x3 + k[6*IDEARounds+1] // the final transform undoes the last swap
+	y3 = x2 + k[6*IDEARounds+2]
+	y4 = IdeaMul(x4, k[6*IDEARounds+3])
 	return
 }
 
